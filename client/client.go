@@ -111,8 +111,10 @@ func DialContext(ctx context.Context, addr string) (*Conn, error) {
 	}
 	// The handshake is a blocking read; ctx alone cannot interrupt it, so
 	// mirror its deadline onto the socket and watch for cancellation. The
-	// deadline is cleared on the way out (LIFO after the watcher stops, so
-	// the watcher cannot re-poison a successful connection).
+	// deadline is cleared on the way out — deferred first, so it runs last,
+	// after the watcher has been stopped and joined: a watcher still
+	// running then could see a cancellation that follows a successful
+	// return and poison the live connection.
 	defer nc.SetDeadline(time.Time{})
 	if dl, ok := ctx.Deadline(); ok {
 		if err := nc.SetDeadline(dl); err != nil {
@@ -121,9 +123,13 @@ func DialContext(ctx context.Context, addr string) (*Conn, error) {
 		}
 	}
 	if ctx.Done() != nil {
-		shaken := make(chan struct{})
-		defer close(shaken)
+		shaken, watched := make(chan struct{}), make(chan struct{})
+		defer func() {
+			close(shaken)
+			<-watched
+		}()
 		go func() {
+			defer close(watched)
 			select {
 			case <-ctx.Done():
 				nc.SetDeadline(time.Unix(1, 0)) // force pending I/O to fail

@@ -33,7 +33,12 @@
 // Queries execute on a Volcano-style operator pipeline (plan → iterate):
 // SELECTs compile to a logical plan (predicate pushdown, index-scan
 // selection, hash joins, limit pushdown) executed by pull-based operators.
-// The streaming cursor exposes that pipeline directly:
+// Expressions are compiled with the plan, not interpreted per row: a
+// column reference is bound to its row slot once, when the plan is first
+// built, and the programs — which hold no per-execution state — are reused
+// by every later execution of a cached or prepared statement (see
+// ARCHITECTURE.md, "Expression evaluation"). The streaming cursor exposes
+// the pipeline directly:
 //
 //	rows, err := db.QueryIter(`SELECT id FROM cars
 //	    PREFERRING LOWEST(price) AND LOWEST(mileage) LIMIT 5`)

@@ -25,7 +25,6 @@ import (
 	"repro/internal/bmo"
 	"repro/internal/datagen"
 	"repro/internal/exec"
-	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/preference"
 	"repro/internal/value"
@@ -578,7 +577,7 @@ func genPushScenario(rng *rand.Rand, g *prefGen) pushScenario {
 
 func drainPlan(t *testing.T, n plan.Node) []value.Row {
 	t.Helper()
-	op, err := exec.Build(n, &exec.Env{Ev: &expr.Evaluator{}})
+	op, err := exec.Build(n, &exec.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -741,39 +741,31 @@ func (s *Session) queryNative(sel *ast.Select, ee execEnv) (*Result, error) {
 	q := &qualityCtx{reg: reg, candidates: candRows, binder: binder}
 
 	// 4. BUT ONLY quality filter (applied after match-making, §2.2.4).
-	if sel.ButOnly != nil {
-		kept := bmoRows[:0:0]
-		for _, row := range bmoRows {
-			env := &qualityEnv{relEnv: relEnv{cols: binder.cols, row: row}, q: q, row: row}
-			ok, err := binder.ev.EvalBool(sel.ButOnly, env)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				kept = append(kept, row)
-			}
-		}
-		bmoRows = kept
+	if bmoRows, err = q.butOnly(sel.ButOnly, bmoRows); err != nil {
+		return nil, err
 	}
 
 	// 5. Projection with quality functions.
-	res, err := db.projectPreference(sel, cols, bmoRows, binder, q)
+	res, err := projectPreference(sel, bmoRows, q)
 	if res != nil {
 		res.Stats = pipe.Stats()
 	}
 	return res, err
 }
 
-func (db *DB) projectPreference(sel *ast.Select, cols []engine.ColInfo,
-	rows []value.Row, binder *relBinder, q *qualityCtx) (*Result, error) {
-
+func projectPreference(sel *ast.Select, rows []value.Row, q *qualityCtx) (*Result, error) {
 	// Output columns and per-row projection, shared with the streaming
 	// cursor so batch and pipeline paths cannot drift.
-	outCols, project := prefProjector(sel, cols, binder, q)
+	outCols, project := prefProjector(sel, q)
+
+	// ORDER BY keys run over the source row (columns + quality functions).
+	orderBy := make([]*expr.Program, len(sel.OrderBy))
+	for k, ob := range sel.OrderBy {
+		orderBy[k] = expr.Compile(ob.Expr, q.binder.scope)
+	}
 
 	type outPair struct {
 		out  value.Row
-		src  value.Row
 		keys value.Row
 	}
 	pairs := make([]outPair, 0, len(rows))
@@ -782,20 +774,19 @@ func (db *DB) projectPreference(sel *ast.Select, cols []engine.ColInfo,
 		if err != nil {
 			return nil, err
 		}
-		// ORDER BY keys over the source row (columns + quality functions).
 		var keys value.Row
-		if len(sel.OrderBy) > 0 {
-			env := &qualityEnv{relEnv: relEnv{cols: binder.cols, row: row}, q: q, row: row}
-			keys = make(value.Row, len(sel.OrderBy))
-			for k, ob := range sel.OrderBy {
-				v, err := binder.ev.Eval(ob.Expr, env)
+		if len(orderBy) > 0 {
+			rt := q.runtime(row)
+			keys = make(value.Row, len(orderBy))
+			for k, key := range orderBy {
+				v, err := key.Eval(rt, row)
 				if err != nil {
 					return nil, err
 				}
 				keys[k] = v
 			}
 		}
-		pairs = append(pairs, outPair{out: out, src: row, keys: keys})
+		pairs = append(pairs, outPair{out: out, keys: keys})
 	}
 
 	if len(sel.OrderBy) > 0 {
@@ -952,7 +943,7 @@ func exprHasQualityFunc(e ast.Expr) bool {
 		// Subqueries are conservatively treated as quality-bearing: a
 		// call anywhere inside the nested SELECT still reaches the
 		// quality environment through the outer-correlation chain
-		// (RowEnv.Func falls back to Outer), so a correlated
+		// (expr.RowEnv.Func falls back to Outer), so a correlated
 		// `EXISTS (... DISTANCE(x) ...)` evaluates against the
 		// candidate relation just like a top-level call.
 		case *ast.InSelect, *ast.Exists, *ast.ScalarSub:
@@ -1039,71 +1030,38 @@ func exprHasSubquery(e ast.Expr) bool {
 	return false
 }
 
-// relBinder implements preference.Binder over a detailed relation.
+// relBinder implements preference.Binder over a detailed relation: every
+// expression is compiled once against the relation's columns, and the
+// accessors it hands out share one read-only runtime — which is what lets
+// the parallel BMO workers call them concurrently.
 type relBinder struct {
-	cols []engine.ColInfo
-	ev   *expr.Evaluator
+	scope expr.Scope
+	rt    *expr.Runtime
 }
 
 func newRelBinder(cols []engine.ColInfo, eng *engine.DB, ee execEnv) *relBinder {
-	return &relBinder{cols: cols, ev: &expr.Evaluator{
+	return &relBinder{scope: expr.Scope{Cols: cols}, rt: &expr.Runtime{
 		Runner: eng.RunnerArgs(ee.ctx, ee.params),
 		Params: ee.params,
 	}}
 }
 
-// relEnv resolves columns of one candidate row.
-type relEnv struct {
-	cols []engine.ColInfo
-	row  value.Row
-}
-
-// Col implements expr.Env.
-func (e *relEnv) Col(table, name string) (value.Value, bool) {
-	for i, c := range e.cols {
-		if !strings.EqualFold(c.Name, name) {
-			continue
-		}
-		if table != "" && !strings.EqualFold(c.Qualifier, table) {
-			continue
-		}
-		return e.row[i], true
-	}
-	return value.Value{}, false
-}
-
-// Func implements expr.Env.
-func (e *relEnv) Func(*ast.FuncCall) (value.Value, bool, error) {
-	return value.Value{}, false, nil
-}
-
-// Getter implements preference.Binder. The environment is allocated per
-// call: the parallel BMO path invokes getters from several goroutines at
-// once, so a closure-shared env.row would be a data race.
+// Getter implements preference.Binder.
 func (b *relBinder) Getter(e ast.Expr) (preference.Getter, error) {
-	return func(row value.Row) (value.Value, error) {
-		return b.ev.Eval(e, &relEnv{cols: b.cols, row: row})
-	}, nil
+	return expr.Compile(e, b.scope).Bind(b.rt), nil
 }
 
-// Cond implements preference.Binder; per-call env, see Getter.
+// Cond implements preference.Binder.
 func (b *relBinder) Cond(e ast.Expr) (func(value.Row) (bool, error), error) {
-	return func(row value.Row) (bool, error) {
-		return b.ev.EvalBool(e, &relEnv{cols: b.cols, row: row})
-	}, nil
+	prog := expr.Compile(e, b.scope)
+	return func(row value.Row) (bool, error) { return prog.EvalBool(b.rt, row) }, nil
 }
 
 // Const implements preference.Binder: preference parameters must not
 // reference columns.
 func (b *relBinder) Const(e ast.Expr) (value.Value, error) {
-	return b.ev.Eval(e, constEnv{})
-}
-
-type constEnv struct{}
-
-func (constEnv) Col(table, name string) (value.Value, bool) { return value.Value{}, false }
-func (constEnv) Func(*ast.FuncCall) (value.Value, bool, error) {
-	return value.Value{}, false, nil
+	ev := expr.Evaluator{Runner: b.rt.Runner, Params: b.rt.Params}
+	return ev.Eval(e, nil)
 }
 
 // qualityCtx computes TOP/LEVEL/DISTANCE per §2.2.3. For LOWEST/HIGHEST
@@ -1197,15 +1155,19 @@ func (q *qualityCtx) minScore(label string, s preference.Scored) (float64, error
 	return min, nil
 }
 
-// qualityEnv is relEnv plus interception of the quality functions.
-type qualityEnv struct {
-	relEnv
+// qualityFuncs is the by-name environment of one BMO result row: it binds
+// TOP/LEVEL/DISTANCE calls — also those inside a correlated subquery — to
+// the quality context, and resolves no columns.
+type qualityFuncs struct {
 	q   *qualityCtx
 	row value.Row
 }
 
+// Col implements expr.Env.
+func (e *qualityFuncs) Col(string, string) (value.Value, bool) { return value.Value{}, false }
+
 // Func implements expr.Env, binding TOP/LEVEL/DISTANCE.
-func (e *qualityEnv) Func(fc *ast.FuncCall) (value.Value, bool, error) {
+func (e *qualityFuncs) Func(fc *ast.FuncCall) (value.Value, bool, error) {
 	switch strings.ToUpper(fc.Name) {
 	case "TOP", "LEVEL", "DISTANCE":
 		if len(fc.Args) != 1 {
@@ -1215,6 +1177,38 @@ func (e *qualityEnv) Func(fc *ast.FuncCall) (value.Value, bool, error) {
 		return v, true, err
 	}
 	return value.Value{}, false, nil
+}
+
+// runtime is the binder's runtime with the quality functions bound to row.
+func (q *qualityCtx) runtime(row value.Row) *expr.Runtime {
+	rt := *q.binder.rt
+	rt.Outer = &qualityFuncs{q: q, row: row}
+	return &rt
+}
+
+// butOnly applies the BUT ONLY quality filter (nil: keep everything).
+func (q *qualityCtx) butOnly(cond ast.Expr, rows []value.Row) ([]value.Row, error) {
+	if cond == nil {
+		return rows, nil
+	}
+	keep := q.filter(cond)
+	kept := rows[:0:0]
+	for _, row := range rows {
+		ok, err := keep(row)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			kept = append(kept, row)
+		}
+	}
+	return kept, nil
+}
+
+// filter compiles a BUT ONLY condition into a row predicate.
+func (q *qualityCtx) filter(cond ast.Expr) func(value.Row) (bool, error) {
+	prog := expr.Compile(cond, q.binder.scope)
+	return func(row value.Row) (bool, error) { return prog.EvalBool(q.runtime(row), row) }
 }
 
 // ---------------------------------------------------------------------------

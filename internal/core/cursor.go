@@ -3,13 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/ast"
 	"repro/internal/bmo"
-	"repro/internal/engine"
 	"repro/internal/exec"
+	"repro/internal/expr"
 	"repro/internal/parser"
 	"repro/internal/plan"
 	"repro/internal/preference"
@@ -341,10 +340,22 @@ func (s *Session) openPreferenceCursor(sel *ast.Select, strict bool, ee execEnv)
 		cand = bop.Input()
 	}
 	q := &qualityCtx{reg: reg, candidates: cand, binder: binder}
-	outCols, project := prefProjector(sel, cols, binder, q)
+	outCols, pull := prefPull(sel, op, q)
+	c := &Cursor{cols: outCols, stats: pipe.Stats(), pull: pull, fin: op.Close, ctx: ee.ctx}
+	return s.trackCursor(c, "pref_select", sel, node, rec), nil
+}
 
+// prefPull is the streaming tail of a preference query over the opened
+// BMO (or gather) operator: BUT ONLY, OFFSET, projection, LIMIT, one row
+// per pull.
+func prefPull(sel *ast.Select, op exec.Operator, q *qualityCtx) ([]string, func() (value.Row, error)) {
+	outCols, project := prefProjector(sel, q)
+	var keep func(value.Row) (bool, error)
+	if sel.ButOnly != nil {
+		keep = q.filter(sel.ButOnly)
+	}
 	var emitted, skipped int64
-	pull := func() (value.Row, error) {
+	return outCols, func() (value.Row, error) {
 		for {
 			if sel.Limit >= 0 && emitted >= sel.Limit {
 				return nil, nil
@@ -353,9 +364,8 @@ func (s *Session) openPreferenceCursor(sel *ast.Select, strict bool, ee execEnv)
 			if err != nil || row == nil {
 				return nil, err
 			}
-			if sel.ButOnly != nil {
-				env := &qualityEnv{relEnv: relEnv{cols: binder.cols, row: row}, q: q, row: row}
-				ok, err := binder.ev.EvalBool(sel.ButOnly, env)
+			if keep != nil {
+				ok, err := keep(row)
 				if err != nil {
 					return nil, err
 				}
@@ -375,55 +385,15 @@ func (s *Session) openPreferenceCursor(sel *ast.Select, strict bool, ee execEnv)
 			return out, nil
 		}
 	}
-	c := &Cursor{cols: outCols, stats: pipe.Stats(), pull: pull, fin: op.Close, ctx: ee.ctx}
-	return s.trackCursor(c, "pref_select", sel, node, rec), nil
 }
 
 // prefProjector compiles the SELECT list of a preference query into output
 // column names and a per-row projection function with the quality functions
-// (TOP/LEVEL/DISTANCE) bound.
-func prefProjector(sel *ast.Select, cols []engine.ColInfo, binder *relBinder,
-	q *qualityCtx) ([]string, func(value.Row) (value.Row, error)) {
-
-	var outCols []string
-	for _, it := range sel.Items {
-		if st, ok := it.Expr.(*ast.Star); ok {
-			for _, c := range cols {
-				if st.Table == "" || strings.EqualFold(c.Qualifier, st.Table) {
-					outCols = append(outCols, c.Name)
-				}
-			}
-			continue
-		}
-		name := it.Alias
-		if name == "" {
-			if c, ok := it.Expr.(*ast.Column); ok {
-				name = c.Name
-			} else {
-				name = it.Expr.SQL()
-			}
-		}
-		outCols = append(outCols, name)
+// (TOP/LEVEL/DISTANCE) bound. The projected row is always a fresh copy:
+// rows below this point may be the table's own.
+func prefProjector(sel *ast.Select, q *qualityCtx) ([]string, func(value.Row) (value.Row, error)) {
+	proj := expr.CompileProjection(sel.Items, q.binder.scope)
+	return proj.Names(), func(row value.Row) (value.Row, error) {
+		return proj.Row(q.runtime(row), row)
 	}
-	project := func(row value.Row) (value.Row, error) {
-		env := &qualityEnv{relEnv: relEnv{cols: binder.cols, row: row}, q: q, row: row}
-		out := make(value.Row, 0, len(outCols))
-		for _, it := range sel.Items {
-			if st, ok := it.Expr.(*ast.Star); ok {
-				for ci, c := range cols {
-					if st.Table == "" || strings.EqualFold(c.Qualifier, st.Table) {
-						out = append(out, row[ci])
-					}
-				}
-				continue
-			}
-			v, err := binder.ev.Eval(it.Expr, env)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, v)
-		}
-		return out, nil
-	}
-	return outCols, project
 }

@@ -266,7 +266,6 @@ func (db *DB) distSelectTable(sel *ast.Select) (string, bool, error) {
 // evaluate with.
 type distQuery struct {
 	node   *plan.Gather
-	cols   []engine.ColInfo
 	binder *relBinder
 	reg    *preference.Registry
 	sel    *ast.Select // with preference references resolved
@@ -362,22 +361,18 @@ func (s *Session) planDistSelect(sel *ast.Select, table string, ee execEnv) (*di
 	// (sum, vec) order and nothing runs after the merge: the transport
 	// then forces the SFS algorithm on the shard sessions.
 	progressive := pref != nil && post == nil && bmo.Streamable(pref)
-	sch := make(plan.Schema, len(cols))
-	for i, c := range cols {
-		sch[i] = plan.ColRef{Qual: c.Qualifier, Name: c.Name}
-	}
 	node := &plan.Gather{
 		Table:       table,
 		ShardSQL:    shardSQL,
 		Args:        args,
-		Cols:        sch,
+		Cols:        cols,
 		Transport:   db.dist.Transport(),
 		Pref:        pref,
 		Post:        post,
 		Progressive: progressive,
 		Workers:     s.Workers(),
 	}
-	return &distQuery{node: node, cols: cols, binder: binder, reg: reg, sel: sel}, nil
+	return &distQuery{node: node, binder: binder, reg: reg, sel: sel}, nil
 }
 
 // queryDistributed is the batch path of a distributed SELECT: gather
@@ -385,7 +380,6 @@ func (s *Session) planDistSelect(sel *ast.Select, table string, ee execEnv) (*di
 // exactly like the local batch path (shared post-processing, so the
 // paths cannot drift).
 func (s *Session) queryDistributed(sel *ast.Select, table string, ee execEnv) (*Result, error) {
-	db := s.db
 	dq, err := s.planDistSelect(sel, table, ee)
 	if err != nil {
 		return nil, err
@@ -410,21 +404,10 @@ func (s *Session) queryDistributed(sel *ast.Select, table string, ee execEnv) (*
 		s.stashPlan(dq.node, rec)
 	}
 	q := &qualityCtx{reg: dq.reg, binder: dq.binder}
-	if sel.ButOnly != nil {
-		kept := rows[:0:0]
-		for _, row := range rows {
-			env := &qualityEnv{relEnv: relEnv{cols: dq.binder.cols, row: row}, q: q, row: row}
-			ok, err := dq.binder.ev.EvalBool(sel.ButOnly, env)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				kept = append(kept, row)
-			}
-		}
-		rows = kept
+	if rows, err = q.butOnly(sel.ButOnly, rows); err != nil {
+		return nil, err
 	}
-	res, err := db.projectPreference(sel, dq.cols, rows, dq.binder, q)
+	res, err := projectPreference(sel, rows, q)
 	if res != nil {
 		res.Stats = st
 	}
@@ -473,41 +456,7 @@ func (s *Session) openDistCursor(sel *ast.Select, table string, strict bool, ee 
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
-	q := &qualityCtx{reg: dq.reg, binder: dq.binder}
-	outCols, project := prefProjector(sel, dq.cols, dq.binder, q)
-
-	var emitted, skipped int64
-	pull := func() (value.Row, error) {
-		for {
-			if sel.Limit >= 0 && emitted >= sel.Limit {
-				return nil, nil
-			}
-			row, err := op.Next()
-			if err != nil || row == nil {
-				return nil, err
-			}
-			if sel.ButOnly != nil {
-				env := &qualityEnv{relEnv: relEnv{cols: dq.binder.cols, row: row}, q: q, row: row}
-				ok, err := dq.binder.ev.EvalBool(sel.ButOnly, env)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			if skipped < sel.Offset {
-				skipped++
-				continue
-			}
-			out, err := project(row)
-			if err != nil {
-				return nil, err
-			}
-			emitted++
-			return out, nil
-		}
-	}
+	outCols, pull := prefPull(sel, op, &qualityCtx{reg: dq.reg, binder: dq.binder})
 	c := &Cursor{cols: outCols, stats: st, pull: pull, fin: op.Close, ctx: ee.ctx}
 	return s.trackCursor(c, kind, sel, dq.node, rec), nil
 }
@@ -565,14 +514,14 @@ func (s *Session) distInsert(ins *ast.Insert, ee execEnv) (bool, *Result, error)
 		}
 		idx = tbl.Schema.ColIndex(hashCol)
 	}
-	ev := &expr.Evaluator{Runner: db.eng.RunnerArgs(ee.ctx, ee.params), Params: ee.params}
+	ev := expr.Evaluator{Runner: db.eng.RunnerArgs(ee.ctx, ee.params), Params: ee.params}
 	n := len(db.dist.Transport().ShardNames())
 	perShard := make([][]string, n)
 	for _, row := range ins.Rows {
 		vals := make([]string, len(row))
 		hash := value.NewNull()
 		for i, e := range row {
-			v, err := ev.Eval(e, constEnv{})
+			v, err := ev.Eval(e, nil)
 			if err != nil {
 				return true, nil, err
 			}

@@ -107,8 +107,7 @@ func (s *Session) subscribeSelect(ctx context.Context, sel *ast.Select, args []v
 		}
 	}
 
-	q := &qualityCtx{reg: reg, binder: binder}
-	outCols, project := prefProjector(sel, cols, binder, q)
+	outCols, project := prefProjector(sel, &qualityCtx{reg: reg, binder: binder})
 
 	// Registration must be atomic with respect to writers: under the
 	// shared read lock no write statement runs, so the initial scan and
@@ -163,7 +162,7 @@ func (db *DB) subscribeTarget(sel *ast.Select) (*storage.Table, []engine.ColInfo
 	}
 	cols := make([]engine.ColInfo, len(tbl.Schema.Cols))
 	for i, c := range tbl.Schema.Cols {
-		cols[i] = engine.ColInfo{Qualifier: qual, Name: c.Name}
+		cols[i] = engine.ColInfo{Qual: qual, Name: c.Name}
 	}
 	return tbl, cols, nil
 }

@@ -21,6 +21,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/parser"
+	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -140,10 +141,7 @@ func (db *DB) selectWith(ec *execContext, sel *ast.Select) (*Result, error) {
 
 // ColInfo labels one output column with its qualifier (table name or
 // alias; empty for computed columns) and name.
-type ColInfo struct {
-	Qualifier string
-	Name      string
-}
+type ColInfo = expr.Col
 
 // DetailedResult is a Result that keeps column qualifiers, needed by the
 // preference layer to bind qualified column references.
@@ -168,11 +166,7 @@ func (db *DB) SelectDetailedArgs(qctx context.Context, sel *ast.Select, params [
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]ColInfo, len(rel.cols))
-	for i, c := range rel.cols {
-		cols[i] = ColInfo{Qualifier: c.qual, Name: c.name}
-	}
-	return &DetailedResult{Cols: cols, Rows: rel.rows}, nil
+	return &DetailedResult{Cols: rel.cols, Rows: rel.rows}, nil
 }
 
 // Runner returns a subquery runner bound to this database, for expression
@@ -190,69 +184,32 @@ func (db *DB) RunnerArgs(qctx context.Context, params []value.Value) expr.Subque
 // Relations and environments
 // ---------------------------------------------------------------------------
 
-// colref labels one column of an intermediate relation with its qualifier
-// (table name or alias) and column name.
-type colref struct {
-	qual string
-	name string
-}
-
+// relation is a materialized intermediate result: a schema and its rows.
 type relation struct {
-	cols []colref
+	cols plan.Schema
 	rows []value.Row
 }
 
-func (r *relation) names() []string {
-	out := make([]string, len(r.cols))
-	for i, c := range r.cols {
-		out[i] = c.name
-	}
-	return out
-}
+func (r *relation) names() []string { return r.cols.Names() }
 
-// colIndex resolves a (table, name) reference; table may be empty.
-// The second return counts matches (for ambiguity detection).
-func (r *relation) colIndex(table, name string) (int, int) {
-	idx, n := -1, 0
-	for i, c := range r.cols {
-		if !strings.EqualFold(c.name, name) {
-			continue
-		}
-		if table != "" && !strings.EqualFold(c.qual, table) {
-			continue
-		}
-		if idx < 0 {
-			idx = i
-		}
-		n++
-	}
-	return idx, n
-}
-
-// rowEnv resolves columns of one row of a relation, with aggregate
-// interception and an optional outer (correlation) environment.
-type rowEnv struct {
-	rel   *relation
-	row   value.Row
-	aggs  map[string]value.Value // precomputed aggregates keyed by SQL text
+// aggEnv is the by-name environment of a grouped query block: aggregate
+// calls resolve to the values pre-computed for the current group, anything
+// else goes to the enclosing statement.
+type aggEnv struct {
+	aggs  map[string]value.Value // keyed by the call's SQL text
 	outer expr.Env
 }
 
-func (e *rowEnv) Col(table, name string) (value.Value, bool) {
-	if idx, n := e.rel.colIndex(table, name); n > 0 {
-		return e.row[idx], true
-	}
+func (e *aggEnv) Col(table, name string) (value.Value, bool) {
 	if e.outer != nil {
 		return e.outer.Col(table, name)
 	}
 	return value.Value{}, false
 }
 
-func (e *rowEnv) Func(fc *ast.FuncCall) (value.Value, bool, error) {
-	if e.aggs != nil {
-		if v, ok := e.aggs[fc.SQL()]; ok {
-			return v, true, nil
-		}
+func (e *aggEnv) Func(fc *ast.FuncCall) (value.Value, bool, error) {
+	if v, ok := e.aggs[fc.SQL()]; ok {
+		return v, true, nil
 	}
 	if e.outer != nil {
 		return e.outer.Func(fc)
@@ -287,11 +244,12 @@ func newExecContextArgs(db *DB, qctx context.Context, params []value.Value) *exe
 	return ec
 }
 
-// evaluator builds an expression evaluator bound to this execution: its
-// subquery runner shares the view cache and its Params resolve ast.Param
-// nodes against the execution's arguments.
-func (ctx *execContext) evaluator() *expr.Evaluator {
-	return &expr.Evaluator{Runner: ctx, Params: ctx.params}
+// runtime builds the expression runtime of one query block of this
+// execution: its subquery runner shares the view cache, its Params resolve
+// ast.Param nodes against the execution's arguments, and outer is the
+// enclosing block's correlation environment.
+func (ctx *execContext) runtime(outer expr.Env) *expr.Runtime {
+	return &expr.Runtime{Runner: ctx, Params: ctx.params, Outer: outer}
 }
 
 // stop is the exec.Env cancellation hook; nil when the execution carries
@@ -338,14 +296,12 @@ func (ctx *execContext) evalSelect(sel *ast.Select, outer expr.Env) (*relation, 
 		return nil, fmt.Errorf("engine: subquery nesting too deep")
 	}
 
-	ev := ctx.evaluator()
-
 	if len(sel.GroupBy) > 0 || hasAggregates(sel) {
 		node, err := ctx.plannerFor(outer).PlanSource(sel.From, sel.Where, false)
 		if err != nil {
 			return nil, err
 		}
-		op, err := exec.Build(node, ctx.execEnv(ev, outer))
+		op, err := exec.Build(node, ctx.execEnv(outer))
 		if err != nil {
 			return nil, err
 		}
@@ -353,15 +309,14 @@ func (ctx *execContext) evalSelect(sel *ast.Select, outer expr.Env) (*relation, 
 		if err != nil {
 			return nil, err
 		}
-		src := &relation{cols: colrefsOf(node.Schema())}
-		return ctx.evalGrouped(sel, src, filtered, outer, ev)
+		return ctx.evalGrouped(sel, node.Schema(), filtered, outer)
 	}
 
 	node, err := ctx.plannerFor(outer).PlanSelect(sel)
 	if err != nil {
 		return nil, err
 	}
-	op, err := exec.Build(node, ctx.execEnv(ev, outer))
+	op, err := exec.Build(node, ctx.execEnv(outer))
 	if err != nil {
 		return nil, err
 	}
@@ -369,7 +324,7 @@ func (ctx *execContext) evalSelect(sel *ast.Select, outer expr.Env) (*relation, 
 	if err != nil {
 		return nil, err
 	}
-	return &relation{cols: colrefsOf(node.Schema()), rows: rows}, nil
+	return &relation{cols: node.Schema(), rows: rows}, nil
 }
 
 func applyLimit(rel *relation, limit, offset int64) {
@@ -397,72 +352,6 @@ func distinctRows(rows []value.Row) []value.Row {
 		out = append(out, r)
 	}
 	return out
-}
-
-// ---------------------------------------------------------------------------
-// Projection and ORDER BY
-// ---------------------------------------------------------------------------
-
-// project computes the SELECT list for each row. aggs, when non-nil, binds
-// pre-computed aggregates (grouped queries).
-func (ctx *execContext) project(sel *ast.Select, src *relation, rows []value.Row,
-	outer expr.Env, ev *expr.Evaluator, aggsPerRow []map[string]value.Value) (*relation, error) {
-
-	var cols []colref
-	type itemPlan struct {
-		star     bool
-		starQual string
-		expr     ast.Expr
-	}
-	var plans []itemPlan
-	for _, it := range sel.Items {
-		if st, ok := it.Expr.(*ast.Star); ok {
-			plans = append(plans, itemPlan{star: true, starQual: st.Table})
-			for _, c := range src.cols {
-				if st.Table == "" || strings.EqualFold(c.qual, st.Table) {
-					cols = append(cols, c)
-				}
-			}
-			continue
-		}
-		name := it.Alias
-		if name == "" {
-			if c, ok := it.Expr.(*ast.Column); ok {
-				name = c.Name
-			} else {
-				name = it.Expr.SQL()
-			}
-		}
-		plans = append(plans, itemPlan{expr: it.Expr})
-		cols = append(cols, colref{name: name})
-	}
-
-	out := &relation{cols: cols, rows: make([]value.Row, 0, len(rows))}
-	env := &rowEnv{rel: src, outer: outer}
-	for ri, row := range rows {
-		env.row = row
-		if aggsPerRow != nil {
-			env.aggs = aggsPerRow[ri]
-		}
-		outRow := make(value.Row, 0, len(cols))
-		for _, p := range plans {
-			if p.star {
-				for i, c := range src.cols {
-					if p.starQual == "" || strings.EqualFold(c.qual, p.starQual) {
-						outRow = append(outRow, row[i])
-					}
-				}
-				continue
-			}
-			v, err := ev.Eval(p.expr, env)
-			if err != nil {
-				return nil, err
-			}
-			outRow = append(outRow, v)
-		}
-		out.rows = append(out.rows, outRow)
-	}
-	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -569,10 +458,16 @@ func collectAggregates(sel *ast.Select) []*ast.FuncCall {
 	return out
 }
 
-func (ctx *execContext) evalGrouped(sel *ast.Select, src *relation,
-	rows []value.Row, outer expr.Env, ev *expr.Evaluator) (*relation, error) {
+// evalGrouped evaluates the grouped/aggregate part of a SELECT over the
+// filtered FROM/WHERE rows (schema src). Every expression is compiled once
+// against src; the per-group aggregates reach HAVING, the SELECT list and
+// ORDER BY by name, through the group's aggEnv.
+func (ctx *execContext) evalGrouped(sel *ast.Select, src plan.Schema,
+	rows []value.Row, outer expr.Env) (*relation, error) {
 
 	aggCalls := collectAggregates(sel)
+	scope := src.Scope()
+	rt := ctx.runtime(outer)
 
 	// Partition rows by GROUP BY key (single group if no GROUP BY).
 	type group struct {
@@ -581,14 +476,16 @@ func (ctx *execContext) evalGrouped(sel *ast.Select, src *relation,
 	}
 	var groups []*group
 	index := map[string]*group{}
-	env := &rowEnv{rel: src, outer: outer}
+	groupBy := make([]*expr.Program, len(sel.GroupBy))
+	for i, ge := range sel.GroupBy {
+		groupBy[i] = expr.Compile(ge, scope)
+	}
 	for _, row := range rows {
 		var key string
-		if len(sel.GroupBy) > 0 {
-			env.row = row
-			keyVals := make(value.Row, len(sel.GroupBy))
-			for i, ge := range sel.GroupBy {
-				v, err := ev.Eval(ge, env)
+		if len(groupBy) > 0 {
+			keyVals := make(value.Row, len(groupBy))
+			for i, ge := range groupBy {
+				v, err := ge.Eval(rt, row)
 				if err != nil {
 					return nil, err
 				}
@@ -606,50 +503,61 @@ func (ctx *execContext) evalGrouped(sel *ast.Select, src *relation,
 	}
 	// Aggregates without GROUP BY over an empty input yield one group.
 	if len(groups) == 0 && len(sel.GroupBy) == 0 {
-		groups = append(groups, &group{rep: make(value.Row, len(src.cols))})
+		groups = append(groups, &group{rep: make(value.Row, len(src))})
 	}
 
-	// Compute aggregates per group.
+	// Compute aggregates per group; each group's runtime binds them.
+	aggArgs := make([]*expr.Program, len(aggCalls))
+	for i, fc := range aggCalls {
+		if len(fc.Args) == 1 {
+			aggArgs[i] = expr.Compile(fc.Args[0], scope)
+		}
+	}
 	repRows := make([]value.Row, 0, len(groups))
-	aggsPerRow := make([]map[string]value.Value, 0, len(groups))
+	groupRts := make([]*expr.Runtime, 0, len(groups))
 	for _, g := range groups {
 		aggs := map[string]value.Value{}
-		for _, fc := range aggCalls {
-			v, err := ctx.computeAggregate(fc, src, g.rows, outer, ev)
+		for i, fc := range aggCalls {
+			v, err := computeAggregate(fc, aggArgs[i], g.rows, rt)
 			if err != nil {
 				return nil, err
 			}
 			aggs[fc.SQL()] = v
 		}
 		repRows = append(repRows, g.rep)
-		aggsPerRow = append(aggsPerRow, aggs)
+		groupRts = append(groupRts, ctx.runtime(&aggEnv{aggs: aggs, outer: outer}))
 	}
 
 	// HAVING filter on groups.
 	if sel.Having != nil {
+		having := expr.Compile(sel.Having, scope)
 		keptRows := repRows[:0:0]
-		keptAggs := aggsPerRow[:0:0]
+		keptRts := groupRts[:0:0]
 		for i := range repRows {
-			henv := &rowEnv{rel: src, row: repRows[i], aggs: aggsPerRow[i], outer: outer}
-			ok, err := ev.EvalBool(sel.Having, henv)
+			ok, err := having.EvalBool(groupRts[i], repRows[i])
 			if err != nil {
 				return nil, err
 			}
 			if ok {
 				keptRows = append(keptRows, repRows[i])
-				keptAggs = append(keptAggs, aggsPerRow[i])
+				keptRts = append(keptRts, groupRts[i])
 			}
 		}
-		repRows, aggsPerRow = keptRows, keptAggs
+		repRows, groupRts = keptRows, keptRts
 	}
 
-	out, err := ctx.project(sel, src, repRows, outer, ev, aggsPerRow)
-	if err != nil {
-		return nil, err
+	proj := expr.CompileProjection(sel.Items, scope)
+	out := &relation{cols: proj.Cols, rows: make([]value.Row, len(repRows))}
+	for i, row := range repRows {
+		outRow, err := proj.Row(groupRts[i], row)
+		if err != nil {
+			return nil, err
+		}
+		out.rows[i] = outRow
 	}
 
 	if len(sel.OrderBy) > 0 {
-		if err := ctx.orderByGrouped(sel, out, src, repRows, aggsPerRow, outer, ev); err != nil {
+		if err := orderByGrouped(sel, out, src, repRows, groupRts); err != nil {
 			return nil, err
 		}
 	}
@@ -660,23 +568,28 @@ func (ctx *execContext) evalGrouped(sel *ast.Select, src *relation,
 	return out, nil
 }
 
-func (ctx *execContext) orderByGrouped(sel *ast.Select, out, src *relation,
-	repRows []value.Row, aggsPerRow []map[string]value.Value,
-	outer expr.Env, ev *expr.Evaluator) error {
+// orderByGrouped sorts the grouped output. Order keys run over the output
+// row followed by the group's representative source row, so an unqualified
+// name finds a projection alias first, then a source column.
+func orderByGrouped(sel *ast.Select, out *relation, src plan.Schema,
+	repRows []value.Row, groupRts []*expr.Runtime) error {
 
+	scope := expr.Scope{Cols: append(append(plan.Schema{}, out.cols...), src...), Aliases: len(out.cols)}
+	keyProgs := make([]*expr.Program, len(sel.OrderBy))
+	for k, ob := range sel.OrderBy {
+		keyProgs[k] = expr.Compile(ob.Expr, scope)
+	}
 	type pair struct {
 		keys value.Row
 		idx  int
 	}
 	pairs := make([]pair, len(out.rows))
+	var both value.Row // scratch: output row ++ source row
 	for i := range out.rows {
-		env := &expr.DualEnv{
-			Primary:  &rowEnv{rel: out, row: out.rows[i]},
-			Fallback: &rowEnv{rel: src, row: repRows[i], aggs: aggsPerRow[i], outer: outer},
-		}
-		keys := make(value.Row, len(sel.OrderBy))
-		for k, ob := range sel.OrderBy {
-			v, err := ev.Eval(ob.Expr, env)
+		both = append(append(both[:0], out.rows[i]...), repRows[i]...)
+		keys := make(value.Row, len(keyProgs))
+		for k, key := range keyProgs {
+			v, err := key.Eval(groupRts[i], both)
 			if err != nil {
 				return err
 			}
@@ -705,28 +618,25 @@ func (ctx *execContext) orderByGrouped(sel *ast.Select, out, src *relation,
 	return nil
 }
 
-func (ctx *execContext) computeAggregate(fc *ast.FuncCall, src *relation,
-	rows []value.Row, outer expr.Env, ev *expr.Evaluator) (value.Value, error) {
-
+// computeAggregate folds one aggregate call over a group's rows; arg is
+// the call's compiled argument (unused for COUNT(*)).
+func computeAggregate(fc *ast.FuncCall, arg *expr.Program, rows []value.Row, rt *expr.Runtime) (value.Value, error) {
 	name := strings.ToUpper(fc.Name)
 	if len(fc.Args) != 1 {
 		return value.Value{}, fmt.Errorf("%s expects one argument", name)
 	}
-	arg := fc.Args[0]
-	_, isStar := arg.(*ast.Star)
+	_, isStar := fc.Args[0].(*ast.Star)
 	if isStar && name != "COUNT" {
 		return value.Value{}, fmt.Errorf("%s(*) is not valid", name)
 	}
 
-	env := &rowEnv{rel: src, outer: outer}
 	var vals []value.Value
 	for _, row := range rows {
 		if isStar {
 			vals = append(vals, value.NewInt(1))
 			continue
 		}
-		env.row = row
-		v, err := ev.Eval(arg, env)
+		v, err := arg.Eval(rt, row)
 		if err != nil {
 			return value.Value{}, err
 		}
@@ -842,12 +752,11 @@ func (db *DB) insert(ec *execContext, ins *ast.Insert) (*Result, error) {
 			batch = append(batch, full)
 		}
 	} else {
-		ev := ec.evaluator()
-		env := expr.MapEnv{}
+		ev := expr.Evaluator{Runner: ec, Params: ec.params}
 		for _, exprRow := range ins.Rows {
 			vals := make(value.Row, len(exprRow))
 			for i, e := range exprRow {
-				v, err := ev.Eval(e, env)
+				v, err := ev.Eval(e, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -878,20 +787,19 @@ func (db *DB) InsertRows(table string, rows []value.Row) (int, error) {
 	return len(rows), nil
 }
 
-func (db *DB) tableEnvMatcher(ec *execContext, tbl *storage.Table, where ast.Expr) func(value.Row) (bool, error) {
-	ev := ec.evaluator()
-	cols := make([]colref, len(tbl.Schema.Cols))
-	for i, c := range tbl.Schema.Cols {
-		cols[i] = colref{qual: tbl.Name, name: c.Name}
+// tableScope is the column scope UPDATE and DELETE expressions compile
+// against: the table's columns, qualified by the table name.
+func tableScope(tbl *storage.Table) expr.Scope {
+	return plan.NewSeqScan(tbl, tbl.Name).Schema().Scope()
+}
+
+// tableMatcher compiles a DML WHERE clause into a row predicate.
+func tableMatcher(rt *expr.Runtime, scope expr.Scope, where ast.Expr) func(value.Row) (bool, error) {
+	if where == nil {
+		return func(value.Row) (bool, error) { return true, nil }
 	}
-	rel := &relation{cols: cols}
-	return func(row value.Row) (bool, error) {
-		if where == nil {
-			return true, nil
-		}
-		env := &rowEnv{rel: rel, row: row}
-		return ev.EvalBool(where, env)
-	}
+	cond := expr.Compile(where, scope)
+	return func(row value.Row) (bool, error) { return cond.EvalBool(rt, row) }
 }
 
 func (db *DB) update(ec *execContext, upd *ast.Update) (*Result, error) {
@@ -899,25 +807,24 @@ func (db *DB) update(ec *execContext, upd *ast.Update) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: no such table: %s", upd.Table)
 	}
+	scope := tableScope(tbl)
 	setIdx := make([]int, len(upd.Sets))
+	setTo := make([]*expr.Program, len(upd.Sets))
 	for i, s := range upd.Sets {
 		idx := tbl.Schema.ColIndex(s.Column)
 		if idx < 0 {
 			return nil, fmt.Errorf("engine: table %s has no column %s", upd.Table, s.Column)
 		}
 		setIdx[i] = idx
+		setTo[i] = expr.Compile(s.Expr, scope)
 	}
-	ev := ec.evaluator()
-	cols := make([]colref, len(tbl.Schema.Cols))
-	for i, c := range tbl.Schema.Cols {
-		cols[i] = colref{qual: tbl.Name, name: c.Name}
-	}
-	rel := &relation{cols: cols}
+	rt := ec.runtime(nil)
 
-	n, err := tbl.Update(db.tableEnvMatcher(ec, tbl, upd.Where), func(row value.Row) (value.Row, error) {
-		env := &rowEnv{rel: rel, row: row}
-		for i, s := range upd.Sets {
-			v, err := ev.Eval(s.Expr, env)
+	// Assignments apply left to right on the row's private copy, so a
+	// later SET expression sees the earlier ones' new values.
+	n, err := tbl.Update(tableMatcher(rt, scope, upd.Where), func(row value.Row) (value.Row, error) {
+		for i, to := range setTo {
+			v, err := to.Eval(rt, row)
 			if err != nil {
 				return nil, err
 			}
@@ -936,7 +843,7 @@ func (db *DB) delete(ec *execContext, del *ast.Delete) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: no such table: %s", del.Table)
 	}
-	n, err := tbl.Delete(db.tableEnvMatcher(ec, tbl, del.Where))
+	n, err := tbl.Delete(tableMatcher(ec.runtime(nil), tableScope(tbl), del.Where))
 	if err != nil {
 		return nil, err
 	}

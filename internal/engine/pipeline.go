@@ -19,24 +19,6 @@ import (
 // path still materializes, but its FROM/WHERE input comes through the same
 // pipeline.
 
-// colrefsOf converts a plan schema to the engine's column labels.
-func colrefsOf(s plan.Schema) []colref {
-	out := make([]colref, len(s))
-	for i, c := range s {
-		out[i] = colref{qual: c.Qual, name: c.Name}
-	}
-	return out
-}
-
-// schemaOf converts engine column labels to a plan schema.
-func schemaOf(cols []colref) plan.Schema {
-	out := make(plan.Schema, len(cols))
-	for i, c := range cols {
-		out[i] = plan.ColRef{Qual: c.qual, Name: c.name}
-	}
-	return out
-}
-
 // plannerFor returns a planner bound to this statement: views materialize
 // once per statement (the view cache), FROM subqueries evaluate recursively
 // under the given correlation environment.
@@ -55,21 +37,22 @@ func (ctx *execContext) plannerFor(outer expr.Env) *plan.Planner {
 					}
 					ctx.viewCache[key] = rel
 				}
-				return schemaOf(rel.cols), rel.rows, nil
+				return rel.cols, rel.rows, nil
 			}
 			rel, err := ctx.evalSelect(sel, outer)
 			if err != nil {
 				return nil, nil, err
 			}
-			return schemaOf(rel.cols), rel.rows, nil
+			return rel.cols, rel.rows, nil
 		},
 	}
 }
 
-// execEnv builds the operator environment sharing this statement's
-// evaluator, work counters and cancellation hook.
-func (ctx *execContext) execEnv(ev *expr.Evaluator, outer expr.Env) *exec.Env {
-	return &exec.Env{Ev: ev, Outer: outer, Stats: ctx.stats, Stop: ctx.stop()}
+// execEnv builds the operator environment of one query block: a runtime
+// correlated to outer, and this statement's work counters and
+// cancellation hook.
+func (ctx *execContext) execEnv(outer expr.Env) *exec.Env {
+	return &exec.Env{Rt: ctx.runtime(outer), Stats: ctx.stats, Stop: ctx.stop()}
 }
 
 // ---------------------------------------------------------------------------
@@ -81,7 +64,6 @@ func (ctx *execContext) execEnv(ev *expr.Evaluator, outer expr.Env) *exec.Env {
 // plain consumers build it as-is and stream.
 type Pipeline struct {
 	ctx   *execContext
-	ev    *expr.Evaluator
 	node  plan.Node
 	stats *exec.Stats
 	rec   *exec.NodeRec // per-operator recorder; nil = recording off
@@ -108,12 +90,11 @@ func (db *DB) PipelineArgs(qctx context.Context, sel *ast.Select, params []value
 		return nil, fmt.Errorf("engine: unresolved bind parameter in LIMIT/OFFSET (parameters are supported only in the outermost LIMIT/OFFSET)")
 	}
 	ctx := newExecContextArgs(db, qctx, params)
-	ev := ctx.evaluator()
 	node, err := ctx.plannerFor(nil).PlanSelect(sel)
 	if err != nil {
 		return nil, err
 	}
-	return &Pipeline{ctx: ctx, ev: ev, node: node, stats: ctx.stats}, nil
+	return &Pipeline{ctx: ctx, node: node, stats: ctx.stats}, nil
 }
 
 // ErrNotStreamable marks statement shapes the streaming planner cannot
@@ -159,8 +140,7 @@ func (db *DB) ExecPlan(node plan.Node) (*Result, error) {
 // every execution.
 func (db *DB) ExecPlanArgs(qctx context.Context, node plan.Node, params []value.Value) (*Result, error) {
 	ctx := newExecContextArgs(db, qctx, params)
-	ev := ctx.evaluator()
-	op, err := exec.Build(node, ctx.execEnv(ev, nil))
+	op, err := exec.Build(node, ctx.execEnv(nil))
 	if err != nil {
 		return nil, err
 	}
@@ -168,26 +148,14 @@ func (db *DB) ExecPlanArgs(qctx context.Context, node plan.Node, params []value.
 	if err != nil {
 		return nil, err
 	}
-	sch := node.Schema()
-	cols := make([]string, len(sch))
-	for i, c := range sch {
-		cols[i] = c.Name
-	}
-	return &Result{Columns: cols, Rows: rows, Stats: ctx.stats}, nil
+	return &Result{Columns: node.Schema().Names(), Rows: rows, Stats: ctx.stats}, nil
 }
 
 // Node returns the plan root, for wrapping or EXPLAIN formatting.
 func (p *Pipeline) Node() plan.Node { return p.node }
 
 // Columns returns the qualified output columns of the planned query.
-func (p *Pipeline) Columns() []ColInfo {
-	sch := p.node.Schema()
-	out := make([]ColInfo, len(sch))
-	for i, c := range sch {
-		out[i] = ColInfo{Qualifier: c.Qual, Name: c.Name}
-	}
-	return out
-}
+func (p *Pipeline) Columns() []ColInfo { return p.node.Schema() }
 
 // Stats exposes the pipeline's work counters (rows scanned, index probes).
 func (p *Pipeline) Stats() *exec.Stats { return p.stats }
@@ -210,7 +178,7 @@ func (p *Pipeline) Build(root plan.Node) (exec.Operator, error) {
 	if root == nil {
 		root = p.node
 	}
-	env := p.ctx.execEnv(p.ev, nil)
+	env := p.ctx.execEnv(nil)
 	env.Rec = p.rec
 	return exec.Build(root, env)
 }

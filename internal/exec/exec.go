@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/ast"
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/value"
@@ -91,12 +90,12 @@ func (s *Stats) Snapshot() Stats {
 	}
 }
 
-// Env carries what operators need to evaluate expressions: the evaluator
-// (with its subquery runner and bind parameters), the outer correlation
-// environment of the enclosing statement, and the shared work counters.
+// Env carries what operators need to run the plan's compiled expressions —
+// the execution's runtime (bind parameters, subquery runner, the outer
+// correlation environment of the enclosing statement) — and the shared
+// work counters.
 type Env struct {
-	Ev    *expr.Evaluator
-	Outer expr.Env
+	Rt    *expr.Runtime
 	Stats *Stats
 	// Stop, when non-nil, is polled by the row-producing operators every
 	// stopInterval input rows; a non-nil return aborts the pipeline with
@@ -130,34 +129,6 @@ func (e *Env) checkStop(n *int64) error {
 		return e.Stop()
 	}
 	return nil
-}
-
-// RowEnv resolves column references against one row of a schema, falling
-// back to the outer (correlation) environment — the exec twin of the
-// engine's rowEnv.
-type RowEnv struct {
-	Sch   plan.Schema
-	Row   value.Row
-	Outer expr.Env
-}
-
-// Col implements expr.Env.
-func (e *RowEnv) Col(table, name string) (value.Value, bool) {
-	if idx, n := e.Sch.ColIndex(table, name); n > 0 {
-		return e.Row[idx], true
-	}
-	if e.Outer != nil {
-		return e.Outer.Col(table, name)
-	}
-	return value.Value{}, false
-}
-
-// Func implements expr.Env.
-func (e *RowEnv) Func(fc *ast.FuncCall) (value.Value, bool, error) {
-	if e.Outer != nil {
-		return e.Outer.Func(fc)
-	}
-	return value.Value{}, false, nil
 }
 
 // Build compiles a plan tree into an operator tree. With Env.Rec set,
@@ -216,7 +187,7 @@ func build(n plan.Node, env *Env) (Operator, error) {
 		}
 		return &limitOp{child: child, count: x.Count, offset: x.Offset}, nil
 	case *plan.BMO:
-		child, err := Build(x.Child, env)
+		child, err := buildBMOInput(x.Child, env)
 		if err != nil {
 			return nil, err
 		}
@@ -225,6 +196,22 @@ func build(n plan.Node, env *Env) (Operator, error) {
 		return &GatherOp{node: x, env: env, ns: env.NodeStats(x)}, nil
 	}
 	return nil, fmt.Errorf("exec: unsupported plan node %T", n)
+}
+
+// buildBMOInput builds the child of a BMO node. A pass-through projection
+// there hands its input rows on instead of copying each one: dominance
+// only reads its candidates, rows are immutable once stored, and whoever
+// returns the few winners to a caller projects (copies) them again.
+func buildBMOInput(n plan.Node, env *Env) (Operator, error) {
+	p, ok := n.(*plan.Project)
+	if !ok || !p.PassThrough() {
+		return Build(n, env)
+	}
+	child, err := Build(p.Child, env)
+	if err != nil {
+		return nil, err
+	}
+	return wrapStats(p, &projectOp{n: p, child: child, env: env, through: true}, env), nil
 }
 
 // Drain opens op, pulls every row and closes it.

@@ -3,7 +3,6 @@ package exec
 import (
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/expr"
@@ -11,21 +10,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/value"
 )
-
-// evalConds evaluates pushed/residual filter conjuncts with AND
-// short-circuit semantics (a FALSE or UNKNOWN conjunct drops the row).
-func evalConds(env *Env, conds []ast.Expr, renv *RowEnv) (bool, error) {
-	for _, c := range conds {
-		ok, err := env.Ev.EvalBool(c, renv)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
-}
 
 // ---------------------------------------------------------------------------
 // Scans
@@ -35,20 +19,19 @@ type seqScan struct {
 	n       *plan.SeqScan
 	env     *Env
 	it      storage.RowIter
-	renv    RowEnv
+	cond    expr.Conds
 	emitted int64
 	polled  int64
 }
 
 func newSeqScan(n *plan.SeqScan, env *Env) *seqScan {
-	return &seqScan{n: n, env: env}
+	return &seqScan{n: n, env: env, cond: n.Cond()}
 }
 
 func (s *seqScan) Schema() plan.Schema { return s.n.Schema() }
 
 func (s *seqScan) Open() error {
 	s.it = s.n.Table.Scan()
-	s.renv = RowEnv{Sch: s.n.Schema(), Outer: s.env.Outer}
 	s.emitted = 0
 	return nil
 }
@@ -66,8 +49,7 @@ func (s *seqScan) Next() (value.Row, error) {
 			return nil, nil
 		}
 		s.env.count().AddRowsScanned(1)
-		s.renv.Row = row
-		keep, err := evalConds(s.env, s.n.Filter, &s.renv)
+		keep, err := s.cond.Match(s.env.Rt, row)
 		if err != nil {
 			return nil, err
 		}
@@ -85,26 +67,22 @@ type indexScan struct {
 	env    *Env
 	ns     *NodeStats
 	it     storage.RowIter
-	renv   RowEnv
+	cond   expr.Conds
 	polled int64
 }
 
 func newIndexScan(n *plan.IndexScan, env *Env) *indexScan {
-	return &indexScan{n: n, env: env, ns: env.NodeStats(n)}
+	return &indexScan{n: n, env: env, ns: env.NodeStats(n), cond: n.Cond()}
 }
 
 func (s *indexScan) Schema() plan.Schema { return s.n.Schema() }
 
 func (s *indexScan) Open() error {
-	s.renv = RowEnv{Sch: s.n.Schema(), Outer: s.env.Outer}
 	if s.n.Table.RowCount() == 0 {
 		s.it = emptyIter{}
 		return nil
 	}
-	// Evaluate the probe key outside the scan's scope (its columns, if
-	// any, are outer correlations).
-	keyEnv := &RowEnv{Outer: s.env.Outer}
-	key, err := s.env.Ev.Eval(s.n.Key, keyEnv)
+	key, err := s.n.KeyProg().Eval(s.env.Rt, nil)
 	if err != nil {
 		return err
 	}
@@ -137,8 +115,7 @@ func (s *indexScan) Next() (value.Row, error) {
 			return nil, nil
 		}
 		s.env.count().AddRowsScanned(1)
-		s.renv.Row = row
-		keep, err := evalConds(s.env, s.n.Filter, &s.renv)
+		keep, err := s.cond.Match(s.env.Rt, row)
 		if err != nil {
 			return nil, err
 		}
@@ -192,19 +169,16 @@ type filterOp struct {
 	n     *plan.Filter
 	child Operator
 	env   *Env
-	renv  RowEnv
+	cond  expr.Conds
 }
 
 func newFilterOp(n *plan.Filter, child Operator, env *Env) *filterOp {
-	return &filterOp{n: n, child: child, env: env}
+	return &filterOp{n: n, child: child, env: env, cond: n.Cond()}
 }
 
 func (f *filterOp) Schema() plan.Schema { return f.n.Schema() }
 
-func (f *filterOp) Open() error {
-	f.renv = RowEnv{Sch: f.n.Schema(), Outer: f.env.Outer}
-	return f.child.Open()
-}
+func (f *filterOp) Open() error { return f.child.Open() }
 
 func (f *filterOp) Next() (value.Row, error) {
 	for {
@@ -212,8 +186,7 @@ func (f *filterOp) Next() (value.Row, error) {
 		if err != nil || row == nil {
 			return nil, err
 		}
-		f.renv.Row = row
-		keep, err := evalConds(f.env, f.n.Conds, &f.renv)
+		keep, err := f.cond.Match(f.env.Rt, row)
 		if err != nil {
 			return nil, err
 		}
@@ -252,12 +225,12 @@ type nlJoin struct {
 	drive       value.Row
 	pos         int
 	matched     bool
-	renv        RowEnv
+	on          *expr.Program
 	polled      int64
 }
 
 func newNLJoin(n *plan.Join, left, right Operator, env *Env) *nlJoin {
-	return &nlJoin{n: n, left: left, right: right, env: env}
+	return &nlJoin{n: n, left: left, right: right, env: env, on: n.OnProg()}
 }
 
 func (j *nlJoin) Schema() plan.Schema { return j.n.Schema() }
@@ -293,7 +266,6 @@ func (j *nlJoin) Open() error {
 		j.inner = append(j.inner, row)
 	}
 	j.drive = nil
-	j.renv = RowEnv{Sch: j.n.Schema(), Outer: j.env.Outer}
 	return nil
 }
 
@@ -323,9 +295,8 @@ func (j *nlJoin) Next() (value.Row, error) {
 			} else {
 				out = concatRow(j.drive, in, rlen)
 			}
-			if j.n.On != nil {
-				j.renv.Row = out
-				ok, err := j.env.Ev.EvalBool(j.n.On, &j.renv)
+			if j.on != nil {
+				ok, err := j.on.EvalBool(j.env.Rt, out)
 				if err != nil {
 					return nil, err
 				}
@@ -472,61 +443,25 @@ func (j *hashJoin) Close() error {
 // Project (with optional ORDER BY), Distinct, Limit
 // ---------------------------------------------------------------------------
 
-type itemPlan struct {
-	star     bool
-	starQual string
-	expr     ast.Expr
-}
-
 type projectOp struct {
 	n     *plan.Project
 	child Operator
 	env   *Env
-	plans []itemPlan
-	srcn  RowEnv
+	// through hands the child's rows on unchanged instead of copying them
+	// (see buildBMOInput).
+	through bool
 	// sort mode
 	buf []value.Row
 	pos int
 }
 
 func newProjectOp(n *plan.Project, child Operator, env *Env) *projectOp {
-	var plans []itemPlan
-	for _, it := range n.Items {
-		if st, ok := it.Expr.(*ast.Star); ok {
-			plans = append(plans, itemPlan{star: true, starQual: st.Table})
-			continue
-		}
-		plans = append(plans, itemPlan{expr: it.Expr})
-	}
-	return &projectOp{n: n, child: child, env: env, plans: plans}
+	return &projectOp{n: n, child: child, env: env}
 }
 
 func (p *projectOp) Schema() plan.Schema { return p.n.Schema() }
 
-func (p *projectOp) projectRow(row value.Row) (value.Row, error) {
-	src := p.child.Schema()
-	p.srcn.Row = row
-	out := make(value.Row, 0, len(p.n.Schema()))
-	for _, pl := range p.plans {
-		if pl.star {
-			for i, c := range src {
-				if pl.starQual == "" || strings.EqualFold(c.Qual, pl.starQual) {
-					out = append(out, row[i])
-				}
-			}
-			continue
-		}
-		v, err := p.env.Ev.Eval(pl.expr, &p.srcn)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 func (p *projectOp) Open() error {
-	p.srcn = RowEnv{Sch: p.child.Schema(), Outer: p.env.Outer}
 	p.buf, p.pos = nil, 0
 	if err := p.child.Open(); err != nil {
 		return err
@@ -535,13 +470,16 @@ func (p *projectOp) Open() error {
 		return nil
 	}
 	// Materializing sort: order expressions may reference projection
-	// aliases or source columns (dual environment), so the sort runs here
-	// rather than in a standalone operator.
+	// aliases or source columns, so the keys are computed here, over the
+	// output row followed by the source row, rather than in a standalone
+	// operator.
 	type pair struct {
 		out  value.Row
 		keys value.Row
 	}
+	proj, sortKeys := p.n.Projection(), p.n.SortKeys()
 	var pairs []pair
+	var both value.Row // scratch: output row ++ source row
 	for {
 		row, err := p.child.Next()
 		if err != nil {
@@ -550,17 +488,14 @@ func (p *projectOp) Open() error {
 		if row == nil {
 			break
 		}
-		out, err := p.projectRow(row)
+		out, err := proj.Row(p.env.Rt, row)
 		if err != nil {
 			return err
 		}
-		env := &expr.DualEnv{
-			Primary:  &RowEnv{Sch: p.n.Schema(), Row: out},
-			Fallback: &RowEnv{Sch: p.child.Schema(), Row: row, Outer: p.env.Outer},
-		}
-		keys := make(value.Row, len(p.n.OrderBy))
-		for k, ob := range p.n.OrderBy {
-			v, err := p.env.Ev.Eval(ob.Expr, env)
+		both = append(append(both[:0], out...), row...)
+		keys := make(value.Row, len(sortKeys))
+		for k, key := range sortKeys {
+			v, err := key.Eval(p.env.Rt, both)
 			if err != nil {
 				return err
 			}
@@ -598,10 +533,10 @@ func (p *projectOp) Next() (value.Row, error) {
 		return row, nil
 	}
 	row, err := p.child.Next()
-	if err != nil || row == nil {
-		return nil, err
+	if err != nil || row == nil || p.through {
+		return row, err
 	}
-	return p.projectRow(row)
+	return p.n.Projection().Row(p.env.Rt, row)
 }
 
 func (p *projectOp) Close() error { return p.child.Close() }

@@ -1,21 +1,29 @@
 // Package expr evaluates scalar SQL expressions over rows with SQL
 // three-valued logic (TRUE / FALSE / UNKNOWN-as-NULL). It is shared by the
-// WHERE/HAVING filters of the engine, the preference level functions, and
-// the BUT ONLY quality filter of the core.
+// scans, filters, joins and projections of the exec pipeline, the engine's
+// DML and grouped paths, the preference level functions, and the BUT ONLY
+// quality filter of the core.
+//
+// Evaluation is two-phase. Compile turns an expression plus the column
+// scope of the rows it will see into a Program: column references the
+// scope knows become row slots, operators are dispatched once. Running a
+// Program needs only the row and a Runtime — bind parameters, the subquery
+// runner, and the by-name environment for whatever the scope could not
+// resolve — so a Program holds no per-execution state and one instance
+// serves every execution of a cached plan and every worker goroutine of a
+// parallel one.
 package expr
 
 import (
-	"fmt"
-	"math"
-	"strings"
-
 	"repro/internal/ast"
 	"repro/internal/value"
 )
 
-// Env resolves column references and (optionally) intercepts function calls
-// — the engine uses Func to bind pre-computed aggregates, the core uses it
-// to bind the quality functions TOP/LEVEL/DISTANCE.
+// Env resolves, by name, what a Program's scope could not bind to a slot:
+// columns of enclosing query blocks (outer correlation) and function calls
+// that are not scalar built-ins — the engine uses Func to bind pre-computed
+// aggregates, the core uses it to bind the quality functions
+// TOP/LEVEL/DISTANCE.
 type Env interface {
 	// Col returns the value of table.name (table may be empty) and whether
 	// the column exists in this scope.
@@ -31,615 +39,73 @@ type SubqueryRunner interface {
 	Subquery(sel *ast.Select, env Env) ([]value.Row, error)
 }
 
-// Evaluator evaluates expressions. The zero value works for expressions
-// without subqueries or bind parameters.
+// Runtime is what a Program needs besides the row: everything that changes
+// from one execution to the next. Programs only read it, so one Runtime is
+// shared by all programs (and worker goroutines) of an execution.
+type Runtime struct {
+	// Params are the execution's positional bind arguments: ast.Param
+	// nodes evaluate to Params[Index].
+	Params []value.Value
+	// Runner executes nested SELECTs; nil makes subqueries an error.
+	Runner SubqueryRunner
+	// Outer resolves by name what the program's scope did not: outer
+	// correlations and intercepted function calls. May be nil.
+	Outer Env
+}
+
+// noRuntime stands in for a nil *Runtime: no parameters, no subqueries, no
+// outer scope.
+var noRuntime Runtime
+
+// Evaluator computes one-off values — VALUES lists, preference parameters —
+// by compiling against an empty scope and running once, so every column
+// resolves by name through env. Anything evaluated per row is compiled
+// once with Compile instead.
 type Evaluator struct {
 	Runner SubqueryRunner
-	// Params are the execution's positional bind arguments: ast.Param
-	// nodes evaluate to Params[Index]. Statements (and cached plans)
-	// containing parameters are therefore reusable across argument sets —
-	// only the evaluator changes per execution.
 	Params []value.Value
 }
 
-// Eval computes e under env.
+// Eval computes e under env (nil: no columns resolve).
 func (ev *Evaluator) Eval(e ast.Expr, env Env) (value.Value, error) {
-	switch x := e.(type) {
-	case *ast.Literal:
-		return x.Val, nil
-
-	case *ast.Param:
-		if x.Index < 0 || x.Index >= len(ev.Params) {
-			return value.Value{}, fmt.Errorf("parameter $%d is not bound (statement has %d argument(s))",
-				x.Index+1, len(ev.Params))
-		}
-		return ev.Params[x.Index], nil
-
-	case *ast.Column:
-		if v, ok := env.Col(x.Table, x.Name); ok {
-			return v, nil
-		}
-		return value.Value{}, fmt.Errorf("unknown column %s", x.SQL())
-
-	case *ast.Star:
-		return value.Value{}, fmt.Errorf("'*' is not a scalar expression")
-
-	case *ast.Unary:
-		return ev.evalUnary(x, env)
-
-	case *ast.Binary:
-		return ev.evalBinary(x, env)
-
-	case *ast.IsNull:
-		v, err := ev.Eval(x.X, env)
-		if err != nil {
-			return value.Value{}, err
-		}
-		return value.NewBool(v.IsNull() != x.Not), nil
-
-	case *ast.InList:
-		return ev.evalInList(x, env)
-
-	case *ast.InSelect:
-		return ev.evalInSelect(x, env)
-
-	case *ast.Between:
-		v, err := ev.Eval(x.X, env)
-		if err != nil {
-			return value.Value{}, err
-		}
-		lo, err := ev.Eval(x.Lo, env)
-		if err != nil {
-			return value.Value{}, err
-		}
-		hi, err := ev.Eval(x.Hi, env)
-		if err != nil {
-			return value.Value{}, err
-		}
-		c1, ok1 := value.Compare(v, lo)
-		c2, ok2 := value.Compare(v, hi)
-		if !ok1 || !ok2 {
-			return value.NewNull(), nil
-		}
-		in := c1 >= 0 && c2 <= 0
-		return value.NewBool(in != x.Not), nil
-
-	case *ast.Like:
-		v, err := ev.Eval(x.X, env)
-		if err != nil {
-			return value.Value{}, err
-		}
-		pat, err := ev.Eval(x.Pattern, env)
-		if err != nil {
-			return value.Value{}, err
-		}
-		if v.IsNull() || pat.IsNull() {
-			return value.NewNull(), nil
-		}
-		if v.K != value.Text || pat.K != value.Text {
-			return value.Value{}, fmt.Errorf("LIKE requires text operands")
-		}
-		return value.NewBool(likeMatch(v.S, pat.S) != x.Not), nil
-
-	case *ast.Exists:
-		if ev.Runner == nil {
-			return value.Value{}, fmt.Errorf("subqueries not supported in this context")
-		}
-		rows, err := ev.Runner.Subquery(limitOne(x.Sub), env)
-		if err != nil {
-			return value.Value{}, err
-		}
-		return value.NewBool((len(rows) > 0) != x.Not), nil
-
-	case *ast.ScalarSub:
-		if ev.Runner == nil {
-			return value.Value{}, fmt.Errorf("subqueries not supported in this context")
-		}
-		rows, err := ev.Runner.Subquery(x.Sub, env)
-		if err != nil {
-			return value.Value{}, err
-		}
-		if len(rows) == 0 {
-			return value.NewNull(), nil
-		}
-		if len(rows) > 1 || len(rows[0]) != 1 {
-			return value.Value{}, fmt.Errorf("scalar subquery returned %d rows", len(rows))
-		}
-		return rows[0][0], nil
-
-	case *ast.Case:
-		return ev.evalCase(x, env)
-
-	case *ast.FuncCall:
-		if v, handled, err := env.Func(x); handled || err != nil {
-			return v, err
-		}
-		return ev.evalBuiltin(x, env)
-	}
-	return value.Value{}, fmt.Errorf("cannot evaluate %T", e)
-}
-
-// EvalBool evaluates a predicate: UNKNOWN (NULL) filters like FALSE.
-func (ev *Evaluator) EvalBool(e ast.Expr, env Env) (bool, error) {
-	v, err := ev.Eval(e, env)
-	if err != nil {
-		return false, err
-	}
-	if v.IsNull() {
-		return false, nil
-	}
-	if v.K != value.Bool {
-		return false, fmt.Errorf("expected boolean condition, got %s", v.K)
-	}
-	return v.IsTrue(), nil
-}
-
-func (ev *Evaluator) evalUnary(x *ast.Unary, env Env) (value.Value, error) {
-	v, err := ev.Eval(x.X, env)
-	if err != nil {
-		return value.Value{}, err
-	}
-	switch x.Op {
-	case "NOT":
-		if v.IsNull() {
-			return value.NewNull(), nil
-		}
-		if v.K != value.Bool {
-			return value.Value{}, fmt.Errorf("NOT requires a boolean")
-		}
-		return value.NewBool(!v.IsTrue()), nil
-	case "-":
-		switch v.K {
-		case value.Null:
-			return v, nil
-		case value.Int:
-			return value.NewInt(-v.I), nil
-		case value.Float:
-			return value.NewFloat(-v.F), nil
-		}
-		return value.Value{}, fmt.Errorf("unary - requires a number")
-	}
-	return value.Value{}, fmt.Errorf("unknown unary op %q", x.Op)
-}
-
-func (ev *Evaluator) evalBinary(x *ast.Binary, env Env) (value.Value, error) {
-	// Short-circuiting three-valued AND/OR.
-	if x.Op == "AND" || x.Op == "OR" {
-		l, err := ev.Eval(x.L, env)
-		if err != nil {
-			return value.Value{}, err
-		}
-		if !l.IsNull() && l.K != value.Bool {
-			return value.Value{}, fmt.Errorf("%s requires boolean operands", x.Op)
-		}
-		if x.Op == "AND" && !l.IsNull() && !l.IsTrue() {
-			return value.NewBool(false), nil
-		}
-		if x.Op == "OR" && l.IsTrue() {
-			return value.NewBool(true), nil
-		}
-		r, err := ev.Eval(x.R, env)
-		if err != nil {
-			return value.Value{}, err
-		}
-		if !r.IsNull() && r.K != value.Bool {
-			return value.Value{}, fmt.Errorf("%s requires boolean operands", x.Op)
-		}
-		switch x.Op {
-		case "AND":
-			if !r.IsNull() && !r.IsTrue() {
-				return value.NewBool(false), nil
-			}
-			if l.IsNull() || r.IsNull() {
-				return value.NewNull(), nil
-			}
-			return value.NewBool(true), nil
-		default: // OR
-			if r.IsTrue() {
-				return value.NewBool(true), nil
-			}
-			if l.IsNull() || r.IsNull() {
-				return value.NewNull(), nil
-			}
-			return value.NewBool(false), nil
-		}
-	}
-
-	l, err := ev.Eval(x.L, env)
-	if err != nil {
-		return value.Value{}, err
-	}
-	r, err := ev.Eval(x.R, env)
-	if err != nil {
-		return value.Value{}, err
-	}
-
-	switch x.Op {
-	case "=", "<>", "<", "<=", ">", ">=":
-		c, ok := value.Compare(l, r)
-		if !ok {
-			return value.NewNull(), nil
-		}
-		var b bool
-		switch x.Op {
-		case "=":
-			b = c == 0
-		case "<>":
-			b = c != 0
-		case "<":
-			b = c < 0
-		case "<=":
-			b = c <= 0
-		case ">":
-			b = c > 0
-		case ">=":
-			b = c >= 0
-		}
-		return value.NewBool(b), nil
-
-	case "||":
-		if l.IsNull() || r.IsNull() {
-			return value.NewNull(), nil
-		}
-		return value.NewText(l.String() + r.String()), nil
-
-	case "+", "-", "*", "/", "%":
-		return arith(x.Op, l, r)
-	}
-	return value.Value{}, fmt.Errorf("unknown operator %q", x.Op)
-}
-
-func arith(op string, l, r value.Value) (value.Value, error) {
-	if l.IsNull() || r.IsNull() {
-		return value.NewNull(), nil
-	}
-	if !l.IsNumeric() || !r.IsNumeric() {
-		return value.Value{}, fmt.Errorf("operator %q requires numbers, got %s and %s", op, l.K, r.K)
-	}
-	if l.K == value.Int && r.K == value.Int {
-		a, b := l.I, r.I
-		switch op {
-		case "+":
-			return value.NewInt(a + b), nil
-		case "-":
-			return value.NewInt(a - b), nil
-		case "*":
-			return value.NewInt(a * b), nil
-		case "/":
-			if b == 0 {
-				return value.Value{}, fmt.Errorf("division by zero")
-			}
-			return value.NewInt(a / b), nil
-		case "%":
-			if b == 0 {
-				return value.Value{}, fmt.Errorf("division by zero")
-			}
-			return value.NewInt(a % b), nil
-		}
-	}
-	a, b := l.Num(), r.Num()
-	switch op {
-	case "+":
-		return value.NewFloat(a + b), nil
-	case "-":
-		return value.NewFloat(a - b), nil
-	case "*":
-		return value.NewFloat(a * b), nil
-	case "/":
-		if b == 0 {
-			return value.Value{}, fmt.Errorf("division by zero")
-		}
-		return value.NewFloat(a / b), nil
-	case "%":
-		if b == 0 {
-			return value.Value{}, fmt.Errorf("division by zero")
-		}
-		return value.NewFloat(math.Mod(a, b)), nil
-	}
-	return value.Value{}, fmt.Errorf("unknown operator %q", op)
-}
-
-func (ev *Evaluator) evalInList(x *ast.InList, env Env) (value.Value, error) {
-	v, err := ev.Eval(x.X, env)
-	if err != nil {
-		return value.Value{}, err
-	}
-	if v.IsNull() {
-		return value.NewNull(), nil
-	}
-	sawNull := false
-	for _, item := range x.List {
-		w, err := ev.Eval(item, env)
-		if err != nil {
-			return value.Value{}, err
-		}
-		if w.IsNull() {
-			sawNull = true
-			continue
-		}
-		if c, ok := value.Compare(v, w); ok && c == 0 {
-			return value.NewBool(!x.Not), nil
-		}
-	}
-	if sawNull {
-		return value.NewNull(), nil
-	}
-	return value.NewBool(x.Not), nil
-}
-
-func (ev *Evaluator) evalInSelect(x *ast.InSelect, env Env) (value.Value, error) {
-	if ev.Runner == nil {
-		return value.Value{}, fmt.Errorf("subqueries not supported in this context")
-	}
-	v, err := ev.Eval(x.X, env)
-	if err != nil {
-		return value.Value{}, err
-	}
-	if v.IsNull() {
-		return value.NewNull(), nil
-	}
-	rows, err := ev.Runner.Subquery(x.Sub, env)
-	if err != nil {
-		return value.Value{}, err
-	}
-	sawNull := false
-	for _, row := range rows {
-		if len(row) != 1 {
-			return value.Value{}, fmt.Errorf("IN subquery must return one column")
-		}
-		if row[0].IsNull() {
-			sawNull = true
-			continue
-		}
-		if c, ok := value.Compare(v, row[0]); ok && c == 0 {
-			return value.NewBool(!x.Not), nil
-		}
-	}
-	if sawNull {
-		return value.NewNull(), nil
-	}
-	return value.NewBool(x.Not), nil
-}
-
-func (ev *Evaluator) evalCase(x *ast.Case, env Env) (value.Value, error) {
-	var operand value.Value
-	if x.Operand != nil {
-		v, err := ev.Eval(x.Operand, env)
-		if err != nil {
-			return value.Value{}, err
-		}
-		operand = v
-	}
-	for _, w := range x.Whens {
-		wv, err := ev.Eval(w.When, env)
-		if err != nil {
-			return value.Value{}, err
-		}
-		var match bool
-		if x.Operand != nil {
-			c, ok := value.Compare(operand, wv)
-			match = ok && c == 0
-		} else {
-			match = wv.IsTrue()
-		}
-		if match {
-			return ev.Eval(w.Then, env)
-		}
-	}
-	if x.Else != nil {
-		return ev.Eval(x.Else, env)
-	}
-	return value.NewNull(), nil
-}
-
-func (ev *Evaluator) evalBuiltin(fc *ast.FuncCall, env Env) (value.Value, error) {
-	args := make([]value.Value, len(fc.Args))
-	for i, a := range fc.Args {
-		v, err := ev.Eval(a, env)
-		if err != nil {
-			return value.Value{}, err
-		}
-		args[i] = v
-	}
-	name := strings.ToUpper(fc.Name)
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("%s expects %d argument(s), got %d", name, n, len(args))
-		}
-		return nil
-	}
-	switch name {
-	case "ABS":
-		if err := need(1); err != nil {
-			return value.Value{}, err
-		}
-		v := args[0]
-		switch v.K {
-		case value.Null:
-			return v, nil
-		case value.Int:
-			if v.I < 0 {
-				return value.NewInt(-v.I), nil
-			}
-			return v, nil
-		case value.Float:
-			return value.NewFloat(math.Abs(v.F)), nil
-		}
-		return value.Value{}, fmt.Errorf("ABS requires a number")
-	case "ROUND":
-		if err := need(1); err != nil {
-			return value.Value{}, err
-		}
-		if args[0].IsNull() {
-			return args[0], nil
-		}
-		return value.NewFloat(math.Round(args[0].Num())), nil
-	case "FLOOR":
-		if err := need(1); err != nil {
-			return value.Value{}, err
-		}
-		if args[0].IsNull() {
-			return args[0], nil
-		}
-		return value.NewFloat(math.Floor(args[0].Num())), nil
-	case "CEIL", "CEILING":
-		if err := need(1); err != nil {
-			return value.Value{}, err
-		}
-		if args[0].IsNull() {
-			return args[0], nil
-		}
-		return value.NewFloat(math.Ceil(args[0].Num())), nil
-	case "SQRT":
-		if err := need(1); err != nil {
-			return value.Value{}, err
-		}
-		if args[0].IsNull() {
-			return args[0], nil
-		}
-		return value.NewFloat(math.Sqrt(args[0].Num())), nil
-	case "POWER", "POW":
-		if err := need(2); err != nil {
-			return value.Value{}, err
-		}
-		if args[0].IsNull() || args[1].IsNull() {
-			return value.NewNull(), nil
-		}
-		return value.NewFloat(math.Pow(args[0].Num(), args[1].Num())), nil
-	case "LENGTH", "LEN":
-		if err := need(1); err != nil {
-			return value.Value{}, err
-		}
-		if args[0].IsNull() {
-			return args[0], nil
-		}
-		return value.NewInt(int64(len(args[0].String()))), nil
-	case "LOWER":
-		if err := need(1); err != nil {
-			return value.Value{}, err
-		}
-		if args[0].IsNull() {
-			return args[0], nil
-		}
-		return value.NewText(strings.ToLower(args[0].String())), nil
-	case "UPPER":
-		if err := need(1); err != nil {
-			return value.Value{}, err
-		}
-		if args[0].IsNull() {
-			return args[0], nil
-		}
-		return value.NewText(strings.ToUpper(args[0].String())), nil
-	case "TRIM":
-		if err := need(1); err != nil {
-			return value.Value{}, err
-		}
-		if args[0].IsNull() {
-			return args[0], nil
-		}
-		return value.NewText(strings.TrimSpace(args[0].String())), nil
-	case "SUBSTR", "SUBSTRING":
-		if len(args) != 2 && len(args) != 3 {
-			return value.Value{}, fmt.Errorf("SUBSTR expects 2 or 3 arguments")
-		}
-		if args[0].IsNull() {
-			return args[0], nil
-		}
-		s := args[0].String()
-		start := int(args[1].Num()) - 1 // SQL is 1-based
-		if start < 0 {
-			start = 0
-		}
-		if start > len(s) {
-			start = len(s)
-		}
-		end := len(s)
-		if len(args) == 3 {
-			end = start + int(args[2].Num())
-			if end > len(s) {
-				end = len(s)
-			}
-			if end < start {
-				end = start
-			}
-		}
-		return value.NewText(s[start:end]), nil
-	case "LEFT":
-		if err := need(2); err != nil {
-			return value.Value{}, err
-		}
-		if args[0].IsNull() {
-			return args[0], nil
-		}
-		s := args[0].String()
-		n := int(args[1].Num())
-		if n < 0 {
-			n = 0
-		}
-		if n > len(s) {
-			n = len(s)
-		}
-		return value.NewText(s[:n]), nil
-	case "COALESCE":
-		for _, a := range args {
-			if !a.IsNull() {
-				return a, nil
-			}
-		}
-		return value.NewNull(), nil
-	case "NULLIF":
-		if err := need(2); err != nil {
-			return value.Value{}, err
-		}
-		if c, ok := value.Compare(args[0], args[1]); ok && c == 0 {
-			return value.NewNull(), nil
-		}
-		return args[0], nil
-	}
-	return value.Value{}, fmt.Errorf("unknown function %s", name)
-}
-
-// likeMatch implements SQL LIKE with % (any run) and _ (one char).
-func likeMatch(s, pat string) bool {
-	// dynamic-programming match, iterative to avoid deep recursion
-	var starIdx, matchIdx = -1, 0
-	i, j := 0, 0
-	for i < len(s) {
-		switch {
-		case j < len(pat) && (pat[j] == '_' || pat[j] == s[i]):
-			i++
-			j++
-		case j < len(pat) && pat[j] == '%':
-			starIdx = j
-			matchIdx = i
-			j++
-		case starIdx >= 0:
-			j = starIdx + 1
-			matchIdx++
-			i = matchIdx
-		default:
-			return false
-		}
-	}
-	for j < len(pat) && pat[j] == '%' {
-		j++
-	}
-	return j == len(pat)
-}
-
-// limitOne caps an EXISTS subquery at one row; existence needs no more.
-func limitOne(sel *ast.Select) *ast.Select {
-	if sel.Limit >= 0 && sel.Limit <= 1 {
-		return sel
-	}
-	c := *sel
-	c.Limit = 1
-	return &c
+	rt := Runtime{Params: ev.Params, Runner: ev.Runner, Outer: env}
+	return Compile(e, Scope{}).Eval(&rt, nil)
 }
 
 // ---------------------------------------------------------------------------
 // Environments
 // ---------------------------------------------------------------------------
+
+// RowEnv is the by-name view of one row: what a subquery sees as its
+// correlation environment, and what chains query blocks together. Columns
+// resolve against the scope first, then the outer environment; function
+// interception is the outer environment's alone.
+type RowEnv struct {
+	Scope Scope
+	Row   value.Row
+	Outer Env
+}
+
+// Col implements Env. A row shorter than the scope (one input of a join
+// whose preference was compiled against the joined schema) simply does not
+// hold the columns past its end.
+func (e *RowEnv) Col(table, name string) (value.Value, bool) {
+	if slot, ok := e.Scope.Resolve(table, name); ok && slot < len(e.Row) {
+		return e.Row[slot], true
+	}
+	if e.Outer != nil {
+		return e.Outer.Col(table, name)
+	}
+	return value.Value{}, false
+}
+
+// Func implements Env.
+func (e *RowEnv) Func(fc *ast.FuncCall) (value.Value, bool, error) {
+	if e.Outer != nil {
+		return e.Outer.Func(fc)
+	}
+	return value.Value{}, false, nil
+}
 
 // MapEnv is a simple Env backed by a map of column name → value; useful in
 // tests and for single-row evaluation.
@@ -659,58 +125,4 @@ func (m MapEnv) Col(table, name string) (value.Value, bool) {
 // Func implements Env (no interception).
 func (m MapEnv) Func(*ast.FuncCall) (value.Value, bool, error) {
 	return value.Value{}, false, nil
-}
-
-// ChainEnv resolves against Inner first, then Outer — the correlation
-// environment for subqueries.
-type ChainEnv struct {
-	Inner, Outer Env
-}
-
-// Col implements Env.
-func (c ChainEnv) Col(table, name string) (value.Value, bool) {
-	if v, ok := c.Inner.Col(table, name); ok {
-		return v, true
-	}
-	if c.Outer != nil {
-		return c.Outer.Col(table, name)
-	}
-	return value.Value{}, false
-}
-
-// Func implements Env.
-func (c ChainEnv) Func(fc *ast.FuncCall) (value.Value, bool, error) {
-	if v, handled, err := c.Inner.Func(fc); handled || err != nil {
-		return v, handled, err
-	}
-	if c.Outer != nil {
-		return c.Outer.Func(fc)
-	}
-	return value.Value{}, false, nil
-}
-
-// DualEnv resolves unqualified column references against the primary
-// environment first (projection aliases), falling back to the secondary
-// one (source columns) — the ORDER BY resolution rule shared by the
-// engine's grouped path and the exec pipeline's sort.
-type DualEnv struct {
-	Primary, Fallback Env
-}
-
-// Col implements Env.
-func (d *DualEnv) Col(table, name string) (value.Value, bool) {
-	if table == "" {
-		if v, ok := d.Primary.Col(table, name); ok {
-			return v, true
-		}
-	}
-	return d.Fallback.Col(table, name)
-}
-
-// Func implements Env.
-func (d *DualEnv) Func(fc *ast.FuncCall) (value.Value, bool, error) {
-	if v, handled, err := d.Primary.Func(fc); handled || err != nil {
-		return v, handled, err
-	}
-	return d.Fallback.Func(fc)
 }

@@ -241,10 +241,12 @@ func TestColumnResolution(t *testing.T) {
 	}
 }
 
-func TestChainEnv(t *testing.T) {
-	inner := MapEnv{"a": value.NewInt(1)}
+func TestRowEnvShadowsOuter(t *testing.T) {
 	outer := MapEnv{"a": value.NewInt(99), "b": value.NewInt(2)}
-	env := ChainEnv{Inner: inner, Outer: outer}
+	env := &RowEnv{Scope: Scope{Cols: []Col{{Qual: "t", Name: "A"}}}, Row: value.Row{value.NewInt(1)}, Outer: outer}
+	if v, ok := env.Col("T", "a"); !ok || v.I != 1 {
+		t.Error("qualified reference should resolve case-insensitively")
+	}
 	if v, _ := env.Col("", "a"); v.I != 1 {
 		t.Error("inner should shadow outer")
 	}

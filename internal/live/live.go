@@ -91,7 +91,8 @@ type Spec struct {
 	// every row.
 	Cond func(value.Row) (bool, error)
 	// Project maps a base row to the emitted row; nil emits the base
-	// row unchanged.
+	// row unchanged. It runs when a row is emitted (the initial result, a
+	// delta); an error there ends the subscription with that error.
 	Project func(value.Row) (value.Row, error)
 
 	// Queue is the delta-queue capacity (DefaultQueue when 0).
@@ -101,12 +102,13 @@ type Spec struct {
 	OnEvict func()
 }
 
-// entry is one tracked base row with its precomputed identity key and
-// projection.
+// entry is one tracked base row with its precomputed identity key. The
+// projection is not kept: most entries sit in the shadow and never emit,
+// and since rows are immutable a row projects identically when it is
+// added and when it is removed — so emit projects on demand.
 type entry struct {
-	row  value.Row
-	key  string
-	proj value.Row
+	row value.Row
+	key string
 }
 
 // Registry tracks the active subscriptions of one database.
@@ -204,31 +206,25 @@ func (r *Registry) Subscribe(spec Spec) (*Subscription, error) {
 	// skyline rows came out of the matching slice, so every skyline key
 	// accounts for exactly one matching occurrence.
 	inSky := make(map[string]int, len(sky))
-	for _, row := range sky {
-		e, err := s.newEntry(row)
-		if err != nil {
-			return nil, err
-		}
+	s.initial = make([]value.Row, len(sky))
+	for i, row := range sky {
+		e := newEntry(row)
 		s.skyline = append(s.skyline, e)
 		inSky[e.key]++
+		var err error
+		if s.initial[i], err = s.projected(row); err != nil {
+			return nil, err
+		}
 	}
 	if s.pref != nil {
 		for _, row := range matching {
-			k := row.Key()
-			if inSky[k] > 0 {
-				inSky[k]--
+			e := newEntry(row)
+			if inSky[e.key] > 0 {
+				inSky[e.key]--
 				continue
-			}
-			e, err := s.newEntry(row)
-			if err != nil {
-				return nil, err
 			}
 			s.shadow = append(s.shadow, e)
 		}
-	}
-	s.initial = make([]value.Row, len(s.skyline))
-	for i, e := range s.skyline {
-		s.initial[i] = e.proj
 	}
 
 	r.mu.Lock()
@@ -362,14 +358,12 @@ func (s *Subscription) match(row value.Row) (bool, error) {
 }
 
 // newEntry builds the tracked form of a base row.
-func (s *Subscription) newEntry(row value.Row) (entry, error) {
-	e := entry{row: row, key: row.Key(), proj: row}
-	if s.project != nil {
-		p, err := s.project(row)
-		if err != nil {
-			return entry{}, err
-		}
-		e.proj = p
+func newEntry(row value.Row) entry { return entry{row: row, key: row.Key()} }
+
+// projected maps a base row to the row consumers see.
+func (s *Subscription) projected(row value.Row) (value.Row, error) {
+	if s.project == nil {
+		return row, nil
 	}
-	return e, nil
+	return s.project(row)
 }

@@ -295,3 +295,61 @@ func TestProjection(t *testing.T) {
 		t.Fatalf("columns = %v", sub.Columns())
 	}
 }
+
+// TestProjectionRunsAtEmit pins when rows are projected: shadow rows (the
+// majority) never are, a row that leaves the result projects to the same
+// row it entered as, and a projection that fails ends the subscription
+// with its error — at the emit, without consuming a sequence number.
+func TestProjectionRunsAtEmit(t *testing.T) {
+	tbl := ptsTable()
+	projected := map[int64]int{}
+	failOn := int64(-1)
+	sub, err := NewRegistry().Subscribe(Spec{
+		SQL: "proj", Table: tbl, Columns: []string{"id", "x"}, Pref: lowlow(),
+		Project: func(r value.Row) (value.Row, error) {
+			if r[0].I == failOn {
+				return nil, fmt.Errorf("cannot project row %d", r[0].I)
+			}
+			projected[r[0].I]++
+			return value.Row{r[0], r[1]}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := func(row value.Row) {
+		t.Helper()
+		if err := tbl.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(pt(1, 5, 5)) // joins the skyline: +1
+	insert(pt(2, 9, 9)) // dominated: shadow, nothing emitted, nothing projected
+	insert(pt(3, 1, 1)) // dominates 1: -1 then +3
+	var got []string
+	for i := 0; i < 3; i++ {
+		d := <-sub.C()
+		got = append(got, fmt.Sprintf("%d%s%s", d.Seq, map[Op]string{OpAdd: "+", OpRemove: "-"}[d.Op], d.Row))
+	}
+	if want := "[1+(1, 5) 2-(1, 5) 3+(3, 1)]"; fmt.Sprint(got) != want {
+		t.Fatalf("deltas %v, want %s", got, want)
+	}
+	if projected[2] != 0 || projected[1] != 2 || projected[3] != 1 {
+		t.Errorf("projection calls per row id: %v; the shadow row must cost none", projected)
+	}
+
+	failOn = 4
+	insert(pt(4, 0, 0)) // dominates 3: -3 is emitted, then +4 fails to project
+	if d := <-sub.C(); d.Seq != 4 || d.Op != OpRemove || d.Row[0].I != 3 {
+		t.Fatalf("delta before the failure: %+v", d)
+	}
+	if _, open := <-sub.C(); open {
+		t.Fatal("the channel must close after a projection error")
+	}
+	if err := sub.Err(); err == nil || err.Error() != "cannot project row 4" {
+		t.Errorf("subscription error = %v, want the projection's", err)
+	}
+	if sub.LastSeq() != 4 {
+		t.Errorf("LastSeq = %d: the failed emit must not consume a sequence number", sub.LastSeq())
+	}
+}

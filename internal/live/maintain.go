@@ -103,7 +103,7 @@ func (s *Subscription) applyLocked(added, removed []value.Row, now time.Time) er
 			e := s.skyline[i]
 			s.skyline = deleteEntry(s.skyline, i)
 			skylineShrunk = true
-			if err := s.emitLocked(OpRemove, e.proj, now); err != nil {
+			if err := s.emitLocked(OpRemove, e.row, now); err != nil {
 				return err
 			}
 			continue
@@ -131,13 +131,10 @@ func (s *Subscription) applyLocked(added, removed []value.Row, now time.Time) er
 		if !ok {
 			continue
 		}
-		e, err := s.newEntry(row)
-		if err != nil {
-			return err
-		}
+		e := newEntry(row)
 		if s.pref == nil {
 			s.skyline = append(s.skyline, e)
-			if err := s.emitLocked(OpAdd, e.proj, now); err != nil {
+			if err := s.emitLocked(OpAdd, e.row, now); err != nil {
 				return err
 			}
 			continue
@@ -169,12 +166,12 @@ func (s *Subscription) applyLocked(added, removed []value.Row, now time.Time) er
 			ev := s.skyline[i]
 			s.skyline = deleteEntry(s.skyline, i)
 			s.shadow = append(s.shadow, ev)
-			if err := s.emitLocked(OpRemove, ev.proj, now); err != nil {
+			if err := s.emitLocked(OpRemove, ev.row, now); err != nil {
 				return err
 			}
 		}
 		s.skyline = append(s.skyline, e)
-		if err := s.emitLocked(OpAdd, e.proj, now); err != nil {
+		if err := s.emitLocked(OpAdd, e.row, now); err != nil {
 			return err
 		}
 	}
@@ -234,18 +231,24 @@ func (s *Subscription) requalifyLocked(now time.Time) error {
 		s.skyline = append(s.skyline, e)
 		s.requalified++
 		mRequalified.Inc()
-		if err := s.emitLocked(OpAdd, e.proj, now); err != nil {
+		if err := s.emitLocked(OpAdd, e.row, now); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// emitLocked enqueues one delta; it fails with errQueueFull instead of
-// blocking when the consumer has fallen behind by a full queue.
+// emitLocked projects a base row and enqueues the delta; it fails with
+// errQueueFull instead of blocking when the consumer has fallen behind by
+// a full queue, and with the projection's error if that fails (no
+// sequence number is consumed then).
 func (s *Subscription) emitLocked(op Op, row value.Row, now time.Time) error {
+	out, err := s.projected(row)
+	if err != nil {
+		return err
+	}
 	s.seq++
-	d := Delta{Seq: s.seq, Op: op, Row: row, Time: now}
+	d := Delta{Seq: s.seq, Op: op, Row: out, Time: now}
 	select {
 	case s.ch <- d:
 	default:

@@ -12,9 +12,11 @@ package plan
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/bmo"
+	"repro/internal/expr"
 	"repro/internal/preference"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -22,13 +24,30 @@ import (
 
 // ColRef labels one output column of a plan node with its qualifier (table
 // name or alias; empty for computed columns) and name.
-type ColRef struct {
-	Qual string
-	Name string
-}
+type ColRef = expr.Col
 
 // Schema is the ordered output column list of a plan node.
 type Schema []ColRef
+
+// Scope is the schema as the column scope expressions over this node's
+// rows compile against.
+func (s Schema) Scope() expr.Scope { return expr.Scope{Cols: s} }
+
+// compiled memoizes what a node's expressions compile to. Programs depend
+// only on the expression and the node's schema — never on an execution —
+// so the first Build of a plan compiles them and every later execution of
+// that plan (a cached or prepared statement, the semijoin partner drain)
+// finds them ready. The once makes concurrent executions of one cached
+// plan safe.
+type compiled[T any] struct {
+	once sync.Once
+	v    T
+}
+
+func (c *compiled[T]) get(build func() T) T {
+	c.once.Do(func() { c.v = build() })
+	return c.v
+}
 
 // ColIndex resolves a (table, name) reference; table may be empty. The
 // second return counts matches — the first match wins, exactly like the
@@ -138,6 +157,7 @@ type SeqScan struct {
 	Filter []ast.Expr // pushed-down conjuncts over this scan's columns
 	Limit  int64      // stop after emitting this many rows; -1 = none
 	schema Schema
+	cond   compiled[expr.Conds]
 }
 
 // NewSeqScan builds a scan over tbl qualified as qual.
@@ -151,6 +171,11 @@ func NewSeqScan(tbl *storage.Table, qual string) *SeqScan {
 
 // Schema implements Node.
 func (s *SeqScan) Schema() Schema { return s.schema }
+
+// Cond returns the compiled filter conjuncts.
+func (s *SeqScan) Cond() expr.Conds {
+	return s.cond.get(func() expr.Conds { return expr.CompileConds(s.Filter, s.schema.Scope()) })
+}
 
 // Explain implements Node.
 func (s *SeqScan) Explain() string {
@@ -176,10 +201,24 @@ type IndexScan struct {
 	Key    ast.Expr // probe key; no locally-resolved column references
 	Filter []ast.Expr
 	schema Schema
+	cond   compiled[expr.Conds]
+	key    compiled[*expr.Program]
 }
 
 // Schema implements Node.
 func (s *IndexScan) Schema() Schema { return s.schema }
+
+// Cond returns the compiled residual filter.
+func (s *IndexScan) Cond() expr.Conds {
+	return s.cond.get(func() expr.Conds { return expr.CompileConds(s.Filter, s.schema.Scope()) })
+}
+
+// KeyProg returns the compiled probe key. It compiles against the empty
+// scope: the key is evaluated outside the scan, so any column in it is an
+// outer correlation.
+func (s *IndexScan) KeyProg() *expr.Program {
+	return s.key.get(func() *expr.Program { return expr.Compile(s.Key, expr.Scope{}) })
+}
 
 // Explain implements Node.
 func (s *IndexScan) Explain() string {
@@ -219,10 +258,16 @@ func (v *Values) Explain() string {
 type Filter struct {
 	Child Node
 	Conds []ast.Expr
+	cond  compiled[expr.Conds]
 }
 
 // Schema implements Node.
 func (f *Filter) Schema() Schema { return f.Child.Schema() }
+
+// Cond returns the compiled conjuncts.
+func (f *Filter) Cond() expr.Conds {
+	return f.cond.get(func() expr.Conds { return expr.CompileConds(f.Conds, f.Schema().Scope()) })
+}
 
 // Explain implements Node.
 func (f *Filter) Explain() string { return "Filter [" + condsSQL(f.Conds) + "]" }
@@ -243,6 +288,7 @@ type Join struct {
 	LCol, RCol  int // hash-join key columns; -1 when not an equi join
 	BuildLeft   bool
 	schema      Schema
+	on          compiled[*expr.Program]
 }
 
 // NewJoin constructs a join and computes its schema.
@@ -253,6 +299,17 @@ func NewJoin(left, right Node, typ ast.JoinType, on ast.Expr, lcol, rcol int) *J
 
 // Schema implements Node.
 func (j *Join) Schema() Schema { return j.schema }
+
+// OnProg returns the compiled join condition over the joined row (nil On:
+// nil program).
+func (j *Join) OnProg() *expr.Program {
+	return j.on.get(func() *expr.Program {
+		if j.On == nil {
+			return nil
+		}
+		return expr.Compile(j.On, j.schema.Scope())
+	})
+}
 
 // Explain implements Node.
 func (j *Join) Explain() string {
@@ -286,38 +343,45 @@ type Project struct {
 	Child   Node
 	Items   []ast.SelectItem
 	OrderBy []ast.OrderItem
-	schema  Schema
+	proj    *expr.Projection
+	keys    compiled[[]*expr.Program]
 }
 
 // NewProject builds the projection node, expanding stars against the
 // child's schema.
 func NewProject(child Node, items []ast.SelectItem, orderBy []ast.OrderItem) *Project {
-	var cols Schema
-	src := child.Schema()
-	for _, it := range items {
-		if st, ok := it.Expr.(*ast.Star); ok {
-			for _, c := range src {
-				if st.Table == "" || strings.EqualFold(c.Qual, st.Table) {
-					cols = append(cols, c)
-				}
-			}
-			continue
-		}
-		name := it.Alias
-		if name == "" {
-			if c, ok := it.Expr.(*ast.Column); ok {
-				name = c.Name
-			} else {
-				name = it.Expr.SQL()
-			}
-		}
-		cols = append(cols, ColRef{Name: name})
-	}
-	return &Project{Child: child, Items: items, OrderBy: orderBy, schema: cols}
+	return &Project{Child: child, Items: items, OrderBy: orderBy,
+		proj: expr.CompileProjection(items, child.Schema().Scope())}
 }
 
 // Schema implements Node.
-func (p *Project) Schema() Schema { return p.schema }
+func (p *Project) Schema() Schema { return p.proj.Cols }
+
+// Projection returns the compiled SELECT list.
+func (p *Project) Projection() *expr.Projection { return p.proj }
+
+// PassThrough reports whether the projection emits its input rows
+// unchanged (a single unqualified `*`, no sort), so it commutes with a BMO
+// above it and an operator may hand the child's rows through.
+func (p *Project) PassThrough() bool { return p.proj.Identity && len(p.OrderBy) == 0 }
+
+// SortKeys returns the compiled ORDER BY keys. They run over the output
+// row followed by the source row: an unqualified name finds a projection
+// alias first, then a source column.
+func (p *Project) SortKeys() []*expr.Program {
+	return p.keys.get(func() []*expr.Program {
+		out := p.Schema()
+		scope := expr.Scope{
+			Cols:    append(append(make([]expr.Col, 0, len(out)+len(p.Child.Schema())), out...), p.Child.Schema()...),
+			Aliases: len(out),
+		}
+		keys := make([]*expr.Program, len(p.OrderBy))
+		for i, ob := range p.OrderBy {
+			keys[i] = expr.Compile(ob.Expr, scope)
+		}
+		return keys
+	})
+}
 
 // Explain implements Node.
 func (p *Project) Explain() string {

@@ -166,7 +166,7 @@ func cascadeParts(p preference.Preference) []preference.Preference {
 // (the BMO must only see rows passing the hard selection), as does any
 // other intervening operator.
 func joinBelow(n Node) (*Project, *Join) {
-	if p, ok := n.(*Project); ok && passthroughProject(p) {
+	if p, ok := n.(*Project); ok && p.PassThrough() {
 		if j, ok := p.Child.(*Join); ok {
 			return p, j
 		}
@@ -176,17 +176,6 @@ func joinBelow(n Node) (*Project, *Join) {
 		return nil, j
 	}
 	return nil, nil
-}
-
-// passthroughProject reports whether the projection emits its input rows
-// unchanged (a single unqualified `*`, no sort), so BMO and projection
-// commute.
-func passthroughProject(p *Project) bool {
-	if len(p.OrderBy) > 0 || len(p.Items) != 1 {
-		return false
-	}
-	st, ok := p.Items[0].Expr.(*ast.Star)
-	return ok && st.Table == ""
 }
 
 // pushableJoin restricts the rewrite to join shapes with sound pushdown
@@ -302,7 +291,5 @@ func rebuildAbove(proj *Project, n Node) Node {
 	if proj == nil {
 		return n
 	}
-	p2 := *proj
-	p2.Child = n
-	return &p2
+	return NewProject(n, proj.Items, proj.OrderBy)
 }

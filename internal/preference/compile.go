@@ -3,9 +3,9 @@ package preference
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"repro/internal/ast"
+	"repro/internal/expr"
 	"repro/internal/value"
 )
 
@@ -341,34 +341,42 @@ func constList(b Binder, exprs []ast.Expr) ([]value.Value, error) {
 // ---------------------------------------------------------------------------
 
 // ColBinder is a Binder over rows of a fixed column layout. Only bare
-// column references and literals are supported; the core package provides
-// a full expression binder.
+// column references and literals are supported — column qualifiers are
+// ignored, conditions must be `operand comparison literal` — and the
+// accessors report a row too short for their column instead of panicking;
+// the core package provides a full expression binder. Within those limits
+// the work is the shared expression compiler's.
 type ColBinder struct {
 	Cols []string // column names, position = row index
 }
 
+// operand checks the operand restriction on e — a literal, or a column of
+// the layout, whose qualifier (if any) is dropped — and returns it with the
+// scope to compile it against.
+func (cb *ColBinder) operand(e ast.Expr) (ast.Expr, expr.Scope, error) {
+	scope := expr.Scope{Cols: make([]expr.Col, len(cb.Cols))}
+	for i, name := range cb.Cols {
+		scope.Cols[i].Name = name
+	}
+	switch x := e.(type) {
+	case *ast.Literal:
+		return x, scope, nil
+	case *ast.Column:
+		if _, ok := scope.Resolve("", x.Name); !ok {
+			return nil, scope, fmt.Errorf("unknown column %s", x.Name)
+		}
+		return &ast.Column{Name: x.Name}, scope, nil
+	}
+	return nil, scope, fmt.Errorf("ColBinder supports only column references, got %s", e.SQL())
+}
+
 // Getter implements Binder for bare column references.
 func (cb *ColBinder) Getter(e ast.Expr) (Getter, error) {
-	col, ok := e.(*ast.Column)
-	if !ok {
-		if lit, isLit := e.(*ast.Literal); isLit {
-			v := lit.Val
-			return func(value.Row) (value.Value, error) { return v, nil }, nil
-		}
-		return nil, fmt.Errorf("ColBinder supports only column references, got %s", e.SQL())
+	e, scope, err := cb.operand(e)
+	if err != nil {
+		return nil, err
 	}
-	for i, name := range cb.Cols {
-		if strings.EqualFold(name, col.Name) {
-			idx := i
-			return func(r value.Row) (value.Value, error) {
-				if idx >= len(r) {
-					return value.Value{}, fmt.Errorf("row too short for column %s", name)
-				}
-				return r[idx], nil
-			}, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown column %s", col.Name)
+	return expr.Compile(e, scope).Bind(nil), nil
 }
 
 // Cond implements Binder for simple comparisons column-op-literal.
@@ -377,7 +385,12 @@ func (cb *ColBinder) Cond(e ast.Expr) (func(value.Row) (bool, error), error) {
 	if !ok {
 		return nil, fmt.Errorf("ColBinder supports only binary comparisons, got %s", e.SQL())
 	}
-	get, err := cb.Getter(bin.L)
+	switch bin.Op {
+	case "=", "<>", "<", "<=", ">", ">=":
+	default:
+		return nil, fmt.Errorf("unsupported operator %q", bin.Op)
+	}
+	lhs, scope, err := cb.operand(bin.L)
 	if err != nil {
 		return nil, err
 	}
@@ -385,32 +398,8 @@ func (cb *ColBinder) Cond(e ast.Expr) (func(value.Row) (bool, error), error) {
 	if err != nil {
 		return nil, err
 	}
-	op := bin.Op
-	return func(r value.Row) (bool, error) {
-		v, err := get(r)
-		if err != nil {
-			return false, err
-		}
-		c, ok := value.Compare(v, rhs)
-		if !ok {
-			return false, nil
-		}
-		switch op {
-		case "=":
-			return c == 0, nil
-		case "<>":
-			return c != 0, nil
-		case "<":
-			return c < 0, nil
-		case "<=":
-			return c <= 0, nil
-		case ">":
-			return c > 0, nil
-		case ">=":
-			return c >= 0, nil
-		}
-		return false, fmt.Errorf("unsupported operator %q", op)
-	}, nil
+	prog := expr.Compile(&ast.Binary{Op: bin.Op, L: lhs, R: &ast.Literal{Val: rhs}}, scope)
+	return func(r value.Row) (bool, error) { return prog.EvalBool(nil, r) }, nil
 }
 
 // Const implements Binder for literal expressions.

@@ -242,6 +242,15 @@ func TestColBinderErrors(t *testing.T) {
 	if _, err := b.Cond(&ast.IsNull{X: &ast.Column{Name: "age"}}); err == nil {
 		t.Error("non-binary cond should fail in ColBinder")
 	}
+	if _, err := b.Cond(&ast.Binary{Op: "+", L: &ast.Column{Name: "age"}, R: &ast.Literal{Val: value.NewInt(1)}}); err == nil {
+		t.Error("a binary operator that is no comparison should fail in ColBinder")
+	}
+	// a qualifier is ignored: the layout has names only
+	if q, err := b.Getter(&ast.Column{Table: "cars", Name: "AGE"}); err != nil {
+		t.Errorf("qualified column: %v", err)
+	} else if v, _ := q(oldtimerRows()[0]); v.I != 19 {
+		t.Errorf("cars.AGE on row 0 = %v, want 19", v)
+	}
 	// getter on short rows errors at evaluation time
 	g, err := b.Getter(&ast.Column{Name: "age"})
 	if err != nil {

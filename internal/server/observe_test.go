@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	prefsql "repro"
 	"repro/internal/server"
@@ -172,7 +173,13 @@ func TestSlowQueryLog(t *testing.T) {
 	if _, err := noisy.Query(`SELECT destination FROM trips PREFERRING duration AROUND 14`); err != nil {
 		t.Fatal(err)
 	}
+	// The server writes the record after it has flushed the Done frame
+	// (the logged duration covers the wire), so the client can be back
+	// here first: wait for the record instead of reading the sink once.
 	got := sink.String()
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(got, "kind=pref_select") && time.Now().Before(deadline); got = sink.String() {
+		time.Sleep(time.Millisecond)
+	}
 	for _, want := range []string{"slow query", "qid=", "PREFERRING duration AROUND 14", "rows_scanned=4", "kind=pref_select"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("slow-query log missing %q:\n%s", want, got)
