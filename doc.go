@@ -56,6 +56,13 @@
 // underlying scans outright. QueryProgressive is the callback flavour of
 // the same machinery.
 //
+// A preference query is one plan: candidate relation (FROM + hard WHERE)
+// → BMO (grouped under GROUPING) → ButOnly → QualityProject (SELECT list
+// with TOP/LEVEL/DISTANCE, ORDER BY, DISTINCT, OFFSET, LIMIT). Query,
+// the cursor, QueryProgressive and both EXPLAINs build that one tree and
+// differ only in how they run it, so EXPLAIN prints the plan that
+// executes (see ARCHITECTURE.md, "A preference query is one plan").
+//
 // # Bind parameters and contexts
 //
 // Every query API has a context-first, parameterized form; the

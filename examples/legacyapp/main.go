@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"log"
 
-	_ "repro/internal/driver"
+	_ "repro/driver"
 )
 
 func main() {

@@ -18,7 +18,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -27,12 +26,8 @@ import (
 	"repro/internal/ast"
 	"repro/internal/bmo"
 	"repro/internal/engine"
-	"repro/internal/exec"
-	"repro/internal/expr"
 	"repro/internal/live"
 	"repro/internal/parser"
-	"repro/internal/plan"
-	"repro/internal/preference"
 	"repro/internal/rewrite"
 	"repro/internal/value"
 )
@@ -189,18 +184,7 @@ func (s *Session) routeStmt(stmt ast.Stmt, ee execEnv) (*Result, error) {
 	case *ast.Subscribe:
 		return nil, fmt.Errorf("core: SUBSCRIBE needs a streaming consumer — use Session.Subscribe (embedded), the client's Subscribe, or prefsql's \\watch")
 	case *ast.Select:
-		if table, dist, derr := db.distSelectTable(st); derr != nil {
-			return nil, derr
-		} else if dist {
-			return s.queryDistributed(st, table, ee)
-		}
-		if st.HasPreference() {
-			return s.queryPreference(st, ee)
-		}
-		if st.ButOnly != nil || len(st.Grouping) > 0 {
-			return nil, fmt.Errorf("core: GROUPING and BUT ONLY require a PREFERRING clause")
-		}
-		return db.eng.SelectArgs(ee.ctx, st, ee.params)
+		return s.querySelect(st, ee)
 	case *ast.Insert:
 		if db.dist != nil {
 			if handled, res, err := s.distInsert(st, ee); handled {
@@ -335,96 +319,10 @@ func bindSelectLimits(sel *ast.Select, params []value.Value) (*ast.Select, error
 // selectHasParam reports whether any expression of the query block (or a
 // nested block) is a bind parameter.
 func selectHasParam(sel *ast.Select) bool {
-	if sel == nil {
-		return false
-	}
-	if sel.HasLimitParam() {
-		return true
-	}
-	for _, it := range sel.Items {
-		if exprHasParam(it.Expr) {
-			return true
-		}
-	}
-	for _, tr := range sel.From {
-		if tableRefHasParam(tr) {
-			return true
-		}
-	}
-	if exprHasParam(sel.Where) || exprHasParam(sel.ButOnly) || exprHasParam(sel.Having) {
-		return true
-	}
-	for _, e := range sel.GroupBy {
-		if exprHasParam(e) {
-			return true
-		}
-	}
-	for _, ob := range sel.OrderBy {
-		if exprHasParam(ob.Expr) {
-			return true
-		}
-	}
-	return false
-}
-
-func tableRefHasParam(tr ast.TableRef) bool {
-	switch t := tr.(type) {
-	case *ast.SubqueryTable:
-		return selectHasParam(t.Sel)
-	case *ast.Join:
-		return tableRefHasParam(t.Left) || tableRefHasParam(t.Right) || exprHasParam(t.On)
-	}
-	return false
-}
-
-func exprHasParam(e ast.Expr) bool {
-	switch x := e.(type) {
-	case nil:
-		return false
-	case *ast.Param:
-		return true
-	case *ast.Unary:
-		return exprHasParam(x.X)
-	case *ast.Binary:
-		return exprHasParam(x.L) || exprHasParam(x.R)
-	case *ast.IsNull:
-		return exprHasParam(x.X)
-	case *ast.InList:
-		if exprHasParam(x.X) {
-			return true
-		}
-		for _, i := range x.List {
-			if exprHasParam(i) {
-				return true
-			}
-		}
-	case *ast.InSelect:
-		return exprHasParam(x.X) || selectHasParam(x.Sub)
-	case *ast.Between:
-		return exprHasParam(x.X) || exprHasParam(x.Lo) || exprHasParam(x.Hi)
-	case *ast.Like:
-		return exprHasParam(x.X) || exprHasParam(x.Pattern)
-	case *ast.Exists:
-		return selectHasParam(x.Sub)
-	case *ast.ScalarSub:
-		return selectHasParam(x.Sub)
-	case *ast.Case:
-		if exprHasParam(x.Operand) || exprHasParam(x.Else) {
-			return true
-		}
-		for _, w := range x.Whens {
-			if exprHasParam(w.When) || exprHasParam(w.Then) {
-				return true
-			}
-		}
-	case *ast.FuncCall:
-		for _, a := range x.Args {
-			if exprHasParam(a) {
-				return true
-			}
-		}
-	}
-	return false
+	return selectHas(sel, func(e ast.Expr) bool {
+		_, isParam := e.(*ast.Param)
+		return isParam || selectHasParam(ast.Subquery(e))
+	})
 }
 
 // paramCount resolves a LIMIT/OFFSET parameter to a non-negative integer.
@@ -556,54 +454,20 @@ func (db *DB) RewritePlan(sql string) (*rewrite.Plan, error) {
 	if !sel.HasPreference() {
 		return nil, fmt.Errorf("core: not a preference query")
 	}
-	resolved, err := db.resolvePrefs(sel.Preferring)
+	sel, err = db.resolveSel(sel)
 	if err != nil {
 		return nil, err
 	}
-	clone := *sel
-	clone.Preferring = resolved
-	cols, err := db.baseColumns(&clone, bgEnv)
+	cols, err := db.baseColumns(sel, bgEnv)
 	if err != nil {
 		return nil, err
 	}
-	return rewrite.Rewrite(&clone, cols)
+	return rewrite.Rewrite(sel, cols)
 }
 
 // ---------------------------------------------------------------------------
 // Preference query execution
 // ---------------------------------------------------------------------------
-
-func (s *Session) queryPreference(sel *ast.Select, ee execEnv) (*Result, error) {
-	db := s.db
-	if len(sel.GroupBy) > 0 || sel.Having != nil {
-		return nil, fmt.Errorf("core: GROUP BY/HAVING cannot be combined with PREFERRING")
-	}
-	resolved, err := db.resolvePrefs(sel.Preferring)
-	if err != nil {
-		return nil, err
-	}
-	if resolved != sel.Preferring {
-		clone := *sel
-		clone.Preferring = resolved
-		sel = &clone
-	}
-	if s.Mode() == ModeRewrite {
-		return db.queryViaRewrite(sel, ee)
-	}
-	return s.queryNative(sel, ee)
-}
-
-// candidatePipeline plans the candidate relation of a preference query:
-// FROM + hard WHERE, all columns, no limit.
-func (db *DB) candidatePipeline(sel *ast.Select, ee execEnv) (*engine.Pipeline, error) {
-	candidate := &ast.Select{
-		Items: []ast.SelectItem{{Expr: &ast.Star{}}},
-		From:  sel.From,
-		Where: sel.Where,
-		Limit: -1,
-	}
-	return db.eng.PipelineArgs(ee.ctx, candidate, ee.params)
-}
 
 // baseColumns returns the output column names of the query's FROM/WHERE
 // part (the schema the rewriter annotates with level columns).
@@ -624,7 +488,18 @@ func (db *DB) baseColumns(sel *ast.Select, ee execEnv) ([]string, error) {
 	return cols, nil
 }
 
-func (db *DB) queryViaRewrite(sel *ast.Select, ee execEnv) (*Result, error) {
+// queryViaRewrite executes a preference query by the §3.2 rewriting to
+// SQL92 views and NOT EXISTS — the semantic oracle the native plan is
+// differentially tested against.
+func (s *Session) queryViaRewrite(sel *ast.Select, ee execEnv) (*Result, error) {
+	db := s.db
+	if len(sel.GroupBy) > 0 || sel.Having != nil {
+		return nil, errGroupByPreferring
+	}
+	sel, err := db.resolveSel(sel)
+	if err != nil {
+		return nil, err
+	}
 	cols, err := db.baseColumns(sel, ee)
 	if err != nil {
 		return nil, err
@@ -658,188 +533,11 @@ func (db *DB) queryViaRewrite(sel *ast.Select, ee execEnv) (*Result, error) {
 	return res, nil
 }
 
-func (s *Session) queryNative(sel *ast.Select, ee execEnv) (*Result, error) {
-	db := s.db
-	// 1. Candidate relation: FROM + hard WHERE, all columns, compiled to
-	// an operator pipeline (predicate pushdown, index probes, hash joins).
-	pipe, err := db.candidatePipeline(sel, ee)
-	if err != nil {
-		return nil, err
-	}
-	var rec *exec.NodeRec
-	if s.RecordNodeStats() {
-		rec = pipe.EnableNodeStats()
-	}
-	cols := pipe.Columns()
-
-	// 2. Compile the preference over that relation.
-	binder := newRelBinder(cols, db.eng, ee)
-	reg := preference.NewRegistry()
-	pref, err := preference.Compile(sel.Preferring, binder, reg)
-	if err != nil {
-		return nil, err
-	}
-
-	// 3. BMO evaluation as a plan node on top of the candidate pipeline
-	// (grouped if GROUPING is present, which materializes group-wise).
-	var bmoRows, candRows []value.Row
-	if len(sel.Grouping) > 0 {
-		op, berr := pipe.Build(nil)
-		if berr != nil {
-			return nil, berr
-		}
-		candRows, err = exec.Drain(op)
-		if err != nil {
-			return nil, err
-		}
-		getters := make([]preference.Getter, len(sel.Grouping))
-		for i, g := range sel.Grouping {
-			getter, err := binder.Getter(g)
-			if err != nil {
-				return nil, err
-			}
-			getters[i] = getter
-		}
-		key := func(row value.Row) (string, error) {
-			var b strings.Builder
-			for _, g := range getters {
-				v, err := g(row)
-				if err != nil {
-					return "", err
-				}
-				b.WriteString(v.Key())
-				b.WriteByte(0x1f)
-			}
-			return b.String(), nil
-		}
-		bmoRows, err = bmo.EvaluateGroupedConfig(pref, candRows, key, s.Algorithm(),
-			bmo.Config{Workers: s.bmoWorkers(sel)})
-	} else {
-		root := plan.NewBMO(pipe.Node(), pref, s.Algorithm(), false, s.bmoWorkers(sel))
-		node := s.maybePush(sel, root)
-		s.vectorize(sel, root, node)
-		op, berr := pipe.Build(node)
-		if berr != nil {
-			return nil, berr
-		}
-		bmoRows, err = exec.Drain(op)
-		if node == plan.Node(root) {
-			// Unpushed plan: the BMO input is the full candidate
-			// relation the quality functions measure against. A pushed
-			// plan never materializes it — maybePush keeps queries that
-			// call TOP/LEVEL/DISTANCE on the unpushed plan.
-			candRows = exec.Unwrap(op).(*exec.BMOOp).Input()
-		}
-		if rec != nil && err == nil {
-			s.stashPlan(node, rec)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	q := &qualityCtx{reg: reg, candidates: candRows, binder: binder}
-
-	// 4. BUT ONLY quality filter (applied after match-making, §2.2.4).
-	if bmoRows, err = q.butOnly(sel.ButOnly, bmoRows); err != nil {
-		return nil, err
-	}
-
-	// 5. Projection with quality functions.
-	res, err := projectPreference(sel, bmoRows, q)
-	if res != nil {
-		res.Stats = pipe.Stats()
-	}
-	return res, err
-}
-
-func projectPreference(sel *ast.Select, rows []value.Row, q *qualityCtx) (*Result, error) {
-	// Output columns and per-row projection, shared with the streaming
-	// cursor so batch and pipeline paths cannot drift.
-	outCols, project := prefProjector(sel, q)
-
-	// ORDER BY keys run over the source row (columns + quality functions).
-	orderBy := make([]*expr.Program, len(sel.OrderBy))
-	for k, ob := range sel.OrderBy {
-		orderBy[k] = expr.Compile(ob.Expr, q.binder.scope)
-	}
-
-	type outPair struct {
-		out  value.Row
-		keys value.Row
-	}
-	pairs := make([]outPair, 0, len(rows))
-	for _, row := range rows {
-		out, err := project(row)
-		if err != nil {
-			return nil, err
-		}
-		var keys value.Row
-		if len(orderBy) > 0 {
-			rt := q.runtime(row)
-			keys = make(value.Row, len(orderBy))
-			for k, key := range orderBy {
-				v, err := key.Eval(rt, row)
-				if err != nil {
-					return nil, err
-				}
-				keys[k] = v
-			}
-		}
-		pairs = append(pairs, outPair{out: out, keys: keys})
-	}
-
-	if len(sel.OrderBy) > 0 {
-		sort.SliceStable(pairs, func(a, b int) bool {
-			for k, ob := range sel.OrderBy {
-				va, vb := pairs[a].keys[k], pairs[b].keys[k]
-				c := value.CompareNullsFirst(va, vb)
-				if c == 0 {
-					continue
-				}
-				if ob.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-	}
-
-	outRows := make([]value.Row, len(pairs))
-	for i, p := range pairs {
-		outRows[i] = p.out
-	}
-	if sel.Distinct {
-		seen := map[string]bool{}
-		uniq := outRows[:0:0]
-		for _, r := range outRows {
-			k := r.Key()
-			if !seen[k] {
-				seen[k] = true
-				uniq = append(uniq, r)
-			}
-		}
-		outRows = uniq
-	}
-	if sel.Offset > 0 {
-		if sel.Offset >= int64(len(outRows)) {
-			outRows = nil
-		} else {
-			outRows = outRows[sel.Offset:]
-		}
-	}
-	if sel.Limit >= 0 && int64(len(outRows)) > sel.Limit {
-		outRows = outRows[:sel.Limit]
-	}
-	return &Result{Columns: outCols, Rows: outRows}, nil
-}
-
 // insertPreference implements §2.2.5: Preference SQL queries as sub-queries
 // of INSERT statements.
 func (s *Session) insertPreference(ins *ast.Insert, ee execEnv) (*Result, error) {
 	db := s.db
-	res, err := s.queryPreference(ins.Sel, ee)
+	res, err := s.querySelect(ins.Sel, ee)
 	if err != nil {
 		return nil, err
 	}
@@ -873,342 +571,6 @@ func (s *Session) insertPreference(ins *ast.Insert, ee execEnv) (*Result, error)
 		n++
 	}
 	return &Result{Affected: n}, nil
-}
-
-// ---------------------------------------------------------------------------
-// Binder and quality-function environment
-// ---------------------------------------------------------------------------
-
-// maybePush applies the planner's preference-algebra rewrite (BMO below
-// joins) to a freshly planned preference query, unless the session
-// disabled it or the query calls a quality function: TOP/LEVEL/DISTANCE
-// measure against the full candidate relation, which only the unpushed
-// plan materializes.
-func (s *Session) maybePush(sel *ast.Select, root *plan.BMO) plan.Node {
-	if !s.Pushdown() || selUsesQualityFuncs(sel) {
-		return root
-	}
-	return plan.PushBMO(root)
-}
-
-// selUsesQualityFuncs reports whether the query calls TOP, LEVEL or
-// DISTANCE anywhere the preference layer evaluates them (SELECT list,
-// ORDER BY, BUT ONLY).
-func selUsesQualityFuncs(sel *ast.Select) bool {
-	for _, it := range sel.Items {
-		if exprHasQualityFunc(it.Expr) {
-			return true
-		}
-	}
-	for _, ob := range sel.OrderBy {
-		if exprHasQualityFunc(ob.Expr) {
-			return true
-		}
-	}
-	return exprHasQualityFunc(sel.ButOnly)
-}
-
-func exprHasQualityFunc(e ast.Expr) bool {
-	found := false
-	var walk func(ast.Expr)
-	walk = func(e ast.Expr) {
-		switch x := e.(type) {
-		case nil:
-		case *ast.Unary:
-			walk(x.X)
-		case *ast.Binary:
-			walk(x.L)
-			walk(x.R)
-		case *ast.IsNull:
-			walk(x.X)
-		case *ast.InList:
-			walk(x.X)
-			for _, i := range x.List {
-				walk(i)
-			}
-		case *ast.Between:
-			walk(x.X)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *ast.Like:
-			walk(x.X)
-			walk(x.Pattern)
-		case *ast.Case:
-			walk(x.Operand)
-			for _, w := range x.Whens {
-				walk(w.When)
-				walk(w.Then)
-			}
-			walk(x.Else)
-		// Subqueries are conservatively treated as quality-bearing: a
-		// call anywhere inside the nested SELECT still reaches the
-		// quality environment through the outer-correlation chain
-		// (expr.RowEnv.Func falls back to Outer), so a correlated
-		// `EXISTS (... DISTANCE(x) ...)` evaluates against the
-		// candidate relation just like a top-level call.
-		case *ast.InSelect, *ast.Exists, *ast.ScalarSub:
-			found = true
-		case *ast.FuncCall:
-			switch strings.ToUpper(x.Name) {
-			case "TOP", "LEVEL", "DISTANCE":
-				found = true
-			}
-			for _, a := range x.Args {
-				walk(a)
-			}
-		}
-	}
-	walk(e)
-	return found
-}
-
-// bmoWorkers resolves the BMO worker cap for one preference query: the
-// session's setting, forced to 1 (single-goroutine evaluation) when the
-// preference term embeds a subquery — the engine's subquery runner
-// shares per-statement state (view cache, counters) that must not be
-// touched from concurrent dominance tests.
-func (s *Session) bmoWorkers(sel *ast.Select) int {
-	if prefHasSubquery(sel.Preferring) {
-		return 1
-	}
-	return s.Workers()
-}
-
-// prefHasSubquery reports whether any expression of a preference term
-// contains a nested SELECT.
-func prefHasSubquery(p ast.Pref) bool {
-	found := false
-	ast.WalkPrefExprs(p, func(e ast.Expr) {
-		if exprHasSubquery(e) {
-			found = true
-		}
-	})
-	return found
-}
-
-func exprHasSubquery(e ast.Expr) bool {
-	switch x := e.(type) {
-	case nil:
-		return false
-	case *ast.InSelect, *ast.Exists, *ast.ScalarSub:
-		return true
-	case *ast.Unary:
-		return exprHasSubquery(x.X)
-	case *ast.Binary:
-		return exprHasSubquery(x.L) || exprHasSubquery(x.R)
-	case *ast.IsNull:
-		return exprHasSubquery(x.X)
-	case *ast.InList:
-		if exprHasSubquery(x.X) {
-			return true
-		}
-		for _, i := range x.List {
-			if exprHasSubquery(i) {
-				return true
-			}
-		}
-	case *ast.Between:
-		return exprHasSubquery(x.X) || exprHasSubquery(x.Lo) || exprHasSubquery(x.Hi)
-	case *ast.Like:
-		return exprHasSubquery(x.X) || exprHasSubquery(x.Pattern)
-	case *ast.Case:
-		if exprHasSubquery(x.Operand) || exprHasSubquery(x.Else) {
-			return true
-		}
-		for _, w := range x.Whens {
-			if exprHasSubquery(w.When) || exprHasSubquery(w.Then) {
-				return true
-			}
-		}
-	case *ast.FuncCall:
-		for _, a := range x.Args {
-			if exprHasSubquery(a) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// relBinder implements preference.Binder over a detailed relation: every
-// expression is compiled once against the relation's columns, and the
-// accessors it hands out share one read-only runtime — which is what lets
-// the parallel BMO workers call them concurrently.
-type relBinder struct {
-	scope expr.Scope
-	rt    *expr.Runtime
-}
-
-func newRelBinder(cols []engine.ColInfo, eng *engine.DB, ee execEnv) *relBinder {
-	return &relBinder{scope: expr.Scope{Cols: cols}, rt: &expr.Runtime{
-		Runner: eng.RunnerArgs(ee.ctx, ee.params),
-		Params: ee.params,
-	}}
-}
-
-// Getter implements preference.Binder.
-func (b *relBinder) Getter(e ast.Expr) (preference.Getter, error) {
-	return expr.Compile(e, b.scope).Bind(b.rt), nil
-}
-
-// Cond implements preference.Binder.
-func (b *relBinder) Cond(e ast.Expr) (func(value.Row) (bool, error), error) {
-	prog := expr.Compile(e, b.scope)
-	return func(row value.Row) (bool, error) { return prog.EvalBool(b.rt, row) }, nil
-}
-
-// Const implements preference.Binder: preference parameters must not
-// reference columns.
-func (b *relBinder) Const(e ast.Expr) (value.Value, error) {
-	ev := expr.Evaluator{Runner: b.rt.Runner, Params: b.rt.Params}
-	return ev.Eval(e, nil)
-}
-
-// qualityCtx computes TOP/LEVEL/DISTANCE per §2.2.3. For LOWEST/HIGHEST
-// (no a-priori optimum) distances are relative to the best value in the
-// candidate set; for all other base types they are absolute.
-type qualityCtx struct {
-	reg        *preference.Registry
-	candidates []value.Row
-	binder     *relBinder
-	minScores  map[string]float64 // lazily computed per attribute label
-}
-
-func (q *qualityCtx) quality(name string, arg ast.Expr, row value.Row) (value.Value, error) {
-	label := arg.SQL()
-	p, ok := q.reg.Lookup(label)
-	if !ok {
-		return value.Value{}, fmt.Errorf("%s(%s): no preference on that attribute", name, label)
-	}
-	if ex, isExplicit := p.(*preference.Explicit); isExplicit {
-		lvl, err := ex.Level(row)
-		if err != nil {
-			return value.Value{}, err
-		}
-		switch name {
-		case "LEVEL":
-			return value.NewInt(int64(lvl)), nil
-		case "TOP":
-			return value.NewBool(lvl == 1), nil
-		default:
-			return value.Value{}, fmt.Errorf("DISTANCE is undefined for EXPLICIT preferences")
-		}
-	}
-	s, isScored := p.(preference.Scored)
-	if !isScored {
-		return value.Value{}, fmt.Errorf("%s(%s): unsupported preference type", name, label)
-	}
-	score, err := s.Score(row)
-	if err != nil {
-		return value.Value{}, err
-	}
-	if math.IsInf(score, 1) { // NULL attribute value
-		if name == "TOP" {
-			return value.NewBool(false), nil
-		}
-		return value.NewNull(), nil
-	}
-	dist := score
-	if !s.HasOptimum() {
-		min, err := q.minScore(label, s)
-		if err != nil {
-			return value.Value{}, err
-		}
-		dist = score - min
-	}
-	switch name {
-	case "DISTANCE":
-		return value.NewFloat(dist), nil
-	case "TOP":
-		return value.NewBool(dist == 0), nil
-	case "LEVEL":
-		if s.Discrete() {
-			return value.NewInt(int64(score) + 1), nil
-		}
-		if dist == 0 {
-			return value.NewInt(1), nil
-		}
-		return value.NewInt(2), nil
-	}
-	return value.Value{}, fmt.Errorf("unknown quality function %s", name)
-}
-
-func (q *qualityCtx) minScore(label string, s preference.Scored) (float64, error) {
-	if q.minScores == nil {
-		q.minScores = map[string]float64{}
-	}
-	key := strings.ToLower(label)
-	if v, ok := q.minScores[key]; ok {
-		return v, nil
-	}
-	min := math.Inf(1)
-	for _, row := range q.candidates {
-		sc, err := s.Score(row)
-		if err != nil {
-			return 0, err
-		}
-		if sc < min {
-			min = sc
-		}
-	}
-	q.minScores[key] = min
-	return min, nil
-}
-
-// qualityFuncs is the by-name environment of one BMO result row: it binds
-// TOP/LEVEL/DISTANCE calls — also those inside a correlated subquery — to
-// the quality context, and resolves no columns.
-type qualityFuncs struct {
-	q   *qualityCtx
-	row value.Row
-}
-
-// Col implements expr.Env.
-func (e *qualityFuncs) Col(string, string) (value.Value, bool) { return value.Value{}, false }
-
-// Func implements expr.Env, binding TOP/LEVEL/DISTANCE.
-func (e *qualityFuncs) Func(fc *ast.FuncCall) (value.Value, bool, error) {
-	switch strings.ToUpper(fc.Name) {
-	case "TOP", "LEVEL", "DISTANCE":
-		if len(fc.Args) != 1 {
-			return value.Value{}, false, fmt.Errorf("%s expects one attribute argument", fc.Name)
-		}
-		v, err := e.q.quality(strings.ToUpper(fc.Name), fc.Args[0], e.row)
-		return v, true, err
-	}
-	return value.Value{}, false, nil
-}
-
-// runtime is the binder's runtime with the quality functions bound to row.
-func (q *qualityCtx) runtime(row value.Row) *expr.Runtime {
-	rt := *q.binder.rt
-	rt.Outer = &qualityFuncs{q: q, row: row}
-	return &rt
-}
-
-// butOnly applies the BUT ONLY quality filter (nil: keep everything).
-func (q *qualityCtx) butOnly(cond ast.Expr, rows []value.Row) ([]value.Row, error) {
-	if cond == nil {
-		return rows, nil
-	}
-	keep := q.filter(cond)
-	kept := rows[:0:0]
-	for _, row := range rows {
-		ok, err := keep(row)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			kept = append(kept, row)
-		}
-	}
-	return kept, nil
-}
-
-// filter compiles a BUT ONLY condition into a row predicate.
-func (q *qualityCtx) filter(cond ast.Expr) func(value.Row) (bool, error) {
-	prog := expr.Compile(cond, q.binder.scope)
-	return func(row value.Row) (bool, error) { return prog.EvalBool(q.runtime(row), row) }
 }
 
 // ---------------------------------------------------------------------------

@@ -6,22 +6,20 @@ import (
 	"time"
 
 	"repro/internal/ast"
-	"repro/internal/bmo"
 	"repro/internal/exec"
-	"repro/internal/expr"
 	"repro/internal/parser"
 	"repro/internal/plan"
-	"repro/internal/preference"
 	"repro/internal/value"
 )
 
-// Cursor streams the rows of one query. Plain SELECTs run directly on the
-// engine's operator pipeline; preference queries put a BMO node on top of
-// the candidate pipeline and stream the Best-Matches-Only set —
-// progressively for score-based preferences, batch-at-open otherwise.
-// Shapes that need the whole result first (ORDER BY, GROUPING, DISTINCT,
-// grouped/aggregate SQL, rewrite mode) fall back to batch evaluation and
-// iterate the buffered result, so every query works through the cursor.
+// Cursor streams the rows of one query by pulling from its plan. Plain
+// SELECTs run directly on the engine's operator pipeline; preference
+// queries run their one plan (candidate → BMO → BUT ONLY → quality
+// projection) and stream the Best-Matches-Only set — progressively for
+// score-based preferences, batch-at-open for shapes that need the whole
+// set first (ORDER BY, GROUPING, DISTINCT). Grouped/aggregate SQL and the
+// rewrite mode have no plan tree; they evaluate as a batch and the
+// cursor iterates the buffered result, so every query works through it.
 //
 // Usage follows database/sql:
 //
@@ -91,8 +89,7 @@ func (c *Cursor) Close() error {
 	return nil
 }
 
-// Stats exposes the pipeline's work counters (rows scanned, index probes);
-// nil when the cursor fell back to batch evaluation.
+// Stats exposes the pipeline's work counters (rows scanned, index probes).
 func (c *Cursor) Stats() *exec.Stats { return c.stats }
 
 // OpenCursor plans a single SELECT (standard or Preference SQL) and
@@ -170,67 +167,57 @@ func (s *Session) openCursorPinned(sel *ast.Select, strict bool, ee execEnv) (*C
 }
 
 // bufferCursor iterates an already-materialized result.
-func bufferCursor(cols []string, rows []value.Row) *Cursor {
+func bufferCursor(ctx context.Context, res *Result) *Cursor {
 	i := 0
-	return &Cursor{cols: cols, pull: func() (value.Row, error) {
-		if i >= len(rows) {
+	return &Cursor{cols: res.Columns, stats: res.Stats, ctx: ctx, pull: func() (value.Row, error) {
+		if i >= len(res.Rows) {
 			return nil, nil
 		}
-		r := rows[i]
+		r := res.Rows[i]
 		i++
 		return r, nil
 	}}
 }
 
-// openCursor builds the cursor. strict is the QueryProgressive contract:
-// the preference must be score-based and stream, otherwise error out
-// instead of falling back to batch. The caller holds the read lock.
+// openCursor builds the cursor: the statement's plan, opened and pulled
+// row by row. strict is the QueryProgressive contract: the preference
+// must stream, otherwise error out instead of falling back to batch.
+// Statements without a plan tree — rewrite-mode preference queries and
+// the grouped/aggregate SQL the streaming planner refuses — run as a
+// batch and iterate the buffered result (plan errors re-surface
+// identically there). The caller holds the read lock.
 func (s *Session) openCursor(sel *ast.Select, strict bool, ee execEnv) (*Cursor, error) {
-	db := s.db
 	sel, err := bindSelectLimits(sel, ee.params)
 	if err != nil {
 		return nil, err
 	}
-	if table, dist, derr := db.distSelectTable(sel); derr != nil {
-		return nil, derr
-	} else if dist {
-		return s.openDistCursor(sel, table, strict, ee)
+	form := formCursor
+	if strict {
+		form = formStrict
 	}
-	if !sel.HasPreference() {
-		if sel.ButOnly != nil || len(sel.Grouping) > 0 {
-			return nil, fmt.Errorf("core: GROUPING and BUT ONLY require a PREFERRING clause")
+	var p *stmtPlan
+	if strict || !s.rewrites(sel) {
+		p, err = s.planSelect(sel, ee, form)
+		if err != nil && sel.HasPreference() {
+			return nil, err
 		}
-		pipe, err := db.eng.PipelineArgs(ee.ctx, sel, ee.params)
-		if err != nil {
-			// Grouped/aggregate queries materialize in the engine; iterate
-			// the buffered result (plan errors re-surface identically).
-			res, rerr := db.eng.SelectArgs(ee.ctx, sel, ee.params)
-			if rerr != nil {
-				return nil, rerr
-			}
-			c := bufferCursor(res.Columns, res.Rows)
-			c.stats = res.Stats
-			return s.trackCursor(c, "select", sel, nil, nil), nil
-		}
-		var rec *exec.NodeRec
-		if s.RecordNodeStats() {
-			rec = pipe.EnableNodeStats()
-		}
-		op, err := pipe.Build(nil)
+	}
+	if p == nil {
+		res, err := s.querySelect(sel, ee)
 		if err != nil {
 			return nil, err
 		}
-		if err := op.Open(); err != nil {
-			return nil, err
-		}
-		names := make([]string, 0, len(pipe.Columns()))
-		for _, c := range pipe.Columns() {
-			names = append(names, c.Name)
-		}
-		c := &Cursor{cols: names, stats: pipe.Stats(), pull: op.Next, fin: op.Close, ctx: ee.ctx}
-		return s.trackCursor(c, "select", sel, pipe.Node(), rec), nil
+		return s.trackCursor(bufferCursor(ee.ctx, res), sel, nil, nil), nil
 	}
-	return s.openPreferenceCursor(sel, strict, ee)
+	op, err := p.build()
+	if err != nil {
+		return nil, err
+	}
+	if err := op.Open(); err != nil {
+		return nil, err // strict mode surfaces the not-score-based error here
+	}
+	c := &Cursor{cols: p.node.Schema().Names(), stats: p.env.Stats, pull: op.Next, fin: op.Close, ctx: ee.ctx}
+	return s.trackCursor(c, sel, p.node, p.env.Rec), nil
 }
 
 // trackCursor arms the observability seam on a cursor: when the cursor
@@ -238,7 +225,7 @@ func (s *Session) openCursor(sel *ast.Select, strict bool, ee execEnv) (*Cursor,
 // per-kind counter, work-counter flush, LastStats (with the annotated
 // plan when per-operator recording was on). Batch-fallback cursors pick
 // up the plan the batch path stashed instead.
-func (s *Session) trackCursor(c *Cursor, kind string, sel *ast.Select, node plan.Node, rec *exec.NodeRec) *Cursor {
+func (s *Session) trackCursor(c *Cursor, sel *ast.Select, node plan.Node, rec *exec.NodeRec) *Cursor {
 	start := time.Now()
 	fin := c.fin
 	recorded := false
@@ -255,145 +242,9 @@ func (s *Session) trackCursor(c *Cursor, kind string, sel *ast.Select, node plan
 			} else if p := s.pendingPlan.Swap(nil); p != nil {
 				planText = *p
 			}
-			s.observeCursor(kind, sel.SQL(), c.emitted, c.stats, planText, time.Since(start))
+			s.observeCursor(stmtKind(sel), sel.SQL(), c.emitted, c.stats, planText, time.Since(start))
 		}
 		return err
 	}
 	return c
-}
-
-func (s *Session) openPreferenceCursor(sel *ast.Select, strict bool, ee execEnv) (*Cursor, error) {
-	db := s.db
-	if len(sel.GroupBy) > 0 || sel.Having != nil {
-		return nil, fmt.Errorf("core: GROUP BY/HAVING cannot be combined with PREFERRING")
-	}
-	resolved, err := db.resolvePrefs(sel.Preferring)
-	if err != nil {
-		return nil, err
-	}
-	if resolved != sel.Preferring {
-		clone := *sel
-		clone.Preferring = resolved
-		sel = &clone
-	}
-
-	// Result shapes that need the whole BMO set first — and the rewrite
-	// execution mode — batch-evaluate and iterate. QueryProgressive (strict)
-	// rejects these shapes before getting here.
-	if !strict && (len(sel.OrderBy) > 0 || len(sel.Grouping) > 0 || sel.Distinct || s.Mode() == ModeRewrite) {
-		res, err := s.queryPreference(sel, ee)
-		if err != nil {
-			return nil, err
-		}
-		c := bufferCursor(res.Columns, res.Rows)
-		c.ctx = ee.ctx
-		c.stats = res.Stats
-		return s.trackCursor(c, "pref_select", sel, nil, nil), nil
-	}
-
-	pipe, err := db.candidatePipeline(sel, ee)
-	if err != nil {
-		return nil, err
-	}
-	var rec *exec.NodeRec
-	if s.RecordNodeStats() {
-		rec = pipe.EnableNodeStats()
-	}
-	cols := pipe.Columns()
-	binder := newRelBinder(cols, db.eng, ee)
-	reg := preference.NewRegistry()
-	pref, err := preference.Compile(sel.Preferring, binder, reg)
-	if err != nil {
-		return nil, err
-	}
-	// Score-based preferences always stream; under the parallel
-	// algorithm any preference streams via the partition-merge stream
-	// (strict mode keeps its score-based contract: QueryProgressive on a
-	// non-streamable preference still errors unless the session
-	// explicitly selected the parallel algorithm).
-	progressive := strict || bmo.Streamable(pref) || s.Algorithm() == bmo.Parallel
-	root := plan.NewBMO(pipe.Node(), pref, s.Algorithm(), progressive, s.bmoWorkers(sel))
-	var node plan.Node = root
-	if !strict {
-		// QueryProgressive keeps the unpushed plan: its contract is the
-		// score-ordered progressive stream over the candidate relation,
-		// and its streamability errors must not depend on plan shape.
-		// The vectorized selection likewise only applies to the relaxed
-		// cursor (it trades the progressive stream for the batch kernel).
-		node = s.maybePush(sel, root)
-		s.vectorize(sel, root, node)
-	}
-	op, err := pipe.Build(node)
-	if err != nil {
-		return nil, err
-	}
-	if err := op.Open(); err != nil {
-		return nil, err // strict mode surfaces the not-score-based error here
-	}
-	// A pushed plan (whole-preference pushdown) may not have a BMO at
-	// the root, and a split residual's input is not the full candidate
-	// relation; maybePush keeps quality-function queries unpushed, so
-	// candidates are only needed — and only recorded — for the unpushed
-	// shape.
-	var cand []value.Row
-	if bop, ok := exec.Unwrap(op).(*exec.BMOOp); ok && node == plan.Node(root) {
-		cand = bop.Input()
-	}
-	q := &qualityCtx{reg: reg, candidates: cand, binder: binder}
-	outCols, pull := prefPull(sel, op, q)
-	c := &Cursor{cols: outCols, stats: pipe.Stats(), pull: pull, fin: op.Close, ctx: ee.ctx}
-	return s.trackCursor(c, "pref_select", sel, node, rec), nil
-}
-
-// prefPull is the streaming tail of a preference query over the opened
-// BMO (or gather) operator: BUT ONLY, OFFSET, projection, LIMIT, one row
-// per pull.
-func prefPull(sel *ast.Select, op exec.Operator, q *qualityCtx) ([]string, func() (value.Row, error)) {
-	outCols, project := prefProjector(sel, q)
-	var keep func(value.Row) (bool, error)
-	if sel.ButOnly != nil {
-		keep = q.filter(sel.ButOnly)
-	}
-	var emitted, skipped int64
-	return outCols, func() (value.Row, error) {
-		for {
-			if sel.Limit >= 0 && emitted >= sel.Limit {
-				return nil, nil
-			}
-			row, err := op.Next()
-			if err != nil || row == nil {
-				return nil, err
-			}
-			if keep != nil {
-				ok, err := keep(row)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			if skipped < sel.Offset {
-				skipped++
-				continue
-			}
-			out, err := project(row)
-			if err != nil {
-				return nil, err
-			}
-			emitted++
-			return out, nil
-		}
-	}
-}
-
-// prefProjector compiles the SELECT list of a preference query into output
-// column names and a per-row projection function with the quality functions
-// (TOP/LEVEL/DISTANCE) bound. The projected row is always a fresh copy:
-// rows below this point may be the table's own.
-func prefProjector(sel *ast.Select, q *qualityCtx) ([]string, func(value.Row) (value.Row, error)) {
-	proj := expr.CompileProjection(sel.Items, q.binder.scope)
-	return proj.Names(), func(row value.Row) (value.Row, error) {
-		return proj.Row(q.runtime(row), row)
-	}
 }

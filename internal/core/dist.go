@@ -35,7 +35,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/parser"
 	"repro/internal/plan"
-	"repro/internal/preference"
 	"repro/internal/value"
 )
 
@@ -78,84 +77,32 @@ func stopFromCtx(ctx context.Context) func() error {
 // ---------------------------------------------------------------------------
 
 // collectSelTables gathers every base-table name a query block
-// references: the FROM tree, expression subqueries anywhere, and the
-// preference term.
+// references: the FROM tree (derived tables included), expression
+// subqueries anywhere, and the preference term.
 func collectSelTables(sel *ast.Select, out map[string]bool) {
-	if sel == nil {
-		return
+	var from func(ast.TableRef)
+	from = func(tr ast.TableRef) {
+		switch x := tr.(type) {
+		case *ast.BaseTable:
+			out[strings.ToLower(x.Name)] = true
+		case *ast.SubqueryTable:
+			for _, t := range x.Sel.From {
+				from(t)
+			}
+		case *ast.Join:
+			from(x.Left)
+			from(x.Right)
+		}
 	}
 	for _, tr := range sel.From {
-		collectFromTables(tr, out)
+		from(tr)
 	}
-	for _, it := range sel.Items {
-		collectExprTables(it.Expr, out)
-	}
-	collectExprTables(sel.Where, out)
-	collectExprTables(sel.ButOnly, out)
-	collectExprTables(sel.Having, out)
-	for _, e := range sel.GroupBy {
-		collectExprTables(e, out)
-	}
-	for _, ob := range sel.OrderBy {
-		collectExprTables(ob.Expr, out)
-	}
-	ast.WalkPrefExprs(sel.Preferring, func(e ast.Expr) { collectExprTables(e, out) })
-}
-
-func collectFromTables(tr ast.TableRef, out map[string]bool) {
-	switch x := tr.(type) {
-	case *ast.BaseTable:
-		out[strings.ToLower(x.Name)] = true
-	case *ast.SubqueryTable:
-		collectSelTables(x.Sel, out)
-	case *ast.Join:
-		collectFromTables(x.Left, out)
-		collectFromTables(x.Right, out)
-		collectExprTables(x.On, out)
-	}
-}
-
-func collectExprTables(e ast.Expr, out map[string]bool) {
-	switch x := e.(type) {
-	case nil:
-	case *ast.Unary:
-		collectExprTables(x.X, out)
-	case *ast.Binary:
-		collectExprTables(x.L, out)
-		collectExprTables(x.R, out)
-	case *ast.IsNull:
-		collectExprTables(x.X, out)
-	case *ast.InList:
-		collectExprTables(x.X, out)
-		for _, i := range x.List {
-			collectExprTables(i, out)
+	ast.InspectSelect(sel, func(e ast.Expr) bool {
+		if sub := ast.Subquery(e); sub != nil {
+			collectSelTables(sub, out)
 		}
-	case *ast.Between:
-		collectExprTables(x.X, out)
-		collectExprTables(x.Lo, out)
-		collectExprTables(x.Hi, out)
-	case *ast.Like:
-		collectExprTables(x.X, out)
-		collectExprTables(x.Pattern, out)
-	case *ast.Case:
-		collectExprTables(x.Operand, out)
-		for _, w := range x.Whens {
-			collectExprTables(w.When, out)
-			collectExprTables(w.Then, out)
-		}
-		collectExprTables(x.Else, out)
-	case *ast.FuncCall:
-		for _, a := range x.Args {
-			collectExprTables(a, out)
-		}
-	case *ast.InSelect:
-		collectExprTables(x.X, out)
-		collectSelTables(x.Sub, out)
-	case *ast.Exists:
-		collectSelTables(x.Sub, out)
-	case *ast.ScalarSub:
-		collectSelTables(x.Sub, out)
-	}
+		return true
+	})
 }
 
 // distTouches reports whether the query block references any sharded
@@ -182,30 +129,6 @@ func (db *DB) distSharded(table string) bool {
 	}
 	_, ok := db.dist.Lookup(table)
 	return ok
-}
-
-// selHasSubquery reports whether any expression of the query block
-// embeds a nested SELECT.
-func selHasSubquery(sel *ast.Select) bool {
-	for _, it := range sel.Items {
-		if exprHasSubquery(it.Expr) {
-			return true
-		}
-	}
-	if exprHasSubquery(sel.Where) || exprHasSubquery(sel.ButOnly) || exprHasSubquery(sel.Having) {
-		return true
-	}
-	for _, e := range sel.GroupBy {
-		if exprHasSubquery(e) {
-			return true
-		}
-	}
-	for _, ob := range sel.OrderBy {
-		if exprHasSubquery(ob.Expr) {
-			return true
-		}
-	}
-	return prefHasSubquery(sel.Preferring)
 }
 
 // distSelectTable decides whether a SELECT is distributed. ok means the
@@ -239,7 +162,7 @@ func (db *DB) distSelectTable(sel *ast.Select) (string, bool, error) {
 	if !db.distSharded(bt.Name) {
 		return "", false, fmt.Errorf("core: sharded table %s can only be read as the single FROM table, not from a subquery", sharded)
 	}
-	if selHasSubquery(sel) {
+	if selectHas(sel, func(e ast.Expr) bool { return ast.Subquery(e) != nil }) {
 		return "", false, fmt.Errorf("core: subqueries are not supported in queries over sharded table %s (they would evaluate per shard)", bt.Name)
 	}
 	if len(sel.GroupBy) > 0 || sel.Having != nil {
@@ -261,16 +184,6 @@ func (db *DB) distSelectTable(sel *ast.Select) (string, bool, error) {
 // Distributed SELECT
 // ---------------------------------------------------------------------------
 
-// distQuery is one planned distributed SELECT: the gather node plus the
-// coordinator-side binding state the projection and post-merge clauses
-// evaluate with.
-type distQuery struct {
-	node   *plan.Gather
-	binder *relBinder
-	reg    *preference.Registry
-	sel    *ast.Select // with preference references resolved
-}
-
 // planDistSelect plans the scatter-gather execution of a SELECT over a
 // sharded table. The shards get the candidate relation plus the first
 // cascade stage (`SELECT * FROM t [WHERE ...] [PREFERRING stage1]`):
@@ -278,22 +191,17 @@ type distQuery struct {
 // while later cascade stages discriminate among survivors over the
 // whole relation — which no shard sees — so they stay at the
 // coordinator as the merge's residual. Projection, BUT ONLY, ORDER BY,
-// DISTINCT and LIMIT/OFFSET likewise run coordinator-side.
-func (s *Session) planDistSelect(sel *ast.Select, table string, ee execEnv) (*distQuery, error) {
+// DISTINCT and LIMIT/OFFSET likewise run coordinator-side: the same
+// ButOnly / QualityProject tail a local preference query has, over the
+// Gather instead of a BMO.
+func (s *Session) planDistSelect(sel *ast.Select, table string, ee execEnv, form planForm) (*stmtPlan, error) {
 	db := s.db
 	if !sel.HasPreference() && (sel.ButOnly != nil || len(sel.Grouping) > 0) {
-		return nil, fmt.Errorf("core: GROUPING and BUT ONLY require a PREFERRING clause")
+		return nil, errNoPreferring
 	}
-	if sel.HasPreference() {
-		resolved, err := db.resolvePrefs(sel.Preferring)
-		if err != nil {
-			return nil, err
-		}
-		if resolved != sel.Preferring {
-			clone := *sel
-			clone.Preferring = resolved
-			sel = &clone
-		}
+	sel, err := db.resolveSel(sel)
+	if err != nil {
+		return nil, err
 	}
 
 	// Split the cascade: stage 1 ships to the shards, the rest is the
@@ -321,19 +229,11 @@ func (s *Session) planDistSelect(sel *ast.Select, table string, ee execEnv) (*di
 		return nil, err
 	}
 	cols := det.Cols
-	binder := newRelBinder(cols, db.eng, ee)
-	reg := preference.NewRegistry()
-	var pref, post preference.Preference
-	if pushed != nil {
-		if pref, err = preference.Compile(pushed, binder, reg); err != nil {
-			return nil, err
-		}
+	binder, _, prefs, err := db.bindPreference(cols, ee, pushed, residual)
+	if err != nil {
+		return nil, err
 	}
-	if residual != nil {
-		if post, err = preference.Compile(residual, binder, reg); err != nil {
-			return nil, err
-		}
-	}
+	pref, post := prefs[0], prefs[1]
 
 	// Shard statement: all columns, the hard WHERE, the pushed stage.
 	// Parameters render positionally ($n with the original indices), so
@@ -361,6 +261,9 @@ func (s *Session) planDistSelect(sel *ast.Select, table string, ee execEnv) (*di
 	// (sum, vec) order and nothing runs after the merge: the transport
 	// then forces the SFS algorithm on the shard sessions.
 	progressive := pref != nil && post == nil && bmo.Streamable(pref)
+	if form == formStrict && !progressive {
+		return nil, fmt.Errorf("core: the preference does not stream over sharded table %s (progressive gather needs a score-based preference with no residual cascade stage)", table)
+	}
 	node := &plan.Gather{
 		Table:       table,
 		ShardSQL:    shardSQL,
@@ -372,93 +275,8 @@ func (s *Session) planDistSelect(sel *ast.Select, table string, ee execEnv) (*di
 		Progressive: progressive,
 		Workers:     s.Workers(),
 	}
-	return &distQuery{node: node, binder: binder, reg: reg, sel: sel}, nil
-}
-
-// queryDistributed is the batch path of a distributed SELECT: gather
-// and merge the shard results, then apply the coordinator-side clauses
-// exactly like the local batch path (shared post-processing, so the
-// paths cannot drift).
-func (s *Session) queryDistributed(sel *ast.Select, table string, ee execEnv) (*Result, error) {
-	dq, err := s.planDistSelect(sel, table, ee)
-	if err != nil {
-		return nil, err
-	}
-	sel = dq.sel
-	st := &exec.Stats{}
-	env := &exec.Env{Stats: st, Stop: stopFromCtx(ee.ctx)}
-	var rec *exec.NodeRec
-	if s.RecordNodeStats() {
-		rec = exec.NewNodeRec()
-		env.Rec = rec
-	}
-	op, err := exec.Build(dq.node, env)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := exec.Drain(op)
-	if err != nil {
-		return nil, err
-	}
-	if rec != nil {
-		s.stashPlan(dq.node, rec)
-	}
-	q := &qualityCtx{reg: dq.reg, binder: dq.binder}
-	if rows, err = q.butOnly(sel.ButOnly, rows); err != nil {
-		return nil, err
-	}
-	res, err := projectPreference(sel, rows, q)
-	if res != nil {
-		res.Stats = st
-	}
-	return res, err
-}
-
-// openDistCursor streams a distributed SELECT. Shapes needing the whole
-// merged result first (ORDER BY, DISTINCT) batch-evaluate and iterate;
-// everything else pulls straight from the gather merge — progressively
-// when the preference streams, so first rows arrive before the slowest
-// shard finishes.
-func (s *Session) openDistCursor(sel *ast.Select, table string, strict bool, ee execEnv) (*Cursor, error) {
-	kind := "select"
-	if sel.HasPreference() {
-		kind = "pref_select"
-	}
-	if !strict && (len(sel.OrderBy) > 0 || sel.Distinct) {
-		res, err := s.queryDistributed(sel, table, ee)
-		if err != nil {
-			return nil, err
-		}
-		c := bufferCursor(res.Columns, res.Rows)
-		c.ctx = ee.ctx
-		c.stats = res.Stats
-		return s.trackCursor(c, kind, sel, nil, nil), nil
-	}
-	dq, err := s.planDistSelect(sel, table, ee)
-	if err != nil {
-		return nil, err
-	}
-	sel = dq.sel
-	if strict && !dq.node.Progressive {
-		return nil, fmt.Errorf("core: the preference does not stream over sharded table %s (progressive gather needs a score-based preference with no residual cascade stage)", table)
-	}
-	st := &exec.Stats{}
-	env := &exec.Env{Stats: st, Stop: stopFromCtx(ee.ctx)}
-	var rec *exec.NodeRec
-	if s.RecordNodeStats() {
-		rec = exec.NewNodeRec()
-		env.Rec = rec
-	}
-	op, err := exec.Build(dq.node, env)
-	if err != nil {
-		return nil, err
-	}
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	outCols, pull := prefPull(sel, op, &qualityCtx{reg: dq.reg, binder: dq.binder})
-	c := &Cursor{cols: outCols, stats: st, pull: pull, fin: op.Close, ctx: ee.ctx}
-	return s.trackCursor(c, kind, sel, dq.node, rec), nil
+	env := &exec.Env{Rt: binder.rt, Stats: &exec.Stats{}, Stop: stopFromCtx(ee.ctx)}
+	return s.newPlan(qualityTail(node, sel), env), nil
 }
 
 // ---------------------------------------------------------------------------

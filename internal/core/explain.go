@@ -3,83 +3,30 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/bmo"
 	"repro/internal/exec"
 	"repro/internal/parser"
 	"repro/internal/plan"
-	"repro/internal/preference"
 )
 
-// ExplainNative renders the native execution plan of a single SELECT:
-// the operator tree of the candidate pipeline and, for preference
-// queries, the BMO node on top — including the algorithm, the planner's
-// statistics-derived parallelism hint (estimated candidate cardinality),
-// the session's worker cap, and the preference-algebra rewrite's
-// decisions (`pushdown=left|right|split`, semijoin and group-wise
-// pre-filter markers). It is the native-mode sibling of
-// ExplainRewrite/RewritePlan and the surface the golden plan tests pin.
+// ExplainNative renders the native execution plan of a single SELECT —
+// the tree the streaming cursor (QueryIter / QueryProgressive's relaxed
+// sibling) executes: for preference queries the candidate pipeline, the
+// BMO node with the algorithm, the planner's statistics-derived
+// parallelism hint (estimated candidate cardinality), the session's
+// worker cap, GROUPING and the preference-algebra rewrite's decisions
+// (`pushdown=left|right|split`, semijoin and group-wise pre-filter
+// markers), then the ButOnly and QualityProject tail. It is the
+// native-mode sibling of ExplainRewrite/RewritePlan and the surface the
+// golden plan tests pin.
 //
-// The rendered plan is the streaming-cursor form (QueryIter /
-// QueryProgressive): a `progressive` BMO node marks a query those
-// surfaces stream, while the batch Query/Exec path evaluates the same
-// tree with batch BMO semantics.
+// A `progressive` BMO node marks a query the cursor streams, while the
+// batch Query/Exec path evaluates the same tree with batch BMO semantics.
 func (db *DB) ExplainNative(sql string) (string, error) { return db.def.ExplainNative(sql) }
 
 // ExplainNative is the session-scoped variant; the session's algorithm
 // and worker settings appear in the rendered BMO node as the streaming
 // cursor would execute them.
-func (s *Session) ExplainNative(sql string) (string, error) {
-	sel, err := parser.ParseSelect(sql)
-	if err != nil {
-		return "", err
-	}
-	db := s.db
-	db.stmtMu.RLock()
-	defer db.stmtMu.RUnlock()
-
-	if table, dist, derr := db.distSelectTable(sel); derr != nil {
-		return "", derr
-	} else if dist {
-		dq, err := s.planDistSelect(sel, table, bgEnv)
-		if err != nil {
-			return "", err
-		}
-		return plan.Format(dq.node), nil
-	}
-	if !sel.HasPreference() {
-		node, err := db.eng.PlanStream(sel)
-		if err != nil {
-			return "", err
-		}
-		return plan.Format(node), nil
-	}
-	if len(sel.GroupBy) > 0 || sel.Having != nil {
-		return "", fmt.Errorf("core: GROUP BY/HAVING cannot be combined with PREFERRING")
-	}
-	resolved, err := db.resolvePrefs(sel.Preferring)
-	if err != nil {
-		return "", err
-	}
-	if resolved != sel.Preferring {
-		clone := *sel
-		clone.Preferring = resolved
-		sel = &clone
-	}
-	pipe, err := db.candidatePipeline(sel, bgEnv)
-	if err != nil {
-		return "", err
-	}
-	binder := newRelBinder(pipe.Columns(), db.eng, bgEnv)
-	pref, err := preference.Compile(sel.Preferring, binder, preference.NewRegistry())
-	if err != nil {
-		return "", err
-	}
-	progressive := bmo.Streamable(pref) || s.Algorithm() == bmo.Parallel
-	root := plan.NewBMO(pipe.Node(), pref, s.Algorithm(), progressive, s.bmoWorkers(sel))
-	node := s.maybePush(sel, root)
-	s.vectorize(sel, root, node)
-	return plan.Format(node), nil
-}
+func (s *Session) ExplainNative(sql string) (string, error) { return s.explain(sql, false) }
 
 // ExplainAnalyze plans a single SELECT exactly like ExplainNative, then
 // executes the plan with per-operator instrumentation and renders every
@@ -92,77 +39,28 @@ func (db *DB) ExplainAnalyze(sql string) (string, error) { return db.def.Explain
 
 // ExplainAnalyze is the session-scoped variant; the session's algorithm,
 // pushdown and vectorized settings shape the executed plan.
-func (s *Session) ExplainAnalyze(sql string) (string, error) {
+func (s *Session) ExplainAnalyze(sql string) (string, error) { return s.explain(sql, true) }
+
+// explain formats — or, with analyze, runs and annotates — the cursor
+// plan of one SELECT, plain, sharded or preference alike.
+func (s *Session) explain(sql string, analyze bool) (string, error) {
 	sel, err := parser.ParseSelect(sql)
 	if err != nil {
 		return "", err
 	}
-	db := s.db
-	db.stmtMu.RLock()
-	defer db.stmtMu.RUnlock()
-
-	if table, dist, derr := db.distSelectTable(sel); derr != nil {
-		return "", derr
-	} else if dist {
-		dq, err := s.planDistSelect(sel, table, bgEnv)
-		if err != nil {
-			return "", err
-		}
-		st := &exec.Stats{}
-		rec := exec.NewNodeRec()
-		op, err := exec.Build(dq.node, &exec.Env{Stats: st, Rec: rec})
-		if err != nil {
-			return "", err
-		}
-		rows, err := exec.Drain(op)
-		if err != nil {
-			return "", err
-		}
-		return annotatePlan(dq.node, rec) + analyzeFooter(len(rows), st), nil
-	}
-	if !sel.HasPreference() {
-		pipe, err := db.eng.PipelineArgs(bgEnv.ctx, sel, nil)
-		if err != nil {
-			return "", err
-		}
-		rec := pipe.EnableNodeStats()
-		op, err := pipe.Build(nil)
-		if err != nil {
-			return "", err
-		}
-		rows, err := exec.Drain(op)
-		if err != nil {
-			return "", err
-		}
-		return annotatePlan(pipe.Node(), rec) + analyzeFooter(len(rows), pipe.Stats()), nil
-	}
-	if len(sel.GroupBy) > 0 || sel.Having != nil {
-		return "", fmt.Errorf("core: GROUP BY/HAVING cannot be combined with PREFERRING")
-	}
-	resolved, err := db.resolvePrefs(sel.Preferring)
+	s.db.stmtMu.RLock()
+	defer s.db.stmtMu.RUnlock()
+	p, err := s.planSelect(sel, bgEnv, formCursor)
 	if err != nil {
 		return "", err
 	}
-	if resolved != sel.Preferring {
-		clone := *sel
-		clone.Preferring = resolved
-		sel = &clone
+	if !analyze {
+		return plan.Format(p.node), nil
 	}
-	pipe, err := db.candidatePipeline(sel, bgEnv)
-	if err != nil {
-		return "", err
+	if p.env.Rec == nil {
+		p.env.Rec = exec.NewNodeRec()
 	}
-	rec := pipe.EnableNodeStats()
-	binder := newRelBinder(pipe.Columns(), db.eng, bgEnv)
-	pref, err := preference.Compile(sel.Preferring, binder, preference.NewRegistry())
-	if err != nil {
-		return "", err
-	}
-	progressive := bmo.Streamable(pref) || s.Algorithm() == bmo.Parallel
-	root := plan.NewBMO(pipe.Node(), pref, s.Algorithm(), progressive, s.bmoWorkers(sel))
-	node := s.maybePush(sel, root)
-	s.vectorize(sel, root, node)
-	op, err := pipe.Build(node)
+	op, err := p.build()
 	if err != nil {
 		return "", err
 	}
@@ -170,7 +68,7 @@ func (s *Session) ExplainAnalyze(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return annotatePlan(node, rec) + analyzeFooter(len(rows), pipe.Stats()), nil
+	return annotatePlan(p.node, p.env.Rec) + analyzeFooter(len(rows), p.env.Stats), nil
 }
 
 // analyzeFooter renders the EXPLAIN ANALYZE totals line.

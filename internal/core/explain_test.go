@@ -38,6 +38,12 @@ func explainDB(t *testing.T) *DB {
 	if err := datagen.Load(db.Engine(), "dim", dimCols, dimRows); err != nil {
 		t.Fatal(err)
 	}
+	// c is the GROUPING example: two rows form the ungrouped skyline,
+	// three the per-grp skylines.
+	if _, err := db.Exec(`CREATE TABLE c (id INT, price INT, km INT, grp INT);
+		INSERT INTO c VALUES (1, 10, 100, 1), (2, 20, 50, 1), (3, 15, 200, 2), (4, 30, 300, 2)`); err != nil {
+		t.Fatal(err)
+	}
 	return db
 }
 
@@ -56,24 +62,27 @@ func TestExplainGolden(t *testing.T) {
 		{
 			name: "vec-selected-big-table",
 			sql:  `SELECT id FROM big PREFERRING LOWEST(d1) AND LOWEST(d2)`,
-			want: "BMO vec est=30000 columnar [(LOWEST(d1) AND LOWEST(d2))]\n" +
-				"  Project *\n" +
-				"    SeqScan big\n",
+			want: "QualityProject id\n" +
+				"  BMO vec est=30000 columnar [(LOWEST(d1) AND LOWEST(d2))]\n" +
+				"    Project *\n" +
+				"      SeqScan big\n",
 		},
 		{
 			name: "hint-present-big-table",
 			prep: func(s *Session) { s.SetVectorized(false) },
 			sql:  `SELECT id FROM big PREFERRING LOWEST(d1) AND LOWEST(d2)`,
-			want: "BMO progressive auto hint=parallel est=30000 [(LOWEST(d1) AND LOWEST(d2))]\n" +
-				"  Project *\n" +
-				"    SeqScan big\n",
+			want: "QualityProject id\n" +
+				"  BMO progressive auto hint=parallel est=30000 [(LOWEST(d1) AND LOWEST(d2))]\n" +
+				"    Project *\n" +
+				"      SeqScan big\n",
 		},
 		{
 			name: "vec-filtered-scan-generic-fill",
 			sql:  `SELECT id FROM big WHERE d3 < 2 PREFERRING LOWEST(d1) AND LOWEST(d2)`,
-			want: "BMO vec est=10000 [(LOWEST(d1) AND LOWEST(d2))]\n" +
-				"  Project *\n" +
-				"    SeqScan big [(d3 < 2)]\n",
+			want: "QualityProject id\n" +
+				"  BMO vec est=10000 [(LOWEST(d1) AND LOWEST(d2))]\n" +
+				"    Project *\n" +
+				"      SeqScan big [(d3 < 2)]\n",
 		},
 		{
 			// An opaque computed score expression cannot map onto column
@@ -81,18 +90,20 @@ func TestExplainGolden(t *testing.T) {
 			// parallel hint.
 			name: "vec-refused-opaque-expression",
 			sql:  `SELECT id FROM big PREFERRING LOWEST(d1 + d2) AND LOWEST(d2)`,
-			want: "BMO progressive auto hint=parallel est=30000 [(LOWEST((d1 + d2)) AND LOWEST(d2))]\n" +
-				"  Project *\n" +
-				"    SeqScan big\n",
+			want: "QualityProject id\n" +
+				"  BMO progressive auto hint=parallel est=30000 [(LOWEST((d1 + d2)) AND LOWEST(d2))]\n" +
+				"    Project *\n" +
+				"      SeqScan big\n",
 		},
 		{
 			// Subquery preferences stay row-at-a-time (and single-worker,
 			// like the parallel path).
 			name: "vec-refused-subquery-preference",
 			sql:  `SELECT id FROM big PREFERRING LOWEST(d1) AND LOWEST((SELECT MIN(e1) FROM dim) + d2)`,
-			want: "BMO progressive auto hint=parallel est=30000 workers=1 [(LOWEST(d1) AND LOWEST(((SELECT MIN(e1) FROM dim) + d2)))]\n" +
-				"  Project *\n" +
-				"    SeqScan big\n",
+			want: "QualityProject id\n" +
+				"  BMO progressive auto hint=parallel est=30000 workers=1 [(LOWEST(d1) AND LOWEST(((SELECT MIN(e1) FROM dim) + d2)))]\n" +
+				"    Project *\n" +
+				"      SeqScan big\n",
 		},
 		{
 			// `SET vectorized = off` pins the row-at-a-time path for the
@@ -104,23 +115,26 @@ func TestExplainGolden(t *testing.T) {
 				}
 			},
 			sql: `SELECT id FROM big PREFERRING LOWEST(d1) AND LOWEST(d2)`,
-			want: "BMO progressive auto hint=parallel est=30000 [(LOWEST(d1) AND LOWEST(d2))]\n" +
-				"  Project *\n" +
-				"    SeqScan big\n",
+			want: "QualityProject id\n" +
+				"  BMO progressive auto hint=parallel est=30000 [(LOWEST(d1) AND LOWEST(d2))]\n" +
+				"    Project *\n" +
+				"      SeqScan big\n",
 		},
 		{
 			name: "hint-absent-small-table",
 			sql:  `SELECT id FROM small PREFERRING LOWEST(d1) AND LOWEST(d2)`,
-			want: "BMO progressive auto [(LOWEST(d1) AND LOWEST(d2))]\n" +
-				"  Project *\n" +
-				"    SeqScan small\n",
+			want: "QualityProject id\n" +
+				"  BMO progressive auto [(LOWEST(d1) AND LOWEST(d2))]\n" +
+				"    Project *\n" +
+				"      SeqScan small\n",
 		},
 		{
 			name: "hint-absent-filtered-estimate",
 			sql:  `SELECT id FROM mid WHERE d3 < 0.5 PREFERRING LOWEST(d1) AND LOWEST(d2)`,
-			want: "BMO progressive auto [(LOWEST(d1) AND LOWEST(d2))]\n" +
-				"  Project *\n" +
-				"    SeqScan mid [(d3 < 0.5)]\n",
+			want: "QualityProject id\n" +
+				"  BMO progressive auto [(LOWEST(d1) AND LOWEST(d2))]\n" +
+				"    Project *\n" +
+				"      SeqScan mid [(d3 < 0.5)]\n",
 		},
 		{
 			name: "explicit-parallel-with-workers",
@@ -129,16 +143,27 @@ func TestExplainGolden(t *testing.T) {
 				s.SetWorkers(4)
 			},
 			sql: `SELECT id FROM small PREFERRING LOWEST(d1) AND LOWEST(d2)`,
-			want: "BMO progressive parallel-partition-merge workers=4 [(LOWEST(d1) AND LOWEST(d2))]\n" +
-				"  Project *\n" +
-				"    SeqScan small\n",
+			want: "QualityProject id\n" +
+				"  BMO progressive parallel-partition-merge workers=4 [(LOWEST(d1) AND LOWEST(d2))]\n" +
+				"    Project *\n" +
+				"      SeqScan small\n",
 		},
 		{
 			name: "batch-shape-keeps-algorithm",
 			sql:  `SELECT id FROM big PREFERRING LOWEST(d2) CASCADE EXPLICIT(d1, 1 > 2)`,
-			want: "BMO auto hint=parallel est=30000 [LOWEST(d2) CASCADE EXPLICIT(d1)]\n" +
-				"  Project *\n" +
-				"    SeqScan big\n",
+			want: "QualityProject id\n" +
+				"  BMO auto hint=parallel est=30000 [LOWEST(d2) CASCADE EXPLICIT(d1)]\n" +
+				"    Project *\n" +
+				"      SeqScan big\n",
+		},
+		{
+			// GROUPING is part of the plan: a batch BMO per group.
+			name: "grouping",
+			sql:  `SELECT id FROM c PREFERRING LOWEST(price) AND LOWEST(km) GROUPING grp`,
+			want: "QualityProject id\n" +
+				"  BMO auto grouping=grp [(LOWEST(price) AND LOWEST(km))]\n" +
+				"    Project *\n" +
+				"      SeqScan c\n",
 		},
 		{
 			name: "plain-select-pipeline",
@@ -191,17 +216,19 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		{
 			name: "vectorized-zone-map-counters",
 			sql:  `SELECT id FROM big PREFERRING LOWEST(d1) AND LOWEST(d2)`,
-			want: "BMO vec est=30000 columnar [(LOWEST(d1) AND LOWEST(d2))] (rows=15 est=30000 time=X in=30000 blocks=30 pruned=15)\n" +
-				"  Project * (rows=30000 est=30000 time=X)\n" +
-				"    SeqScan big (rows=30000 est=30000 time=X)\n" +
+			want: "QualityProject id (rows=15 est=30000 time=X)\n" +
+				"  BMO vec est=30000 columnar [(LOWEST(d1) AND LOWEST(d2))] (rows=15 est=30000 time=X in=30000 blocks=30 pruned=15)\n" +
+				"    Project * (rows=30000 est=30000 time=X)\n" +
+				"      SeqScan big (rows=30000 est=30000 time=X)\n" +
 				"-- rows=15 scanned=30000 probes=0 join_in=0 bmo_in=30000 bmo_out=15\n",
 		},
 		{
 			name: "row-at-a-time-no-block-counters",
 			sql:  `SELECT id FROM small PREFERRING LOWEST(d1) AND LOWEST(d2)`,
-			want: "BMO progressive auto [(LOWEST(d1) AND LOWEST(d2))] (rows=6 est=600 time=X in=600)\n" +
-				"  Project * (rows=600 est=600 time=X)\n" +
-				"    SeqScan small (rows=600 est=600 time=X)\n" +
+			want: "QualityProject id (rows=6 est=600 time=X)\n" +
+				"  BMO progressive auto [(LOWEST(d1) AND LOWEST(d2))] (rows=6 est=600 time=X in=600)\n" +
+				"    Project * (rows=600 est=600 time=X)\n" +
+				"      SeqScan small (rows=600 est=600 time=X)\n" +
 				"-- rows=6 scanned=600 probes=0 join_in=0 bmo_in=600 bmo_out=6\n",
 		},
 		{
@@ -215,19 +242,21 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		{
 			name: "join-pushdown-semijoin-drops",
 			sql:  `SELECT * FROM small s, dim WHERE s.id = dim.k PREFERRING LOWEST(s.d1) AND LOWEST(s.d2)`,
-			want: "Project * (rows=6 est=600 time=X)\n" +
-				"  HashJoin on (s.id = dim.k) (rows=6 est=600 time=X)\n" +
-				"    BMO auto pushdown=left semijoin [(LOWEST(s.d1) AND LOWEST(s.d2))] (rows=6 est=600 time=X in=500 semi_dropped=100)\n" +
-				"      SeqScan s (rows=600 est=600 time=X)\n" +
-				"    SeqScan dim (rows=1000 est=500 time=X)\n" +
+			want: "QualityProject * (rows=6 est=600 time=X)\n" +
+				"  Project * (rows=6 est=600 time=X)\n" +
+				"    HashJoin on (s.id = dim.k) (rows=6 est=600 time=X)\n" +
+				"      BMO auto pushdown=left semijoin [(LOWEST(s.d1) AND LOWEST(s.d2))] (rows=6 est=600 time=X in=500 semi_dropped=100)\n" +
+				"        SeqScan s (rows=600 est=600 time=X)\n" +
+				"      SeqScan dim (rows=1000 est=500 time=X)\n" +
 				"-- rows=6 scanned=1100 probes=0 join_in=506 bmo_in=500 bmo_out=6\n",
 		},
 		{
 			name: "cascade-batch-shape",
 			sql:  `SELECT id FROM big PREFERRING LOWEST(d2) CASCADE EXPLICIT(d1, 1 > 2)`,
-			want: "BMO auto hint=parallel est=30000 [LOWEST(d2) CASCADE EXPLICIT(d1)] (rows=1 est=30000 time=X in=30000)\n" +
-				"  Project * (rows=30000 est=30000 time=X)\n" +
-				"    SeqScan big (rows=30000 est=30000 time=X)\n" +
+			want: "QualityProject id (rows=1 est=30000 time=X)\n" +
+				"  BMO auto hint=parallel est=30000 [LOWEST(d2) CASCADE EXPLICIT(d1)] (rows=1 est=30000 time=X in=30000)\n" +
+				"    Project * (rows=30000 est=30000 time=X)\n" +
+				"      SeqScan big (rows=30000 est=30000 time=X)\n" +
 				"-- rows=1 scanned=30000 probes=0 join_in=0 bmo_in=30000 bmo_out=1\n",
 		},
 	}
@@ -260,78 +289,86 @@ func TestExplainPushdownGolden(t *testing.T) {
 		{
 			name: "pushed-left",
 			sql:  `SELECT * FROM small s, dim WHERE s.id = dim.k PREFERRING LOWEST(s.d1) AND LOWEST(s.d2)`,
-			want: "Project *\n" +
-				"  HashJoin on (s.id = dim.k)\n" +
-				"    BMO auto pushdown=left semijoin [(LOWEST(s.d1) AND LOWEST(s.d2))]\n" +
-				"      SeqScan s\n" +
-				"    SeqScan dim\n",
+			want: "QualityProject *\n" +
+				"  Project *\n" +
+				"    HashJoin on (s.id = dim.k)\n" +
+				"      BMO auto pushdown=left semijoin [(LOWEST(s.d1) AND LOWEST(s.d2))]\n" +
+				"        SeqScan s\n" +
+				"      SeqScan dim\n",
 		},
 		{
 			name: "pushed-right",
 			sql:  `SELECT * FROM small s, dim WHERE s.id = dim.k PREFERRING HIGHEST(dim.e1)`,
-			want: "Project *\n" +
-				"  HashJoin on (s.id = dim.k)\n" +
-				"    SeqScan s\n" +
-				"    BMO auto pushdown=right semijoin [HIGHEST(dim.e1)]\n" +
-				"      SeqScan dim\n",
+			want: "QualityProject *\n" +
+				"  Project *\n" +
+				"    HashJoin on (s.id = dim.k)\n" +
+				"      SeqScan s\n" +
+				"      BMO auto pushdown=right semijoin [HIGHEST(dim.e1)]\n" +
+				"        SeqScan dim\n",
 		},
 		{
 			name: "split-pareto",
 			sql:  `SELECT * FROM small s, dim WHERE s.id = dim.k PREFERRING LOWEST(s.d1) AND LOWEST(dim.e1)`,
-			want: "BMO progressive auto pushdown=split [(LOWEST(s.d1) AND LOWEST(dim.e1))]\n" +
-				"  Project *\n" +
-				"    HashJoin on (s.id = dim.k)\n" +
-				"      BMO auto pushdown=left group=id [LOWEST(s.d1)]\n" +
-				"        SeqScan s\n" +
-				"      BMO auto pushdown=right group=k [LOWEST(dim.e1)]\n" +
-				"        SeqScan dim\n",
+			want: "QualityProject *\n" +
+				"  BMO progressive auto pushdown=split [(LOWEST(s.d1) AND LOWEST(dim.e1))]\n" +
+				"    Project *\n" +
+				"      HashJoin on (s.id = dim.k)\n" +
+				"        BMO auto pushdown=left group=id [LOWEST(s.d1)]\n" +
+				"          SeqScan s\n" +
+				"        BMO auto pushdown=right group=k [LOWEST(dim.e1)]\n" +
+				"          SeqScan dim\n",
 		},
 		{
 			name: "cascade-head-pushed",
 			sql:  `SELECT * FROM small s, dim WHERE s.id = dim.k PREFERRING LOWEST(s.d1) CASCADE LOWEST(dim.e1)`,
-			want: "BMO progressive auto [LOWEST(dim.e1)]\n" +
-				"  Project *\n" +
-				"    HashJoin on (s.id = dim.k)\n" +
-				"      BMO auto pushdown=left semijoin [LOWEST(s.d1)]\n" +
-				"        SeqScan s\n" +
-				"      SeqScan dim\n",
+			want: "QualityProject *\n" +
+				"  BMO progressive auto [LOWEST(dim.e1)]\n" +
+				"    Project *\n" +
+				"      HashJoin on (s.id = dim.k)\n" +
+				"        BMO auto pushdown=left semijoin [LOWEST(s.d1)]\n" +
+				"          SeqScan s\n" +
+				"        SeqScan dim\n",
 		},
 		{
 			name: "refused-left-join",
 			sql:  `SELECT * FROM small s LEFT JOIN dim ON s.id = dim.k PREFERRING LOWEST(s.d1) AND LOWEST(s.d2)`,
-			want: "BMO progressive auto [(LOWEST(s.d1) AND LOWEST(s.d2))]\n" +
-				"  Project *\n" +
-				"    HashJoin left on (s.id = dim.k)\n" +
-				"      SeqScan s\n" +
-				"      SeqScan dim\n",
+			want: "QualityProject *\n" +
+				"  BMO progressive auto [(LOWEST(s.d1) AND LOWEST(s.d2))]\n" +
+				"    Project *\n" +
+				"      HashJoin left on (s.id = dim.k)\n" +
+				"        SeqScan s\n" +
+				"        SeqScan dim\n",
 		},
 		{
 			name: "refused-quality-function",
 			sql:  `SELECT id, DISTANCE(s.d1) FROM small s, dim WHERE s.id = dim.k PREFERRING LOWEST(s.d1) AND LOWEST(s.d2)`,
-			want: "BMO progressive auto [(LOWEST(s.d1) AND LOWEST(s.d2))]\n" +
-				"  Project *\n" +
-				"    HashJoin on (s.id = dim.k)\n" +
-				"      SeqScan s\n" +
-				"      SeqScan dim\n",
+			want: "QualityProject id, DISTANCE(s.d1)\n" +
+				"  BMO progressive auto [(LOWEST(s.d1) AND LOWEST(s.d2))]\n" +
+				"    Project *\n" +
+				"      HashJoin on (s.id = dim.k)\n" +
+				"        SeqScan s\n" +
+				"        SeqScan dim\n",
 		},
 		{
 			name: "refused-session-opt-out",
 			prep: func(s *Session) { s.SetPushdown(false) },
 			sql:  `SELECT * FROM small s, dim WHERE s.id = dim.k PREFERRING LOWEST(s.d1) AND LOWEST(s.d2)`,
-			want: "BMO progressive auto [(LOWEST(s.d1) AND LOWEST(s.d2))]\n" +
-				"  Project *\n" +
-				"    HashJoin on (s.id = dim.k)\n" +
-				"      SeqScan s\n" +
-				"      SeqScan dim\n",
+			want: "QualityProject *\n" +
+				"  BMO progressive auto [(LOWEST(s.d1) AND LOWEST(s.d2))]\n" +
+				"    Project *\n" +
+				"      HashJoin on (s.id = dim.k)\n" +
+				"        SeqScan s\n" +
+				"        SeqScan dim\n",
 		},
 		{
 			name: "pushed-keeps-parallel-hint",
 			sql:  `SELECT * FROM big b, dim WHERE b.id = dim.k PREFERRING LOWEST(b.d1) AND LOWEST(b.d2)`,
-			want: "Project *\n" +
-				"  HashJoin on (b.id = dim.k)\n" +
-				"    BMO auto hint=parallel est=30000 pushdown=left semijoin [(LOWEST(b.d1) AND LOWEST(b.d2))]\n" +
-				"      SeqScan b\n" +
-				"    SeqScan dim\n",
+			want: "QualityProject *\n" +
+				"  Project *\n" +
+				"    HashJoin on (b.id = dim.k)\n" +
+				"      BMO auto hint=parallel est=30000 pushdown=left semijoin [(LOWEST(b.d1) AND LOWEST(b.d2))]\n" +
+				"        SeqScan b\n" +
+				"      SeqScan dim\n",
 		},
 	}
 	for _, tc := range cases {

@@ -6,9 +6,9 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/engine"
+	"repro/internal/expr"
 	"repro/internal/live"
 	"repro/internal/parser"
-	"repro/internal/preference"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -80,34 +80,24 @@ func (s *Session) subscribeSelect(ctx context.Context, sel *ast.Select, args []v
 		return nil, err
 	}
 
-	ee := execEnv{ctx: ctx, params: args}
-	binder := newRelBinder(cols, db.eng, ee)
-	reg := preference.NewRegistry()
-
-	var pref preference.Preference
+	var term ast.Pref
 	if sel.HasPreference() {
-		resolved, err := db.resolvePrefs(sel.Preferring)
-		if err != nil {
+		if term, err = db.resolvePrefs(sel.Preferring); err != nil {
 			return nil, err
 		}
-		if prefHasSubquery(resolved) {
+		if prefHasSubquery(term) {
 			return nil, fmt.Errorf("core: SUBSCRIBE does not support subqueries in PREFERRING")
 		}
-		pref, err = preference.Compile(resolved, binder, reg)
-		if err != nil {
-			return nil, err
-		}
 	}
-
+	binder, _, prefs, err := db.bindPreference(cols, execEnv{ctx: ctx, params: args}, term)
+	if err != nil {
+		return nil, err
+	}
 	var cond func(value.Row) (bool, error)
 	if sel.Where != nil {
-		cond, err = binder.Cond(sel.Where)
-		if err != nil {
-			return nil, err
-		}
+		cond, _ = binder.Cond(sel.Where)
 	}
-
-	outCols, project := prefProjector(sel, &qualityCtx{reg: reg, binder: binder})
+	proj := expr.CompileProjection(sel.Items, binder.scope)
 
 	// Registration must be atomic with respect to writers: under the
 	// shared read lock no write statement runs, so the initial scan and
@@ -118,10 +108,10 @@ func (s *Session) subscribeSelect(ctx context.Context, sel *ast.Select, args []v
 	sub, err := db.live.Subscribe(live.Spec{
 		SQL:     (&ast.Subscribe{Sel: sel}).SQL(),
 		Table:   tbl,
-		Columns: outCols,
-		Pref:    pref,
+		Columns: proj.Names(),
+		Pref:    prefs[0],
 		Cond:    cond,
-		Project: project,
+		Project: func(row value.Row) (value.Row, error) { return proj.Row(binder.rt, row) },
 		Queue:   opts.Queue,
 		OnEvict: opts.OnEvict,
 	})

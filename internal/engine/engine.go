@@ -381,54 +381,13 @@ func HasAggregates(sel *ast.Select) bool { return hasAggregates(sel) }
 
 func exprHasAggregate(e ast.Expr) bool {
 	found := false
-	walkExpr(e, func(x ast.Expr) {
+	ast.Inspect(e, func(x ast.Expr) bool {
 		if fc, ok := x.(*ast.FuncCall); ok && isAggregate(fc.Name) {
 			found = true
 		}
+		return true
 	})
 	return found
-}
-
-// walkExpr visits e and all sub-expressions (not descending into subqueries).
-func walkExpr(e ast.Expr, fn func(ast.Expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	switch x := e.(type) {
-	case *ast.Unary:
-		walkExpr(x.X, fn)
-	case *ast.Binary:
-		walkExpr(x.L, fn)
-		walkExpr(x.R, fn)
-	case *ast.IsNull:
-		walkExpr(x.X, fn)
-	case *ast.InList:
-		walkExpr(x.X, fn)
-		for _, i := range x.List {
-			walkExpr(i, fn)
-		}
-	case *ast.InSelect:
-		walkExpr(x.X, fn)
-	case *ast.Between:
-		walkExpr(x.X, fn)
-		walkExpr(x.Lo, fn)
-		walkExpr(x.Hi, fn)
-	case *ast.Like:
-		walkExpr(x.X, fn)
-		walkExpr(x.Pattern, fn)
-	case *ast.Case:
-		walkExpr(x.Operand, fn)
-		for _, w := range x.Whens {
-			walkExpr(w.When, fn)
-			walkExpr(w.Then, fn)
-		}
-		walkExpr(x.Else, fn)
-	case *ast.FuncCall:
-		for _, a := range x.Args {
-			walkExpr(a, fn)
-		}
-	}
 }
 
 // collectAggregates gathers all aggregate calls in the statement.
@@ -436,7 +395,7 @@ func collectAggregates(sel *ast.Select) []*ast.FuncCall {
 	var out []*ast.FuncCall
 	seen := map[string]bool{}
 	collect := func(e ast.Expr) {
-		walkExpr(e, func(x ast.Expr) {
+		ast.Inspect(e, func(x ast.Expr) bool {
 			if fc, ok := x.(*ast.FuncCall); ok && isAggregate(fc.Name) {
 				key := fc.SQL()
 				if !seen[key] {
@@ -444,6 +403,7 @@ func collectAggregates(sel *ast.Select) []*ast.FuncCall {
 					out = append(out, fc)
 				}
 			}
+			return true
 		})
 	}
 	for _, it := range sel.Items {

@@ -60,13 +60,11 @@ func (ctx *execContext) execEnv(outer expr.Env) *exec.Env {
 // ---------------------------------------------------------------------------
 
 // Pipeline is a planned SELECT ready for pull-based execution. The
-// preference layer wraps the plan root (a plan.BMO node) before building;
-// plain consumers build it as-is and stream.
+// preference layer puts its BMO and quality tail on the plan root before
+// building; plain consumers build it as-is and stream.
 type Pipeline struct {
-	ctx   *execContext
-	node  plan.Node
-	stats *exec.Stats
-	rec   *exec.NodeRec // per-operator recorder; nil = recording off
+	ctx  *execContext
+	node plan.Node
 }
 
 // Pipeline plans a plain, non-grouped SELECT for streaming execution.
@@ -94,7 +92,7 @@ func (db *DB) PipelineArgs(qctx context.Context, sel *ast.Select, params []value
 	if err != nil {
 		return nil, err
 	}
-	return &Pipeline{ctx: ctx, node: node, stats: ctx.stats}, nil
+	return &Pipeline{ctx: ctx, node: node}, nil
 }
 
 // ErrNotStreamable marks statement shapes the streaming planner cannot
@@ -157,28 +155,8 @@ func (p *Pipeline) Node() plan.Node { return p.node }
 // Columns returns the qualified output columns of the planned query.
 func (p *Pipeline) Columns() []ColInfo { return p.node.Schema() }
 
-// Stats exposes the pipeline's work counters (rows scanned, index probes).
-func (p *Pipeline) Stats() *exec.Stats { return p.stats }
-
-// EnableNodeStats turns on per-operator instrumentation for operators
-// built by this pipeline: every Build wraps the operator tree in
-// recorders accumulating rows and wall time per plan node. Must be
-// called before Build; the returned recorder maps plan nodes to their
-// runtime counters (EXPLAIN ANALYZE's per-node annotations).
-func (p *Pipeline) EnableNodeStats() *exec.NodeRec {
-	if p.rec == nil {
-		p.rec = exec.NewNodeRec()
-	}
-	return p.rec
-}
-
-// Build compiles root into an operator tree bound to this statement's
-// context; a nil root builds the planned query itself.
-func (p *Pipeline) Build(root plan.Node) (exec.Operator, error) {
-	if root == nil {
-		root = p.node
-	}
-	env := p.ctx.execEnv(nil)
-	env.Rec = p.rec
-	return exec.Build(root, env)
-}
+// Env returns the operator environment of this statement — its runtime,
+// work counters and cancellation hook — for exec.Build over the planned
+// node or a tree the caller puts on top of it (the preference layer's
+// BMO and quality tail).
+func (p *Pipeline) Env() *exec.Env { return p.ctx.execEnv(nil) }

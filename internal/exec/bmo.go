@@ -1,7 +1,10 @@
 package exec
 
 import (
+	"strings"
+
 	"repro/internal/bmo"
+	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/value"
 )
@@ -162,6 +165,9 @@ func (b *BMOOp) Open() error {
 	// dominance runs among rows sharing a join-key value. Pre-filters
 	// are always batch nodes — they sit below a join that materializes
 	// anyway.
+	if len(b.node.Grouping) > 0 {
+		return b.openGrouped()
+	}
 	if b.node.GroupCol >= 0 {
 		eval := padRows(b.input, b.node.Pad)
 		gcol := b.node.Pad + b.node.GroupCol
@@ -216,6 +222,32 @@ func (b *BMOOp) Open() error {
 	return nil
 }
 
+// openGrouped evaluates the query's GROUPING clause: BMO within each
+// group of equal key values, with the node's algorithm as given (the
+// planner never hints grouped nodes to parallel).
+func (b *BMOOp) openGrouped() error {
+	keys := b.node.GroupKeys()
+	var rt *expr.Runtime
+	if b.env != nil {
+		rt = b.env.Rt
+	}
+	key := func(row value.Row) (string, error) {
+		var sb strings.Builder
+		for _, k := range keys {
+			v, err := k.Eval(rt, row)
+			if err != nil {
+				return "", err
+			}
+			sb.WriteString(v.Key())
+			sb.WriteByte(0x1f)
+		}
+		return sb.String(), nil
+	}
+	out, err := bmo.EvaluateGroupedConfig(b.node.Pref, b.input, key, b.node.Algo, b.config())
+	b.buf = out
+	return err
+}
+
 // Next implements Operator.
 func (b *BMOOp) Next() (value.Row, error) {
 	if b.stream != nil {
@@ -243,6 +275,6 @@ func (b *BMOOp) Next() (value.Row, error) {
 func (b *BMOOp) Close() error { return b.child.Close() }
 
 // Input returns the materialized candidate relation (valid after Open); the
-// preference layer's quality functions (TOP/LEVEL/DISTANCE) need it to
+// quality functions (TOP/LEVEL/DISTANCE) of the tail above need it to
 // compute candidate-relative distances for LOWEST/HIGHEST.
 func (b *BMOOp) Input() []value.Row { return b.input }

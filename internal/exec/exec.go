@@ -194,6 +194,18 @@ func build(n plan.Node, env *Env) (Operator, error) {
 		return &BMOOp{node: x, child: child, env: env, ns: env.NodeStats(x)}, nil
 	case *plan.Gather:
 		return &GatherOp{node: x, env: env, ns: env.NodeStats(x)}, nil
+	case *plan.ButOnly:
+		child, err := Build(x.Child, env)
+		if err != nil {
+			return nil, err
+		}
+		return &butOnlyOp{n: x, child: child, q: newQuality(child, env)}, nil
+	case *plan.QualityProject:
+		child, err := Build(x.Child, env)
+		if err != nil {
+			return nil, err
+		}
+		return &qualityProjectOp{n: x, child: child, q: newQuality(child, env)}, nil
 	}
 	return nil, fmt.Errorf("exec: unsupported plan node %T", n)
 }

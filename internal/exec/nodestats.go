@@ -132,10 +132,10 @@ func wrapStats(n plan.Node, op Operator, env *Env) Operator {
 	return &statsOp{op: op, st: env.Rec.For(n)}
 }
 
-// Unwrap strips the node-stats recorder, returning the concrete operator
-// — for callers that type-assert on operator types (the preference
-// layer's access to BMOOp.Input).
-func Unwrap(op Operator) Operator {
+// unwrap strips the node-stats recorder, returning the concrete operator
+// — for callers that type-assert on operator types (the quality tail's
+// access to BMOOp.Input).
+func unwrap(op Operator) Operator {
 	for {
 		w, ok := op.(*statsOp)
 		if !ok {

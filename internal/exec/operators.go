@@ -473,12 +473,8 @@ func (p *projectOp) Open() error {
 	// aliases or source columns, so the keys are computed here, over the
 	// output row followed by the source row, rather than in a standalone
 	// operator.
-	type pair struct {
-		out  value.Row
-		keys value.Row
-	}
 	proj, sortKeys := p.n.Projection(), p.n.SortKeys()
-	var pairs []pair
+	var pairs []sortPair
 	var both value.Row // scratch: output row ++ source row
 	for {
 		row, err := p.child.Next()
@@ -493,18 +489,40 @@ func (p *projectOp) Open() error {
 			return err
 		}
 		both = append(append(both[:0], out...), row...)
-		keys := make(value.Row, len(sortKeys))
-		for k, key := range sortKeys {
-			v, err := key.Eval(p.env.Rt, both)
-			if err != nil {
-				return err
-			}
-			keys[k] = v
+		keys, err := evalKeys(sortKeys, p.env.Rt, both)
+		if err != nil {
+			return err
 		}
-		pairs = append(pairs, pair{out: out, keys: keys})
+		pairs = append(pairs, sortPair{out: out, keys: keys})
 	}
+	p.buf = sortRows(pairs, p.n.OrderBy)
+	return nil
+}
+
+// sortPair is one output row with its ORDER BY key values.
+type sortPair struct {
+	out  value.Row
+	keys value.Row
+}
+
+// evalKeys computes the ORDER BY key values of one row.
+func evalKeys(keys []*expr.Program, rt *expr.Runtime, row value.Row) (value.Row, error) {
+	vals := make(value.Row, len(keys))
+	for k, key := range keys {
+		v, err := key.Eval(rt, row)
+		if err != nil {
+			return nil, err
+		}
+		vals[k] = v
+	}
+	return vals, nil
+}
+
+// sortRows stably sorts the pairs by their keys (NULLs first, DESC
+// per item) and returns the output rows in that order.
+func sortRows(pairs []sortPair, orderBy []ast.OrderItem) []value.Row {
 	sort.SliceStable(pairs, func(a, b int) bool {
-		for k, ob := range p.n.OrderBy {
+		for k, ob := range orderBy {
 			c := value.CompareNullsFirst(pairs[a].keys[k], pairs[b].keys[k])
 			if c == 0 {
 				continue
@@ -516,11 +534,11 @@ func (p *projectOp) Open() error {
 		}
 		return false
 	})
-	p.buf = make([]value.Row, len(pairs))
+	out := make([]value.Row, len(pairs))
 	for i, pr := range pairs {
-		p.buf[i] = pr.out
+		out[i] = pr.out
 	}
-	return nil
+	return out
 }
 
 func (p *projectOp) Next() (value.Row, error) {

@@ -102,6 +102,10 @@ func children(n Node) []Node {
 		return []Node{x.Child}
 	case *BMO:
 		return []Node{x.Child}
+	case *ButOnly:
+		return []Node{x.Child}
+	case *QualityProject:
+		return []Node{x.Child}
 	}
 	return nil
 }
@@ -137,12 +141,15 @@ func FormatAnnotated(n Node, annotate func(Node) string) string {
 	return b.String()
 }
 
-func condsSQL(conds []ast.Expr) string {
-	parts := make([]string, len(conds))
-	for i, c := range conds {
-		parts[i] = c.SQL()
+func condsSQL(conds []ast.Expr) string { return joinSQL(conds, " AND ") }
+
+// joinSQL renders expressions separated by sep.
+func joinSQL(es []ast.Expr, sep string) string {
+	parts := make([]string, len(es))
+	for i, e := range es {
+		parts[i] = e.SQL()
 	}
-	return strings.Join(parts, " AND ")
+	return strings.Join(parts, sep)
 }
 
 // ---------------------------------------------------------------------------
@@ -384,15 +391,18 @@ func (p *Project) SortKeys() []*expr.Program {
 }
 
 // Explain implements Node.
-func (p *Project) Explain() string {
-	parts := make([]string, len(p.Items))
-	for i, it := range p.Items {
+func (p *Project) Explain() string { return "Project " + selectListSQL(p.Items, p.OrderBy) }
+
+// selectListSQL renders a SELECT list plus its sort keys, if any.
+func selectListSQL(items []ast.SelectItem, orderBy []ast.OrderItem) string {
+	parts := make([]string, len(items))
+	for i, it := range items {
 		parts[i] = it.Expr.SQL()
 	}
-	out := "Project " + strings.Join(parts, ", ")
-	if len(p.OrderBy) > 0 {
-		keys := make([]string, len(p.OrderBy))
-		for i, ob := range p.OrderBy {
+	out := strings.Join(parts, ", ")
+	if len(orderBy) > 0 {
+		keys := make([]string, len(orderBy))
+		for i, ob := range orderBy {
 			keys[i] = ob.Expr.SQL()
 			if ob.Desc {
 				keys[i] += " DESC"
@@ -439,7 +449,18 @@ func (l *Limit) Explain() string {
 type BMO struct {
 	Child Node
 	Pref  preference.Preference
-	Algo  bmo.Algorithm
+	// Reg maps the attributes of Pref's base preferences to those
+	// preferences, for the quality functions TOP/LEVEL/DISTANCE that the
+	// ButOnly and QualityProject nodes above evaluate against this
+	// node's input (the candidate relation). Nil on nodes the pushdown
+	// rewriter derived: quality-bearing queries are never pushed.
+	Reg  *preference.Registry
+	Algo bmo.Algorithm
+	// Grouping, when non-empty, is the query's GROUPING clause: BMO is
+	// evaluated separately within each group of equal key values, in
+	// batch. Grouped nodes are never pushed, vectorized or progressive.
+	Grouping  []ast.Expr
+	groupKeys compiled[[]*expr.Program]
 	// Progressive requests streaming evaluation; it is an error when the
 	// preference is not score-based (the QueryProgressive contract) and
 	// the algorithm is not Parallel (whose partition-merge stream serves
@@ -533,6 +554,18 @@ func NewBMO(child Node, pref preference.Preference, algo bmo.Algorithm, progress
 // Schema implements Node.
 func (b *BMO) Schema() Schema { return b.Child.Schema() }
 
+// GroupKeys returns the compiled GROUPING key expressions over the
+// child's rows.
+func (b *BMO) GroupKeys() []*expr.Program {
+	return b.groupKeys.get(func() []*expr.Program {
+		keys := make([]*expr.Program, len(b.Grouping))
+		for i, g := range b.Grouping {
+			keys[i] = expr.Compile(g, b.Child.Schema().Scope())
+		}
+		return keys
+	})
+}
+
 // Explain implements Node.
 func (b *BMO) Explain() string {
 	mode := b.Algo.String()
@@ -563,6 +596,9 @@ func (b *BMO) Explain() string {
 	}
 	if b.GroupCol >= 0 {
 		out += " group=" + b.Child.Schema()[b.GroupCol].Name
+	}
+	if len(b.Grouping) > 0 {
+		out += " grouping=" + joinSQL(b.Grouping, ",")
 	}
 	return out + fmt.Sprintf(" [%s]", b.Pref.Describe())
 }
@@ -621,6 +657,14 @@ func EstimateRows(n Node) int64 {
 		return est
 	case *BMO:
 		return EstimateRows(x.Child)
+	case *ButOnly:
+		return EstimateRows(x.Child) / 3
+	case *QualityProject:
+		est := EstimateRows(x.Child)
+		if x.Limit >= 0 && x.Limit < est {
+			est = x.Limit
+		}
+		return est
 	}
 	return -1
 }

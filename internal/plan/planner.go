@@ -228,54 +228,21 @@ func splitConjuncts(e ast.Expr) []ast.Expr {
 // opaque to the planner (contains a subquery or an unknown node), which
 // pins it to the residual filter.
 func analyzeExpr(e ast.Expr) (cols []*ast.Column, opaque bool) {
-	var walk func(ast.Expr)
-	walk = func(e ast.Expr) {
+	ast.Inspect(e, func(e ast.Expr) bool {
 		switch x := e.(type) {
-		case nil:
-		case *ast.Literal, *ast.Star:
+		case *ast.Column:
+			cols = append(cols, x)
 		case *ast.Param:
 			// A bind parameter is a late-bound constant: it references no
 			// columns, so conjuncts over it push down (and `col = ?` can
 			// become an index probe whose key is evaluated per execution).
-		case *ast.Column:
-			cols = append(cols, x)
-		case *ast.Unary:
-			walk(x.X)
-		case *ast.Binary:
-			walk(x.L)
-			walk(x.R)
-		case *ast.IsNull:
-			walk(x.X)
-		case *ast.InList:
-			walk(x.X)
-			for _, i := range x.List {
-				walk(i)
-			}
-		case *ast.Between:
-			walk(x.X)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *ast.Like:
-			walk(x.X)
-			walk(x.Pattern)
-		case *ast.Case:
-			walk(x.Operand)
-			for _, w := range x.Whens {
-				walk(w.When)
-				walk(w.Then)
-			}
-			walk(x.Else)
-		case *ast.FuncCall:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *ast.InSelect, *ast.Exists, *ast.ScalarSub:
-			opaque = true
-		default:
+		case *ast.Literal, *ast.Star, *ast.Unary, *ast.Binary, *ast.IsNull, *ast.InList,
+			*ast.Between, *ast.Like, *ast.Case, *ast.FuncCall:
+		default: // subqueries and unknown nodes
 			opaque = true
 		}
-	}
-	walk(e)
+		return !opaque
+	})
 	return cols, opaque
 }
 

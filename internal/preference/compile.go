@@ -257,52 +257,21 @@ func provenance(e ast.Expr) []string {
 // exprColumns collects the column references of e; opaque reports a
 // subquery or unknown node, which makes the provenance unknowable.
 func exprColumns(e ast.Expr) (cols []string, opaque bool) {
-	var walk func(ast.Expr)
-	walk = func(e ast.Expr) {
+	ast.Inspect(e, func(e ast.Expr) bool {
 		switch x := e.(type) {
-		case nil:
-		case *ast.Literal, *ast.Star, *ast.Param:
 		case *ast.Column:
 			if x.Table != "" {
 				cols = append(cols, x.Table+"."+x.Name)
 			} else {
 				cols = append(cols, x.Name)
 			}
-		case *ast.Unary:
-			walk(x.X)
-		case *ast.Binary:
-			walk(x.L)
-			walk(x.R)
-		case *ast.IsNull:
-			walk(x.X)
-		case *ast.InList:
-			walk(x.X)
-			for _, i := range x.List {
-				walk(i)
-			}
-		case *ast.Between:
-			walk(x.X)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *ast.Like:
-			walk(x.X)
-			walk(x.Pattern)
-		case *ast.Case:
-			walk(x.Operand)
-			for _, w := range x.Whens {
-				walk(w.When)
-				walk(w.Then)
-			}
-			walk(x.Else)
-		case *ast.FuncCall:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		default:
+		case *ast.Literal, *ast.Star, *ast.Param, *ast.Unary, *ast.Binary, *ast.IsNull,
+			*ast.InList, *ast.Between, *ast.Like, *ast.Case, *ast.FuncCall:
+		default: // subqueries and unknown nodes
 			opaque = true
 		}
-	}
-	walk(e)
+		return true
+	})
 	return cols, opaque
 }
 

@@ -76,6 +76,32 @@ func TestIdleTimeoutSparesInFlightStatements(t *testing.T) {
 	}
 }
 
+// TestIdleTimeoutSparesQueuedStatements: a statement counts as in flight
+// from the moment its frame is read, not from when its handler starts. A
+// handler stalled past the idle deadline before it begins (a busy box
+// under a full test run) must not get its connection reaped.
+func TestIdleTimeoutSparesQueuedStatements(t *testing.T) {
+	t.Cleanup(server.SetFrameHook(func(typ byte) {
+		if typ == wire.MsgQuery {
+			time.Sleep(400 * time.Millisecond)
+		}
+	}))
+	db, addr := startServerOpts(t, server.Options{CacheSize: 4, IdleTimeout: 150 * time.Millisecond})
+	if _, err := db.Exec("CREATE TABLE t (id INT); INSERT INTO t VALUES (1)"); err != nil {
+		t.Fatal(err)
+	}
+	c := dial(t, addr)
+	for i := 0; i < 2; i++ {
+		res, err := c.Query("SELECT * FROM t")
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		if len(res.Rows) != 1 {
+			t.Fatalf("query %d: %v", i, res.Rows)
+		}
+	}
+}
+
 // TestWriteTimeoutDropsStuckPeer: a peer that stops reading mid-stream
 // eventually blocks the server's socket writes; the write deadline must
 // convert that into a dropped connection instead of a handler goroutine

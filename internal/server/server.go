@@ -243,6 +243,10 @@ type conn struct {
 	done       chan struct{}
 	cancel     atomic.Bool
 	stmtCancel atomic.Value // context.CancelFunc of the in-flight statement
+	// pending counts frames the reader forwarded that the handler has not
+	// finished with. The idle deadline only applies at zero: a queued or
+	// running statement makes the client legitimately silent.
+	pending atomic.Int32
 
 	stmts    map[uint32]*core.Prepared
 	stmtSeq  uint32
@@ -373,13 +377,12 @@ func (c *conn) readLoop() {
 		typ, payload, err := wire.ReadFrame(c.nc)
 		if err != nil {
 			// The idle deadline applies between statements only: while one
-			// is in flight the client is legitimately silent (it is reading
-			// our rows), so re-arm and keep listening for its Cancel.
+			// is queued or in flight the client is legitimately silent (it
+			// is reading our rows), so re-arm and keep listening for its
+			// Cancel.
 			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				if f, _ := c.stmtCancel.Load().(context.CancelFunc); f != nil {
-					continue
-				}
+			if errors.As(err, &ne) && ne.Timeout() && c.pending.Load() > 0 {
+				continue
 			}
 			return
 		}
@@ -390,6 +393,9 @@ func (c *conn) readLoop() {
 			}
 			continue
 		}
+		// Counted before the handoff, so the deadline armed next already
+		// sees the statement in flight however late its handler starts.
+		c.pending.Add(1)
 		select {
 		case c.frames <- frame{typ, payload}:
 		case <-c.done:
@@ -407,6 +413,7 @@ func (c *conn) run() error {
 	if !ok {
 		return io.EOF
 	}
+	c.pending.Add(-1)
 	if f.typ != wire.MsgHello {
 		return fmt.Errorf("expected Hello, got %#x", f.typ)
 	}
@@ -428,6 +435,9 @@ func (c *conn) run() error {
 	}
 
 	for f := range c.frames {
+		if h := frameHook.Load(); h != nil {
+			(*h)(f.typ)
+		}
 		var err error
 		switch f.typ {
 		case wire.MsgQuit:
@@ -453,12 +463,17 @@ func (c *conn) run() error {
 		default:
 			err = fmt.Errorf("unexpected message %#x", f.typ)
 		}
+		c.pending.Add(-1)
 		if err != nil {
 			return err
 		}
 	}
 	return io.EOF
 }
+
+// frameHook, when set, runs before each post-handshake frame is
+// dispatched; tests use it to stall a handler.
+var frameHook atomic.Pointer[func(typ byte)]
 
 // armWrite applies the server's write timeout ahead of socket writes.
 // It is re-armed per frame, so the bound is per write, not per

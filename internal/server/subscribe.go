@@ -102,6 +102,7 @@ func (c *conn) handleSubscribe(payload []byte) error {
 			if !ok {
 				return io.EOF // peer hung up; defer closes the subscription
 			}
+			c.pending.Add(-1) // the Subscribe frame itself stays in flight
 			switch f.typ {
 			case wire.MsgUnsubscribe:
 				fr := wire.NewReader(f.payload)
