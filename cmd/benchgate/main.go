@@ -1,17 +1,16 @@
 // Command benchgate is the CI performance-regression gate: it compares
 // fresh quick-run benchmark JSONs (p4: parallel BMO, p5: join pushdown,
-// p6: vectorized BMO, p7: instrumentation overhead, p8: live-query
-// maintenance, p9: distributed scale-out, p10: durable-storage overhead)
+// p7: instrumentation overhead, p8: live-query maintenance, p9:
+// distributed scale-out, p10: durable-storage overhead)
 // against the committed baselines and fails when a headline speedup
 // regressed by more than the tolerance (default 25%).
 //
 // The gate compares speedup ratios, not wall-clock milliseconds: a ratio
-// (pushed vs unpushed plan, parallel vs sequential BNL, vectorized vs
-// row-at-a-time SFS) divides out the runner's absolute speed, so the
-// same baseline works on any CI machine. Cells are matched by their
-// identifying fields; baseline cells without a fresh counterpart (e.g.
-// full-scale sizes against a quick run) are skipped, but at least one
-// cell must match per supplied pair.
+// (pushed vs unpushed plan, parallel vs sequential BNL) divides out the
+// runner's absolute speed, so the same baseline works on any CI machine.
+// Cells are matched by their identifying fields; baseline cells without
+// a fresh counterpart (e.g. full-scale sizes against a quick run) are
+// skipped, but at least one cell must match per supplied pair.
 //
 // Experiments register in the gates table; a new experiment adds an
 // extract function (result JSON → gated cells) and rides the shared
@@ -21,7 +20,6 @@
 //
 //	benchgate -fresh-p5 BENCH_p5.json -base-p5 internal/bench/baselines/BENCH_p5.quick.json \
 //	          -fresh-p4 BENCH_p4.json -base-p4 internal/bench/baselines/BENCH_p4.quick.json \
-//	          -fresh-p6 BENCH_p6.json -base-p6 internal/bench/baselines/BENCH_p6.quick.json \
 //	          -fresh-p7 BENCH_p7.json -base-p7 internal/bench/baselines/BENCH_p7.quick.json
 package main
 
@@ -175,25 +173,9 @@ func extractP10(path string) (map[string]float64, error) {
 	return out, nil
 }
 
-func extractP6(path string) (map[string]float64, error) {
-	var res bench.P6Result
-	if err := load(path, &res); err != nil {
-		return nil, err
-	}
-	out := map[string]float64{}
-	for _, e := range res.Entries {
-		if e.Variant != "vec" {
-			continue
-		}
-		out[fmt.Sprintf("%d/%s", e.Rows, e.Variant)] = e.Speedup
-	}
-	return out, nil
-}
-
 var gates = []*gateSpec{
 	{name: "p4", what: "parallel BMO", extract: extractP4},
 	{name: "p5", what: "join pushdown", extract: extractP5, floor: true},
-	{name: "p6", what: "vectorized BMO", extract: extractP6, floor: true},
 	// p7's ratio is instrumented-off vs instrumented-on of the same plan:
 	// the ideal is 1.0x and the budget is 3% (0.97x, held by the
 	// committed full-scale BENCH_p7.json). The quick-run CI floor sits at
@@ -212,7 +194,7 @@ var gates = []*gateSpec{
 	// p9's ratio is scatter-gather over 4 shard servers vs one local
 	// worker on the same data. The in-process cluster shares the runner's
 	// cores, so on a 1-2 core CI box the distributed path pays the wire
-	// round-trips and the shards' SFS sort with little parallel scan gain
+	// round-trips and the shards' presort with little parallel scan gain
 	// to show for it (~0.35x observed single-core). The 0.25 floor is the
 	// catastrophe check: a ship-all-rows regression (shards returning raw
 	// partitions instead of local skylines) lands far below it.
@@ -286,7 +268,7 @@ func main() {
 	}
 	var (
 		tol        = flag.Float64("tolerance", 0.25, "allowed relative speedup regression")
-		minSpeedup = flag.Float64("min-speedup", 1.0, "p5/p6 optimized plans must keep at least this speedup")
+		minSpeedup = flag.Float64("min-speedup", 1.0, "p5 optimized plans must keep at least this speedup")
 	)
 	flag.Parse()
 
@@ -309,7 +291,7 @@ func main() {
 		fail = fail || bad
 	}
 	if !ran {
-		fmt.Fprintln(os.Stderr, "benchgate: nothing to compare (pass -fresh-p4/-fresh-p5/-fresh-p6/-fresh-p7/-fresh-p8/-fresh-p9/-fresh-p10)")
+		fmt.Fprintln(os.Stderr, "benchgate: nothing to compare (pass -fresh-p4/-fresh-p5/-fresh-p7/-fresh-p8/-fresh-p9/-fresh-p10)")
 		os.Exit(1)
 	}
 	if fail {

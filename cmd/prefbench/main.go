@@ -11,7 +11,6 @@
 //	prefbench -exp p3                   # parameterized vs literal; writes BENCH_p3.json
 //	prefbench -exp p4                   # sequential vs parallel BMO; writes BENCH_p4.json
 //	prefbench -exp p5                   # BMO-through-join pushdown; writes BENCH_p5.json
-//	prefbench -exp p6                   # row-at-a-time vs vectorized BMO; writes BENCH_p6.json
 //	prefbench -exp p7                   # per-operator instrumentation overhead; writes BENCH_p7.json
 //	prefbench -exp p8                   # live-query maintenance cost; writes BENCH_p8.json
 //	prefbench -exp p9                   # distributed scale-out vs scale-up; writes BENCH_p9.json
@@ -40,7 +39,6 @@ func main() {
 		p3json  = flag.String("json-p3", "BENCH_p3.json", "file for the structured p3 results ('' disables)")
 		p4json  = flag.String("json-p4", "BENCH_p4.json", "file for the structured p4 results ('' disables)")
 		p5json  = flag.String("json-p5", "BENCH_p5.json", "file for the structured p5 results ('' disables)")
-		p6json  = flag.String("json-p6", "BENCH_p6.json", "file for the structured p6 results ('' disables)")
 		p7json  = flag.String("json-p7", "BENCH_p7.json", "file for the structured p7 results ('' disables)")
 		p8json  = flag.String("json-p8", "BENCH_p8.json", "file for the structured p8 results ('' disables)")
 		p9json  = flag.String("json-p9", "BENCH_p9.json", "file for the structured p9 results ('' disables)")
@@ -107,10 +105,6 @@ func main() {
 		case name == "p5" && *p5json != "":
 			res, tbl, err := bench.P5(cfg)
 			emitJSON(name, *p5json, res, tbl, err)
-			continue
-		case name == "p6" && *p6json != "":
-			res, tbl, err := bench.P6(cfg)
-			emitJSON(name, *p6json, res, tbl, err)
 			continue
 		case name == "p7" && *p7json != "":
 			res, tbl, err := bench.P7(cfg)

@@ -23,9 +23,10 @@
 //	db.MustExec(`INSERT INTO trips VALUES (1, 7), (2, 13), (3, 15)`)
 //	res, err := db.Query(`SELECT * FROM trips PREFERRING duration AROUND 14`)
 //
-// Preference queries are evaluated natively by skyline algorithms
-// (block-nested-loop, sort-filter, best-level, parallel partition-merge)
-// or — matching the commercial product's architecture — by rewriting into
+// Preference queries are evaluated natively — one score-vector kernel
+// (presort, then a window of undominated rows) for weak orders and their
+// Pareto combinations, block-nested-loop over the preference's Compare
+// for everything else — or — matching the commercial product's architecture — by rewriting into
 // plain SQL92 (level-annotated views plus a correlated NOT EXISTS
 // dominance test) that runs on the embedded SQL engine. Both paths return
 // identical results.
@@ -126,11 +127,14 @@
 //
 // # Parallel BMO
 //
-// The parallel partition-merge algorithm splits the candidate set into
-// per-worker partitions, computes local skylines concurrently (caching
-// each row's component scores up front so dominance tests are pure float
-// comparisons), and merges the partial skylines pairwise until one
-// dominance-filtered result remains. Select it explicitly
+// The parallel partition-merge evaluation splits the candidate set into
+// per-worker partitions and computes local skylines concurrently: for
+// score-based preferences the score kernel runs on each partition (each
+// row's component scores cached up front, so dominance tests are pure
+// float comparisons) and the sorted partials merge k-way, in exactly the
+// sequential output order; other preferences run BNL per partition and
+// merge pairwise until one dominance-filtered result remains. Select it
+// explicitly
 // (SetAlgorithm(prefsql.Parallel), `SET algorithm = parallel`) or let
 // the Auto path switch at 10k+ candidate rows on multicore; the planner
 // additionally promotes Auto plans from table statistics, visible in
@@ -145,9 +149,9 @@
 // numeric column a typed float64 vector plus a validity bitmap, cached
 // under the database write epoch and invalidated by any write — feeding
 // the vectorized skyline operator: score vectors fill without boxing,
-// row indices presort by the monotone sort-filter key, and dominance
-// runs block-at-a-time with per-block zone maps (a block whose best
-// corner is dominated by the frontier is skipped wholesale). The
+// row indices presort by the monotone score key, and dominance runs
+// block-at-a-time with per-block zone maps (a block whose best corner
+// the window of accepted rows dominates is skipped wholesale). The
 // planner selects it from table statistics for score-based preferences
 // over resolvable numeric columns (opaque expressions and subquery
 // preferences keep the row-at-a-time path), `SET vectorized = off`
@@ -284,8 +288,9 @@
 // distributes over a partition union: skyline(R) ⊆ ∪ skyline(Rᵢ)),
 // gathers the partial results concurrently, and merges them under the
 // same preference at the coordinator — progressively, when the
-// preference streams, so answers emit before the slowest shard
-// finishes. Residual cascade stages, BUT ONLY, DISTINCT, ORDER BY and
+// preference streams (every score-based evaluation emits its skyline in
+// the score kernel's order, whatever algorithm the shard picked), so
+// answers emit before the slowest shard finishes. Residual cascade stages, BUT ONLY, DISTINCT, ORDER BY and
 // LIMIT evaluate at the coordinator over the merged relation. INSERTs
 // hash-route by the shard column; UPDATE/DELETE broadcast. Statements
 // whose distributed evaluation would be unsound (joins over sharded

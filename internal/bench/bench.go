@@ -47,7 +47,6 @@ type Config struct {
 	P4Sizes            []int   // input sizes for the parallel BMO experiment
 	P4Workers          []int   // worker counts for P4
 	P5Sizes            []int   // fact-side sizes for the join-pushdown experiment
-	P6Sizes            []int   // input sizes for the vectorized BMO experiment
 	P7Sizes            []int   // input sizes for the instrumentation-overhead experiment
 	P8Subs             []int   // active-subscription counts for the live-query experiment
 	P8Ops              int     // DML statements per P8 measurement
@@ -76,7 +75,6 @@ func DefaultConfig() Config {
 		P4Sizes:            []int{10000, 100000, 1000000},
 		P4Workers:          []int{1, 2, 4, 8},
 		P5Sizes:            []int{10000, 100000, 1000000},
-		P6Sizes:            []int{100000, 1000000, 10000000},
 		P7Sizes:            []int{100000, 1000000},
 		P8Subs:             []int{0, 10, 100},
 		P8Ops:              20000,
@@ -102,9 +100,6 @@ func TestConfig() Config {
 	cfg.P4Sizes = []int{5000, 20000}
 	cfg.P4Workers = []int{1, 2, 4}
 	cfg.P5Sizes = []int{5000, 20000}
-	// Quick p6 sizes stay above the planner's auto threshold so the
-	// vectorized operator is actually selected.
-	cfg.P6Sizes = []int{20000, 100000}
 	cfg.P7Sizes = []int{20000, 100000}
 	cfg.P8Subs = []int{0, 10, 100}
 	cfg.P8Ops = 4000
@@ -677,7 +672,7 @@ func A2(cfg Config) ([]A2Entry, *Table, error) {
 
 // Names lists the available experiments.
 func Names() []string {
-	return []string{"e1", "e2", "e3", "e4", "e5", "a1", "a2", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8", "p9", "p10"}
+	return []string{"e1", "e2", "e3", "e4", "e5", "a1", "a2", "p1", "p2", "p3", "p4", "p5", "p7", "p8", "p9", "p10"}
 }
 
 // Run executes one experiment by name and returns its printable output.
@@ -751,12 +746,6 @@ func Run(name string, cfg Config) (string, error) {
 		return tbl.String(), nil
 	case "p5":
 		_, tbl, err := P5(cfg)
-		if err != nil {
-			return "", err
-		}
-		return tbl.String(), nil
-	case "p6":
-		_, tbl, err := P6(cfg)
 		if err != nil {
 			return "", err
 		}

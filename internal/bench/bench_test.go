@@ -195,7 +195,7 @@ func TestRunDispatch(t *testing.T) {
 	if _, err := Run("nope", cfg); err == nil {
 		t.Error("unknown experiment should fail")
 	}
-	if len(Names()) != 17 {
+	if len(Names()) != 16 {
 		t.Errorf("names: %v", Names())
 	}
 }
@@ -290,35 +290,6 @@ func TestP4Smoke(t *testing.T) {
 		if e.Millis < 0 || e.Comparisons <= 0 {
 			t.Fatalf("degenerate measurement: %+v", e)
 		}
-	}
-	if len(tbl.Rows) != len(res.Entries) {
-		t.Fatalf("table rows = %d, entries = %d", len(tbl.Rows), len(res.Entries))
-	}
-}
-
-// TestP6Smoke runs the vectorized-BMO experiment at small scale (still
-// above the planner's auto threshold, so the vectorized operator is
-// actually selected) and pins its structural invariants: one sfs and
-// one vec cell per size, identical skylines, sane timings.
-func TestP6Smoke(t *testing.T) {
-	cfg := TestConfig()
-	cfg.P6Sizes = []int{12000}
-	res, tbl, err := P6(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Entries) != 2 {
-		t.Fatalf("entries = %d, want 2", len(res.Entries))
-	}
-	sfs, vec := res.Entries[0], res.Entries[1]
-	if sfs.Variant != "sfs" || vec.Variant != "vec" {
-		t.Fatalf("cell order drifted: %+v / %+v", sfs, vec)
-	}
-	if sfs.SkylineSize != vec.SkylineSize || sfs.SkylineSize <= 0 {
-		t.Fatalf("skyline drift: %d vs %d", sfs.SkylineSize, vec.SkylineSize)
-	}
-	if sfs.Millis <= 0 || vec.Millis <= 0 || vec.Speedup <= 0 {
-		t.Fatalf("degenerate measurement: %+v / %+v", sfs, vec)
 	}
 	if len(tbl.Rows) != len(res.Entries) {
 		t.Fatalf("table rows = %d, entries = %d", len(tbl.Rows), len(res.Entries))

@@ -2,27 +2,30 @@
 // a preference (strict partial order) and a set of candidate tuples, it
 // returns all maximal (non-dominated) tuples.
 //
-// Five algorithms are provided:
+// Every preference falls into one of two families, each with one kernel:
 //
-//   - NestedLoop: the paper's abstract selection method (§3.2) — for every
-//     tuple, scan for a dominating tuple; O(n²) comparisons.
-//   - BlockNestedLoop: the BNL algorithm of [BKS01] — maintain a window of
-//     mutually incomparable tuples; usually far fewer comparisons.
-//   - SortFilter: SFS-style — presort by a monotone score so that no tuple
-//     can be dominated by a later one, then filter against accepted results
-//     only. Requires all preference components to be score-based.
-//   - BestLevel: single-pass minimum-score scan for one weak-order (single
-//     base preference) — O(n).
-//   - Parallel: partition-merge (see parallel.go) — concurrent local
-//     skylines over contiguous partitions (cached-score SFS or BNL
-//     kernels), merged pairwise until one dominance-filtered result
-//     remains. Auto switches to it at AutoParallelThreshold rows when
-//     more than one worker is available.
-//   - Vectorized: batch-at-a-time evaluation (see vectorized.go) — rows
-//     are scored into a flat float64 matrix up front, presorted by the
-//     monotone SFS key, and filtered block-wise with per-block zone maps
-//     that prune whole blocks before any pairwise test. Falls back to
-//     BlockNestedLoop for preferences that are not score-based.
+//   - The score family (ScoreBased: a weak order, or a Pareto accumulation
+//     of weak orders) is decided on score vectors alone. Rows are scored
+//     once, presorted by the monotone key (sum, vector, input index) and
+//     filtered through one window that admits a candidate unless a member
+//     dominates it (see vectorized.go): sequentially block by block with
+//     zone-map pruning, over block-aligned partitions merged k-way when
+//     more than one worker is available, lazily as a Stream, and as the
+//     coordinator's merge of shard streams (GatherMerge). A single weak
+//     order keeps its O(n) minimum pass, which yields the same rows in
+//     the same order.
+//   - The Compare family (EXPLICIT, ELSE and nested non-score terms) runs
+//     BlockNestedLoop — the BNL algorithm of [BKS01] over
+//     Preference.Compare — per partition, with pairwise merges of the
+//     partials when more than one worker is available (parallel.go).
+//
+// The algorithm tokens select among these: NestedLoop is the paper's
+// abstract §3.2 selection method and BlockNestedLoop plain BNL, both over
+// Compare for every preference (the references the tests compare
+// against); Auto, SortFilter, BestLevel, Parallel and Vectorized run the
+// score kernel for the score family, and SortFilter and BestLevel reject
+// everything else. Auto uses more than one worker from
+// AutoParallelThreshold rows on.
 //
 // CASCADE evaluates stage-wise, per the paper's "applying preferences one
 // after the other": BMO(P1 CASCADE P2, R) = BMO(P2, BMO(P1, R)).
@@ -31,7 +34,6 @@ package bmo
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/preference"
 	"repro/internal/value"
@@ -40,10 +42,8 @@ import (
 // Algorithm selects the evaluation strategy.
 type Algorithm int
 
-// Available algorithms. Auto picks BestLevel for single weak orders,
-// the parallel partition-merge path for inputs of AutoParallelThreshold
-// rows or more (when more than one worker is available), SortFilter when
-// every component is score-based, and BlockNestedLoop otherwise.
+// Available algorithms; the package comment says which kernel each
+// selects.
 const (
 	Auto Algorithm = iota
 	NestedLoop
@@ -78,7 +78,7 @@ func (a Algorithm) String() string {
 // Stats reports work done by an evaluation.
 type Stats struct {
 	Comparisons int // preference comparisons performed
-	MaxWindow   int // peak window size (BNL/SFS)
+	MaxWindow   int // peak window size (BNL or score window)
 	Stages      int // cascade stages evaluated
 }
 
@@ -94,16 +94,14 @@ func EvaluateStats(p preference.Preference, rows []value.Row, algo Algorithm) ([
 }
 
 // EvaluateConfig is EvaluateStats with a parallel-evaluation Config
-// (worker count, cancellation hook). The config only affects the
-// Parallel algorithm and the Auto path's parallel selection; the
-// sequential algorithms ignore it.
+// (worker count, cancellation hook).
 func EvaluateConfig(p preference.Preference, rows []value.Row, algo Algorithm, cfg Config) ([]value.Row, Stats, error) {
 	var st Stats
-	out, err := evaluate(p, rows, algo, &st, cfg)
+	out, err := evaluate(p, rows, algo, &st, &VecStats{}, cfg)
 	return out, st, err
 }
 
-func evaluate(p preference.Preference, rows []value.Row, algo Algorithm, st *Stats, cfg Config) ([]value.Row, error) {
+func evaluate(p preference.Preference, rows []value.Row, algo Algorithm, st *Stats, vst *VecStats, cfg Config) ([]value.Row, error) {
 	if len(rows) == 0 {
 		return nil, nil
 	}
@@ -112,7 +110,7 @@ func evaluate(p preference.Preference, rows []value.Row, algo Algorithm, st *Sta
 		current := rows
 		for _, part := range c.Parts {
 			st.Stages++
-			next, err := evaluate(part, current, algo, st, cfg)
+			next, err := evaluate(part, current, algo, st, vst, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -128,41 +126,32 @@ func evaluate(p preference.Preference, rows []value.Row, algo Algorithm, st *Sta
 	case NestedLoop:
 		return nestedLoop(p, rows, st)
 	case BlockNestedLoop:
-		return blockNestedLoop(p, rows, st)
-	case SortFilter:
-		return sortFilter(p, rows, st)
-	case BestLevel:
-		s, ok := p.(preference.Scored)
-		if !ok {
-			return nil, fmt.Errorf("bmo: best-level requires a score-based preference, got %s", p.Describe())
+		return blockNestedLoop(p, rows, st, cfg)
+	case Auto:
+		if len(rows) < AutoParallelThreshold {
+			cfg.Workers = 1
 		}
-		return bestLevel(s, rows, st)
-	case Parallel:
-		if s, ok := p.(preference.Scored); ok {
-			// A single weak order is one O(n) min-score scan; splitting
-			// it into partitions plus merges only adds overhead, so the
-			// parallel path degenerates to best-level (same result set).
-			return bestLevel(s, rows, st)
-		}
-		return parallelSkyline(p, rows, st, cfg)
-	case Vectorized:
-		// CASCADE was already unwound above; fall back to BNL for
-		// non-score-based stages (the forced-fallback path the
-		// differential harness exercises).
-		var vst VecStats
-		return evaluateVectorized(p, rows, st, &vst, cfg)
-	default: // Auto
-		if s, ok := p.(preference.Scored); ok {
-			return bestLevel(s, rows, st) // single weak order: one O(n) pass
-		}
-		if len(rows) >= AutoParallelThreshold && cfg.workerCount() > 1 {
-			return parallelSkyline(p, rows, st, cfg)
-		}
-		if scorers, ok := paretoScorers(p); ok {
-			return sortFilterScored(scorers, p, rows, st)
-		}
-		return blockNestedLoop(p, rows, st)
 	}
+	if scorers, ok := ScoreBased(p); ok {
+		// The vectorized operator keeps the block kernel for a single
+		// weak order too: its zone-map counters are what EXPLAIN ANALYZE
+		// reports.
+		if len(scorers) == 1 && algo != Vectorized {
+			return bestLevel(scorers[0], rows, st)
+		}
+		in, err := BuildVecInput(scorers, rows)
+		if err != nil {
+			return nil, err
+		}
+		return scoreSkyline(&in, st, vst, cfg)
+	}
+	switch algo {
+	case SortFilter:
+		return nil, fmt.Errorf("bmo: sort-filter requires score-based preferences, got %s", p.Describe())
+	case BestLevel:
+		return nil, fmt.Errorf("bmo: best-level requires a score-based preference, got %s", p.Describe())
+	}
+	return compareSkyline(p, rows, st, cfg)
 }
 
 // nestedLoop is the paper's §3.2 abstract selection method.
@@ -191,13 +180,18 @@ func nestedLoop(p preference.Preference, rows []value.Row, st *Stats) ([]value.R
 	return max, nil
 }
 
-// blockNestedLoop is BNL with an unbounded in-memory window.
-func blockNestedLoop(p preference.Preference, rows []value.Row, st *Stats) ([]value.Row, error) {
+// blockNestedLoop is BNL with an unbounded in-memory window, polling
+// cfg.Stop every stopInterval comparisons.
+func blockNestedLoop(p preference.Preference, rows []value.Row, st *Stats, cfg Config) ([]value.Row, error) {
 	var window []value.Row
+	ticks := 0
 	for _, t := range rows {
 		dominated := false
 		keep := window[:0]
 		for _, w := range window {
+			if err := cfg.checkStop(&ticks); err != nil {
+				return nil, err
+			}
 			st.Comparisons++
 			o, err := p.Compare(w, t)
 			if err != nil {
@@ -224,72 +218,6 @@ func blockNestedLoop(p preference.Preference, rows []value.Row, st *Stats) ([]va
 		}
 	}
 	return window, nil
-}
-
-// sortFilter checks the preference is fully score-based, then runs SFS.
-func sortFilter(p preference.Preference, rows []value.Row, st *Stats) ([]value.Row, error) {
-	if s, ok := p.(preference.Scored); ok {
-		return bestLevel(s, rows, st)
-	}
-	scorers, ok := paretoScorers(p)
-	if !ok {
-		return nil, fmt.Errorf("bmo: sort-filter requires score-based preferences, got %s", p.Describe())
-	}
-	return sortFilterScored(scorers, p, rows, st)
-}
-
-// paretoScorers extracts the component score functions of a Pareto
-// preference whose parts are all weak orders.
-func paretoScorers(p preference.Preference) ([]preference.Scored, bool) {
-	par, ok := p.(*preference.Pareto)
-	if !ok {
-		return nil, false
-	}
-	out := make([]preference.Scored, len(par.Parts))
-	for i, part := range par.Parts {
-		s, ok := part.(preference.Scored)
-		if !ok {
-			return nil, false
-		}
-		out[i] = s
-	}
-	return out, true
-}
-
-// sortFilterScored presorts rows by total score (monotone w.r.t. Pareto
-// dominance: a dominating tuple has component-wise ≤ scores with one <,
-// hence a strictly smaller sum — with equal sums, e.g. two tuples both
-// carrying a +Inf NULL score, the lexicographic component tiebreak keeps
-// the order monotone) and filters against accepted rows only.
-func sortFilterScored(scorers []preference.Scored, p preference.Preference, rows []value.Row, st *Stats) ([]value.Row, error) {
-	scored, err := scoreRows(scorers, rows)
-	if err != nil {
-		return nil, err
-	}
-	sortScored(scored)
-
-	var result []value.Row
-	for _, sr := range scored {
-		dominated := false
-		for _, w := range result {
-			st.Comparisons++
-			o, err := p.Compare(w, sr.row)
-			if err != nil {
-				return nil, err
-			}
-			if o == preference.Better {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			result = append(result, sr.row)
-			if len(result) > st.MaxWindow {
-				st.MaxWindow = len(result)
-			}
-		}
-	}
-	return result, nil
 }
 
 // bestLevel returns all rows with the minimum score in one pass.
@@ -349,64 +277,6 @@ func EvaluateGroupedConfig(p preference.Preference, rows []value.Row,
 		out = append(out, part...)
 	}
 	return out, nil
-}
-
-// scoredRow pairs a tuple with its monotone SFS sort key: the component
-// score vector plus its precomputed sum.
-type scoredRow struct {
-	row value.Row
-	sum float64
-	vec []float64
-}
-
-// scoreRows computes the component score vectors (and their sums) of all
-// rows under the given weak-order components.
-func scoreRows(scorers []preference.Scored, rows []value.Row) ([]scoredRow, error) {
-	scored := make([]scoredRow, len(rows))
-	flat := make([]float64, len(rows)*len(scorers))
-	for i, r := range rows {
-		vec := flat[i*len(scorers) : (i+1)*len(scorers) : (i+1)*len(scorers)]
-		sum := 0.0
-		for j, s := range scorers {
-			v, err := s.Score(r)
-			if err != nil {
-				return nil, err
-			}
-			vec[j] = v
-			// Saturate on +Inf (NULL scores worst) so a later -Inf
-			// component cannot turn the sum into NaN and wreck the sort.
-			if !math.IsInf(sum, 1) {
-				if math.IsInf(v, 1) {
-					sum = math.Inf(1)
-				} else {
-					sum += v
-				}
-			}
-		}
-		scored[i] = scoredRow{row: r, sum: sum, vec: vec}
-	}
-	return scored, nil
-}
-
-// bySumThenVec is the concrete sort.Interface over scored rows (a
-// closure-based sort.Slice pays for reflection-based swaps at large n):
-// score sum first, ties broken lexicographically by component — the
-// monotone order SFS filtering requires (see vecLess).
-type bySumThenVec []scoredRow
-
-func (s bySumThenVec) Len() int      { return len(s) }
-func (s bySumThenVec) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
-func (s bySumThenVec) Less(i, j int) bool {
-	if s[i].sum != s[j].sum {
-		return s[i].sum < s[j].sum
-	}
-	return vecLess(s[i].vec, s[j].vec)
-}
-
-// sortScored is the sequential SFS presort (stable, so batch output
-// order stays deterministic w.r.t. input order).
-func sortScored(scored []scoredRow) {
-	sort.Stable(bySumThenVec(scored))
 }
 
 // Token returns the short session-setting token for the algorithm, the

@@ -293,8 +293,8 @@ var diffAlgorithms = []diffAlgorithm{
 	{name: "parallel-w7", run: batch(bmo.Parallel, 7), applicable: always},
 	{name: "parallel-stream-w3", run: parallelStream(3), applicable: always},
 	// Vectorized covers every preference: score-based trees take the
-	// blocked zone-map kernel, everything else exercises its forced
-	// row-at-a-time fallback — both must match the reference.
+	// blocked zone-map kernel, everything else the Compare family's
+	// BNL — both must match the reference.
 	{name: "vec", run: batch(bmo.Vectorized, 0), applicable: always},
 	{name: "vec-w3", run: batch(bmo.Vectorized, 3), applicable: always},
 }

@@ -2,40 +2,32 @@ package bmo
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/preference"
 	"repro/internal/value"
 )
 
 // This file implements the coordinator side of distributed BMO: merging
-// per-shard partial skylines into the global Best-Matches-Only set. It
-// is the network form of the partition-merge algebra in parallel.go —
-// each shard is a partition that computed its local skyline where the
-// data lives, and the same two partial-order properties make the merge
-// exact (skyline(R) ⊆ ∪ᵢ skyline(Rᵢ); filtering against unfiltered
-// members of other partials is exact by transitivity).
+// per-shard partial skylines into the global Best-Matches-Only set. Each
+// shard is a partition that computed its local skyline where the data
+// lives, and skyline(R) = skyline(∪ᵢ skyline(Rᵢ)) makes the merge exact.
 //
 // Two merge modes:
 //
 //   - Progressive (score-based preference, no residual cascade stages):
-//     each shard streams its partial skyline in (sum, vec) sort order —
-//     the coordinator forces `SET algorithm = sfs` on the shard session,
-//     and the sequential SFS stream emits accepted rows in presort
-//     order. A k-way merge of sorted streams yields a globally sorted
-//     candidate sequence, so the SFS filtering invariant holds at the
-//     coordinator too: any dominator of a candidate has a strictly
-//     smaller (sum, vec) key (dominance implies componentwise ≤ with one
-//     <, which survives +Inf NULL-score saturation), so it was merged
-//     earlier, and by transitivity filtering against the accepted window
-//     alone is exact. First rows flow as soon as every shard has
-//     produced one row — not after the slowest shard finishes.
+//     every score-family evaluation emits its skyline in the kernel's key
+//     order, so each shard stream arrives (sum, vector)-sorted. The score
+//     kernel's k-way merge (see vectorized.go) runs over the shard
+//     streams, scoring rows as they arrive, and admits each candidate
+//     through its window. First rows flow as soon as every shard has
+//     produced one row — not after the slowest shard finishes. A shard
+//     stream that regresses in key order fails the merge loudly.
 //
 //   - Batch (any other preference shape, residual cascade stages, or no
-//     preference at all): drain every shard, then dominance-filter the
-//     partials pairwise with the parallel path's kernel (vector mode for
-//     score-based preferences, pref.Compare otherwise), and finally
-//     apply the residual stages. Plain concatenation when there is no
-//     preference to merge under.
+//     preference at all): drain every shard, evaluate the preference once
+//     over the concatenated partials, then apply the residual stages.
+//     Plain concatenation when there is no preference to merge under.
 
 // RowSource is one shard's result stream as the gather merge consumes
 // it: the pull half of a remote cursor. Next returns ok=false at end of
@@ -51,26 +43,23 @@ type RowSource interface {
 // release the shard streams (Close is idempotent and must be called
 // even after an error, so surviving shard streams are torn down).
 type GatherMerge struct {
-	kern    kernel
+	pref    preference.Preference
 	post    preference.Preference
 	sources []RowSource
 	cfg     Config
 	st      Stats
 
-	progressive bool
-
-	// Progressive k-way merge state.
-	heads  []scoredRow
-	alive  []bool
-	primed bool
-	window []scoredRow
+	// Progressive state: the merge, the matrix arriving rows are scored
+	// into, and each shard's previous row (-1 before its first).
+	mg      *merger
+	scorers []preference.Scored
+	in      VecInput
+	last    []int32
 
 	// Batch state.
 	buf    []value.Row
 	pos    int
 	loaded bool
-
-	ticks int
 }
 
 // NewGatherMerge prepares a merge of the per-shard streams. pref is the
@@ -80,19 +69,23 @@ type GatherMerge struct {
 // residual cascade stages to apply after the merge, nil when the whole
 // preference was pushed. The merge is progressive exactly when pref is
 // score-based and there is no residual: then shard streams arrive
-// (sum, vec)-sorted and rows are emitted as soon as they are known
-// maximal.
+// key-sorted and rows are emitted as soon as they are known maximal.
 func NewGatherMerge(pref, post preference.Preference, sources []RowSource, cfg Config) *GatherMerge {
-	g := &GatherMerge{post: post, sources: sources, cfg: cfg}
-	if pref != nil {
-		g.kern = newKernel(pref)
-		g.progressive = g.kern.scorers != nil && post == nil
+	g := &GatherMerge{pref: pref, post: post, sources: sources, cfg: cfg}
+	if pref == nil || post != nil {
+		return g
+	}
+	if scorers, ok := ScoreBased(pref); ok {
+		g.scorers = scorers
+		g.in.Dim = len(scorers)
+		g.last = slices.Repeat([]int32{-1}, len(sources))
+		g.mg = newMerger(&g.in, len(sources), g.pull, &g.st, cfg)
 	}
 	return g
 }
 
 // Progressive reports whether rows stream out before all shards finish.
-func (g *GatherMerge) Progressive() bool { return g.progressive }
+func (g *GatherMerge) Progressive() bool { return g.mg != nil }
 
 // Stats reports the dominance work done so far (merge comparisons and
 // the coordinator's filter window; shard-local work is counted on the
@@ -114,8 +107,8 @@ func (g *GatherMerge) Close() error {
 // Next returns the next globally maximal tuple, or ok=false once the
 // merged BMO set is exhausted.
 func (g *GatherMerge) Next() (value.Row, bool, error) {
-	if g.progressive {
-		return g.nextProgressive()
+	if g.mg != nil {
+		return g.mg.Next()
 	}
 	if !g.loaded {
 		g.loaded = true
@@ -131,109 +124,34 @@ func (g *GatherMerge) Next() (value.Row, bool, error) {
 	return r, true, nil
 }
 
-// headLess orders two scored candidates by the SFS (sum, vec) key. Equal
-// keys mean identical score vectors — mutually non-dominating — so the
-// caller's lower-shard-index tiebreak only fixes emission order, never
-// membership.
-func headLess(a, b scoredRow) bool {
-	if a.sum != b.sum {
-		return a.sum < b.sum
-	}
-	return vecLess(a.vec, b.vec)
-}
-
-// advance pulls shard i's next row and scores it. A shard emitting rows
-// out of (sum, vec) order would silently break the merge's filtering
-// invariant, so regression is checked and reported loudly — it means the
-// shard session did not run the SFS stream it was asked to.
-func (g *GatherMerge) advance(i int) error {
+// pull reads shard i's next row and scores it into the matrix. A shard
+// emitting rows out of key order would silently break the merge's
+// admission invariant, so regression is reported loudly.
+func (g *GatherMerge) pull(i int) (int32, bool, error) {
 	row, ok, err := g.sources[i].Next()
-	if err != nil {
-		return err
+	if err != nil || !ok {
+		return 0, false, err
 	}
-	if !ok {
-		g.alive[i] = false
-		return nil
+	if err := g.in.score(g.scorers, row); err != nil {
+		return 0, false, err
 	}
-	sc, err := scoreRows(g.kern.scorers, []value.Row{row})
-	if err != nil {
-		return err
+	g.in.Rows = append(g.in.Rows, row)
+	r := int32(len(g.in.Rows) - 1)
+	if prev := g.last[i]; prev >= 0 && g.mg.order(r, prev) < -1 {
+		return 0, false, fmt.Errorf("bmo: shard %d stream is not in skyline sort order", i)
 	}
-	if g.primed && headLess(sc[0], g.heads[i]) {
-		return fmt.Errorf("bmo: shard %d stream is not in skyline sort order", i)
-	}
-	g.heads[i] = sc[0]
-	return nil
+	g.last[i] = r
+	return r, true, nil
 }
 
-func (g *GatherMerge) nextProgressive() (value.Row, bool, error) {
-	if g.heads == nil {
-		g.heads = make([]scoredRow, len(g.sources))
-		g.alive = make([]bool, len(g.sources))
-		for i := range g.sources {
-			g.alive[i] = true
-			if err := g.advance(i); err != nil {
-				return nil, false, err
-			}
-		}
-		g.primed = true
-	}
-	for {
-		// Pop the globally minimal head; the lower shard index wins key
-		// ties, so emission order is deterministic across runs.
-		best := -1
-		for i := range g.heads {
-			if !g.alive[i] {
-				continue
-			}
-			if best < 0 || headLess(g.heads[i], g.heads[best]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return nil, false, nil
-		}
-		cand := g.heads[best]
-		if err := g.advance(best); err != nil {
-			return nil, false, err
-		}
-		dominated := false
-		for _, w := range g.window {
-			if err := g.cfg.checkStop(&g.ticks); err != nil {
-				return nil, false, err
-			}
-			dom, err := g.kern.dominates(w, cand, &g.st)
-			if err != nil {
-				return nil, false, err
-			}
-			if dom {
-				dominated = true
-				break
-			}
-		}
-		if dominated {
-			continue
-		}
-		g.window = append(g.window, cand)
-		if len(g.window) > g.st.MaxWindow {
-			g.st.MaxWindow = len(g.window)
-		}
-		return cand.row, true, nil
-	}
-}
-
-// loadBatch drains every shard and computes the merged result: pairwise
-// dominance-filtered merges of the partial skylines (exactly the
-// parallel path's merge phase, run on the calling goroutine — shard
-// counts are small), then the residual cascade stages over the complete
-// merged relation. Residual stages cannot run on the shards: a later
-// stage discriminates only among survivors of the earlier stages over
-// the WHOLE relation, which no single shard sees.
+// loadBatch drains every shard, evaluates pref once over the
+// concatenated partials, then the residual cascade stages over the
+// complete merged relation. Residual stages cannot run on the shards: a
+// later stage discriminates only among survivors of the earlier stages
+// over the WHOLE relation, which no single shard sees.
 func (g *GatherMerge) loadBatch() error {
-	var parts [][]scoredRow
 	var all []value.Row
 	for _, src := range g.sources {
-		var rows []value.Row
 		for {
 			r, ok, err := src.Next()
 			if err != nil {
@@ -242,48 +160,16 @@ func (g *GatherMerge) loadBatch() error {
 			if !ok {
 				break
 			}
-			rows = append(rows, r)
+			all = append(all, r)
 		}
-		if g.kern.pref == nil {
-			all = append(all, rows...)
+	}
+	for _, p := range []preference.Preference{g.pref, g.post} {
+		if p == nil {
 			continue
 		}
-		sc, err := g.kern.load(rows)
+		out, err := evaluate(p, all, Auto, &g.st, &VecStats{}, g.cfg)
 		if err != nil {
 			return err
-		}
-		parts = append(parts, sc)
-	}
-	if g.kern.pref != nil {
-		for len(parts) > 1 {
-			var next [][]scoredRow
-			for i := 0; i+1 < len(parts); i += 2 {
-				m, err := g.kern.merge(parts[i], parts[i+1], &g.st, g.cfg)
-				if err != nil {
-					return err
-				}
-				next = append(next, m)
-			}
-			if len(parts)%2 == 1 {
-				next = append(next, parts[len(parts)-1])
-			}
-			parts = next
-		}
-		if len(parts) == 1 {
-			all = make([]value.Row, 0, len(parts[0]))
-			for _, sr := range parts[0] {
-				all = append(all, sr.row)
-			}
-		}
-	}
-	if g.post != nil {
-		out, st, err := EvaluateConfig(g.post, all, Auto, g.cfg)
-		if err != nil {
-			return err
-		}
-		g.st.Comparisons += st.Comparisons
-		if st.MaxWindow > g.st.MaxWindow {
-			g.st.MaxWindow = st.MaxWindow
 		}
 		all = out
 	}

@@ -2,19 +2,18 @@ package bmo
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/preference"
 	"repro/internal/value"
 )
 
-// This file implements the parallel partition-merge BMO algorithm: the
-// input is split into contiguous partitions, each worker computes the
-// local skyline of its partition with the best applicable sequential
-// kernel (a cached-score sort-filter pass for score-based preferences,
-// BNL otherwise), and the partial skylines are then merged pairwise —
-// also concurrently — until one dominance-filtered result remains.
+// This file holds the settings every kernel shares (Config) and the
+// Compare family's partition-merge evaluation: the input is split into
+// contiguous partitions, each worker computes the local skyline of its
+// partition with BNL, and the partial skylines are then merged pairwise —
+// also concurrently — until one dominance-filtered result remains. (The
+// score family partitions and merges in vectorized.go.)
 //
 // Correctness rests on two properties of strict partial orders:
 //
@@ -54,7 +53,7 @@ const AutoParallelThreshold = 10000
 // fewer rows per worker and goroutine overhead dominates.
 const minPartition = 512
 
-// stopInterval is how many comparisons a worker performs between Stop
+// stopInterval is how many comparisons a kernel performs between Stop
 // polls (mirrors the exec layer's scan interval).
 const stopInterval = 1024
 
@@ -75,217 +74,9 @@ func (cfg Config) checkStop(n *int) error {
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// Kernel: one dominance test shared by partition and merge phases
-// ---------------------------------------------------------------------------
-
-// The parallel path works on scoredRow candidates — the same cached
-// score-vector representation (and +Inf-saturated sort-key sum) the
-// sequential SFS path uses, built by scoreRows. With vec non-nil,
-// dominance is a pure float comparison — no getter or interface
-// dispatch per test, and trivially safe across goroutines; compare mode
-// leaves vec nil and calls pref.Compare.
-
-// kernel evaluates dominance between two candidates. scorers non-nil
-// selects the cached-score path (preference is a single weak order or a
-// Pareto accumulation of weak orders); otherwise pref.Compare decides.
-type kernel struct {
-	pref    preference.Preference
-	scorers []preference.Scored
-}
-
-// newKernel classifies p. The cached-score path applies exactly when the
-// sequential SFS path would (streamScorers).
-func newKernel(p preference.Preference) kernel {
-	scorers, ok := streamScorers(p)
-	if !ok {
-		return kernel{pref: p}
-	}
-	return kernel{pref: p, scorers: scorers}
-}
-
-// load converts rows into scored candidates, caching component score
-// vectors in vector mode (scoreRows — the one implementation of the
-// +Inf-saturated sort key, shared with sequential SFS). Scoring runs on
-// the calling goroutine: it is the only phase that invokes
-// user-supplied getters, so all concurrent work downstream is pure
-// float comparison.
-func (k kernel) load(rows []value.Row) ([]scoredRow, error) {
-	if k.scorers == nil {
-		out := make([]scoredRow, len(rows))
-		for i, r := range rows {
-			out[i] = scoredRow{row: r}
-		}
-		return out, nil
-	}
-	return scoreRows(k.scorers, rows)
-}
-
-// dominates reports whether a is strictly better than b.
-func (k kernel) dominates(a, b scoredRow, st *Stats) (bool, error) {
-	st.Comparisons++
-	if a.vec != nil {
-		better := false
-		for j, av := range a.vec {
-			bv := b.vec[j]
-			if av > bv {
-				return false, nil
-			}
-			if av < bv {
-				better = true
-			}
-		}
-		return better, nil
-	}
-	o, err := k.pref.Compare(a.row, b.row)
-	if err != nil {
-		return false, err
-	}
-	return o == preference.Better, nil
-}
-
-// local computes the skyline of one partition. Vector mode presorts by
-// score sum (ties broken lexicographically by component — the sum alone
-// is not monotone once +Inf scores from NULL attributes collide) and
-// filters against accepted rows only, the SFS kernel on cached scores.
-// Compare mode runs BNL.
-func (k kernel) local(part []scoredRow, st *Stats, cfg Config) ([]scoredRow, error) {
-	ticks := 0
-	if k.scorers != nil {
-		// Unstable pdqsort: equal-vector rows are mutually substitutable
-		// (both survive or both fall), so stability buys nothing, and
-		// stable block-merging costs ~2x at millions of rows.
-		sort.Sort(bySumThenVec(part))
-		var accepted []scoredRow
-		for _, cand := range part {
-			dominated := false
-			for _, w := range accepted {
-				if err := cfg.checkStop(&ticks); err != nil {
-					return nil, err
-				}
-				dom, err := k.dominates(w, cand, st)
-				if err != nil {
-					return nil, err
-				}
-				if dom {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				accepted = append(accepted, cand)
-				if len(accepted) > st.MaxWindow {
-					st.MaxWindow = len(accepted)
-				}
-			}
-		}
-		return accepted, nil
-	}
-
-	var window []scoredRow
-	for _, cand := range part {
-		dominated := false
-		keep := window[:0]
-		for _, w := range window {
-			if err := cfg.checkStop(&ticks); err != nil {
-				return nil, err
-			}
-			dom, err := k.dominates(w, cand, st)
-			if err != nil {
-				return nil, err
-			}
-			if dom {
-				// As in blockNestedLoop: window members are mutually
-				// non-dominated, so cand cannot have evicted an earlier
-				// member if a later one dominates it — the window is
-				// left unchanged.
-				dominated = true
-				break
-			}
-			rev, err := k.dominates(cand, w, st)
-			if err != nil {
-				return nil, err
-			}
-			if rev {
-				continue // w is dominated by cand: drop it
-			}
-			keep = append(keep, w)
-		}
-		if !dominated {
-			window = append(keep, cand)
-		}
-		if len(window) > st.MaxWindow {
-			st.MaxWindow = len(window)
-		}
-	}
-	return window, nil
-}
-
-// vecLess orders score vectors lexicographically; callers compare the
-// precomputed (+Inf-saturated) sums first and use this only to break
-// sum ties. If a dominates b then a's components are ≤ b's with one
-// strictly <, so a sorts strictly before b — the monotonicity SFS
-// filtering needs even when +Inf NULL scores make the sums collide.
-// (Recomputing sums here would be both wasted work and wrong: an
-// unsaturated +Inf + -Inf sum is NaN, which compares false both ways
-// and would silently disable the tiebreak.)
-func vecLess(a, b []float64) bool {
-	for j := range a {
-		if a[j] != b[j] {
-			return a[j] < b[j]
-		}
-	}
-	return false
-}
-
-// merge dominance-filters two partial skylines against each other:
-// survivors of a not dominated by any member of b, then survivors of b
-// not dominated by any member of a. Filtering is against the original
-// members of the other side (see the transitivity note above).
-func (k kernel) merge(a, b []scoredRow, st *Stats, cfg Config) ([]scoredRow, error) {
-	out := make([]scoredRow, 0, len(a)+len(b))
-	ticks := 0
-	filter := func(xs, against []scoredRow) error {
-		for _, cand := range xs {
-			dominated := false
-			for _, w := range against {
-				if err := cfg.checkStop(&ticks); err != nil {
-					return err
-				}
-				dom, err := k.dominates(w, cand, st)
-				if err != nil {
-					return err
-				}
-				if dom {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				out = append(out, cand)
-			}
-		}
-		return nil
-	}
-	if err := filter(a, b); err != nil {
-		return nil, err
-	}
-	if err := filter(b, a); err != nil {
-		return nil, err
-	}
-	if len(out) > st.MaxWindow {
-		st.MaxWindow = len(out)
-	}
-	return out, nil
-}
-
-// ---------------------------------------------------------------------------
-// Parallel batch evaluation
-// ---------------------------------------------------------------------------
-
-// parallelSkyline is the batch partition-merge evaluation.
-func parallelSkyline(p preference.Preference, rows []value.Row, st *Stats, cfg Config) ([]value.Row, error) {
-	parts, kern, err := parallelPartition(p, rows, st, cfg)
+// compareSkyline is the Compare family's partition-merge evaluation.
+func compareSkyline(p preference.Preference, rows []value.Row, st *Stats, cfg Config) ([]value.Row, error) {
+	parts, err := comparePartials(p, rows, st, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -293,18 +84,15 @@ func parallelSkyline(p preference.Preference, rows []value.Row, st *Stats, cfg C
 	// concurrently.
 	for len(parts) > 1 {
 		npairs := len(parts) / 2
-		next := make([][]scoredRow, (len(parts)+1)/2)
+		next := make([][]value.Row, (len(parts)+1)/2)
 		stats := make([]Stats, npairs)
 		if len(parts)%2 == 1 {
 			next[len(next)-1] = parts[len(parts)-1]
 		}
 		err := runConcurrent(npairs, cfg.workerCount(), func(i int) error {
-			m, err := kern.merge(parts[2*i], parts[2*i+1], &stats[i], cfg)
-			if err != nil {
-				return err
-			}
+			m, err := mergeCompare(p, parts[2*i], parts[2*i+1], &stats[i], cfg)
 			next[i] = m
-			return nil
+			return err
 		})
 		mergeStats(st, stats)
 		if err != nil {
@@ -312,57 +100,68 @@ func parallelSkyline(p preference.Preference, rows []value.Row, st *Stats, cfg C
 		}
 		parts = next
 	}
-	if len(parts) == 0 {
-		return nil, nil
+	return parts[0], nil
+}
+
+// comparePartials splits rows into contiguous partitions and computes
+// their BNL skylines concurrently; one partition is plain BNL.
+func comparePartials(p preference.Preference, rows []value.Row, st *Stats, cfg Config) ([][]value.Row, error) {
+	nw := min(cfg.workerCount(), (len(rows)+minPartition-1)/minPartition)
+	if nw == 1 {
+		sky, err := blockNestedLoop(p, rows, st, cfg)
+		return [][]value.Row{sky}, err
 	}
-	out := make([]value.Row, len(parts[0]))
-	for i, pr := range parts[0] {
-		out[i] = pr.row
+	chunk := (len(rows) + nw - 1) / nw
+	partials := make([][]value.Row, nw)
+	stats := make([]Stats, nw)
+	err := runConcurrent(nw, nw, func(i int) error {
+		sky, err := blockNestedLoop(p, rows[min(i*chunk, len(rows)):min((i+1)*chunk, len(rows))], &stats[i], cfg)
+		partials[i] = sky
+		return err
+	})
+	mergeStats(st, stats)
+	return partials, err
+}
+
+// mergeCompare dominance-filters two partial skylines against each
+// other: survivors of a not dominated by any member of b, then survivors
+// of b not dominated by any member of a. Filtering is against the
+// original members of the other side (see the transitivity note above).
+func mergeCompare(p preference.Preference, a, b []value.Row, st *Stats, cfg Config) ([]value.Row, error) {
+	out := make([]value.Row, 0, len(a)+len(b))
+	ticks := 0
+	for _, side := range [2][2][]value.Row{{a, b}, {b, a}} {
+		for _, cand := range side[0] {
+			dom, err := dominatedBy(p, cand, side[1], st, cfg, &ticks)
+			if err != nil {
+				return nil, err
+			}
+			if !dom {
+				out = append(out, cand)
+			}
+		}
 	}
+	st.MaxWindow = max(st.MaxWindow, len(out))
 	return out, nil
 }
 
-// parallelPartition runs the partition phase: load (score caching),
-// split, and concurrent local skylines. It returns the partial skylines
-// and the kernel for the merge phase.
-func parallelPartition(p preference.Preference, rows []value.Row, st *Stats, cfg Config) ([][]scoredRow, kernel, error) {
-	kern := newKernel(p)
-	cands, err := kern.load(rows)
-	if err != nil {
-		return nil, kern, err
-	}
-	nw := cfg.workerCount()
-	if maxw := (len(cands) + minPartition - 1) / minPartition; nw > maxw {
-		nw = maxw
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	parts := make([][]scoredRow, nw)
-	chunk := (len(cands) + nw - 1) / nw
-	for i := 0; i < nw; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > len(cands) {
-			hi = len(cands)
+// dominatedBy reports whether some member of against is better than
+// cand under p, polling cfg.Stop on the caller's tick counter.
+func dominatedBy(p preference.Preference, cand value.Row, against []value.Row, st *Stats, cfg Config, ticks *int) (bool, error) {
+	for _, w := range against {
+		if err := cfg.checkStop(ticks); err != nil {
+			return false, err
 		}
-		parts[i] = cands[lo:hi]
-	}
-	partials := make([][]scoredRow, nw)
-	stats := make([]Stats, nw)
-	err = runConcurrent(nw, cfg.workerCount(), func(i int) error {
-		sky, err := kern.local(parts[i], &stats[i], cfg)
+		st.Comparisons++
+		o, err := p.Compare(w, cand)
 		if err != nil {
-			return err
+			return false, err
 		}
-		partials[i] = sky
-		return nil
-	})
-	mergeStats(st, stats)
-	if err != nil {
-		return nil, kern, err
+		if o == preference.Better {
+			return true, nil
+		}
 	}
-	return partials, kern, nil
+	return false, nil
 }
 
 // runConcurrent executes f(0..n-1) on up to w goroutines (w<=1 runs
@@ -433,25 +232,25 @@ func mergeStats(st *Stats, parts []Stats) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Progressive partition-merge stream
-// ---------------------------------------------------------------------------
-
 // ParallelStream is the progressive form of the partition-merge
 // evaluation: the partition phase runs concurrently up front, then Next
-// emits each candidate of a partial skyline as soon as it has survived
-// the merge against every other partition's partial skyline. Unlike
-// Stream it does not require a score-based preference — any strict
-// partial order streams — but rows come out in partition order, not
-// best-score-first.
+// emits each candidate as soon as it has survived the merge. Score-based
+// preferences drain the score kernel's k-way merge, so rows come out
+// best-score-first in the sequential order; any other strict partial
+// order streams too, in partition order, each candidate checked against
+// every other partition's partial skyline.
 type ParallelStream struct {
-	kern  kernel
-	parts [][]scoredRow
+	mg *merger // score family
+
+	// Compare family.
+	pref  preference.Preference
+	parts [][]value.Row
 	cfg   Config
-	st    Stats
 	ticks int // Stop-poll counter, persists across Next calls
 	pi    int // current partition
 	ri    int // next row within the partition
+
+	st Stats
 }
 
 // NewParallelStream prepares a progressive partition-merge evaluation of
@@ -469,18 +268,36 @@ func NewParallelStream(p preference.Preference, rows []value.Row, cfg Config) (*
 		}
 		return NewParallelStream(c.Parts[len(c.Parts)-1], current, cfg)
 	}
-	var st Stats
-	parts, kern, err := parallelPartition(p, rows, &st, cfg)
+	s := &ParallelStream{pref: p, cfg: cfg}
+	if scorers, ok := ScoreBased(p); ok {
+		in, err := BuildVecInput(scorers, rows)
+		if err != nil {
+			return nil, err
+		}
+		parts, err := scorePartials(&in, &s.st, &VecStats{}, cfg)
+		if err != nil {
+			return nil, err
+		}
+		s.mg = mergePartials(&in, parts, &s.st, cfg)
+		return s, nil
+	}
+	if len(rows) == 0 {
+		return s, nil
+	}
+	parts, err := comparePartials(p, rows, &s.st, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &ParallelStream{kern: kern, parts: parts, cfg: cfg, st: st}, nil
+	s.parts = parts
+	return s, nil
 }
 
 // Next returns the next maximal tuple, or ok=false once the BMO set is
-// exhausted. A tuple is emitted as soon as it has survived the merge
-// against every other partition.
+// exhausted.
 func (s *ParallelStream) Next() (value.Row, bool, error) {
+	if s.mg != nil {
+		return s.mg.Next()
+	}
 	for s.pi < len(s.parts) {
 		part := s.parts[s.pi]
 		for s.ri < len(part) {
@@ -491,25 +308,17 @@ func (s *ParallelStream) Next() (value.Row, bool, error) {
 				if oi == s.pi {
 					continue // locally maximal by construction
 				}
-				for _, w := range other {
-					if err := s.cfg.checkStop(&s.ticks); err != nil {
-						return nil, false, err
-					}
-					dom, err := s.kern.dominates(w, cand, &s.st)
-					if err != nil {
-						return nil, false, err
-					}
-					if dom {
-						dominated = true
-						break
-					}
+				dom, err := dominatedBy(s.pref, cand, other, &s.st, s.cfg, &s.ticks)
+				if err != nil {
+					return nil, false, err
 				}
-				if dominated {
+				if dom {
+					dominated = true
 					break
 				}
 			}
 			if !dominated {
-				return cand.row, true, nil
+				return cand, true, nil
 			}
 		}
 		s.pi++

@@ -14,29 +14,16 @@ import (
 // e-shopper while the scan is still running, and a consumer that stops
 // pulling (TOP-k / first result page) saves all remaining dominance work.
 //
-// The construction presorts candidates by a monotone score (the sum of the
-// component scores), which guarantees no later tuple can dominate an earlier
-// one; every accepted tuple is therefore final and can be emitted
-// immediately. It requires a score-based preference (a single weak order or
-// a Pareto accumulation of weak orders).
+// It is the score kernel's window applied lazily to the presorted order
+// (see vectorized.go): no later tuple can dominate an earlier one, so
+// every admitted tuple is final and can be emitted immediately. It
+// requires a score-based preference (a single weak order or a Pareto
+// accumulation of weak orders).
 //
 // CASCADE is supported by evaluating all stages but the last eagerly and
 // streaming only the final stage.
 type Stream struct {
-	pref     preference.Preference
-	scored   []scoredRow
-	accepted []value.Row
-	pos      int
-}
-
-// streamScorers returns the component score functions of a score-based
-// preference (a single weak order, or a Pareto accumulation of weak
-// orders) — the single classification both Streamable and NewStream use.
-func streamScorers(p preference.Preference) ([]preference.Scored, bool) {
-	if s, ok := p.(preference.Scored); ok {
-		return []preference.Scored{s}, true
-	}
-	return paretoScorers(p)
+	mg *merger
 }
 
 // Streamable reports whether p can be evaluated progressively: a score-based
@@ -48,7 +35,7 @@ func Streamable(p preference.Preference) bool {
 		}
 		return Streamable(c.Parts[len(c.Parts)-1])
 	}
-	_, ok := streamScorers(p)
+	_, ok := ScoreBased(p)
 	return ok
 }
 
@@ -63,9 +50,10 @@ func NewStream(p preference.Preference, rows []value.Row) (*Stream, error) {
 
 // NewStreamConfig is NewStream with a parallel-evaluation Config: the
 // eager CASCADE prestages run through the Auto path with the given
-// worker cap and cancellation hook. Callers whose preferences are not
-// safe for concurrent Compare (getters embedding subqueries) must pass
-// Workers: 1 — the core layer's session plumbing does.
+// worker cap, and every stage polls the cancellation hook. Callers whose
+// preferences are not safe for concurrent Compare (getters embedding
+// subqueries) must pass Workers: 1 — the core layer's session plumbing
+// does.
 func NewStreamConfig(p preference.Preference, rows []value.Row, cfg Config) (*Stream, error) {
 	if c, ok := p.(*preference.Cascade); ok && len(c.Parts) > 0 {
 		current := rows
@@ -79,44 +67,25 @@ func NewStreamConfig(p preference.Preference, rows []value.Row, cfg Config) (*St
 		return NewStreamConfig(c.Parts[len(c.Parts)-1], current, cfg)
 	}
 
-	scorers, ok := streamScorers(p)
+	scorers, ok := ScoreBased(p)
 	if !ok {
 		return nil, fmt.Errorf("bmo: progressive evaluation requires score-based preferences, got %s", p.Describe())
 	}
-
-	scored, err := scoreRows(scorers, rows)
+	in, err := BuildVecInput(scorers, rows)
 	if err != nil {
 		return nil, err
 	}
-	sortScored(scored)
-	return &Stream{pref: p, scored: scored}, nil
+	order := make([]int32, len(rows))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sortVecOrder(order, &in)
+	return &Stream{mg: mergePartials(&in, [][]int32{order}, &Stats{}, cfg)}, nil
 }
 
 // Next returns the next maximal tuple, or ok=false once the BMO set is
 // exhausted.
-func (s *Stream) Next() (value.Row, bool, error) {
-	for s.pos < len(s.scored) {
-		sr := s.scored[s.pos]
-		s.pos++
-		dominated := false
-		for _, w := range s.accepted {
-			o, err := s.pref.Compare(w, sr.row)
-			if err != nil {
-				return nil, false, err
-			}
-			if o == preference.Better {
-				dominated = true
-				break
-			}
-		}
-		if dominated {
-			continue
-		}
-		s.accepted = append(s.accepted, sr.row)
-		return sr.row, true, nil
-	}
-	return nil, false, nil
-}
+func (s *Stream) Next() (value.Row, bool, error) { return s.mg.Next() }
 
 // EvaluateProgressive computes the BMO set incrementally, calling yield for
 // each maximal tuple as soon as it is known to be in the result. yield

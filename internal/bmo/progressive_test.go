@@ -1,6 +1,7 @@
 package bmo
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -109,5 +110,26 @@ func TestProgressiveSingleScored(t *testing.T) {
 	}
 	if len(got) != 2 {
 		t.Fatalf("both minima: %v", got)
+	}
+}
+
+// TestStreamPollsStop pins cancellation inside one Next: after the one
+// best row, a run of dominated rows longer than the Stop interval must
+// end with the Stop error, not run to the end of the input.
+func TestStreamPollsStop(t *testing.T) {
+	rows := []value.Row{intRow(0, 0)}
+	for i := 0; i < 2*stopInterval+1; i++ {
+		rows = append(rows, intRow(1, 1))
+	}
+	stopErr := errors.New("cancelled")
+	s, err := NewStreamConfig(pareto2D(), rows, Config{Workers: 1, Stop: func() error { return stopErr }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row, ok, err := s.Next(); err != nil || !ok || row[0].I != 0 {
+		t.Fatalf("first Next: %v %v %v, want the best row", row, ok, err)
+	}
+	if _, _, err := s.Next(); !errors.Is(err, stopErr) {
+		t.Fatalf("second Next: err = %v, want the Stop error", err)
 	}
 }

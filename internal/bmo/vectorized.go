@@ -1,6 +1,7 @@
 package bmo
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -8,39 +9,56 @@ import (
 	"repro/internal/value"
 )
 
-// This file implements the vectorized (batch-at-a-time) BMO evaluation:
-// the candidate relation is scored into a flat column-major-friendly
-// float64 matrix up front (one score vector per row, no per-comparison
-// getter or interface dispatch), row indices are presorted by the
-// monotone SFS key, and dominance then runs block-at-a-time:
+// This file is the score family's one kernel. A preference belongs to
+// the score family when ScoreBased holds — a weak order, or a Pareto
+// accumulation of weak orders — and then dominance is a property of
+// score vectors alone:
 //
-//  1. The sorted index sequence is cut into blocks of VecBlockSize rows.
-//  2. Each block carries a zone map: the componentwise minimum of its
-//     score vectors (the block's "best corner"). A block whose corner is
-//     dominated by a member of the current frontier is skipped outright
-//     — every row of the block is transitively dominated — before any
-//     pairwise test touches its rows.
-//  3. Surviving blocks run a block-local SFS against the frontier and
-//     their own accepted rows; waves of blocks evaluate concurrently
-//     (workers > 1) and are stitched in order, the PR-4 partition-merge
-//     argument in miniature.
+//   - one representation: every row is scored once into a flat float64
+//     matrix (VecInput) on the calling goroutine, the only phase that runs
+//     user-supplied getters, so everything downstream is pure float
+//     comparison and safe across goroutines;
+//   - one order: row indices sorted by the monotone key (sum, score
+//     vector lexicographically, input index) — sortVecOrder;
+//   - one dominance test: vdominates;
+//   - one admission loop: window, which admits a candidate unless one of
+//     its members dominates it.
+//
+// The consumers compose these pieces. The sequential block kernel
+// (blockSkyline) feeds the sorted order to a window one VecBlockSize
+// block at a time and skips a block wholesale when the window dominates
+// its zone map. With more than one worker, scoreSkyline runs the block
+// kernel on contiguous block-aligned partitions concurrently and k-way
+// merges the partials through a fresh window (merger). Stream is a
+// merger over the single sorted order, drained lazily; the score-based
+// ParallelStream and GatherMerge's progressive mode drain a merger over
+// partition partials and shard streams.
+//
+// Monotonicity: if a dominates b then a ≤ b componentwise with one
+// strict <, so sum(a) ≤ sum(b) — also with +Inf NULL scores, because
+// sums saturate at +Inf — and on equal sums a's vector is
+// lexicographically smaller. So a sorts strictly before b: no row is
+// dominated by a later one, every admitted row is final, the window only
+// grows, and a member whose sum exceeds the candidate's cannot dominate
+// it, which is where the window scan stops.
 //
 // Zone-map soundness: let c be the componentwise minimum of a block's
-// score vectors. If a frontier member w dominates c (w ≤ c with one
-// strict <) then for every row r of the block w ≤ c ≤ r holds
-// componentwise, and the strict component j gives w[j] < c[j] ≤ r[j] —
-// so w dominates every r. A frontier member merely *equal* to the
-// corner must not prune (equality never dominates; substitutable rows
-// all survive), which the shared dominance test already guarantees.
+// score vectors. If a member w dominates c then for every row r of the
+// block w ≤ c ≤ r componentwise, and the strict component j gives
+// w[j] < c[j] ≤ r[j] — so w dominates every r. A member merely equal to
+// the corner does not prune (equality never dominates; substitutable
+// rows all survive).
 //
-// Because rows are processed in the monotone (sum, vector, index) order,
-// every accepted row is final (no later row can dominate it), the
-// frontier only grows, and the final output order is exactly the
-// sequential sort-filter-skyline emission order — the vectorized path is
-// byte-identical to the row-at-a-time default.
+// Merge exactness: skyline(R) ⊆ ∪ᵢ skyline(Rᵢ), and every partial is in
+// key order, so the k-way merge hands candidates to the window in global
+// key order. A candidate's dominators include a global skyline member
+// (transitivity), which has a strictly smaller key and was admitted
+// first, so the window decides exactly. Partitions are contiguous and
+// key ties go to the lower partition, so the merged output is the
+// sequential (sum, vector, index) order, byte for byte.
 
-// VecBlockSize is the number of rows per vectorized evaluation block —
-// the zone-map pruning granularity.
+// VecBlockSize is the number of rows per block of the sequential block
+// kernel — the zone-map pruning granularity.
 const VecBlockSize = 1024
 
 // VecStats reports the zone-map effectiveness of one vectorized
@@ -50,11 +68,10 @@ type VecStats struct {
 	BlocksPruned  int // blocks skipped wholesale via their zone map
 }
 
-// VecInput is a prebuilt score matrix for the vectorized evaluation:
-// Flat holds one Dim-wide score vector per row (row-major), Sums the
-// +Inf-saturated score sums (the primary SFS sort key). The exec layer
-// fills it straight from columnar storage; BuildVecInput is the generic
-// row-at-a-time fallback fill.
+// VecInput is a score matrix: Flat holds one Dim-wide score vector per
+// row (row-major), Sums the +Inf-saturated score sums (the primary sort
+// key). The exec layer fills it straight from columnar storage;
+// BuildVecInput is the generic row-at-a-time fill.
 type VecInput struct {
 	Rows []value.Row
 	Dim  int
@@ -62,30 +79,100 @@ type VecInput struct {
 	Sums []float64
 }
 
-// ScoreBased exposes the score-vector classification (a single weak
-// order, or a Pareto accumulation of weak orders) to the planner and
-// exec layers — the exact condition under which the vectorized and
-// sequential-SFS kernels apply.
+// vec returns row i's score vector.
+func (in *VecInput) vec(i int32) []float64 {
+	o := int(i) * in.Dim
+	return in.Flat[o : o+in.Dim : o+in.Dim]
+}
+
+// score appends row r's score vector and its saturated sum; the caller
+// owns Rows.
+func (in *VecInput) score(scorers []preference.Scored, r value.Row) error {
+	lo := len(in.Flat)
+	for _, s := range scorers {
+		v, err := s.Score(r)
+		if err != nil {
+			in.Flat = in.Flat[:lo]
+			return err
+		}
+		in.Flat = append(in.Flat, v)
+	}
+	in.Sums = append(in.Sums, saturatedSum(in.Flat[lo:]))
+	return nil
+}
+
+// order returns the comparator of the monotone key over in: sum, then
+// score vector lexicographically, then input index — a total order, and
+// the one every score-family path sorts and merges by. It returns ±2
+// when the keys differ and ±1 when only the indices do, so a merge can
+// tell a key tie, which it breaks by source instead. Recomputing sums
+// here would be wrong as well as wasted work: an unsaturated +Inf + -Inf
+// is NaN, which compares false both ways. The comparator reads the
+// matrix at call time, so it stays valid while rows are appended.
+func (in *VecInput) order() func(a, b int32) int {
+	return func(a, b int32) int {
+		if sa, sb := in.Sums[a], in.Sums[b]; sa != sb {
+			if sa < sb {
+				return -2
+			}
+			return 2
+		}
+		av, bv := in.vec(a), in.vec(b)
+		for j := range av {
+			if av[j] != bv[j] {
+				if av[j] < bv[j] {
+					return -2
+				}
+				return 2
+			}
+		}
+		return cmp.Compare(a, b)
+	}
+}
+
+// ScoreBased reports whether p belongs to the score family — a single
+// weak order, or a Pareto accumulation of weak orders — and returns its
+// component score functions. The planner and exec layers use it to
+// decide on the vectorized operator.
 func ScoreBased(p preference.Preference) ([]preference.Scored, bool) {
-	return streamScorers(p)
+	if s, ok := p.(preference.Scored); ok {
+		return []preference.Scored{s}, true
+	}
+	par, ok := p.(*preference.Pareto)
+	if !ok {
+		return nil, false
+	}
+	out := make([]preference.Scored, len(par.Parts))
+	for i, part := range par.Parts {
+		s, ok := part.(preference.Scored)
+		if !ok {
+			return nil, false
+		}
+		out[i] = s
+	}
+	return out, true
+}
+
+// saturatedSum sums a score vector, saturating at +Inf (NULL scores
+// worst) so a later -Inf component cannot turn the sum into NaN and
+// wreck the sort.
+func saturatedSum(vec []float64) float64 {
+	sum := 0.0
+	for _, v := range vec {
+		if math.IsInf(v, 1) {
+			return math.Inf(1)
+		}
+		sum += v
+	}
+	return sum
 }
 
 // SaturateSums computes the +Inf-saturated score sums of a filled score
-// matrix (see scoreRows for why saturation matters: an unsaturated
-// +Inf + -Inf is NaN, which would wreck the presort).
+// matrix of n rows of d scores.
 func SaturateSums(flat []float64, n, d int) []float64 {
 	sums := make([]float64, n)
-	for i := 0; i < n; i++ {
-		vec := flat[i*d : (i+1)*d]
-		sum := 0.0
-		for _, v := range vec {
-			if math.IsInf(v, 1) {
-				sum = math.Inf(1)
-				break
-			}
-			sum += v
-		}
-		sums[i] = sum
+	for i := range sums {
+		sums[i] = saturatedSum(flat[i*d : (i+1)*d])
 	}
 	return sums
 }
@@ -94,107 +181,44 @@ func SaturateSums(flat []float64, n, d int) []float64 {
 // row and component — the fallback when no columnar image serves the
 // input.
 func BuildVecInput(scorers []preference.Scored, rows []value.Row) (VecInput, error) {
-	d := len(scorers)
-	in := VecInput{Rows: rows, Dim: d, Flat: make([]float64, len(rows)*d)}
-	for i, r := range rows {
-		vec := in.Flat[i*d : (i+1)*d]
-		for j, s := range scorers {
-			v, err := s.Score(r)
-			if err != nil {
-				return VecInput{}, err
-			}
-			vec[j] = v
+	in := VecInput{Rows: rows, Dim: len(scorers),
+		Flat: make([]float64, 0, len(rows)*len(scorers)), Sums: make([]float64, 0, len(rows))}
+	for _, r := range rows {
+		if err := in.score(scorers, r); err != nil {
+			return VecInput{}, err
 		}
 	}
-	in.Sums = SaturateSums(in.Flat, len(rows), d)
 	return in, nil
 }
 
 // EvaluateVectorized runs the vectorized BMO evaluation of p over rows,
 // reporting zone-map statistics alongside the usual work counters.
-// Preferences that are not score-based fall back to block-nested-loop
-// (VecStats stays zero); CASCADE evaluates stage-wise like every other
-// algorithm.
+// Preferences outside the score family take the Compare path (VecStats
+// stays zero); CASCADE evaluates stage-wise like every other algorithm.
 func EvaluateVectorized(p preference.Preference, rows []value.Row, cfg Config) ([]value.Row, Stats, VecStats, error) {
 	var st Stats
 	var vst VecStats
-	out, err := evaluateVectorized(p, rows, &st, &vst, cfg)
+	out, err := evaluate(p, rows, Vectorized, &st, &vst, cfg)
 	return out, st, vst, err
 }
 
-// EvaluateVecInput runs the vectorized evaluation on a prebuilt score
-// matrix — the exec layer's columnar fast path, where the matrix was
-// filled from typed column vectors without boxing a single value.
+// EvaluateVecInput runs the score kernel on a prebuilt score matrix —
+// the exec layer's columnar fast path, where the matrix was filled from
+// typed column vectors without boxing a single value.
 func EvaluateVecInput(in VecInput, cfg Config) ([]value.Row, Stats, VecStats, error) {
 	var st Stats
 	var vst VecStats
-	out, err := vectorizedSkyline(in, &st, &vst, cfg)
+	out, err := scoreSkyline(&in, &st, &vst, cfg)
 	return out, st, vst, err
 }
 
-func evaluateVectorized(p preference.Preference, rows []value.Row, st *Stats, vst *VecStats, cfg Config) ([]value.Row, error) {
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	if c, ok := p.(*preference.Cascade); ok {
-		current := rows
-		for _, part := range c.Parts {
-			st.Stages++
-			next, err := evaluateVectorized(part, current, st, vst, cfg)
-			if err != nil {
-				return nil, err
-			}
-			current = next
-			if len(current) <= 1 {
-				break
-			}
-		}
-		return current, nil
-	}
-	scorers, ok := streamScorers(p)
-	if !ok || len(scorers) == 0 {
-		// Forced fallback: EXPLICIT, ELSE-accumulations and other
-		// non-score-based preferences take the row-at-a-time path.
-		return blockNestedLoop(p, rows, st)
-	}
-	in, err := BuildVecInput(scorers, rows)
-	if err != nil {
-		return nil, err
-	}
-	return vectorizedSkyline(in, st, vst, cfg)
-}
+// sortVecOrder sorts row indices by the monotone key. The order is
+// total, so the unstable pdqsort is deterministic; sorting 4-byte indices
+// keeps swaps cheap at millions of rows.
+func sortVecOrder(idx []int32, in *VecInput) { slices.SortFunc(idx, in.order()) }
 
-// sortVecOrder sorts row indices by the monotone SFS key (sum, score
-// vector lexicographically, input index) — a total order, so the
-// unstable pdqsort is deterministic. Sorting 4-byte indices instead of
-// scoredRow structs keeps swaps cheap at millions of rows, and the
-// generic slices.SortFunc comparator inlines (no sort.Interface
-// dispatch, which dominates the wall clock at that scale).
-func sortVecOrder(idx []int32, sums, flat []float64, d int) {
-	slices.SortFunc(idx, func(a, b int32) int {
-		sa, sb := sums[a], sums[b]
-		if sa != sb {
-			if sa < sb {
-				return -1
-			}
-			return 1
-		}
-		av := flat[int(a)*d : int(a)*d+d]
-		bv := flat[int(b)*d : int(b)*d+d]
-		for j := range av {
-			if av[j] != bv[j] {
-				if av[j] < bv[j] {
-					return -1
-				}
-				return 1
-			}
-		}
-		return int(a - b)
-	})
-}
-
-// vdominates is the vectorized dominance test: a dominates b iff a ≤ b
-// componentwise with at least one strict <. Equal vectors never
+// vdominates is the score family's dominance test: a dominates b iff
+// a ≤ b componentwise with at least one strict <. Equal vectors never
 // dominate.
 func vdominates(a, b []float64, st *Stats) bool {
 	st.Comparisons++
@@ -210,164 +234,211 @@ func vdominates(a, b []float64, st *Stats) bool {
 	return better
 }
 
-// vectorizedSkyline is the core block-at-a-time evaluation over a
-// filled score matrix.
-func vectorizedSkyline(in VecInput, st *Stats, vst *VecStats, cfg Config) ([]value.Row, error) {
+// window is the score family's one admission loop: the rows admitted so
+// far, in key order. Candidates must arrive in key order too (see the
+// monotonicity note above).
+type window struct {
+	m       *VecInput
+	members []int32
+	cfg     Config
+	st      *Stats
+	ticks   int // Stop-poll counter
+}
+
+// dominated reports whether a member dominates the score vector v whose
+// saturated sum is sum. Members past sum cannot, so the scan stops there.
+func (w *window) dominated(v []float64, sum float64) (bool, error) {
+	sums, flat, d := w.m.Sums, w.m.Flat, w.m.Dim
+	for _, m := range w.members {
+		if sums[m] > sum {
+			break
+		}
+		if err := w.cfg.checkStop(&w.ticks); err != nil {
+			return false, err
+		}
+		if o := int(m) * d; vdominates(flat[o:o+d], v, w.st) {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// admit adds row i to the window unless a member dominates it.
+func (w *window) admit(i int32) (bool, error) {
+	dom, err := w.dominated(w.m.vec(i), w.m.Sums[i])
+	if err != nil || dom {
+		return false, err
+	}
+	w.members = append(w.members, i)
+	if len(w.members) > w.st.MaxWindow {
+		w.st.MaxWindow = len(w.members)
+	}
+	return true, nil
+}
+
+// blockSkyline is the sequential block kernel: it feeds the sorted row
+// indices idx to w one VecBlockSize block at a time, and skips a block
+// outright when w dominates its zone map.
+func blockSkyline(w *window, idx []int32, vst *VecStats) error {
+	corner := make([]float64, w.m.Dim)
+	for lo := 0; lo < len(idx); lo += VecBlockSize {
+		blk := idx[lo:min(lo+VecBlockSize, len(idx))]
+		vst.BlocksScanned++
+		copy(corner, w.m.vec(blk[0]))
+		for _, c := range blk[1:] {
+			for j, v := range w.m.vec(c) {
+				if v < corner[j] {
+					corner[j] = v
+				}
+			}
+		}
+		pruned, err := w.dominated(corner, saturatedSum(corner))
+		if err != nil {
+			return err
+		}
+		if pruned {
+			vst.BlocksPruned++
+			continue
+		}
+		for _, c := range blk {
+			if _, err := w.admit(c); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// scorePartials splits the matrix into contiguous block-aligned
+// partitions — at most one per worker and one per block — and runs the
+// block kernel on each concurrently. It returns each partition's
+// skyline in key order. Block alignment keeps BlocksScanned at
+// ⌈n/VecBlockSize⌉ whatever the worker count.
+func scorePartials(in *VecInput, st *Stats, vst *VecStats, cfg Config) ([][]int32, error) {
 	n := len(in.Rows)
 	if n == 0 {
 		return nil, nil
 	}
-	d := in.Dim
-	vec := func(i int32) []float64 { return in.Flat[int(i)*d : int(i)*d+d] }
-
+	nb := (n + VecBlockSize - 1) / VecBlockSize
+	np := min(cfg.workerCount(), nb)
+	per := (nb + np - 1) / np * VecBlockSize
+	np = (n + per - 1) / per
 	idx := make([]int32, n)
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	sortVecOrder(idx, in.Sums, in.Flat, d)
+	parts := make([][]int32, np)
+	stats := make([]Stats, np)
+	vstats := make([]VecStats, np)
+	err := runConcurrent(np, np, func(p int) error {
+		part := idx[p*per : min((p+1)*per, n)]
+		sortVecOrder(part, in)
+		w := window{m: in, cfg: cfg, st: &stats[p]}
+		err := blockSkyline(&w, part, &vstats[p])
+		parts[p] = w.members
+		return err
+	})
+	mergeStats(st, stats)
+	for _, v := range vstats {
+		vst.BlocksScanned += v.BlocksScanned
+		vst.BlocksPruned += v.BlocksPruned
+	}
+	return parts, err
+}
 
-	nb := (n + VecBlockSize - 1) / VecBlockSize
-	workers := cfg.workerCount()
-	frontier := make([]int32, 0, 64)
-	corner := make([]float64, 0, d) // scratch reused by the wave loop
-
-	ticks := 0
-	for base := 0; base < nb; base += workers {
-		cnt := nb - base
-		if cnt > workers {
-			cnt = workers
+// scoreSkyline is the score family's batch evaluation of a filled
+// matrix: the partition phase, then — when there is more than one
+// partial — the k-way merge. Rows come out in key order.
+func scoreSkyline(in *VecInput, st *Stats, vst *VecStats, cfg Config) ([]value.Row, error) {
+	parts, err := scorePartials(in, st, vst, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if len(parts) == 1 {
+		out := make([]value.Row, len(parts[0]))
+		for k, i := range parts[0] {
+			out[k] = in.Rows[i]
 		}
-		waveStart := len(frontier)
-		survivors := make([][]int32, cnt)
-		skipped := make([]bool, cnt)
-		stats := make([]Stats, cnt)
-		// Phase 1 — per block, against the pre-wave frontier snapshot
-		// (read-only, so the wave parallelizes): zone-map check, then a
-		// block-local SFS. With one worker this runs inline.
-		err := runConcurrent(cnt, workers, func(k int) error {
-			b := base + k
-			lo, hi := b*VecBlockSize, (b+1)*VecBlockSize
-			if hi > n {
-				hi = n
-			}
-			blk := idx[lo:hi]
-			bst := &stats[k]
-			bticks := 0
+		return out, nil
+	}
+	mg := mergePartials(in, parts, st, cfg)
+	var out []value.Row
+	for {
+		row, ok, err := mg.Next()
+		if err != nil || !ok {
+			return out, err
+		}
+		out = append(out, row)
+	}
+}
 
-			// Zone map: the block's best corner and its saturated sum.
-			crn := corner[:0]
-			if k > 0 {
-				crn = make([]float64, 0, d) // workers need private scratch
-			}
-			crn = append(crn, vec(blk[0])...)
-			for _, c := range blk[1:] {
-				cv := vec(c)
-				for j, v := range cv {
-					if v < crn[j] {
-						crn[j] = v
-					}
-				}
-			}
-			cornerSum := 0.0
-			for _, v := range crn {
-				if math.IsInf(v, 1) {
-					cornerSum = math.Inf(1)
-					break
-				}
-				cornerSum += v
-			}
-			// A dominator of the corner has a componentwise ≤ vector,
-			// hence a sum ≤ cornerSum: the frontier is sum-ordered, so
-			// the scan stops at the first member past it.
-			for _, w := range frontier {
-				if in.Sums[w] > cornerSum {
-					break
-				}
-				if err := cfg.checkStop(&bticks); err != nil {
-					return err
-				}
-				if vdominates(vec(w), crn, bst) {
-					skipped[k] = true
-					return nil
-				}
-			}
+// merger k-way merges monotone sources through one window: the
+// candidate with the smallest key among the sources' heads goes next,
+// the lower source winning key ties, so the window sees candidates in
+// global key order. pull returns source i's next row index into the
+// window's matrix, ok=false once the source is exhausted; a source is
+// pulled only when its head is needed, so a consumer that stops early
+// leaves the rest unread.
+type merger struct {
+	win   window
+	order func(a, b int32) int
+	heads []int32 // per source: a row index, needPull or exhausted
+	pull  func(i int) (int32, bool, error)
+}
 
-			var acc []int32
-			for _, c := range blk {
-				cv := vec(c)
-				cs := in.Sums[c]
-				dominated := false
-				for _, w := range frontier {
-					if in.Sums[w] > cs {
-						break // dominators have sum ≤ the candidate's
-					}
-					if err := cfg.checkStop(&bticks); err != nil {
-						return err
-					}
-					if vdominates(vec(w), cv, bst) {
-						dominated = true
-						break
-					}
+const (
+	needPull  = -1
+	exhausted = -2
+)
+
+func newMerger(in *VecInput, sources int, pull func(int) (int32, bool, error), st *Stats, cfg Config) *merger {
+	return &merger{win: window{m: in, cfg: cfg, st: st}, order: in.order(),
+		heads: slices.Repeat([]int32{needPull}, sources), pull: pull}
+}
+
+// mergePartials is the merger over in-memory partials of one matrix.
+func mergePartials(in *VecInput, parts [][]int32, st *Stats, cfg Config) *merger {
+	return newMerger(in, len(parts), func(p int) (int32, bool, error) {
+		if len(parts[p]) == 0 {
+			return 0, false, nil
+		}
+		i := parts[p][0]
+		parts[p] = parts[p][1:]
+		return i, true, nil
+	}, st, cfg)
+}
+
+// Next returns the next admitted row, or ok=false once every source is
+// exhausted.
+func (mg *merger) Next() (value.Row, bool, error) {
+	for {
+		best := -1
+		for i := range mg.heads {
+			if mg.heads[i] == needPull {
+				r, ok, err := mg.pull(i)
+				if err != nil {
+					return nil, false, err
 				}
-				if !dominated {
-					for _, w := range acc {
-						if err := cfg.checkStop(&bticks); err != nil {
-							return err
-						}
-						if vdominates(vec(w), cv, bst) {
-							dominated = true
-							break
-						}
-					}
+				if !ok {
+					r = exhausted
 				}
-				if !dominated {
-					acc = append(acc, c)
-				}
+				mg.heads[i] = r
 			}
-			survivors[k] = acc
-			return nil
-		})
-		mergeStats(st, stats)
+			if h := mg.heads[i]; h >= 0 && (best < 0 || mg.order(h, mg.heads[best]) < -1) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return nil, false, nil
+		}
+		c := mg.heads[best]
+		mg.heads[best] = needPull
+		ok, err := mg.win.admit(c)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		// Phase 2 — stitch the wave in block order: each survivor is
-		// re-filtered against the rows the wave has accepted so far
-		// (exact by transitivity — a stitched-out dominator is itself
-		// dominated by an accepted row that also dominates the
-		// candidate), then appended. Monotone processing order makes
-		// every append final.
-		vst.BlocksScanned += cnt
-		for k := 0; k < cnt; k++ {
-			if skipped[k] {
-				vst.BlocksPruned++
-				continue
-			}
-			for _, c := range survivors[k] {
-				cv := vec(c)
-				dominated := false
-				for _, w := range frontier[waveStart:] {
-					if err := cfg.checkStop(&ticks); err != nil {
-						return nil, err
-					}
-					if vdominates(vec(w), cv, st) {
-						dominated = true
-						break
-					}
-				}
-				if !dominated {
-					frontier = append(frontier, c)
-				}
-			}
-		}
-		if len(frontier) > st.MaxWindow {
-			st.MaxWindow = len(frontier)
+		if ok {
+			return mg.win.m.Rows[c], true, nil
 		}
 	}
-
-	out := make([]value.Row, len(frontier))
-	for i, ix := range frontier {
-		out[i] = in.Rows[ix]
-	}
-	return out, nil
 }

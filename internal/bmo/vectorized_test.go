@@ -81,11 +81,41 @@ func nullCars(rng *rand.Rand, n int) []value.Row {
 	return rows
 }
 
-// TestVectorizedOrderMatchesSFS pins the strongest property the
-// vectorized path claims: its output is byte-identical — same rows in
-// the same order, not just the same set — to the sequential
-// sort-filter-skyline, across block boundaries, worker counts and NULL
-// scores.
+// drain pulls a progressive evaluation to the end.
+func drain(s interface {
+	Next() (value.Row, bool, error)
+}) ([]value.Row, error) {
+	var out []value.Row
+	for {
+		row, ok, err := s.Next()
+		if err != nil || !ok {
+			return out, err
+		}
+		out = append(out, row)
+	}
+}
+
+// sliceSource is a RowSource over a slice.
+type sliceSource struct{ rows []value.Row }
+
+func (s *sliceSource) Next() (value.Row, bool, error) {
+	if len(s.rows) == 0 {
+		return nil, false, nil
+	}
+	r := s.rows[0]
+	s.rows = s.rows[1:]
+	return r, true, nil
+}
+
+func (s *sliceSource) Close() error { return nil }
+
+// TestVectorizedOrderMatchesSFS pins the strongest property the score
+// family claims: every entry point's output is byte-identical — same
+// rows in the same order, not just the same set — to the sequential
+// sort-filter-skyline order (one worker), across block boundaries,
+// worker counts and NULL scores. Shards rely on it: the coordinator's
+// progressive merge needs every shard's skyline in this order, whatever
+// kernel ran there.
 func TestVectorizedOrderMatchesSFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(20020529))
 	for trial := 0; trial < 40; trial++ {
@@ -93,27 +123,78 @@ func TestVectorizedOrderMatchesSFS(t *testing.T) {
 		// Sizes straddle the block size: sub-block, exact multiple, ragged.
 		n := []int{17, VecBlockSize, VecBlockSize + 1, 3000}[rng.Intn(4)]
 		rows := nullCars(rng, n)
-		want, _, err := EvaluateConfig(p, rows, SortFilter, Config{})
+		want, _, err := EvaluateConfig(p, rows, SortFilter, Config{Workers: 1})
 		if err != nil {
 			t.Fatalf("trial %d: SFS failed: %v", trial, err)
 		}
-		for _, workers := range []int{1, 3} {
-			got, _, vst, err := EvaluateVectorized(p, rows, Config{Workers: workers})
+		wantBlocks := (n + VecBlockSize - 1) / VecBlockSize
+		batch := func(algo Algorithm, workers int) func() ([]value.Row, error) {
+			return func() ([]value.Row, error) {
+				out, _, err := EvaluateConfig(p, rows, algo, Config{Workers: workers})
+				return out, err
+			}
+		}
+		vec := func(workers int) func() ([]value.Row, error) {
+			return func() ([]value.Row, error) {
+				out, _, vst, err := EvaluateVectorized(p, rows, Config{Workers: workers})
+				if err == nil && vst.BlocksScanned != wantBlocks {
+					err = fmt.Errorf("scanned %d blocks, want %d", vst.BlocksScanned, wantBlocks)
+				}
+				return out, err
+			}
+		}
+		arms := []struct {
+			name string
+			run  func() ([]value.Row, error)
+		}{
+			{"sfs", batch(SortFilter, 0)},
+			{"vec-w1", vec(1)},
+			{"vec-w3", vec(3)},
+			{"parallel-w2", batch(Parallel, 2)},
+			{"parallel-w4", batch(Parallel, 4)},
+			{"parallel-w7", batch(Parallel, 7)},
+			{"stream", func() ([]value.Row, error) {
+				s, err := NewStream(p, rows)
+				if err != nil {
+					return nil, err
+				}
+				return drain(s)
+			}},
+			{"parallel-stream-w3", func() ([]value.Row, error) {
+				s, err := NewParallelStream(p, rows, Config{Workers: 3})
+				if err != nil {
+					return nil, err
+				}
+				return drain(s)
+			}},
+			// The sequential result split into contiguous, hence
+			// monotone, shard streams.
+			{"gather", func() ([]value.Row, error) {
+				var sources []RowSource
+				for lo := 0; lo < len(want); lo += 5 {
+					sources = append(sources, &sliceSource{rows: want[lo:min(lo+5, len(want))]})
+				}
+				g := NewGatherMerge(p, nil, sources, Config{})
+				if !g.Progressive() {
+					return nil, errors.New("gather merge of a score-based preference is not progressive")
+				}
+				return drain(g)
+			}},
+		}
+		for _, arm := range arms {
+			got, err := arm.run()
 			if err != nil {
-				t.Fatalf("trial %d: vectorized (w=%d) failed: %v", trial, workers, err)
+				t.Fatalf("trial %d: %s failed: %v", trial, arm.name, err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("trial %d (w=%d): %d rows, want %d\npreference: %s",
-					trial, workers, len(got), len(want), p.Describe())
+				t.Fatalf("trial %d (%s): %d rows, want %d\npreference: %s",
+					trial, arm.name, len(got), len(want), p.Describe())
 			}
 			for i := range got {
 				if got[i].Key() != want[i].Key() {
-					t.Fatalf("trial %d (w=%d): row %d differs from SFS order\npreference: %s",
-						trial, workers, i, p.Describe())
+					t.Fatalf("trial %d (%s): row %d differs from SFS order\npreference: %s",
+						trial, arm.name, i, p.Describe())
 				}
-			}
-			if wantBlocks := (n + VecBlockSize - 1) / VecBlockSize; vst.BlocksScanned != wantBlocks {
-				t.Fatalf("trial %d (w=%d): scanned %d blocks, want %d", trial, workers, vst.BlocksScanned, wantBlocks)
 			}
 		}
 	}
@@ -132,10 +213,10 @@ func TestVectorizedZoneMapPruning(t *testing.T) {
 		&preference.Lowest{Get: cget(0), Label: "a"},
 		&preference.Lowest{Get: cget(1), Label: "b"},
 	}}
-	// With one worker every block after the first sees (0, 0) on the
-	// frontier and is zone-pruned. With two workers the first wave's
-	// second block runs against a still-empty pre-wave frontier snapshot,
-	// so only the six later blocks prune.
+	// With one worker every block after the first sees (0, 0) in the
+	// window and is zone-pruned. With two workers each block-aligned
+	// 4-block partition starts from an empty window, so its first block
+	// cannot prune and its three later blocks do.
 	for _, tc := range []struct {
 		workers, pruned int
 	}{{1, 7}, {2, 6}} {

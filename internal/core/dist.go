@@ -257,9 +257,9 @@ func (s *Session) planDistSelect(sel *ast.Select, table string, ee execEnv, form
 		args = args[:np]
 	}
 
-	// Progressive only when the shards can stream their skylines in
-	// (sum, vec) order and nothing runs after the merge: the transport
-	// then forces the SFS algorithm on the shard sessions.
+	// Progressive only when the shards stream their skylines in the score
+	// kernel's key order (every score-family evaluation does) and nothing
+	// runs after the merge.
 	progressive := pref != nil && post == nil && bmo.Streamable(pref)
 	if form == formStrict && !progressive {
 		return nil, fmt.Errorf("core: the preference does not stream over sharded table %s (progressive gather needs a score-based preference with no residual cascade stage)", table)

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bmo"
 	"repro/internal/plan"
 	"repro/internal/value"
 )
@@ -16,7 +15,7 @@ import (
 // localShards is an in-process Distributor: each shard is a DB of its
 // own, queried through its cursor. It stands in for internal/dist's wire
 // transport (which this package cannot import) with the same contract —
-// progressive shard streams run the SFS algorithm.
+// each shard session keeps its default algorithm.
 type localShards struct {
 	table, hashCol string
 	shards         []*DB
@@ -37,11 +36,7 @@ func (l *localShards) ShardNames() []string {
 }
 
 func (l *localShards) Query(ctx context.Context, i int, sql string, args []value.Value, progressive bool) (plan.ShardStream, error) {
-	sess := l.shards[i].NewSession()
-	if progressive {
-		sess.SetAlgorithm(bmo.SortFilter)
-	}
-	c, err := sess.OpenCursorValues(ctx, sql, args)
+	c, err := l.shards[i].NewSession().OpenCursorValues(ctx, sql, args)
 	if err != nil {
 		return nil, err
 	}

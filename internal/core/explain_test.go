@@ -209,15 +209,19 @@ var analyzeTime = regexp.MustCompile(`time=[^ )]+`)
 func TestExplainAnalyzeGolden(t *testing.T) {
 	db := explainDB(t)
 	cases := []struct {
-		name string
-		sql  string
-		want string
+		name    string
+		workers int
+		sql     string
+		want    string
 	}{
 		{
-			name: "vectorized-zone-map-counters",
-			sql:  `SELECT id FROM big PREFERRING LOWEST(d1) AND LOWEST(d2)`,
+			// One worker: each extra partition starts with an empty
+			// window, so its first block cannot prune.
+			name:    "vectorized-zone-map-counters",
+			workers: 1,
+			sql:     `SELECT id FROM big PREFERRING LOWEST(d1) AND LOWEST(d2)`,
 			want: "QualityProject id (rows=15 est=30000 time=X)\n" +
-				"  BMO vec est=30000 columnar [(LOWEST(d1) AND LOWEST(d2))] (rows=15 est=30000 time=X in=30000 blocks=30 pruned=15)\n" +
+				"  BMO vec est=30000 columnar workers=1 [(LOWEST(d1) AND LOWEST(d2))] (rows=15 est=30000 time=X in=30000 blocks=30 pruned=15)\n" +
 				"    Project * (rows=30000 est=30000 time=X)\n" +
 				"      SeqScan big (rows=30000 est=30000 time=X)\n" +
 				"-- rows=15 scanned=30000 probes=0 join_in=0 bmo_in=30000 bmo_out=15\n",
@@ -262,7 +266,9 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := db.NewSession().ExplainAnalyze(tc.sql)
+			sess := db.NewSession()
+			sess.SetWorkers(tc.workers)
+			got, err := sess.ExplainAnalyze(tc.sql)
 			if err != nil {
 				t.Fatal(err)
 			}

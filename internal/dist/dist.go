@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/client"
-	"repro/internal/bmo"
 	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/value"
@@ -129,21 +128,14 @@ func (t *Transport) dial(ctx context.Context, i int) (*client.Conn, error) {
 }
 
 // Query implements plan.ShardTransport: it runs sql on shard i and
-// returns the row stream. progressive forces the shard session onto the
-// sequential SFS algorithm, whose stream emits the local skyline in
-// (sum, vec) sort order — the order the coordinator's progressive merge
-// requires; batch shapes keep the shard's default algorithm selection.
+// returns the row stream. The shard session keeps its own algorithm
+// selection either way: every score-family evaluation emits its skyline
+// in the key order the coordinator's progressive merge requires, and the
+// merge fails loudly on a stream that does not.
 func (t *Transport) Query(ctx context.Context, i int, sql string, args []value.Value, progressive bool) (plan.ShardStream, error) {
 	conn, err := t.dial(ctx, i)
 	if err != nil {
 		return nil, err
-	}
-	if progressive {
-		if err := conn.SetAlgorithm(bmo.SortFilter); err != nil {
-			conn.Close()
-			t.sm[i].errors.Inc()
-			return nil, fmt.Errorf("dist: shard %s: %w", t.shards[i].Name, err)
-		}
 	}
 	goArgs := make([]any, len(args))
 	for j, v := range args {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bmo"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/server"
@@ -163,19 +164,34 @@ func TestDistributedEquivalence(t *testing.T) {
 
 // TestDistributedProgressive checks the streaming path: a score-based
 // preference with no residual pulls rows progressively through the
-// k-way merge and still agrees with the batch single-node answer.
+// k-way merge and still agrees with the batch single-node answer. Table
+// big holds more than bmo.AutoParallelThreshold rows on every shard, so
+// the shards run the vectorized operator, whose batch output the merge
+// relies on arriving in key order just like a shard's stream.
 func TestDistributedProgressive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	setup := randomSetup(rng, 80)
+	setup := randomSetup(rng, 80) + "; " +
+		strings.ReplaceAll(randomSetup(rng, 4*bmo.AutoParallelThreshold+2000), " data ", " big ")
 
-	cl := startCluster(t, 4, map[string]string{"data": "id"})
+	cl := startCluster(t, 4, map[string]string{"data": "id", "big": "id"})
 	mustExec(t, cl.coord, setup)
 	single := core.Open()
 	mustExec(t, single, setup)
+	for i, shard := range cl.shards {
+		plan, err := shard.ExplainNative("SELECT * FROM big PREFERRING LOWEST(x) AND HIGHEST(y)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, "BMO vec") {
+			t.Fatalf("shard %d does not plan the vectorized operator:\n%s", i, plan)
+		}
+	}
 
 	for _, q := range []string{
 		"SELECT * FROM data PREFERRING LOWEST(x) AND HIGHEST(y)",
 		"SELECT * FROM data PREFERRING x AROUND 5",
+		"SELECT * FROM big PREFERRING LOWEST(x) AND HIGHEST(y)",
+		"SELECT * FROM big PREFERRING x AROUND 5 AND y AROUND 5",
 	} {
 		var rows []value.Row
 		if _, err := cl.coord.QueryProgressive(q, func(r value.Row) bool {
@@ -315,25 +331,37 @@ func TestDistributedExplain(t *testing.T) {
 func TestShardFailureMidGather(t *testing.T) {
 	cl := startCluster(t, 2, map[string]string{"data": "id"})
 
-	// Anticorrelated data — every row is in the skyline — padded to ~1KB
-	// per row so each shard streams megabytes: the kill after the first
-	// merged row is guaranteed to land mid-stream, not after the whole
-	// result already sits in socket buffers.
-	const rows = 3000
-	pad := strings.Repeat("p", 1024)
+	// Anticorrelated rows with one coordinate sum, plus one row that
+	// dominates them all. The shard holding that row streams it and
+	// little else; the other shard's local skyline is all of its rows,
+	// each one checked against every row admitted before it, so its
+	// stream is computation-bound for a long time and the kill after the
+	// first merged row lands mid-stream, not after the whole result
+	// already sits in socket buffers. The coordinator's window holds the
+	// dominator only, so its merge stays cheap. The dominator goes to
+	// shard 0: the gather opens shard 0 first, so shard 1 — the victim —
+	// starts computing last.
+	const rows = 16000
 	var sb strings.Builder
 	sb.WriteString("CREATE TABLE data (id INT, x INT, y INT, color VARCHAR); INSERT INTO data VALUES ")
 	for i := 0; i < rows; i++ {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		fmt.Fprintf(&sb, "(%d, %d, %d, '%s')", i, i, rows-i, pad)
+		fmt.Fprintf(&sb, "(%d, %d, %d, 'c')", i, i, rows-i)
 	}
 	mustExec(t, cl.coord, sb.String())
+	for id := rows; ; id++ {
+		mustExec(t, cl.coord, fmt.Sprintf("INSERT INTO data VALUES (%d, -1, -1, 'c')", id))
+		if res := mustExec(t, cl.shards[0], "SELECT id FROM data WHERE x < 0"); len(res.Rows) == 1 {
+			break
+		}
+		mustExec(t, cl.coord, "DELETE FROM data WHERE x < 0")
+	}
 
 	// Warm up (and sanity-check) the healthy path.
-	if res := mustExec(t, cl.coord, "SELECT id FROM data PREFERRING LOWEST(x) AND LOWEST(y)"); len(res.Rows) != rows {
-		t.Fatalf("skyline = %d rows, want %d", len(res.Rows), rows)
+	if res := mustExec(t, cl.coord, "SELECT id FROM data PREFERRING LOWEST(x) AND LOWEST(y)"); len(res.Rows) != 1 {
+		t.Fatalf("skyline = %d rows, want 1", len(res.Rows))
 	}
 	base := runtime.NumGoroutine()
 

@@ -189,12 +189,12 @@ func (b *BMOOp) Open() error {
 	}
 	if b.node.Progressive {
 		// An explicitly selected parallel algorithm streams any
-		// preference through the partition-merge stream (rows emerge in
-		// partition order, local skylines computed concurrently). The
-		// Auto path — even when the planner's hint promotes the batch
-		// side to parallel — keeps the score-ordered sequential stream:
-		// progressive consumers want best matches first, and the pull
-		// loop is consumer-paced anyway.
+		// preference through the partition-merge stream (local skylines
+		// computed concurrently; score-based preferences still emerge
+		// best-first, others in partition order). The Auto path — even
+		// when the planner's hint promotes the batch side to parallel —
+		// keeps the sequential stream: the pull loop is consumer-paced,
+		// so a consumer that stops early saves the partition work.
 		if b.node.Algo == bmo.Parallel {
 			s, err := bmo.NewParallelStream(b.node.Pref, b.input, b.config())
 			if err != nil {

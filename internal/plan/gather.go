@@ -26,10 +26,10 @@ type ShardTransport interface {
 	// order; its length is the shard count.
 	ShardNames() []string
 	// Query runs sql with args on shard i and returns its row stream.
-	// progressive asks the shard for the score-ordered SFS stream (the
-	// order the progressive gather merge requires); batch shapes leave
-	// it false and take the shard's default execution. Cancelling ctx
-	// must terminate the stream.
+	// progressive marks a stream the gather merges progressively, which
+	// needs the shard's skyline in the score kernel's key order — the
+	// order every score-family evaluation emits. Cancelling ctx must
+	// terminate the stream.
 	Query(ctx context.Context, shard int, sql string, args []value.Value, progressive bool) (ShardStream, error)
 }
 

@@ -541,9 +541,7 @@ func NewBMO(child Node, pref preference.Preference, algo bmo.Algorithm, progress
 	// A single weak order is answered by Auto's O(n) best-level scan —
 	// strictly cheaper than partitioning — so only multi-component
 	// preferences are promoted. The hint stays independent of the local
-	// core count: even at one worker the partition-merge path wins on
-	// score-based preferences (cached score vectors versus re-scoring on
-	// every Compare), and EXPLAIN output must not depend on the machine.
+	// core count: EXPLAIN output must not depend on the machine.
 	if _, scored := pref.(preference.Scored); !scored &&
 		algo == bmo.Auto && b.EstRows >= bmo.AutoParallelThreshold {
 		b.ParallelHint = true
