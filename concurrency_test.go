@@ -189,8 +189,8 @@ func canonical(rows []Row) string {
 // preference queries — sessions split between the parallel algorithm
 // (selected via client SetAlgorithm/SetWorkers or the SQL `SET
 // algorithm` statement), the explicit vectorized algorithm, and planner
-// defaults (which vec-select the big-table query, racing the columnar
-// cache rebuild against the writer's epoch bumps) — mixed with a writer
+// defaults (which vec-select the big-table query, racing the column-
+// vector cache against the writer) — mixed with a writer
 // on a scratch table, and every result must stay byte-identical to the
 // single-threaded BNL baseline computed up front.
 func TestConcurrentParallelBMOStress(t *testing.T) {

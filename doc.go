@@ -145,13 +145,15 @@
 //
 // # Vectorized BMO
 //
-// Hot tables additionally carry a lazily built columnar image — per
-// numeric column a typed float64 vector plus a validity bitmap, cached
-// under the database write epoch and invalidated by any write — feeding
-// the vectorized skyline operator: score vectors fill without boxing,
-// row indices presort by the monotone score key, and dominance runs
-// block-at-a-time with per-block zone maps (a block whose best corner
-// the window of accepted rows dominates is skipped wholesale). The
+// Tables additionally cache column vectors — per numeric column a typed
+// float64 vector plus a validity bitmap, built on demand for the heap
+// version a reader captured, so a write invalidates only its own
+// table's vectors. Scans test numeric WHERE conjuncts against them
+// before fetching a row, and they feed the vectorized skyline
+// operator: score vectors fill without boxing, row indices presort by
+// the monotone score key, and dominance runs block-at-a-time with
+// per-block zone maps (a block whose best corner the window of accepted
+// rows dominates is skipped wholesale). The
 // planner selects it from table statistics for score-based preferences
 // over resolvable numeric columns (opaque expressions and subquery
 // preferences keep the row-at-a-time path), `SET vectorized = off`

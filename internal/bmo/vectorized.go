@@ -178,7 +178,7 @@ func SaturateSums(flat []float64, n, d int) []float64 {
 }
 
 // BuildVecInput fills the score matrix generically, one scorer call per
-// row and component — the fallback when no columnar image serves the
+// row and component — the fallback when no column vectors serve the
 // input.
 func BuildVecInput(scorers []preference.Scored, rows []value.Row) (VecInput, error) {
 	in := VecInput{Rows: rows, Dim: len(scorers),

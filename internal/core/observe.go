@@ -46,7 +46,7 @@ var (
 	mPlanRebuilds = metrics.Default.Counter("prefsql_plan_cache_rebuilds_total",
 		"prepared-statement plans rebuilt (first plan or write-epoch invalidation)")
 	mEpochBumps = metrics.Default.Counter("prefsql_write_epoch_bumps_total",
-		"write-epoch advances (each invalidates every cached plan and columnar image)")
+		"write-epoch advances (each invalidates every cached plan)")
 
 	stmtCounters = map[string]*metrics.Counter{}
 )

@@ -36,8 +36,8 @@ import (
 //
 // When the candidate pipeline is additionally a bare single-table scan
 // (no filter, no limit — heap order equals input order), the node also
-// records the table and current write epoch so the executor fills score
-// vectors straight from the columnar image (plan.BMO.VecTable).
+// records the table so the executor fills score vectors straight from
+// the column vectors of the heap its scan captured (plan.BMO.VecTable).
 
 // vectorize applies the planning step to root in place; node is the
 // plan maybePush returned.
@@ -96,7 +96,6 @@ func (s *Session) vectorize(sel *ast.Select, root *plan.BMO, node plan.Node) {
 	root.ParallelHint = false
 	if bare {
 		root.VecTable = tbl
-		root.VecEpoch = s.db.Epoch()
 	}
 }
 

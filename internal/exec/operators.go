@@ -7,129 +7,8 @@ import (
 	"repro/internal/ast"
 	"repro/internal/expr"
 	"repro/internal/plan"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
-
-// ---------------------------------------------------------------------------
-// Scans
-// ---------------------------------------------------------------------------
-
-type seqScan struct {
-	n       *plan.SeqScan
-	env     *Env
-	it      storage.RowIter
-	cond    expr.Conds
-	emitted int64
-	polled  int64
-}
-
-func newSeqScan(n *plan.SeqScan, env *Env) *seqScan {
-	return &seqScan{n: n, env: env, cond: n.Cond()}
-}
-
-func (s *seqScan) Schema() plan.Schema { return s.n.Schema() }
-
-func (s *seqScan) Open() error {
-	s.it = s.n.Table.Scan()
-	s.emitted = 0
-	return nil
-}
-
-func (s *seqScan) Next() (value.Row, error) {
-	if s.n.Limit >= 0 && s.emitted >= s.n.Limit {
-		return nil, nil
-	}
-	for {
-		if err := s.env.checkStop(&s.polled); err != nil {
-			return nil, err
-		}
-		row, ok := s.it.Next()
-		if !ok {
-			return nil, nil
-		}
-		s.env.count().AddRowsScanned(1)
-		keep, err := s.cond.Match(s.env.Rt, row)
-		if err != nil {
-			return nil, err
-		}
-		if keep {
-			s.emitted++
-			return row, nil
-		}
-	}
-}
-
-func (s *seqScan) Close() error { return nil }
-
-type indexScan struct {
-	n      *plan.IndexScan
-	env    *Env
-	ns     *NodeStats
-	it     storage.RowIter
-	cond   expr.Conds
-	polled int64
-}
-
-func newIndexScan(n *plan.IndexScan, env *Env) *indexScan {
-	return &indexScan{n: n, env: env, ns: env.NodeStats(n), cond: n.Cond()}
-}
-
-func (s *indexScan) Schema() plan.Schema { return s.n.Schema() }
-
-func (s *indexScan) Open() error {
-	if s.n.Table.RowCount() == 0 {
-		s.it = emptyIter{}
-		return nil
-	}
-	key, err := s.n.KeyProg().Eval(s.env.Rt, nil)
-	if err != nil {
-		return err
-	}
-	if key.IsNull() {
-		// col = NULL is UNKNOWN for every row: nothing can match.
-		s.it = emptyIter{}
-		return nil
-	}
-	kind := s.n.Table.Schema.Cols[s.n.Col].Kind
-	cv, err := value.Coerce(key, kind)
-	if err != nil {
-		// Kinds the probe cannot represent exactly: fall back to a full
-		// scan; the residual filter keeps the result correct.
-		s.it = s.n.Table.Scan()
-		return nil
-	}
-	s.env.count().AddIndexProbes(1)
-	s.ns.AddProbes(1)
-	s.it = s.n.Table.Probe(s.n.Index, cv)
-	return nil
-}
-
-func (s *indexScan) Next() (value.Row, error) {
-	for {
-		if err := s.env.checkStop(&s.polled); err != nil {
-			return nil, err
-		}
-		row, ok := s.it.Next()
-		if !ok {
-			return nil, nil
-		}
-		s.env.count().AddRowsScanned(1)
-		keep, err := s.cond.Match(s.env.Rt, row)
-		if err != nil {
-			return nil, err
-		}
-		if keep {
-			return row, nil
-		}
-	}
-}
-
-func (s *indexScan) Close() error { return nil }
-
-type emptyIter struct{}
-
-func (emptyIter) Next() (value.Row, bool) { return nil, false }
 
 type valuesOp struct {
 	n      *plan.Values

@@ -12,10 +12,10 @@ import (
 // Vectorized BMO execution: the planner marked the node Vec after
 // verifying the preference is fully score-based over resolvable numeric
 // columns. The operator fills a flat score matrix — straight from the
-// table's columnar image when the child pipeline is a bare table scan
-// (VecTable), otherwise by generic per-row scoring — and hands it to the
-// batch zone-map kernel. Zone-map counters land in the statement Stats
-// for EXPLAIN ANALYZE.
+// table's column vectors, at the heap version its scan captured, when the
+// child pipeline is a bare table scan (VecTable), otherwise by generic
+// per-row scoring — and hands it to the batch zone-map kernel. Zone-map
+// counters land in the statement Stats for EXPLAIN ANALYZE.
 
 // openVectorized is the Vec branch of BMOOp.Open; the input is already
 // materialized and counted.
@@ -23,8 +23,8 @@ func (b *BMOOp) openVectorized() error {
 	cfg := b.config()
 	scorers, ok := bmo.ScoreBased(b.node.Pref)
 	if ok && len(scorers) == len(b.node.VecCols) && b.node.VecTable != nil {
-		if c := b.node.VecTable.Columnar(b.node.VecEpoch); c.NRows == len(b.input) {
-			if in, filled := fillColumnar(scorers, b.node.VecCols, c, b.input); filled {
+		if s := bareScanOf(b.child); s != nil && len(s.cur.heap.Rows) == len(b.input) {
+			if in, filled := fillColumnar(scorers, b.node.VecCols, s.cur.heap, b.input); filled {
 				out, _, vst, err := bmo.EvaluateVecInput(in, cfg)
 				if err != nil {
 					return err
@@ -36,8 +36,7 @@ func (b *BMOOp) openVectorized() error {
 		}
 	}
 	// Generic path: score via the compiled getters row-at-a-time, then
-	// evaluate the same batch kernel (also the safety net when the
-	// columnar image went stale between planning and execution).
+	// evaluate the same batch kernel.
 	out, _, vst, err := bmo.EvaluateVectorized(b.node.Pref, b.input, cfg)
 	if err != nil {
 		return err
@@ -55,18 +54,36 @@ func (b *BMOOp) countVec(vst bmo.VecStats) {
 	b.env.count().AddVecBlocks(int64(vst.BlocksScanned), int64(vst.BlocksPruned))
 }
 
-// fillColumnar builds the score matrix from the table's columnar image
+// bareScanOf returns the sequential scan under the BMO's bare
+// projection, whose captured heap is the BMO's input in heap order.
+func bareScanOf(child Operator) *seqScan {
+	p, ok := unwrap(child).(*projectOp)
+	if !ok {
+		return nil
+	}
+	s, _ := unwrap(p.child).(*seqScan)
+	return s
+}
+
+// fillColumnar builds the score matrix from the heap's column vectors
 // with per-preference kernels — tight loops over typed float64 vectors,
 // no value boxing and no per-row interface dispatch. It reports false
 // when some component has no specialized kernel (discrete scorers read
 // boxed values), sending the operator down the generic fill.
-func fillColumnar(scorers []preference.Scored, cols []int, c *storage.Columnar, rows []value.Row) (bmo.VecInput, bool) {
-	n := c.NRows
+func fillColumnar(scorers []preference.Scored, cols []int, h storage.Heap, rows []value.Row) (bmo.VecInput, bool) {
+	for _, s := range scorers {
+		switch s.(type) {
+		case *preference.Lowest, *preference.Highest, *preference.Around, *preference.Between:
+		default:
+			return bmo.VecInput{}, false
+		}
+	}
+	n := len(h.Rows)
 	d := len(scorers)
 	flat := make([]float64, n*d)
 	inf := math.Inf(1)
 	for j, s := range scorers {
-		cv := c.Cols[cols[j]]
+		cv := h.Vector(cols[j])
 		if cv == nil {
 			return bmo.VecInput{}, false
 		}
@@ -111,8 +128,6 @@ func fillColumnar(scorers []preference.Scored, cols []int, c *storage.Columnar, 
 				}
 				flat[i*d+k] = v
 			}
-		default:
-			return bmo.VecInput{}, false
 		}
 	}
 	in := bmo.VecInput{Rows: rows, Dim: d, Flat: flat, Sums: bmo.SaturateSums(flat, n, d)}

@@ -338,7 +338,7 @@ func (c *compiler) binary(x *ast.Binary) evalFn {
 			if !ok {
 				return value.NewNull(), nil
 			}
-			return value.NewBool(accept.has(cmp)), nil
+			return value.NewBool(accept.Has(cmp)), nil
 		}
 	}
 	var apply func(l, r value.Value) (value.Value, error)
@@ -404,17 +404,19 @@ func logical(l, r node, name string, decisive bool) evalFn {
 	}
 }
 
-// signs is the set of value.Compare outcomes a comparison operator
+// Signs is the set of value.Compare outcomes a comparison operator
 // accepts.
-type signs uint8
+type Signs uint8
 
 const (
-	less signs = 1 << iota
+	less Signs = 1 << iota
 	equal
 	greater
 )
 
-func (s signs) has(cmp int) bool {
+// Has reports whether the outcome cmp (negative, zero or positive) is
+// accepted.
+func (s Signs) Has(cmp int) bool {
 	switch {
 	case cmp < 0:
 		return s&less != 0
@@ -424,7 +426,21 @@ func (s signs) has(cmp int) bool {
 	return s&equal != 0
 }
 
-var comparisons = map[string]signs{
+// Flip is the operator with its operands swapped: `c < x` is `x > c`.
+// Compare is antisymmetric (NaN compares equal both ways), so the flip is
+// exact.
+func (s Signs) Flip() Signs {
+	return s&equal | (s&less)<<2 | (s&greater)>>2
+}
+
+// Comparison returns the outcomes the comparison operator op accepts;
+// ok=false for any other operator.
+func Comparison(op string) (s Signs, ok bool) {
+	s, ok = comparisons[op]
+	return s, ok
+}
+
+var comparisons = map[string]Signs{
 	"=": equal, "<>": less | greater,
 	"<": less, "<=": less | equal,
 	">": greater, ">=": greater | equal,

@@ -165,6 +165,7 @@ type SeqScan struct {
 	Limit  int64      // stop after emitting this many rows; -1 = none
 	schema Schema
 	cond   compiled[expr.Conds]
+	vec    compiled[*VecFilter]
 }
 
 // NewSeqScan builds a scan over tbl qualified as qual.
@@ -210,6 +211,7 @@ type IndexScan struct {
 	schema Schema
 	cond   compiled[expr.Conds]
 	key    compiled[*expr.Program]
+	vec    compiled[*VecFilter]
 }
 
 // Schema implements Node.
@@ -491,11 +493,11 @@ type BMO struct {
 	// (parallel to the preference's scorer list).
 	VecCols []int
 	// VecTable, when non-nil, lets the executor fill score vectors from
-	// the table's columnar image at write epoch VecEpoch instead of
-	// boxing row values — only safe when the child pipeline scans the
-	// table bare (no filter, no limit), so heap order matches input.
+	// the table's column vectors, at the heap version its scan captured,
+	// instead of boxing row values — only safe when the child pipeline
+	// scans the table bare (no filter, no limit), so heap order matches
+	// input.
 	VecTable *storage.Table
-	VecEpoch uint64
 
 	// The remaining fields are set by the preference-algebra rewriter
 	// (PushBMO) when it moves dominance work below a join.

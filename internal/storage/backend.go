@@ -112,6 +112,7 @@ func (t *Table) InsertBatch(rows []value.Row) error {
 	t.mu.Lock()
 	base := len(t.rows)
 	t.rows = append(t.rows, norms...)
+	t.version++
 	for _, idx := range t.indexes {
 		for i, r := range norms {
 			idx.add(r, base+i)
@@ -142,6 +143,7 @@ func (t *Table) InsertBatch(rows []value.Row) error {
 func (t *Table) ApplyInsert(rows []value.Row) {
 	t.mu.Lock()
 	t.rows = append(t.rows, rows...)
+	t.version++
 	t.mu.Unlock()
 }
 
@@ -152,6 +154,7 @@ func (t *Table) ApplyUpdate(pos []int, rows []value.Row) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.version++
 	for i, p := range pos {
 		if p < 0 || p >= len(t.rows) {
 			return fmt.Errorf("table %s: update replay position %d out of range (%d rows)", t.Name, p, len(t.rows))
@@ -180,6 +183,7 @@ func (t *Table) ApplyDelete(pos []int) error {
 		}
 	}
 	t.rows = kept
+	t.version++
 	return nil
 }
 
@@ -187,6 +191,7 @@ func (t *Table) ApplyDelete(pos []int) error {
 func (t *Table) ApplyTruncate() {
 	t.mu.Lock()
 	t.rows = nil
+	t.version++
 	t.mu.Unlock()
 }
 

@@ -5,20 +5,29 @@ import (
 	"repro/internal/value"
 )
 
-// Columnar storage: a lazily built, immutable column-major image of a
-// table's heap for the vectorized BMO path. Numeric columns (INT, FLOAT,
-// BOOL, DATE) decompose into a typed float64 vector plus a validity
-// bitmap; TEXT columns have no vector (their slot is nil) since no score
-// kernel consumes them.
+// Column vectors: typed, column-major copies of numeric heap columns, the
+// input of the scans' vector filters and of the vectorized BMO fill.
+// Numeric columns (INT, FLOAT, BOOL, DATE) decompose into a float64
+// vector plus a validity bitmap; TEXT columns have no vector.
 //
-// The image is cached on the table and tagged with the database write
-// epoch it was built under. Readers ask for the image at their epoch:
-// a cached image from an older epoch is discarded and rebuilt from a
-// fresh heap snapshot. Writes serialize under the statement write lock
-// and bump the epoch before any later reader plans, so a cache hit is
-// always consistent with the heap the reader scans; concurrent
-// same-epoch rebuilds are idempotent (both produce identical images,
-// last store wins).
+// Each table keeps one cache of them, keyed by (column, heap version):
+// a Columnar holds the vectors of one heap version, filled column by
+// column as readers ask. A vector is built from exactly the heap a
+// reader captured (Heap), so it always describes the rows that reader
+// sees; it is published only when no newer version is cached, and a
+// newer version replaces the whole cache. Only the columns someone reads
+// are built.
+//
+// When to build is the caller's choice between two requests:
+//   - Vector builds a missing or stale column at once — for consumers
+//     that read every row anyway (a filtered sequential scan, the
+//     vectorized BMO fill), where one pass over the heap is paid
+//     regardless;
+//   - VectorOnRepeat builds only on the second request for the column at
+//     the same heap version; the first just records it. An index scan
+//     touches a fraction of the heap, and one cold build costs more than
+//     one probe's row-by-row filter, so a read-mostly table pays for one
+//     build and a table written between every read pays for none.
 
 // ColVec is one numeric column as a typed vector: Nums[i] holds row i's
 // value as a float64 (value.Value.Num semantics: INT/BOOL/DATE widen,
@@ -35,51 +44,146 @@ func (c *ColVec) IsValid(i int) bool {
 	return c.Valid[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
-// Columnar is the column-major image of a table heap at one write epoch.
-// Cols is parallel to the table schema; non-numeric columns are nil.
+// Columnar is the column vectors of one heap version. Cols is parallel
+// to the table schema; a nil slot is a TEXT column or one nobody has
+// read at this version. A published Columnar is immutable: adding a
+// column publishes a copy.
 type Columnar struct {
+	// Epoch is the tag Table.Columnar was called with (0 for caches the
+	// scans filled).
 	Epoch uint64
 	NRows int
 	Cols  []*ColVec
+
+	version uint64
+	asked   []bool // columns VectorOnRepeat was asked for once at version
 }
 
-// Columnar returns the column-major image of the table as of the given
-// write epoch, building (and caching) it on first use. A cached image
-// from a different epoch is stale — some write happened since — and is
-// rebuilt from the current heap.
+// Columnar returns the table's whole column-major image — every numeric
+// column of the current heap — tagged with the caller's epoch. A cached
+// image with the same tag over the current heap is returned as is; a
+// different tag rebuilds every column, so the call measures a cold
+// build. It shares the scans' cache and builder.
 func (t *Table) Columnar(epoch uint64) *Columnar {
-	if c := t.columnar.Load(); c != nil && c.Epoch == epoch {
+	h := t.Heap()
+	if c := t.vecs.Load(); c != nil && c.Epoch == epoch && c.version == h.Version && c.complete(&t.Schema) {
 		return c
 	}
-	mColumnarRebuilds.Inc()
-	c := buildColumnar(t.Rows(), &t.Schema, epoch)
-	t.columnar.Store(c)
+	n := len(t.Schema.Cols)
+	c := &Columnar{Epoch: epoch, NRows: len(h.Rows), Cols: make([]*ColVec, n), version: h.Version, asked: make([]bool, n)}
+	for j, col := range t.Schema.Cols {
+		c.Cols[j] = buildColVec(h.Rows, j, col.Kind)
+	}
+	t.cmu.Lock()
+	if cur := t.vecs.Load(); cur == nil || cur.version <= h.Version {
+		t.vecs.Store(c)
+	}
+	t.cmu.Unlock()
 	return c
 }
 
-// mColumnarRebuilds counts cold or stale columnar-image builds — the
-// write-amplification cost of the columnar cache (a hit is free).
-var mColumnarRebuilds = metrics.Default.Counter("prefsql_columnar_rebuilds_total",
-	"Columnar image builds (cold or invalidated by a write epoch bump)")
-
-func buildColumnar(rows []value.Row, schema *Schema, epoch uint64) *Columnar {
-	n := len(rows)
-	c := &Columnar{Epoch: epoch, NRows: n, Cols: make([]*ColVec, len(schema.Cols))}
-	words := (n + 63) / 64
-	for j, col := range schema.Cols {
-		switch col.Kind {
-		case value.Int, value.Float, value.Bool, value.Date:
-			cv := &ColVec{Kind: col.Kind, Nums: make([]float64, n), Valid: make([]uint64, words)}
-			for i, r := range rows {
-				v := r[j]
-				if v.IsNull() {
-					continue
-				}
-				cv.Nums[i] = v.Num()
-				cv.Valid[i>>6] |= 1 << (uint(i) & 63)
-			}
-			c.Cols[j] = cv
+// complete reports whether every numeric column has its vector.
+func (c *Columnar) complete(s *Schema) bool {
+	for j, col := range s.Cols {
+		if Vectorizable(col.Kind) && c.Cols[j] == nil {
+			return false
 		}
 	}
-	return c
+	return true
+}
+
+// Vector returns column col of the heap as a typed vector, building and
+// caching it on a miss; nil for a non-numeric column.
+func (h Heap) Vector(col int) *ColVec { return h.t.vector(h, col, true) }
+
+// VectorOnRepeat is Vector for consumers that read only part of the
+// heap: the first request for col at this heap version records it and
+// returns nil; later ones build (once) and return the vector.
+func (h Heap) VectorOnRepeat(col int) *ColVec { return h.t.vector(h, col, false) }
+
+func (t *Table) vector(h Heap, col int, eager bool) *ColVec {
+	kind := t.Schema.Cols[col].Kind
+	if !Vectorizable(kind) {
+		return nil
+	}
+	if c := t.vecs.Load(); c != nil && c.version == h.Version && c.Cols[col] != nil {
+		return c.Cols[col]
+	}
+	if !eager && !t.askedBefore(h, col) {
+		return nil
+	}
+	v := buildColVec(h.Rows, col, kind)
+	t.cmu.Lock()
+	if next := t.cacheAt(h); next != nil {
+		next.Cols[col] = v
+		t.vecs.Store(next)
+	}
+	t.cmu.Unlock()
+	return v
+}
+
+// askedBefore records a VectorOnRepeat request for col at h's version
+// and reports whether one was recorded already. Requests for a version
+// older than the cached one could never be served from the cache, so
+// they neither record nor build.
+func (t *Table) askedBefore(h Heap, col int) bool {
+	t.cmu.Lock()
+	defer t.cmu.Unlock()
+	if c := t.vecs.Load(); c != nil && c.version == h.Version && c.asked[col] {
+		return true
+	}
+	if next := t.cacheAt(h); next != nil {
+		next.asked[col] = true
+		t.vecs.Store(next)
+	}
+	return false
+}
+
+// cacheAt returns an unpublished copy of the cache to publish for h's
+// version (a fresh, empty one when the cached version is older), or nil
+// when a newer version is cached. The caller holds cmu.
+func (t *Table) cacheAt(h Heap) *Columnar {
+	c := t.vecs.Load()
+	switch {
+	case c != nil && c.version > h.Version:
+		return nil
+	case c != nil && c.version == h.Version:
+		next := *c
+		next.Cols = append([]*ColVec(nil), c.Cols...)
+		next.asked = append([]bool(nil), c.asked...)
+		return &next
+	}
+	n := len(t.Schema.Cols)
+	return &Columnar{NRows: len(h.Rows), Cols: make([]*ColVec, n), version: h.Version, asked: make([]bool, n)}
+}
+
+// Vectorizable reports whether columns of kind k have column vectors.
+func Vectorizable(k value.Kind) bool {
+	return k == value.Int || k == value.Float || k == value.Bool || k == value.Date
+}
+
+// mColumnarRebuilds counts column-vector builds — the write-amplification
+// cost of the cache (a hit is free).
+var mColumnarRebuilds = metrics.Default.Counter("prefsql_columnar_rebuilds_total",
+	"Column-vector builds (a column first read at a new heap version)")
+
+// buildColVec is the one column-vector builder: column col of rows,
+// which must be one captured heap. It returns nil for a non-numeric
+// column.
+func buildColVec(rows []value.Row, col int, kind value.Kind) *ColVec {
+	if !Vectorizable(kind) {
+		return nil
+	}
+	mColumnarRebuilds.Inc()
+	n := len(rows)
+	cv := &ColVec{Kind: kind, Nums: make([]float64, n), Valid: make([]uint64, (n+63)/64)}
+	for i, r := range rows {
+		v := r[col]
+		if v.IsNull() {
+			continue
+		}
+		cv.Nums[i] = v.Num()
+		cv.Valid[i>>6] |= 1 << (uint(i) & 63)
+	}
+	return cv
 }

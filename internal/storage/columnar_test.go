@@ -97,3 +97,78 @@ func TestColumnarValidityPastWordBoundary(t *testing.T) {
 		}
 	}
 }
+
+func TestVectorKeyedByHeapVersion(t *testing.T) {
+	tbl := columnarTable(t)
+	snap := tbl.Snapshot()
+	h1 := tbl.Heap()
+	v1 := h1.Vector(2)
+	if h1.Vector(2) != v1 {
+		t.Error("a second request at one heap version must hit the cache")
+	}
+	if h1.Vector(1) != nil {
+		t.Error("a TEXT column has no vector")
+	}
+	must(t, tbl.Insert(value.Row{value.NewInt(4), value.NewText("VW"), value.NewFloat(20000)}))
+	h2 := tbl.Heap()
+	if h2.Version == h1.Version {
+		t.Fatal("an insert must move the heap version")
+	}
+	v2 := h2.Vector(2)
+	if v2 == v1 || len(v2.Nums) != 4 || v2.Nums[3] != 20000 {
+		t.Fatalf("the new version needs its own vector: %+v", v2)
+	}
+	// A reader still holding the old heap gets a vector of exactly its
+	// rows, built privately: the cache keeps the newer version.
+	if old := h1.Vector(2); len(old.Nums) != 3 {
+		t.Errorf("old-version vector has %d rows, want 3", len(old.Nums))
+	}
+	if h2.Vector(2) != v2 {
+		t.Error("an old-version request must not evict the newer vector")
+	}
+	if sh := snap.Heap(); sh.Version != h1.Version || len(sh.Vector(2).Nums) != 3 {
+		t.Error("a snapshot's heap keeps its own version")
+	}
+	// Update, delete and truncate move the version too.
+	for _, write := range []func() error{
+		func() error {
+			_, err := tbl.Update(func(value.Row) (bool, error) { return true, nil },
+				func(r value.Row) (value.Row, error) { r[2] = value.NewFloat(1); return r, nil })
+			return err
+		},
+		func() error {
+			_, err := tbl.Delete(func(r value.Row) (bool, error) { return r[0].I == 1, nil })
+			return err
+		},
+		tbl.Truncate,
+	} {
+		before := tbl.Heap().Version
+		must(t, write())
+		h := tbl.Heap()
+		if h.Version == before {
+			t.Fatal("a write left the heap version unchanged")
+		}
+		if v := h.Vector(2); len(v.Nums) != len(h.Rows) {
+			t.Fatalf("vector has %d rows, heap %d", len(v.Nums), len(h.Rows))
+		}
+	}
+}
+
+func TestVectorOnRepeat(t *testing.T) {
+	tbl := columnarTable(t)
+	h := tbl.Heap()
+	if h.VectorOnRepeat(2) != nil {
+		t.Fatal("the first request at a version only records it")
+	}
+	v := h.VectorOnRepeat(2)
+	if v == nil || h.VectorOnRepeat(2) != v || h.Vector(2) != v {
+		t.Fatal("the second request builds and caches the vector")
+	}
+	must(t, tbl.Insert(value.Row{value.NewInt(4), value.NewText("VW"), value.NewFloat(20000)}))
+	if tbl.Heap().VectorOnRepeat(2) != nil {
+		t.Error("after a write the first request records again")
+	}
+	if h.VectorOnRepeat(0) != nil {
+		t.Error("a request for an older version never builds")
+	}
+}

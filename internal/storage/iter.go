@@ -31,16 +31,33 @@ func (it *heapIter) Next() (value.Row, bool) {
 	return r, true
 }
 
-// Scan returns an iterator over the table's rows in insertion order. It
-// captures the copy-on-write heap slice at creation — the same view a
-// Snapshot provides, without paying for the index capture a plain scan
-// never uses — so rows inserted afterwards are not seen, matching
-// statement-level isolation.
-func (t *Table) Scan() RowIter {
+// Heap is a table's heap as of one instant: the copy-on-write row slice
+// and the heap version it belongs to, captured in one critical section.
+// Writers never change a captured slice (inserts append past its length;
+// updates, deletes and truncation publish a fresh one), so a Heap keeps
+// naming exactly the rows it was captured over, and its version keys the
+// column vectors built from them (see columnar.go).
+type Heap struct {
+	Rows    []value.Row
+	Version uint64
+	t       *Table
+}
+
+// Heap captures the table's current heap.
+func (t *Table) Heap() Heap {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return &heapIter{rows: t.rows}
+	return t.heapLocked()
 }
+
+// heapLocked is Heap for callers holding t.mu.
+func (t *Table) heapLocked() Heap { return Heap{Rows: t.rows, Version: t.version, t: t} }
+
+// Scan returns an iterator over the table's rows in insertion order. It
+// iterates one captured Heap — the same view a Snapshot provides,
+// without paying for the index capture a plain scan never uses — so rows
+// inserted afterwards are not seen, matching statement-level isolation.
+func (t *Table) Scan() RowIter { return &heapIter{rows: t.Heap().Rows} }
 
 // posIter resolves heap positions lazily.
 type posIter struct {
@@ -58,27 +75,35 @@ func (it *posIter) Next() (value.Row, bool) {
 	return r, true
 }
 
-// Probe returns an iterator over the rows whose leading column of ix
-// equals v, in heap order — the index-scan access path. The heap and
-// the bucket lookup are captured in one critical section (writers are
-// excluded), so the probed positions and the heap they index always
-// belong to the same instant; only the probed index is touched, unlike
-// a full Snapshot. ix is resolved by name against the table's current
-// index set, and a stale pointer (the index was dropped, or the
-// caller's plan predates a re-create) degrades to a full scan that the
-// residual filter corrects, rather than indexing a compacted heap out
-// of range.
-func (t *Table) Probe(ix *Index, v value.Value) RowIter {
+// ProbeHeap is the index-scan access path: it captures the heap and the
+// positions of the rows whose leading column of ix equals v, in heap
+// order, in one critical section (writers are excluded), so the
+// positions always index that heap. Only the probed index is touched,
+// unlike a full Snapshot. ix is resolved by name against the table's
+// current index set; ok=false reports that the probe degraded — the
+// index was dropped, or the caller's plan predates a re-create over
+// another column — and the caller must scan the whole heap, which the
+// residual filter corrects, rather than index a compacted heap out of
+// range or drop matching rows.
+func (t *Table) ProbeHeap(ix *Index, v value.Value) (h Heap, pos []int, ok bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	own, ok := t.indexes[strings.ToLower(ix.Name)]
-	if !ok || !sameLeadingColumn(own, ix) {
-		// Index gone, or a same-name index re-created over a different
-		// column: probing it would drop matching rows. Over-approximate
-		// with a full scan instead.
-		return &heapIter{rows: t.rows}
+	h = t.heapLocked()
+	own, found := t.indexes[strings.ToLower(ix.Name)]
+	if !found || !sameLeadingColumn(own, ix) {
+		return h, nil, false
 	}
-	return &posIter{rows: t.rows, pos: own.Lookup(v)}
+	return h, own.Lookup(v), true
+}
+
+// Probe returns an iterator over ProbeHeap's rows: the probed positions,
+// or the whole heap when the probe degraded.
+func (t *Table) Probe(ix *Index, v value.Value) RowIter {
+	h, pos, ok := t.ProbeHeap(ix, v)
+	if !ok {
+		return &heapIter{rows: h.Rows}
+	}
+	return &posIter{rows: h.Rows, pos: pos}
 }
 
 // sameLeadingColumn reports whether a probe planned against want can be

@@ -2,6 +2,11 @@
 // SQL engine: the catalog of tables and views, typed heap tables with
 // NOT NULL / PRIMARY KEY enforcement, hash indexes, and CSV bulk loading.
 //
+// Every heap mutation bumps the table's heap version. Readers capture a
+// Heap — rows and version in one critical section — and ask it for
+// column vectors, which the table caches per (column, heap version)
+// (see columnar.go).
+//
 // It plays the role of the "existing SQL database" in the paper's
 // architecture (§3.1): the layer the rewritten standard-SQL queries
 // ultimately run against.
@@ -74,10 +79,16 @@ type Table struct {
 	rows    []value.Row
 	indexes map[string]*Index
 	pkCol   int // -1 if no primary key
+	// version counts heap mutations: every write that changes rows bumps
+	// it under mu, so a (rows, version) pair captured in one critical
+	// section names exactly one heap state (see Heap).
+	version uint64
 
-	// columnar caches the lazily built column-major image of the heap,
-	// tagged with the write epoch it was built under (see columnar.go).
-	columnar atomic.Pointer[Columnar]
+	// vecs is the column-vector cache: typed vectors of one heap version,
+	// built column by column on demand (see columnar.go). cmu serializes
+	// its replacement; readers load it lock-free.
+	cmu  sync.Mutex
+	vecs atomic.Pointer[Columnar]
 
 	// listeners is the copy-on-write change-listener set (see notify.go):
 	// lmu serializes AddListener/remove, notify reads lock-free. Writers
@@ -181,6 +192,7 @@ func (t *Table) Insert(row value.Row) error {
 	}
 	pos := len(t.rows)
 	t.rows = append(t.rows, norm)
+	t.version++
 	for _, idx := range t.indexes {
 		idx.add(norm, pos)
 	}
@@ -247,6 +259,7 @@ func (t *Table) Update(match func(value.Row) (bool, error), set func(value.Row) 
 		}
 		t.mu.Lock()
 		t.rows = rows
+		t.version++
 		t.rebuildIndexes()
 		t.mu.Unlock()
 		if watched {
@@ -279,6 +292,7 @@ func (t *Table) Delete(match func(value.Row) (bool, error)) (int, error) {
 		}
 		t.mu.Lock()
 		t.rows = kept
+		t.version++
 		t.rebuildIndexes()
 		t.mu.Unlock()
 		if watched && len(removed) > 0 {
@@ -327,6 +341,7 @@ func (t *Table) Truncate() error {
 	t.mu.Lock()
 	old := t.rows
 	t.rows = nil
+	t.version++
 	t.rebuildIndexes()
 	t.mu.Unlock()
 	if watched && len(old) > 0 {
@@ -362,7 +377,7 @@ func (t *Table) rebuildIndexes() {
 // that guarantee.
 type Snapshot struct {
 	Schema  Schema
-	rows    []value.Row
+	heap    Heap
 	indexes map[string]snapIndex
 }
 
@@ -383,17 +398,20 @@ func (t *Table) Snapshot() *Snapshot {
 		idx[k] = snapIndex{ix: ix, buckets: ix.buckets}
 		ix.mu.RUnlock()
 	}
-	return &Snapshot{Schema: t.Schema, rows: t.rows, indexes: idx}
+	return &Snapshot{Schema: t.Schema, heap: t.heapLocked(), indexes: idx}
 }
 
-// Rows returns the snapshot's heap. Callers must not mutate it.
-func (s *Snapshot) Rows() []value.Row { return s.rows }
+// Heap returns the captured heap, whose version keys its column vectors.
+func (s *Snapshot) Heap() Heap { return s.heap }
+
+// Rows returns the snapshot's heap rows. Callers must not mutate them.
+func (s *Snapshot) Rows() []value.Row { return s.heap.Rows }
 
 // Len returns the number of rows in the snapshot.
-func (s *Snapshot) Len() int { return len(s.rows) }
+func (s *Snapshot) Len() int { return len(s.heap.Rows) }
 
 // Scan iterates the snapshot's rows in insertion order.
-func (s *Snapshot) Scan() RowIter { return &heapIter{rows: s.rows} }
+func (s *Snapshot) Scan() RowIter { return &heapIter{rows: s.heap.Rows} }
 
 // Probe iterates the snapshot rows whose leading column of ix equals v.
 // The probe resolves ix by name against the snapshot's captured bucket
@@ -404,9 +422,10 @@ func (s *Snapshot) Scan() RowIter { return &heapIter{rows: s.rows} }
 // keeps the probed equality in the residual filter, so a probe may
 // over-approximate but must never miss a matching row.
 func (s *Snapshot) Probe(ix *Index, v value.Value) RowIter {
+	rows := s.heap.Rows
 	si, ok := s.indexes[strings.ToLower(ix.Name)]
 	if !ok || !sameLeadingColumn(si.ix, ix) {
-		return &heapIter{rows: s.rows}
+		return &heapIter{rows: rows}
 	}
 	// The captured map only ever grows (inserts append under the index
 	// lock; rebuilds target a fresh map), so reading it needs the same
@@ -417,20 +436,20 @@ func (s *Snapshot) Probe(ix *Index, v value.Value) RowIter {
 	// Positions beyond the snapshot heap belong to rows inserted later.
 	n := 0
 	for _, p := range pos {
-		if p < len(s.rows) {
+		if p < len(rows) {
 			n++
 		}
 	}
 	if n < len(pos) {
 		kept := make([]int, 0, n)
 		for _, p := range pos {
-			if p < len(s.rows) {
+			if p < len(rows) {
 				kept = append(kept, p)
 			}
 		}
 		pos = kept
 	}
-	return &posIter{rows: s.rows, pos: pos}
+	return &posIter{rows: rows, pos: pos}
 }
 
 // ---------------------------------------------------------------------------

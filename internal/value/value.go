@@ -185,7 +185,8 @@ func (v Value) Identical(w Value) bool {
 }
 
 // Key returns a map-key form of the value for hashing (DISTINCT, hash join,
-// GROUP BY). Numeric values collapse Int/Float so 1 and 1.0 hash together.
+// GROUP BY). Numeric values collapse Int/Float so 1 and 1.0 hash together,
+// and -0.0 hashes with 0, which it equals.
 func (v Value) Key() string {
 	switch v.K {
 	case Null:
@@ -193,7 +194,11 @@ func (v Value) Key() string {
 	case Int:
 		return "\x00i" + strconv.FormatFloat(float64(v.I), 'g', -1, 64)
 	case Float:
-		return "\x00i" + strconv.FormatFloat(v.F, 'g', -1, 64)
+		f := v.F
+		if f == 0 {
+			f = 0 // canonical +0: -0.0 = 0
+		}
+		return "\x00i" + strconv.FormatFloat(f, 'g', -1, 64)
 	case Text:
 		return "\x00s" + v.S
 	case Bool:
@@ -218,15 +223,20 @@ func Compare(v, w Value) (int, bool) {
 	if v.K == Text || w.K == Text {
 		return 0, false
 	}
-	a, b := v.Num(), w.Num()
+	return CompareNum(v.Num(), w.Num()), true
+}
+
+// CompareNum is Compare's numeric order on the float64 images of two
+// values — the test the scans' column-vector filters run, so a vector
+// answer always equals the row answer. NaN compares equal to everything.
+func CompareNum(a, b float64) int {
 	switch {
 	case a < b:
-		return -1, true
+		return -1
 	case a > b:
-		return 1, true
-	default:
-		return 0, true
+		return 1
 	}
+	return 0
 }
 
 // CompareNullsFirst imposes a total sort order on two values: NULL orders
