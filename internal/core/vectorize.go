@@ -7,7 +7,6 @@ import (
 	"repro/internal/bmo"
 	"repro/internal/plan"
 	"repro/internal/preference"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -36,8 +35,8 @@ import (
 //
 // When the candidate pipeline is additionally a bare single-table scan
 // (no filter, no limit — heap order equals input order), the node also
-// records the table so the executor fills score vectors straight from
-// the column vectors of the heap its scan captured (plan.BMO.VecTable).
+// names that scan so the executor fills score vectors straight from the
+// column vectors of the heap the scan captured (plan.BMO.VecScan).
 
 // vectorize applies the planning step to root in place; node is the
 // plan maybePush returned.
@@ -76,14 +75,14 @@ func (s *Session) vectorize(sel *ast.Select, root *plan.BMO, node plan.Node) {
 		}
 		cols[i] = idx
 	}
-	tbl, bare := bareScan(root.Child)
-	if tbl != nil {
+	scan, bare := bareScan(root.Child)
+	if scan != nil {
 		// Columnar availability: score kernels consume numeric vectors
 		// only. (Non-scan children carry no schema kinds to check; their
 		// generic fill scores through the compiled getters, which report
 		// non-numeric values as the row-at-a-time path would.)
 		for _, c := range cols {
-			switch tbl.Schema.Cols[c].Kind {
+			switch scan.Table.Schema.Cols[c].Kind {
 			case value.Int, value.Float, value.Bool, value.Date:
 			default:
 				return
@@ -95,16 +94,16 @@ func (s *Session) vectorize(sel *ast.Select, root *plan.BMO, node plan.Node) {
 	root.Progressive = false
 	root.ParallelHint = false
 	if bare {
-		root.VecTable = tbl
+		root.VecScan = scan
 	}
 }
 
 // bareScan unwraps the canonical candidate pipeline Project(*)→SeqScan.
-// The table is returned whenever the pipeline bottoms out in one
+// The scan is returned whenever the pipeline bottoms out in one
 // unordered full-star projection over a single table scan; bare
 // additionally requires the scan to emit the raw heap (no filter, no
 // limit), the condition for the positional columnar fill.
-func bareScan(n plan.Node) (tbl *storage.Table, bare bool) {
+func bareScan(n plan.Node) (scan *plan.SeqScan, bare bool) {
 	proj, ok := n.(*plan.Project)
 	if !ok || len(proj.Items) != 1 || len(proj.OrderBy) != 0 {
 		return nil, false
@@ -112,9 +111,9 @@ func bareScan(n plan.Node) (tbl *storage.Table, bare bool) {
 	if st, ok := proj.Items[0].Expr.(*ast.Star); !ok || st.Table != "" {
 		return nil, false
 	}
-	scan, ok := proj.Child.(*plan.SeqScan)
+	scan, ok = proj.Child.(*plan.SeqScan)
 	if !ok {
 		return nil, false
 	}
-	return scan.Table, len(scan.Filter) == 0 && scan.Limit < 0
+	return scan, len(scan.Filter) == 0 && scan.Limit < 0
 }

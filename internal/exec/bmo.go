@@ -30,6 +30,7 @@ type rowStream interface {
 type BMOOp struct {
 	node   *plan.BMO
 	child  Operator
+	scan   *seqScan // the operator of node.VecScan; nil without one
 	env    *Env
 	ns     *NodeStats // per-node instrumentation slot; nil when recording is off
 	input  []value.Row

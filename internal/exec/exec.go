@@ -187,11 +187,11 @@ func build(n plan.Node, env *Env) (Operator, error) {
 		}
 		return &limitOp{child: child, count: x.Count, offset: x.Offset}, nil
 	case *plan.BMO:
-		child, err := buildBMOInput(x.Child, env)
+		child, scan, err := buildBMOInput(x, env)
 		if err != nil {
 			return nil, err
 		}
-		return &BMOOp{node: x, child: child, env: env, ns: env.NodeStats(x)}, nil
+		return &BMOOp{node: x, child: child, scan: scan, env: env, ns: env.NodeStats(x)}, nil
 	case *plan.Gather:
 		return &GatherOp{node: x, env: env, ns: env.NodeStats(x)}, nil
 	case *plan.ButOnly:
@@ -213,17 +213,23 @@ func build(n plan.Node, env *Env) (Operator, error) {
 // buildBMOInput builds the child of a BMO node. A pass-through projection
 // there hands its input rows on instead of copying each one: dominance
 // only reads its candidates, rows are immutable once stored, and whoever
-// returns the few winners to a caller projects (copies) them again.
-func buildBMOInput(n plan.Node, env *Env) (Operator, error) {
-	p, ok := n.(*plan.Project)
+// returns the few winners to a caller projects (copies) them again. It
+// also returns the operator built for the node's VecScan, if any.
+func buildBMOInput(b *plan.BMO, env *Env) (Operator, *seqScan, error) {
+	p, ok := b.Child.(*plan.Project)
 	if !ok || !p.PassThrough() {
-		return Build(n, env)
+		op, err := Build(b.Child, env)
+		return op, nil, err
 	}
 	child, err := Build(p.Child, env)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return wrapStats(p, &projectOp{n: p, child: child, env: env, through: true}, env), nil
+	var scan *seqScan
+	if s, ok := unwrap(child).(*seqScan); ok && s.n == b.VecScan {
+		scan = s
+	}
+	return wrapStats(p, &projectOp{n: p, child: child, env: env, through: true}, env), scan, nil
 }
 
 // Drain opens op, pulls every row and closes it.

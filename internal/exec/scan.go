@@ -127,14 +127,10 @@ func (t *vecTest) keep(p int) bool {
 }
 
 // open starts the cursor over h. A conjunct of vf runs on a vector when
-// its bound evaluates to a numeric, non-NULL value and the vector is at
-// hand. A cursor over every row builds a missing vector at once: it
-// pays one pass over the heap regardless (the planner pushes limits
-// only into unfiltered scans). A probe reads a fraction of the heap and
-// lets a repeated request build it (storage.Heap.VectorOnRepeat).
-// Should any parameter of the filter fail to evaluate, the whole filter
-// runs on rows, in written order, so the error surfaces exactly as it
-// always has.
+// its bound evaluates to a numeric, non-NULL value; a missing vector is
+// built from h at once (storage.Heap.Vector). Should any parameter of
+// the filter fail to evaluate, the whole filter runs on rows, in written
+// order, so the error surfaces exactly as it always has.
 func (c *heapCursor) open(h storage.Heap, pos []int, all bool, cond expr.Conds, vf *plan.VecFilter, rt *expr.Runtime) {
 	*c = heapCursor{heap: h, pos: pos, all: all, rest: cond, polled: c.polled}
 	if vf == nil || len(h.Rows) == 0 {
@@ -151,12 +147,7 @@ func (c *heapCursor) open(h storage.Heap, pos []int, all bool, cond expr.Conds, 
 		if err != nil || b.IsNull() || b.K == value.Text {
 			continue // TEXT and NULL bounds stay on the row path
 		}
-		var vec *storage.ColVec
-		if all {
-			vec = h.Vector(vc.Col)
-		} else {
-			vec = h.VectorOnRepeat(vc.Col)
-		}
+		vec := h.Vector(vc.Col)
 		if vec == nil {
 			continue
 		}

@@ -12,27 +12,25 @@ import (
 // Vectorized BMO execution: the planner marked the node Vec after
 // verifying the preference is fully score-based over resolvable numeric
 // columns. The operator fills a flat score matrix — straight from the
-// table's column vectors, at the heap version its scan captured, when the
-// child pipeline is a bare table scan (VecTable), otherwise by generic
-// per-row scoring — and hands it to the batch zone-map kernel. Zone-map
-// counters land in the statement Stats for EXPLAIN ANALYZE.
+// column vectors of the heap its bare scan (VecScan) captured, otherwise
+// by generic per-row scoring — and hands it to the batch zone-map
+// kernel. Zone-map counters land in the statement Stats for EXPLAIN
+// ANALYZE.
 
 // openVectorized is the Vec branch of BMOOp.Open; the input is already
 // materialized and counted.
 func (b *BMOOp) openVectorized() error {
 	cfg := b.config()
 	scorers, ok := bmo.ScoreBased(b.node.Pref)
-	if ok && len(scorers) == len(b.node.VecCols) && b.node.VecTable != nil {
-		if s := bareScanOf(b.child); s != nil && len(s.cur.heap.Rows) == len(b.input) {
-			if in, filled := fillColumnar(scorers, b.node.VecCols, s.cur.heap, b.input); filled {
-				out, _, vst, err := bmo.EvaluateVecInput(in, cfg)
-				if err != nil {
-					return err
-				}
-				b.countVec(vst)
-				b.buf = out
-				return nil
+	if ok && len(scorers) == len(b.node.VecCols) && b.scan != nil && len(b.scan.cur.heap.Rows) == len(b.input) {
+		if in, filled := fillColumnar(scorers, b.node.VecCols, b.scan.cur.heap, b.input); filled {
+			out, _, vst, err := bmo.EvaluateVecInput(in, cfg)
+			if err != nil {
+				return err
 			}
+			b.countVec(vst)
+			b.buf = out
+			return nil
 		}
 	}
 	// Generic path: score via the compiled getters row-at-a-time, then
@@ -52,17 +50,6 @@ func (b *BMOOp) countVec(vst bmo.VecStats) {
 		return
 	}
 	b.env.count().AddVecBlocks(int64(vst.BlocksScanned), int64(vst.BlocksPruned))
-}
-
-// bareScanOf returns the sequential scan under the BMO's bare
-// projection, whose captured heap is the BMO's input in heap order.
-func bareScanOf(child Operator) *seqScan {
-	p, ok := unwrap(child).(*projectOp)
-	if !ok {
-		return nil
-	}
-	s, _ := unwrap(p.child).(*seqScan)
-	return s
 }
 
 // fillColumnar builds the score matrix from the heap's column vectors

@@ -483,7 +483,7 @@ type BMO struct {
 	ParallelHint bool
 
 	// Vec selects the vectorized physical operator: the executor fills a
-	// flat score matrix (from columnar storage when VecTable is set, or
+	// flat score matrix (from column vectors when VecScan is set, or
 	// by generic per-row scoring) and evaluates batch-at-a-time with
 	// zone-map block pruning. The planner sets it from table statistics
 	// when the preference is fully score-based over resolvable numeric
@@ -492,12 +492,12 @@ type BMO struct {
 	// VecCols maps each score component to its child-schema column index
 	// (parallel to the preference's scorer list).
 	VecCols []int
-	// VecTable, when non-nil, lets the executor fill score vectors from
-	// the table's column vectors, at the heap version its scan captured,
-	// instead of boxing row values — only safe when the child pipeline
-	// scans the table bare (no filter, no limit), so heap order matches
-	// input.
-	VecTable *storage.Table
+	// VecScan, when non-nil, is the scan under the child's bare
+	// projection: it emits its table's heap unfiltered and unlimited, so
+	// heap order matches input, and the executor fills score vectors
+	// from the column vectors of the heap that scan captured instead of
+	// boxing row values.
+	VecScan *SeqScan
 
 	// The remaining fields are set by the preference-algebra rewriter
 	// (PushBMO) when it moves dominance work below a join.
@@ -578,7 +578,7 @@ func (b *BMO) Explain() string {
 	out := fmt.Sprintf("BMO %s", mode)
 	if b.Vec {
 		out += fmt.Sprintf(" est=%d", b.EstRows)
-		if b.VecTable != nil {
+		if b.VecScan != nil {
 			out += " columnar"
 		}
 	}

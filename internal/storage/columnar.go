@@ -16,18 +16,8 @@ import (
 // reader captured (Heap), so it always describes the rows that reader
 // sees; it is published only when no newer version is cached, and a
 // newer version replaces the whole cache. Only the columns someone reads
-// are built.
-//
-// When to build is the caller's choice between two requests:
-//   - Vector builds a missing or stale column at once — for consumers
-//     that read every row anyway (a filtered sequential scan, the
-//     vectorized BMO fill), where one pass over the heap is paid
-//     regardless;
-//   - VectorOnRepeat builds only on the second request for the column at
-//     the same heap version; the first just records it. An index scan
-//     touches a fraction of the heap, and one cold build costs more than
-//     one probe's row-by-row filter, so a read-mostly table pays for one
-//     build and a table written between every read pays for none.
+// are built: the first request for a column at a heap version builds
+// it, later ones at that version share it.
 
 // ColVec is one numeric column as a typed vector: Nums[i] holds row i's
 // value as a float64 (value.Value.Num semantics: INT/BOOL/DATE widen,
@@ -56,7 +46,6 @@ type Columnar struct {
 	Cols  []*ColVec
 
 	version uint64
-	asked   []bool // columns VectorOnRepeat was asked for once at version
 }
 
 // Columnar returns the table's whole column-major image — every numeric
@@ -70,7 +59,7 @@ func (t *Table) Columnar(epoch uint64) *Columnar {
 		return c
 	}
 	n := len(t.Schema.Cols)
-	c := &Columnar{Epoch: epoch, NRows: len(h.Rows), Cols: make([]*ColVec, n), version: h.Version, asked: make([]bool, n)}
+	c := &Columnar{Epoch: epoch, NRows: len(h.Rows), Cols: make([]*ColVec, n), version: h.Version}
 	for j, col := range t.Schema.Cols {
 		c.Cols[j] = buildColVec(h.Rows, j, col.Kind)
 	}
@@ -94,14 +83,8 @@ func (c *Columnar) complete(s *Schema) bool {
 
 // Vector returns column col of the heap as a typed vector, building and
 // caching it on a miss; nil for a non-numeric column.
-func (h Heap) Vector(col int) *ColVec { return h.t.vector(h, col, true) }
-
-// VectorOnRepeat is Vector for consumers that read only part of the
-// heap: the first request for col at this heap version records it and
-// returns nil; later ones build (once) and return the vector.
-func (h Heap) VectorOnRepeat(col int) *ColVec { return h.t.vector(h, col, false) }
-
-func (t *Table) vector(h Heap, col int, eager bool) *ColVec {
+func (h Heap) Vector(col int) *ColVec {
+	t := h.t
 	kind := t.Schema.Cols[col].Kind
 	if !Vectorizable(kind) {
 		return nil
@@ -109,52 +92,23 @@ func (t *Table) vector(h Heap, col int, eager bool) *ColVec {
 	if c := t.vecs.Load(); c != nil && c.version == h.Version && c.Cols[col] != nil {
 		return c.Cols[col]
 	}
-	if !eager && !t.askedBefore(h, col) {
-		return nil
-	}
 	v := buildColVec(h.Rows, col, kind)
 	t.cmu.Lock()
-	if next := t.cacheAt(h); next != nil {
-		next.Cols[col] = v
-		t.vecs.Store(next)
-	}
-	t.cmu.Unlock()
-	return v
-}
-
-// askedBefore records a VectorOnRepeat request for col at h's version
-// and reports whether one was recorded already. Requests for a version
-// older than the cached one could never be served from the cache, so
-// they neither record nor build.
-func (t *Table) askedBefore(h Heap, col int) bool {
-	t.cmu.Lock()
 	defer t.cmu.Unlock()
-	if c := t.vecs.Load(); c != nil && c.version == h.Version && c.asked[col] {
-		return true
-	}
-	if next := t.cacheAt(h); next != nil {
-		next.asked[col] = true
-		t.vecs.Store(next)
-	}
-	return false
-}
-
-// cacheAt returns an unpublished copy of the cache to publish for h's
-// version (a fresh, empty one when the cached version is older), or nil
-// when a newer version is cached. The caller holds cmu.
-func (t *Table) cacheAt(h Heap) *Columnar {
-	c := t.vecs.Load()
+	next := t.vecs.Load()
 	switch {
-	case c != nil && c.version > h.Version:
-		return nil
-	case c != nil && c.version == h.Version:
-		next := *c
-		next.Cols = append([]*ColVec(nil), c.Cols...)
-		next.asked = append([]bool(nil), c.asked...)
-		return &next
+	case next != nil && next.version > h.Version:
+		return v // a newer version is cached: keep it, serve v privately
+	case next != nil && next.version == h.Version:
+		cp := *next
+		cp.Cols = append([]*ColVec(nil), next.Cols...)
+		next = &cp
+	default:
+		next = &Columnar{NRows: len(h.Rows), Cols: make([]*ColVec, len(t.Schema.Cols)), version: h.Version}
 	}
-	n := len(t.Schema.Cols)
-	return &Columnar{NRows: len(h.Rows), Cols: make([]*ColVec, n), version: h.Version, asked: make([]bool, n)}
+	next.Cols[col] = v
+	t.vecs.Store(next)
+	return v
 }
 
 // Vectorizable reports whether columns of kind k have column vectors.

@@ -126,7 +126,7 @@ func TestVectorKeyedByHeapVersion(t *testing.T) {
 	if h2.Vector(2) != v2 {
 		t.Error("an old-version request must not evict the newer vector")
 	}
-	if sh := snap.Heap(); sh.Version != h1.Version || len(sh.Vector(2).Nums) != 3 {
+	if sh := snap.heap; sh.Version != h1.Version || len(sh.Vector(2).Nums) != 3 {
 		t.Error("a snapshot's heap keeps its own version")
 	}
 	// Update, delete and truncate move the version too.
@@ -151,24 +151,5 @@ func TestVectorKeyedByHeapVersion(t *testing.T) {
 		if v := h.Vector(2); len(v.Nums) != len(h.Rows) {
 			t.Fatalf("vector has %d rows, heap %d", len(v.Nums), len(h.Rows))
 		}
-	}
-}
-
-func TestVectorOnRepeat(t *testing.T) {
-	tbl := columnarTable(t)
-	h := tbl.Heap()
-	if h.VectorOnRepeat(2) != nil {
-		t.Fatal("the first request at a version only records it")
-	}
-	v := h.VectorOnRepeat(2)
-	if v == nil || h.VectorOnRepeat(2) != v || h.Vector(2) != v {
-		t.Fatal("the second request builds and caches the vector")
-	}
-	must(t, tbl.Insert(value.Row{value.NewInt(4), value.NewText("VW"), value.NewFloat(20000)}))
-	if tbl.Heap().VectorOnRepeat(2) != nil {
-		t.Error("after a write the first request records again")
-	}
-	if h.VectorOnRepeat(0) != nil {
-		t.Error("a request for an older version never builds")
 	}
 }

@@ -53,12 +53,6 @@ func (t *Table) Heap() Heap {
 // heapLocked is Heap for callers holding t.mu.
 func (t *Table) heapLocked() Heap { return Heap{Rows: t.rows, Version: t.version, t: t} }
 
-// Scan returns an iterator over the table's rows in insertion order. It
-// iterates one captured Heap — the same view a Snapshot provides,
-// without paying for the index capture a plain scan never uses — so rows
-// inserted afterwards are not seen, matching statement-level isolation.
-func (t *Table) Scan() RowIter { return &heapIter{rows: t.Heap().Rows} }
-
 // posIter resolves heap positions lazily.
 type posIter struct {
 	rows []value.Row
@@ -94,16 +88,6 @@ func (t *Table) ProbeHeap(ix *Index, v value.Value) (h Heap, pos []int, ok bool)
 		return h, nil, false
 	}
 	return h, own.Lookup(v), true
-}
-
-// Probe returns an iterator over ProbeHeap's rows: the probed positions,
-// or the whole heap when the probe degraded.
-func (t *Table) Probe(ix *Index, v value.Value) RowIter {
-	h, pos, ok := t.ProbeHeap(ix, v)
-	if !ok {
-		return &heapIter{rows: h.Rows}
-	}
-	return &posIter{rows: h.Rows, pos: pos}
 }
 
 // sameLeadingColumn reports whether a probe planned against want can be

@@ -370,7 +370,7 @@ func (t *Table) rebuildIndexes() {
 // was created over for as long as the caller holds it, regardless of
 // concurrent writes.
 //
-// Scan and Probe on the Table itself capture the same copy-on-write
+// Heap and ProbeHeap on the Table itself capture the same copy-on-write
 // view per call (one iteration each); Snapshot is the long-lived form
 // for holders that must scan and probe the same instant repeatedly
 // while writes proceed — TestSnapshotProbeAfterRebuild pins exactly
@@ -400,9 +400,6 @@ func (t *Table) Snapshot() *Snapshot {
 	}
 	return &Snapshot{Schema: t.Schema, heap: t.heapLocked(), indexes: idx}
 }
-
-// Heap returns the captured heap, whose version keys its column vectors.
-func (s *Snapshot) Heap() Heap { return s.heap }
 
 // Rows returns the snapshot's heap rows. Callers must not mutate them.
 func (s *Snapshot) Rows() []value.Row { return s.heap.Rows }

@@ -284,7 +284,21 @@ func TestIndexKeyNoSeparatorCollision(t *testing.T) {
 	}
 }
 
-// TestScanAndProbeIterators covers the pull-based access paths.
+// probeRows returns the rows ProbeHeap names: the probed positions, or
+// the whole heap when the probe degraded.
+func probeRows(tbl *Table, ix *Index, v value.Value) []value.Row {
+	h, pos, ok := tbl.ProbeHeap(ix, v)
+	if !ok {
+		return h.Rows
+	}
+	rows := make([]value.Row, len(pos))
+	for i, p := range pos {
+		rows[i] = h.Rows[p]
+	}
+	return rows
+}
+
+// TestScanAndProbeIterators covers the heap and probe access paths.
 func TestScanAndProbeIterators(t *testing.T) {
 	tbl := carsTable()
 	for i := 1; i <= 3; i++ {
@@ -293,13 +307,7 @@ func TestScanAndProbeIterators(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n := 0
-	for it := tbl.Scan(); ; n++ {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-	}
-	if n != 3 {
+	if n := len(tbl.Heap().Rows); n != 3 {
 		t.Fatalf("scan rows = %d", n)
 	}
 	ix, err := tbl.CreateIndex("cars_make", []string{"make"})
@@ -307,11 +315,7 @@ func TestScanAndProbeIterators(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ids []int64
-	for it := tbl.Probe(ix, value.NewText("Audi")); ; {
-		r, ok := it.Next()
-		if !ok {
-			break
-		}
+	for _, r := range probeRows(tbl, ix, value.NewText("Audi")) {
 		ids = append(ids, r[0].I)
 	}
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 3 {
@@ -404,19 +408,13 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		go func() {
 			for j := 0; j < 200; j++ {
-				it := tbl.Scan()
-				for {
-					if _, ok := it.Next(); !ok {
-						break
-					}
+				for _, r := range tbl.Heap().Rows {
+					_ = r[0]
 				}
 				ix := tbl.IndexOn(1)
 				if ix != nil {
-					pr := tbl.Probe(ix, value.NewText("Audi"))
-					for {
-						if _, ok := pr.Next(); !ok {
-							break
-						}
+					for _, r := range probeRows(tbl, ix, value.NewText("Audi")) {
+						_ = r[0]
 					}
 				}
 			}
@@ -467,15 +465,7 @@ func TestSnapshotProbeAfterRebuild(t *testing.T) {
 	}
 
 	// The live probe reflects the delete.
-	live := 0
-	it = tbl.Probe(tbl.IndexOn(1), value.NewText("Audi"))
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-		live++
-	}
-	if live != 1 {
+	if live := len(probeRows(tbl, tbl.IndexOn(1), value.NewText("Audi"))); live != 1 {
 		t.Errorf("live Audi probe = %d rows, want 1", live)
 	}
 
@@ -517,15 +507,7 @@ func TestProbeStaleIndexFallsBackToScan(t *testing.T) {
 	if _, err := tbl.CreateIndex("i", []string{"price"}); err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	it := tbl.Probe(old, value.NewInt(1))
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 6 {
+	if n := len(probeRows(tbl, old, value.NewInt(1))); n != 6 {
 		t.Errorf("stale-index probe returned %d rows, want full scan of 6", n)
 	}
 }
