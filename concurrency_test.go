@@ -339,6 +339,86 @@ func TestConcurrentParallelBMOStress(t *testing.T) {
 	}
 }
 
+// TestConcurrentPreparedGroupedStress shares one prepared grouped
+// statement — whose plan, Aggregate node included, is cached and reused
+// — across sessions while a writer's inserts keep moving the epoch, so
+// executions race plan rebuilds. Every result must be one consistent
+// snapshot: each group's COUNT(*) equals its SUM(v) (all v are 1), and a
+// session never sees the total shrink. Run with -race.
+func TestConcurrentPreparedGroupedStress(t *testing.T) {
+	db := Open()
+	db.MustExec(`CREATE TABLE g (cat VARCHAR, v INT); INSERT INTO g VALUES ('a', 1), ('b', 1)`)
+	prep, err := db.Internal().Prepare(`SELECT cat, COUNT(*), SUM(v) FROM g GROUP BY cat`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		readers = 8
+		rounds  = 60
+		inserts = 40
+	)
+	var wg sync.WaitGroup
+	errCh := make(chan error, readers+1)
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			sess := db.Internal().NewSession()
+			last := int64(0)
+			for r := 0; r < rounds; r++ {
+				res, _, err := sess.ExecPrepared(prep)
+				if err != nil {
+					errCh <- fmt.Errorf("reader %d: %w", g, err)
+					return
+				}
+				total := int64(0)
+				for _, row := range res.Rows {
+					if row[1].I != row[2].I {
+						errCh <- fmt.Errorf("reader %d: torn group %v", g, row)
+						return
+					}
+					total += row[1].I
+				}
+				if len(res.Rows) != 2 || total < last {
+					errCh <- fmt.Errorf("reader %d: groups %v after a total of %d", g, res.Rows, last)
+					return
+				}
+				last = total
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < inserts; i++ {
+			if _, err := db.Exec(fmt.Sprintf("INSERT INTO g VALUES ('%c', 1)", 'a'+i%2)); err != nil {
+				errCh <- fmt.Errorf("writer: %w", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Error(err)
+	}
+
+	// Once the writer is done, the plan settles and is reused.
+	sess := db.Internal().NewSession()
+	for i := 0; i < 2; i++ {
+		res, reused, err := sess.ExecPrepared(prep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 && !reused {
+			t.Error("quiescent re-execution did not reuse the cached plan")
+		}
+		if got := fmt.Sprint(res.Rows); got != "[(a, 21, 21) (b, 21, 21)]" {
+			t.Errorf("final groups = %s", got)
+		}
+	}
+}
+
 // TestSessionSettingsIsolated pins the satellite contract: sessions
 // carry their own mode/algorithm, and the deprecated DB-level setters
 // only configure the default session.

@@ -32,8 +32,9 @@
 // identical results.
 //
 // Queries execute on a Volcano-style operator pipeline (plan → iterate):
-// SELECTs compile to a logical plan (predicate pushdown, index-scan
-// selection, hash joins, limit pushdown) executed by pull-based operators.
+// every SELECT, grouped and aggregate ones included, compiles to a logical
+// plan (predicate pushdown, index-scan selection, hash joins, a hash
+// Aggregate node, limit pushdown) executed by pull-based operators.
 // Expressions are compiled with the plan, not interpreted per row: a
 // column reference is bound to its row slot once, when the plan is first
 // built, and the programs — which hold no per-execution state — are reused

@@ -454,38 +454,38 @@ func (db *DB) RewritePlan(sql string) (*rewrite.Plan, error) {
 	if !sel.HasPreference() {
 		return nil, fmt.Errorf("core: not a preference query")
 	}
-	sel, err = db.resolveSel(sel)
-	if err != nil {
-		return nil, err
-	}
-	cols, err := db.baseColumns(sel, bgEnv)
-	if err != nil {
-		return nil, err
-	}
-	return rewrite.Rewrite(sel, cols)
+	return db.rewriteSel(sel, bgEnv)
 }
 
 // ---------------------------------------------------------------------------
 // Preference query execution
 // ---------------------------------------------------------------------------
 
-// baseColumns returns the output column names of the query's FROM/WHERE
-// part (the schema the rewriter annotates with level columns).
-func (db *DB) baseColumns(sel *ast.Select, ee execEnv) ([]string, error) {
-	probe := &ast.Select{
-		Items: []ast.SelectItem{{Expr: &ast.Star{}}},
-		From:  sel.From,
-		Limit: 0,
-	}
-	det, err := db.eng.SelectDetailedArgs(ee.ctx, probe, ee.params)
+// rewriteSel resolves sel's named preferences and rewrites it (§3.2)
+// over the column names of its FROM part, which the rewriter annotates
+// with level columns.
+func (db *DB) rewriteSel(sel *ast.Select, ee execEnv) (*rewrite.Plan, error) {
+	sel, err := db.resolveSel(sel)
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]string, len(det.Cols))
-	for i, c := range det.Cols {
-		cols[i] = c.Name
+	pipe, err := db.candidates(sel.From, nil, ee)
+	if err != nil {
+		return nil, err
 	}
-	return cols, nil
+	return rewrite.Rewrite(sel, pipe.Node().Schema().Names())
+}
+
+// candidates plans the candidate relation of a preference query, `SELECT
+// * FROM from WHERE where`: its columns are what the preference and
+// projection bind against.
+func (db *DB) candidates(from []ast.TableRef, where ast.Expr, ee execEnv) (*engine.Pipeline, error) {
+	return db.eng.PipelineArgs(ee.ctx, &ast.Select{
+		Items: []ast.SelectItem{{Expr: &ast.Star{}}},
+		From:  from,
+		Where: where,
+		Limit: -1,
+	}, ee.params)
 }
 
 // queryViaRewrite executes a preference query by the §3.2 rewriting to
@@ -496,15 +496,7 @@ func (s *Session) queryViaRewrite(sel *ast.Select, ee execEnv) (*Result, error) 
 	if len(sel.GroupBy) > 0 || sel.Having != nil {
 		return nil, errGroupByPreferring
 	}
-	sel, err := db.resolveSel(sel)
-	if err != nil {
-		return nil, err
-	}
-	cols, err := db.baseColumns(sel, ee)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := rewrite.Rewrite(sel, cols)
+	plan, err := db.rewriteSel(sel, ee)
 	if err != nil {
 		return nil, err
 	}
@@ -521,7 +513,7 @@ func (s *Session) queryViaRewrite(sel *ast.Select, ee execEnv) (*Result, error) 
 			return nil, fmt.Errorf("core: rewrite setup: %w", err)
 		}
 	}
-	res, qerr := db.eng.SelectArgs(ee.ctx, plan.Query, ee.params)
+	res, qerr := db.eng.ExecStmtArgs(ee.ctx, plan.Query, ee.params)
 	for _, s := range plan.Teardown {
 		if _, terr := db.eng.ExecStmt(s); terr != nil && qerr == nil {
 			qerr = terr

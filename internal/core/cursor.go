@@ -13,13 +13,14 @@ import (
 )
 
 // Cursor streams the rows of one query by pulling from its plan. Plain
-// SELECTs run directly on the engine's operator pipeline; preference
-// queries run their one plan (candidate → BMO → BUT ONLY → quality
-// projection) and stream the Best-Matches-Only set — progressively for
-// score-based preferences, batch-at-open for shapes that need the whole
-// set first (ORDER BY, GROUPING, DISTINCT). Grouped/aggregate SQL and the
-// rewrite mode have no plan tree; they evaluate as a batch and the
-// cursor iterates the buffered result, so every query works through it.
+// SELECTs — grouped and aggregate ones included — run directly on the
+// engine's operator pipeline; preference queries run their one plan
+// (candidate → BMO → BUT ONLY → quality projection) and stream the
+// Best-Matches-Only set — progressively for score-based preferences,
+// batch-at-open for shapes that need the whole set first (ORDER BY,
+// GROUPING, DISTINCT). The rewrite mode has no plan tree; it evaluates
+// as a batch and the cursor iterates the buffered result, so every query
+// works through it.
 //
 // Usage follows database/sql:
 //
@@ -182,32 +183,28 @@ func bufferCursor(ctx context.Context, res *Result) *Cursor {
 // openCursor builds the cursor: the statement's plan, opened and pulled
 // row by row. strict is the QueryProgressive contract: the preference
 // must stream, otherwise error out instead of falling back to batch.
-// Statements without a plan tree — rewrite-mode preference queries and
-// the grouped/aggregate SQL the streaming planner refuses — run as a
-// batch and iterate the buffered result (plan errors re-surface
-// identically there). The caller holds the read lock.
+// Rewrite-mode preference queries have no plan tree: they run as a
+// batch and the cursor iterates the buffered result. The caller holds
+// the read lock.
 func (s *Session) openCursor(sel *ast.Select, strict bool, ee execEnv) (*Cursor, error) {
 	sel, err := bindSelectLimits(sel, ee.params)
 	if err != nil {
 		return nil, err
 	}
-	form := formCursor
-	if strict {
-		form = formStrict
-	}
-	var p *stmtPlan
-	if strict || !s.rewrites(sel) {
-		p, err = s.planSelect(sel, ee, form)
-		if err != nil && sel.HasPreference() {
-			return nil, err
-		}
-	}
-	if p == nil {
-		res, err := s.querySelect(sel, ee)
+	if !strict && s.rewrites(sel) {
+		res, err := s.queryViaRewrite(sel, ee)
 		if err != nil {
 			return nil, err
 		}
 		return s.trackCursor(bufferCursor(ee.ctx, res), sel, nil, nil), nil
+	}
+	form := formCursor
+	if strict {
+		form = formStrict
+	}
+	p, err := s.planSelect(sel, ee, form)
+	if err != nil {
+		return nil, err
 	}
 	op, err := p.build()
 	if err != nil {

@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/bmo"
-	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/parser"
@@ -168,7 +167,7 @@ func (db *DB) distSelectTable(sel *ast.Select) (string, bool, error) {
 	if len(sel.GroupBy) > 0 || sel.Having != nil {
 		return "", false, fmt.Errorf("core: GROUP BY/HAVING is not supported over sharded table %s", bt.Name)
 	}
-	if engine.HasAggregates(sel) {
+	if len(plan.Aggregates(sel)) > 0 {
 		return "", false, fmt.Errorf("core: aggregates are not supported over sharded table %s (a per-shard aggregate is not the global one)", bt.Name)
 	}
 	if len(sel.Grouping) > 0 {
@@ -219,16 +218,11 @@ func (s *Session) planDistSelect(sel *ast.Select, table string, ee execEnv, form
 
 	// The local (empty) copy of the sharded table is the schema
 	// authority the preference and projection bind against.
-	probe := &ast.Select{
-		Items: []ast.SelectItem{{Expr: &ast.Star{}}},
-		From:  sel.From,
-		Limit: 0,
-	}
-	det, err := db.eng.SelectDetailedArgs(ee.ctx, probe, ee.params)
+	pipe, err := db.candidates(sel.From, nil, ee)
 	if err != nil {
 		return nil, err
 	}
-	cols := det.Cols
+	cols := pipe.Columns()
 	binder, _, prefs, err := db.bindPreference(cols, ee, pushed, residual)
 	if err != nil {
 		return nil, err

@@ -44,6 +44,11 @@ func explainDB(t *testing.T) *DB {
 		INSERT INTO c VALUES (1, 10, 100, 1), (2, 20, 50, 1), (3, 15, 200, 2), (4, 30, 300, 2)`); err != nil {
 		t.Fatal(err)
 	}
+	// s is the grouped-SQL example: three groups, one dropped by HAVING.
+	if _, err := db.Exec(`CREATE TABLE s (r VARCHAR, v INT);
+		INSERT INTO s VALUES ('a', 1), ('b', 2), ('a', 3), ('c', 1), ('b', 5)`); err != nil {
+		t.Fatal(err)
+	}
 	return db
 }
 
@@ -172,6 +177,13 @@ func TestExplainGolden(t *testing.T) {
 				"  Project id\n" +
 				"    SeqScan big [(d1 < 0.1)]\n",
 		},
+		{
+			name: "aggregate-without-group-by",
+			sql:  `SELECT COUNT(*) FROM big`,
+			want: "Project COUNT(*)\n" +
+				"  Aggregate calls=[COUNT(*)]\n" +
+				"    SeqScan big\n",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -242,6 +254,15 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 				"  Project id (rows=5 est=10000 time=X)\n" +
 				"    SeqScan big [(d1 < 0.1)] (rows=5 est=10000 time=X)\n" +
 				"-- rows=5 scanned=61 probes=0 join_in=0 bmo_in=0 bmo_out=0\n",
+		},
+		{
+			name: "grouped-aggregate",
+			sql:  `SELECT r, SUM(v) FROM s GROUP BY r HAVING SUM(v) > 1 ORDER BY SUM(v) DESC`,
+			want: "Project r, SUM(v) sort=[SUM(v) DESC] (rows=2 est=1 time=X)\n" +
+				"  Filter [(SUM(v) > 1)] (rows=2 est=1 time=X)\n" +
+				"    Aggregate keys=[r] calls=[SUM(v)] (rows=3 est=5 time=X)\n" +
+				"      SeqScan s (rows=5 est=5 time=X)\n" +
+				"-- rows=2 scanned=5 probes=0 join_in=0 bmo_in=0 bmo_out=0\n",
 		},
 		{
 			name: "join-pushdown-semijoin-drops",

@@ -77,19 +77,12 @@ func (s *Session) drain(p *stmtPlan) (*Result, error) {
 	return &Result{Columns: p.node.Schema().Names(), Rows: rows, Stats: p.env.Stats}, nil
 }
 
-// querySelect runs one SELECT as a batch: plain local SQL on the engine
-// (which also covers grouped and aggregate queries), local preference
-// queries in rewrite mode on the §3.2 rewrite, and everything else —
+// querySelect runs one SELECT as a batch: local preference queries in
+// rewrite mode on the §3.2 rewrite, everything else — plain SQL,
 // sharded and native preference queries — by draining its plan.
 func (s *Session) querySelect(sel *ast.Select, ee execEnv) (*Result, error) {
-	switch {
-	case s.rewrites(sel):
+	if s.rewrites(sel) {
 		return s.queryViaRewrite(sel, ee)
-	case !sel.HasPreference() && !s.db.distTouches(sel):
-		if sel.ButOnly != nil || len(sel.Grouping) > 0 {
-			return nil, errNoPreferring
-		}
-		return s.db.eng.SelectArgs(ee.ctx, sel, ee.params)
 	}
 	p, err := s.planSelect(sel, ee, formBatch)
 	if err != nil {
@@ -143,12 +136,7 @@ func (s *Session) planPreference(sel *ast.Select, ee execEnv, form planForm) (*s
 	}
 	// Candidate relation: FROM + hard WHERE, all columns, compiled to an
 	// operator pipeline (predicate pushdown, index probes, hash joins).
-	pipe, err := db.eng.PipelineArgs(ee.ctx, &ast.Select{
-		Items: []ast.SelectItem{{Expr: &ast.Star{}}},
-		From:  sel.From,
-		Where: sel.Where,
-		Limit: -1,
-	}, ee.params)
+	pipe, err := db.candidates(sel.From, sel.Where, ee)
 	if err != nil {
 		return nil, err
 	}

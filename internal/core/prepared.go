@@ -16,7 +16,7 @@ import (
 // Prepared is a statement script parsed once and re-executable many
 // times: the unit the server's prepared-statement cache stores, keyed on
 // SQL text. Parsing always happens exactly once (at Prepare). For a
-// script that is a single plain streaming SELECT, the logical plan is
+// script that is a single plain SELECT, the logical plan is
 // additionally cached and re-executed directly, skipping the planner —
 // the plan is invalidated whenever the database's write epoch moves, so
 // stale index choices or materialized view data never leak between
@@ -36,7 +36,7 @@ type Prepared struct {
 	NumParams int
 
 	mu          sync.Mutex
-	unplannable bool // the single SELECT cannot stream (grouped, preference, ...)
+	unplannable bool // the single SELECT's plan cannot be reused (preference, LIMIT ?)
 	planNode    plan.Node
 	planEpoch   uint64
 }
@@ -78,15 +78,18 @@ func (p *Prepared) cachedPlan(db *DB, sel *ast.Select) (node plan.Node, reused b
 	if p.planNode != nil && p.planEpoch == epoch {
 		return p.planNode, true
 	}
+	// A parameterized LIMIT/OFFSET changes the plan's Limit node per
+	// execution, and a preference plan binds its arguments at planning:
+	// both latch the plan-per-execution path. A data-dependent failure —
+	// e.g. the table doesn't exist yet — just skips caching this time
+	// and retries on a later epoch.
+	if sel.HasLimitParam() {
+		p.unplannable = true
+		return nil, false
+	}
 	n, err := db.eng.PlanStream(sel)
 	if err != nil {
-		// A shape the streaming planner can never compile (grouped,
-		// aggregate, preference) latches the fallback permanently; a
-		// data-dependent failure — e.g. the table doesn't exist yet —
-		// just skips caching this time and retries on a later epoch.
-		if errors.Is(err, engine.ErrNotStreamable) || errors.Is(err, engine.ErrPreferenceQuery) {
-			p.unplannable = true
-		}
+		p.unplannable = errors.Is(err, engine.ErrPreferenceQuery)
 		return nil, false
 	}
 	p.planNode, p.planEpoch = n, epoch
@@ -102,7 +105,7 @@ func (s *Session) ExecPrepared(p *Prepared) (res *Result, reusedPlan bool, err e
 
 // ExecPreparedArgs re-executes a prepared script with fresh bind
 // arguments under a cancellation context. The statement parses once (at
-// Prepare) and — for a single plain streaming SELECT — plans once: the
+// Prepare) and — for a single plain SELECT — plans once: the
 // cached plan re-executes with the new argument values, so a
 // parameterized workload hits the plan cache across distinct arguments
 // instead of planning per literal combination.

@@ -62,9 +62,6 @@ func (s *Session) QueryProgressiveValues(ctx context.Context, sql string, yield 
 	if len(sel.OrderBy) > 0 || len(sel.Grouping) > 0 || sel.Distinct {
 		return nil, fmt.Errorf("core: ORDER BY, GROUPING and DISTINCT cannot stream progressively")
 	}
-	if len(sel.GroupBy) > 0 || sel.Having != nil {
-		return nil, fmt.Errorf("core: GROUP BY/HAVING cannot be combined with PREFERRING")
-	}
 	c, err := s.openCursorPinned(sel, true, execEnv{ctx: ctx, params: args})
 	if err != nil {
 		return nil, err

@@ -45,6 +45,42 @@ func TestStmtReadOnlyClassification(t *testing.T) {
 	}
 }
 
+// TestPreparedGroupedPlanReuse pins that a grouped statement is a plan
+// like any other: its second execution reuses the cached plan, and a
+// write makes the next execution re-plan and see the new row.
+func TestPreparedGroupedPlanReuse(t *testing.T) {
+	db := Open()
+	if _, err := db.Exec(`CREATE TABLE t (cat VARCHAR, v INT);
+		INSERT INTO t VALUES ('a', 1), ('b', 2), ('a', 3)`); err != nil {
+		t.Fatal(err)
+	}
+	sess := db.NewSession()
+	p, err := db.Prepare(`SELECT cat, COUNT(*) FROM t GROUP BY cat`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(wantReused bool, want string) {
+		t.Helper()
+		res, reused, err := sess.ExecPrepared(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reused != wantReused {
+			t.Errorf("reusedPlan = %v, want %v", reused, wantReused)
+		}
+		if got := fmt.Sprint(res.Rows); got != want {
+			t.Errorf("rows = %s, want %s", got, want)
+		}
+	}
+	check(false, "[(a, 2) (b, 1)]")
+	check(true, "[(a, 2) (b, 1)]")
+	if _, err := db.Exec(`INSERT INTO t VALUES ('b', 4)`); err != nil {
+		t.Fatal(err)
+	}
+	check(false, "[(a, 2) (b, 2)]")
+	check(true, "[(a, 2) (b, 2)]")
+}
+
 func TestEpochAdvancesOnWritesOnly(t *testing.T) {
 	db := sessionTestDB(t)
 	e0 := db.Epoch()
@@ -102,10 +138,9 @@ func TestPreparedPlanReuseAndInvalidation(t *testing.T) {
 		t.Fatalf("stale plan survived a write: rows = %v", res.Rows)
 	}
 
-	// Preference queries and aggregates fall back (parse still cached).
+	// Preference queries fall back (parse still cached).
 	for _, sql := range []string{
 		`SELECT id FROM t PREFERRING LOWEST(v)`,
-		`SELECT COUNT(*) FROM t`,
 	} {
 		q, err := db.Prepare(sql)
 		if err != nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -469,19 +470,23 @@ func TestSelectDetailedQualifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := db.SelectDetailed(sel)
+	pipe, err := db.PipelineArgs(context.Background(), sel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(det.Cols) != 2 || det.Cols[0].Name != "Make" {
-		t.Fatalf("cols: %v", det.Cols)
+	if cols := pipe.Columns(); len(cols) != 2 || cols[0].Name != "Make" {
+		t.Fatalf("cols: %v", cols)
 	}
-	if len(det.Rows) != 3 {
-		t.Fatalf("rows: %d", len(det.Rows))
+	res, err := db.ExecPlanArgs(context.Background(), pipe.Node(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 3 {
+		t.Fatalf("rows: %d", len(res.Rows))
 	}
 	// preference queries rejected here too
 	pref, _ := parseSelect("SELECT * FROM Cars PREFERRING LOWEST(Price)")
-	if _, err := db.SelectDetailed(pref); err == nil {
+	if _, err := db.PipelineArgs(context.Background(), pref, nil); err == nil {
 		t.Error("preference should be rejected")
 	}
 }
@@ -496,7 +501,7 @@ func parseSelect(src string) (*ast.Select, error) {
 
 func TestRunnerSubquery(t *testing.T) {
 	db := newCarsDB(t)
-	r := db.Runner()
+	r := db.RunnerArgs(context.Background(), nil)
 	sel, _ := parseSelect("SELECT COUNT(*) FROM Cars")
 	rows, err := r.Subquery(sel, expr.MapEnv{})
 	if err != nil || len(rows) != 1 || rows[0][0].I != 3 {
@@ -640,6 +645,43 @@ func TestSumFloatMix(t *testing.T) {
 	res := mustQuery(t, db, "SELECT SUM(a) FROM t")
 	if res.Rows[0][0].Num() != 3.5 {
 		t.Errorf("sum: %v", res.Rows[0][0])
+	}
+}
+
+// TestHavingMakesOneGroup is the regression test for HAVING without GROUP
+// BY or aggregates: the block is grouped, so the whole input is one group
+// (represented by its first row) that HAVING keeps or drops.
+func TestHavingMakesOneGroup(t *testing.T) {
+	db := New()
+	mustExec(t, db, "CREATE TABLE t (a INT); INSERT INTO t VALUES (5), (1)")
+	res := mustQuery(t, db, "SELECT a FROM t HAVING a > 1")
+	if len(res.Rows) != 1 || res.Rows[0][0].I != 5 {
+		t.Errorf("kept group: %v", res.Rows)
+	}
+	res = mustQuery(t, db, "SELECT a FROM t HAVING a > 7")
+	if len(res.Rows) != 0 {
+		t.Errorf("dropped group: %v", res.Rows)
+	}
+}
+
+// TestSumIntExact is the regression test for INT sums: they accumulate
+// exactly in int64 (2^53+1 survives), AVG divides the exact sum, and an
+// overflow fails the statement instead of wrapping.
+func TestSumIntExact(t *testing.T) {
+	db := New()
+	mustExec(t, db, "CREATE TABLE t (a INT); INSERT INTO t VALUES (9007199254740993), (0)")
+	res := mustQuery(t, db, "SELECT SUM(a) FROM t")
+	if v := res.Rows[0][0]; v.K != value.Int || v.I != 9007199254740993 {
+		t.Errorf("sum: %v", v)
+	}
+	mustExec(t, db, "INSERT INTO t VALUES (1)")
+	res = mustQuery(t, db, "SELECT AVG(a) FROM t WHERE a <> 0")
+	if v := res.Rows[0][0]; v.F != 4503599627370497 {
+		t.Errorf("avg: %v", v)
+	}
+	mustExec(t, db, "CREATE TABLE big (a INT); INSERT INTO big VALUES (9223372036854775807), (9223372036854775807)")
+	if res, err := db.Exec("SELECT SUM(a) FROM big"); err == nil {
+		t.Errorf("overflowing sum returned %v", res.Rows)
 	}
 }
 

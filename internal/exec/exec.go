@@ -155,6 +155,12 @@ func build(n plan.Node, env *Env) (Operator, error) {
 			return nil, err
 		}
 		return newFilterOp(x, child, env), nil
+	case *plan.Aggregate:
+		child, err := Build(x.Child, env)
+		if err != nil {
+			return nil, err
+		}
+		return &aggregateOp{n: x, child: child, env: env}, nil
 	case *plan.Join:
 		left, err := Build(x.Left, env)
 		if err != nil {

@@ -13,6 +13,10 @@ import (
 type Col struct {
 	Qual string
 	Name string
+	// Call marks a column holding the value of the function call whose
+	// SQL text is Name — an aggregate computed below. Calls bind to it;
+	// names and stars never do.
+	Call bool
 }
 
 // Scope is the column layout of the rows a Program runs over: position i
@@ -38,7 +42,25 @@ func (s Scope) Resolve(table, name string) (int, bool) {
 	}
 	for i := s.Aliases; i < len(s.Cols); i++ {
 		c := &s.Cols[i]
-		if strings.EqualFold(c.Name, name) && (table == "" || strings.EqualFold(c.Qual, table)) {
+		if !c.Call && strings.EqualFold(c.Name, name) && (table == "" || strings.EqualFold(c.Qual, table)) {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// resolveCall binds a function call to the Call column holding its
+// value, if the scope has one.
+func (s Scope) resolveCall(fc *ast.FuncCall) (int, bool) {
+	text := ""
+	for i, c := range s.Cols {
+		if !c.Call {
+			continue
+		}
+		if text == "" {
+			text = fc.SQL()
+		}
+		if c.Name == text {
 			return i, true
 		}
 	}
@@ -157,8 +179,13 @@ func fail(err error) evalFn {
 }
 
 func (c *compiler) compile(e ast.Expr) node {
-	if col, ok := e.(*ast.Column); ok {
-		return c.column(col)
+	switch x := e.(type) {
+	case *ast.Column:
+		return c.column(x)
+	case *ast.FuncCall:
+		if slot, ok := c.scope.resolveCall(x); ok {
+			return node{slot: slot, fn: fail(fmt.Errorf("row too short for %s", x.SQL()))}
+		}
 	}
 	return node{fn: c.compileFn(e), slot: -1}
 }
@@ -610,10 +637,10 @@ func (c *compiler) caseExpr(x *ast.Case) evalFn {
 	}
 }
 
-// call compiles a function call. The outer environment sees the call
-// first on every evaluation (aggregates and quality functions are bound
-// there, by name); otherwise the arguments are evaluated and the built-in,
-// chosen here, applied.
+// call compiles a function call the scope holds no value for. The outer
+// environment sees the call first on every evaluation (the quality
+// functions are bound there, by name); otherwise the arguments are
+// evaluated and the built-in, chosen here, applied.
 func (c *compiler) call(fc *ast.FuncCall) evalFn {
 	args := make([]node, len(fc.Args))
 	for i, a := range fc.Args {

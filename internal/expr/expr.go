@@ -1,7 +1,7 @@
 // Package expr evaluates scalar SQL expressions over rows with SQL
 // three-valued logic (TRUE / FALSE / UNKNOWN-as-NULL). It is shared by the
-// scans, filters, joins and projections of the exec pipeline, the engine's
-// DML and grouped paths, the preference level functions, and the BUT ONLY
+// scans, filters, joins, aggregates and projections of the exec pipeline,
+// the engine's DML, the preference level functions, and the BUT ONLY
 // quality filter of the core.
 //
 // Evaluation is two-phase. Compile turns an expression plus the column
@@ -21,9 +21,8 @@ import (
 
 // Env resolves, by name, what a Program's scope could not bind to a slot:
 // columns of enclosing query blocks (outer correlation) and function calls
-// that are not scalar built-ins — the engine uses Func to bind pre-computed
-// aggregates, the core uses it to bind the quality functions
-// TOP/LEVEL/DISTANCE.
+// that are not scalar built-ins — the core uses Func to bind the quality
+// functions TOP/LEVEL/DISTANCE.
 type Env interface {
 	// Col returns the value of table.name (table may be empty) and whether
 	// the column exists in this scope.

@@ -12,12 +12,13 @@ import (
 // projecting a row resolves no names.
 type Projection struct {
 	// Cols labels the output columns: a star contributes the source
-	// columns it expands to (qualifiers kept), any other item one
-	// unqualified column named by its alias, its column name, or its SQL
-	// text.
+	// columns it expands to (qualifiers kept, Call columns skipped), any
+	// other item one unqualified column named by its alias, its column
+	// name, or its SQL text.
 	Cols []Col
-	// Identity is set when the list is a single unqualified `*`: the
-	// output row equals the input row, column for column.
+	// Identity is set when the list is a single unqualified `*` over a
+	// scope without Call columns: the output row equals the input row,
+	// column for column.
 	Identity bool
 	items    []projItem
 }
@@ -36,13 +37,13 @@ func CompileProjection(items []ast.SelectItem, scope Scope) *Projection {
 		if st, ok := it.Expr.(*ast.Star); ok {
 			var slots []int
 			for slot, c := range scope.Cols {
-				if st.Table == "" || strings.EqualFold(c.Qual, st.Table) {
+				if !c.Call && (st.Table == "" || strings.EqualFold(c.Qual, st.Table)) {
 					slots = append(slots, slot)
 					p.Cols = append(p.Cols, c)
 				}
 			}
 			p.items[i] = projItem{slots: slots}
-			p.Identity = len(items) == 1 && st.Table == ""
+			p.Identity = len(items) == 1 && st.Table == "" && len(slots) == len(scope.Cols)
 			continue
 		}
 		name := it.Alias

@@ -92,6 +92,8 @@ func children(n Node) []Node {
 	switch x := n.(type) {
 	case *Filter:
 		return []Node{x.Child}
+	case *Aggregate:
+		return []Node{x.Child}
 	case *Join:
 		return []Node{x.Left, x.Right}
 	case *Project:
@@ -144,7 +146,7 @@ func FormatAnnotated(n Node, annotate func(Node) string) string {
 func condsSQL(conds []ast.Expr) string { return joinSQL(conds, " AND ") }
 
 // joinSQL renders expressions separated by sep.
-func joinSQL(es []ast.Expr, sep string) string {
+func joinSQL[E ast.Expr](es []E, sep string) string {
 	parts := make([]string, len(es))
 	for i, e := range es {
 		parts[i] = e.SQL()
@@ -557,13 +559,7 @@ func (b *BMO) Schema() Schema { return b.Child.Schema() }
 // GroupKeys returns the compiled GROUPING key expressions over the
 // child's rows.
 func (b *BMO) GroupKeys() []*expr.Program {
-	return b.groupKeys.get(func() []*expr.Program {
-		keys := make([]*expr.Program, len(b.Grouping))
-		for i, g := range b.Grouping {
-			keys[i] = expr.Compile(g, b.Child.Schema().Scope())
-		}
-		return keys
-	})
+	return b.groupKeys.get(func() []*expr.Program { return compileAll(b.Grouping, b.Child.Schema()) })
 }
 
 // Explain implements Node.
@@ -629,6 +625,11 @@ func EstimateRows(n Node) int64 {
 		return int64(len(x.Rows))
 	case *Filter:
 		return EstimateRows(x.Child) / 3
+	case *Aggregate:
+		if len(x.GroupBy) == 0 {
+			return 1
+		}
+		return EstimateRows(x.Child)
 	case *Join:
 		l, r := EstimateRows(x.Left), EstimateRows(x.Right)
 		if l < 0 || r < 0 {

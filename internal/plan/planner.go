@@ -30,13 +30,26 @@ type Planner struct {
 	Materialize Materializer
 }
 
-// PlanSelect plans a full non-grouped, non-aggregate SELECT block:
-// source (FROM + WHERE) → project (+ sort) → distinct → limit, mirroring
-// the engine's evaluation order.
+// PlanSelect plans a full SELECT block: source (FROM + WHERE) →
+// [Aggregate → Filter(HAVING)] → project (+ sort) → distinct → limit. A
+// block is grouped — gets the Aggregate — when it has GROUP BY, HAVING,
+// or an aggregate call in its SELECT list, HAVING or ORDER BY.
 func (p *Planner) PlanSelect(sel *ast.Select) (Node, error) {
-	src, err := p.PlanSource(sel.From, sel.Where, len(sel.OrderBy) > 0)
+	calls := Aggregates(sel)
+	grouped := len(sel.GroupBy) > 0 || sel.Having != nil || len(calls) > 0
+	// Groups come out in first-seen order, so a grouped block's source
+	// order shows through the sort's ties and must not change.
+	src, err := p.PlanSource(sel.From, sel.Where, len(sel.OrderBy) > 0 && !grouped)
 	if err != nil {
 		return nil, err
+	}
+	if grouped {
+		if src, err = NewAggregate(src, sel.GroupBy, calls); err != nil {
+			return nil, err
+		}
+		if sel.Having != nil {
+			src = &Filter{Child: src, Conds: []ast.Expr{sel.Having}}
+		}
 	}
 	var node Node = NewProject(src, sel.Items, sel.OrderBy)
 	if sel.Distinct {
@@ -48,8 +61,9 @@ func (p *Planner) PlanSelect(sel *ast.Select) (Node, error) {
 	return node, nil
 }
 
-// PlanSource plans the FROM/WHERE part of a SELECT: the input of the
-// grouped/aggregate path and the candidate relation of preference queries.
+// PlanSource plans the FROM/WHERE part of a SELECT: the input of
+// PlanSelect's upper nodes and the candidate relation of preference
+// queries.
 // reorderOK tells the planner that row order will be re-established above
 // (ORDER BY), unlocking order-changing physical choices.
 func (p *Planner) PlanSource(from []ast.TableRef, where ast.Expr, reorderOK bool) (Node, error) {

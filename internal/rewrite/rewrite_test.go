@@ -27,7 +27,7 @@ func runPlan(t *testing.T, db *engine.DB, plan *rewrite.Plan) *engine.Result {
 			t.Fatalf("setup %s: %v", s.SQL(), err)
 		}
 	}
-	res, err := db.Select(plan.Query)
+	res, err := db.ExecStmt(plan.Query)
 	if err != nil {
 		t.Fatalf("query %s: %v", plan.Query.SQL(), err)
 	}
