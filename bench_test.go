@@ -72,8 +72,8 @@ func BenchmarkE1JobSearch(b *testing.B) {
 		}
 		for _, s := range strategies {
 			b.Run(fmt.Sprintf("pre=%d/%s", pre, s.name), func(b *testing.B) {
-				db.SetMode(s.mode)
-				defer db.SetMode(core.ModeNative)
+				db.DefaultSession().SetMode(s.mode)
+				defer db.DefaultSession().SetMode(core.ModeNative)
 				for i := 0; i < b.N; i++ {
 					if _, err := db.Exec(s.sql); err != nil {
 						b.Fatal(err)
@@ -115,7 +115,7 @@ func BenchmarkE3CarsRewrite(b *testing.B) {
 		(3, 'Volkswagen', 'Beetle', 20000, 10000, 'yes', 'no')`); err != nil {
 		b.Fatal(err)
 	}
-	db.SetMode(core.ModeRewrite)
+	db.DefaultSession().SetMode(core.ModeRewrite)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := db.Exec(bench.CarsQuery)
@@ -167,10 +167,10 @@ func BenchmarkAblationAlgorithms(b *testing.B) {
 	pref := "PREFERRING salary AROUND 50000 AND HIGHEST(experience) AND age AROUND 30 AND mobility AROUND 100"
 	for _, size := range []int{250, 500, 1000} {
 		query := fmt.Sprintf("SELECT id FROM jobs WHERE id <= %d %s", size, pref)
-		for _, algo := range []bmo.Algorithm{bmo.NestedLoop, bmo.BlockNestedLoop, bmo.SortFilter} {
+		for _, algo := range []bmo.Algorithm{bmo.NestedLoop, bmo.BlockNestedLoop, bmo.Auto} {
 			b.Run(fmt.Sprintf("n=%d/native-%s", size, algo), func(b *testing.B) {
-				db.SetAlgorithm(algo)
-				defer db.SetAlgorithm(bmo.Auto)
+				db.DefaultSession().SetAlgorithm(algo)
+				defer db.DefaultSession().SetAlgorithm(bmo.Auto)
 				for i := 0; i < b.N; i++ {
 					if _, err := db.Exec(query); err != nil {
 						b.Fatal(err)
@@ -179,8 +179,8 @@ func BenchmarkAblationAlgorithms(b *testing.B) {
 			})
 		}
 		b.Run(fmt.Sprintf("n=%d/sql92-rewrite", size), func(b *testing.B) {
-			db.SetMode(core.ModeRewrite)
-			defer db.SetMode(core.ModeNative)
+			db.DefaultSession().SetMode(core.ModeRewrite)
+			defer db.DefaultSession().SetMode(core.ModeNative)
 			for i := 0; i < b.N; i++ {
 				if _, err := db.Exec(query); err != nil {
 					b.Fatal(err)

@@ -894,16 +894,6 @@ func (c *Conn) SetWorkers(n int) error {
 	return c.set(wire.SetWorkers, strconv.Itoa(n))
 }
 
-// SetVectorized enables or disables the server-side planner's vectorized
-// BMO selection for this connection's session (on by default).
-func (c *Conn) SetVectorized(on bool) error {
-	val := "off"
-	if on {
-		val = "on"
-	}
-	return c.set(wire.SetVectorized, val)
-}
-
 // ---------------------------------------------------------------------------
 // Continuous queries
 // ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@
 //
 //	\explain SELECT ...   show the SQL92 rewriting of a preference query
 //	\plan SELECT ...      show the native operator plan (BMO algorithm,
-//	                      parallelism hint, worker cap)
+//	                      vectorized fill, worker cap)
 //	\mode native|rewrite  switch the execution strategy (per session)
-//	\algo auto|nl|bnl|sfs|bestlevel|parallel  select the native BMO algorithm
+//	\algo auto|nl|bnl|parallel  select the native BMO algorithm
 //	                      (per session; `SET algorithm = ...` works as SQL too)
 //	\tables               list tables and views
 //	\prefs                list named preferences (CREATE PREFERENCE ...)
@@ -417,7 +417,7 @@ func command(db backend, line string) bool {
 	case "\\algo":
 		a, ok := bmo.ParseToken(arg)
 		if !ok {
-			fmt.Fprintln(os.Stderr, "usage: \\algo auto|nl|bnl|sfs|bestlevel|parallel")
+			fmt.Fprintln(os.Stderr, "usage: \\algo auto|nl|bnl|parallel")
 			break
 		}
 		if err := db.setAlgo(a); err != nil {

@@ -49,6 +49,11 @@ func TestMetaCommands(t *testing.T) {
 			t.Errorf("%s should not quit", cmd)
 		}
 	}
+	// A retired algorithm token selects auto.
+	command(db, "\\algo vec")
+	if a := edb.Internal().DefaultSession().Algorithm(); a != prefsql.Auto {
+		t.Errorf("\\algo vec selected %v, want auto", a)
+	}
 }
 
 func TestScriptFileFlow(t *testing.T) {
@@ -95,7 +100,7 @@ func TestRemoteBackend(t *testing.T) {
 		t.Error("bad SQL should error remotely too")
 	}
 	for _, cmd := range []string{
-		"\\mode rewrite", "\\mode native", "\\algo bnl",
+		"\\mode rewrite", "\\mode native", "\\algo bnl", "\\algo sfs",
 		"\\tables", // unsupported remotely: prints an error, keeps running
 		"\\explain SELECT * FROM t PREFERRING LOWEST(a)", // ditto
 	} {

@@ -256,9 +256,9 @@ func TestConcurrentParallelBMOStress(t *testing.T) {
 			}
 			defer c.Close()
 			// Sessions split four ways: parallel via the client API,
-			// parallel via the SQL SET statement, the explicit vectorized
-			// algorithm, and planner defaults (Auto vec-selects the
-			// big-table query) — API and SET paths land on the same
+			// parallel via the SQL SET statement, the retired `vec` token
+			// (an alias of auto), and planner defaults (Auto vec-selects
+			// the big-table query) — API and SET paths land on the same
 			// session settings.
 			switch g % 4 {
 			case 0:
@@ -289,9 +289,9 @@ func TestConcurrentParallelBMOStress(t *testing.T) {
 					return
 				}
 			default:
-				// Planner defaults; re-assert the vectorized setting
-				// through the wire path for coverage.
-				if err := c.SetVectorized(true); err != nil {
+				// Planner defaults; re-assert auto through the wire
+				// path for coverage.
+				if err := c.SetAlgorithm(Auto); err != nil {
 					errCh <- err
 					return
 				}

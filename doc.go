@@ -103,9 +103,10 @@
 //	res, err := sess.Query(`SELECT ...`)
 //
 // Session settings are also plain SQL statements — `SET mode = rewrite`,
-// `SET algorithm = parallel`, `SET workers = 4`, `SET pushdown = off`,
-// `SET vectorized = off` — accepted embedded and over the wire,
-// affecting only the executing session.
+// `SET algorithm = parallel`, `SET workers = 4`, `SET pushdown = off` —
+// accepted embedded and over the wire, affecting only the executing
+// session. The algorithm is one of auto, nl, bnl and parallel; the
+// retired tokens sfs, bestlevel and vec are accepted as auto.
 //
 // # Preference-algebra optimizer
 //
@@ -135,14 +136,12 @@
 // float comparisons) and the sorted partials merge k-way, in exactly the
 // sequential output order; other preferences run BNL per partition and
 // merge pairwise until one dominance-filtered result remains. Select it
-// explicitly
-// (SetAlgorithm(prefsql.Parallel), `SET algorithm = parallel`) or let
-// the Auto path switch at 10k+ candidate rows on multicore; the planner
-// additionally promotes Auto plans from table statistics, visible in
-// ExplainNative as `BMO auto hint=parallel est=N`. Every algorithm —
-// this one included — must pass the cross-algorithm differential harness
-// in internal/bmo before it ships; see ARCHITECTURE.md, "Differential
-// testing policy".
+// explicitly (SetAlgorithm(prefsql.Parallel), `SET algorithm =
+// parallel`, the one way to stream a non-score preference
+// progressively) or let the Auto path switch at 10k+ actual candidate
+// rows on multicore. Every algorithm — this one included — must pass
+// the cross-algorithm differential harness in internal/bmo before it
+// ships; see ARCHITECTURE.md, "Differential testing policy".
 //
 // # Vectorized BMO
 //
@@ -157,9 +156,9 @@
 // rows dominates is skipped wholesale). The
 // planner selects it from table statistics for score-based preferences
 // over resolvable numeric columns (opaque expressions and subquery
-// preferences keep the row-at-a-time path), `SET vectorized = off`
-// pins it off per session, and its output is byte-identical to the
-// sequential kernel. ExplainNative shows the decision
+// preferences keep the row-at-a-time path) when the session's algorithm
+// is auto, and its output is byte-identical to the sequential kernel.
+// ExplainNative shows the decision
 // (`BMO vec est=N columnar`); ExplainAnalyze executes the plan and adds
 // per-node and row-level work counters. See ARCHITECTURE.md, "Columnar
 // layout & vectorized BMO".

@@ -59,9 +59,8 @@ type Driver struct {
 
 // Open implements driver.Driver. Connections share the database's
 // default session: database/sql treats pooled connections as fungible,
-// and the default session is what DB(name).SetMode configures — the
-// documented way to switch a driver-served instance between native and
-// rewrite execution.
+// and DB(name).DefaultSession() is the documented way to switch a
+// driver-served instance between native and rewrite execution.
 func (d *Driver) Open(name string) (driver.Conn, error) {
 	if name == ":memory:" {
 		db := core.Open()

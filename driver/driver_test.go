@@ -369,7 +369,8 @@ func TestNoFallbackReplayAfterRuntimeError(t *testing.T) {
 }
 
 // The documented mode-switch pattern: driver connections run on the
-// database's default session, so DB(name).SetMode affects them.
+// database's default session, so DB(name).DefaultSession().SetMode
+// affects them.
 func TestDriverDBModeSwitchAffectsConnections(t *testing.T) {
 	db, err := sql.Open("prefsql", "mode_switch_db")
 	if err != nil {
@@ -381,8 +382,8 @@ func TestDriverDBModeSwitchAffectsConnections(t *testing.T) {
 		INSERT INTO trips VALUES (1, 7), (2, 13), (3, 15)`); err != nil {
 		t.Fatal(err)
 	}
-	Default.DB("mode_switch_db").SetMode(core.ModeRewrite)
-	defer Default.DB("mode_switch_db").SetMode(core.ModeNative)
+	Default.DB("mode_switch_db").DefaultSession().SetMode(core.ModeRewrite)
+	defer Default.DB("mode_switch_db").DefaultSession().SetMode(core.ModeNative)
 	var id int64
 	if err := db.QueryRow(`SELECT id FROM trips PREFERRING duration AROUND ? ORDER BY id`, 14).Scan(&id); err != nil {
 		t.Fatal(err)

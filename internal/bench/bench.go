@@ -267,6 +267,7 @@ func E1(cfg Config) (*E1Result, *Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	sess := db.DefaultSession()
 	out := &E1Result{}
 	for _, cs := range e1CondSets {
 		for _, target := range cfg.PreSizes {
@@ -293,7 +294,7 @@ func E1(cfg Config) (*E1Result, *Table, error) {
 					pre, cs.soft[0], cs.soft[1], cs.soft[2], cs.soft[3]), core.ModeNative},
 			}
 			for _, q := range queries {
-				db.SetMode(q.mode)
+				sess.SetMode(q.mode)
 				start := time.Now()
 				res, err := db.Exec(q.sql)
 				if err != nil {
@@ -307,7 +308,7 @@ func E1(cfg Config) (*E1Result, *Table, error) {
 					ResultSize: len(res.Rows),
 				})
 			}
-			db.SetMode(core.ModeNative)
+			sess.SetMode(core.ModeNative)
 		}
 	}
 
@@ -385,7 +386,7 @@ func E3() (string, *Table, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	db.SetMode(core.ModeRewrite)
+	db.DefaultSession().SetMode(core.ModeRewrite)
 	res, err := db.Exec(CarsQuery)
 	if err != nil {
 		return "", nil, err
@@ -546,6 +547,7 @@ func A1(cfg Config) ([]A1Entry, *Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	sess := db.DefaultSession()
 	var entries []A1Entry
 	pref := "PREFERRING salary AROUND 50000 AND HIGHEST(experience) AND age AROUND 30 AND mobility AROUND 100"
 	for _, size := range cfg.A1Sizes {
@@ -556,8 +558,8 @@ func A1(cfg Config) ([]A1Entry, *Table, error) {
 			run  func() (int, error)
 		}{
 			{"nested-loop (paper §3.2)", func() (int, error) {
-				db.SetMode(core.ModeNative)
-				db.SetAlgorithm(bmo.NestedLoop)
+				sess.SetMode(core.ModeNative)
+				sess.SetAlgorithm(bmo.NestedLoop)
 				res, err := db.Exec(query)
 				if err != nil {
 					return 0, err
@@ -565,17 +567,17 @@ func A1(cfg Config) ([]A1Entry, *Table, error) {
 				return len(res.Rows), nil
 			}},
 			{"block-nested-loop [BKS01]", func() (int, error) {
-				db.SetMode(core.ModeNative)
-				db.SetAlgorithm(bmo.BlockNestedLoop)
+				sess.SetMode(core.ModeNative)
+				sess.SetAlgorithm(bmo.BlockNestedLoop)
 				res, err := db.Exec(query)
 				if err != nil {
 					return 0, err
 				}
 				return len(res.Rows), nil
 			}},
-			{"sort-filter-skyline", func() (int, error) {
-				db.SetMode(core.ModeNative)
-				db.SetAlgorithm(bmo.SortFilter)
+			{"score kernel (auto)", func() (int, error) {
+				sess.SetMode(core.ModeNative)
+				sess.SetAlgorithm(bmo.Auto)
 				res, err := db.Exec(query)
 				if err != nil {
 					return 0, err
@@ -583,7 +585,7 @@ func A1(cfg Config) ([]A1Entry, *Table, error) {
 				return len(res.Rows), nil
 			}},
 			{"SQL92 rewrite (NOT EXISTS)", func() (int, error) {
-				db.SetMode(core.ModeRewrite)
+				sess.SetMode(core.ModeRewrite)
 				res, err := db.Exec(query)
 				if err != nil {
 					return 0, err
@@ -603,8 +605,8 @@ func A1(cfg Config) ([]A1Entry, *Table, error) {
 			})
 		}
 	}
-	db.SetMode(core.ModeNative)
-	db.SetAlgorithm(bmo.Auto)
+	sess.SetMode(core.ModeNative)
+	sess.SetAlgorithm(bmo.Auto)
 
 	tbl := &Table{
 		Title:  "A1: BMO evaluation strategies (4-way Pareto over job profiles)",

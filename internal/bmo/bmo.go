@@ -22,10 +22,10 @@
 // The algorithm tokens select among these: NestedLoop is the paper's
 // abstract §3.2 selection method and BlockNestedLoop plain BNL, both over
 // Compare for every preference (the references the tests compare
-// against); Auto, SortFilter, BestLevel, Parallel and Vectorized run the
-// score kernel for the score family, and SortFilter and BestLevel reject
-// everything else. Auto uses more than one worker from
-// AutoParallelThreshold rows on.
+// against); Auto and Parallel run the family's kernel. Auto uses more
+// than one worker from AutoParallelThreshold rows on; Parallel always
+// does, and is the one token whose progressive stream serves the
+// Compare family (NewParallelStream).
 //
 // CASCADE evaluates stage-wise, per the paper's "applying preferences one
 // after the other": BMO(P1 CASCADE P2, R) = BMO(P2, BMO(P1, R)).
@@ -48,10 +48,7 @@ const (
 	Auto Algorithm = iota
 	NestedLoop
 	BlockNestedLoop
-	SortFilter
-	BestLevel
 	Parallel
-	Vectorized
 )
 
 // String names the algorithm.
@@ -63,14 +60,8 @@ func (a Algorithm) String() string {
 		return "nested-loop"
 	case BlockNestedLoop:
 		return "block-nested-loop"
-	case SortFilter:
-		return "sort-filter-skyline"
-	case BestLevel:
-		return "best-level"
 	case Parallel:
 		return "parallel-partition-merge"
-	case Vectorized:
-		return "vectorized"
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
@@ -97,11 +88,11 @@ func EvaluateStats(p preference.Preference, rows []value.Row, algo Algorithm) ([
 // (worker count, cancellation hook).
 func EvaluateConfig(p preference.Preference, rows []value.Row, algo Algorithm, cfg Config) ([]value.Row, Stats, error) {
 	var st Stats
-	out, err := evaluate(p, rows, algo, &st, &VecStats{}, cfg)
+	out, err := evaluate(p, rows, algo, &st, cfg)
 	return out, st, err
 }
 
-func evaluate(p preference.Preference, rows []value.Row, algo Algorithm, st *Stats, vst *VecStats, cfg Config) ([]value.Row, error) {
+func evaluate(p preference.Preference, rows []value.Row, algo Algorithm, st *Stats, cfg Config) ([]value.Row, error) {
 	if len(rows) == 0 {
 		return nil, nil
 	}
@@ -110,7 +101,7 @@ func evaluate(p preference.Preference, rows []value.Row, algo Algorithm, st *Sta
 		current := rows
 		for _, part := range c.Parts {
 			st.Stages++
-			next, err := evaluate(part, current, algo, st, vst, cfg)
+			next, err := evaluate(part, current, algo, st, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -133,23 +124,14 @@ func evaluate(p preference.Preference, rows []value.Row, algo Algorithm, st *Sta
 		}
 	}
 	if scorers, ok := ScoreBased(p); ok {
-		// The vectorized operator keeps the block kernel for a single
-		// weak order too: its zone-map counters are what EXPLAIN ANALYZE
-		// reports.
-		if len(scorers) == 1 && algo != Vectorized {
+		if len(scorers) == 1 {
 			return bestLevel(scorers[0], rows, st)
 		}
 		in, err := BuildVecInput(scorers, rows)
 		if err != nil {
 			return nil, err
 		}
-		return scoreSkyline(&in, st, vst, cfg)
-	}
-	switch algo {
-	case SortFilter:
-		return nil, fmt.Errorf("bmo: sort-filter requires score-based preferences, got %s", p.Describe())
-	case BestLevel:
-		return nil, fmt.Errorf("bmo: best-level requires a score-based preference, got %s", p.Describe())
+		return scoreSkyline(&in, st, &VecStats{}, cfg)
 	}
 	return compareSkyline(p, rows, st, cfg)
 }
@@ -289,14 +271,8 @@ func (a Algorithm) Token() string {
 		return "nl"
 	case BlockNestedLoop:
 		return "bnl"
-	case SortFilter:
-		return "sfs"
-	case BestLevel:
-		return "bestlevel"
 	case Parallel:
 		return "parallel"
-	case Vectorized:
-		return "vec"
 	}
 	return ""
 }
@@ -304,9 +280,14 @@ func (a Algorithm) Token() string {
 // ParseToken resolves a short algorithm token (see Token); ok is false
 // for unknown tokens. Every surface that accepts an algorithm name —
 // the shell, the server's Set handler, the client — shares this one
-// mapping.
+// mapping. The retired tokens sfs, bestlevel and vec named the score
+// kernel Auto already runs, so they parse as Auto.
 func ParseToken(tok string) (Algorithm, bool) {
-	for _, a := range []Algorithm{Auto, NestedLoop, BlockNestedLoop, SortFilter, BestLevel, Parallel, Vectorized} {
+	switch tok {
+	case "sfs", "bestlevel", "vec":
+		return Auto, true
+	}
+	for _, a := range []Algorithm{Auto, NestedLoop, BlockNestedLoop, Parallel} {
 		if a.Token() == tok {
 			return a, true
 		}

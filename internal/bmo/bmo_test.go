@@ -21,7 +21,7 @@ func intRow(vals ...int) value.Row {
 	return out
 }
 
-var allAlgorithms = []Algorithm{Auto, NestedLoop, BlockNestedLoop, SortFilter}
+var allAlgorithms = []Algorithm{Auto, NestedLoop, BlockNestedLoop, Parallel}
 
 // pareto2D is LOWEST(x) AND LOWEST(y).
 func pareto2D() preference.Preference {
@@ -69,22 +69,6 @@ func TestSingleBasePreferenceBestLevel(t *testing.T) {
 	}
 	if st.Comparisons != 4 {
 		t.Errorf("best level should be single-pass: %d comparisons", st.Comparisons)
-	}
-}
-
-func TestBestLevelRejectsPartialOrder(t *testing.T) {
-	ex, _ := preference.NewExplicit(colGetter(0), "c", [][2]value.Value{
-		{value.NewText("a"), value.NewText("b")},
-	})
-	if _, err := Evaluate(ex, []value.Row{{value.NewText("a")}}, BestLevel); err == nil {
-		t.Error("best-level on EXPLICIT should fail")
-	}
-	if _, err := Evaluate(ex, []value.Row{{value.NewText("a")}}, SortFilter); err == nil {
-		t.Error("sort-filter on EXPLICIT should fail")
-	}
-	// but Auto falls back to BNL
-	if _, err := Evaluate(ex, []value.Row{{value.NewText("a")}}, Auto); err != nil {
-		t.Errorf("auto should fall back: %v", err)
 	}
 }
 

@@ -217,46 +217,35 @@ func multiset(rows []value.Row) string {
 type diffAlgorithm struct {
 	name string
 	run  func(p preference.Preference, rows []value.Row) ([]value.Row, error)
-	// applicable filters preferences the algorithm rejects by contract
-	// (SFS and BestLevel demand score-based terms).
+	// applicable filters preferences the algorithm cannot take (the
+	// score matrix exists only for the score family).
 	applicable func(p preference.Preference) bool
 }
 
 func always(preference.Preference) bool { return true }
 
-func isScored(p preference.Preference) bool {
-	_, ok := p.(preference.Scored)
+func scoreFamily(p preference.Preference) bool {
+	_, ok := bmo.ScoreBased(p)
 	return ok
-}
-
-func isScoreBased(p preference.Preference) bool {
-	if c, ok := p.(*preference.Cascade); ok {
-		// SFS evaluates cascades stage-wise; every stage must qualify.
-		for _, part := range c.Parts {
-			if !isScoreBased(part) {
-				return false
-			}
-		}
-		return len(c.Parts) > 0
-	}
-	if isScored(p) {
-		return true
-	}
-	par, ok := p.(*preference.Pareto)
-	if !ok {
-		return false
-	}
-	for _, part := range par.Parts {
-		if !isScored(part) {
-			return false
-		}
-	}
-	return true
 }
 
 func batch(algo bmo.Algorithm, workers int) func(preference.Preference, []value.Row) ([]value.Row, error) {
 	return func(p preference.Preference, rows []value.Row) ([]value.Row, error) {
 		out, _, err := bmo.EvaluateConfig(p, rows, algo, bmo.Config{Workers: workers})
+		return out, err
+	}
+}
+
+// vecInput is the exec layer's entry into the block kernel: score the
+// rows into a matrix, then evaluate it.
+func vecInput(workers int) func(preference.Preference, []value.Row) ([]value.Row, error) {
+	return func(p preference.Preference, rows []value.Row) ([]value.Row, error) {
+		scorers, _ := bmo.ScoreBased(p)
+		in, err := bmo.BuildVecInput(scorers, rows)
+		if err != nil {
+			return nil, err
+		}
+		out, _, _, err := bmo.EvaluateVecInput(in, bmo.Config{Workers: workers})
 		return out, err
 	}
 }
@@ -285,18 +274,13 @@ func parallelStream(workers int) func(preference.Preference, []value.Row) ([]val
 var diffAlgorithms = []diffAlgorithm{
 	{name: "bnl", run: batch(bmo.BlockNestedLoop, 0), applicable: always},
 	{name: "auto", run: batch(bmo.Auto, 0), applicable: always},
-	{name: "sfs", run: batch(bmo.SortFilter, 0), applicable: isScoreBased},
-	{name: "bestlevel", run: batch(bmo.BestLevel, 0), applicable: isScored},
 	{name: "parallel-w1", run: batch(bmo.Parallel, 1), applicable: always},
 	{name: "parallel-w2", run: batch(bmo.Parallel, 2), applicable: always},
 	{name: "parallel-w4", run: batch(bmo.Parallel, 4), applicable: always},
 	{name: "parallel-w7", run: batch(bmo.Parallel, 7), applicable: always},
 	{name: "parallel-stream-w3", run: parallelStream(3), applicable: always},
-	// Vectorized covers every preference: score-based trees take the
-	// blocked zone-map kernel, everything else the Compare family's
-	// BNL — both must match the reference.
-	{name: "vec", run: batch(bmo.Vectorized, 0), applicable: always},
-	{name: "vec-w3", run: batch(bmo.Vectorized, 3), applicable: always},
+	{name: "vec-input", run: vecInput(0), applicable: scoreFamily},
+	{name: "vec-input-w3", run: vecInput(3), applicable: scoreFamily},
 }
 
 // shrink greedily removes rows while the two algorithms still disagree,

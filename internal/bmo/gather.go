@@ -167,7 +167,7 @@ func (g *GatherMerge) loadBatch() error {
 		if p == nil {
 			continue
 		}
-		out, err := evaluate(p, all, Auto, &g.st, &VecStats{}, g.cfg)
+		out, err := evaluate(p, all, Auto, &g.st, g.cfg)
 		if err != nil {
 			return err
 		}

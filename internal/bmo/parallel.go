@@ -43,10 +43,11 @@ type Config struct {
 	Stop func() error
 }
 
-// AutoParallelThreshold is the input cardinality at and above which the
-// Auto algorithm (and the planner's statistics-based hint) switches to
-// the parallel partition-merge path. Below it the partition and merge
-// overhead is not worth setting up.
+// AutoParallelThreshold is the actual input row count at and above
+// which the Auto algorithm uses more than one worker; below it Auto runs
+// on the calling goroutine, since the partition and merge overhead is
+// not worth setting up. The planner also requires an estimate of this
+// many candidates before it selects the columnar score fill.
 const AutoParallelThreshold = 10000
 
 // minPartition is the smallest partition worth handing to a worker;

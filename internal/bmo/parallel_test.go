@@ -96,7 +96,7 @@ func TestParallelNullScores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []Algorithm{BlockNestedLoop, SortFilter, Parallel} {
+	for _, algo := range []Algorithm{BlockNestedLoop, Auto, Parallel} {
 		got, _, err := EvaluateConfig(p, rows, algo, Config{Workers: 3})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
@@ -246,7 +246,7 @@ func TestMixedInfScores(t *testing.T) {
 	if len(want) != 1 {
 		t.Fatalf("reference skyline: %v", want)
 	}
-	for _, algo := range []Algorithm{SortFilter, Parallel} {
+	for _, algo := range []Algorithm{Auto, Parallel} {
 		got, _, err := EvaluateConfig(p, rows, algo, Config{Workers: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)

@@ -98,7 +98,7 @@ func TestQuickAlgorithmsEquivalent(t *testing.T) {
 			return false
 		}
 		refSet := rowSet(ref)
-		for _, algo := range []Algorithm{BlockNestedLoop, SortFilter, Auto} {
+		for _, algo := range []Algorithm{BlockNestedLoop, Parallel, Auto} {
 			out, err := Evaluate(p, rows, algo)
 			if err != nil {
 				return false

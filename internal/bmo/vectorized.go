@@ -191,17 +191,6 @@ func BuildVecInput(scorers []preference.Scored, rows []value.Row) (VecInput, err
 	return in, nil
 }
 
-// EvaluateVectorized runs the vectorized BMO evaluation of p over rows,
-// reporting zone-map statistics alongside the usual work counters.
-// Preferences outside the score family take the Compare path (VecStats
-// stays zero); CASCADE evaluates stage-wise like every other algorithm.
-func EvaluateVectorized(p preference.Preference, rows []value.Row, cfg Config) ([]value.Row, Stats, VecStats, error) {
-	var st Stats
-	var vst VecStats
-	out, err := evaluate(p, rows, Vectorized, &st, &vst, cfg)
-	return out, st, vst, err
-}
-
 // EvaluateVecInput runs the score kernel on a prebuilt score matrix —
 // the exec layer's columnar fast path, where the matrix was filled from
 // typed column vectors without boxing a single value.

@@ -109,6 +109,22 @@ func (s *sliceSource) Next() (value.Row, bool, error) {
 
 func (s *sliceSource) Close() error { return nil }
 
+// evalVec is the exec layer's entry into the block kernel for a
+// score-family preference: fill the score matrix from rows, then
+// evaluate it.
+func evalVec(p preference.Preference, rows []value.Row, cfg Config) ([]value.Row, VecStats, error) {
+	scorers, ok := ScoreBased(p)
+	if !ok {
+		return nil, VecStats{}, fmt.Errorf("%s is not score-based", p.Describe())
+	}
+	in, err := BuildVecInput(scorers, rows)
+	if err != nil {
+		return nil, VecStats{}, err
+	}
+	out, _, vst, err := EvaluateVecInput(in, cfg)
+	return out, vst, err
+}
+
 // TestVectorizedOrderMatchesSFS pins the strongest property the score
 // family claims: every entry point's output is byte-identical — same
 // rows in the same order, not just the same set — to the sequential
@@ -123,7 +139,7 @@ func TestVectorizedOrderMatchesSFS(t *testing.T) {
 		// Sizes straddle the block size: sub-block, exact multiple, ragged.
 		n := []int{17, VecBlockSize, VecBlockSize + 1, 3000}[rng.Intn(4)]
 		rows := nullCars(rng, n)
-		want, _, err := EvaluateConfig(p, rows, SortFilter, Config{Workers: 1})
+		want, _, err := EvaluateConfig(p, rows, Auto, Config{Workers: 1})
 		if err != nil {
 			t.Fatalf("trial %d: SFS failed: %v", trial, err)
 		}
@@ -136,7 +152,7 @@ func TestVectorizedOrderMatchesSFS(t *testing.T) {
 		}
 		vec := func(workers int) func() ([]value.Row, error) {
 			return func() ([]value.Row, error) {
-				out, _, vst, err := EvaluateVectorized(p, rows, Config{Workers: workers})
+				out, vst, err := evalVec(p, rows, Config{Workers: workers})
 				if err == nil && vst.BlocksScanned != wantBlocks {
 					err = fmt.Errorf("scanned %d blocks, want %d", vst.BlocksScanned, wantBlocks)
 				}
@@ -147,7 +163,6 @@ func TestVectorizedOrderMatchesSFS(t *testing.T) {
 			name string
 			run  func() ([]value.Row, error)
 		}{
-			{"sfs", batch(SortFilter, 0)},
 			{"vec-w1", vec(1)},
 			{"vec-w3", vec(3)},
 			{"parallel-w2", batch(Parallel, 2)},
@@ -220,7 +235,7 @@ func TestVectorizedZoneMapPruning(t *testing.T) {
 	for _, tc := range []struct {
 		workers, pruned int
 	}{{1, 7}, {2, 6}} {
-		out, _, vst, err := EvaluateVectorized(p, rows, Config{Workers: tc.workers})
+		out, vst, err := evalVec(p, rows, Config{Workers: tc.workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,36 +249,8 @@ func TestVectorizedZoneMapPruning(t *testing.T) {
 	}
 }
 
-// TestVectorizedFallbackNonScoreBased pins the forced fallback: a
-// preference without a score-vector form (EXPLICIT here) evaluates
-// row-at-a-time and reports no block activity.
-func TestVectorizedFallbackNonScoreBased(t *testing.T) {
-	ex, err := preference.NewExplicit(cget(5), "color", [][2]value.Value{
-		{value.NewText("red"), value.NewText("black")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := carRows(rand.New(rand.NewSource(7)), 500)
-	want, err := Evaluate(ex, rows, BlockNestedLoop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, vst, err := EvaluateVectorized(ex, rows, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := rowSet(got), rowSet(want)
-	if !subMultiset(a, b) || !subMultiset(b, a) {
-		t.Fatalf("fallback diverges from BNL: %d vs %d rows", len(got), len(want))
-	}
-	if vst.BlocksScanned != 0 || vst.BlocksPruned != 0 {
-		t.Fatalf("fallback must not report block counters, got %+v", vst)
-	}
-}
-
-// TestVectorizedCascadeStages pins stage-wise CASCADE evaluation through
-// the vectorized entry point (each stage narrows the candidate set).
+// TestVectorizedCascadeStages pins stage-wise CASCADE evaluation of
+// score-family stages (each stage narrows the candidate set).
 func TestVectorizedCascadeStages(t *testing.T) {
 	rows := carRows(rand.New(rand.NewSource(11)), 2000)
 	p := &preference.Cascade{Parts: []preference.Preference{
@@ -274,7 +261,7 @@ func TestVectorizedCascadeStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, _, err := EvaluateVectorized(p, rows, Config{})
+	got, st, err := EvaluateConfig(p, rows, Auto, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +290,7 @@ func TestVectorizedStop(t *testing.T) {
 		&preference.Lowest{Get: cget(1), Label: "b"},
 	}}
 	stopErr := errors.New("cancelled")
-	_, _, _, err := EvaluateVectorized(p, rows, Config{Stop: func() error { return stopErr }})
+	_, _, err := evalVec(p, rows, Config{Stop: func() error { return stopErr }})
 	if !errors.Is(err, stopErr) {
 		t.Fatalf("expected the Stop error, got %v", err)
 	}
@@ -319,7 +306,7 @@ func FuzzVectorizedVsBNL(f *testing.F) {
 		rows := vecRows(data, 3)
 		p := pareto(3)
 		cfg := Config{Workers: int(workers % 8)}
-		got, _, _, err := EvaluateVectorized(p, rows, cfg)
+		got, _, err := evalVec(p, rows, cfg)
 		if err != nil {
 			t.Fatalf("vectorized failed: %v", err)
 		}
@@ -331,7 +318,7 @@ func FuzzVectorizedVsBNL(f *testing.F) {
 		if !subMultiset(a, b) || !subMultiset(b, a) {
 			t.Fatalf("vectorized multiset diverges from BNL: %d vs %d rows", len(got), len(want))
 		}
-		ordered, _, err := EvaluateConfig(p, rows, SortFilter, Config{})
+		ordered, _, err := EvaluateConfig(p, rows, Auto, Config{Workers: 1})
 		if err != nil {
 			t.Fatalf("SFS failed: %v", err)
 		}

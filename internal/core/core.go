@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ast"
-	"repro/internal/bmo"
 	"repro/internal/engine"
 	"repro/internal/live"
 	"repro/internal/parser"
@@ -131,21 +130,6 @@ func (db *DB) DefaultSession() *Session { return db.def }
 // Epoch reports the current write epoch (the number of write statements
 // executed so far); cached plans are valid within one epoch.
 func (db *DB) Epoch() uint64 { return db.epoch.Load() }
-
-// SetMode switches between native BMO evaluation and SQL92 rewriting.
-//
-// Deprecated: this sets the default session's mode. Concurrent clients
-// should carry their own Session (NewSession) so they cannot flip each
-// other's execution strategy mid-query.
-func (db *DB) SetMode(m Mode) { db.def.SetMode(m) }
-
-// Mode reports the default session's execution mode.
-func (db *DB) Mode() Mode { return db.def.Mode() }
-
-// SetAlgorithm selects the native BMO algorithm (default bmo.Auto).
-//
-// Deprecated: this sets the default session's algorithm; see SetMode.
-func (db *DB) SetAlgorithm(a bmo.Algorithm) { db.def.SetAlgorithm(a) }
 
 // Exec parses and runs a ';'-separated script on the default session,
 // returning the last result.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"strings"
@@ -48,7 +49,7 @@ ORDER BY DISTANCE(age)`
 func TestOldtimerPaperTable(t *testing.T) {
 	for _, mode := range []Mode{ModeNative, ModeRewrite} {
 		db := oldtimerDB(t)
-		db.SetMode(mode)
+		db.DefaultSession().SetMode(mode)
 		res := mustExec(t, db, oldtimerQuery)
 		want := []struct {
 			ident string
@@ -133,7 +134,7 @@ func TestPaperOpelQuery(t *testing.T) {
 		CASCADE color = 'red' CASCADE LOWEST(mileage)`
 	for _, mode := range []Mode{ModeNative, ModeRewrite} {
 		db := Open()
-		db.SetMode(mode)
+		db.DefaultSession().SetMode(mode)
 		mustExec(t, db, setup)
 		res := mustExec(t, db, query)
 		// Hard condition excludes the BMW. Pareto stage vectors
@@ -155,7 +156,7 @@ func TestGroupingClause(t *testing.T) {
 	(3, 'BMW', 45000), (4, 'BMW', 30000), (5, 'BMW', 30000)`
 	for _, mode := range []Mode{ModeNative, ModeRewrite} {
 		db := Open()
-		db.SetMode(mode)
+		db.DefaultSession().SetMode(mode)
 		mustExec(t, db, setup)
 		res := mustExec(t, db, `SELECT id FROM cars PREFERRING LOWEST(price) GROUPING make ORDER BY id`)
 		if len(res.Rows) != 3 {
@@ -209,21 +210,32 @@ func TestQualityFunctionErrors(t *testing.T) {
 }
 
 func TestModeAndAlgorithmSetters(t *testing.T) {
-	db := Open()
-	if db.Mode() != ModeNative || db.Mode().String() != "native" {
+	sess := Open().DefaultSession()
+	if sess.Mode() != ModeNative || sess.Mode().String() != "native" {
 		t.Error("default mode")
 	}
-	db.SetMode(ModeRewrite)
-	if db.Mode() != ModeRewrite || db.Mode().String() != "rewrite" {
+	sess.SetMode(ModeRewrite)
+	if sess.Mode() != ModeRewrite || sess.Mode().String() != "rewrite" {
 		t.Error("set mode")
 	}
-	db.SetAlgorithm(bmo.NestedLoop)
+	sess.SetAlgorithm(bmo.NestedLoop)
+	if sess.Algorithm() != bmo.NestedLoop {
+		t.Error("set algorithm")
+	}
 }
 
 func TestGroupByWithPreferenceRejected(t *testing.T) {
 	db := oldtimerDB(t)
 	if _, err := db.Exec(`SELECT color FROM oldtimer PREFERRING LOWEST(age) GROUP BY color`); err == nil {
 		t.Error("GROUP BY with PREFERRING should be rejected")
+	}
+	for _, q := range []string{
+		`SELECT SUM(age) FROM oldtimer PREFERRING LOWEST(age)`,
+		`SELECT color, COUNT(*) FROM oldtimer PREFERRING LOWEST(age)`,
+	} {
+		if _, err := db.Exec(q); !errors.Is(err, errAggPreferring) {
+			t.Errorf("%s: got %v, want %v", q, err, errAggPreferring)
+		}
 	}
 	if _, err := db.Exec(`SELECT color FROM oldtimer BUT ONLY LEVEL(color) = 1`); err == nil {
 		t.Error("BUT ONLY without PREFERRING should be rejected")
@@ -362,7 +374,7 @@ func TestNativeRewriteEquivalence(t *testing.T) {
 			dbN := Open()
 			mustExec(t, dbN, setup)
 			dbR := Open()
-			dbR.SetMode(ModeRewrite)
+			dbR.DefaultSession().SetMode(ModeRewrite)
 			mustExec(t, dbR, setup)
 
 			resN, errN := dbN.Exec(q)
@@ -380,7 +392,7 @@ func TestNativeRewriteEquivalence(t *testing.T) {
 			// all native algorithms agree too
 			for _, algo := range []bmo.Algorithm{bmo.NestedLoop, bmo.BlockNestedLoop} {
 				dbA := Open()
-				dbA.SetAlgorithm(algo)
+				dbA.DefaultSession().SetAlgorithm(algo)
 				mustExec(t, dbA, setup)
 				resA, err := dbA.Exec(q)
 				if err != nil {
@@ -413,7 +425,7 @@ func TestCreateAndUseNamedPreference(t *testing.T) {
 
 func TestNamedPreferenceWorksInRewriteMode(t *testing.T) {
 	db := oldtimerDB(t)
-	db.SetMode(ModeRewrite)
+	db.DefaultSession().SetMode(ModeRewrite)
 	mustExec(t, db, `CREATE PREFERENCE vintage AS age AROUND 40`)
 	res := mustExec(t, db, `SELECT ident FROM oldtimer PREFERRING PREFERENCE vintage`)
 	if len(res.Rows) != 1 || res.Rows[0][0].S != "Selma" {
@@ -562,7 +574,7 @@ func TestRewriteModeFallsBackNowhere(t *testing.T) {
 	// nested cascade inside Pareto is native-only; rewrite mode must
 	// report the limitation rather than silently switching.
 	db := Open()
-	db.SetMode(ModeRewrite)
+	db.DefaultSession().SetMode(ModeRewrite)
 	mustExec(t, db, `CREATE TABLE t (a INT, b INT, c INT);
 		INSERT INTO t VALUES (1, 2, 3)`)
 	_, err := db.Exec(`SELECT * FROM t PREFERRING (LOWEST(a) CASCADE LOWEST(b)) AND LOWEST(c)`)
@@ -570,7 +582,7 @@ func TestRewriteModeFallsBackNowhere(t *testing.T) {
 		t.Fatalf("want cascade-in-pareto error, got %v", err)
 	}
 	// native mode evaluates it fine
-	db.SetMode(ModeNative)
+	db.DefaultSession().SetMode(ModeNative)
 	if _, err := db.Exec(`SELECT * FROM t PREFERRING (LOWEST(a) CASCADE LOWEST(b)) AND LOWEST(c)`); err != nil {
 		t.Fatalf("native: %v", err)
 	}

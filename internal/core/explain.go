@@ -11,8 +11,8 @@ import (
 // ExplainNative renders the native execution plan of a single SELECT —
 // the tree the streaming cursor (QueryIter / QueryProgressive's relaxed
 // sibling) executes: for preference queries the candidate pipeline, the
-// BMO node with the algorithm, the planner's statistics-derived
-// parallelism hint (estimated candidate cardinality), the session's
+// BMO node with the algorithm (or the statistics-derived vectorized
+// operator and its estimated candidate cardinality), the session's
 // worker cap, GROUPING and the preference-algebra rewrite's decisions
 // (`pushdown=left|right|split`, semijoin and group-wise pre-filter
 // markers), then the ButOnly and QualityProject tail. It is the

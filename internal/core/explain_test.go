@@ -11,10 +11,11 @@ import (
 	"repro/internal/value"
 )
 
-// explainDB loads two skyline tables around the parallel threshold:
-// big's bare scan estimate (30000) is over it, small's (600) and big's
-// filtered estimate (30000/3 = 10000 exactly on the threshold; the
-// filtered variant below uses 27000/3 = 9000) are the hint-absent cases.
+// explainDB loads skyline tables around the estimate from which the
+// planner selects the vectorized BMO: big's bare scan estimate (30000)
+// is over it and its filtered estimate (30000/3 = 10000) exactly on it;
+// small's (600) and mid's filtered estimate (27000/3 = 9000) are below
+// it.
 func explainDB(t *testing.T) *DB {
 	t.Helper()
 	db := Open()
@@ -53,7 +54,7 @@ func explainDB(t *testing.T) *DB {
 }
 
 // TestExplainGolden pins the native plan rendering — especially the
-// planner's statistics-derived parallelism hint — as readable golden
+// planner's statistics-derived vectorized selection — as readable golden
 // strings, so a planner regression shows up as a plan diff rather than
 // a silent performance cliff.
 func TestExplainGolden(t *testing.T) {
@@ -73,15 +74,6 @@ func TestExplainGolden(t *testing.T) {
 				"      SeqScan big\n",
 		},
 		{
-			name: "hint-present-big-table",
-			prep: func(s *Session) { s.SetVectorized(false) },
-			sql:  `SELECT id FROM big PREFERRING LOWEST(d1) AND LOWEST(d2)`,
-			want: "QualityProject id\n" +
-				"  BMO progressive auto hint=parallel est=30000 [(LOWEST(d1) AND LOWEST(d2))]\n" +
-				"    Project *\n" +
-				"      SeqScan big\n",
-		},
-		{
 			name: "vec-filtered-scan-generic-fill",
 			sql:  `SELECT id FROM big WHERE d3 < 2 PREFERRING LOWEST(d1) AND LOWEST(d2)`,
 			want: "QualityProject id\n" +
@@ -91,12 +83,11 @@ func TestExplainGolden(t *testing.T) {
 		},
 		{
 			// An opaque computed score expression cannot map onto column
-			// vectors, so the planner refuses vectorization and keeps the
-			// parallel hint.
+			// vectors, so the planner refuses vectorization.
 			name: "vec-refused-opaque-expression",
 			sql:  `SELECT id FROM big PREFERRING LOWEST(d1 + d2) AND LOWEST(d2)`,
 			want: "QualityProject id\n" +
-				"  BMO progressive auto hint=parallel est=30000 [(LOWEST((d1 + d2)) AND LOWEST(d2))]\n" +
+				"  BMO progressive auto [(LOWEST((d1 + d2)) AND LOWEST(d2))]\n" +
 				"    Project *\n" +
 				"      SeqScan big\n",
 		},
@@ -106,22 +97,7 @@ func TestExplainGolden(t *testing.T) {
 			name: "vec-refused-subquery-preference",
 			sql:  `SELECT id FROM big PREFERRING LOWEST(d1) AND LOWEST((SELECT MIN(e1) FROM dim) + d2)`,
 			want: "QualityProject id\n" +
-				"  BMO progressive auto hint=parallel est=30000 workers=1 [(LOWEST(d1) AND LOWEST(((SELECT MIN(e1) FROM dim) + d2)))]\n" +
-				"    Project *\n" +
-				"      SeqScan big\n",
-		},
-		{
-			// `SET vectorized = off` pins the row-at-a-time path for the
-			// session, restoring the pre-vectorized rendering.
-			name: "vec-pinned-off-via-set",
-			prep: func(s *Session) {
-				if _, err := s.Exec(`SET vectorized = off`); err != nil {
-					panic(err)
-				}
-			},
-			sql: `SELECT id FROM big PREFERRING LOWEST(d1) AND LOWEST(d2)`,
-			want: "QualityProject id\n" +
-				"  BMO progressive auto hint=parallel est=30000 [(LOWEST(d1) AND LOWEST(d2))]\n" +
+				"  BMO progressive auto workers=1 [(LOWEST(d1) AND LOWEST(((SELECT MIN(e1) FROM dim) + d2)))]\n" +
 				"    Project *\n" +
 				"      SeqScan big\n",
 		},
@@ -157,7 +133,7 @@ func TestExplainGolden(t *testing.T) {
 			name: "batch-shape-keeps-algorithm",
 			sql:  `SELECT id FROM big PREFERRING LOWEST(d2) CASCADE EXPLICIT(d1, 1 > 2)`,
 			want: "QualityProject id\n" +
-				"  BMO auto hint=parallel est=30000 [LOWEST(d2) CASCADE EXPLICIT(d1)]\n" +
+				"  BMO auto [LOWEST(d2) CASCADE EXPLICIT(d1)]\n" +
 				"    Project *\n" +
 				"      SeqScan big\n",
 		},
@@ -279,7 +255,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			name: "cascade-batch-shape",
 			sql:  `SELECT id FROM big PREFERRING LOWEST(d2) CASCADE EXPLICIT(d1, 1 > 2)`,
 			want: "QualityProject id (rows=1 est=30000 time=X)\n" +
-				"  BMO auto hint=parallel est=30000 [LOWEST(d2) CASCADE EXPLICIT(d1)] (rows=1 est=30000 time=X in=30000)\n" +
+				"  BMO auto [LOWEST(d2) CASCADE EXPLICIT(d1)] (rows=1 est=30000 time=X in=30000)\n" +
 				"    Project * (rows=30000 est=30000 time=X)\n" +
 				"      SeqScan big (rows=30000 est=30000 time=X)\n" +
 				"-- rows=1 scanned=30000 probes=0 join_in=0 bmo_in=30000 bmo_out=1\n",
@@ -393,7 +369,7 @@ func TestExplainPushdownGolden(t *testing.T) {
 			want: "QualityProject *\n" +
 				"  Project *\n" +
 				"    HashJoin on (b.id = dim.k)\n" +
-				"      BMO auto hint=parallel est=30000 pushdown=left semijoin [(LOWEST(b.d1) AND LOWEST(b.d2))]\n" +
+				"      BMO auto pushdown=left semijoin [(LOWEST(b.d1) AND LOWEST(b.d2))]\n" +
 				"        SeqScan b\n" +
 				"      SeqScan dim\n",
 		},
@@ -463,10 +439,9 @@ func TestPushdownMatchesExecution(t *testing.T) {
 }
 
 // TestExplainMatchesExecution pins that the physical choice shown by
-// EXPLAIN is the path the executor takes: the default Auto plan (now the
-// vectorized operator on the big table), the vectorized-off plan (the
-// parallel hint) and the explicit sequential baseline all return the
-// same rows.
+// EXPLAIN is the path the executor takes: the default Auto plan (the
+// vectorized operator on the big table) returns the rows of the
+// explicit sequential baseline, whose plan keeps the row-at-a-time BMO.
 func TestExplainMatchesExecution(t *testing.T) {
 	db := explainDB(t)
 	q := `SELECT id FROM big PREFERRING LOWEST(d1) AND LOWEST(d2)`
@@ -478,36 +453,25 @@ func TestExplainMatchesExecution(t *testing.T) {
 	if !strings.Contains(plan, "BMO vec") {
 		t.Fatalf("expected vectorized selection in plan:\n%s", plan)
 	}
-	novec := db.NewSession()
-	novec.SetVectorized(false)
-	offPlan, err := novec.ExplainNative(q)
+	ref := db.NewSession()
+	ref.SetAlgorithm(bmo.BlockNestedLoop)
+	refPlan, err := ref.ExplainNative(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(offPlan, "hint=parallel") {
-		t.Fatalf("expected parallel hint in vectorized-off plan:\n%s", offPlan)
+	if strings.Contains(refPlan, "BMO vec") || !strings.Contains(refPlan, "block-nested-loop") {
+		t.Fatalf("expected the row-at-a-time BNL operator in the bnl plan:\n%s", refPlan)
 	}
-
-	ref := db.NewSession()
-	ref.SetAlgorithm(bmo.BlockNestedLoop)
 	want, err := ref.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto := db.NewSession() // Auto: vectorized
-	got, err := auto.Query(q)
+	got, err := db.NewSession().Query(q) // Auto: vectorized
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Rows) == 0 || canonicalRows(got.Rows) != canonicalRows(want.Rows) {
 		t.Fatalf("vectorized auto result (%d rows) diverges from BNL (%d rows)", len(got.Rows), len(want.Rows))
-	}
-	offRows, err := novec.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if canonicalRows(offRows.Rows) != canonicalRows(want.Rows) {
-		t.Fatalf("vectorized-off result (%d rows) diverges from BNL (%d rows)", len(offRows.Rows), len(want.Rows))
 	}
 }
 

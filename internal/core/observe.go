@@ -220,7 +220,7 @@ func nodeAnnotation(n plan.Node, rec *exec.NodeRec) string {
 		if bn.SemiSource != nil {
 			fmt.Fprintf(&b, " semi_dropped=%d", snap.SemiDropped)
 		}
-		if bn.Vec {
+		if bn.VecCols != nil {
 			fmt.Fprintf(&b, " blocks=%d pruned=%d", snap.BlocksScanned, snap.BlocksPruned)
 		}
 	}

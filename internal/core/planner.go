@@ -41,6 +41,7 @@ const (
 var (
 	errNoPreferring      = errors.New("core: GROUPING and BUT ONLY require a PREFERRING clause")
 	errGroupByPreferring = errors.New("core: GROUP BY/HAVING cannot be combined with PREFERRING")
+	errAggPreferring     = errors.New("core: aggregate functions cannot be combined with PREFERRING")
 )
 
 // stmtPlan is one planned SELECT: the plan tree and the environment its
@@ -130,6 +131,9 @@ func (s *Session) planPreference(sel *ast.Select, ee execEnv, form planForm) (*s
 	if len(sel.GroupBy) > 0 || sel.Having != nil {
 		return nil, errGroupByPreferring
 	}
+	if len(plan.Aggregates(sel)) > 0 {
+		return nil, errAggPreferring
+	}
 	sel, err := db.resolveSel(sel)
 	if err != nil {
 		return nil, err
@@ -164,13 +168,12 @@ func (s *Session) planPreference(sel *ast.Select, ee execEnv, form planForm) (*s
 		for i, g := range sel.Grouping {
 			root.Grouping[i] = g
 		}
-		root.ParallelHint = false
 	case form != formStrict:
 		// The strict form keeps the unpushed row-at-a-time plan: its
 		// contract is the score-ordered stream over the candidate
 		// relation, and its errors must not depend on plan shape.
 		node = s.maybePush(sel, root)
-		s.vectorize(sel, root, node)
+		vectorize(sel, root, node)
 	}
 	return s.newPlan(qualityTail(node, sel), pipe.Env()), nil
 }

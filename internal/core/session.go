@@ -41,7 +41,7 @@ func checkArgCount(nparams int, args []value.Value) error {
 //
 // A Session is safe for concurrent use (the settings are atomics), but is
 // conventionally owned by one client — the server allocates one per
-// connection. DB's own Exec/Query/SetMode methods delegate to a default
+// connection. DB's own Exec/Query methods delegate to a default
 // session, preserving the embedded single-client API.
 type Session struct {
 	db      *DB
@@ -52,9 +52,6 @@ type Session struct {
 	// this session (stored inverted so the zero-value session keeps the
 	// optimization on).
 	pushoff atomic.Bool
-	// vecoff disables the planner's vectorized BMO selection for this
-	// session (stored inverted like pushoff: zero value = on).
-	vecoff atomic.Bool
 	// slowq holds the slow-query threshold in milliseconds plus one, so
 	// the zero value means "disabled" while `SET slow_query_ms = 0`
 	// (log everything) stays representable.
@@ -113,16 +110,6 @@ func (s *Session) SetPushdown(on bool) { s.pushoff.Store(!on) }
 // Pushdown reports whether the preference-algebra rewrite is enabled.
 func (s *Session) Pushdown() bool { return !s.pushoff.Load() }
 
-// SetVectorized enables or disables the planner's vectorized BMO
-// selection (the columnar batch-at-a-time skyline with zone-map
-// pruning) for this session. It is on by default; turning it off pins
-// the row-at-a-time path — the differential harness and the benchmark
-// baseline use that.
-func (s *Session) SetVectorized(on bool) { s.vecoff.Store(!on) }
-
-// Vectorized reports whether vectorized BMO selection is enabled.
-func (s *Session) Vectorized() bool { return !s.vecoff.Load() }
-
 // SetSlowQueryMillis arms the session's slow-query threshold: completed
 // statements taking at least ms milliseconds count toward the slow-query
 // metric and (in the server) the structured slow-query log. A negative
@@ -172,11 +159,10 @@ func StmtReadOnly(stmt ast.Stmt) bool {
 
 // applySet executes a `SET name = value` statement against this
 // session's settings. Keys mirror the wire protocol's Set message:
-// mode (native|rewrite), algorithm
-// (auto|nl|bnl|sfs|bestlevel|parallel|vec), workers (non-negative
-// integer, 0 = one per CPU), pushdown (on|off — the preference-algebra
-// join pushdown) and vectorized (on|off — the planner's vectorized BMO
-// selection).
+// mode (native|rewrite), algorithm (auto|nl|bnl|parallel; sfs,
+// bestlevel and vec are aliases of auto), workers (non-negative
+// integer, 0 = one per CPU) and pushdown (on|off — the
+// preference-algebra join pushdown).
 func (s *Session) applySet(st *ast.Set) (*Result, error) {
 	key := strings.ToLower(st.Name)
 	switch key {
@@ -192,7 +178,7 @@ func (s *Session) applySet(st *ast.Set) (*Result, error) {
 	case "algorithm", "algo":
 		a, ok := bmo.ParseToken(strings.ToLower(st.Value.String()))
 		if !ok {
-			return nil, fmt.Errorf("core: unknown algorithm %s (want auto, nl, bnl, sfs, bestlevel, parallel or vec)", st.Value.SQL())
+			return nil, fmt.Errorf("core: unknown algorithm %s (want auto, nl, bnl or parallel)", st.Value.SQL())
 		}
 		s.SetAlgorithm(a)
 	case "workers":
@@ -209,15 +195,6 @@ func (s *Session) applySet(st *ast.Set) (*Result, error) {
 			s.SetPushdown(false)
 		default:
 			return nil, fmt.Errorf("core: pushdown requires on or off, got %s", st.Value.SQL())
-		}
-	case "vectorized":
-		switch strings.ToLower(st.Value.String()) {
-		case "on", "true", "1":
-			s.SetVectorized(true)
-		case "off", "false", "0":
-			s.SetVectorized(false)
-		default:
-			return nil, fmt.Errorf("core: vectorized requires on or off, got %s", st.Value.SQL())
 		}
 	case "slow_query_ms":
 		if strings.EqualFold(st.Value.String(), "off") {
@@ -239,7 +216,7 @@ func (s *Session) applySet(st *ast.Set) (*Result, error) {
 			return nil, fmt.Errorf("core: node_stats requires on or off, got %s", st.Value.SQL())
 		}
 	default:
-		return nil, fmt.Errorf("core: unknown setting %q (want mode, algorithm, workers, pushdown, vectorized, slow_query_ms or node_stats)", st.Name)
+		return nil, fmt.Errorf("core: unknown setting %q (want mode, algorithm, workers, pushdown, slow_query_ms or node_stats)", st.Name)
 	}
 	return &Result{}, nil
 }

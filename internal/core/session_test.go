@@ -281,6 +281,7 @@ func TestSetStatementSession(t *testing.T) {
 		`SET workers = -1`,
 		`SET workers = 'many'`,
 		`SET turbo = 1`,
+		`SET vectorized = on`,
 	} {
 		if _, err := a.Exec(bad); err == nil {
 			t.Errorf("%q: expected error", bad)
@@ -294,5 +295,17 @@ func TestSetStatementSession(t *testing.T) {
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0].I != 1 {
 		t.Fatalf("rows = %v", res.Rows)
+	}
+
+	// The retired algorithm tokens parse as auto, so sfs now takes a
+	// non-score preference too.
+	for _, tok := range []string{"sfs", "bestlevel", "vec"} {
+		a.SetAlgorithm(bmo.Parallel)
+		if _, err := a.Exec(`SET algorithm = ` + tok); err != nil || a.Algorithm() != bmo.Auto {
+			t.Errorf("SET algorithm = %s: algo=%v err=%v", tok, a.Algorithm(), err)
+		}
+	}
+	if res, err := a.Exec(`SET algorithm = sfs; SELECT id FROM t PREFERRING EXPLICIT(v, 10 > 20)`); err != nil || len(res.Rows) == 0 {
+		t.Errorf("EXPLICIT under sfs: %v", err)
 	}
 }

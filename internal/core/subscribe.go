@@ -9,6 +9,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/live"
 	"repro/internal/parser"
+	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -168,6 +169,8 @@ func checkSubscribeShape(sel *ast.Select) error {
 		return fmt.Errorf("core: SUBSCRIBE does not support DISTINCT")
 	case len(sel.GroupBy) > 0 || sel.Having != nil:
 		return fmt.Errorf("core: SUBSCRIBE does not support GROUP BY / HAVING")
+	case len(plan.Aggregates(sel)) > 0:
+		return fmt.Errorf("core: SUBSCRIBE does not support aggregate functions")
 	case len(sel.Grouping) > 0:
 		return fmt.Errorf("core: SUBSCRIBE does not support GROUPING")
 	case sel.ButOnly != nil:

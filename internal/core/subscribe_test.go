@@ -169,6 +169,8 @@ func TestSubscribeValidation(t *testing.T) {
 		{`SUBSCRIBE SELECT * FROM cars LIMIT 3`, "LIMIT"},
 		{`SUBSCRIBE SELECT DISTINCT make FROM cars`, "DISTINCT"},
 		{`SUBSCRIBE SELECT make, COUNT(*) FROM cars GROUP BY make`, "GROUP BY"},
+		{`SUBSCRIBE SELECT COUNT(*) FROM cars`, "aggregate functions"},
+		{`SUBSCRIBE SELECT SUM(price) FROM cars PREFERRING LOWEST(price)`, "aggregate functions"},
 		{`SUBSCRIBE SELECT * FROM cars PREFERRING LOWEST(price) GROUPING make`, "GROUPING"},
 		{`SUBSCRIBE SELECT * FROM cars PREFERRING LOWEST(price) BUT ONLY LEVEL(price) < 2`, "BUT ONLY"},
 		{`SUBSCRIBE SELECT make, LEVEL(price) FROM cars PREFERRING LOWEST(price)`, "quality"},

@@ -13,14 +13,14 @@ import (
 // The vectorized-BMO planning step: after the preference-algebra
 // pushdown has had its chance, an unpushed root BMO node over a large
 // score-based preference is switched to the vectorized physical
-// operator (plan.BMO.Vec) — the columnar batch-at-a-time skyline with
-// zone-map pruning.
+// operator (plan.BMO.VecCols) — the columnar batch-at-a-time skyline
+// with zone-map pruning.
 //
 // Selection criteria, all statistics- or shape-derived so EXPLAIN is
 // deterministic:
 //
-//   - the session has `SET vectorized = on` (default) and the algorithm
-//     on Auto (an explicit algorithm choice is respected verbatim);
+//   - the node's algorithm is Auto (an explicit algorithm choice is
+//     respected verbatim);
 //   - the node is still the root (a pushed plan already moved dominance
 //     below the join — the rewritten fragments keep their own physics);
 //   - the preference is fully score-based (a weak order or a Pareto
@@ -29,9 +29,9 @@ import (
 //     per row and must keep the row-at-a-time evaluator);
 //   - every score component reads exactly one resolvable input column —
 //     opaque computed expressions are refused;
-//   - the estimated candidate cardinality reaches the same threshold
-//     that promotes Auto to the parallel path (the flat score matrix
-//     only pays off when the input is large).
+//   - the estimated candidate cardinality reaches the threshold from
+//     which Auto runs parallel (the flat score matrix only pays off
+//     when the input is large).
 //
 // When the candidate pipeline is additionally a bare single-table scan
 // (no filter, no limit — heap order equals input order), the node also
@@ -40,8 +40,8 @@ import (
 
 // vectorize applies the planning step to root in place; node is the
 // plan maybePush returned.
-func (s *Session) vectorize(sel *ast.Select, root *plan.BMO, node plan.Node) {
-	if node != plan.Node(root) || !s.Vectorized() || s.Algorithm() != bmo.Auto {
+func vectorize(sel *ast.Select, root *plan.BMO, node plan.Node) {
+	if node != plan.Node(root) || root.Algo != bmo.Auto {
 		return
 	}
 	if root.EstRows < bmo.AutoParallelThreshold {
@@ -89,10 +89,8 @@ func (s *Session) vectorize(sel *ast.Select, root *plan.BMO, node plan.Node) {
 			}
 		}
 	}
-	root.Vec = true
 	root.VecCols = cols
 	root.Progressive = false
-	root.ParallelHint = false
 	if bare {
 		root.VecScan = scan
 	}

@@ -23,9 +23,9 @@ type rowStream interface {
 // pulling (TOP-k, first result page) saves the remaining dominance
 // comparisons — the pipelined form of bmo.EvaluateProgressive.
 //
-// The parallel partition-merge algorithm is selected either explicitly
-// (plan.BMO.Algo) or by the planner's statistics hint resolving Auto;
-// its workers share the statement's cancellation hook (Env.Stop), so
+// Parallel evaluation (explicit plan.BMO.Algo Parallel, or Auto over at
+// least bmo.AutoParallelThreshold actual input rows) shares the
+// statement's cancellation hook (Env.Stop) with every worker, so
 // cancelling the context stops every partition and merge goroutine.
 type BMOOp struct {
 	node   *plan.BMO
@@ -50,15 +50,6 @@ func (b *BMOOp) config() bmo.Config {
 		cfg.Stop = b.env.Stop
 	}
 	return cfg
-}
-
-// algo resolves the effective algorithm: the planner's statistics hint
-// promotes Auto to the parallel partition-merge path.
-func (b *BMOOp) algo() bmo.Algorithm {
-	if b.node.Algo == bmo.Auto && b.node.ParallelHint {
-		return bmo.Parallel
-	}
-	return b.node.Algo
 }
 
 // semiFilter restricts the materialized input to rows with at least one
@@ -159,7 +150,7 @@ func (b *BMOOp) Open() error {
 	b.ns.AddInputRows(int64(len(b.input)))
 	// Vectorized physical operator (planner-selected, root nodes only —
 	// never combined with pushdown padding, grouping or streaming).
-	if b.node.Vec {
+	if b.node.VecCols != nil {
 		return b.openVectorized()
 	}
 	// Group-wise pre-filter (split pushdown below an equi-join):
@@ -181,7 +172,7 @@ func (b *BMOOp) Open() error {
 			}
 			return joinKey(v), nil
 		}
-		out, err := bmo.EvaluateGroupedConfig(b.node.Pref, eval, key, b.algo(), b.config())
+		out, err := bmo.EvaluateGroupedConfig(b.node.Pref, eval, key, b.node.Algo, b.config())
 		if err != nil {
 			return err
 		}
@@ -192,10 +183,9 @@ func (b *BMOOp) Open() error {
 		// An explicitly selected parallel algorithm streams any
 		// preference through the partition-merge stream (local skylines
 		// computed concurrently; score-based preferences still emerge
-		// best-first, others in partition order). The Auto path — even
-		// when the planner's hint promotes the batch side to parallel —
-		// keeps the sequential stream: the pull loop is consumer-paced,
-		// so a consumer that stops early saves the partition work.
+		// best-first, others in partition order). The Auto path keeps
+		// the sequential stream: the pull loop is consumer-paced, so a
+		// consumer that stops early saves the partition work.
 		if b.node.Algo == bmo.Parallel {
 			s, err := bmo.NewParallelStream(b.node.Pref, b.input, b.config())
 			if err != nil {
@@ -215,7 +205,7 @@ func (b *BMOOp) Open() error {
 		return nil
 	}
 	eval := padRows(b.input, b.node.Pad)
-	out, _, err := bmo.EvaluateConfig(b.node.Pref, eval, b.algo(), b.config())
+	out, _, err := bmo.EvaluateConfig(b.node.Pref, eval, b.node.Algo, b.config())
 	if err != nil {
 		return err
 	}
@@ -224,8 +214,7 @@ func (b *BMOOp) Open() error {
 }
 
 // openGrouped evaluates the query's GROUPING clause: BMO within each
-// group of equal key values, with the node's algorithm as given (the
-// planner never hints grouped nodes to parallel).
+// group of equal key values, with the node's algorithm as given.
 func (b *BMOOp) openGrouped() error {
 	keys := b.node.GroupKeys()
 	var rt *expr.Runtime

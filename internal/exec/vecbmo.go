@@ -9,7 +9,7 @@ import (
 	"repro/internal/value"
 )
 
-// Vectorized BMO execution: the planner marked the node Vec after
+// Vectorized BMO execution: the planner gave the node VecCols after
 // verifying the preference is fully score-based over resolvable numeric
 // columns. The operator fills a flat score matrix — straight from the
 // column vectors of the heap its bare scan (VecScan) captured, otherwise
@@ -17,39 +17,31 @@ import (
 // kernel. Zone-map counters land in the statement Stats for EXPLAIN
 // ANALYZE.
 
-// openVectorized is the Vec branch of BMOOp.Open; the input is already
-// materialized and counted.
+// openVectorized is the VecCols branch of BMOOp.Open; the input is
+// already materialized and counted.
 func (b *BMOOp) openVectorized() error {
-	cfg := b.config()
-	scorers, ok := bmo.ScoreBased(b.node.Pref)
-	if ok && len(scorers) == len(b.node.VecCols) && b.scan != nil && len(b.scan.cur.heap.Rows) == len(b.input) {
-		if in, filled := fillColumnar(scorers, b.node.VecCols, b.scan.cur.heap, b.input); filled {
-			out, _, vst, err := bmo.EvaluateVecInput(in, cfg)
-			if err != nil {
-				return err
-			}
-			b.countVec(vst)
-			b.buf = out
-			return nil
+	scorers, _ := bmo.ScoreBased(b.node.Pref)
+	var in bmo.VecInput
+	filled := false
+	if b.scan != nil && len(b.scan.cur.heap.Rows) == len(b.input) {
+		in, filled = fillColumnar(scorers, b.node.VecCols, b.scan.cur.heap, b.input)
+	}
+	if !filled {
+		var err error
+		if in, err = bmo.BuildVecInput(scorers, b.input); err != nil {
+			return err
 		}
 	}
-	// Generic path: score via the compiled getters row-at-a-time, then
-	// evaluate the same batch kernel.
-	out, _, vst, err := bmo.EvaluateVectorized(b.node.Pref, b.input, cfg)
+	out, _, vst, err := bmo.EvaluateVecInput(in, b.config())
 	if err != nil {
 		return err
 	}
-	b.countVec(vst)
+	b.ns.AddBlocks(int64(vst.BlocksScanned), int64(vst.BlocksPruned))
+	if b.env != nil {
+		b.env.count().AddVecBlocks(int64(vst.BlocksScanned), int64(vst.BlocksPruned))
+	}
 	b.buf = out
 	return nil
-}
-
-func (b *BMOOp) countVec(vst bmo.VecStats) {
-	b.ns.AddBlocks(int64(vst.BlocksScanned), int64(vst.BlocksPruned))
-	if b.env == nil {
-		return
-	}
-	b.env.count().AddVecBlocks(int64(vst.BlocksScanned), int64(vst.BlocksPruned))
 }
 
 // fillColumnar builds the score matrix from the heap's column vectors

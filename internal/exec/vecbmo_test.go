@@ -30,7 +30,7 @@ func TestVecBMOFillsFromItsScan(t *testing.T) {
 	vec := func(bare bool) (*BMOOp, []value.Row) {
 		scan := plan.NewSeqScan(jobs, "jobs")
 		n := plan.NewBMO(plan.NewProject(scan, star(), nil), pref, bmo.Auto, false, 0)
-		n.Vec, n.VecCols = true, []int{2, 3}
+		n.VecCols = []int{2, 3}
 		if bare {
 			n.VecScan = scan
 		}

@@ -478,21 +478,15 @@ type BMO struct {
 	// relation, derived from table statistics (see EstimateRows); -1
 	// when unknown.
 	EstRows int64
-	// ParallelHint marks an Auto-algorithm node whose estimated input
-	// cardinality reaches bmo.AutoParallelThreshold: the executor
-	// resolves Auto to the parallel partition-merge path without
-	// waiting to count the actual input.
-	ParallelHint bool
 
-	// Vec selects the vectorized physical operator: the executor fills a
-	// flat score matrix (from column vectors when VecScan is set, or
-	// by generic per-row scoring) and evaluates batch-at-a-time with
-	// zone-map block pruning. The planner sets it from table statistics
-	// when the preference is fully score-based over resolvable numeric
-	// columns; see core's vectorize step.
-	Vec bool
-	// VecCols maps each score component to its child-schema column index
-	// (parallel to the preference's scorer list).
+	// VecCols, when non-nil, selects the vectorized physical operator:
+	// the executor fills a flat score matrix (from column vectors when
+	// VecScan is set, or by generic per-row scoring) and evaluates
+	// batch-at-a-time with zone-map block pruning. It maps each score
+	// component to its child-schema column index (parallel to the
+	// preference's scorer list). The planner sets it from table
+	// statistics when the preference is fully score-based over
+	// resolvable numeric columns; see core's vectorize step.
 	VecCols []int
 	// VecScan, when non-nil, is the scan under the child's bare
 	// projection: it emits its table's heap unfiltered and unlimited, so
@@ -534,23 +528,11 @@ type BMO struct {
 	SemiSourceCol int
 }
 
-// NewBMO builds the BMO node and derives the parallelism hint from the
-// child's estimated cardinality — the planner's table statistics decide
-// up front whether the Auto path should go parallel, so EXPLAIN shows
-// the choice before any row is read.
+// NewBMO builds the BMO node with the child's estimated cardinality.
 func NewBMO(child Node, pref preference.Preference, algo bmo.Algorithm, progressive bool, workers int) *BMO {
-	b := &BMO{Child: child, Pref: pref, Algo: algo, Progressive: progressive,
+	return &BMO{Child: child, Pref: pref, Algo: algo, Progressive: progressive,
 		Workers: workers, EstRows: EstimateRows(child),
 		GroupCol: -1, SemiLocalCol: -1, SemiSourceCol: -1}
-	// A single weak order is answered by Auto's O(n) best-level scan —
-	// strictly cheaper than partitioning — so only multi-component
-	// preferences are promoted. The hint stays independent of the local
-	// core count: EXPLAIN output must not depend on the machine.
-	if _, scored := pref.(preference.Scored); !scored &&
-		algo == bmo.Auto && b.EstRows >= bmo.AutoParallelThreshold {
-		b.ParallelHint = true
-	}
-	return b
 }
 
 // Schema implements Node.
@@ -568,18 +550,12 @@ func (b *BMO) Explain() string {
 	if b.Progressive {
 		mode = "progressive " + mode
 	}
-	if b.Vec {
-		mode = "vec"
-	}
-	out := fmt.Sprintf("BMO %s", mode)
-	if b.Vec {
-		out += fmt.Sprintf(" est=%d", b.EstRows)
+	out := "BMO " + mode
+	if b.VecCols != nil {
+		out = fmt.Sprintf("BMO vec est=%d", b.EstRows)
 		if b.VecScan != nil {
 			out += " columnar"
 		}
-	}
-	if b.ParallelHint {
-		out += fmt.Sprintf(" hint=parallel est=%d", b.EstRows)
 	}
 	if b.Workers > 0 {
 		out += fmt.Sprintf(" workers=%d", b.Workers)
@@ -602,7 +578,7 @@ func (b *BMO) Explain() string {
 // EstimateRows estimates a plan node's output cardinality from table
 // statistics (storage row counts). The estimates are deliberately crude
 // — filters keep a third, index probes a tenth — but deterministic: the
-// same catalog state always yields the same plan hints, which keeps
+// same catalog state always yields the same plan choices, which keeps
 // EXPLAIN output stable and testable.
 func EstimateRows(n Node) int64 {
 	switch x := n.(type) {

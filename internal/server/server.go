@@ -758,15 +758,6 @@ func (c *conn) handleSet(payload []byte) error {
 			return c.sendError(fmt.Errorf("server: workers must be a non-negative integer, got %q", val))
 		}
 		c.sess.SetWorkers(n)
-	case wire.SetVectorized:
-		switch val {
-		case "on":
-			c.sess.SetVectorized(true)
-		case "off":
-			c.sess.SetVectorized(false)
-		default:
-			return c.sendError(fmt.Errorf("server: vectorized must be on or off, got %q", val))
-		}
 	default:
 		return c.sendError(fmt.Errorf("server: unknown setting %q", key))
 	}

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/client"
 	"repro/internal/datagen"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 // startServer opens an embedded database, hands it to a loopback server,
@@ -563,5 +565,52 @@ func TestSetWorkersOverWire(t *testing.T) {
 	}
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %v", res.Rows)
+	}
+
+	// vectorized is no longer a setting; the retired algorithm tokens
+	// parse as auto, so sfs now takes a non-score preference too.
+	if _, err := c.Exec(`SET vectorized = on`); err == nil || !strings.Contains(err.Error(), "unknown setting") {
+		t.Errorf("SET vectorized over the wire: %v", err)
+	}
+	if _, err := c.Exec(`SET algorithm = sfs`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Query(`SELECT id FROM pts PREFERRING EXPLICIT(x, 1 > 9)`); err != nil {
+		t.Errorf("EXPLICIT under sfs: %v", err)
+	}
+
+	// The same through the protocol's Set message.
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	var hello wire.Buffer
+	hello.U16(wire.Version)
+	hello.String("set-test")
+	if err := wire.WriteFrame(nc, wire.MsgHello, hello.B); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := wire.ReadFrame(nc); err != nil || typ != wire.MsgHelloOK {
+		t.Fatalf("handshake: %#x, %v", typ, err)
+	}
+	for _, tc := range []struct {
+		key, val string
+		want     byte
+	}{
+		{wire.SetAlgorithm, "sfs", wire.MsgDone},
+		{wire.SetAlgorithm, "bestlevel", wire.MsgDone},
+		{wire.SetAlgorithm, "vec", wire.MsgDone},
+		{"vectorized", "on", wire.MsgError},
+	} {
+		var set wire.Buffer
+		set.String(tc.key)
+		set.String(tc.val)
+		if err := wire.WriteFrame(nc, wire.MsgSet, set.B); err != nil {
+			t.Fatal(err)
+		}
+		if typ, _, err := wire.ReadFrame(nc); err != nil || typ != tc.want {
+			t.Errorf("Set %s=%s: reply %#x (%v), want %#x", tc.key, tc.val, typ, err, tc.want)
+		}
 	}
 }

@@ -68,6 +68,7 @@ func TestSubscribeWireBadSQL(t *testing.T) {
 	for _, sql := range []string{
 		`SUBSCRIBE SELECT * FROM nope`,
 		`SUBSCRIBE SELECT * FROM t ORDER BY a`,
+		`SUBSCRIBE SELECT COUNT(*) FROM t`,
 		`SUBSCRIBE nonsense`,
 	} {
 		if _, err := c.Subscribe(context.Background(), sql); err == nil {

@@ -178,10 +178,9 @@ const (
 
 // Session setting keys for MsgSet.
 const (
-	SetMode       = "mode"       // "native" | "rewrite"
-	SetAlgorithm  = "algorithm"  // "auto" | "nl" | "bnl" | "sfs" | "bestlevel" | "parallel" | "vec"
-	SetWorkers    = "workers"    // non-negative integer; "0" = one worker per CPU
-	SetVectorized = "vectorized" // "on" | "off" — planner's vectorized BMO selection
+	SetMode      = "mode"      // "native" | "rewrite"
+	SetAlgorithm = "algorithm" // "auto" | "nl" | "bnl" | "parallel"; "sfs", "bestlevel", "vec" alias "auto"
+	SetWorkers   = "workers"   // non-negative integer; "0" = one worker per CPU
 )
 
 // WriteFrame writes one framed message.

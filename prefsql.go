@@ -34,16 +34,14 @@ const (
 type Algorithm = bmo.Algorithm
 
 // Native BMO algorithms (see internal/bmo). Parallel is the
-// partition-merge multicore path; Auto switches to it for candidate
-// sets of 10k rows or more when more than one CPU is available.
+// partition-merge multicore path; Auto uses more than one worker for
+// candidate sets of 10k rows or more when more than one CPU is
+// available.
 const (
 	Auto            = bmo.Auto
 	NestedLoop      = bmo.NestedLoop
 	BlockNestedLoop = bmo.BlockNestedLoop
-	SortFilter      = bmo.SortFilter
-	BestLevel       = bmo.BestLevel
 	Parallel        = bmo.Parallel
-	Vectorized      = bmo.Vectorized
 )
 
 // DB is an embedded Preference SQL database.
@@ -95,11 +93,11 @@ func (db *DB) MustExec(sql string) *Result {
 // rewriting, the commercial middleware's strategy. It configures the
 // default session; concurrent clients should use NewSession so they
 // cannot flip each other's strategy mid-query.
-func (db *DB) SetMode(m Mode) { db.core.SetMode(m) }
+func (db *DB) SetMode(m Mode) { db.core.DefaultSession().SetMode(m) }
 
 // SetAlgorithm selects the native BMO algorithm (default Auto) on the
 // default session.
-func (db *DB) SetAlgorithm(a Algorithm) { db.core.SetAlgorithm(a) }
+func (db *DB) SetAlgorithm(a Algorithm) { db.core.DefaultSession().SetAlgorithm(a) }
 
 // SetWorkers caps the parallel BMO worker count on the default session;
 // 0 (the default) uses one worker per available CPU. Sessions can also
@@ -110,12 +108,6 @@ func (db *DB) SetWorkers(n int) { db.core.DefaultSession().SetWorkers(n) }
 // on the default session (on by default). Sessions can also set it per
 // client with `SET pushdown = on|off`.
 func (db *DB) SetPushdown(on bool) { db.core.DefaultSession().SetPushdown(on) }
-
-// SetVectorized enables or disables the planner's vectorized BMO
-// selection — the columnar batch-at-a-time skyline with zone-map
-// pruning — on the default session (on by default). Sessions can also
-// set it per client with `SET vectorized = on|off`.
-func (db *DB) SetVectorized(on bool) { db.core.DefaultSession().SetVectorized(on) }
 
 // Session is a per-client view of a shared database: it carries the
 // client's mode and algorithm settings so concurrent clients don't
