@@ -200,10 +200,10 @@ var gates = []*gateSpec{
 	// partitions instead of local skylines) lands far below it.
 	{name: "p9", what: "distributed scale-out", extract: extractP9, floor: true, min: 0.25},
 	// p10's ratio is mixed read/write throughput on the disk backend
-	// (WAL + paged heap, fsync off) vs the in-memory backend. Scans
+	// (WAL + checkpoint image, fsync off) vs the in-memory backend. Scans
 	// dominate the workload, so the observed ratio sits near 1.0; the
 	// 0.25 floor is the catastrophe check — an fsync accidentally forced
-	// per statement, or a page pool thrashing on every commit, lands far
+	// per statement, or a checkpoint on every commit, lands far
 	// below it.
 	{name: "p10", what: "durable-storage overhead", extract: extractP10, floor: true, min: 0.25},
 }

@@ -16,9 +16,12 @@
 //     commits survive), while unacknowledged trailing commits may or
 //     may not — both are correct outcomes.
 //
+// The child also checkpoints every checkpointEvery batches, printing
+// "CKPT <gen>" after each, so some kills land while the next
+// generation's image is being written or MANIFEST is being swapped.
 // Each iteration then closes the backend cleanly (checkpointing the
-// recovered state) so the next child alternately exercises the
-// image-plus-WAL and WAL-replay recovery paths.
+// recovered state), so every child starts from a fresh image and every
+// verify replays an image plus the killed child's WAL tail.
 //
 // Usage:
 //
@@ -44,6 +47,10 @@ import (
 	"repro/internal/storage/disk"
 	"repro/internal/storage/wal"
 )
+
+// checkpointEvery is how many acknowledged batches the child writes
+// between checkpoints.
+const checkpointEvery = 25
 
 func main() {
 	var (
@@ -95,10 +102,9 @@ func runChild(dir string, mode wal.SyncMode) {
 	w.Flush()
 
 	rng := rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(os.Getpid())))
-	for {
-		// Small batches with the occasional jumbo payload, so the kill
-		// lands at varied spots: mid-batch, mid-group-commit, mid-page,
-		// mid-overflow-chain.
+	for batch := 1; ; batch++ {
+		// Small batches with the occasional large payload, so the kill
+		// lands at varied spots: mid-batch, mid-group-commit, mid-record.
 		n := 1 + rng.Intn(4)
 		var sb strings.Builder
 		sb.WriteString(`INSERT INTO events VALUES `)
@@ -120,6 +126,13 @@ func runChild(dir string, mode wal.SyncMode) {
 		// "always" mode): from here on the parent holds us to it.
 		fmt.Fprintf(w, "ACK %d\n", seq)
 		w.Flush()
+		if batch%checkpointEvery == 0 {
+			if err := db.Checkpoint(d); err != nil {
+				log.Fatalf("crashtest child: checkpoint at seq %d: %v", seq, err)
+			}
+			fmt.Fprintf(w, "CKPT %d\n", d.Generation())
+			w.Flush()
+		}
 	}
 }
 
@@ -180,7 +193,7 @@ func runParent(dir string, iters int, seed int64, fsyncMode string, minKill, max
 		if err := cmd.Start(); err != nil {
 			return err
 		}
-		var maxAck atomic.Int64
+		var maxAck, ckpts atomic.Int64
 		var startLine atomic.Value
 		go func() {
 			sc := bufio.NewScanner(pipe)
@@ -189,6 +202,8 @@ func runParent(dir string, iters int, seed int64, fsyncMode string, minKill, max
 				var n int
 				if _, err := fmt.Sscanf(line, "ACK %d", &n); err == nil {
 					maxAck.Store(int64(n))
+				} else if strings.HasPrefix(line, "CKPT ") {
+					ckpts.Add(1)
 				} else if strings.HasPrefix(line, "START ") {
 					startLine.Store(line)
 				}
@@ -223,8 +238,8 @@ func runParent(dir string, iters int, seed int64, fsyncMode string, minKill, max
 		if err != nil {
 			return err
 		}
-		lg.Printf("iter %02d/%d: killed after %v, acked=%d recovered=%d (+%d unacked) wal_records=%d torn_bytes=%d",
-			i, iters, delay.Round(time.Millisecond), acked, recovered, recovered-floor, stats.WalRecords, stats.TornBytes)
+		lg.Printf("iter %02d/%d: killed after %v, acked=%d recovered=%d (+%d unacked) checkpoints=%d image_rows=%d wal_records=%d torn_bytes=%d",
+			i, iters, delay.Round(time.Millisecond), acked, recovered, recovered-floor, ckpts.Load(), stats.HeapRows, stats.WalRecords, stats.TornBytes)
 		prevRecovered = recovered
 	}
 	lg.Printf("crashtest: PASS %d/%d iterations, %d rows survived", iters, iters, prevRecovered)

@@ -10,7 +10,7 @@
 //	prefserve -cache 512 -v            # bigger statement cache, verbose
 //	prefserve -metrics-addr :9090      # expose /metrics, /debug/vars, /debug/pprof
 //	prefserve -slow-query-ms 250       # log statements at or above 250ms
-//	prefserve -data-dir /var/lib/pref  # durable storage: WAL + heap files
+//	prefserve -data-dir /var/lib/pref  # durable storage: checkpoint image + WAL
 //	prefserve -data-dir d -fsync off   # durable, but skip the per-commit fsync
 //
 // With -data-dir the server opens the durable backend (recovering from
@@ -70,7 +70,7 @@ func main() {
 		idleTO      = flag.Duration("idle-timeout", 0, "disconnect a client silent this long with no statement in flight; 0 = off")
 		writeTO     = flag.Duration("write-timeout", 0, "per-write socket deadline (disconnects peers that stop reading); 0 = off")
 		dialTO      = flag.Duration("dial-timeout", 5*time.Second, "connect+handshake deadline per shard; 0 = off")
-		dataDir     = flag.String("data-dir", "", "durable storage directory (WAL + heap files); empty = in-memory")
+		dataDir     = flag.String("data-dir", "", "durable storage directory (checkpoint image + WAL); empty = in-memory")
 		fsyncMode   = flag.String("fsync", "always", "WAL durability with -data-dir: always (fsync per group commit) or off")
 
 		shardFlags repeatedFlag

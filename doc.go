@@ -256,9 +256,9 @@
 // evaluation; durability is an opt-in backend underneath the catalog.
 // A server started with a data directory logs every committed mutation
 // to a write-ahead log before applying it (group commit: concurrent
-// writers share one fsync), pages checkpoint images into slotted heap
-// files behind an LRU buffer pool, and recovers on start by loading
-// the last checkpoint and replaying the WAL tail — a torn final record
+// writers share one fsync), writes checkpoint images as sequential
+// files of the same records, and recovers on start by replaying the
+// last checkpoint's image and then the WAL tail — a torn final record
 // is truncated, anything worse refuses the directory rather than
 // silently dropping committed history:
 //

@@ -17,7 +17,7 @@ import (
 
 // P10Entry is one measurement of the durable-storage experiment: the
 // same bulk load plus mixed read/write workload over one input size, on
-// the in-memory backend or the disk backend (WAL + paged heap) with the
+// the in-memory backend or the disk backend (WAL + checkpoint image) with the
 // per-commit fsync off or on. Ratio is mixed-workload throughput
 // relative to the in-memory run at the same size; for disk variants the
 // entry also records a crash-style reopen (WAL replay, no clean
@@ -103,7 +103,7 @@ func p10Skyline(db *core.DB) ([]string, error) {
 // P10 measures what durability costs: the same bulk load and mixed
 // read/write workload over 2-d skyline data, on (a) the in-memory
 // backend, (b) the disk backend with the per-commit fsync off (every
-// commit is still WAL-logged and heap-paged, but the OS decides when it
+// commit is still WAL-logged, but the OS decides when it
 // hits the platter), and (c) the disk backend with fsync on, where a
 // commit returns only after its group fsync. The final skyline of every
 // variant must be identical — durability may cost time, never answers.
@@ -213,11 +213,11 @@ func P10(cfg Config) (*P10Result, *Table, error) {
 	}
 
 	tbl := &Table{
-		Title:  "P10: durable storage overhead — in-memory vs WAL + paged heap (mixed read/write over 2-d skyline data)",
+		Title:  "P10: durable storage overhead — in-memory vs WAL + checkpoint image (mixed read/write over 2-d skyline data)",
 		Header: []string{"rows", "variant", "load", "mixed", "ops/s", "ratio vs memory", "skyline", "recovery"},
 		Notes: []string{
 			"mixed workload: 70% single-row inserts, 25% indexed point reads, 4% updates, 1% deletes; identical statement sequence per variant",
-			"disk: every commit WAL-logged and heap-paged, fsync left to the OS; disk-fsync: commit returns after its group fsync",
+			"disk: every commit WAL-logged, fsync left to the OS; disk-fsync: commit returns after its group fsync",
 			"recovery: crash-style reopen (no clean shutdown) replaying the WAL tail into a fresh catalog; skyline re-checked after replay",
 			"gate: disk ops/s ratio at the largest size (quick CI floor 0.25 — fsync cost is hardware-dependent, so the gate is a catastrophe check)",
 		},

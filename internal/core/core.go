@@ -110,7 +110,7 @@ func (f CheckpointerFunc) Checkpoint() error { return f() }
 
 // Checkpoint quiesces the database (the statement write lock excludes
 // every reader and writer) and runs the backend's checkpoint, so the
-// heap images capture a statement-consistent state.
+// checkpoint image captures a statement-consistent state.
 func (db *DB) Checkpoint(cp Checkpointer) error {
 	db.stmtMu.Lock()
 	defer db.stmtMu.Unlock()

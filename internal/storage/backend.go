@@ -136,21 +136,39 @@ func (t *Table) InsertBatch(rows []value.Row) error {
 // maintenance and copy-on-write — replay is single-threaded with no
 // readers, and re-deriving indexes per record would make recovery
 // O(records × rows) — so the recovering backend MUST call Reindex once
-// after the last record is applied.
+// after the last record is applied. Only a row's width is re-checked:
+// a damaged record must fail recovery, not the index rebuild after it.
 // ---------------------------------------------------------------------------
 
 // ApplyInsert appends rows replayed from the log.
-func (t *Table) ApplyInsert(rows []value.Row) {
+func (t *Table) ApplyInsert(rows []value.Row) error {
+	if err := t.checkWidths(rows); err != nil {
+		return err
+	}
 	t.mu.Lock()
 	t.rows = append(t.rows, rows...)
 	t.version++
 	t.mu.Unlock()
+	return nil
+}
+
+// checkWidths rejects replayed rows whose width is not the schema's.
+func (t *Table) checkWidths(rows []value.Row) error {
+	for _, r := range rows {
+		if len(r) != len(t.Schema.Cols) {
+			return fmt.Errorf("table %s: replayed row has %d values, schema has %d columns", t.Name, len(r), len(t.Schema.Cols))
+		}
+	}
+	return nil
 }
 
 // ApplyUpdate replaces the rows at the logged positions, in place.
 func (t *Table) ApplyUpdate(pos []int, rows []value.Row) error {
 	if len(pos) != len(rows) {
 		return fmt.Errorf("table %s: update replay has %d positions, %d rows", t.Name, len(pos), len(rows))
+	}
+	if err := t.checkWidths(rows); err != nil {
+		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -176,7 +194,7 @@ func (t *Table) ApplyDelete(pos []int) error {
 		}
 		drop[p] = true
 	}
-	kept := make([]value.Row, 0, len(t.rows)-len(pos))
+	kept := make([]value.Row, 0, len(t.rows)-len(drop))
 	for i, r := range t.rows {
 		if !drop[i] {
 			kept = append(kept, r)

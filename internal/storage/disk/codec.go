@@ -9,16 +9,17 @@ import (
 	"repro/internal/value"
 )
 
-// WAL record payloads and heap-file tuples share one compact binary
+// WAL records and checkpoint images share one record format: a
+// payload is op:1 followed by op-specific fields, in one compact binary
 // vocabulary (all integers varint/uvarint, strings length-prefixed):
 //
 //	value  = kind:1 [ varint(I) | float64bits:8 | uvarint(len) bytes ]
 //	row    = uvarint(ncols) value*
 //	string = uvarint(len) bytes
 //
-// A WAL record is op:1 followed by op-specific fields; a heap tuple is
-// uvarint(rowid) row — the rowid restores insertion order on load, so
-// the free-space map may place tuples in any page.
+// The rec* functions below build each op's payload; the Log* methods
+// and the checkpoint image writer both call them, and applyRecord is
+// their one inverse.
 const (
 	opInsert byte = iota + 1
 	opUpdate
@@ -32,9 +33,44 @@ const (
 	opDropView
 )
 
-func appendUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
+func recInsert(table string, rows []value.Row) []byte {
+	return appendRows(appendString([]byte{opInsert}, table), rows)
 }
+
+func recUpdate(table string, pos []int, rows []value.Row) []byte {
+	return appendRows(appendPositions(appendString([]byte{opUpdate}, table), pos), rows)
+}
+
+func recDelete(table string, pos []int) []byte {
+	return appendPositions(appendString([]byte{opDelete}, table), pos)
+}
+
+func recTruncate(table string) []byte { return appendString([]byte{opTruncate}, table) }
+
+func recCreateTable(name string, schema storage.Schema) []byte {
+	return encodeSchema(appendString([]byte{opCreateTable}, name), schema)
+}
+
+func recDropTable(name string) []byte { return appendString([]byte{opDropTable}, name) }
+
+func recCreateIndex(table, index string, cols []string) []byte {
+	b := appendString(appendString([]byte{opCreateIndex}, table), index)
+	b = binary.AppendUvarint(b, uint64(len(cols)))
+	for _, c := range cols {
+		b = appendString(b, c)
+	}
+	return b
+}
+
+func recDropIndex(table, index string) []byte {
+	return appendString(appendString([]byte{opDropIndex}, table), index)
+}
+
+func recCreateView(name, sql string) []byte {
+	return appendString(appendString([]byte{opCreateView}, name), sql)
+}
+
+func recDropView(name string) []byte { return appendString([]byte{opDropView}, name) }
 
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
@@ -219,26 +255,6 @@ func (d *decoder) positions() ([]int, error) {
 		out[i] = int(p)
 	}
 	return out, nil
-}
-
-// encodeHeapTuple frames one row for a heap file: rowid then row.
-func encodeHeapTuple(b []byte, rowid uint64, r value.Row) []byte {
-	b = appendUvarint(b[:0], rowid)
-	return appendRow(b, r)
-}
-
-// decodeHeapTuple is the inverse of encodeHeapTuple.
-func decodeHeapTuple(rec []byte) (uint64, value.Row, error) {
-	d := &decoder{b: rec}
-	rowid, err := d.uvarint()
-	if err != nil {
-		return 0, nil, err
-	}
-	r, err := d.row()
-	if err != nil {
-		return 0, nil, err
-	}
-	return rowid, r, nil
 }
 
 // encodeSchema / decodeSchema frame a table schema in a create-table

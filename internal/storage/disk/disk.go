@@ -1,40 +1,42 @@
 // Package disk is the durable storage backend: it implements
-// storage.Backend over a write-ahead log (internal/storage/wal) and
-// per-table paged heap files (internal/storage/heap).
+// storage.Backend over a write-ahead log (internal/storage/wal).
 //
 // The design is a checkpoint-plus-log scheme. The in-memory catalog
 // remains the evaluation heap — every query keeps running against the
 // copy-on-write tables exactly as in the default engine. Durability
-// comes from two artifacts in the data directory:
+// comes from two files per generation in the data directory, both
+// sequences of the same CRC-framed records (see codec.go):
 //
-//   - <table>.<gen>.tbl — a heap-file image of each table as of
-//     checkpoint generation <gen>, written through the buffer pool;
-//     tuples carry a rowid so load order is insertion order regardless
-//     of free-space-map placement.
+//   - image.<gen>.log — the catalog as of checkpoint generation <gen>:
+//     per table a create-table record, its create-index records and
+//     insert records of about 1 MiB each in heap order; then one
+//     create-view record per view.
 //   - wal.<gen>.log — the write-ahead log of every logical mutation
 //     since that checkpoint. DML records are positional (see
 //     storage.Backend); DDL records carry schemas, index column lists
 //     and view SQL.
 //
-// MANIFEST (JSON) names the current generation and the table/view/index
-// inventory. A checkpoint writes the next generation's heap images and
-// a fresh empty WAL, then atomically swaps MANIFEST (tmp + rename +
-// directory fsync) and deletes the old generation; a crash anywhere in
-// between recovers from whichever generation MANIFEST still names,
-// and Open removes orphaned files from unfinished checkpoints.
+// MANIFEST (JSON, {"gen": N}) names the current generation. A
+// checkpoint writes and fsyncs the next generation's image and a fresh
+// empty WAL, then atomically swaps MANIFEST (tmp + rename + directory
+// fsync) and deletes the old generation; a crash anywhere in between
+// recovers from whichever generation MANIFEST still names, and Open
+// removes orphaned files from unfinished checkpoints.
 //
-// Recovery (Open) loads the manifest generation's heap images, replays
-// the WAL tail through the storage.Apply* methods (which bypass
-// re-logging), and only then attaches the backend to the catalog.
+// Recovery (Open) replays the image and then the WAL tail through one
+// function, applyRecord, which drives the storage.Apply* methods
+// (bypassing re-logging), and only then attaches the backend to the
+// catalog.
 package disk
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -42,7 +44,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/parser"
 	"repro/internal/storage"
-	"repro/internal/storage/heap"
 	"repro/internal/storage/wal"
 	"repro/internal/value"
 )
@@ -51,21 +52,15 @@ var (
 	mRecoveries = metrics.Default.Counter("prefsql_disk_recoveries_total",
 		"Data-directory opens that ran crash recovery (manifest load + WAL replay).")
 	mRecoveredRows = metrics.Default.Counter("prefsql_disk_recovered_rows_total",
-		"Rows restored from checkpoint heap images during recovery.")
+		"Rows restored from checkpoint images during recovery.")
 	mReplayedRecords = metrics.Default.Counter("prefsql_disk_wal_records_replayed_total",
 		"WAL records replayed during recovery.")
 	mTornBytes = metrics.Default.Counter("prefsql_disk_wal_torn_bytes_total",
 		"Torn-tail bytes truncated from the WAL during recovery.")
 	mCheckpoints = metrics.Default.Counter("prefsql_disk_checkpoints_total",
-		"Checkpoints completed (heap images + manifest swap).")
+		"Checkpoints completed (image + manifest swap).")
 	mWalRecords = metrics.Default.Counter("prefsql_disk_wal_records_total",
 		"Mutation records appended to the write-ahead log.")
-	mPoolHits = metrics.Default.Gauge("prefsql_disk_pool_hits",
-		"Buffer-pool page hits (cumulative for this process).")
-	mPoolMisses = metrics.Default.Gauge("prefsql_disk_pool_misses",
-		"Buffer-pool page misses (cumulative for this process).")
-	mPoolEvictions = metrics.Default.Gauge("prefsql_disk_pool_evictions",
-		"Buffer-pool evictions (cumulative for this process).")
 )
 
 const manifestName = "MANIFEST"
@@ -74,58 +69,33 @@ const manifestName = "MANIFEST"
 type Options struct {
 	// Sync selects WAL durability (default SyncAlways).
 	Sync wal.SyncMode
-	// PoolPages caps the buffer pool (default 1024 frames).
-	PoolPages int
-	// PageSize sets the heap page size (default heap.DefaultPageSize).
-	PageSize int
 }
 
 // RecoveryStats reports what Open had to do to restore the database.
 type RecoveryStats struct {
 	Gen        uint64        // checkpoint generation recovered from
-	Tables     int           // tables restored from heap images
-	HeapRows   int           // rows loaded from heap images
+	Tables     int           // tables restored from the image
+	HeapRows   int           // rows restored from the image
 	WalRecords int           // WAL records replayed on top
 	WalBytes   int64         // valid WAL bytes scanned
 	TornBytes  int64         // torn-tail bytes truncated from the WAL
 	Elapsed    time.Duration // wall time of the whole recovery
 }
 
-// manifest is the on-disk generation descriptor.
+// manifest is the on-disk commit point: the generation whose image and
+// WAL hold the database.
 type manifest struct {
-	Gen    uint64          `json:"gen"`
-	Tables []manifestTable `json:"tables"`
-	Views  []manifestView  `json:"views"`
+	Gen uint64 `json:"gen"`
 }
 
-type manifestTable struct {
-	Name    string          `json:"name"`
-	Cols    []manifestCol   `json:"cols"`
-	Indexes []manifestIndex `json:"indexes,omitempty"`
-}
-
-type manifestCol struct {
-	Name       string `json:"name"`
-	Kind       int    `json:"kind"`
-	NotNull    bool   `json:"not_null,omitempty"`
-	PrimaryKey bool   `json:"primary_key,omitempty"`
-}
-
-type manifestIndex struct {
-	Name string   `json:"name"`
-	Cols []string `json:"cols"`
-}
-
-type manifestView struct {
-	Name string `json:"name"`
-	SQL  string `json:"sql"`
-}
+// imageChunk is the payload size at which the image writer cuts a
+// table's rows into the next insert record.
+const imageChunk = 1 << 20
 
 // DB is one open durable database. It implements storage.Backend.
 type DB struct {
 	dir  string
 	cat  *storage.Catalog
-	pool *heap.Pool
 	mode wal.SyncMode
 
 	// mu guards the generation swap: Log* hold it shared while
@@ -140,14 +110,11 @@ type DB struct {
 	closed bool
 }
 
-func walName(gen uint64) string { return fmt.Sprintf("wal.%d.log", gen) }
-
-func heapName(table string, gen uint64) string {
-	return fmt.Sprintf("%s.%d.tbl", strings.ToLower(table), gen)
-}
+func walName(gen uint64) string   { return fmt.Sprintf("wal.%d.log", gen) }
+func imageName(gen uint64) string { return fmt.Sprintf("image.%d.log", gen) }
 
 // Open opens (creating if needed) the durable database in dir, running
-// crash recovery: manifest load, heap-image scan, WAL tail replay,
+// crash recovery: manifest load, image replay, WAL tail replay with
 // torn-tail truncation. The returned catalog is fully restored and
 // logging — hand it to engine.NewOn.
 func Open(dir string, opts Options) (*DB, RecoveryStats, error) {
@@ -155,20 +122,17 @@ func Open(dir string, opts Options) (*DB, RecoveryStats, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, RecoveryStats{}, err
 	}
-	d := &DB{
-		dir:  dir,
-		cat:  storage.NewCatalog(),
-		pool: heap.NewPool(opts.PoolPages, opts.PageSize),
-		mode: opts.Sync,
-	}
+	d := &DB{dir: dir, cat: storage.NewCatalog(), mode: opts.Sync}
 	var stats RecoveryStats
 
 	m, err := readManifest(dir)
 	if errors.Is(err, os.ErrNotExist) {
-		// Fresh database: start generation 1 with an empty manifest so
-		// a crash before the first checkpoint still finds a consistent
-		// root.
+		// Fresh database: an empty generation-1 image, then the
+		// manifest naming it, so every manifest names a written image.
 		m = &manifest{Gen: 1}
+		if err := d.writeImage(m.Gen); err != nil {
+			return nil, stats, err
+		}
 		if err := writeManifest(dir, m); err != nil {
 			return nil, stats, err
 		}
@@ -178,30 +142,32 @@ func Open(dir string, opts Options) (*DB, RecoveryStats, error) {
 	d.gen = m.Gen
 	stats.Gen = m.Gen
 
-	// Load the checkpoint images named by the manifest.
-	for _, mt := range m.Tables {
-		tbl, err := d.loadTable(mt)
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Tables++
-		stats.HeapRows += tbl.RowCount()
+	// The image was fsynced before MANIFEST named it, so a missing or
+	// torn image is damage, not an interrupted write: refuse it.
+	image := filepath.Join(dir, imageName(m.Gen))
+	if _, err := os.Stat(image); err != nil {
+		return nil, stats, fmt.Errorf("disk: %s names generation %d: %w", manifestName, m.Gen, err)
 	}
-	for _, mv := range m.Views {
-		sel, err := parser.ParseSelect(mv.SQL)
-		if err != nil {
-			return nil, stats, fmt.Errorf("disk: view %s: %w", mv.Name, err)
-		}
-		if err := d.cat.CreateView(mv.Name, sel); err != nil {
-			return nil, stats, err
+	res, err := wal.Replay(image, d.applyRecord)
+	if err != nil {
+		return nil, stats, fmt.Errorf("disk: %s: %w", image, err)
+	}
+	if res.Truncated != 0 {
+		return nil, stats, fmt.Errorf("disk: %s: torn image (%d trailing bytes)", image, res.Truncated)
+	}
+	for _, name := range d.cat.TableNames() {
+		if tbl, ok := d.cat.Table(name); ok {
+			stats.Tables++
+			stats.HeapRows += tbl.RowCount()
 		}
 	}
 
-	// Replay the WAL tail over the images. The catalog has no backend
+	// Replay the WAL tail over the image. The catalog has no backend
 	// attached yet, so replay does not re-log.
-	log, res, err := wal.OpenReplay(filepath.Join(dir, walName(m.Gen)), opts.Sync, d.applyRecord)
+	walPath := filepath.Join(dir, walName(m.Gen))
+	log, res, err := wal.OpenReplay(walPath, opts.Sync, d.applyRecord)
 	if err != nil {
-		return nil, stats, err
+		return nil, stats, fmt.Errorf("disk: %s: %w", walPath, err)
 	}
 	d.wal = log
 	stats.WalRecords = res.Records
@@ -256,62 +222,15 @@ func (d *DB) WalStats() wal.Stats {
 	return d.wal.Stats()
 }
 
-// PoolStats returns the buffer-pool counters.
-func (d *DB) PoolStats() heap.Stats { return d.pool.Stats() }
-
-// loadTable restores one table from its manifest entry and heap image.
-func (d *DB) loadTable(mt manifestTable) (*storage.Table, error) {
-	cols := make([]storage.Column, len(mt.Cols))
-	for i, c := range mt.Cols {
-		cols[i] = storage.Column{Name: c.Name, Kind: value.Kind(c.Kind), NotNull: c.NotNull, PrimaryKey: c.PrimaryKey}
-	}
-	tbl := storage.NewTable(mt.Name, storage.Schema{Cols: cols})
-	if err := d.cat.CreateTable(tbl); err != nil {
-		return nil, err
-	}
-	for _, ix := range mt.Indexes {
-		if _, err := tbl.CreateIndex(ix.Name, ix.Cols); err != nil {
-			return nil, err
-		}
-	}
-	f, err := d.pool.Open(filepath.Join(d.dir, heapName(mt.Name, d.gen)))
-	if errors.Is(err, os.ErrNotExist) {
-		// A table created and checkpointed while empty has no image.
-		return tbl, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	type numbered struct {
-		rowid uint64
-		row   value.Row
-	}
-	var rows []numbered
-	err = f.Scan(func(rec []byte) error {
-		rowid, row, err := decodeHeapTuple(rec)
-		if err != nil {
-			return fmt.Errorf("disk: %s: %w", f.Path(), err)
-		}
-		rows = append(rows, numbered{rowid, row})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The free-space map may have placed tuples out of page order; the
-	// rowid restores insertion order, which positional WAL replay (and
-	// deterministic scans) depend on.
-	sort.Slice(rows, func(i, j int) bool { return rows[i].rowid < rows[j].rowid })
-	batch := make([]value.Row, len(rows))
-	for i, r := range rows {
-		batch[i] = r.row
-	}
-	tbl.ApplyInsert(batch)
-	return tbl, nil
+// PoolStats reports zero hits and misses: there is no buffer pool. It
+// is kept only because the repository benchmark (benchmark/churn.go)
+// still reads it.
+func (d *DB) PoolStats() struct{ Hits, Misses uint64 } {
+	return struct{ Hits, Misses uint64 }{}
 }
 
-// applyRecord replays one WAL record against the (backend-less) catalog.
+// applyRecord replays one image or WAL record against the
+// (backend-less) catalog.
 func (d *DB) applyRecord(payload []byte) error {
 	dec := &decoder{b: payload}
 	op, err := dec.byte()
@@ -327,7 +246,7 @@ func (d *DB) applyRecord(payload []byte) error {
 	table := func() (*storage.Table, error) {
 		t, ok := d.cat.Table(name)
 		if !ok {
-			return nil, fmt.Errorf("disk: wal replay: no such table %q", name)
+			return nil, fmt.Errorf("disk: replay: no such table %q", name)
 		}
 		return t, nil
 	}
@@ -341,7 +260,7 @@ func (d *DB) applyRecord(payload []byte) error {
 		if err != nil {
 			return err
 		}
-		t.ApplyInsert(rows)
+		return t.ApplyInsert(rows)
 	case opUpdate:
 		pos, err := dec.positions()
 		if err != nil {
@@ -412,13 +331,13 @@ func (d *DB) applyRecord(payload []byte) error {
 		}
 		sel, err := parser.ParseSelect(sql)
 		if err != nil {
-			return fmt.Errorf("disk: wal replay: view %s: %w", name, err)
+			return fmt.Errorf("disk: replay: view %s: %w", name, err)
 		}
 		return d.cat.CreateView(name, sel)
 	case opDropView:
 		d.cat.DropView(name)
 	default:
-		return fmt.Errorf("disk: wal replay: unknown op %d", op)
+		return fmt.Errorf("disk: replay: unknown op %d", op)
 	}
 	return nil
 }
@@ -444,73 +363,41 @@ func (d *DB) append(payload []byte) error {
 // record and blocks until it is durable.
 
 func (d *DB) LogInsert(table string, rows []value.Row) error {
-	b := []byte{opInsert}
-	b = appendString(b, table)
-	return d.append(appendRows(b, rows))
+	return d.append(recInsert(table, rows))
 }
 
 func (d *DB) LogUpdate(table string, pos []int, rows []value.Row) error {
-	b := []byte{opUpdate}
-	b = appendString(b, table)
-	b = appendPositions(b, pos)
-	return d.append(appendRows(b, rows))
+	return d.append(recUpdate(table, pos, rows))
 }
 
 func (d *DB) LogDelete(table string, pos []int) error {
-	b := []byte{opDelete}
-	b = appendString(b, table)
-	return d.append(appendPositions(b, pos))
+	return d.append(recDelete(table, pos))
 }
 
-func (d *DB) LogTruncate(table string) error {
-	b := []byte{opTruncate}
-	return d.append(appendString(b, table))
-}
+func (d *DB) LogTruncate(table string) error { return d.append(recTruncate(table)) }
 
 func (d *DB) LogCreateTable(name string, schema storage.Schema) error {
-	b := []byte{opCreateTable}
-	b = appendString(b, name)
-	return d.append(encodeSchema(b, schema))
+	return d.append(recCreateTable(name, schema))
 }
 
-func (d *DB) LogDropTable(name string) error {
-	b := []byte{opDropTable}
-	return d.append(appendString(b, name))
-}
+func (d *DB) LogDropTable(name string) error { return d.append(recDropTable(name)) }
 
 func (d *DB) LogCreateIndex(table, index string, cols []string) error {
-	b := []byte{opCreateIndex}
-	b = appendString(b, table)
-	b = appendString(b, index)
-	b = appendUvarint(b, uint64(len(cols)))
-	for _, c := range cols {
-		b = appendString(b, c)
-	}
-	return d.append(b)
+	return d.append(recCreateIndex(table, index, cols))
 }
 
 func (d *DB) LogDropIndex(table, index string) error {
-	b := []byte{opDropIndex}
-	b = appendString(b, table)
-	return d.append(appendString(b, index))
+	return d.append(recDropIndex(table, index))
 }
 
-func (d *DB) LogCreateView(name, sql string) error {
-	b := []byte{opCreateView}
-	b = appendString(b, name)
-	return d.append(appendString(b, sql))
-}
+func (d *DB) LogCreateView(name, sql string) error { return d.append(recCreateView(name, sql)) }
 
-func (d *DB) LogDropView(name string) error {
-	b := []byte{opDropView}
-	return d.append(appendString(b, name))
-}
+func (d *DB) LogDropView(name string) error { return d.append(recDropView(name)) }
 
-// Checkpoint writes the next generation — heap images of every table
-// through the buffer pool, a fresh empty WAL, an atomic MANIFEST swap —
-// then deletes the previous generation. The caller must hold off all
-// writers for the duration (core.DB.Checkpoint runs it under the
-// statement write lock).
+// Checkpoint writes the next generation — the catalog's image and a
+// fresh empty WAL — swaps MANIFEST atomically, then deletes the
+// previous generation. The caller must hold off all writers for the
+// duration (core.DB.Checkpoint runs it under the statement write lock).
 func (d *DB) Checkpoint() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -518,56 +405,15 @@ func (d *DB) Checkpoint() error {
 		return wal.ErrClosed
 	}
 	newGen := d.gen + 1
-	m := &manifest{Gen: newGen}
-
-	for _, name := range d.cat.TableNames() {
-		tbl, ok := d.cat.Table(name)
-		if !ok {
-			continue
-		}
-		mt := manifestTable{Name: tbl.Name}
-		for _, c := range tbl.Schema.Cols {
-			mt.Cols = append(mt.Cols, manifestCol{Name: c.Name, Kind: int(c.Kind), NotNull: c.NotNull, PrimaryKey: c.PrimaryKey})
-		}
-		for _, ix := range tbl.IndexDefs() {
-			mt.Indexes = append(mt.Indexes, manifestIndex{Name: ix.Name, Cols: ix.Columns})
-		}
-		m.Tables = append(m.Tables, mt)
-
-		f, err := d.pool.Create(filepath.Join(d.dir, heapName(tbl.Name, newGen)))
-		if err != nil {
-			return err
-		}
-		var buf []byte
-		for i, r := range tbl.Rows() {
-			buf = encodeHeapTuple(buf, uint64(i), r)
-			if err := f.Append(buf); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	if err := d.writeImage(newGen); err != nil {
+		return err
 	}
-	for _, name := range d.cat.ViewNames() {
-		sel, ok := d.cat.View(name)
-		if !ok {
-			continue
-		}
-		m.Views = append(m.Views, manifestView{Name: name, SQL: sel.SQL()})
-	}
-
 	// The new WAL must exist before MANIFEST names its generation.
 	newWal, _, err := wal.Open(filepath.Join(d.dir, walName(newGen)), d.mode)
 	if err != nil {
 		return err
 	}
-	if err := writeManifest(d.dir, m); err != nil {
+	if err := writeManifest(d.dir, &manifest{Gen: newGen}); err != nil {
 		newWal.Close()
 		return err
 	}
@@ -581,11 +427,70 @@ func (d *DB) Checkpoint() error {
 		return err
 	}
 	mCheckpoints.Inc()
-	ps := d.pool.Stats()
-	mPoolHits.Set(int64(ps.Hits))
-	mPoolMisses.Set(int64(ps.Misses))
-	mPoolEvictions.Set(int64(ps.Evictions))
 	return nil
+}
+
+// writeImage writes generation gen's image — the catalog as records
+// applyRecord restores — replacing whatever a failed checkpoint left
+// under that name, and fsyncs it.
+func (d *DB) writeImage(gen uint64) (err error) {
+	path := filepath.Join(d.dir, imageName(gen))
+	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	img, _, err := wal.Open(path, wal.SyncOff)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := img.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	for _, name := range d.cat.TableNames() {
+		tbl, ok := d.cat.Table(name)
+		if !ok {
+			continue
+		}
+		if err := img.Append(recCreateTable(tbl.Name, tbl.Schema)); err != nil {
+			return err
+		}
+		for _, ix := range tbl.IndexDefs() {
+			if err := img.Append(recCreateIndex(tbl.Name, ix.Name, ix.Columns)); err != nil {
+				return err
+			}
+		}
+		rows := tbl.Rows()
+		for lo := 0; lo < len(rows); {
+			hi, size := lo, 0
+			for hi < len(rows) && size < imageChunk {
+				size += rowSizeHint(rows[hi])
+				hi++
+			}
+			if err := img.Append(recInsert(tbl.Name, rows[lo:hi])); err != nil {
+				return err
+			}
+			lo = hi
+		}
+	}
+	for _, name := range d.cat.ViewNames() {
+		if sel, ok := d.cat.View(name); ok {
+			if err := img.Append(recCreateView(name, sel.SQL())); err != nil {
+				return err
+			}
+		}
+	}
+	return img.Sync()
+}
+
+// rowSizeHint approximates a row's encoded size, for cutting image
+// insert records near imageChunk.
+func rowSizeHint(r value.Row) int {
+	n := 1
+	for _, v := range r {
+		n += 9 + len(v.S)
+	}
+	return n
 }
 
 // Close checkpoints and shuts the backend down. The catalog keeps
@@ -601,7 +506,7 @@ func (d *DB) Close() error {
 	return d.wal.Close()
 }
 
-// removeOtherGenerations deletes WAL and heap files whose embedded
+// removeOtherGenerations deletes WAL and image files whose embedded
 // generation differs from keep.
 func (d *DB) removeOtherGenerations(keep uint64) error {
 	entries, err := os.ReadDir(d.dir)
@@ -610,39 +515,37 @@ func (d *DB) removeOtherGenerations(keep uint64) error {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		var gen uint64
-		switch {
-		case strings.HasPrefix(name, "wal.") && strings.HasSuffix(name, ".log"):
-			if _, err := fmt.Sscanf(name, "wal.%d.log", &gen); err != nil {
-				continue
-			}
-		case strings.HasSuffix(name, ".tbl"):
-			parts := strings.Split(strings.TrimSuffix(name, ".tbl"), ".")
-			if len(parts) < 2 {
-				continue
-			}
-			if _, err := fmt.Sscanf(parts[len(parts)-1], "%d", &gen); err != nil {
-				continue
-			}
-		default:
+		base, ok := strings.CutSuffix(name, ".log")
+		if !ok {
 			continue
 		}
-		if gen != keep {
-			if err := os.Remove(filepath.Join(d.dir, name)); err != nil {
-				return err
+		for _, prefix := range []string{"wal.", "image."} {
+			g, ok := strings.CutPrefix(base, prefix)
+			if !ok {
+				continue
+			}
+			if gen, err := strconv.ParseUint(g, 10, 64); err == nil && gen != keep {
+				if err := os.Remove(filepath.Join(d.dir, name)); err != nil {
+					return err
+				}
 			}
 		}
 	}
 	return nil
 }
 
+// readManifest decodes MANIFEST strictly: a manifest from the paged
+// heap format (with a table/view inventory) is refused, not read as an
+// empty database.
 func readManifest(dir string) (*manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, err
 	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
+	if err := dec.Decode(&m); err != nil {
 		return nil, fmt.Errorf("disk: %s: %w", manifestName, err)
 	}
 	return &m, nil

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -203,12 +204,12 @@ func TestDDLPersistence(t *testing.T) {
 	// Crash-reopen (DDL from WAL) ...
 	d2, _ := openDB(t, dir)
 	check(d2, "wal replay")
-	// ... then clean close (DDL from manifest).
+	// ... then clean close (DDL from the image).
 	if err := d2.Close(); err != nil {
 		t.Fatal(err)
 	}
 	d3, _ := openDB(t, dir)
-	check(d3, "manifest")
+	check(d3, "image")
 	if err := d3.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestCrashMidCheckpoint(t *testing.T) {
 	gen := d.Generation()
 	// Fake the unfinished checkpoint: next-gen files exist, MANIFEST
 	// still names the old generation.
-	if err := os.WriteFile(filepath.Join(dir, heapName("cars", gen+1)), []byte("garbage-from-a-dead-checkpoint"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, imageName(gen+1)), []byte("garbage-from-a-dead-checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, walName(gen+1)), nil, 0o644); err != nil {
@@ -276,16 +277,16 @@ func TestCrashMidCheckpoint(t *testing.T) {
 		t.Fatalf("rows = %d, want 10", tbl2.RowCount())
 	}
 	// Orphans must be gone.
-	if _, err := os.Stat(filepath.Join(dir, heapName("cars", gen+1))); !os.IsNotExist(err) {
-		t.Fatal("orphaned next-gen heap file not removed")
+	if _, err := os.Stat(filepath.Join(dir, imageName(gen+1))); !os.IsNotExist(err) {
+		t.Fatal("orphaned next-gen image not removed")
 	}
 	if err := d2.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestJumboRow: a row far larger than one page survives via a jumbo
-// chain in the checkpoint image.
+// TestJumboRow: a row far larger than a typical record survives the
+// checkpoint image next to a small one, in insertion order.
 func TestJumboRow(t *testing.T) {
 	dir := t.TempDir()
 	d, _ := openDB(t, dir)
@@ -296,7 +297,7 @@ func TestJumboRow(t *testing.T) {
 	if err := d.Catalog().CreateTable(tbl); err != nil {
 		t.Fatal(err)
 	}
-	big := strings.Repeat("lorem ipsum ", 4000) // ~48KB, several pages
+	big := strings.Repeat("lorem ipsum ", 4000) // ~48KB
 	if err := tbl.Insert(value.Row{value.NewInt(1), value.NewText(big)}); err != nil {
 		t.Fatal(err)
 	}
@@ -312,8 +313,7 @@ func TestJumboRow(t *testing.T) {
 	}
 	tbl2, _ := d2.Catalog().Table("blobs")
 	rows := tbl2.Rows()
-	// Insertion order must hold even though the jumbo chain and the
-	// small row land in different page ranges.
+	// Insertion order must hold across the image.
 	if rows[0][0].I != 1 || rows[0][1].S != big || rows[1][0].I != 2 {
 		t.Fatal("jumbo row corrupted or reordered")
 	}
@@ -454,10 +454,10 @@ func TestViewPersistence(t *testing.T) {
 	if err := d2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d3, _ := openDB(t, dir) // manifest path
+	d3, _ := openDB(t, dir) // image path
 	v, ok = d3.Catalog().View("cheap")
 	if !ok {
-		t.Fatal("view lost on manifest recovery")
+		t.Fatal("view lost on image recovery")
 	}
 	if v.SQL() != wantSQL {
 		t.Fatalf("view SQL drifted after checkpoint: %q", v.SQL())
@@ -504,4 +504,253 @@ func mustParseSelect(t *testing.T, sql string) *ast.Select {
 		t.Fatal(err)
 	}
 	return sel
+}
+
+// TestReplayRejectsWrongWidth: a CRC-valid record whose row is narrower
+// than its table's schema fails Open with an error naming the table,
+// instead of panicking in the index rebuild.
+func TestReplayRejectsWrongWidth(t *testing.T) {
+	narrow := []value.Row{{value.NewInt(1)}}
+	for name, logBad := range map[string]func(*DB) error{
+		"insert": func(d *DB) error { return d.LogInsert("t", narrow) },
+		"update": func(d *DB) error { return d.LogUpdate("t", []int{0}, narrow) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			d, _ := openDB(t, dir)
+			tbl := storage.NewTable("t", storage.Schema{Cols: []storage.Column{
+				{Name: "a", Kind: value.Int},
+				{Name: "b", Kind: value.Int},
+			}})
+			if err := d.Catalog().CreateTable(tbl); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tbl.CreateIndex("t_b", []string{"b"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.Insert(value.Row{value.NewInt(0), value.NewInt(0)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := logBad(d); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err := Open(dir, Options{Sync: wal.SyncOff})
+			if err == nil || !strings.Contains(err.Error(), "table t:") {
+				t.Fatalf("open = %v, want an error naming table t", err)
+			}
+		})
+	}
+}
+
+// checkpointedCars returns a directory whose current generation's
+// image holds a cars table with an index and 20 rows, plus a view.
+func checkpointedCars(t testing.TB) (dir string, gen uint64) {
+	t.Helper()
+	dir = t.TempDir()
+	d, _, err := Open(dir, Options{Sync: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := storage.NewTable("cars", carSchema())
+	if err := d.Catalog().CreateTable(tbl); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.CreateIndex("cars_make", []string{"make"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := tbl.Insert(carRow(int64(i), "Audi", float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sel, err := parser.ParseSelect("SELECT id FROM cars WHERE price < 10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Catalog().CreateView("cheap", sel); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, d.Generation()
+}
+
+// TestOpenRefusesDamagedImage: the image was fsynced before MANIFEST
+// named it, so a missing image, a torn image or a manifest this format
+// cannot read fails Open loudly instead of opening an empty database.
+func TestOpenRefusesDamagedImage(t *testing.T) {
+	for name, damage := range map[string]func(dir string, gen uint64) error{
+		"missing image": func(dir string, gen uint64) error {
+			return os.Remove(filepath.Join(dir, imageName(gen)))
+		},
+		"torn image": func(dir string, gen uint64) error {
+			path := filepath.Join(dir, imageName(gen))
+			info, err := os.Stat(path)
+			if err != nil {
+				return err
+			}
+			return os.Truncate(path, info.Size()-3)
+		},
+		"old manifest": func(dir string, gen uint64) error {
+			old := fmt.Sprintf(`{"gen": %d, "tables": [{"name": "cars", "cols": [{"name": "id", "kind": 1}]}], "views": null}`, gen)
+			return os.WriteFile(filepath.Join(dir, manifestName), []byte(old), 0o644)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir, gen := checkpointedCars(t)
+			if err := damage(dir, gen); err != nil {
+				t.Fatal(err)
+			}
+			d, _, err := Open(dir, Options{Sync: wal.SyncOff})
+			if err == nil {
+				d.Close()
+				t.Fatal("open succeeded over a damaged generation")
+			}
+			if _, err := os.Stat(filepath.Join(dir, walName(gen))); err != nil {
+				t.Fatalf("failed open touched the WAL: %v", err)
+			}
+		})
+	}
+}
+
+// TestCheckpointReplacesStaleImage: an image.<gen+1> left in the live
+// directory by a failed checkpoint is replaced by the next checkpoint,
+// not appended to.
+func TestCheckpointReplacesStaleImage(t *testing.T) {
+	dir, _ := checkpointedCars(t)
+	d, _ := openDB(t, dir)
+	tbl, _ := d.Catalog().Table("cars")
+	if err := tbl.Insert(carRow(99, "VW", 1)); err != nil {
+		t.Fatal(err)
+	}
+	want := tbl.Rows()
+	stale, _, err := wal.Open(filepath.Join(dir, imageName(d.Generation()+1)), wal.SyncOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stale.Append(recCreateTable("ghost", carSchema())); err != nil {
+		t.Fatal(err)
+	}
+	if err := stale.Append(recInsert("ghost", []value.Row{carRow(1, "x", 1)})); err != nil {
+		t.Fatal(err)
+	}
+	if err := stale.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	d2, stats := openDB(t, dir)
+	if _, ok := d2.Catalog().Table("ghost"); ok {
+		t.Fatal("stale image records survived the checkpoint")
+	}
+	got, _ := d2.Catalog().Table("cars")
+	if stats.HeapRows != len(want) || !rowsEqual(want, got.Rows()) {
+		t.Fatalf("reopened %d image rows, want exactly the %d checkpointed", stats.HeapRows, len(want))
+	}
+	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzReplay feeds arbitrary bytes to recovery, either as the image of
+// generation 1 or as its WAL next to a valid image, under a valid
+// MANIFEST. With framed set, the bytes are one record payload behind a
+// valid frame, so mutations reach the record decoder past the CRC.
+// Images and WALs share one record format, so this one target covers
+// both. Open must fail or return a catalog whose every row has its
+// schema's width; it must never panic.
+func FuzzReplay(f *testing.F) {
+	src, gen := checkpointedCars(f)
+	d, _, err := Open(src, Options{Sync: wal.SyncOff})
+	if err != nil {
+		f.Fatal(err)
+	}
+	tbl, _ := d.Catalog().Table("cars")
+	if err := tbl.Insert(carRow(50, "BMW", 5)); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := tbl.Update(
+		func(r value.Row) (bool, error) { return r[0].I == 3, nil },
+		func(r value.Row) (value.Row, error) { r[1] = value.NewText("Opel"); return r, nil },
+	); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := tbl.Delete(func(r value.Row) (bool, error) { return r[0].I < 2, nil }); err != nil {
+		f.Fatal(err)
+	}
+	if !d.Catalog().DropView("cheap") {
+		f.Fatal("drop view failed")
+	}
+	image, err := os.ReadFile(filepath.Join(src, imageName(gen)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	tail, err := os.ReadFile(filepath.Join(src, walName(gen)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(image, false, false)
+	f.Add(tail, true, false)
+	f.Add([]byte{}, false, false)
+	for _, rec := range [][]byte{
+		recCreateTable("cars", carSchema()),
+		recInsert("cars", []value.Row{carRow(7, "Fiat", 2)}),
+		recUpdate("cars", []int{4}, []value.Row{carRow(7, "Fiat", 2)}),
+		recDelete("cars", []int{0, 3}),
+		recTruncate("cars"),
+		recCreateIndex("cars", "cars_price", []string{"price"}),
+		recDropIndex("cars", "cars_make"),
+		recCreateView("dear", "SELECT make FROM cars WHERE price > 5"),
+		recDropTable("cars"),
+	} {
+		f.Add(rec, true, true)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, asWAL, framed bool) {
+		dir := t.TempDir()
+		if framed {
+			log, _, err := wal.Open(filepath.Join(dir, "record"), wal.SyncOff)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Append(data); err != nil {
+				t.Fatal(err)
+			}
+			log.Close()
+			if data, err = os.ReadFile(filepath.Join(dir, "record")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		img := data
+		if asWAL {
+			img = image
+			if err := os.WriteFile(filepath.Join(dir, walName(1)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, imageName(1)), img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(`{"gen": 1}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, _, err := Open(dir, Options{Sync: wal.SyncOff})
+		if err != nil {
+			return
+		}
+		defer d.wal.Close() // no Close: its checkpoint would fsync per input
+		for _, name := range d.Catalog().TableNames() {
+			tbl, _ := d.Catalog().Table(name)
+			for i, r := range tbl.Rows() {
+				if len(r) != len(tbl.Schema.Cols) {
+					t.Fatalf("table %s row %d has %d values, schema has %d", name, i, len(r), len(tbl.Schema.Cols))
+				}
+			}
+		}
+	})
 }
