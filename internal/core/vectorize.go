@@ -91,9 +91,40 @@ func vectorize(sel *ast.Select, root *plan.BMO, node plan.Node) {
 	}
 	root.VecCols = cols
 	root.Progressive = false
-	if bare {
+	if bare && bareOperands(sel.Preferring, len(scorers)) {
 		root.VecScan = scan
 	}
+}
+
+// bareOperands reports whether each of the n score terms of p scores a
+// bare column reference: a kernel reading the column's vector computes
+// exactly that term's score. A computed operand such as -a or ABS(a - 50)
+// reads one column too, but must be scored through its expression.
+func bareOperands(p ast.Pref, n int) bool {
+	parts := []ast.Pref{p}
+	if par, ok := p.(*ast.PrefPareto); ok {
+		parts = par.Parts
+	}
+	if len(parts) != n {
+		return false
+	}
+	for _, part := range parts {
+		var x ast.Expr
+		switch t := part.(type) {
+		case *ast.PrefLowest:
+			x = t.X
+		case *ast.PrefHighest:
+			x = t.X
+		case *ast.PrefAround:
+			x = t.X
+		case *ast.PrefBetween:
+			x = t.X
+		}
+		if _, ok := x.(*ast.Column); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // bareScan unwraps the canonical candidate pipeline Project(*)→SeqScan.
