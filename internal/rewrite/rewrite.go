@@ -274,7 +274,17 @@ func (r *rewriter) compileBase(p ast.Pref) (*basePref, []ast.SelectItem, error) 
 	case *ast.PrefHighest:
 		bp.label = x.X.SQL()
 		bp.relative = true
-		neg := &ast.Binary{Op: "-", L: &ast.Literal{Val: value.NewInt(0)}, R: x.X}
+		// The level is -x. `-` refuses BOOLEAN, which natively scores
+		// as 0/1, so TRUE and FALSE map to -1 and 0 first. `=` compares
+		// numerically, so a number that equals TRUE or FALSE gets the
+		// same level it would from 0 - x.
+		neg := &ast.Case{
+			Whens: []ast.WhenClause{
+				{When: &ast.Binary{Op: "=", L: x.X, R: &ast.Literal{Val: value.NewBool(true)}}, Then: &ast.Literal{Val: value.NewInt(-1)}},
+				{When: &ast.Binary{Op: "=", L: x.X, R: &ast.Literal{Val: value.NewBool(false)}}, Then: &ast.Literal{Val: value.NewInt(0)}},
+			},
+			Else: &ast.Binary{Op: "-", L: &ast.Literal{Val: value.NewInt(0)}, R: x.X},
+		}
 		items = append(items, ast.SelectItem{Expr: nullGuard(x.X, neg), Alias: bp.lvlCol()})
 
 	case *ast.PrefPos:

@@ -1,13 +1,16 @@
 package rewrite_test
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/parser"
 	"repro/internal/rewrite"
+	"repro/internal/value"
 )
 
 func mustParse(t *testing.T, sql string) *ast.Select {
@@ -429,4 +432,49 @@ func TestRewriteTopFunction(t *testing.T) {
 	if len(res.Rows) != 1 || !res.Rows[0][1].IsTrue() {
 		t.Fatalf("top: %v", res.Rows)
 	}
+}
+
+// TestHighestOverBoolean: HIGHEST over a BOOLEAN column ranks TRUE above
+// FALSE natively; the rewrite must give the same answer, quality
+// functions included, although `-` does not accept booleans.
+func TestHighestOverBoolean(t *testing.T) {
+	db := core.Open()
+	if _, err := db.Exec(`CREATE TABLE t (id INT, b BOOLEAN, n INT, f FLOAT, d DATE);
+		INSERT INTO t VALUES (1, FALSE, 0, 1.0, '1970-01-02'), (2, TRUE, 1, 0.0, '1970-01-01'),
+			(3, NULL, 2, 1.0, '1999-07-03'), (4, TRUE, NULL, -0.0, NULL)`); err != nil {
+		t.Fatal(err)
+	}
+	native, rw := db.NewSession(), db.NewSession()
+	rw.SetMode(core.ModeRewrite)
+	for _, q := range []string{
+		`SELECT id FROM t PREFERRING HIGHEST(b)`,
+		`SELECT id, DISTANCE(b), TOP(b), LEVEL(b) FROM t PREFERRING HIGHEST(b)`,
+		`SELECT id FROM t PREFERRING HIGHEST(b) AND HIGHEST(n)`,
+		`SELECT id, DISTANCE(n) FROM t PREFERRING HIGHEST(n)`,
+		`SELECT id, DISTANCE(f) FROM t PREFERRING HIGHEST(f)`,
+		`SELECT id, DISTANCE(d) FROM t PREFERRING HIGHEST(d)`,
+		`SELECT id FROM t PREFERRING HIGHEST(b) BUT ONLY DISTANCE(b) <= 0`,
+	} {
+		want, err := native.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rw.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if g, w := rowStrings(got.Rows), rowStrings(want.Rows); g != w {
+			t.Errorf("%s: rewrite %s, native %s", q, g, w)
+		}
+	}
+}
+
+// rowStrings renders rows as a sorted set.
+func rowStrings(rows []value.Row) string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.String()
+	}
+	sort.Strings(out)
+	return strings.Join(out, " ")
 }
