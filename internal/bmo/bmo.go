@@ -131,7 +131,8 @@ func evaluate(p preference.Preference, rows []value.Row, algo Algorithm, st *Sta
 		if err != nil {
 			return nil, err
 		}
-		return scoreSkyline(&in, st, &VecStats{}, cfg)
+		idx, err := scoreSkyline(&in, st, &VecStats{}, cfg)
+		return rowsAt(&in, idx), err
 	}
 	return compareSkyline(p, rows, st, cfg)
 }

@@ -245,7 +245,11 @@ func vecInput(workers int) func(preference.Preference, []value.Row) ([]value.Row
 		if err != nil {
 			return nil, err
 		}
-		out, _, _, err := bmo.EvaluateVecInput(in, bmo.Config{Workers: workers})
+		idx, _, _, err := bmo.EvaluateVecInput(in, bmo.Config{Workers: workers})
+		out := make([]value.Row, len(idx))
+		for k, i := range idx {
+			out[k] = in.Rows[i]
+		}
 		return out, err
 	}
 }

@@ -70,14 +70,19 @@ type VecStats struct {
 
 // VecInput is a score matrix: Flat holds one Dim-wide score vector per
 // row (row-major), Sums the +Inf-saturated score sums (the primary sort
-// key). The exec layer fills it straight from columnar storage;
-// BuildVecInput is the generic row-at-a-time fill.
+// key). The exec layer fills it from column vectors at a scan's selected
+// positions and leaves Rows nil — the kernel works on row indices, and
+// only the winners' rows are fetched; BuildVecInput is the generic
+// row-at-a-time fill, which keeps the rows it scored.
 type VecInput struct {
 	Rows []value.Row
 	Dim  int
 	Flat []float64
 	Sums []float64
 }
+
+// Len returns the number of rows in the matrix.
+func (in *VecInput) Len() int { return len(in.Sums) }
 
 // vec returns row i's score vector.
 func (in *VecInput) vec(i int32) []float64 {
@@ -191,10 +196,11 @@ func BuildVecInput(scorers []preference.Scored, rows []value.Row) (VecInput, err
 	return in, nil
 }
 
-// EvaluateVecInput runs the score kernel on a prebuilt score matrix —
-// the exec layer's columnar fast path, where the matrix was filled from
-// typed column vectors without boxing a single value.
-func EvaluateVecInput(in VecInput, cfg Config) ([]value.Row, Stats, VecStats, error) {
+// EvaluateVecInput runs the score kernel on a prebuilt score matrix and
+// returns the winners' row indices in key order — the exec layer's
+// columnar path, where the matrix was filled from typed column vectors
+// without boxing a single value and only the winners' rows are fetched.
+func EvaluateVecInput(in VecInput, cfg Config) ([]int32, Stats, VecStats, error) {
 	var st Stats
 	var vst VecStats
 	out, err := scoreSkyline(&in, &st, &vst, cfg)
@@ -304,7 +310,7 @@ func blockSkyline(w *window, idx []int32, vst *VecStats) error {
 // skyline in key order. Block alignment keeps BlocksScanned at
 // ⌈n/VecBlockSize⌉ whatever the worker count.
 func scorePartials(in *VecInput, st *Stats, vst *VecStats, cfg Config) ([][]int32, error) {
-	n := len(in.Rows)
+	n := in.Len()
 	if n == 0 {
 		return nil, nil
 	}
@@ -337,28 +343,34 @@ func scorePartials(in *VecInput, st *Stats, vst *VecStats, cfg Config) ([][]int3
 
 // scoreSkyline is the score family's batch evaluation of a filled
 // matrix: the partition phase, then — when there is more than one
-// partial — the k-way merge. Rows come out in key order.
-func scoreSkyline(in *VecInput, st *Stats, vst *VecStats, cfg Config) ([]value.Row, error) {
+// partial — the k-way merge. It returns the winners' row indices in key
+// order.
+func scoreSkyline(in *VecInput, st *Stats, vst *VecStats, cfg Config) ([]int32, error) {
 	parts, err := scorePartials(in, st, vst, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if len(parts) == 1 {
-		out := make([]value.Row, len(parts[0]))
-		for k, i := range parts[0] {
-			out[k] = in.Rows[i]
+	if err != nil || len(parts) == 1 {
+		if len(parts) == 0 {
+			return nil, err
 		}
-		return out, nil
+		return parts[0], err
 	}
 	mg := mergePartials(in, parts, st, cfg)
-	var out []value.Row
+	var out []int32
 	for {
-		row, ok, err := mg.Next()
+		i, ok, err := mg.next()
 		if err != nil || !ok {
 			return out, err
 		}
-		out = append(out, row)
+		out = append(out, i)
 	}
+}
+
+// rowsAt returns the rows of in at the indices idx.
+func rowsAt(in *VecInput, idx []int32) []value.Row {
+	out := make([]value.Row, len(idx))
+	for k, i := range idx {
+		out[k] = in.Rows[i]
+	}
+	return out
 }
 
 // merger k-way merges monotone sources through one window: the
@@ -400,13 +412,22 @@ func mergePartials(in *VecInput, parts [][]int32, st *Stats, cfg Config) *merger
 // Next returns the next admitted row, or ok=false once every source is
 // exhausted.
 func (mg *merger) Next() (value.Row, bool, error) {
+	i, ok, err := mg.next()
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	return mg.win.m.Rows[i], true, nil
+}
+
+// next is Next on row indices.
+func (mg *merger) next() (int32, bool, error) {
 	for {
 		best := -1
 		for i := range mg.heads {
 			if mg.heads[i] == needPull {
 				r, ok, err := mg.pull(i)
 				if err != nil {
-					return nil, false, err
+					return 0, false, err
 				}
 				if !ok {
 					r = exhausted
@@ -418,16 +439,16 @@ func (mg *merger) Next() (value.Row, bool, error) {
 			}
 		}
 		if best < 0 {
-			return nil, false, nil
+			return 0, false, nil
 		}
 		c := mg.heads[best]
 		mg.heads[best] = needPull
 		ok, err := mg.win.admit(c)
 		if err != nil {
-			return nil, false, err
+			return 0, false, err
 		}
 		if ok {
-			return mg.win.m.Rows[c], true, nil
+			return c, true, nil
 		}
 	}
 }

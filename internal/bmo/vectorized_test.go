@@ -121,8 +121,8 @@ func evalVec(p preference.Preference, rows []value.Row, cfg Config) ([]value.Row
 	if err != nil {
 		return nil, VecStats{}, err
 	}
-	out, _, vst, err := EvaluateVecInput(in, cfg)
-	return out, vst, err
+	idx, _, vst, err := EvaluateVecInput(in, cfg)
+	return rowsAt(&in, idx), vst, err
 }
 
 // TestVectorizedOrderMatchesSFS pins the strongest property the score

@@ -77,7 +77,7 @@ func TestExplainGolden(t *testing.T) {
 			name: "vec-filtered-scan-generic-fill",
 			sql:  `SELECT id FROM big WHERE d3 < 2 PREFERRING LOWEST(d1) AND LOWEST(d2)`,
 			want: "QualityProject id\n" +
-				"  BMO vec est=10000 [(LOWEST(d1) AND LOWEST(d2))]\n" +
+				"  BMO vec est=10000 columnar [(LOWEST(d1) AND LOWEST(d2))]\n" +
 				"    Project *\n" +
 				"      SeqScan big [(d3 < 2)]\n",
 		},

@@ -7,7 +7,6 @@ import (
 	"repro/internal/bmo"
 	"repro/internal/plan"
 	"repro/internal/preference"
-	"repro/internal/value"
 )
 
 // The vectorized-BMO planning step: after the preference-algebra
@@ -33,10 +32,14 @@ import (
 //     which Auto runs parallel (the flat score matrix only pays off
 //     when the input is large).
 //
-// When the candidate pipeline is additionally a bare single-table scan
-// (no filter, no limit — heap order equals input order), the node also
-// names that scan so the executor fills score vectors straight from the
-// column vectors of the heap the scan captured (plan.BMO.VecScan).
+// When the candidate pipeline is a pass-through projection over one
+// table's SeqScan or IndexScan, filtered or not, the node also names that
+// scan (plan.BMO.VecScan): the executor takes the scan's selection —
+// captured heap plus surviving positions — fills the score matrix from
+// column vectors at those positions, and fetches the winners' rows only.
+// Which components a kernel fills is decided from the preference's
+// syntax (scoreKernels); the rest are scored row by row at the same
+// positions.
 
 // vectorize applies the planning step to root in place; node is the
 // plan maybePush returned.
@@ -75,74 +78,80 @@ func vectorize(sel *ast.Select, root *plan.BMO, node plan.Node) {
 		}
 		cols[i] = idx
 	}
-	scan, bare := bareScan(root.Child)
-	if scan != nil {
-		// Columnar availability: score kernels consume numeric vectors
-		// only. (Non-scan children carry no schema kinds to check; their
-		// generic fill scores through the compiled getters, which report
-		// non-numeric values as the row-at-a-time path would.)
-		for _, c := range cols {
-			switch scan.Table.Schema.Cols[c].Kind {
-			case value.Int, value.Float, value.Bool, value.Date:
-			default:
-				return
-			}
-		}
-	}
 	root.VecCols = cols
 	root.Progressive = false
-	if bare && bareOperands(sel.Preferring, len(scorers)) {
+	if scan := selectionScan(root.Child); scan != nil {
 		root.VecScan = scan
+		scoreKernels(sel.Preferring, root, sch)
 	}
 }
 
-// bareOperands reports whether each of the n score terms of p scores a
-// bare column reference: a kernel reading the column's vector computes
-// exactly that term's score. A computed operand such as -a or ABS(a - 50)
-// reads one column too, but must be scored through its expression.
-func bareOperands(p ast.Pref, n int) bool {
+// scoreKernels decides, from the preference's syntax, which components a
+// kernel fills from the scan's column vectors: LOWEST, HIGHEST, AROUND,
+// BETWEEN, POS and NEG over a bare column reference, and a condition
+// `col op bound`. Every other component — a computed operand such as -a
+// or ABS(a - 50), which reads one column but is not it, an ELSE chain,
+// CONTAINS — gets VecCols[j] = -1 and is scored row by row.
+func scoreKernels(p ast.Pref, root *plan.BMO, sch plan.Schema) {
 	parts := []ast.Pref{p}
 	if par, ok := p.(*ast.PrefPareto); ok {
 		parts = par.Parts
 	}
-	if len(parts) != n {
-		return false
+	if len(parts) != len(root.VecCols) {
+		parts = nil // not the compiled scorer list: score every component by row
 	}
-	for _, part := range parts {
-		var x ast.Expr
-		switch t := part.(type) {
-		case *ast.PrefLowest:
-			x = t.X
-		case *ast.PrefHighest:
-			x = t.X
-		case *ast.PrefAround:
-			x = t.X
-		case *ast.PrefBetween:
-			x = t.X
+	column := func(e ast.Expr) int {
+		if c, ok := e.(*ast.Column); ok {
+			if idx, n := sch.ColIndex(c.Table, c.Name); n == 1 {
+				return idx
+			}
 		}
-		if _, ok := x.(*ast.Column); !ok {
-			return false
-		}
+		return -1
 	}
-	return true
+	for j := range root.VecCols {
+		col := -1
+		if parts != nil {
+			switch t := parts[j].(type) {
+			case *ast.PrefLowest:
+				col = column(t.X)
+			case *ast.PrefHighest:
+				col = column(t.X)
+			case *ast.PrefAround:
+				col = column(t.X)
+			case *ast.PrefBetween:
+				col = column(t.X)
+			case *ast.PrefPos:
+				col = column(t.X)
+			case *ast.PrefNeg:
+				col = column(t.X)
+			case *ast.PrefBool:
+				if c, ok := plan.ColumnComparison(t.Cond, sch); ok {
+					c.Index = j
+					root.VecConds = append(root.VecConds, c)
+					col = c.Col
+				}
+			}
+		}
+		root.VecCols[j] = col
+	}
 }
 
-// bareScan unwraps the canonical candidate pipeline Project(*)→SeqScan.
-// The scan is returned whenever the pipeline bottoms out in one
-// unordered full-star projection over a single table scan; bare
-// additionally requires the scan to emit the raw heap (no filter, no
-// limit), the condition for the positional columnar fill.
-func bareScan(n plan.Node) (scan *plan.SeqScan, bare bool) {
+// selectionScan unwraps the canonical candidate pipeline Project(*) over
+// a single table's SeqScan or IndexScan, filtered or not: the shape whose
+// scan can hand the BMO its selection instead of rows. A limited scan
+// does not qualify.
+func selectionScan(n plan.Node) plan.Node {
 	proj, ok := n.(*plan.Project)
-	if !ok || len(proj.Items) != 1 || len(proj.OrderBy) != 0 {
-		return nil, false
+	if !ok || !proj.PassThrough() {
+		return nil
 	}
-	if st, ok := proj.Items[0].Expr.(*ast.Star); !ok || st.Table != "" {
-		return nil, false
+	switch scan := proj.Child.(type) {
+	case *plan.SeqScan:
+		if scan.Limit < 0 {
+			return scan
+		}
+	case *plan.IndexScan:
+		return scan
 	}
-	scan, ok = proj.Child.(*plan.SeqScan)
-	if !ok {
-		return nil, false
-	}
-	return scan, len(scan.Filter) == 0 && scan.Limit < 0
+	return nil
 }

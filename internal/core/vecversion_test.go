@@ -142,6 +142,49 @@ func TestColumnVectorsRace(t *testing.T) {
 		}
 	}
 
+	raceHeapVersions(t, rows, queries, writes)
+}
+
+// TestTextCodesRace is TestColumnVectorsRace for TEXT dictionary codes:
+// skylines scoring the TEXT column g from its codes race a writer that
+// inserts new strings and rewrites g, so every heap version has its own
+// dictionary.
+func TestTextCodesRace(t *testing.T) {
+	const rows = 10500 // above the planner's vectorization threshold
+	queries := []string{
+		`SELECT id FROM t PREFERRING g IN ('g1', 'g5', 'new') AND LOWEST(d1)`,
+		`SELECT id FROM t PREFERRING g NOT IN ('g5') AND LOWEST(d1) AND HIGHEST(d3)`,
+		`SELECT id FROM t PREFERRING g = 'g7' AND d1 <= 0.2 AND LOWEST(d2)`,
+	}
+	rng := rand.New(rand.NewSource(5))
+	var writes []string
+	for i := 0; i < 24; i++ {
+		id := 1 + rng.Intn(rows)
+		switch i % 3 {
+		case 0:
+			writes = append(writes, fmt.Sprintf(`INSERT INTO t VALUES (%d, %.3f, %.3f, %.3f, '%s')`,
+				rows+1+i, rng.Float64()/20, rng.Float64()/20, rng.Float64()/5, []string{"new", "g7", "g1"}[i%9/3]))
+		case 1:
+			writes = append(writes, fmt.Sprintf(`UPDATE t SET g = 'g%d', d1 = %.3f WHERE id = %d OR id = %d`,
+				rng.Intn(10), rng.Float64()/50, id, id+8))
+		default:
+			writes = append(writes, fmt.Sprintf(`DELETE FROM t WHERE id = %d OR d1 < %.4f`, id, rng.Float64()/500))
+		}
+	}
+	db := vecTestDB(t, rows)
+	for _, q := range queries {
+		if plan, err := db.NewSession().ExplainNative(q); err != nil || !strings.Contains(plan, "columnar") {
+			t.Fatalf("%s does not score g from its codes (%v):\n%s", q, err, plan)
+		}
+	}
+	raceHeapVersions(t, rows, queries, writes)
+}
+
+// raceHeapVersions runs queries from 8 readers against a database of
+// vecTestDB(rows) while one writer applies writes in order, and checks
+// every answer against the answer of some heap version the statement
+// overlapped.
+func raceHeapVersions(t *testing.T, rows int, queries, writes []string) {
 	// Single-threaded answers per heap version: want[v][q] after v
 	// writes, each from a fresh database holding that version's rows, so
 	// no vector of an earlier version can leak into the reference.

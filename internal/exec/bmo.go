@@ -6,6 +6,7 @@ import (
 	"repro/internal/bmo"
 	"repro/internal/expr"
 	"repro/internal/plan"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -28,12 +29,17 @@ type rowStream interface {
 // statement's cancellation hook (Env.Stop) with every worker, so
 // cancelling the context stops every partition and merge goroutine.
 type BMOOp struct {
-	node   *plan.BMO
-	child  Operator
-	scan   *seqScan // the operator of node.VecScan; nil without one
-	env    *Env
-	ns     *NodeStats // per-node instrumentation slot; nil when recording is off
-	input  []value.Row
+	node  *plan.BMO
+	child Operator
+	scan  selector // the operator of node.VecScan; nil without one
+	env   *Env
+	ns    *NodeStats // per-node instrumentation slot; nil when recording is off
+	input []value.Row
+	// Under a VecScan the candidates are the positions sel of heap, not
+	// input rows; vin is the score matrix of a vectorized evaluation.
+	heap   storage.Heap
+	sel    []int32
+	vin    bmo.VecInput
 	stream rowStream   // progressive mode
 	buf    []value.Row // batch mode
 	pos    int
@@ -129,6 +135,10 @@ func (b *BMOOp) Open() error {
 		return err
 	}
 	b.input, b.buf, b.stream, b.pos = nil, nil, nil, 0
+	b.heap, b.sel, b.vin = storage.Heap{}, nil, bmo.VecInput{}
+	if b.scan != nil {
+		return b.openSelection()
+	}
 	for {
 		row, err := b.child.Next()
 		if err != nil {
@@ -144,10 +154,7 @@ func (b *BMOOp) Open() error {
 			return err
 		}
 	}
-	if b.env != nil {
-		b.env.count().AddBMOInputRows(int64(len(b.input)))
-	}
-	b.ns.AddInputRows(int64(len(b.input)))
+	b.countInput(len(b.input))
 	// Vectorized physical operator (planner-selected, root nodes only —
 	// never combined with pushdown padding, grouping or streaming).
 	if b.node.VecCols != nil {
@@ -264,7 +271,25 @@ func (b *BMOOp) Next() (value.Row, error) {
 // Close implements Operator.
 func (b *BMOOp) Close() error { return b.child.Close() }
 
-// Input returns the materialized candidate relation (valid after Open); the
-// quality functions (TOP/LEVEL/DISTANCE) of the tail above need it to
-// compute candidate-relative distances for LOWEST/HIGHEST.
-func (b *BMOOp) Input() []value.Row { return b.input }
+// countInput counts the rows entering dominance evaluation.
+func (b *BMOOp) countInput(n int) {
+	if b.env != nil {
+		b.env.count().AddBMOInputRows(int64(n))
+	}
+	b.ns.AddInputRows(int64(n))
+}
+
+// Input returns the candidate relation (valid after Open); the quality
+// functions (TOP/LEVEL/DISTANCE) of the tail above need it to compute
+// candidate-relative distances for LOWEST/HIGHEST when no score matrix
+// holds them (see scoreMin). Under a VecScan the rows are fetched from
+// the selection on the first call.
+func (b *BMOOp) Input() []value.Row {
+	if b.input == nil && b.sel != nil {
+		b.input = make([]value.Row, len(b.sel))
+		for i, p := range b.sel {
+			b.input[i] = b.heap.Rows[p]
+		}
+	}
+	return b.input
+}

@@ -221,7 +221,7 @@ func build(n plan.Node, env *Env) (Operator, error) {
 // only reads its candidates, rows are immutable once stored, and whoever
 // returns the few winners to a caller projects (copies) them again. It
 // also returns the operator built for the node's VecScan, if any.
-func buildBMOInput(b *plan.BMO, env *Env) (Operator, *seqScan, error) {
+func buildBMOInput(b *plan.BMO, env *Env) (Operator, selector, error) {
 	p, ok := b.Child.(*plan.Project)
 	if !ok || !p.PassThrough() {
 		op, err := Build(b.Child, env)
@@ -231,8 +231,8 @@ func buildBMOInput(b *plan.BMO, env *Env) (Operator, *seqScan, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var scan *seqScan
-	if s, ok := unwrap(child).(*seqScan); ok && s.n == b.VecScan {
+	var scan selector
+	if s, ok := unwrap(child).(selector); ok && s.node() == b.VecScan {
 		scan = s
 	}
 	return wrapStats(p, &projectOp{n: p, child: child, env: env, through: true}, env), scan, nil

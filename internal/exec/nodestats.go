@@ -63,6 +63,15 @@ func (ns *NodeStats) AddBlocks(scanned, pruned int64) {
 	}
 }
 
+// AddEmitted counts rows an operator handed on without Next (a scan's
+// selection taken by a vectorized BMO) and the time that took.
+func (ns *NodeStats) AddEmitted(rows, nanos int64) {
+	if ns != nil {
+		atomic.AddInt64(&ns.Rows, rows)
+		atomic.AddInt64(&ns.Nanos, nanos)
+	}
+}
+
 // Snapshot returns a consistent copy of the counters via atomic loads.
 func (ns *NodeStats) Snapshot() NodeStats {
 	if ns == nil {

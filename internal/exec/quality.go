@@ -118,14 +118,17 @@ func (q *quality) minScore(label string, s preference.Scored) (float64, error) {
 	if v, ok := q.minScores[key]; ok {
 		return v, nil
 	}
-	min := math.Inf(1)
-	for _, row := range q.src.Input() {
-		sc, err := s.Score(row)
-		if err != nil {
-			return 0, err
-		}
-		if sc < min {
-			min = sc
+	min, ok := q.src.scoreMin(s)
+	if !ok {
+		min = math.Inf(1)
+		for _, row := range q.src.Input() {
+			sc, err := s.Score(row)
+			if err != nil {
+				return 0, err
+			}
+			if sc < min {
+				min = sc
+			}
 		}
 	}
 	q.minScores[key] = min

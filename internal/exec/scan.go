@@ -17,6 +17,21 @@ import (
 // MonetDB/X100 — and then only the remaining conjuncts run on it, in
 // written order. Every candidate still counts as scanned, so RowsScanned
 // means the same on either path.
+//
+// A scan under a vectorized BMO (plan.BMO.VecScan) is not pulled row by
+// row: the BMO takes its selection — the captured heap and the positions
+// that pass the filter — and fetches only the winners' rows (late
+// materialization, Abadi et al., "Materialization Strategies in a
+// Column-Oriented DBMS", ICDE 2007).
+
+// selector is a scan that hands a vectorized BMO its selection instead
+// of its rows.
+type selector interface {
+	node() plan.Node
+	// selection drains the opened scan: the heap it captured and the
+	// positions of the candidates that pass its filter, in heap order.
+	selection() (storage.Heap, []int32, error)
+}
 
 type seqScan struct {
 	n       *plan.SeqScan
@@ -32,9 +47,18 @@ func newSeqScan(n *plan.SeqScan, env *Env) *seqScan {
 func (s *seqScan) Schema() plan.Schema { return s.n.Schema() }
 
 func (s *seqScan) Open() error {
-	s.cur.open(s.n.Table.Heap(), nil, true, s.n.Cond(), s.n.VecFilter(), s.env.Rt)
+	s.cur.open(s.n.Table.Heap(), nil, true, s.n.Cond(), -1, s.n.VecFilter(), s.env.Rt)
 	s.emitted = 0
 	return nil
+}
+
+func (s *seqScan) node() plan.Node { return s.n }
+
+// selection implements selector; the planner never hands a limited scan
+// to a BMO.
+func (s *seqScan) selection() (storage.Heap, []int32, error) {
+	sel, err := s.cur.selection(s.env)
+	return s.cur.heap, sel, err
 }
 
 func (s *seqScan) Next() (value.Row, error) {
@@ -64,37 +88,56 @@ func newIndexScan(n *plan.IndexScan, env *Env) *indexScan {
 func (s *indexScan) Schema() plan.Schema { return s.n.Schema() }
 
 func (s *indexScan) Open() error {
-	h, pos, all, err := s.probe()
+	h, pos, all, exact, err := s.probe()
 	if err != nil {
 		return err
 	}
-	s.cur.open(h, pos, all, s.n.Cond(), s.n.VecFilter(), s.env.Rt)
+	skip := -1
+	if exact {
+		skip = s.n.Probe
+	}
+	s.cur.open(h, pos, all, s.n.Cond(), skip, s.n.VecFilter(), s.env.Rt)
 	return nil
+}
+
+func (s *indexScan) node() plan.Node { return s.n }
+
+// selection implements selector.
+func (s *indexScan) selection() (storage.Heap, []int32, error) {
+	sel, err := s.cur.selection(s.env)
+	return s.cur.heap, sel, err
 }
 
 // probe captures the candidates: the heap with the probed positions, or
 // with all set when the probe cannot be answered by the index, or none.
-func (s *indexScan) probe() (h storage.Heap, pos []int, all bool, err error) {
+// exact reports that every row of the probed bucket satisfies the probed
+// conjunct: the key coerced to the column's kind without changing its
+// value under `=`. Bucket members share the coerced key's value.Key,
+// hence its value, so the conjunct need not run again. It does run when
+// the coercion changed the key — 5 probes a TEXT column as '5', which
+// `s = 5` never matches; 5.5 probes an INT column as 5.
+func (s *indexScan) probe() (h storage.Heap, pos []int, all, exact bool, err error) {
 	tbl := s.n.Table
 	if tbl.RowCount() == 0 {
-		return h, nil, false, nil
+		return h, nil, false, false, nil
 	}
 	key, err := s.n.KeyProg().Eval(s.env.Rt, nil)
 	if err != nil || key.IsNull() {
 		// col = NULL is UNKNOWN for every row: nothing can match.
-		return h, nil, false, err
+		return h, nil, false, false, err
 	}
 	cv, err := value.Coerce(key, tbl.Schema.Cols[s.n.Col].Kind)
 	if err != nil || key.K == value.Float && math.IsNaN(key.F) {
 		// Kinds the probe cannot represent exactly, and NaN, which `=`
 		// finds equal to every number: fall back to a full scan; the
 		// residual filter keeps the result correct.
-		return tbl.Heap(), nil, true, nil
+		return tbl.Heap(), nil, true, false, nil
 	}
 	s.env.count().AddIndexProbes(1)
 	s.ns.AddProbes(1)
 	h, pos, ok := tbl.ProbeHeap(s.n.Index, cv)
-	return h, pos, !ok, nil
+	cmp, comparable := value.Compare(key, cv)
+	return h, pos, !ok, ok && comparable && cmp == 0, nil
 }
 
 func (s *indexScan) Next() (value.Row, error) { return s.cur.next(s.env) }
@@ -126,59 +169,91 @@ func (t *vecTest) keep(p int) bool {
 	return t.vec.IsValid(p) && t.accept.Has(value.CompareNum(t.vec.Nums[p], t.bound))
 }
 
-// open starts the cursor over h. A conjunct of vf runs on a vector when
+// open starts the cursor over h. Conjunct skip (-1: none) is implied by
+// the candidates and never runs. A conjunct of vf runs on a vector when
 // its bound evaluates to a numeric, non-NULL value; a missing vector is
 // built from h at once (storage.Heap.Vector). Should any parameter of
 // the filter fail to evaluate, the whole filter runs on rows, in written
 // order, so the error surfaces exactly as it always has.
-func (c *heapCursor) open(h storage.Heap, pos []int, all bool, cond expr.Conds, vf *plan.VecFilter, rt *expr.Runtime) {
+func (c *heapCursor) open(h storage.Heap, pos []int, all bool, cond expr.Conds, skip int, vf *plan.VecFilter, rt *expr.Runtime) {
 	*c = heapCursor{heap: h, pos: pos, all: all, rest: cond, polled: c.polled}
-	if vf == nil || len(h.Rows) == 0 {
+	var dropped []bool // conjuncts that do not run on rows
+	drop := func(i int) {
+		if dropped == nil {
+			dropped = make([]bool, len(cond))
+		}
+		dropped[i] = true
+	}
+	if skip >= 0 {
+		drop(skip)
+	}
+	if vf != nil && len(h.Rows) > 0 && paramsEval(vf.Params, rt) {
+		for _, vc := range vf.Conjs {
+			b, err := vc.Bound.Eval(rt, nil)
+			if err != nil || b.IsNull() || b.K == value.Text {
+				continue // TEXT and NULL bounds stay on the row path
+			}
+			vec := h.Vector(vc.Col)
+			if vec == nil {
+				continue
+			}
+			drop(vc.Index)
+			c.vecs = append(c.vecs, vecTest{vec: vec, bound: b.Num(), accept: vc.Accept})
+		}
+	}
+	if dropped == nil {
 		return
 	}
-	for _, p := range vf.Params {
-		if _, err := p.Eval(rt, nil); err != nil {
-			return
-		}
-	}
-	var onVec []bool
-	for _, vc := range vf.Conjs {
-		b, err := vc.Bound.Eval(rt, nil)
-		if err != nil || b.IsNull() || b.K == value.Text {
-			continue // TEXT and NULL bounds stay on the row path
-		}
-		vec := h.Vector(vc.Col)
-		if vec == nil {
-			continue
-		}
-		if onVec == nil {
-			onVec = make([]bool, len(cond))
-		}
-		onVec[vc.Index] = true
-		c.vecs = append(c.vecs, vecTest{vec: vec, bound: b.Num(), accept: vc.Accept})
-	}
-	if onVec == nil {
-		return
-	}
-	c.rest = make(expr.Conds, 0, len(cond)-len(c.vecs))
+	c.rest = make(expr.Conds, 0, len(cond))
 	for i, p := range cond {
-		if !onVec[i] {
+		if !dropped[i] {
 			c.rest = append(c.rest, p)
 		}
 	}
 }
 
+// paramsEval reports whether every parameter evaluates.
+func paramsEval(params []*expr.Program, rt *expr.Runtime) bool {
+	for _, p := range params {
+		if _, err := p.Eval(rt, nil); err != nil {
+			return false
+		}
+	}
+	return true
+}
+
 // next returns the next passing row, nil at exhaustion. The candidates it
 // examined are counted once per return rather than once per row.
 func (c *heapCursor) next(env *Env) (value.Row, error) {
-	row, scanned, err := c.advance(env)
+	p, scanned, err := c.advance(env)
 	if scanned > 0 {
 		env.count().AddRowsScanned(scanned)
 	}
-	return row, err
+	if p < 0 || err != nil {
+		return nil, err
+	}
+	return c.heap.Rows[p], nil
 }
 
-func (c *heapCursor) advance(env *Env) (row value.Row, scanned int64, err error) {
+// selection drains the cursor into the positions of the passing
+// candidates; a row is fetched only when a conjunct must run on it.
+func (c *heapCursor) selection(env *Env) ([]int32, error) {
+	var sel []int32
+	var scanned int64
+	defer func() { env.count().AddRowsScanned(scanned) }()
+	for {
+		p, k, err := c.advance(env)
+		scanned += k
+		if p < 0 || err != nil {
+			return sel, err
+		}
+		sel = append(sel, int32(p))
+	}
+}
+
+// advance returns the heap position of the next passing candidate, -1 at
+// exhaustion, and the number of candidates it examined.
+func (c *heapCursor) advance(env *Env) (pos int, scanned int64, err error) {
 	n := len(c.pos)
 	if c.all {
 		n = len(c.heap.Rows)
@@ -186,10 +261,10 @@ func (c *heapCursor) advance(env *Env) (row value.Row, scanned int64, err error)
 candidates:
 	for {
 		if err := env.checkStop(&c.polled); err != nil {
-			return nil, scanned, err
+			return -1, scanned, err
 		}
 		if c.i >= n {
-			return nil, scanned, nil
+			return -1, scanned, nil
 		}
 		p := c.i
 		if !c.all {
@@ -202,13 +277,15 @@ candidates:
 				continue candidates
 			}
 		}
-		row := c.heap.Rows[p]
-		keep, err := c.rest.Match(env.Rt, row)
-		if err != nil {
-			return nil, scanned, err
+		if len(c.rest) > 0 {
+			keep, err := c.rest.Match(env.Rt, c.heap.Rows[p])
+			if err != nil {
+				return -1, scanned, err
+			}
+			if !keep {
+				continue
+			}
 		}
-		if keep {
-			return row, scanned, nil
-		}
+		return p, scanned, nil
 	}
 }

@@ -2,113 +2,330 @@ package exec
 
 import (
 	"math"
+	"time"
 
 	"repro/internal/bmo"
+	"repro/internal/expr"
 	"repro/internal/preference"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
 
 // Vectorized BMO execution: the planner gave the node VecCols after
-// verifying the preference is fully score-based over resolvable numeric
-// columns. The operator fills a flat score matrix — straight from the
-// column vectors of the heap its bare scan (VecScan) captured, otherwise
-// by generic per-row scoring — and hands it to the batch zone-map
-// kernel. Zone-map counters land in the statement Stats for EXPLAIN
-// ANALYZE.
+// verifying the preference is fully score-based, each component over one
+// column. The operator fills a flat score matrix and hands it to the
+// batch zone-map kernel, which returns the winners' indices.
+//
+// Under a VecScan the operator never pulls a row from its child: it
+// takes the scan's selection (captured heap, surviving positions), fills
+// each score column at those positions — from column vectors where a
+// kernel serves the component (fillKernel), otherwise by scoring the
+// heap rows — and fetches heap rows for the winners only. Other children
+// (joins, derived tables) are drained and scored row by row. Zone-map
+// counters land in the statement Stats for EXPLAIN ANALYZE.
 
-// openVectorized is the VecCols branch of BMOOp.Open; the input is
-// already materialized and counted.
-func (b *BMOOp) openVectorized() error {
-	scorers, _ := bmo.ScoreBased(b.node.Pref)
-	var in bmo.VecInput
-	filled := false
-	if b.scan != nil && len(b.scan.cur.heap.Rows) == len(b.input) {
-		in, filled = fillColumnar(scorers, b.node.VecCols, b.scan.cur.heap, b.input)
-	}
-	if !filled {
-		var err error
-		if in, err = bmo.BuildVecInput(scorers, b.input); err != nil {
-			return err
-		}
-	}
-	out, _, vst, err := bmo.EvaluateVecInput(in, b.config())
+// openSelection is Open under a VecScan: the child is open, and its
+// scan hands over its selection.
+func (b *BMOOp) openSelection() error {
+	start := time.Now()
+	h, sel, err := b.scan.selection()
 	if err != nil {
 		return err
+	}
+	b.heap, b.sel = h, sel
+	// The scan and the pass-through projection above it emit these rows,
+	// as far as EXPLAIN ANALYZE is concerned.
+	nanos := int64(time.Since(start))
+	b.env.NodeStats(b.node.VecScan).AddEmitted(int64(len(sel)), nanos)
+	b.env.NodeStats(b.node.Child).AddEmitted(int64(len(sel)), nanos)
+	b.countInput(len(sel))
+
+	scorers, _ := bmo.ScoreBased(b.node.Pref)
+	n, d := len(sel), len(scorers)
+	b.vin = bmo.VecInput{Dim: d, Flat: make([]float64, n*d)}
+	for j, s := range scorers {
+		done, err := b.fillKernel(j, s)
+		if err != nil {
+			return err
+		}
+		if done {
+			continue
+		}
+		for i, p := range sel {
+			v, err := s.Score(h.Rows[p])
+			if err != nil {
+				return err
+			}
+			b.vin.Flat[i*d+j] = v
+		}
+	}
+	b.vin.Sums = bmo.SaturateSums(b.vin.Flat, n, d)
+	win, err := b.evaluateVec()
+	if err != nil {
+		return err
+	}
+	b.buf = make([]value.Row, len(win))
+	for k, i := range win {
+		b.buf[k] = h.Rows[sel[i]]
+	}
+	return nil
+}
+
+// openVectorized is Open for a vectorized BMO over any other child: the
+// input is materialized and counted, and every row is scored.
+func (b *BMOOp) openVectorized() error {
+	scorers, _ := bmo.ScoreBased(b.node.Pref)
+	in, err := bmo.BuildVecInput(scorers, b.input)
+	if err != nil {
+		return err
+	}
+	b.vin = in
+	win, err := b.evaluateVec()
+	if err != nil {
+		return err
+	}
+	b.buf = make([]value.Row, len(win))
+	for k, i := range win {
+		b.buf[k] = b.input[i]
+	}
+	return nil
+}
+
+// evaluateVec runs the score kernel on b.vin and records its zone-map
+// counters.
+func (b *BMOOp) evaluateVec() ([]int32, error) {
+	win, _, vst, err := bmo.EvaluateVecInput(b.vin, b.config())
+	if err != nil {
+		return nil, err
 	}
 	b.ns.AddBlocks(int64(vst.BlocksScanned), int64(vst.BlocksPruned))
 	if b.env != nil {
 		b.env.count().AddVecBlocks(int64(vst.BlocksScanned), int64(vst.BlocksPruned))
 	}
-	b.buf = out
-	return nil
+	return win, nil
 }
 
-// fillColumnar builds the score matrix from the heap's column vectors
-// with per-preference kernels — tight loops over typed float64 vectors,
-// no value boxing and no per-row interface dispatch. It reports false
-// when some component has no specialized kernel (discrete scorers read
-// boxed values), sending the operator down the generic fill.
-func fillColumnar(scorers []preference.Scored, cols []int, h storage.Heap, rows []value.Row) (bmo.VecInput, bool) {
-	for _, s := range scorers {
-		switch s.(type) {
-		case *preference.Lowest, *preference.Highest, *preference.Around, *preference.Between:
-		default:
-			return bmo.VecInput{}, false
+// scoreMin returns the smallest score of component s over the candidates,
+// read from the score matrix; ok=false when the operator is not
+// vectorized or s is not one of its components.
+func (b *BMOOp) scoreMin(s preference.Scored) (min float64, ok bool) {
+	if b.node.VecCols == nil {
+		return 0, false
+	}
+	scorers, _ := bmo.ScoreBased(b.node.Pref)
+	for j, c := range scorers {
+		if c != s {
+			continue
+		}
+		min = math.Inf(1)
+		for i := j; i < len(b.vin.Flat); i += b.vin.Dim {
+			if v := b.vin.Flat[i]; v < min {
+				min = v
+			}
+		}
+		return min, true
+	}
+	return 0, false
+}
+
+// fillKernel fills score column j of b.vin for component s from a column
+// vector at the selected positions, and reports false when no kernel
+// serves it: the planner gave it no column, the column has no vector of
+// the kind the kernel reads, or a Bool bound is not a number. A kernel
+// computes exactly what s.Score computes for the row; where Score
+// reports an error (a NaN under a distance preference) the kernel asks
+// Score for it.
+func (b *BMOOp) fillKernel(j int, s preference.Scored) (bool, error) {
+	col := b.node.VecCols[j]
+	if col < 0 {
+		return false, nil
+	}
+	cv := b.heap.Vector(col)
+	if cv == nil {
+		return false, nil
+	}
+	d, flat, sel, inf := b.vin.Dim, b.vin.Flat, b.sel, math.Inf(1)
+	switch p := s.(type) {
+	case *preference.Lowest, *preference.Highest, *preference.Around, *preference.Between:
+		if cv.Nums == nil {
+			return false, nil
+		}
+		for _, p := range sel {
+			if x := cv.Nums[p]; x != x {
+				_, err := s.Score(b.heap.Rows[p])
+				return err != nil, err
+			}
+		}
+	case *preference.Pos, *preference.Neg:
+		in, out, vals := 0.0, 1.0, []value.Value(nil)
+		if pos, ok := p.(*preference.Pos); ok {
+			vals = pos.Vals
+		} else {
+			in, out, vals = 1, 0, p.(*preference.Neg).Vals
+		}
+		set, ok := newMemberSet(cv, vals)
+		if !ok {
+			return false, nil
+		}
+		for i, p := range sel {
+			v := inf
+			if cv.IsValid(int(p)) {
+				v = out
+				if set.has(int(p)) {
+					v = in
+				}
+			}
+			flat[i*d+j] = v
+		}
+		return true, nil
+	case *preference.Bool:
+		t, ok := b.compareTest(j, cv)
+		if !ok {
+			return false, nil
+		}
+		for i, p := range sel {
+			v := 1.0 // false or UNKNOWN (NULL)
+			if t.keep(int(p)) {
+				v = 0
+			}
+			flat[i*d+j] = v
+		}
+		return true, nil
+	default:
+		return false, nil
+	}
+	// The distance family, NaN-free: NULL scores +Inf.
+	nums := cv.Nums
+	switch p := s.(type) {
+	case *preference.Lowest:
+		for i, q := range sel {
+			v := inf
+			if cv.IsValid(int(q)) {
+				v = nums[q]
+			}
+			flat[i*d+j] = v
+		}
+	case *preference.Highest:
+		for i, q := range sel {
+			v := inf
+			if cv.IsValid(int(q)) {
+				v = -nums[q]
+			}
+			flat[i*d+j] = v
+		}
+	case *preference.Around:
+		for i, q := range sel {
+			v := inf
+			if cv.IsValid(int(q)) {
+				v = math.Abs(nums[q] - p.Target)
+			}
+			flat[i*d+j] = v
+		}
+	case *preference.Between:
+		for i, q := range sel {
+			v := inf
+			if cv.IsValid(int(q)) {
+				switch x := nums[q]; {
+				case x < p.Lo:
+					v = p.Lo - x
+				case x > p.Hi:
+					v = x - p.Hi
+				default:
+					v = 0
+				}
+			}
+			flat[i*d+j] = v
 		}
 	}
-	n := len(h.Rows)
-	d := len(scorers)
-	flat := make([]float64, n*d)
-	inf := math.Inf(1)
-	for j, s := range scorers {
-		cv := h.Vector(cols[j])
-		if cv == nil {
-			return bmo.VecInput{}, false
+	return true, nil
+}
+
+// compareTest returns component j's comparison `col op bound` as a
+// vector test over cv, with the scan filters' semantics; ok=false when
+// the planner recorded no comparison for j or the bound does not
+// evaluate to a number (those stay on the row path).
+func (b *BMOOp) compareTest(j int, cv *storage.ColVec) (vecTest, bool) {
+	var rt *expr.Runtime
+	if b.env != nil {
+		rt = b.env.Rt
+	}
+	for _, c := range b.node.VecConds {
+		if c.Index != j {
+			continue
 		}
-		nums, k := cv.Nums, j
-		switch p := s.(type) {
-		case *preference.Lowest:
-			for i := 0; i < n; i++ {
-				v := inf
-				if cv.IsValid(i) {
-					v = nums[i]
-				}
-				flat[i*d+k] = v
+		bound, err := c.Bound.Eval(rt, nil)
+		if err != nil || bound.IsNull() || bound.K == value.Text || cv.Nums == nil {
+			return vecTest{}, false
+		}
+		return vecTest{vec: cv, bound: bound.Num(), accept: c.Accept}, true
+	}
+	return vecTest{}, false
+}
+
+// memberSet is the set-membership test of POS/NEG over a column vector,
+// with the value.Key semantics of preference.NewSet: a member matches
+// only values of its own key class (numbers, booleans, dates, text), so
+// `b IN (1)` never matches TRUE and `s IN (5)` never matches '5'. Within
+// a class keys are equal exactly when the values are: equal float64
+// images (so -0.0 = 0), NaN matching NaN, or equal strings.
+type memberSet struct {
+	cv    *storage.ColVec
+	codes []bool // TEXT: hit per dictionary code
+	nums  []float64
+	nan   bool
+}
+
+// newMemberSet builds the test of vals over cv; ok=false for a vector of
+// a kind it cannot read.
+func newMemberSet(cv *storage.ColVec, vals []value.Value) (*memberSet, bool) {
+	m := &memberSet{cv: cv}
+	switch {
+	case cv.Codes != nil:
+		m.codes = make([]bool, len(cv.Dict))
+		for _, v := range vals {
+			if v.K != value.Text {
+				continue
 			}
-		case *preference.Highest:
-			for i := 0; i < n; i++ {
-				v := inf
-				if cv.IsValid(i) {
-					v = -nums[i]
-				}
-				flat[i*d+k] = v
+			if code, ok := cv.Dict[v.S]; ok {
+				m.codes[code] = true
 			}
-		case *preference.Around:
-			for i := 0; i < n; i++ {
-				v := inf
-				if cv.IsValid(i) {
-					v = math.Abs(nums[i] - p.Target)
-				}
-				flat[i*d+k] = v
+		}
+	case cv.Nums != nil:
+		for _, v := range vals {
+			if keyClass(v.K) == keyClass(cv.Kind) {
+				x := v.Num()
+				m.nan = m.nan || x != x
+				m.nums = append(m.nums, x)
 			}
-		case *preference.Between:
-			for i := 0; i < n; i++ {
-				v := inf
-				if cv.IsValid(i) {
-					switch x := nums[i]; {
-					case x < p.Lo:
-						v = p.Lo - x
-					case x > p.Hi:
-						v = x - p.Hi
-					default:
-						v = 0
-					}
-				}
-				flat[i*d+k] = v
-			}
+		}
+	default:
+		return nil, false
+	}
+	return m, true
+}
+
+// has reports whether the non-NULL row p is a member.
+func (m *memberSet) has(p int) bool {
+	if m.codes != nil {
+		return m.codes[m.cv.Codes[p]]
+	}
+	x := m.cv.Nums[p]
+	if x != x {
+		return m.nan
+	}
+	for _, v := range m.nums {
+		if x == v {
+			return true
 		}
 	}
-	in := bmo.VecInput{Rows: rows, Dim: d, Flat: flat, Sums: bmo.SaturateSums(flat, n, d)}
-	return in, true
+	return false
+}
+
+// keyClass is the class of value.Key a kind's values fall in: INT and
+// FLOAT share one.
+func keyClass(k value.Kind) value.Kind {
+	if k == value.Int {
+		return value.Float
+	}
+	return k
 }

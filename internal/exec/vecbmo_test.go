@@ -54,13 +54,13 @@ func TestVecBMOFillsFromItsScan(t *testing.T) {
 	}
 
 	op, got := vec(true)
-	if op.scan == nil || op.scan.n != op.node.VecScan {
+	if op.scan == nil || op.scan.node() != op.node.VecScan {
 		t.Fatal("the BMO is not wired to the operator of its VecScan")
 	}
 	if gets != 0 {
 		t.Errorf("the columnar fill called the row getters %d times", gets)
 	}
-	if op.scan.cur.heap.Version != jobs.Heap().Version {
+	if op.heap.Version != jobs.Heap().Version {
 		t.Error("the fill's heap is not the one its scan captured")
 	}
 	op, want := vec(false)

@@ -204,11 +204,15 @@ func (s *SeqScan) Explain() string {
 // the probe may over-approximate across kind coercions, the residual makes
 // the result exact, and a failed key coercion falls back to a full scan).
 type IndexScan struct {
-	Table  *storage.Table
-	Qual   string
-	Index  *storage.Index
-	Col    int      // leading index column position in the table schema
-	Key    ast.Expr // probe key; no locally-resolved column references
+	Table *storage.Table
+	Qual  string
+	Index *storage.Index
+	Col   int      // leading index column position in the table schema
+	Key   ast.Expr // probe key; no locally-resolved column references
+	// Probe is the position in Filter of the probed conjunct `col = Key`.
+	// The executor drops it from the residual when the probe's bucket
+	// already implies it.
+	Probe  int
 	Filter []ast.Expr
 	schema Schema
 	cond   compiled[expr.Conds]
@@ -480,20 +484,27 @@ type BMO struct {
 	EstRows int64
 
 	// VecCols, when non-nil, selects the vectorized physical operator:
-	// the executor fills a flat score matrix (from column vectors when
-	// VecScan is set, or by generic per-row scoring) and evaluates
-	// batch-at-a-time with zone-map block pruning. It maps each score
-	// component to its child-schema column index (parallel to the
-	// preference's scorer list). The planner sets it from table
-	// statistics when the preference is fully score-based over
-	// resolvable numeric columns; see core's vectorize step.
+	// the executor fills a flat score matrix and evaluates it
+	// batch-at-a-time with zone-map block pruning. It is parallel to the
+	// preference's scorer list. The planner sets it from table
+	// statistics when the preference is fully score-based and every
+	// component reads one resolvable column; see core's vectorize step.
+	// Under a VecScan, VecCols[j] is the table column whose vector a
+	// kernel scores component j from, or -1 when component j is scored
+	// row by row (a computed operand, a condition of another shape).
 	VecCols []int
-	// VecScan, when non-nil, is the scan under the child's bare
-	// projection: it emits its table's heap unfiltered and unlimited, so
-	// heap order matches input, and the executor fills score vectors
-	// from the column vectors of the heap that scan captured instead of
-	// boxing row values.
-	VecScan *SeqScan
+	// VecConds lists the components that are a comparison `col op
+	// bound` (a Bool preference such as salary <= 41000): Index is the
+	// component, and the kernel tests the column vector against the
+	// bound with the scan filters' semantics.
+	VecConds []VecConj
+	// VecScan, when non-nil, is the *SeqScan or *IndexScan under the
+	// child's pass-through projection, filtered or not. The executor
+	// takes that scan's selection — the heap it captured and the
+	// positions that pass its filter — instead of its rows, fills the
+	// score matrix from column vectors at those positions, and fetches
+	// heap rows for the winners only (late materialization).
+	VecScan Node
 
 	// The remaining fields are set by the preference-algebra rewriter
 	// (PushBMO) when it moves dominance work below a join.

@@ -265,7 +265,7 @@ func analyzeExpr(e ast.Expr) (cols []*ast.Column, opaque bool) {
 // key free of locally-resolved columns. The full conjunct list stays as the
 // residual filter, so the probe only needs to over-approximate.
 func maybeIndexScan(scan *SeqScan) Node {
-	try := func(colE, keyE ast.Expr) Node {
+	try := func(colE, keyE ast.Expr, probe int) Node {
 		col, ok := colE.(*ast.Column)
 		if !ok {
 			return nil
@@ -290,17 +290,17 @@ func maybeIndexScan(scan *SeqScan) Node {
 			return nil
 		}
 		return &IndexScan{Table: scan.Table, Qual: scan.Qual, Index: idx,
-			Col: pos, Key: keyE, Filter: scan.Filter, schema: scan.schema}
+			Col: pos, Key: keyE, Probe: probe, Filter: scan.Filter, schema: scan.schema}
 	}
-	for _, cond := range scan.Filter {
+	for i, cond := range scan.Filter {
 		b, ok := cond.(*ast.Binary)
 		if !ok || b.Op != "=" {
 			continue
 		}
-		if n := try(b.L, b.R); n != nil {
+		if n := try(b.L, b.R, i); n != nil {
 			return n
 		}
-		if n := try(b.R, b.L); n != nil {
+		if n := try(b.R, b.L, i); n != nil {
 			return n
 		}
 	}

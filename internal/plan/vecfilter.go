@@ -48,50 +48,73 @@ func (s *IndexScan) VecFilter() *VecFilter {
 func vecFilter(filter []ast.Expr, schema Schema, tbl *storage.Table, skipCol int) *VecFilter {
 	scope := schema.Scope()
 	vf := &VecFilter{}
-	// operand classifies one side of a comparison: a resolved column
-	// (col >= 0) or a constant; ok=false for anything else.
+	for i, e := range filter {
+		c, ok := comparison(e, scope, &vf.Params)
+		if !ok {
+			return nil
+		}
+		if c.Col < 0 || c.Col == skipCol || !storage.Vectorizable(tbl.Schema.Cols[c.Col].Kind) {
+			continue
+		}
+		c.Index = i
+		vf.Conjs = append(vf.Conjs, c)
+	}
+	if len(vf.Conjs) == 0 {
+		return nil
+	}
+	return vf
+}
+
+// ColumnComparison recognizes e as `col op bound` (or `bound op col`)
+// over one column of schema and a literal or parameter bound — the shape
+// a vectorized BMO scores a Bool preference from. Index is left 0.
+func ColumnComparison(e ast.Expr, schema Schema) (VecConj, bool) {
+	var params []*expr.Program
+	c, ok := comparison(e, schema.Scope(), &params)
+	return c, ok && c.Col >= 0
+}
+
+// comparison classifies e: ok reports a comparison (=, <>, <, <=, >, >=)
+// whose operands are columns of scope, literals and parameters, and
+// appends its parameters to params. When exactly one side is a column,
+// c is `col op bound` with the operator flipped if the column is on the
+// right; otherwise (column against column, constant against constant)
+// c.Col is -1.
+func comparison(e ast.Expr, scope expr.Scope, params *[]*expr.Program) (c VecConj, ok bool) {
+	b, ok := e.(*ast.Binary)
+	if !ok {
+		return c, false
+	}
+	accept, ok := expr.Comparison(b.Op)
+	if !ok {
+		return c, false
+	}
+	// operand classifies one side: a resolved column (col >= 0) or a
+	// constant; ok=false for anything else.
 	operand := func(e ast.Expr) (col int, ok bool) {
 		switch x := e.(type) {
 		case *ast.Column:
 			return scope.Resolve(x.Table, x.Name)
 		case *ast.Param:
-			vf.Params = append(vf.Params, expr.Compile(x, expr.Scope{}))
+			*params = append(*params, expr.Compile(x, expr.Scope{}))
 			return -1, true
 		case *ast.Literal:
 			return -1, true
 		}
 		return 0, false
 	}
-	for i, e := range filter {
-		b, ok := e.(*ast.Binary)
-		if !ok {
-			return nil
-		}
-		accept, ok := expr.Comparison(b.Op)
-		if !ok {
-			return nil
-		}
-		lc, lok := operand(b.L)
-		rc, rok := operand(b.R)
-		if !lok || !rok {
-			return nil
-		}
-		col, bound := lc, b.R
-		switch {
-		case lc >= 0 && rc < 0:
-		case lc < 0 && rc >= 0:
-			col, bound, accept = rc, b.L, accept.Flip()
-		default:
-			continue // column against column, or constant against constant
-		}
-		if col == skipCol || !storage.Vectorizable(tbl.Schema.Cols[col].Kind) {
-			continue
-		}
-		vf.Conjs = append(vf.Conjs, VecConj{Index: i, Col: col, Accept: accept,
-			Bound: expr.Compile(bound, expr.Scope{})})
+	lc, lok := operand(b.L)
+	rc, rok := operand(b.R)
+	if !lok || !rok {
+		return c, false
 	}
-	if len(vf.Conjs) == 0 {
-		return nil
+	col, bound := lc, b.R
+	switch {
+	case lc >= 0 && rc < 0:
+	case lc < 0 && rc >= 0:
+		col, bound, accept = rc, b.L, accept.Flip()
+	default:
+		return VecConj{Col: -1}, true
 	}
-	return vf
+	return VecConj{Col: col, Accept: accept, Bound: expr.Compile(bound, expr.Scope{})}, true
 }

@@ -5,10 +5,15 @@ import (
 	"repro/internal/value"
 )
 
-// Column vectors: typed, column-major copies of numeric heap columns, the
-// input of the scans' vector filters and of the vectorized BMO fill.
-// Numeric columns (INT, FLOAT, BOOL, DATE) decompose into a float64
-// vector plus a validity bitmap; TEXT columns have no vector.
+// Column vectors: typed, column-major copies of heap columns, the input
+// of the scans' vector filters and of the vectorized BMO fill. Numeric
+// columns (INT, FLOAT, BOOL, DATE) decompose into a float64 vector plus
+// a validity bitmap; a TEXT column into a dictionary — its distinct
+// strings, each with a uint32 code — plus one code per row and the same
+// bitmap (Abadi, Madden, Ferreira: "Integrating Compression and Execution
+// in Column-Oriented Database Systems", SIGMOD 2006). Only the BMO fill
+// reads TEXT codes, so a TEXT column is coded only when a statement
+// scores it.
 //
 // Each table keeps one cache of them, keyed by (column, heap version):
 // a Columnar holds the vectors of one heap version, filled column by
@@ -19,14 +24,18 @@ import (
 // are built: the first request for a column at a heap version builds
 // it, later ones at that version share it.
 
-// ColVec is one numeric column as a typed vector: Nums[i] holds row i's
-// value as a float64 (value.Value.Num semantics: INT/BOOL/DATE widen,
-// FLOAT passes through) and bit i of Valid marks it non-NULL. Slots of
-// NULL rows hold 0 and must be ignored via the bitmap.
+// ColVec is one column as a typed vector, and bit i of Valid marks row
+// i non-NULL. For a numeric column Nums[i] holds row i's value as a
+// float64 (value.Value.Num semantics: INT/BOOL/DATE widen, FLOAT passes
+// through). For a TEXT column Codes[i] is row i's code in Dict, which
+// maps each distinct string to its code (0, 1, ...); Nums is nil. Slots
+// of NULL rows hold 0 and must be ignored via the bitmap.
 type ColVec struct {
 	Kind  value.Kind
 	Nums  []float64
 	Valid []uint64
+	Codes []uint32
+	Dict  map[string]uint32
 }
 
 // IsValid reports whether row i is non-NULL.
@@ -35,8 +44,8 @@ func (c *ColVec) IsValid(i int) bool {
 }
 
 // Columnar is the column vectors of one heap version. Cols is parallel
-// to the table schema; a nil slot is a TEXT column or one nobody has
-// read at this version. A published Columnar is immutable: adding a
+// to the table schema; a nil slot is a column nobody has read at this
+// version. A published Columnar is immutable: adding a
 // column publishes a copy.
 type Columnar struct {
 	// Epoch is the tag Table.Columnar was called with (0 for caches the
@@ -49,7 +58,7 @@ type Columnar struct {
 }
 
 // Columnar returns the table's whole column-major image — every numeric
-// column of the current heap — tagged with the caller's epoch. A cached
+// column of the current heap, no TEXT codes — tagged with the caller's epoch. A cached
 // image with the same tag over the current heap is returned as is; a
 // different tag rebuilds every column, so the call measures a cold
 // build. It shares the scans' cache and builder.
@@ -81,18 +90,27 @@ func (c *Columnar) complete(s *Schema) bool {
 	return true
 }
 
-// Vector returns column col of the heap as a typed vector, building and
-// caching it on a miss; nil for a non-numeric column.
+// Vector returns column col of the heap as a typed vector — numeric, or
+// dictionary codes for TEXT — building and caching it on a miss; nil for
+// a column of another kind, or a TEXT column holding a non-text value.
 func (h Heap) Vector(col int) *ColVec {
 	t := h.t
 	kind := t.Schema.Cols[col].Kind
-	if !Vectorizable(kind) {
+	if !Vectorizable(kind) && kind != value.Text {
 		return nil
 	}
 	if c := t.vecs.Load(); c != nil && c.version == h.Version && c.Cols[col] != nil {
 		return c.Cols[col]
 	}
-	v := buildColVec(h.Rows, col, kind)
+	var v *ColVec
+	if kind == value.Text {
+		v = buildTextVec(h.Rows, col)
+	} else {
+		v = buildColVec(h.Rows, col, kind)
+	}
+	if v == nil {
+		return nil
+	}
 	t.cmu.Lock()
 	defer t.cmu.Unlock()
 	next := t.vecs.Load()
@@ -111,7 +129,8 @@ func (h Heap) Vector(col int) *ColVec {
 	return v
 }
 
-// Vectorizable reports whether columns of kind k have column vectors.
+// Vectorizable reports whether columns of kind k have numeric column
+// vectors.
 func Vectorizable(k value.Kind) bool {
 	return k == value.Int || k == value.Float || k == value.Bool || k == value.Date
 }
@@ -137,6 +156,33 @@ func buildColVec(rows []value.Row, col int, kind value.Kind) *ColVec {
 			continue
 		}
 		cv.Nums[i] = v.Num()
+		cv.Valid[i>>6] |= 1 << (uint(i) & 63)
+	}
+	return cv
+}
+
+// buildTextVec dictionary-codes TEXT column col of rows, which must be
+// one captured heap. It returns nil when a non-NULL value is not TEXT,
+// which a coerced heap never holds.
+func buildTextVec(rows []value.Row, col int) *ColVec {
+	mColumnarRebuilds.Inc()
+	n := len(rows)
+	cv := &ColVec{Kind: value.Text, Valid: make([]uint64, (n+63)/64), Codes: make([]uint32, n),
+		Dict: map[string]uint32{}}
+	for i, r := range rows {
+		v := r[col]
+		if v.IsNull() {
+			continue
+		}
+		if v.K != value.Text {
+			return nil
+		}
+		code, ok := cv.Dict[v.S]
+		if !ok {
+			code = uint32(len(cv.Dict))
+			cv.Dict[v.S] = code
+		}
+		cv.Codes[i] = code
 		cv.Valid[i>>6] |= 1 << (uint(i) & 63)
 	}
 	return cv

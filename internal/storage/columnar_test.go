@@ -106,8 +106,8 @@ func TestVectorKeyedByHeapVersion(t *testing.T) {
 	if h1.Vector(2) != v1 {
 		t.Error("a second request at one heap version must hit the cache")
 	}
-	if h1.Vector(1) != nil {
-		t.Error("a TEXT column has no vector")
+	if tv := h1.Vector(1); tv == nil || tv.Codes == nil || tv.Nums != nil {
+		t.Error("a TEXT column's vector holds dictionary codes")
 	}
 	must(t, tbl.Insert(value.Row{value.NewInt(4), value.NewText("VW"), value.NewFloat(20000)}))
 	h2 := tbl.Heap()
@@ -151,5 +151,39 @@ func TestVectorKeyedByHeapVersion(t *testing.T) {
 		if v := h.Vector(2); len(v.Nums) != len(h.Rows) {
 			t.Fatalf("vector has %d rows, heap %d", len(v.Nums), len(h.Rows))
 		}
+	}
+}
+
+// TestVectorTextCodes: a TEXT column's vector is a dictionary plus one
+// code per row, NULL marked in the bitmap, keyed by heap version like a
+// numeric vector, and never part of Columnar's whole-table image.
+func TestVectorTextCodes(t *testing.T) {
+	tbl := columnarTable(t) // make: Audi, BMW, NULL
+	must(t, tbl.Insert(value.Row{value.NewInt(4), value.NewText("Audi"), value.NewFloat(1)}))
+	h1 := tbl.Heap()
+	tv := h1.Vector(1)
+	if tv == nil || tv.Kind != value.Text || len(tv.Codes) != 4 || len(tv.Dict) != 2 {
+		t.Fatalf("text vector %+v, want 4 codes over 2 strings", tv)
+	}
+	if tv.Codes[0] != tv.Codes[3] || tv.Codes[0] == tv.Codes[1] || tv.Dict["Audi"] != tv.Codes[0] || tv.Dict["BMW"] != tv.Codes[1] {
+		t.Errorf("codes %v do not follow the dictionary %v", tv.Codes, tv.Dict)
+	}
+	if !tv.IsValid(0) || tv.IsValid(2) {
+		t.Error("the NULL make must be the only invalid slot")
+	}
+	if h1.Vector(1) != tv {
+		t.Error("a second request at one heap version must hit the cache")
+	}
+	if c := tbl.Columnar(9); c.Cols[1] != nil {
+		t.Error("Columnar builds numeric columns only")
+	}
+	must(t, tbl.Insert(value.Row{value.NewInt(5), value.NewText("VW"), value.NewNull()}))
+	h2 := tbl.Heap()
+	tv2 := h2.Vector(1)
+	if tv2 == tv || len(tv2.Codes) != 5 || tv2.Dict["VW"] != tv2.Codes[4] {
+		t.Fatalf("the new version needs its own codes: %+v", tv2)
+	}
+	if old := h1.Vector(1); len(old.Codes) != 4 {
+		t.Errorf("old-version codes cover %d rows, want 4", len(old.Codes))
 	}
 }
