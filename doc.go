@@ -146,18 +146,21 @@
 // # Vectorized BMO
 //
 // Tables additionally cache column vectors — per numeric column a typed
-// float64 vector plus a validity bitmap, built on demand for the heap
-// version a reader captured, so a write invalidates only its own
-// table's vectors. Scans test numeric WHERE conjuncts against them
-// before fetching a row, and they feed the vectorized skyline
-// operator: score vectors fill without boxing, row indices presort by
-// the monotone score key, and dominance runs block-at-a-time with
-// per-block zone maps (a block whose best corner the window of accepted
-// rows dominates is skipped wholesale). The
-// planner selects it from table statistics for score-based preferences
-// over resolvable numeric columns (opaque expressions and subquery
-// preferences keep the row-at-a-time path) when the session's algorithm
-// is auto, and its output is byte-identical to the sequential kernel.
+// float64 vector, per TEXT column a dictionary code vector, each with a
+// validity bitmap, built on demand for the heap version a reader
+// captured, so a write invalidates only its own table's vectors. Scans
+// test numeric WHERE conjuncts against them before fetching a row, and
+// they feed the vectorized skyline operator. Over a scan it takes the
+// scan's selection (the captured heap and the surviving positions),
+// fills score vectors from column vectors without boxing, presorts row
+// indices by the monotone score key, runs dominance block-at-a-time
+// with per-block zone maps (a block whose best corner the window of
+// accepted rows dominates is skipped wholesale), and fetches only the
+// winners' rows. The planner selects it from table statistics for
+// score-based preferences whose components each read one column
+// (expressions over several columns and subquery preferences keep the
+// row-at-a-time path) when the session's algorithm is auto, and its
+// output is byte-identical to the sequential kernel.
 // ExplainNative shows the decision
 // (`BMO vec est=N columnar`); ExplainAnalyze executes the plan and adds
 // per-node and row-level work counters. See ARCHITECTURE.md, "Columnar

@@ -347,11 +347,11 @@ func scorePartials(in *VecInput, st *Stats, vst *VecStats, cfg Config) ([][]int3
 // order.
 func scoreSkyline(in *VecInput, st *Stats, vst *VecStats, cfg Config) ([]int32, error) {
 	parts, err := scorePartials(in, st, vst, cfg)
-	if err != nil || len(parts) == 1 {
-		if len(parts) == 0 {
-			return nil, err
-		}
-		return parts[0], err
+	if err != nil {
+		return nil, err
+	}
+	if len(parts) == 1 {
+		return parts[0], nil
 	}
 	mg := mergePartials(in, parts, st, cfg)
 	var out []int32

@@ -144,58 +144,32 @@ func (b *BMOOp) fillKernel(j int, s preference.Scored) (bool, error) {
 	if cv == nil {
 		return false, nil
 	}
-	d, flat, sel, inf := b.vin.Dim, b.vin.Flat, b.sel, math.Inf(1)
 	switch p := s.(type) {
-	case *preference.Lowest, *preference.Highest, *preference.Around, *preference.Between:
-		if cv.Nums == nil {
-			return false, nil
-		}
-		for _, p := range sel {
-			if x := cv.Nums[p]; x != x {
-				_, err := s.Score(b.heap.Rows[p])
-				return err != nil, err
-			}
-		}
-	case *preference.Pos, *preference.Neg:
-		in, out, vals := 0.0, 1.0, []value.Value(nil)
-		if pos, ok := p.(*preference.Pos); ok {
-			vals = pos.Vals
-		} else {
-			in, out, vals = 1, 0, p.(*preference.Neg).Vals
-		}
-		set, ok := newMemberSet(cv, vals)
-		if !ok {
-			return false, nil
-		}
-		for i, p := range sel {
-			v := inf
-			if cv.IsValid(int(p)) {
-				v = out
-				if set.has(int(p)) {
-					v = in
-				}
-			}
-			flat[i*d+j] = v
-		}
-		return true, nil
+	case *preference.Pos:
+		return b.fillMember(j, cv, p.Vals, 0, 1), nil
+	case *preference.Neg:
+		return b.fillMember(j, cv, p.Vals, 1, 0), nil
 	case *preference.Bool:
-		t, ok := b.compareTest(j, cv)
-		if !ok {
-			return false, nil
-		}
-		for i, p := range sel {
-			v := 1.0 // false or UNKNOWN (NULL)
-			if t.keep(int(p)) {
-				v = 0
-			}
-			flat[i*d+j] = v
-		}
-		return true, nil
-	default:
+		return b.fillCompare(j, cv), nil
+	case *preference.Lowest, *preference.Highest, *preference.Around, *preference.Between:
+		return b.fillDistance(j, cv, s)
+	}
+	return false, nil
+}
+
+// fillDistance is the kernel of LOWEST, HIGHEST, AROUND and BETWEEN over
+// a numeric vector: NULL scores +Inf, and a NaN fails as on the row path.
+func (b *BMOOp) fillDistance(j int, cv *storage.ColVec, s preference.Scored) (bool, error) {
+	if cv.Nums == nil {
 		return false, nil
 	}
-	// The distance family, NaN-free: NULL scores +Inf.
-	nums := cv.Nums
+	d, flat, sel, nums, inf := b.vin.Dim, b.vin.Flat, b.sel, cv.Nums, math.Inf(1)
+	for _, q := range sel {
+		if x := nums[q]; x != x {
+			_, err := s.Score(b.heap.Rows[q])
+			return err != nil, err
+		}
+	}
 	switch p := s.(type) {
 	case *preference.Lowest:
 		for i, q := range sel {
@@ -238,6 +212,45 @@ func (b *BMOOp) fillKernel(j int, s preference.Scored) (bool, error) {
 		}
 	}
 	return true, nil
+}
+
+// fillMember is the kernel of POS (in=0, out=1) and NEG (in=1, out=0):
+// NULL scores +Inf.
+func (b *BMOOp) fillMember(j int, cv *storage.ColVec, vals []value.Value, in, out float64) bool {
+	set, ok := newMemberSet(cv, vals)
+	if !ok {
+		return false
+	}
+	d, flat, inf := b.vin.Dim, b.vin.Flat, math.Inf(1)
+	for i, q := range b.sel {
+		v := inf
+		if cv.IsValid(int(q)) {
+			v = out
+			if set.has(int(q)) {
+				v = in
+			}
+		}
+		flat[i*d+j] = v
+	}
+	return true
+}
+
+// fillCompare is the kernel of a Bool component `col op bound`: 0 where
+// the comparison holds, 1 where it is false or UNKNOWN (NULL).
+func (b *BMOOp) fillCompare(j int, cv *storage.ColVec) bool {
+	t, ok := b.compareTest(j, cv)
+	if !ok {
+		return false
+	}
+	d, flat := b.vin.Dim, b.vin.Flat
+	for i, q := range b.sel {
+		v := 1.0
+		if t.keep(int(q)) {
+			v = 0
+		}
+		flat[i*d+j] = v
+	}
+	return true
 }
 
 // compareTest returns component j's comparison `col op bound` as a

@@ -45,8 +45,8 @@ func (c *ColVec) IsValid(i int) bool {
 
 // Columnar is the column vectors of one heap version. Cols is parallel
 // to the table schema; a nil slot is a column nobody has read at this
-// version. A published Columnar is immutable: adding a
-// column publishes a copy.
+// version. A published Columnar is immutable: adding a column publishes
+// a copy.
 type Columnar struct {
 	// Epoch is the tag Table.Columnar was called with (0 for caches the
 	// scans filled).
@@ -58,10 +58,10 @@ type Columnar struct {
 }
 
 // Columnar returns the table's whole column-major image — every numeric
-// column of the current heap, no TEXT codes — tagged with the caller's epoch. A cached
-// image with the same tag over the current heap is returned as is; a
-// different tag rebuilds every column, so the call measures a cold
-// build. It shares the scans' cache and builder.
+// column of the current heap, no TEXT codes — tagged with the caller's
+// epoch. A cached image with the same tag over the current heap is
+// returned as is; a different tag rebuilds every column, so the call
+// measures a cold build. It shares the scans' cache and builder.
 func (t *Table) Columnar(epoch uint64) *Columnar {
 	h := t.Heap()
 	if c := t.vecs.Load(); c != nil && c.Epoch == epoch && c.version == h.Version && c.complete(&t.Schema) {
@@ -95,15 +95,11 @@ func (c *Columnar) complete(s *Schema) bool {
 // a column of another kind, or a TEXT column holding a non-text value.
 func (h Heap) Vector(col int) *ColVec {
 	t := h.t
-	kind := t.Schema.Cols[col].Kind
-	if !Vectorizable(kind) && kind != value.Text {
-		return nil
-	}
 	if c := t.vecs.Load(); c != nil && c.version == h.Version && c.Cols[col] != nil {
 		return c.Cols[col]
 	}
 	var v *ColVec
-	if kind == value.Text {
+	if kind := t.Schema.Cols[col].Kind; kind == value.Text {
 		v = buildTextVec(h.Rows, col)
 	} else {
 		v = buildColVec(h.Rows, col, kind)
