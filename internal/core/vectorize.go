@@ -7,6 +7,7 @@ import (
 	"repro/internal/bmo"
 	"repro/internal/plan"
 	"repro/internal/preference"
+	"repro/internal/storage"
 )
 
 // The vectorized-BMO planning step: after the preference-algebra
@@ -80,19 +81,22 @@ func vectorize(sel *ast.Select, root *plan.BMO, node plan.Node) {
 	}
 	root.VecCols = cols
 	root.Progressive = false
-	if scan := selectionScan(root.Child); scan != nil {
+	if scan, tbl := selectionScan(root.Child); scan != nil {
 		root.VecScan = scan
-		scoreKernels(sel.Preferring, root, sch)
+		scoreKernels(sel.Preferring, root, sch, tbl)
 	}
 }
 
-// scoreKernels decides, from the preference's syntax, which components a
-// kernel fills from the scan's column vectors: LOWEST, HIGHEST, AROUND,
-// BETWEEN, POS and NEG over a bare column reference, and a condition
-// `col op bound`. Every other component — a computed operand such as -a
-// or ABS(a - 50), which reads one column but is not it, an ELSE chain,
-// CONTAINS — gets VecCols[j] = -1 and is scored row by row.
-func scoreKernels(p ast.Pref, root *plan.BMO, sch plan.Schema) {
+// scoreKernels decides, from the preference's syntax and the column
+// kinds of tbl, which components a kernel fills from the scan's column
+// vectors: POS and NEG over a bare column reference of any kind (TEXT
+// through dictionary codes), and LOWEST, HIGHEST, AROUND, BETWEEN and a
+// condition `col op bound` over a numeric one. Every other component — a
+// computed operand such as -a or ABS(a - 50), which reads one column but
+// is not it, a TEXT column under a numeric kernel, an ELSE chain,
+// CONTAINS — gets VecCols[j] = -1 and is scored row by row, so no
+// vector is built for it.
+func scoreKernels(p ast.Pref, root *plan.BMO, sch plan.Schema, tbl *storage.Table) {
 	parts := []ast.Pref{p}
 	if par, ok := p.(*ast.PrefPareto); ok {
 		parts = par.Parts
@@ -108,24 +112,30 @@ func scoreKernels(p ast.Pref, root *plan.BMO, sch plan.Schema) {
 		}
 		return -1
 	}
+	numeric := func(col int) int {
+		if col >= 0 && storage.Vectorizable(tbl.Schema.Cols[col].Kind) {
+			return col
+		}
+		return -1
+	}
 	for j := range root.VecCols {
 		col := -1
 		if parts != nil {
 			switch t := parts[j].(type) {
 			case *ast.PrefLowest:
-				col = column(t.X)
+				col = numeric(column(t.X))
 			case *ast.PrefHighest:
-				col = column(t.X)
+				col = numeric(column(t.X))
 			case *ast.PrefAround:
-				col = column(t.X)
+				col = numeric(column(t.X))
 			case *ast.PrefBetween:
-				col = column(t.X)
+				col = numeric(column(t.X))
 			case *ast.PrefPos:
 				col = column(t.X)
 			case *ast.PrefNeg:
 				col = column(t.X)
 			case *ast.PrefBool:
-				if c, ok := plan.ColumnComparison(t.Cond, sch); ok {
+				if c, ok := plan.ColumnComparison(t.Cond, sch); ok && numeric(c.Col) >= 0 {
 					c.Index = j
 					root.VecConds = append(root.VecConds, c)
 					col = c.Col
@@ -139,19 +149,19 @@ func scoreKernels(p ast.Pref, root *plan.BMO, sch plan.Schema) {
 // selectionScan unwraps the canonical candidate pipeline Project(*) over
 // a single table's SeqScan or IndexScan, filtered or not: the shape whose
 // scan can hand the BMO its selection instead of rows. A limited scan
-// does not qualify.
-func selectionScan(n plan.Node) plan.Node {
+// does not qualify. tbl is the scanned table.
+func selectionScan(n plan.Node) (scan plan.Node, tbl *storage.Table) {
 	proj, ok := n.(*plan.Project)
 	if !ok || !proj.PassThrough() {
-		return nil
+		return nil, nil
 	}
-	switch scan := proj.Child.(type) {
+	switch s := proj.Child.(type) {
 	case *plan.SeqScan:
-		if scan.Limit < 0 {
-			return scan
+		if s.Limit < 0 {
+			return s, s.Table
 		}
 	case *plan.IndexScan:
-		return scan
+		return s, s.Table
 	}
-	return nil
+	return nil, nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/bmo"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -89,7 +90,7 @@ func fillDB(t testing.TB, i int) *core.DB {
 func pick(r *rand.Rand, xs ...string) string { return xs[r.Intn(len(xs))] }
 
 // genFillQuery draws a statement: a WHERE clause (none, numeric ranges,
-// TEXT equality, an index probe with a bound of another kind), a Pareto
+// TEXT equality, an index probe with a bound of another kind or NULL), a Pareto
 // of score terms, bare and computed, with cross-class IN sets, and now
 // and then quality functions in the SELECT list or BUT ONLY. One term
 // always ranks a wide column, so the skyline — and the reference's
@@ -100,7 +101,7 @@ func genFillQuery(r *rand.Rand) string {
 	case 1:
 		where = append(where, pick(r, "a < 100", "f >= -10", "a <= 0 AND f < 20", "b = TRUE", "s = 'b'"))
 	case 2:
-		where = append(where, pick(r, "k = 3", "k = 3.0", "k = 3.5", "k = TRUE", "k = '3'", "3 = k"))
+		where = append(where, pick(r, "k = 3", "k = 3.0", "k = 3.5", "k = TRUE", "k = '3'", "3 = k", "k = NULL"))
 	case 3:
 		where = append(where, pick(r, "s = 'a'", "s = 5", "s = 'TRUE'", "s = TRUE", "'1' = s"))
 	case 4:
@@ -206,4 +207,41 @@ func FuzzColumnarFill(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, table uint8) {
 		checkFill(t, fillDB(t, int(table)%fillTables), genFillQuery(rand.New(rand.NewSource(seed))))
 	})
+}
+
+// TestTextCodesOnlyForMemberKernels: a TEXT column is dictionary-coded
+// only when a POS or NEG kernel reads it. A condition or a numeric
+// preference over it is scored row by row, and builds no vector.
+func TestTextCodesOnlyForMemberKernels(t *testing.T) {
+	builds := metrics.Default.Counter("prefsql_columnar_rebuilds_total", "")
+	db := core.Open()
+	if _, err := db.Exec(`CREATE TABLE u (id INT, a INT, s VARCHAR)`); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]value.Row, bmo.AutoParallelThreshold)
+	for n := range rows {
+		rows[n] = value.Row{value.NewInt(int64(n)), value.NewInt(int64(n % 97)),
+			value.NewText([]string{"a", "m", "z"}[n%3])}
+	}
+	tbl, _ := db.Engine().Catalog().Table("u")
+	if err := tbl.InsertBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		q      string
+		builds int64
+	}{
+		{`SELECT id FROM u PREFERRING LOWEST(a) AND REGULAR(s = 'a')`, 1}, // a
+		{`SELECT id FROM u PREFERRING LOWEST(a) AND s < 'm'`, 0},
+		{`SELECT id FROM u PREFERRING LOWEST(a) AND s >= 5`, 0},
+		{`SELECT id FROM u PREFERRING HIGHEST(a) AND REGULAR(s > 'b')`, 0},
+		{`SELECT id FROM u PREFERRING LOWEST(a) AND s IN ('m')`, 1},      // s's codes
+		{`SELECT id FROM u PREFERRING HIGHEST(a) AND s NOT IN ('a')`, 0}, // cached
+	} {
+		before := builds.Value()
+		checkFill(t, db, c.q)
+		if got := builds.Value() - before; got != c.builds {
+			t.Errorf("%s built %d column vectors, want %d", c.q, got, c.builds)
+		}
+	}
 }

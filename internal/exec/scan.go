@@ -33,15 +33,28 @@ type selector interface {
 	selection() (storage.Heap, []int32, error)
 }
 
+// cursorScan is what both scan kinds share: the environment and the
+// cursor over the captured heap.
+type cursorScan struct {
+	env *Env
+	cur heapCursor
+}
+
+// selection implements selector; the planner never hands a limited scan
+// to a BMO.
+func (s *cursorScan) selection() (storage.Heap, []int32, error) {
+	sel, err := s.cur.selection(s.env)
+	return s.cur.heap, sel, err
+}
+
 type seqScan struct {
+	cursorScan
 	n       *plan.SeqScan
-	env     *Env
-	cur     heapCursor
 	emitted int64
 }
 
 func newSeqScan(n *plan.SeqScan, env *Env) *seqScan {
-	return &seqScan{n: n, env: env}
+	return &seqScan{cursorScan: cursorScan{env: env}, n: n}
 }
 
 func (s *seqScan) Schema() plan.Schema { return s.n.Schema() }
@@ -53,13 +66,6 @@ func (s *seqScan) Open() error {
 }
 
 func (s *seqScan) node() plan.Node { return s.n }
-
-// selection implements selector; the planner never hands a limited scan
-// to a BMO.
-func (s *seqScan) selection() (storage.Heap, []int32, error) {
-	sel, err := s.cur.selection(s.env)
-	return s.cur.heap, sel, err
-}
 
 func (s *seqScan) Next() (value.Row, error) {
 	if s.n.Limit >= 0 && s.emitted >= s.n.Limit {
@@ -75,14 +81,13 @@ func (s *seqScan) Next() (value.Row, error) {
 func (s *seqScan) Close() error { return nil }
 
 type indexScan struct {
-	n   *plan.IndexScan
-	env *Env
-	ns  *NodeStats
-	cur heapCursor
+	cursorScan
+	n  *plan.IndexScan
+	ns *NodeStats
 }
 
 func newIndexScan(n *plan.IndexScan, env *Env) *indexScan {
-	return &indexScan{n: n, env: env, ns: env.NodeStats(n)}
+	return &indexScan{cursorScan: cursorScan{env: env}, n: n, ns: env.NodeStats(n)}
 }
 
 func (s *indexScan) Schema() plan.Schema { return s.n.Schema() }
@@ -101,12 +106,6 @@ func (s *indexScan) Open() error {
 }
 
 func (s *indexScan) node() plan.Node { return s.n }
-
-// selection implements selector.
-func (s *indexScan) selection() (storage.Heap, []int32, error) {
-	sel, err := s.cur.selection(s.env)
-	return s.cur.heap, sel, err
-}
 
 // probe captures the candidates: the heap with the probed positions, or
 // with all set when the probe cannot be answered by the index, or none.

@@ -43,6 +43,11 @@ func (b *BMOOp) openSelection() error {
 	scorers, _ := bmo.ScoreBased(b.node.Pref)
 	n, d := len(sel), len(scorers)
 	b.vin = bmo.VecInput{Dim: d, Flat: make([]float64, n*d)}
+	if n == 0 {
+		// Nothing selected: the scan may have captured no heap at all (a
+		// probe with a NULL key, an empty table), so no vector is asked for.
+		scorers = nil
+	}
 	for j, s := range scorers {
 		done, err := b.fillKernel(j, s)
 		if err != nil {
@@ -130,15 +135,19 @@ func (b *BMOOp) scoreMin(s preference.Scored) (min float64, ok bool) {
 
 // fillKernel fills score column j of b.vin for component s from a column
 // vector at the selected positions, and reports false when no kernel
-// serves it: the planner gave it no column, the column has no vector of
-// the kind the kernel reads, or a Bool bound is not a number. A kernel
-// computes exactly what s.Score computes for the row; where Score
+// serves it: the planner gave it no column (its syntax or its column's
+// kind has no kernel), the column has no vector, or a Bool bound is not
+// a number. A vector is asked for only once a kernel will read it. A
+// kernel computes exactly what s.Score computes for the row; where Score
 // reports an error (a NaN under a distance preference) the kernel asks
 // Score for it.
 func (b *BMOOp) fillKernel(j int, s preference.Scored) (bool, error) {
 	col := b.node.VecCols[j]
 	if col < 0 {
 		return false, nil
+	}
+	if _, ok := s.(*preference.Bool); ok {
+		return b.fillCompare(j, col), nil
 	}
 	cv := b.heap.Vector(col)
 	if cv == nil {
@@ -149,8 +158,6 @@ func (b *BMOOp) fillKernel(j int, s preference.Scored) (bool, error) {
 		return b.fillMember(j, cv, p.Vals, 0, 1), nil
 	case *preference.Neg:
 		return b.fillMember(j, cv, p.Vals, 1, 0), nil
-	case *preference.Bool:
-		return b.fillCompare(j, cv), nil
 	case *preference.Lowest, *preference.Highest, *preference.Around, *preference.Between:
 		return b.fillDistance(j, cv, s)
 	}
@@ -237,8 +244,8 @@ func (b *BMOOp) fillMember(j int, cv *storage.ColVec, vals []value.Value, in, ou
 
 // fillCompare is the kernel of a Bool component `col op bound`: 0 where
 // the comparison holds, 1 where it is false or UNKNOWN (NULL).
-func (b *BMOOp) fillCompare(j int, cv *storage.ColVec) bool {
-	t, ok := b.compareTest(j, cv)
+func (b *BMOOp) fillCompare(j, col int) bool {
+	t, ok := b.compareTest(j, col)
 	if !ok {
 		return false
 	}
@@ -254,10 +261,11 @@ func (b *BMOOp) fillCompare(j int, cv *storage.ColVec) bool {
 }
 
 // compareTest returns component j's comparison `col op bound` as a
-// vector test over cv, with the scan filters' semantics; ok=false when
-// the planner recorded no comparison for j or the bound does not
-// evaluate to a number (those stay on the row path).
-func (b *BMOOp) compareTest(j int, cv *storage.ColVec) (vecTest, bool) {
+// vector test over column col, with the scan filters' semantics;
+// ok=false when the planner recorded no comparison for j or the bound
+// does not evaluate to a number (those stay on the row path). The
+// column's vector is fetched only for a numeric bound.
+func (b *BMOOp) compareTest(j, col int) (vecTest, bool) {
 	var rt *expr.Runtime
 	if b.env != nil {
 		rt = b.env.Rt
@@ -267,7 +275,11 @@ func (b *BMOOp) compareTest(j int, cv *storage.ColVec) (vecTest, bool) {
 			continue
 		}
 		bound, err := c.Bound.Eval(rt, nil)
-		if err != nil || bound.IsNull() || bound.K == value.Text || cv.Nums == nil {
+		if err != nil || bound.IsNull() || bound.K == value.Text {
+			return vecTest{}, false
+		}
+		cv := b.heap.Vector(col)
+		if cv == nil || cv.Nums == nil {
 			return vecTest{}, false
 		}
 		return vecTest{vec: cv, bound: bound.Num(), accept: c.Accept}, true

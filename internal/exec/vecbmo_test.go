@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bmo"
+	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/preference"
 	"repro/internal/value"
@@ -69,5 +70,38 @@ func TestVecBMOFillsFromItsScan(t *testing.T) {
 	}
 	if len(got) == 0 || sorted(got) != sorted(want) {
 		t.Errorf("columnar winners %q, row winners %q", ids(got), ids(want))
+	}
+}
+
+// TestVecBMOOverEmptyScan: a vectorized BMO over an index scan that
+// selects nothing — a NULL probe key, or a table emptied after the plan
+// was built for its rows — answers with no rows. The scan then captures
+// no heap, so the fill must not ask it for a column vector.
+func TestVecBMOOverEmptyScan(t *testing.T) {
+	cat, jobs := jobsCatalog(t)
+	scan := planJobs(t, cat, bin("=", col("", "region"), param(0)))
+	if _, ok := scan.(*plan.IndexScan); !ok {
+		t.Fatalf("want an IndexScan, got %s", scan.Explain())
+	}
+	pref := &preference.Pareto{Parts: []preference.Preference{
+		&preference.Lowest{Get: func(r value.Row) (value.Value, error) { return r[2], nil }, Label: "salary"},
+		&preference.Highest{Get: func(r value.Row) (value.Value, error) { return r[3], nil }, Label: "exp"},
+	}}
+	n := plan.NewBMO(plan.NewProject(scan, star(), nil), pref, bmo.Auto, false, 0)
+	n.VecCols, n.VecScan = []int{2, 3}, scan
+	drain := func(key value.Value) []value.Row {
+		return run(t, n, &Env{Rt: &expr.Runtime{Params: value.Row{key}}})
+	}
+	if rows := drain(value.NewText("north")); len(rows) == 0 {
+		t.Fatal("no winners over a non-empty probe")
+	}
+	if rows := drain(value.NewNull()); len(rows) != 0 {
+		t.Errorf("region = NULL: winners %q", ids(rows))
+	}
+	if err := jobs.Truncate(); err != nil {
+		t.Fatal(err)
+	}
+	if rows := drain(value.NewText("north")); len(rows) != 0 {
+		t.Errorf("emptied table: winners %q", ids(rows))
 	}
 }

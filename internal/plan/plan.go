@@ -491,7 +491,8 @@ type BMO struct {
 	// component reads one resolvable column; see core's vectorize step.
 	// Under a VecScan, VecCols[j] is the table column whose vector a
 	// kernel scores component j from, or -1 when component j is scored
-	// row by row (a computed operand, a condition of another shape).
+	// row by row (a computed operand, a condition of another shape, a
+	// TEXT column under any kernel but POS/NEG).
 	VecCols []int
 	// VecConds lists the components that are a comparison `col op
 	// bound` (a Bool preference such as salary <= 41000): Index is the

@@ -276,12 +276,18 @@ func (r *rewriter) compileBase(p ast.Pref) (*basePref, []ast.SelectItem, error) 
 		bp.relative = true
 		// The level is -x. `-` refuses BOOLEAN, which natively scores
 		// as 0/1, so TRUE and FALSE map to -1 and 0 first. `=` compares
-		// numerically, so a number that equals TRUE or FALSE gets the
-		// same level it would from 0 - x.
+		// numerically, so 1 and 0 take these branches too, with the
+		// level 0 - x gives them. NaN compares equal to every number,
+		// so each branch also requires x to differ from the other
+		// boolean: NaN falls through to 0 - NaN.
+		t, f := &ast.Literal{Val: value.NewBool(true)}, &ast.Literal{Val: value.NewBool(false)}
+		is := func(b, not ast.Expr) ast.Expr {
+			return &ast.Binary{Op: "AND", L: &ast.Binary{Op: "=", L: x.X, R: b}, R: &ast.Binary{Op: "<>", L: x.X, R: not}}
+		}
 		neg := &ast.Case{
 			Whens: []ast.WhenClause{
-				{When: &ast.Binary{Op: "=", L: x.X, R: &ast.Literal{Val: value.NewBool(true)}}, Then: &ast.Literal{Val: value.NewInt(-1)}},
-				{When: &ast.Binary{Op: "=", L: x.X, R: &ast.Literal{Val: value.NewBool(false)}}, Then: &ast.Literal{Val: value.NewInt(0)}},
+				{When: is(t, f), Then: &ast.Literal{Val: value.NewInt(-1)}},
+				{When: is(f, t), Then: &ast.Literal{Val: value.NewInt(0)}},
 			},
 			Else: &ast.Binary{Op: "-", L: &ast.Literal{Val: value.NewInt(0)}, R: x.X},
 		}

@@ -1,6 +1,7 @@
 package rewrite_test
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -466,6 +467,28 @@ func TestHighestOverBoolean(t *testing.T) {
 		if g, w := rowStrings(got.Rows), rowStrings(want.Rows); g != w {
 			t.Errorf("%s: rewrite %s, native %s", q, g, w)
 		}
+	}
+
+	// A FLOAT NaN, which natively fails HIGHEST, compares equal to TRUE
+	// and FALSE alike; its rewrite level stays 0 - NaN, as LOWEST(0 - f)
+	// has it, rather than TRUE's -1.
+	if _, err := db.Exec(`CREATE TABLE n (id INT, f FLOAT); INSERT INTO n VALUES (1, 0.5), (2, 0.0)`); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := db.Engine().Catalog().Table("n")
+	if err := tbl.Insert(value.Row{value.NewInt(3), value.NewFloat(math.NaN())}); err != nil {
+		t.Fatal(err)
+	}
+	high, err := rw.Query(`SELECT id FROM n PREFERRING HIGHEST(f)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	low, err := rw.Query(`SELECT id FROM n PREFERRING LOWEST(0 - f)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := rowStrings(high.Rows), rowStrings(low.Rows); g != w || g != "(1) (3)" {
+		t.Errorf("HIGHEST(f) with a NaN: rewrite %s, LOWEST(0 - f) %s, want (1) (3)", g, w)
 	}
 }
 
