@@ -79,7 +79,9 @@ func NewStreamConfig(p preference.Preference, rows []value.Row, cfg Config) (*St
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sortVecOrder(order, &in)
+	if err := sortVecOrder(order, &in); err != nil {
+		return nil, err
+	}
 	return &Stream{mg: mergePartials(&in, [][]int32{order}, &Stats{}, cfg)}, nil
 }
 

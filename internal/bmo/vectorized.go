@@ -160,7 +160,10 @@ func ScoreBased(p preference.Preference) ([]preference.Scored, bool) {
 
 // saturatedSum sums a score vector, saturating at +Inf (NULL scores
 // worst) so a later -Inf component cannot turn the sum into NaN and
-// wreck the sort.
+// wreck the sort. A sum of finite components that overflowed to +Inf
+// meets a -Inf component the same way; -Inf wins there, as it does when
+// it comes first, so the sum stays monotone in every component. Only a
+// NaN component makes the sum NaN.
 func saturatedSum(vec []float64) float64 {
 	sum := 0.0
 	for _, v := range vec {
@@ -168,6 +171,9 @@ func saturatedSum(vec []float64) float64 {
 			return math.Inf(1)
 		}
 		sum += v
+	}
+	if sum != sum && !slices.ContainsFunc(vec, math.IsNaN) {
+		return math.Inf(-1)
 	}
 	return sum
 }
@@ -206,11 +212,6 @@ func EvaluateVecInput(in VecInput, cfg Config) ([]int32, Stats, VecStats, error)
 	out, err := scoreSkyline(&in, &st, &vst, cfg)
 	return out, st, vst, err
 }
-
-// sortVecOrder sorts row indices by the monotone key. The order is
-// total, so the unstable pdqsort is deterministic; sorting 4-byte indices
-// keeps swaps cheap at millions of rows.
-func sortVecOrder(idx []int32, in *VecInput) { slices.SortFunc(idx, in.order()) }
 
 // vdominates is the score family's dominance test: a dominates b iff
 // a ≤ b componentwise with at least one strict <. Equal vectors never
@@ -327,7 +328,9 @@ func scorePartials(in *VecInput, st *Stats, vst *VecStats, cfg Config) ([][]int3
 	vstats := make([]VecStats, np)
 	err := runConcurrent(np, np, func(p int) error {
 		part := idx[p*per : min((p+1)*per, n)]
-		sortVecOrder(part, in)
+		if err := sortVecOrder(part, in); err != nil {
+			return err
+		}
 		w := window{m: in, cfg: cfg, st: &stats[p]}
 		err := blockSkyline(&w, part, &vstats[p])
 		parts[p] = w.members

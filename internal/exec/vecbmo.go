@@ -198,7 +198,7 @@ func (b *BMOOp) fillDistance(j int, cv *storage.ColVec, s preference.Scored) (bo
 		for i, q := range sel {
 			v := inf
 			if cv.IsValid(int(q)) {
-				v = math.Abs(nums[q] - p.Target)
+				v = preference.AroundDistance(nums[q], p.Target)
 			}
 			flat[i*d+j] = v
 		}

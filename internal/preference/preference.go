@@ -238,7 +238,8 @@ type Around struct {
 	Attrs []string
 }
 
-// Score is |v - target|.
+// Score is |v - target|, and 0 when v equals the target: the same
+// infinity on both sides would otherwise give Inf - Inf, which is NaN.
 func (p *Around) Score(row value.Row) (float64, error) {
 	v, err := p.Get(row)
 	if err != nil {
@@ -251,7 +252,16 @@ func (p *Around) Score(row value.Row) (float64, error) {
 	if math.IsNaN(n) {
 		return 0, fmt.Errorf("AROUND: non-numeric value %v for %s", v, p.Label)
 	}
-	return math.Abs(n - p.Target), nil
+	return AroundDistance(n, p.Target), nil
+}
+
+// AroundDistance is AROUND's score of n for target t, for numbers that
+// are not NaN: |n - t|, and 0 when n equals t.
+func AroundDistance(n, t float64) float64 {
+	if n == t {
+		return 0
+	}
+	return math.Abs(n - t)
 }
 
 // Compare implements Preference.

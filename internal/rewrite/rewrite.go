@@ -237,7 +237,11 @@ func normalize(p ast.Pref) ([][]ast.Pref, error) {
 func (r *rewriter) compileBase(p ast.Pref) (*basePref, []ast.SelectItem, error) {
 	bp := &basePref{ordinal: len(r.prefs) + 1}
 	var items []ast.SelectItem
-	worst := &ast.Literal{Val: value.NewFloat(9e99)}
+	// NULL scores +Inf, as natively, so it ties with an infinite level:
+	// LOWEST of +Inf, HIGHEST of -Inf, an infinite AROUND or BETWEEN
+	// distance. +Inf has no literal spelling, and Plan.Script() must
+	// stay parseable, so the level is an overflowing product.
+	worst := &ast.Binary{Op: "*", L: &ast.Literal{Val: value.NewFloat(1e308)}, R: &ast.Literal{Val: value.NewInt(10)}}
 
 	nullGuard := func(x ast.Expr, e ast.Expr) ast.Expr {
 		return &ast.Case{
@@ -249,9 +253,20 @@ func (r *rewriter) compileBase(p ast.Pref) (*basePref, []ast.SelectItem, error) 
 	switch x := p.(type) {
 	case *ast.PrefAround:
 		bp.label = x.X.SQL()
+		// The level is |x - target| where x differs from the target and
+		// 0 where it does not, so x equal to an infinite target levels
+		// 0 rather than Inf - Inf (NaN), as natively.
 		target := asNumericLiteral(x.Target)
-		diff := &ast.FuncCall{Name: "ABS", Args: []ast.Expr{&ast.Binary{Op: "-", L: x.X, R: target}}}
-		items = append(items, ast.SelectItem{Expr: nullGuard(x.X, diff), Alias: bp.lvlCol()})
+		differs := &ast.Binary{Op: "OR",
+			L: &ast.Binary{Op: "<", L: x.X, R: target}, R: &ast.Binary{Op: ">", L: x.X, R: target}}
+		e := &ast.Case{
+			Whens: []ast.WhenClause{
+				{When: &ast.IsNull{X: x.X}, Then: worst},
+				{When: differs, Then: &ast.FuncCall{Name: "ABS", Args: []ast.Expr{&ast.Binary{Op: "-", L: x.X, R: target}}}},
+			},
+			Else: &ast.Literal{Val: value.NewInt(0)},
+		}
+		items = append(items, ast.SelectItem{Expr: e, Alias: bp.lvlCol()})
 
 	case *ast.PrefBetween:
 		bp.label = x.X.SQL()
