@@ -22,11 +22,10 @@ import (
 // image, but never reverses two sums: the image is still monotone, so
 // rows with different images are already in key order, and rows with
 // equal images form a contiguous run that the comparator then orders by
-// the exact key. Two values need care. -0 and +0 compare equal as sums
-// but differ in their bits; a saturated sum starts at +0 and cannot
-// become -0, and the image adds +0 anyway, which maps -0 to +0. NaN
-// compares false both ways, so no position for it is right; a NaN sum
-// is an error.
+// the exact key. Two values would break this. -0 and +0 compare equal
+// as sums but differ in their bits; a saturated sum starts at +0, and
+// no addition from there yields -0. NaN compares false both ways, so no
+// position for it is right; a NaN sum is an error.
 
 const (
 	radixBits   = 11 // digit width: three passes over a 32-bit image
@@ -52,7 +51,7 @@ var presortPool = sync.Pool{New: func() any { return new(presortBuf) }}
 // sumImage is the top 32 bits of the order-preserving unsigned image of
 // a sum that is not NaN.
 func sumImage(s float64) uint32 {
-	b := math.Float64bits(s + 0) // -0 + 0 is +0
+	b := math.Float64bits(s)
 	if b>>63 == 0 {
 		b |= 1 << 63
 	} else {

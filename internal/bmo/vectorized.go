@@ -19,7 +19,10 @@ import (
 //     user-supplied getters, so everything downstream is pure float
 //     comparison and safe across goroutines;
 //   - one order: row indices sorted by the monotone key (sum, score
-//     vector lexicographically, input index) — sortVecOrder;
+//     vector lexicographically, input index) — sortVecOrder, a radix
+//     sort on a 32-bit image of the sum, with the comparator ordering
+//     each run of equal images (presort.go explains why the cut image
+//     is exact);
 //   - one dominance test: vdominates;
 //   - one admission loop: window, which admits a candidate unless one of
 //     its members dominates it.
