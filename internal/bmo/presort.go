@@ -28,10 +28,10 @@ import (
 // position for it is right; a NaN sum is an error.
 
 const (
-	radixBits   = 11 // digit width: three passes over a 32-bit image
+	radixBits   = 11
 	radixBucket = 1 << radixBits
 	radixMask   = radixBucket - 1
-	radixPasses = (32 + radixBits - 1) / radixBits
+	radixPasses = 3 // ⌈32 / radixBits⌉; the counting loop names each pass
 	// radixMinLen is the length below which the comparator sort alone
 	// is cheaper than clearing and scanning the count tables.
 	radixMinLen = 64
