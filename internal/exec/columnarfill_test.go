@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -18,11 +19,12 @@ import (
 
 // The vectorized BMO's fill must be invisible: whatever mix of column
 // kernels and row scoring fills the score matrix, and whatever selection
-// the scan hands over, the winners equal the block-nested-loop answer
-// over the same candidates, as a set (or both statements fail). The
-// tables are big enough for the planner to vectorize every shape — a
-// bare scan, a filtered scan, an index probe — and hold NULL, -0.0 and
-// (in one table of each pair) NaN.
+// the scan hands over, the winners equal the row path's answer over the
+// same candidates in the same order, and the block-nested-loop answer as
+// a set (or all three statements fail). The tables are big enough for
+// the planner to vectorize every shape — a bare scan, a filtered scan,
+// an index probe — and hold NULL, -0.0 and (in one table of each pair)
+// NaN.
 
 // fillRows is the table size: an index probe's estimate (a tenth) must
 // reach the vectorization threshold.
@@ -91,10 +93,12 @@ func pick(r *rand.Rand, xs ...string) string { return xs[r.Intn(len(xs))] }
 
 // genFillQuery draws a statement: a WHERE clause (none, numeric ranges,
 // TEXT equality, an index probe with a bound of another kind or NULL), a Pareto
-// of score terms, bare and computed, with cross-class IN sets, and now
-// and then quality functions in the SELECT list or BUT ONLY. One term
-// always ranks a wide column, so the skyline — and the reference's
-// window — stays small.
+// of score terms, bare and computed, with cross-class IN sets, now
+// and then quality functions in the SELECT list or BUT ONLY, and in a
+// third of the statements one or two further CASCADE stages. One term
+// of the first stage always ranks a wide column, so the skyline — and
+// the reference's window — stays small. The cascade's draws come last,
+// so a statement without one is the one its seed always drew.
 func genFillQuery(r *rand.Rand) string {
 	var where []string
 	switch r.Intn(6) {
@@ -134,20 +138,52 @@ func genFillQuery(r *rand.Rand) string {
 		terms = append(terms, pick(r, narrow...))
 	}
 	r.Shuffle(len(terms), func(i, j int) { terms[i], terms[j] = terms[j], terms[i] })
-	q, tail := "SELECT id FROM t", ""
+	list, tail := "id", ""
 	if label != "" {
 		// Quality functions: distances relative to the best candidate.
 		switch r.Intn(3) {
 		case 0:
-			q = fmt.Sprintf("SELECT id, DISTANCE(%s), TOP(%s), LEVEL(%s) FROM t", label, label, label)
+			list = fmt.Sprintf("id, DISTANCE(%s), TOP(%s), LEVEL(%s)", label, label, label)
 		case 1:
 			tail = fmt.Sprintf(" BUT ONLY DISTANCE(%s) <= %d", label, r.Intn(40))
 		}
 	}
+	pref := strings.Join(terms, " AND ")
+	if r.Intn(3) == 0 {
+		// Later stages rank the survivors of the earlier ones, so any
+		// term may rank them, a wide one over either column too. A bare
+		// wide term there is a label the quality functions can read
+		// when the first stage gave them none.
+		for n := 1 + r.Intn(2); n > 0; n-- {
+			c := r.Intn(2)
+			stage := []string{pick(r, wide[c]...)}
+			if r.Intn(2) == 0 {
+				stage = append(stage, pick(r, narrow...))
+			}
+			r.Shuffle(len(stage), func(i, j int) { stage[i], stage[j] = stage[j], stage[i] })
+			pref += " CASCADE " + strings.Join(stage, " AND ")
+			if list == "id" && tail == "" && slices.Contains(wide[c][:4], stage[0]) && r.Intn(2) == 0 {
+				list = fmt.Sprintf("id, DISTANCE(%s)", []string{"a", "f"}[c])
+			}
+		}
+	}
+	q := "SELECT " + list + " FROM t"
 	if len(where) > 0 {
 		q += " WHERE " + strings.Join(where, " AND ")
 	}
-	return q + " PREFERRING " + strings.Join(terms, " AND ") + tail
+	return q + " PREFERRING " + pref + tail
+}
+
+// rowList renders a result in order, or the fact that it failed.
+func rowList(rows []value.Row, err error) string {
+	if err != nil {
+		return "error"
+	}
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.String()
+	}
+	return strings.Join(out, ",")
 }
 
 // rowSet renders a result as a sorted set of rows, or the fact that it
@@ -164,29 +200,41 @@ func rowSet(rows []value.Row, err error) string {
 	return strings.Join(out, ",")
 }
 
-// checkFill runs q vectorized and under BNL and compares the answers.
+// checkFill runs q vectorized, on the row path and under BNL, and
+// compares the answers: in order with the row path, as a set with BNL.
+// The row path is the parallel algorithm's, which the planner never
+// vectorizes and which runs the score kernel Auto runs, so it emits the
+// same rows in the same order.
 func checkFill(t *testing.T, db *core.DB, q string) {
-	auto, bnl := db.NewSession(), db.NewSession()
+	auto, rowPath, bnl := db.NewSession(), db.NewSession(), db.NewSession()
+	rowPath.SetAlgorithm(bmo.Parallel)
 	bnl.SetAlgorithm(bmo.BlockNestedLoop)
 	plan, err := auto.ExplainNative(q)
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
-	if !strings.Contains(plan, "BMO vec") || !strings.Contains(plan, "columnar") {
+	cascade := strings.Contains(q, " CASCADE ")
+	if !cascade && (!strings.Contains(plan, "BMO vec") || !strings.Contains(plan, "columnar")) {
 		t.Fatalf("%s is not filled from a scan's selection:\n%s", q, plan)
 	}
-	res, err := auto.Query(q)
-	var got []value.Row
-	if err == nil {
-		got = res.Rows
+	if plan, err := rowPath.ExplainNative(q); err != nil || strings.Contains(plan, "BMO vec") {
+		t.Fatalf("%s: the reference is not on the row path (err %v):\n%s", q, err, plan)
 	}
-	res, err2 := bnl.Query(q)
-	var want []value.Row
-	if err2 == nil {
-		want = res.Rows
+	query := func(s *core.Session) ([]value.Row, error) {
+		res, err := s.Query(q)
+		if err != nil {
+			return nil, err
+		}
+		return res.Rows, nil
 	}
-	if g, w := rowSet(got, err), rowSet(want, err2); g != w {
-		t.Fatalf("%s\nvectorized: %.200s (err %v)\nbnl:        %.200s (err %v)", q, g, err, w, err2)
+	got, err := query(auto)
+	ref, errRef := query(rowPath)
+	want, errBNL := query(bnl)
+	if g, w := rowList(got, err), rowList(ref, errRef); g != w {
+		t.Fatalf("%s\nvectorized: %.200s (err %v)\nrow path:   %.200s (err %v)", q, g, err, w, errRef)
+	}
+	if g, w := rowSet(got, err), rowSet(want, errBNL); g != w {
+		t.Fatalf("%s\nvectorized: %.200s (err %v)\nbnl:        %.200s (err %v)", q, g, err, w, errBNL)
 	}
 }
 
