@@ -161,6 +161,33 @@ func ScoreBased(p preference.Preference) ([]preference.Scored, bool) {
 	return out, true
 }
 
+// ScoreStages splits p into the stages a stage-wise evaluation applies
+// one after the other: the parts of a CASCADE, nested ones flattened,
+// or p itself. ok reports whether every stage is score-based; then
+// scorers lists every stage's components in order and ends[k] is where
+// stage k ends in it.
+func ScoreStages(p preference.Preference) (scorers []preference.Scored, ends []int, ok bool) {
+	var add func(p preference.Preference) bool
+	add = func(p preference.Preference) bool {
+		if c, ok := p.(*preference.Cascade); ok {
+			for _, part := range c.Parts {
+				if !add(part) {
+					return false
+				}
+			}
+			return true
+		}
+		s, ok := ScoreBased(p)
+		scorers = append(scorers, s...)
+		ends = append(ends, len(scorers))
+		return ok
+	}
+	if !add(p) {
+		return nil, nil, false
+	}
+	return scorers, ends, true
+}
+
 // saturatedSum sums a score vector, saturating at +Inf (NULL scores
 // worst) so a later -Inf component cannot turn the sum into NaN and
 // wreck the sort. A sum of finite components that overflowed to +Inf

@@ -82,6 +82,16 @@ func TestExplainGolden(t *testing.T) {
 				"      SeqScan big [(d3 < 2)]\n",
 		},
 		{
+			// A CASCADE of score-based stages runs stage by stage on the
+			// scan's selection.
+			name: "vec-cascade-stages",
+			sql:  `SELECT id FROM big PREFERRING LOWEST(d1) AND LOWEST(d2) CASCADE LOWEST(d3)`,
+			want: "QualityProject id\n" +
+				"  BMO vec est=30000 columnar [(LOWEST(d1) AND LOWEST(d2)) CASCADE LOWEST(d3)]\n" +
+				"    Project *\n" +
+				"      SeqScan big\n",
+		},
+		{
 			// An opaque computed score expression cannot map onto column
 			// vectors, so the planner refuses vectorization.
 			name: "vec-refused-opaque-expression",
@@ -213,6 +223,18 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 				"    Project * (rows=30000 est=30000 time=X)\n" +
 				"      SeqScan big (rows=30000 est=30000 time=X)\n" +
 				"-- rows=15 scanned=30000 probes=0 join_in=0 bmo_in=30000 bmo_out=15\n",
+		},
+		{
+			// Stage 2 ranks stage 1's 15 winners: one more block, which
+			// nothing prunes.
+			name:    "vectorized-cascade-counters",
+			workers: 1,
+			sql:     `SELECT id FROM big PREFERRING LOWEST(d1) AND LOWEST(d2) CASCADE LOWEST(d3)`,
+			want: "QualityProject id (rows=1 est=30000 time=X)\n" +
+				"  BMO vec est=30000 columnar workers=1 [(LOWEST(d1) AND LOWEST(d2)) CASCADE LOWEST(d3)] (rows=1 est=30000 time=X in=30000 blocks=31 pruned=15)\n" +
+				"    Project * (rows=30000 est=30000 time=X)\n" +
+				"      SeqScan big (rows=30000 est=30000 time=X)\n" +
+				"-- rows=1 scanned=30000 probes=0 join_in=0 bmo_in=30000 bmo_out=1\n",
 		},
 		{
 			name: "row-at-a-time-no-block-counters",

@@ -23,8 +23,11 @@ import (
 //     respected verbatim);
 //   - the node is still the root (a pushed plan already moved dominance
 //     below the join — the rewritten fragments keep their own physics);
-//   - the preference is fully score-based (a weak order or a Pareto
-//     accumulation of weak orders; CASCADE and EXPLICIT are refused);
+//   - every stage of the preference is score-based (a weak order or a
+//     Pareto accumulation of weak orders; a CASCADE of such stages
+//     qualifies, EXPLICIT and ELSE are refused) — see bmo.ScoreStages;
+//   - a CASCADE reads a scan's selection (below): over any other child
+//     it keeps the row-at-a-time stage loop;
 //   - the preference carries no subqueries (those re-enter the engine
 //     per row and must keep the row-at-a-time evaluator);
 //   - every score component reads exactly one resolvable input column —
@@ -34,13 +37,15 @@ import (
 //     when the input is large).
 //
 // When the candidate pipeline is a pass-through projection over one
-// table's SeqScan or IndexScan, filtered or not, the node also names that
-// scan (plan.BMO.VecScan): the executor takes the scan's selection —
-// captured heap plus surviving positions — fills the score matrix from
-// column vectors at those positions, and fetches the winners' rows only.
-// Which components a kernel fills is decided from the preference's
-// syntax (scoreKernels); the rest are scored row by row at the same
-// positions.
+// table's SeqScan or IndexScan, filtered or not (plan.SelectionScan),
+// the node also names that scan (plan.BMO.VecScan): the executor takes
+// the scan's selection — captured heap plus surviving positions — fills
+// the score matrix from column vectors at those positions, and fetches
+// the winners' rows only. A CASCADE's stages are listed in
+// plan.BMO.VecStages and run one after the other, each on the previous
+// stage's winners. Which components a kernel fills is decided from the
+// preference's syntax (scoreKernels); the rest are scored row by row at
+// the same positions.
 
 // vectorize applies the planning step to root in place; node is the
 // plan maybePush returned.
@@ -51,8 +56,12 @@ func vectorize(sel *ast.Select, root *plan.BMO, node plan.Node) {
 	if root.EstRows < bmo.AutoParallelThreshold {
 		return
 	}
-	scorers, ok := bmo.ScoreBased(root.Pref)
+	scorers, ends, ok := bmo.ScoreStages(root.Pref)
 	if !ok || len(scorers) == 0 {
+		return
+	}
+	scan, tbl := plan.SelectionScan(root.Child)
+	if len(ends) > 1 && scan == nil {
 		return
 	}
 	if prefHasSubquery(sel.Preferring) {
@@ -80,8 +89,11 @@ func vectorize(sel *ast.Select, root *plan.BMO, node plan.Node) {
 		cols[i] = idx
 	}
 	root.VecCols = cols
+	if len(ends) > 1 {
+		root.VecStages = ends
+	}
 	root.Progressive = false
-	if scan, tbl := selectionScan(root.Child); scan != nil {
+	if scan != nil {
 		root.VecScan = scan
 		scoreKernels(sel.Preferring, root, sch, tbl)
 	}
@@ -95,12 +107,24 @@ func vectorize(sel *ast.Select, root *plan.BMO, node plan.Node) {
 // computed operand such as -a or ABS(a - 50), which reads one column but
 // is not it, a TEXT column under a numeric kernel, an ELSE chain,
 // CONTAINS — gets VecCols[j] = -1 and is scored row by row, so no
-// vector is built for it.
+// vector is built for it. The components are the Pareto parts of each
+// CASCADE stage in order, as bmo.ScoreStages lists them.
 func scoreKernels(p ast.Pref, root *plan.BMO, sch plan.Schema, tbl *storage.Table) {
-	parts := []ast.Pref{p}
-	if par, ok := p.(*ast.PrefPareto); ok {
-		parts = par.Parts
+	var parts []ast.Pref
+	var add func(p ast.Pref)
+	add = func(p ast.Pref) {
+		switch t := p.(type) {
+		case *ast.PrefCascade:
+			for _, q := range t.Parts {
+				add(q)
+			}
+		case *ast.PrefPareto:
+			parts = append(parts, t.Parts...)
+		default:
+			parts = append(parts, p)
+		}
 	}
+	add(p)
 	if len(parts) != len(root.VecCols) {
 		parts = nil // not the compiled scorer list: score every component by row
 	}
@@ -144,24 +168,4 @@ func scoreKernels(p ast.Pref, root *plan.BMO, sch plan.Schema, tbl *storage.Tabl
 		}
 		root.VecCols[j] = col
 	}
-}
-
-// selectionScan unwraps the canonical candidate pipeline Project(*) over
-// a single table's SeqScan or IndexScan, filtered or not: the shape whose
-// scan can hand the BMO its selection instead of rows. A limited scan
-// does not qualify. tbl is the scanned table.
-func selectionScan(n plan.Node) (scan plan.Node, tbl *storage.Table) {
-	proj, ok := n.(*plan.Project)
-	if !ok || !proj.PassThrough() {
-		return nil, nil
-	}
-	switch s := proj.Child.(type) {
-	case *plan.SeqScan:
-		if s.Limit < 0 {
-			return s, s.Table
-		}
-	case *plan.IndexScan:
-		return s, s.Table
-	}
-	return nil, nil
 }

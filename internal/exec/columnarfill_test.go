@@ -213,8 +213,7 @@ func checkFill(t *testing.T, db *core.DB, q string) {
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
-	cascade := strings.Contains(q, " CASCADE ")
-	if !cascade && (!strings.Contains(plan, "BMO vec") || !strings.Contains(plan, "columnar")) {
+	if !strings.Contains(plan, "BMO vec") || !strings.Contains(plan, "columnar") {
 		t.Fatalf("%s is not filled from a scan's selection:\n%s", q, plan)
 	}
 	if plan, err := rowPath.ExplainNative(q); err != nil || strings.Contains(plan, "BMO vec") {
@@ -291,5 +290,58 @@ func TestTextCodesOnlyForMemberKernels(t *testing.T) {
 		if got := builds.Value() - before; got != c.builds {
 			t.Errorf("%s built %d column vectors, want %d", c.q, got, c.builds)
 		}
+	}
+}
+
+// TestCascadeNaNFailsOnlySurvivors pins that a CASCADE's errors do not
+// depend on the plan: a later stage scores only the survivors of the
+// earlier ones, on the selection as on the row path, so a NaN under
+// LOWEST fails the statement only where the row path scores it — on a
+// row that survives stage 1, or under a quality function, whose minimum
+// is over every candidate.
+func TestCascadeNaNFailsOnlySurvivors(t *testing.T) {
+	// a is 1..1000, twenty rows each: stage 1 keeps the twenty rows with
+	// a = 1, and f ranks them.
+	db := func(nan int) *core.DB {
+		db := core.Open()
+		if _, err := db.Exec(`CREATE TABLE t (id INT, a INT, f FLOAT)`); err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]value.Row, 2*bmo.AutoParallelThreshold)
+		for n := range rows {
+			f := float64(n%37) / 4
+			if n == nan {
+				f = math.NaN()
+			}
+			rows[n] = value.Row{value.NewInt(int64(n)), value.NewInt(int64(n%1000 + 1)), value.NewFloat(f)}
+		}
+		tbl, _ := db.Engine().Catalog().Table("t")
+		if err := tbl.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	const cascade = `SELECT id FROM t PREFERRING LOWEST(a) CASCADE LOWEST(f)`
+	eliminated, survivor := db(499), db(3000) // a = 500, a = 1
+	for _, c := range []struct {
+		name string
+		db   *core.DB
+		q    string
+		fail bool
+	}{
+		{"eliminated", eliminated, cascade, false},
+		{"survivor", survivor, cascade, true},
+		{"distance", eliminated, `SELECT id, DISTANCE(f) FROM t PREFERRING LOWEST(a) CASCADE LOWEST(f)`, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			checkFill(t, c.db, c.q)
+			res, err := c.db.Query(c.q)
+			if (err != nil) != c.fail {
+				t.Fatalf("%s: err %v, want failure %v", c.q, err, c.fail)
+			}
+			if err == nil && len(res.Rows) != 1 {
+				t.Fatalf("%s: %d rows, want the one a = 1 row with f = 0", c.q, len(res.Rows))
+			}
+		})
 	}
 }

@@ -12,68 +12,111 @@ import (
 )
 
 // Vectorized BMO execution: the planner gave the node VecCols after
-// verifying the preference is fully score-based, each component over one
-// column. The operator fills a flat score matrix and hands it to the
-// batch zone-map kernel, which returns the winners' indices.
+// verifying every stage of the preference is score-based, each component
+// over one column. The operator fills a flat score matrix and hands it
+// to the batch zone-map kernel, which returns the winners' indices.
 //
 // Under a VecScan the operator never pulls a row from its child: it
 // takes the scan's selection (captured heap, surviving positions), fills
 // each score column at those positions — from column vectors where a
 // kernel serves the component (fillKernel), otherwise by scoring the
-// heap rows — and fetches heap rows for the winners only. Other children
-// (joins, derived tables) are drained and scored row by row. Zone-map
-// counters land in the statement Stats for EXPLAIN ANALYZE.
+// heap rows — and fetches heap rows for the winners only. A CASCADE
+// (plan.BMO.VecStages) runs stage by stage: stage 1 fills its columns
+// at every selected position, each later stage only at the previous
+// stage's winners, in the order that stage returned them, and the loop
+// stops once at most one candidate is left. That is the row path's
+// BMO(P2, BMO(P1, R)) with the same input order per stage, so the same
+// rows come out in the same order, and a later stage never scores — nor
+// fails on — a row an earlier one eliminated. Other children (joins,
+// derived tables) are drained and scored row by row. Zone-map counters
+// land in the statement Stats for EXPLAIN ANALYZE.
 
-// openSelection is Open under a VecScan: the child is open, and its
-// scan hands over its selection.
-func (b *BMOOp) openSelection() error {
+// takeSelection drains the scan's selection into b.heap and b.sel, and
+// counts its rows as the scan's and the pass-through projection's
+// output, which is what they emit as far as EXPLAIN ANALYZE is
+// concerned.
+func (b *BMOOp) takeSelection() error {
 	start := time.Now()
 	h, sel, err := b.scan.selection()
 	if err != nil {
 		return err
 	}
 	b.heap, b.sel = h, sel
-	// The scan and the pass-through projection above it emit these rows,
-	// as far as EXPLAIN ANALYZE is concerned.
 	nanos := int64(time.Since(start))
-	b.env.NodeStats(b.node.VecScan).AddEmitted(int64(len(sel)), nanos)
+	b.env.NodeStats(b.scan.node()).AddEmitted(int64(len(sel)), nanos)
 	b.env.NodeStats(b.node.Child).AddEmitted(int64(len(sel)), nanos)
-	b.countInput(len(sel))
+	return nil
+}
 
-	scorers, _ := bmo.ScoreBased(b.node.Pref)
-	n, d := len(sel), len(scorers)
-	b.vin = bmo.VecInput{Dim: d, Flat: make([]float64, n*d)}
+// openSelection is Open under a VecScan: the child is open, and its
+// scan hands over its selection.
+func (b *BMOOp) openSelection() error {
+	if err := b.takeSelection(); err != nil {
+		return err
+	}
+	b.countInput(len(b.sel))
+	scorers, _, _ := bmo.ScoreStages(b.node.Pref)
+	ends := b.node.VecStages
+	if ends == nil {
+		ends = []int{len(scorers)}
+	}
+	at, lo := b.sel, 0
+	for k, hi := range ends {
+		if k > 0 && len(at) <= 1 {
+			break
+		}
+		in, err := b.fillStage(scorers[lo:hi], lo, at)
+		if err != nil {
+			return err
+		}
+		if k == 0 {
+			b.vin = in // scoreMin reads stage 1, filled at every candidate
+		}
+		win, err := b.evaluateVec(in)
+		if err != nil {
+			return err
+		}
+		next := make([]int32, len(win))
+		for i, w := range win {
+			next[i] = at[w]
+		}
+		at, lo = next, hi
+	}
+	b.buf = make([]value.Row, len(at))
+	for k, p := range at {
+		b.buf[k] = b.heap.Rows[p]
+	}
+	return nil
+}
+
+// fillStage fills the score matrix of one stage, components scorers
+// starting at component first of VecCols, at the heap positions at.
+func (b *BMOOp) fillStage(scorers []preference.Scored, first int, at []int32) (bmo.VecInput, error) {
+	n, d := len(at), len(scorers)
+	in := bmo.VecInput{Dim: d, Flat: make([]float64, n*d)}
 	if n == 0 {
 		// Nothing selected: the scan may have captured no heap at all (a
 		// probe with a NULL key, an empty table), so no vector is asked for.
 		scorers = nil
 	}
 	for j, s := range scorers {
-		done, err := b.fillKernel(j, s)
+		done, err := b.fillKernel(&in, at, j, first+j, s)
 		if err != nil {
-			return err
+			return bmo.VecInput{}, err
 		}
 		if done {
 			continue
 		}
-		for i, p := range sel {
-			v, err := s.Score(h.Rows[p])
+		for i, p := range at {
+			v, err := s.Score(b.heap.Rows[p])
 			if err != nil {
-				return err
+				return bmo.VecInput{}, err
 			}
-			b.vin.Flat[i*d+j] = v
+			in.Flat[i*d+j] = v
 		}
 	}
-	b.vin.Sums = bmo.SaturateSums(b.vin.Flat, n, d)
-	win, err := b.evaluateVec()
-	if err != nil {
-		return err
-	}
-	b.buf = make([]value.Row, len(win))
-	for k, i := range win {
-		b.buf[k] = h.Rows[sel[i]]
-	}
-	return nil
+	in.Sums = bmo.SaturateSums(in.Flat, n, d)
+	return in, nil
 }
 
 // openVectorized is Open for a vectorized BMO over any other child: the
@@ -85,7 +128,7 @@ func (b *BMOOp) openVectorized() error {
 		return err
 	}
 	b.vin = in
-	win, err := b.evaluateVec()
+	win, err := b.evaluateVec(in)
 	if err != nil {
 		return err
 	}
@@ -96,10 +139,10 @@ func (b *BMOOp) openVectorized() error {
 	return nil
 }
 
-// evaluateVec runs the score kernel on b.vin and records its zone-map
+// evaluateVec runs the score kernel on in and records its zone-map
 // counters.
-func (b *BMOOp) evaluateVec() ([]int32, error) {
-	win, _, vst, err := bmo.EvaluateVecInput(b.vin, b.config())
+func (b *BMOOp) evaluateVec(in bmo.VecInput) ([]int32, error) {
+	win, _, vst, err := bmo.EvaluateVecInput(in, b.config())
 	if err != nil {
 		return nil, err
 	}
@@ -112,13 +155,16 @@ func (b *BMOOp) evaluateVec() ([]int32, error) {
 
 // scoreMin returns the smallest score of component s over the candidates,
 // read from the score matrix; ok=false when the operator is not
-// vectorized or s is not one of its components.
+// vectorized or s is not one of its first stage's components. A later
+// stage's matrix holds the survivors of the earlier stages only, and the
+// minimum is over every candidate — which is what the row path scores,
+// and fails on, too.
 func (b *BMOOp) scoreMin(s preference.Scored) (min float64, ok bool) {
 	if b.node.VecCols == nil {
 		return 0, false
 	}
-	scorers, _ := bmo.ScoreBased(b.node.Pref)
-	for j, c := range scorers {
+	scorers, _, _ := bmo.ScoreStages(b.node.Pref)
+	for j, c := range scorers[:b.vin.Dim] {
 		if c != s {
 			continue
 		}
@@ -133,21 +179,21 @@ func (b *BMOOp) scoreMin(s preference.Scored) (min float64, ok bool) {
 	return 0, false
 }
 
-// fillKernel fills score column j of b.vin for component s from a column
-// vector at the selected positions, and reports false when no kernel
-// serves it: the planner gave it no column (its syntax or its column's
-// kind has no kernel), the column has no vector, or a Bool bound is not
-// a number. A vector is asked for only once a kernel will read it. A
-// kernel computes exactly what s.Score computes for the row; where Score
-// reports an error (a NaN under a distance preference) the kernel asks
-// Score for it.
-func (b *BMOOp) fillKernel(j int, s preference.Scored) (bool, error) {
-	col := b.node.VecCols[j]
+// fillKernel fills score column j of in — component g of VecCols, s —
+// from a column vector at the heap positions at, and reports false when
+// no kernel serves it: the planner gave it no column (its syntax or its
+// column's kind has no kernel), the column has no vector, or a Bool
+// bound is not a number. A vector is asked for only once a kernel will
+// read it. A kernel computes exactly what s.Score computes for the row;
+// where Score reports an error (a NaN under a distance preference) the
+// kernel asks Score for it.
+func (b *BMOOp) fillKernel(in *bmo.VecInput, at []int32, j, g int, s preference.Scored) (bool, error) {
+	col := b.node.VecCols[g]
 	if col < 0 {
 		return false, nil
 	}
 	if _, ok := s.(*preference.Bool); ok {
-		return b.fillCompare(j, col), nil
+		return b.fillCompare(in, at, j, g, col), nil
 	}
 	cv := b.heap.Vector(col)
 	if cv == nil {
@@ -155,22 +201,22 @@ func (b *BMOOp) fillKernel(j int, s preference.Scored) (bool, error) {
 	}
 	switch p := s.(type) {
 	case *preference.Pos:
-		return b.fillMember(j, cv, p.Vals, 0, 1), nil
+		return fillMember(in, at, j, cv, p.Vals, 0, 1), nil
 	case *preference.Neg:
-		return b.fillMember(j, cv, p.Vals, 1, 0), nil
+		return fillMember(in, at, j, cv, p.Vals, 1, 0), nil
 	case *preference.Lowest, *preference.Highest, *preference.Around, *preference.Between:
-		return b.fillDistance(j, cv, s)
+		return b.fillDistance(in, at, j, cv, s)
 	}
 	return false, nil
 }
 
 // fillDistance is the kernel of LOWEST, HIGHEST, AROUND and BETWEEN over
 // a numeric vector: NULL scores +Inf, and a NaN fails as on the row path.
-func (b *BMOOp) fillDistance(j int, cv *storage.ColVec, s preference.Scored) (bool, error) {
+func (b *BMOOp) fillDistance(in *bmo.VecInput, sel []int32, j int, cv *storage.ColVec, s preference.Scored) (bool, error) {
 	if cv.Nums == nil {
 		return false, nil
 	}
-	d, flat, sel, nums, inf := b.vin.Dim, b.vin.Flat, b.sel, cv.Nums, math.Inf(1)
+	d, flat, nums, inf := in.Dim, in.Flat, cv.Nums, math.Inf(1)
 	for _, q := range sel {
 		if x := nums[q]; x != x {
 			_, err := s.Score(b.heap.Rows[q])
@@ -223,13 +269,13 @@ func (b *BMOOp) fillDistance(j int, cv *storage.ColVec, s preference.Scored) (bo
 
 // fillMember is the kernel of POS (in=0, out=1) and NEG (in=1, out=0):
 // NULL scores +Inf.
-func (b *BMOOp) fillMember(j int, cv *storage.ColVec, vals []value.Value, in, out float64) bool {
+func fillMember(m *bmo.VecInput, sel []int32, j int, cv *storage.ColVec, vals []value.Value, in, out float64) bool {
 	set, ok := newMemberSet(cv, vals)
 	if !ok {
 		return false
 	}
-	d, flat, inf := b.vin.Dim, b.vin.Flat, math.Inf(1)
-	for i, q := range b.sel {
+	d, flat, inf := m.Dim, m.Flat, math.Inf(1)
+	for i, q := range sel {
 		v := inf
 		if cv.IsValid(int(q)) {
 			v = out
@@ -242,15 +288,16 @@ func (b *BMOOp) fillMember(j int, cv *storage.ColVec, vals []value.Value, in, ou
 	return true
 }
 
-// fillCompare is the kernel of a Bool component `col op bound`: 0 where
-// the comparison holds, 1 where it is false or UNKNOWN (NULL).
-func (b *BMOOp) fillCompare(j, col int) bool {
-	t, ok := b.compareTest(j, col)
+// fillCompare is the kernel of a Bool component `col op bound`,
+// component g: 0 where the comparison holds, 1 where it is false or
+// UNKNOWN (NULL).
+func (b *BMOOp) fillCompare(in *bmo.VecInput, sel []int32, j, g, col int) bool {
+	t, ok := b.compareTest(g, col)
 	if !ok {
 		return false
 	}
-	d, flat := b.vin.Dim, b.vin.Flat
-	for i, q := range b.sel {
+	d, flat := in.Dim, in.Flat
+	for i, q := range sel {
 		v := 1.0
 		if t.keep(int(q)) {
 			v = 0
@@ -260,18 +307,18 @@ func (b *BMOOp) fillCompare(j, col int) bool {
 	return true
 }
 
-// compareTest returns component j's comparison `col op bound` as a
+// compareTest returns component g's comparison `col op bound` as a
 // vector test over column col, with the scan filters' semantics;
-// ok=false when the planner recorded no comparison for j or the bound
+// ok=false when the planner recorded no comparison for g or the bound
 // does not evaluate to a number (those stay on the row path). The
 // column's vector is fetched only for a numeric bound.
-func (b *BMOOp) compareTest(j, col int) (vecTest, bool) {
+func (b *BMOOp) compareTest(g, col int) (vecTest, bool) {
 	var rt *expr.Runtime
 	if b.env != nil {
 		rt = b.env.Rt
 	}
 	for _, c := range b.node.VecConds {
-		if c.Index != j {
+		if c.Index != g {
 			continue
 		}
 		bound, err := c.Bound.Eval(rt, nil)

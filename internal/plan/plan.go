@@ -380,6 +380,27 @@ func (p *Project) Projection() *expr.Projection { return p.proj }
 // above it and an operator may hand the child's rows through.
 func (p *Project) PassThrough() bool { return p.proj.Identity && len(p.OrderBy) == 0 }
 
+// SelectionScan unwraps the canonical candidate pipeline of a BMO,
+// Project(*) over a single table's SeqScan or IndexScan, filtered or
+// not: the shape whose scan can hand the BMO its selection — the heap it
+// captured and the positions that pass its filter — instead of rows. A
+// limited scan does not qualify. tbl is the scanned table.
+func SelectionScan(n Node) (scan Node, tbl *storage.Table) {
+	proj, ok := n.(*Project)
+	if !ok || !proj.PassThrough() {
+		return nil, nil
+	}
+	switch s := proj.Child.(type) {
+	case *SeqScan:
+		if s.Limit < 0 {
+			return s, s.Table
+		}
+	case *IndexScan:
+		return s, s.Table
+	}
+	return nil, nil
+}
+
 // SortKeys returns the compiled ORDER BY keys. They run over the output
 // row followed by the source row: an unqualified name finds a projection
 // alias first, then a source column.
@@ -486,14 +507,19 @@ type BMO struct {
 	// VecCols, when non-nil, selects the vectorized physical operator:
 	// the executor fills a flat score matrix and evaluates it
 	// batch-at-a-time with zone-map block pruning. It is parallel to the
-	// preference's scorer list. The planner sets it from table
-	// statistics when the preference is fully score-based and every
-	// component reads one resolvable column; see core's vectorize step.
+	// preference's scorer list (bmo.ScoreStages: every CASCADE stage's
+	// components in order). The planner sets it from table statistics
+	// when every stage is score-based and every component reads one
+	// resolvable column; see core's vectorize step.
 	// Under a VecScan, VecCols[j] is the table column whose vector a
 	// kernel scores component j from, or -1 when component j is scored
 	// row by row (a computed operand, a condition of another shape, a
 	// TEXT column under any kernel but POS/NEG).
 	VecCols []int
+	// VecStages, for a CASCADE, lists where each stage's components end
+	// in VecCols; nil for a single stage. The executor evaluates stage k
+	// on the matrix of stage k-1's winners (only under a VecScan).
+	VecStages []int
 	// VecConds lists the components that are a comparison `col op
 	// bound` (a Bool preference such as salary <= 41000): Index is the
 	// component, and the kernel tests the column vector against the
