@@ -31,7 +31,10 @@ type rowStream interface {
 type BMOOp struct {
 	node  *plan.BMO
 	child Operator
-	scan  selector // the operator of node.VecScan; nil without one
+	// scan is the operator whose selection the BMO takes instead of its
+	// child's rows: node.VecScan's, or on the row path the scan of a
+	// plan.SelectionScan child; nil otherwise.
+	scan  selector
 	env   *Env
 	ns    *NodeStats // per-node instrumentation slot; nil when recording is off
 	input []value.Row
@@ -136,18 +139,27 @@ func (b *BMOOp) Open() error {
 	}
 	b.input, b.buf, b.stream, b.pos = nil, nil, nil, 0
 	b.heap, b.sel, b.vin = storage.Heap{}, nil, bmo.VecInput{}
-	if b.scan != nil {
+	switch {
+	case b.node.VecScan != nil:
 		return b.openSelection()
-	}
-	for {
-		row, err := b.child.Next()
-		if err != nil {
+	case b.scan != nil:
+		// The rows of the scan's selection, in scan order, in one
+		// allocation of the selection's size.
+		if err := b.takeSelection(); err != nil {
 			return err
 		}
-		if row == nil {
-			break
+		b.input = b.Input()
+	default:
+		for {
+			row, err := b.child.Next()
+			if err != nil {
+				return err
+			}
+			if row == nil {
+				break
+			}
+			b.input = append(b.input, row)
 		}
-		b.input = append(b.input, row)
 	}
 	if b.node.SemiSource != nil {
 		if err := b.semiFilter(); err != nil {

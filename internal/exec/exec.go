@@ -220,7 +220,8 @@ func build(n plan.Node, env *Env) (Operator, error) {
 // there hands its input rows on instead of copying each one: dominance
 // only reads its candidates, rows are immutable once stored, and whoever
 // returns the few winners to a caller projects (copies) them again. It
-// also returns the operator built for the node's VecScan, if any.
+// also returns the operator whose selection the BMO takes (see
+// BMOOp.scan), if any.
 func buildBMOInput(b *plan.BMO, env *Env) (Operator, selector, error) {
 	p, ok := b.Child.(*plan.Project)
 	if !ok || !p.PassThrough() {
@@ -232,8 +233,10 @@ func buildBMOInput(b *plan.BMO, env *Env) (Operator, selector, error) {
 		return nil, nil, err
 	}
 	var scan selector
-	if s, ok := unwrap(child).(selector); ok && s.node() == b.VecScan {
-		scan = s
+	if s, ok := unwrap(child).(selector); ok {
+		if sn, _ := plan.SelectionScan(b.Child); s.node() == b.VecScan || b.VecCols == nil && s.node() == sn {
+			scan = s
+		}
 	}
 	return wrapStats(p, &projectOp{n: p, child: child, env: env, through: true}, env), scan, nil
 }

@@ -236,8 +236,13 @@ func (c *heapCursor) next(env *Env) (value.Row, error) {
 
 // selection drains the cursor into the positions of the passing
 // candidates; a row is fetched only when a conjunct must run on it.
+// Without a filter every candidate passes, so the positions take one
+// allocation.
 func (c *heapCursor) selection(env *Env) ([]int32, error) {
 	var sel []int32
+	if len(c.vecs) == 0 && len(c.rest) == 0 {
+		sel = make([]int32, 0, c.candidates()-c.i)
+	}
 	var scanned int64
 	defer func() { env.count().AddRowsScanned(scanned) }()
 	for {
@@ -250,13 +255,18 @@ func (c *heapCursor) selection(env *Env) ([]int32, error) {
 	}
 }
 
+// candidates returns the number of candidates the cursor walks.
+func (c *heapCursor) candidates() int {
+	if c.all {
+		return len(c.heap.Rows)
+	}
+	return len(c.pos)
+}
+
 // advance returns the heap position of the next passing candidate, -1 at
 // exhaustion, and the number of candidates it examined.
 func (c *heapCursor) advance(env *Env) (pos int, scanned int64, err error) {
-	n := len(c.pos)
-	if c.all {
-		n = len(c.heap.Rows)
-	}
+	n := c.candidates()
 candidates:
 	for {
 		if err := env.checkStop(&c.polled); err != nil {

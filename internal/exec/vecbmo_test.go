@@ -105,3 +105,38 @@ func TestVecBMOOverEmptyScan(t *testing.T) {
 		t.Errorf("emptied table: winners %q", ids(rows))
 	}
 }
+
+// TestRowBMOTakesTheSelection: a BMO on the row path over a selection
+// scan takes the scan's selection instead of pulling rows, so its input
+// is the scan's rows in scan order, held in one allocation of their
+// number.
+func TestRowBMOTakesTheSelection(t *testing.T) {
+	cat, _ := jobsCatalog(t)
+	scan := planJobs(t, cat, bin("<", col("", "salary"), param(0)))
+	if _, ok := scan.(*plan.SeqScan); !ok {
+		t.Fatalf("want a SeqScan, got %s", scan.Explain())
+	}
+	pref := &preference.Lowest{Get: func(r value.Row) (value.Value, error) { return r[3], nil }, Label: "exp"}
+	n := plan.NewBMO(plan.NewProject(scan, star(), nil), pref, bmo.BlockNestedLoop, false, 0)
+	env := &Env{Rt: &expr.Runtime{Params: value.Row{value.NewInt(1500)}}}
+	op, err := Build(n, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Drain(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := unwrap(op).(*BMOOp)
+	cand := run(t, scan, env)
+	if b.scan == nil || ids(b.input) != ids(cand) || cap(b.input) != len(cand) {
+		t.Fatalf("input %q (cap %d), want the scan's rows %q in one allocation", ids(b.input), cap(b.input), ids(cand))
+	}
+	want, err := bmo.Evaluate(pref, cand, bmo.BlockNestedLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || ids(got) != ids(want) {
+		t.Errorf("winners %q, want %q", ids(got), ids(want))
+	}
+}
