@@ -27,12 +27,16 @@ func scoreMatrix(n, dim int, gen func(i, j int) float64) *VecInput {
 	return &VecInput{Dim: dim, Flat: flat, Sums: SaturateSums(flat, n, dim)}
 }
 
-// presortShapes are the score distributions the presort is checked and
-// measured on. Each returns a generator for row i, component j.
-var presortShapes = []struct {
+// presortShape is a score distribution: gen returns a generator for
+// row i, component j.
+type presortShape struct {
 	name string
 	gen  func(rng *rand.Rand, dim int) func(i, j int) float64
-}{
+}
+
+// presortShapes are the score distributions the presort is checked and
+// measured on.
+var presortShapes = []presortShape{
 	{"uniform", func(rng *rand.Rand, _ int) func(i, j int) float64 {
 		return func(int, int) float64 { return rng.Float64() }
 	}},
@@ -67,6 +71,16 @@ var presortShapes = []struct {
 		// overflows.
 		vals := []float64{math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1, -1, 1e308, -1e308, 2.5}
 		return func(int, int) float64 { return vals[rng.Intn(len(vals))] }
+	}},
+	{"portal", func(rng *rand.Rand, _ int) func(i, j int) float64 {
+		// A job portal's ranking: three 0/1 conditions and one small
+		// integer, so almost every row sits in a long run of equal sums.
+		return func(_, j int) float64 {
+			if j%4 == 2 {
+				return -float64(rng.Intn(21))
+			}
+			return float64(rng.Intn(2))
+		}
 	}},
 	{"close", func(rng *rand.Rand, _ int) func(i, j int) float64 {
 		// Sums that differ only below the 32-bit image.
@@ -197,30 +211,40 @@ func FuzzPresortOrder(f *testing.F) {
 }
 
 // BenchmarkPresort measures the comparator sort against the presort on
-// uniform, anti-correlated and integer-tied 3-d scores.
+// uniform, anti-correlated and integer-tied 3-d scores, and on the
+// portal shape's 4-d scores at 1k rows, where the runs of equal sums
+// leave nearly all the work to the comparator.
 func BenchmarkPresort(b *testing.B) {
 	for _, n := range []int{1000, 100000} {
 		for _, shape := range presortShapes[:3] {
 			in := scoreMatrix(n, 3, shape.gen(rand.New(rand.NewSource(1)), 3))
-			base := make([]int32, n)
-			for k := range base {
-				base[k] = int32(k)
-			}
-			idx := make([]int32, n)
-			b.Run(fmt.Sprintf("n=%d/%s/comparator", n, shape.name), func(b *testing.B) {
-				for range b.N {
-					copy(idx, base)
-					comparatorSort(idx, in)
-				}
-			})
-			b.Run(fmt.Sprintf("n=%d/%s/radix", n, shape.name), func(b *testing.B) {
-				for range b.N {
-					copy(idx, base)
-					if err := sortVecOrder(idx, in); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+			benchPresort(b, fmt.Sprintf("n=%d/%s", n, shape.name), in)
 		}
 	}
+	portal := presortShapes[slices.IndexFunc(presortShapes, func(s presortShape) bool { return s.name == "portal" })]
+	benchPresort(b, "n=1000/portal", scoreMatrix(1000, 4, portal.gen(rand.New(rand.NewSource(1)), 4)))
+}
+
+// benchPresort runs the comparator and the presort sub-benchmarks on in.
+func benchPresort(b *testing.B, name string, in *VecInput) {
+	n := in.Len()
+	base := make([]int32, n)
+	for k := range base {
+		base[k] = int32(k)
+	}
+	idx := make([]int32, n)
+	b.Run(name+"/comparator", func(b *testing.B) {
+		for range b.N {
+			copy(idx, base)
+			comparatorSort(idx, in)
+		}
+	})
+	b.Run(name+"/radix", func(b *testing.B) {
+		for range b.N {
+			copy(idx, base)
+			if err := sortVecOrder(idx, in); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
