@@ -90,9 +90,9 @@ func (b *BMOOp) openSelection() error {
 }
 
 // fillStage fills the score matrix of one stage, components scorers
-// starting at component first of VecCols, at the heap positions at.
-func (b *BMOOp) fillStage(scorers []preference.Scored, first int, at []int32) (bmo.VecInput, error) {
-	n, d := len(at), len(scorers)
+// starting at component first of VecCols, at the heap positions sel.
+func (b *BMOOp) fillStage(scorers []preference.Scored, first int, sel []int32) (bmo.VecInput, error) {
+	n, d := len(sel), len(scorers)
 	in := bmo.VecInput{Dim: d, Flat: make([]float64, n*d)}
 	if n == 0 {
 		// Nothing selected: the scan may have captured no heap at all (a
@@ -100,14 +100,14 @@ func (b *BMOOp) fillStage(scorers []preference.Scored, first int, at []int32) (b
 		scorers = nil
 	}
 	for j, s := range scorers {
-		done, err := b.fillKernel(&in, at, j, first+j, s)
+		done, err := b.fillKernel(&in, sel, j, first+j, s)
 		if err != nil {
 			return bmo.VecInput{}, err
 		}
 		if done {
 			continue
 		}
-		for i, p := range at {
+		for i, p := range sel {
 			v, err := s.Score(b.heap.Rows[p])
 			if err != nil {
 				return bmo.VecInput{}, err
@@ -180,20 +180,20 @@ func (b *BMOOp) scoreMin(s preference.Scored) (min float64, ok bool) {
 }
 
 // fillKernel fills score column j of in — component g of VecCols, s —
-// from a column vector at the heap positions at, and reports false when
+// from a column vector at the heap positions sel, and reports false when
 // no kernel serves it: the planner gave it no column (its syntax or its
 // column's kind has no kernel), the column has no vector, or a Bool
 // bound is not a number. A vector is asked for only once a kernel will
 // read it. A kernel computes exactly what s.Score computes for the row;
 // where Score reports an error (a NaN under a distance preference) the
 // kernel asks Score for it.
-func (b *BMOOp) fillKernel(in *bmo.VecInput, at []int32, j, g int, s preference.Scored) (bool, error) {
+func (b *BMOOp) fillKernel(in *bmo.VecInput, sel []int32, j, g int, s preference.Scored) (bool, error) {
 	col := b.node.VecCols[g]
 	if col < 0 {
 		return false, nil
 	}
 	if _, ok := s.(*preference.Bool); ok {
-		return b.fillCompare(in, at, j, g, col), nil
+		return b.fillCompare(in, sel, j, g, col), nil
 	}
 	cv := b.heap.Vector(col)
 	if cv == nil {
@@ -201,11 +201,11 @@ func (b *BMOOp) fillKernel(in *bmo.VecInput, at []int32, j, g int, s preference.
 	}
 	switch p := s.(type) {
 	case *preference.Pos:
-		return fillMember(in, at, j, cv, p.Vals, 0, 1), nil
+		return fillMember(in, sel, j, cv, p.Vals, 0, 1), nil
 	case *preference.Neg:
-		return fillMember(in, at, j, cv, p.Vals, 1, 0), nil
+		return fillMember(in, sel, j, cv, p.Vals, 1, 0), nil
 	case *preference.Lowest, *preference.Highest, *preference.Around, *preference.Between:
-		return b.fillDistance(in, at, j, cv, s)
+		return b.fillDistance(in, sel, j, cv, s)
 	}
 	return false, nil
 }
