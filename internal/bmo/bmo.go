@@ -28,7 +28,15 @@
 // Compare family (NewParallelStream).
 //
 // CASCADE evaluates stage-wise, per the paper's "applying preferences one
-// after the other": BMO(P1 CASCADE P2, R) = BMO(P2, BMO(P1, R)).
+// after the other": BMO(P1 CASCADE P2, R) = BMO(P2, BMO(P1, R)), stopping
+// once at most one candidate is left. Stage k's input is stage k-1's
+// output in key order, indexed 0..m-1. A CASCADE of score-family stages
+// (ScoreStages) also runs on matrices: the exec layer fills stage k's
+// matrix at stage k-1's winners in that same order and runs
+// EvaluateVecInput on it, which gives the same (sum, vector, index) keys
+// and so the same rows in the same order. That holds for a
+// single-component stage too, where the kernel's key order and
+// bestLevel's input order coincide on the tied minimum.
 package bmo
 
 import (
