@@ -2,6 +2,7 @@ package dist_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -264,6 +265,69 @@ func TestDistributedDML(t *testing.T) {
 	got = mustExec(t, cl.coord, "SELECT id FROM data")
 	if len(got.Rows) != 90 {
 		t.Fatalf("post-delete rows = %d, want 90", len(got.Rows))
+	}
+}
+
+// TestDistributedInsertNonFinite: a routed INSERT renders each value as
+// SQL for its shard, and every FLOAT — the zeros of both signs, the
+// extremes, the infinities and NaN — reads back from the coordinator as
+// the value a single node stores.
+func TestDistributedInsertNonFinite(t *testing.T) {
+	cl := startCluster(t, 2, map[string]string{"n": "id"})
+	mustExec(t, cl.coord, "CREATE TABLE n (id INT, f FLOAT)")
+	want := []float64{0, math.Copysign(0, -1), 5e-324, 1e308, math.Inf(1), math.Inf(-1), math.NaN()}
+	mustExec(t, cl.coord, `INSERT INTO n VALUES (0, 0), (1, -0.0), (2, 5e-324), (3, 1e308),
+		(4, 1e308 * 10), (5, -1e308 * 10), (6, 0 * (1e308 * 10))`)
+	res := mustExec(t, cl.coord, "SELECT id, f FROM n ORDER BY id")
+	if len(res.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(res.Rows), len(want))
+	}
+	for i, r := range res.Rows {
+		f, w := r[1].Num(), want[i]
+		if r[1].K != value.Float || math.IsNaN(w) != math.IsNaN(f) || !math.IsNaN(w) && math.Float64bits(f) != math.Float64bits(w) {
+			t.Errorf("id %d: read back %s (%v), want %v", i, r[1], r[1].K, w)
+		}
+	}
+}
+
+// TestDistributedCascadeFormsAgree: the coordinator applies the residual
+// CASCADE stages stage by stage after its merge, and stops once a stage
+// leaves at most one candidate, as a single node does: row 1 wins stage
+// 1 alone, and its NaN f is never ranked by LOWEST(f). The batch result
+// and the cursor agree with a single node. (The strict progressive form
+// refuses a residual stage over a sharded table.)
+func TestDistributedCascadeFormsAgree(t *testing.T) {
+	const setup = `CREATE TABLE n (id INT, a INT, b INT, f FLOAT);
+		INSERT INTO n VALUES (1, 1, 5, 0 * (1e308 * 10)), (2, 2, 1, 0.5), (3, 3, 2, 1), (4, 4, 3, 2)`
+	cl := startCluster(t, 2, map[string]string{"n": "id"})
+	mustExec(t, cl.coord, setup)
+	single := core.Open()
+	mustExec(t, single, setup)
+	for _, q := range []string{
+		`SELECT id FROM n PREFERRING LOWEST(a) CASCADE LOWEST(f)`,
+		`SELECT id FROM n PREFERRING (LOWEST(a) CASCADE HIGHEST(b)) CASCADE LOWEST(f)`,
+	} {
+		want := orderedRows(mustExec(t, single, q).Rows)
+		res, err := cl.coord.Query(q)
+		if err != nil {
+			t.Errorf("%s: distributed: %v", q, err)
+		} else if got := orderedRows(res.Rows); got != want {
+			t.Errorf("%s: distributed %s, single node %s", q, got, want)
+		}
+		c, err := cl.coord.OpenCursor(q)
+		if err != nil {
+			t.Fatalf("%s: cursor: %v", q, err)
+		}
+		var rows []value.Row
+		for c.Next() {
+			rows = append(rows, c.Row())
+		}
+		c.Close()
+		if c.Err() != nil {
+			t.Errorf("%s: distributed cursor: %v", q, c.Err())
+		} else if got := orderedRows(rows); got != want {
+			t.Errorf("%s: distributed cursor %s, single node %s", q, got, want)
+		}
 	}
 }
 

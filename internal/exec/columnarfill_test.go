@@ -200,11 +200,47 @@ func rowSet(rows []value.Row, err error) string {
 	return strings.Join(out, ",")
 }
 
+// Query forms: the batch Result, a cursor, and the strict progressive
+// stream, each returning the rows it produced and the error it stopped
+// on.
+func queryBatch(s *core.Session, q string) ([]value.Row, error) {
+	res, err := s.Query(q)
+	if err != nil {
+		return nil, err
+	}
+	return res.Rows, nil
+}
+
+func queryCursor(s *core.Session, q string) ([]value.Row, error) {
+	c, err := s.OpenCursor(q)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	var rows []value.Row
+	for c.Next() {
+		rows = append(rows, c.Row())
+	}
+	return rows, c.Err()
+}
+
+func queryStrict(s *core.Session, q string) ([]value.Row, error) {
+	var rows []value.Row
+	_, err := s.QueryProgressive(q, func(r value.Row) bool { rows = append(rows, r); return true })
+	return rows, err
+}
+
+var queryForms = []struct {
+	name string
+	run  func(*core.Session, string) ([]value.Row, error)
+}{{"batch", queryBatch}, {"cursor", queryCursor}, {"progressive", queryStrict}}
+
 // checkFill runs q vectorized, on the row path and under BNL, and
 // compares the answers: in order with the row path, as a set with BNL.
 // The row path is the parallel algorithm's, which the planner never
 // vectorizes and which runs the score kernel Auto runs, so it emits the
-// same rows in the same order.
+// same rows in the same order. The cursor and the strict progressive
+// form must give the vectorized batch answer in the same order too.
 func checkFill(t *testing.T, db *core.DB, q string) {
 	auto, rowPath, bnl := db.NewSession(), db.NewSession(), db.NewSession()
 	rowPath.SetAlgorithm(bmo.Parallel)
@@ -219,21 +255,20 @@ func checkFill(t *testing.T, db *core.DB, q string) {
 	if plan, err := rowPath.ExplainNative(q); err != nil || strings.Contains(plan, "BMO vec") {
 		t.Fatalf("%s: the reference is not on the row path (err %v):\n%s", q, err, plan)
 	}
-	query := func(s *core.Session) ([]value.Row, error) {
-		res, err := s.Query(q)
-		if err != nil {
-			return nil, err
-		}
-		return res.Rows, nil
-	}
-	got, err := query(auto)
-	ref, errRef := query(rowPath)
-	want, errBNL := query(bnl)
+	got, err := queryBatch(auto, q)
+	ref, errRef := queryBatch(rowPath, q)
+	want, errBNL := queryBatch(bnl, q)
 	if g, w := rowList(got, err), rowList(ref, errRef); g != w {
 		t.Fatalf("%s\nvectorized: %.200s (err %v)\nrow path:   %.200s (err %v)", q, g, err, w, errRef)
 	}
 	if g, w := rowSet(got, err), rowSet(want, errBNL); g != w {
 		t.Fatalf("%s\nvectorized: %.200s (err %v)\nbnl:        %.200s (err %v)", q, g, err, w, errBNL)
+	}
+	for _, f := range queryForms[1:] {
+		rows, errForm := f.run(auto, q)
+		if g, w := rowList(rows, errForm), rowList(got, err); g != w {
+			t.Fatalf("%s\n%s: %.200s (err %v)\nbatch: %.200s (err %v)", q, f.name, g, errForm, w, err)
+		}
 	}
 }
 
@@ -343,5 +378,51 @@ func TestCascadeNaNFailsOnlySurvivors(t *testing.T) {
 				t.Fatalf("%s: %d rows, want the one a = 1 row with f = 0", c.q, len(res.Rows))
 			}
 		})
+	}
+}
+
+// TestCascadeFormsAgree pins that a CASCADE answers the same whatever
+// form runs it: every form stops once a stage leaves at most one
+// candidate, so a later stage never scores — nor fails on — the single
+// winner of an earlier one. Row 1 wins stage 1 alone and has f = NaN,
+// which LOWEST(f) would fail on; a nested CASCADE flattens into the
+// same stages.
+func TestCascadeFormsAgree(t *testing.T) {
+	db := core.Open()
+	if _, err := db.Exec(`CREATE TABLE n (id INT, a INT, b INT, f FLOAT);
+		INSERT INTO n VALUES (1, 1, 5, 0 * (1e308 * 10)), (2, 2, 1, 0.5), (3, 3, 2, 1), (4, 4, 3, 2)`); err != nil {
+		t.Fatal(err)
+	}
+	answer := func(rows []value.Row, err error, ordered bool) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		if ordered {
+			return rowList(rows, nil)
+		}
+		return rowSet(rows, nil)
+	}
+	for _, q := range []string{
+		`SELECT id FROM n PREFERRING LOWEST(a) CASCADE LOWEST(f)`,
+		`SELECT id FROM n PREFERRING (LOWEST(a) CASCADE HIGHEST(b)) CASCADE LOWEST(f)`,
+	} {
+		for _, algo := range []bmo.Algorithm{bmo.Auto, bmo.Parallel, bmo.BlockNestedLoop, bmo.NestedLoop} {
+			s := db.NewSession()
+			s.SetAlgorithm(algo)
+			ordered := algo == bmo.Auto || algo == bmo.Parallel
+			var want string
+			for _, f := range queryForms {
+				rows, err := f.run(s, q)
+				got := answer(rows, err, ordered)
+				if f.name == "batch" {
+					want = got
+					if got != "(1)" {
+						t.Errorf("%s under %s: batch answers %s, want (1)", q, algo, got)
+					}
+				} else if got != want {
+					t.Errorf("%s under %s: %s answers %s, batch %s", q, algo, f.name, got, want)
+				}
+			}
+		}
 	}
 }
