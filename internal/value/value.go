@@ -155,9 +155,25 @@ func (v Value) String() string {
 	return "?"
 }
 
-// SQL renders the value as a SQL literal (quoting text, escaping quotes).
+// SQL renders the value as a SQL literal (quoting text, escaping quotes)
+// that evaluates back to the same value. SQL has no literal for a
+// non-finite FLOAT, so ±Inf and NaN render as constant expressions that
+// overflow to them, and -0.0 keeps its decimal point so that it does not
+// read back as the integer 0.
 func (v Value) SQL() string {
 	switch v.K {
+	case Float:
+		switch {
+		case math.IsInf(v.F, 1):
+			return "(1e308 * 10)"
+		case math.IsInf(v.F, -1):
+			return "(-1e308 * 10)"
+		case math.IsNaN(v.F):
+			return "(0 * (1e308 * 10))"
+		case v.F == 0 && math.Signbit(v.F):
+			return "-0.0"
+		}
+		return v.String()
 	case Text:
 		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
 	case Date:
