@@ -24,17 +24,21 @@
 // Compare for every preference (the references the tests compare
 // against); Auto and Parallel run the family's kernel. Auto uses more
 // than one worker from AutoParallelThreshold rows on; Parallel always
-// does, and is the one token whose progressive stream serves the
-// Compare family (NewParallelStream).
+// does. Both stream (Stream): Auto's stream serves the score family
+// only, Parallel's (NewParallelStream) the Compare family too.
 //
 // CASCADE evaluates stage-wise, per the paper's "applying preferences one
-// after the other": BMO(P1 CASCADE P2, R) = BMO(P2, BMO(P1, R)), stopping
-// once at most one candidate is left. Stage k's input is stage k-1's
-// output in key order, indexed 0..m-1. A CASCADE of score-family stages
-// (ScoreStages) also runs on matrices: the exec layer fills stage k's
-// matrix at stage k-1's winners in that same order and runs
-// EvaluateVecInput on it, which gives the same (sum, vector, index) keys
-// and so the same rows in the same order. That holds for a
+// after the other": BMO(P1 CASCADE P2, R) = BMO(P2, BMO(P1, R)). Stages
+// flattens a CASCADE, nested ones included, and ReduceStages is the one
+// driver every form runs them through — batch evaluation and GROUPING,
+// a stream's prestages, the coordinator's merge and the exec layer's
+// columnar stages. It stops once at most one candidate is left, so a
+// statement's rows and errors do not depend on its form. Stage k's input
+// is stage k-1's output in key order, indexed 0..m-1. A CASCADE of
+// score-family stages (ScoreStages) also runs on matrices: the exec
+// layer fills stage k's matrix at stage k-1's winners in that same order
+// and runs EvaluateVecInput on it, which gives the same (sum, vector,
+// index) keys and so the same rows in the same order. That holds for a
 // single-component stage too, where the kernel's key order and
 // bestLevel's input order coincide on the tied minimum.
 package bmo
@@ -78,49 +82,72 @@ func (a Algorithm) String() string {
 type Stats struct {
 	Comparisons int // preference comparisons performed
 	MaxWindow   int // peak window size (BNL or score window)
-	Stages      int // cascade stages evaluated
+	Stages      int // stages evaluated; a preference that is no CASCADE is one
 }
 
 // Evaluate returns the BMO set of rows under p.
 func Evaluate(p preference.Preference, rows []value.Row, algo Algorithm) ([]value.Row, error) {
-	out, _, err := EvaluateStats(p, rows, algo)
+	out, _, err := EvaluateConfig(p, rows, algo, Config{})
 	return out, err
 }
 
-// EvaluateStats is Evaluate plus work counters.
-func EvaluateStats(p preference.Preference, rows []value.Row, algo Algorithm) ([]value.Row, Stats, error) {
-	return EvaluateConfig(p, rows, algo, Config{})
-}
-
-// EvaluateConfig is EvaluateStats with a parallel-evaluation Config
-// (worker count, cancellation hook).
+// EvaluateConfig is Evaluate with a parallel-evaluation Config (worker
+// count, cancellation hook), plus work counters.
 func EvaluateConfig(p preference.Preference, rows []value.Row, algo Algorithm, cfg Config) ([]value.Row, Stats, error) {
 	var st Stats
-	out, err := evaluate(p, rows, algo, &st, cfg)
+	out, err := evaluate(Stages(p), rows, algo, &st, cfg)
 	return out, st, err
 }
 
-func evaluate(p preference.Preference, rows []value.Row, algo Algorithm, st *Stats, cfg Config) ([]value.Row, error) {
+// Stages flattens a CASCADE, nested ones included, into the stages a
+// stage-wise evaluation applies one after the other; any other
+// preference is one stage.
+func Stages(p preference.Preference) []preference.Preference {
+	c, ok := p.(*preference.Cascade)
+	if !ok {
+		return []preference.Preference{p}
+	}
+	var out []preference.Preference
+	for _, part := range c.Parts {
+		out = append(out, Stages(part)...)
+	}
+	return out
+}
+
+// ReduceStages applies stages 0..n-1 to the candidates (rows, or heap
+// positions), each stage to the previous one's output in that order. It
+// stops once a stage leaves at most one candidate: a later stage cannot
+// change the result one row already holds, so it never scores, nor
+// fails on, that row. It counts the stages it runs in st.Stages and
+// polls cfg.Stop between them.
+func ReduceStages[T any](n int, cands []T, st *Stats, cfg Config, stage func(k int, cands []T) ([]T, error)) ([]T, error) {
+	for k := 0; k < n && (k == 0 || len(cands) > 1); k++ {
+		if k > 0 && cfg.Stop != nil {
+			if err := cfg.Stop(); err != nil {
+				return nil, err
+			}
+		}
+		st.Stages++
+		var err error
+		if cands, err = stage(k, cands); err != nil {
+			return nil, err
+		}
+	}
+	return cands, nil
+}
+
+// evaluate runs the stages through ReduceStages.
+func evaluate(stages []preference.Preference, rows []value.Row, algo Algorithm, st *Stats, cfg Config) ([]value.Row, error) {
+	return ReduceStages(len(stages), rows, st, cfg, func(k int, rows []value.Row) ([]value.Row, error) {
+		return evaluateStage(stages[k], rows, algo, st, cfg)
+	})
+}
+
+// evaluateStage evaluates one stage, a preference that is no CASCADE.
+func evaluateStage(p preference.Preference, rows []value.Row, algo Algorithm, st *Stats, cfg Config) ([]value.Row, error) {
 	if len(rows) == 0 {
 		return nil, nil
 	}
-	// CASCADE: stage-wise reduction.
-	if c, ok := p.(*preference.Cascade); ok {
-		current := rows
-		for _, part := range c.Parts {
-			st.Stages++
-			next, err := evaluate(part, current, algo, st, cfg)
-			if err != nil {
-				return nil, err
-			}
-			current = next
-			if len(current) <= 1 {
-				break
-			}
-		}
-		return current, nil
-	}
-
 	switch algo {
 	case NestedLoop:
 		return nestedLoop(p, rows, st)
@@ -233,17 +260,11 @@ func bestLevel(s preference.Scored, rows []value.Row, st *Stats) ([]value.Row, e
 	return out, nil
 }
 
-// EvaluateGrouped applies BMO independently within each group (the
+// EvaluateGroupedConfig applies BMO independently within each group (the
 // GROUPING clause of §2.2.5: "performing with soft constraints what
-// GROUP BY does with hard constraints"). Group order follows first
-// appearance; rows keep their relative order within groups.
-func EvaluateGrouped(p preference.Preference, rows []value.Row,
-	groupKey func(value.Row) (string, error), algo Algorithm) ([]value.Row, error) {
-	return EvaluateGroupedConfig(p, rows, groupKey, algo, Config{})
-}
-
-// EvaluateGroupedConfig is EvaluateGrouped with a parallel-evaluation
-// Config; each group evaluates with the given settings.
+// GROUP BY does with hard constraints"), each group evaluating with the
+// given settings. Group order follows first appearance; rows keep their
+// relative order within groups.
 func EvaluateGroupedConfig(p preference.Preference, rows []value.Row,
 	groupKey func(value.Row) (string, error), algo Algorithm, cfg Config) ([]value.Row, error) {
 

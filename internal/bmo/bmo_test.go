@@ -60,7 +60,7 @@ func TestEmptyInput(t *testing.T) {
 func TestSingleBasePreferenceBestLevel(t *testing.T) {
 	p := &preference.Lowest{Get: colGetter(0), Label: "price"}
 	rows := []value.Row{intRow(5), intRow(2), intRow(9), intRow(2)}
-	got, st, err := EvaluateStats(p, rows, Auto)
+	got, st, err := EvaluateConfig(p, rows, Auto, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,18 +90,24 @@ func TestCascadeStagedSemantics(t *testing.T) {
 	}
 }
 
+// TestCascadeStopsEarlyOnSingleton: a CASCADE stops once a stage leaves
+// one row, a nested one too — its stages are flattened, so the stop
+// after its first stage skips every later one.
 func TestCascadeStopsEarlyOnSingleton(t *testing.T) {
-	p := &preference.Cascade{Parts: []preference.Preference{
-		&preference.Lowest{Get: colGetter(0), Label: "x"},
-		&preference.Lowest{Get: colGetter(1), Label: "y"},
-	}}
+	x := &preference.Lowest{Get: colGetter(0), Label: "x"}
+	y := &preference.Lowest{Get: colGetter(1), Label: "y"}
 	rows := []value.Row{intRow(1, 9), intRow(2, 3)}
-	got, st, err := EvaluateStats(p, rows, Auto)
-	if err != nil || len(got) != 1 {
-		t.Fatalf("%v %v", got, err)
-	}
-	if st.Stages != 1 {
-		t.Errorf("stages = %d, want early stop after 1", st.Stages)
+	for _, p := range []preference.Preference{
+		&preference.Cascade{Parts: []preference.Preference{x, y}},
+		&preference.Cascade{Parts: []preference.Preference{&preference.Cascade{Parts: []preference.Preference{x, y}}, y}},
+	} {
+		got, st, err := EvaluateConfig(p, rows, Auto, Config{})
+		if err != nil || len(got) != 1 {
+			t.Fatalf("%s: %v %v", p.Describe(), got, err)
+		}
+		if st.Stages != 1 {
+			t.Errorf("%s: stages = %d, want early stop after 1", p.Describe(), st.Stages)
+		}
 	}
 }
 
@@ -147,9 +153,9 @@ func TestGrouping(t *testing.T) {
 		{value.NewText("c"), value.NewInt(1)},
 	}
 	p := &preference.Lowest{Get: colGetter(1), Label: "price"}
-	got, err := EvaluateGrouped(p, rows, func(r value.Row) (string, error) {
+	got, err := EvaluateGroupedConfig(p, rows, func(r value.Row) (string, error) {
 		return r[0].Key(), nil
-	}, Auto)
+	}, Auto, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +173,11 @@ func TestStatsComparisons(t *testing.T) {
 	for i := range rows {
 		rows[i] = intRow(rng.Intn(100), rng.Intn(100))
 	}
-	_, stNL, err := EvaluateStats(pareto2D(), rows, NestedLoop)
+	_, stNL, err := EvaluateConfig(pareto2D(), rows, NestedLoop, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stBNL, err := EvaluateStats(pareto2D(), rows, BlockNestedLoop)
+	_, stBNL, err := EvaluateConfig(pareto2D(), rows, BlockNestedLoop, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

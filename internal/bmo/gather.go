@@ -25,8 +25,9 @@ import (
 //     stream that regresses in key order fails the merge loudly.
 //
 //   - Batch (any other preference shape, residual cascade stages, or no
-//     preference at all): drain every shard, evaluate the preference once
-//     over the concatenated partials, then apply the residual stages.
+//     preference at all): drain every shard, then run the stages of the
+//     preference and of the residual over the concatenated partials
+//     through ReduceStages, which stops once at most one row is left.
 //     Plain concatenation when there is no preference to merge under.
 
 // RowSource is one shard's result stream as the gather merge consumes
@@ -56,10 +57,8 @@ type GatherMerge struct {
 	in      VecInput
 	last    []int32
 
-	// Batch state.
-	buf    []value.Row
-	pos    int
-	loaded bool
+	// Batch state: the result once loaded, emitted as one partition.
+	batch *Stream
 }
 
 // NewGatherMerge prepares a merge of the per-shard streams. pref is the
@@ -110,18 +109,14 @@ func (g *GatherMerge) Next() (value.Row, bool, error) {
 	if g.mg != nil {
 		return g.mg.Next()
 	}
-	if !g.loaded {
-		g.loaded = true
-		if err := g.loadBatch(); err != nil {
+	if g.batch == nil {
+		rows, err := g.loadBatch()
+		g.batch = &Stream{parts: [][]value.Row{rows}}
+		if err != nil {
 			return nil, false, err
 		}
 	}
-	if g.pos >= len(g.buf) {
-		return nil, false, nil
-	}
-	r := g.buf[g.pos]
-	g.pos++
-	return r, true, nil
+	return g.batch.Next()
 }
 
 // pull reads shard i's next row and scores it into the matrix. A shard
@@ -144,18 +139,18 @@ func (g *GatherMerge) pull(i int) (int32, bool, error) {
 	return r, true, nil
 }
 
-// loadBatch drains every shard, evaluates pref once over the
-// concatenated partials, then the residual cascade stages over the
-// complete merged relation. Residual stages cannot run on the shards: a
-// later stage discriminates only among survivors of the earlier stages
-// over the WHOLE relation, which no single shard sees.
-func (g *GatherMerge) loadBatch() error {
+// loadBatch drains every shard and runs pref's stages, then the residual
+// cascade stages, over the complete merged relation. Residual stages
+// cannot run on the shards: a later stage discriminates only among
+// survivors of the earlier stages over the WHOLE relation, which no
+// single shard sees.
+func (g *GatherMerge) loadBatch() ([]value.Row, error) {
 	var all []value.Row
 	for _, src := range g.sources {
 		for {
 			r, ok, err := src.Next()
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if !ok {
 				break
@@ -163,16 +158,11 @@ func (g *GatherMerge) loadBatch() error {
 			all = append(all, r)
 		}
 	}
+	var stages []preference.Preference
 	for _, p := range []preference.Preference{g.pref, g.post} {
-		if p == nil {
-			continue
+		if p != nil {
+			stages = append(stages, Stages(p)...)
 		}
-		out, err := evaluate(p, all, Auto, &g.st, g.cfg)
-		if err != nil {
-			return err
-		}
-		all = out
 	}
-	g.buf = all
-	return nil
+	return evaluate(stages, all, Auto, &g.st, g.cfg)
 }

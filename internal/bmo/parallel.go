@@ -107,7 +107,7 @@ func compareSkyline(p preference.Preference, rows []value.Row, st *Stats, cfg Co
 // comparePartials splits rows into contiguous partitions and computes
 // their BNL skylines concurrently; one partition is plain BNL.
 func comparePartials(p preference.Preference, rows []value.Row, st *Stats, cfg Config) ([][]value.Row, error) {
-	nw := min(cfg.workerCount(), (len(rows)+minPartition-1)/minPartition)
+	nw := max(1, min(cfg.workerCount(), (len(rows)+minPartition-1)/minPartition))
 	if nw == 1 {
 		sky, err := blockNestedLoop(p, rows, st, cfg)
 		return [][]value.Row{sky}, err
@@ -232,101 +232,3 @@ func mergeStats(st *Stats, parts []Stats) {
 		}
 	}
 }
-
-// ParallelStream is the progressive form of the partition-merge
-// evaluation: the partition phase runs concurrently up front, then Next
-// emits each candidate as soon as it has survived the merge. Score-based
-// preferences drain the score kernel's k-way merge, so rows come out
-// best-score-first in the sequential order; any other strict partial
-// order streams too, in partition order, each candidate checked against
-// every other partition's partial skyline.
-type ParallelStream struct {
-	mg *merger // score family
-
-	// Compare family.
-	pref  preference.Preference
-	parts [][]value.Row
-	cfg   Config
-	ticks int // Stop-poll counter, persists across Next calls
-	pi    int // current partition
-	ri    int // next row within the partition
-
-	st Stats
-}
-
-// NewParallelStream prepares a progressive partition-merge evaluation of
-// p over rows. CASCADE evaluates all stages but the last eagerly (with
-// the parallel batch path) and streams the final stage.
-func NewParallelStream(p preference.Preference, rows []value.Row, cfg Config) (*ParallelStream, error) {
-	if c, ok := p.(*preference.Cascade); ok && len(c.Parts) > 0 {
-		current := rows
-		for _, part := range c.Parts[:len(c.Parts)-1] {
-			next, _, err := EvaluateConfig(part, current, Parallel, cfg)
-			if err != nil {
-				return nil, err
-			}
-			current = next
-		}
-		return NewParallelStream(c.Parts[len(c.Parts)-1], current, cfg)
-	}
-	s := &ParallelStream{pref: p, cfg: cfg}
-	if scorers, ok := ScoreBased(p); ok {
-		in, err := BuildVecInput(scorers, rows)
-		if err != nil {
-			return nil, err
-		}
-		parts, err := scorePartials(&in, &s.st, &VecStats{}, cfg)
-		if err != nil {
-			return nil, err
-		}
-		s.mg = mergePartials(&in, parts, &s.st, cfg)
-		return s, nil
-	}
-	if len(rows) == 0 {
-		return s, nil
-	}
-	parts, err := comparePartials(p, rows, &s.st, cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.parts = parts
-	return s, nil
-}
-
-// Next returns the next maximal tuple, or ok=false once the BMO set is
-// exhausted.
-func (s *ParallelStream) Next() (value.Row, bool, error) {
-	if s.mg != nil {
-		return s.mg.Next()
-	}
-	for s.pi < len(s.parts) {
-		part := s.parts[s.pi]
-		for s.ri < len(part) {
-			cand := part[s.ri]
-			s.ri++
-			dominated := false
-			for oi, other := range s.parts {
-				if oi == s.pi {
-					continue // locally maximal by construction
-				}
-				dom, err := dominatedBy(s.pref, cand, other, &s.st, s.cfg, &s.ticks)
-				if err != nil {
-					return nil, false, err
-				}
-				if dom {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				return cand, true, nil
-			}
-		}
-		s.pi++
-		s.ri = 0
-	}
-	return nil, false, nil
-}
-
-// Stats reports the work done so far.
-func (s *ParallelStream) Stats() Stats { return s.st }

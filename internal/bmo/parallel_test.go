@@ -127,6 +127,13 @@ func TestParallelCascade(t *testing.T) {
 	if st.Stages < 1 {
 		t.Fatalf("stages = %d", st.Stages)
 	}
+	s, err := NewParallelStream(p, rows, Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if streamed, err := drain(s); err != nil || !sameSet(streamed, want) {
+		t.Fatalf("cascade parallel stream %d vs BNL %d (err %v)", len(streamed), len(want), err)
+	}
 }
 
 func TestParallelStop(t *testing.T) {
@@ -196,7 +203,7 @@ func TestParallelStreamExplicit(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := []value.Row{intRow(1, 0), intRow(0, 0), intRow(2, 0), intRow(0, 1)}
-	if _, err := NewStream(ex, rows); err == nil {
+	if _, err := NewStreamConfig(ex, rows, Config{Workers: 1}); err == nil {
 		t.Fatal("score-based stream should reject EXPLICIT")
 	}
 	s, err := NewParallelStream(ex, rows, Config{Workers: 2})

@@ -9,6 +9,21 @@ import (
 	"repro/internal/value"
 )
 
+// progressive drains the stream of p over rows into yield until yield
+// returns false.
+func progressive(p preference.Preference, rows []value.Row, yield func(value.Row) bool) error {
+	s, err := NewStreamConfig(p, rows, Config{Workers: 1})
+	if err != nil {
+		return err
+	}
+	for {
+		row, ok, err := s.Next()
+		if err != nil || !ok || !yield(row) {
+			return err
+		}
+	}
+}
+
 func TestProgressiveMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	rows := make([]value.Row, 300)
@@ -21,7 +36,7 @@ func TestProgressiveMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []value.Row
-	err = EvaluateProgressive(p, rows, func(r value.Row) bool {
+	err = progressive(p, rows, func(r value.Row) bool {
 		got = append(got, r)
 		return true
 	})
@@ -37,7 +52,7 @@ func TestProgressiveEmitsInScoreOrder(t *testing.T) {
 	rows := []value.Row{intRow(9, 9), intRow(1, 5), intRow(5, 1), intRow(0, 0)}
 	p := pareto2D()
 	var sums []int64
-	err := EvaluateProgressive(p, rows, func(r value.Row) bool {
+	err := progressive(p, rows, func(r value.Row) bool {
 		sums = append(sums, r[0].I+r[1].I)
 		return true
 	})
@@ -58,7 +73,7 @@ func TestProgressiveEarlyStop(t *testing.T) {
 	rows := []value.Row{intRow(1, 9), intRow(9, 1), intRow(5, 5), intRow(2, 8)}
 	p := pareto2D()
 	count := 0
-	err := EvaluateProgressive(p, rows, func(value.Row) bool {
+	err := progressive(p, rows, func(value.Row) bool {
 		count++
 		return count < 2 // stop after two results
 	})
@@ -76,15 +91,17 @@ func TestProgressiveCascade(t *testing.T) {
 		&preference.Lowest{Get: colGetter(1), Label: "y"},
 	}}
 	rows := []value.Row{intRow(1, 9), intRow(1, 3), intRow(2, 0)}
-	var got []value.Row
-	if err := EvaluateProgressive(p, rows, func(r value.Row) bool {
-		got = append(got, r)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0][1].I != 3 {
-		t.Fatalf("cascade progressive: %v", got)
+	for _, newStream := range []func(preference.Preference, []value.Row, Config) (*Stream, error){
+		NewStreamConfig, NewParallelStream,
+	} {
+		s, err := newStream(p, rows, Config{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := drain(s)
+		if err != nil || len(got) != 1 || got[0][1].I != 3 {
+			t.Fatalf("cascade progressive: %v (err %v)", got, err)
+		}
 	}
 }
 
@@ -92,7 +109,7 @@ func TestProgressiveRejectsExplicit(t *testing.T) {
 	ex, _ := preference.NewExplicit(colGetter(0), "c", [][2]value.Value{
 		{value.NewText("a"), value.NewText("b")},
 	})
-	err := EvaluateProgressive(ex, []value.Row{{value.NewText("a")}}, func(value.Row) bool { return true })
+	err := progressive(ex, []value.Row{{value.NewText("a")}}, func(value.Row) bool { return true })
 	if err == nil {
 		t.Fatal("explicit should be rejected")
 	}
@@ -102,7 +119,7 @@ func TestProgressiveSingleScored(t *testing.T) {
 	p := &preference.Lowest{Get: colGetter(0), Label: "x"}
 	rows := []value.Row{intRow(5), intRow(2), intRow(2), intRow(9)}
 	var got []value.Row
-	if err := EvaluateProgressive(p, rows, func(r value.Row) bool {
+	if err := progressive(p, rows, func(r value.Row) bool {
 		got = append(got, r)
 		return true
 	}); err != nil {

@@ -32,10 +32,10 @@ import (
 // block at a time and skips a block wholesale when the window dominates
 // its zone map. With more than one worker, scoreSkyline runs the block
 // kernel on contiguous block-aligned partitions concurrently and k-way
-// merges the partials through a fresh window (merger). Stream is a
-// merger over the single sorted order, drained lazily; the score-based
-// ParallelStream and GatherMerge's progressive mode drain a merger over
-// partition partials and shard streams.
+// merges the partials through a fresh window (merger). A Stream drains a
+// merger lazily, over the single sorted order or, from
+// NewParallelStream, over partition partials; GatherMerge's progressive
+// mode drains one over shard streams.
 //
 // Monotonicity: if a dominates b then a ≤ b componentwise with one
 // strict <, so sum(a) ≤ sum(b) — also with +Inf NULL scores, because
@@ -161,29 +161,17 @@ func ScoreBased(p preference.Preference) ([]preference.Scored, bool) {
 	return out, true
 }
 
-// ScoreStages splits p into the stages a stage-wise evaluation applies
-// one after the other: the parts of a CASCADE, nested ones flattened,
-// or p itself. ok reports whether every stage is score-based; then
-// scorers lists every stage's components in order and ends[k] is where
-// stage k ends in it.
+// ScoreStages lists p's stages (Stages) by their score components. ok
+// reports whether every stage is score-based; then scorers lists every
+// stage's components in order and ends[k] is where stage k ends in it.
 func ScoreStages(p preference.Preference) (scorers []preference.Scored, ends []int, ok bool) {
-	var add func(p preference.Preference) bool
-	add = func(p preference.Preference) bool {
-		if c, ok := p.(*preference.Cascade); ok {
-			for _, part := range c.Parts {
-				if !add(part) {
-					return false
-				}
-			}
-			return true
+	for _, stage := range Stages(p) {
+		s, ok := ScoreBased(stage)
+		if !ok {
+			return nil, nil, false
 		}
-		s, ok := ScoreBased(p)
 		scorers = append(scorers, s...)
 		ends = append(ends, len(scorers))
-		return ok
-	}
-	if !add(p) {
-		return nil, nil, false
 	}
 	return scorers, ends, true
 }

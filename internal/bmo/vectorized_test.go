@@ -169,7 +169,7 @@ func TestVectorizedOrderMatchesSFS(t *testing.T) {
 			{"parallel-w4", batch(Parallel, 4)},
 			{"parallel-w7", batch(Parallel, 7)},
 			{"stream", func() ([]value.Row, error) {
-				s, err := NewStream(p, rows)
+				s, err := NewStreamConfig(p, rows, Config{Workers: 1})
 				if err != nil {
 					return nil, err
 				}

@@ -12,9 +12,9 @@ import (
 
 // The vectorized-BMO planning step: after the preference-algebra
 // pushdown has had its chance, an unpushed root BMO node over a large
-// score-based preference is switched to the vectorized physical
-// operator (plan.BMO.VecCols) — the columnar batch-at-a-time skyline
-// with zone-map pruning.
+// score-based preference whose candidates are a scan's selection is
+// switched to the vectorized physical operator (plan.BMO.VecCols) — the
+// columnar batch-at-a-time skyline with zone-map pruning.
 //
 // Selection criteria, all statistics- or shape-derived so EXPLAIN is
 // deterministic:
@@ -26,8 +26,11 @@ import (
 //   - every stage of the preference is score-based (a weak order or a
 //     Pareto accumulation of weak orders; a CASCADE of such stages
 //     qualifies, EXPLICIT and ELSE are refused) — see bmo.ScoreStages;
-//   - a CASCADE reads a scan's selection (below): over any other child
-//     it keeps the row-at-a-time stage loop;
+//   - the candidate pipeline is a pass-through projection over one
+//     table's SeqScan or IndexScan, filtered or not
+//     (plan.SelectionScan); every other child — a join, a derived table
+//     — keeps the row path, whose kernels return the same rows in the
+//     same order;
 //   - the preference carries no subqueries (those re-enter the engine
 //     per row and must keep the row-at-a-time evaluator);
 //   - every score component reads exactly one resolvable input column —
@@ -36,16 +39,13 @@ import (
 //     which Auto runs parallel (the flat score matrix only pays off
 //     when the input is large).
 //
-// When the candidate pipeline is a pass-through projection over one
-// table's SeqScan or IndexScan, filtered or not (plan.SelectionScan),
-// the node also names that scan (plan.BMO.VecScan): the executor takes
-// the scan's selection — captured heap plus surviving positions — fills
-// the score matrix from column vectors at those positions, and fetches
-// the winners' rows only. A CASCADE's stages are listed in
-// plan.BMO.VecStages and run one after the other, each on the previous
-// stage's winners. Which components a kernel fills is decided from the
-// preference's syntax (scoreKernels); the rest are scored row by row at
-// the same positions.
+// The node names the scan (plan.BMO.VecScan): the executor takes the
+// scan's selection — captured heap plus surviving positions — fills the
+// score matrix from column vectors at those positions, and fetches the
+// winners' rows only. A CASCADE's stages run one after the other, each
+// on the previous stage's winners. Which components a kernel fills is
+// decided from the preference's syntax (scoreKernels); the rest are
+// scored row by row at the same positions.
 
 // vectorize applies the planning step to root in place; node is the
 // plan maybePush returned.
@@ -56,12 +56,12 @@ func vectorize(sel *ast.Select, root *plan.BMO, node plan.Node) {
 	if root.EstRows < bmo.AutoParallelThreshold {
 		return
 	}
-	scorers, ends, ok := bmo.ScoreStages(root.Pref)
+	scorers, _, ok := bmo.ScoreStages(root.Pref)
 	if !ok || len(scorers) == 0 {
 		return
 	}
 	scan, tbl := plan.SelectionScan(root.Child)
-	if len(ends) > 1 && scan == nil {
+	if scan == nil {
 		return
 	}
 	if prefHasSubquery(sel.Preferring) {
@@ -89,14 +89,9 @@ func vectorize(sel *ast.Select, root *plan.BMO, node plan.Node) {
 		cols[i] = idx
 	}
 	root.VecCols = cols
-	if len(ends) > 1 {
-		root.VecStages = ends
-	}
 	root.Progressive = false
-	if scan != nil {
-		root.VecScan = scan
-		scoreKernels(sel.Preferring, root, sch, tbl)
-	}
+	root.VecScan = scan
+	scoreKernels(sel.Preferring, root, sch, tbl)
 }
 
 // scoreKernels decides, from the preference's syntax and the column

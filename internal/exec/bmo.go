@@ -10,19 +10,12 @@ import (
 	"repro/internal/value"
 )
 
-// rowStream is the common pull shape of bmo.Stream (score-ordered
-// progressive skyline) and bmo.ParallelStream (partition-merge
-// progressive skyline).
-type rowStream interface {
-	Next() (value.Row, bool, error)
-}
-
 // BMOOp evaluates the Best-Matches-Only set of its input. The input is
 // materialized at Open (dominance is a property of the whole candidate
 // set); the output streams. In progressive mode undominated tuples are
 // emitted as soon as they are known maximal, so a consumer that stops
 // pulling (TOP-k, first result page) saves the remaining dominance
-// comparisons — the pipelined form of bmo.EvaluateProgressive.
+// comparisons: Next pulls a bmo.Stream.
 //
 // Parallel evaluation (explicit plan.BMO.Algo Parallel, or Auto over at
 // least bmo.AutoParallelThreshold actual input rows) shares the
@@ -43,7 +36,7 @@ type BMOOp struct {
 	heap   storage.Heap
 	sel    []int32
 	vin    bmo.VecInput
-	stream rowStream   // progressive mode
+	stream *bmo.Stream // progressive mode
 	buf    []value.Row // batch mode
 	pos    int
 }
@@ -167,11 +160,6 @@ func (b *BMOOp) Open() error {
 		}
 	}
 	b.countInput(len(b.input))
-	// Vectorized physical operator (planner-selected, root nodes only —
-	// never combined with pushdown padding, grouping or streaming).
-	if b.node.VecCols != nil {
-		return b.openVectorized()
-	}
 	// Group-wise pre-filter (split pushdown below an equi-join):
 	// dominance runs among rows sharing a join-key value. Pre-filters
 	// are always batch nodes — they sit below a join that materializes
@@ -204,24 +192,17 @@ func (b *BMOOp) Open() error {
 		// computed concurrently; score-based preferences still emerge
 		// best-first, others in partition order). The Auto path keeps
 		// the sequential stream: the pull loop is consumer-paced, so a
-		// consumer that stops early saves the partition work.
+		// consumer that stops early saves the partition work. Either
+		// honors the statement's worker cap (incl. the core layer's
+		// forced Workers=1 for subquery-bearing preferences) and its
+		// Stop hook.
+		newStream := bmo.NewStreamConfig
 		if b.node.Algo == bmo.Parallel {
-			s, err := bmo.NewParallelStream(b.node.Pref, b.input, b.config())
-			if err != nil {
-				return err
-			}
-			b.stream = s
-			return nil
+			newStream = bmo.NewParallelStream
 		}
-		// NewStreamConfig so CASCADE prestages honor the statement's
-		// worker cap (incl. the core layer's forced Workers=1 for
-		// subquery-bearing preferences) and its Stop hook.
-		s, err := bmo.NewStreamConfig(b.node.Pref, b.input, b.config())
-		if err != nil {
-			return err
-		}
+		s, err := newStream(b.node.Pref, b.input, b.config())
 		b.stream = s
-		return nil
+		return err
 	}
 	eval := padRows(b.input, b.node.Pad)
 	out, _, err := bmo.EvaluateConfig(b.node.Pref, eval, b.node.Algo, b.config())

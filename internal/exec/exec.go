@@ -234,7 +234,7 @@ func buildBMOInput(b *plan.BMO, env *Env) (Operator, selector, error) {
 	}
 	var scan selector
 	if s, ok := unwrap(child).(selector); ok {
-		if sn, _ := plan.SelectionScan(b.Child); s.node() == b.VecScan || b.VecCols == nil && s.node() == sn {
+		if sn, _ := plan.SelectionScan(b.Child); s.node() == sn {
 			scan = s
 		}
 	}

@@ -11,25 +11,26 @@ import (
 	"repro/internal/value"
 )
 
-// Vectorized BMO execution: the planner gave the node VecCols after
-// verifying every stage of the preference is score-based, each component
-// over one column. The operator fills a flat score matrix and hands it
-// to the batch zone-map kernel, which returns the winners' indices.
+// Vectorized BMO execution: the planner gave the node VecCols and
+// VecScan after verifying every stage of the preference is score-based,
+// each component over one column, and that the candidates are a scan's
+// selection. The operator fills a flat score matrix and hands it to the
+// batch zone-map kernel, which returns the winners' indices.
 //
-// Under a VecScan the operator never pulls a row from its child: it
-// takes the scan's selection (captured heap, surviving positions), fills
-// each score column at those positions — from column vectors where a
-// kernel serves the component (fillKernel), otherwise by scoring the
-// heap rows — and fetches heap rows for the winners only. A CASCADE
-// (plan.BMO.VecStages) runs stage by stage: stage 1 fills its columns
-// at every selected position, each later stage only at the previous
-// stage's winners, in the order that stage returned them, and the loop
-// stops once at most one candidate is left. That is the row path's
-// BMO(P2, BMO(P1, R)) with the same input order per stage, so the same
-// rows come out in the same order, and a later stage never scores — nor
-// fails on — a row an earlier one eliminated. Other children (joins,
-// derived tables) are drained and scored row by row. Zone-map counters
-// land in the statement Stats for EXPLAIN ANALYZE.
+// The operator never pulls a row from its child: it takes the scan's
+// selection (captured heap, surviving positions), fills each score
+// column at those positions — from column vectors where a kernel serves
+// the component (fillKernel), otherwise by scoring the heap rows — and
+// fetches heap rows for the winners only. A CASCADE runs through
+// bmo.ReduceStages: stage 1 fills its columns at every selected
+// position, each later stage only at the previous stage's winners, in
+// the order that stage returned them, and the driver stops once at most
+// one candidate is left. That is the row path's BMO(P2, BMO(P1, R)) with
+// the same input order per stage, so the same rows come out in the same
+// order, and a later stage never scores — nor fails on — a row an
+// earlier one eliminated. Every other input takes the row path
+// (BMOOp.Open). Zone-map counters land in the statement Stats for
+// EXPLAIN ANALYZE.
 
 // takeSelection drains the scan's selection into b.heap and b.sel, and
 // counts its rows as the scan's and the pass-through projection's
@@ -55,32 +56,27 @@ func (b *BMOOp) openSelection() error {
 		return err
 	}
 	b.countInput(len(b.sel))
-	scorers, _, _ := bmo.ScoreStages(b.node.Pref)
-	ends := b.node.VecStages
-	if ends == nil {
-		ends = []int{len(scorers)}
-	}
-	at, lo := b.sel, 0
-	for k, hi := range ends {
-		if k > 0 && len(at) <= 1 {
-			break
+	scorers, ends, _ := bmo.ScoreStages(b.node.Pref)
+	at, err := bmo.ReduceStages(len(ends), b.sel, &bmo.Stats{}, b.config(), func(k int, at []int32) ([]int32, error) {
+		lo := 0
+		if k > 0 {
+			lo = ends[k-1]
 		}
-		in, err := b.fillStage(scorers[lo:hi], lo, at)
+		in, err := b.fillStage(scorers[lo:ends[k]], lo, at)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if k == 0 {
 			b.vin = in // scoreMin reads stage 1, filled at every candidate
 		}
 		win, err := b.evaluateVec(in)
-		if err != nil {
-			return err
-		}
-		next := make([]int32, len(win))
 		for i, w := range win {
-			next[i] = at[w]
+			win[i] = at[w]
 		}
-		at, lo = next, hi
+		return win, err
+	})
+	if err != nil {
+		return err
 	}
 	b.buf = make([]value.Row, len(at))
 	for k, p := range at {
@@ -119,26 +115,6 @@ func (b *BMOOp) fillStage(scorers []preference.Scored, first int, sel []int32) (
 	return in, nil
 }
 
-// openVectorized is Open for a vectorized BMO over any other child: the
-// input is materialized and counted, and every row is scored.
-func (b *BMOOp) openVectorized() error {
-	scorers, _ := bmo.ScoreBased(b.node.Pref)
-	in, err := bmo.BuildVecInput(scorers, b.input)
-	if err != nil {
-		return err
-	}
-	b.vin = in
-	win, err := b.evaluateVec(in)
-	if err != nil {
-		return err
-	}
-	b.buf = make([]value.Row, len(win))
-	for k, i := range win {
-		b.buf[k] = b.input[i]
-	}
-	return nil
-}
-
 // evaluateVec runs the score kernel on in and records its zone-map
 // counters.
 func (b *BMOOp) evaluateVec(in bmo.VecInput) ([]int32, error) {
@@ -154,13 +130,13 @@ func (b *BMOOp) evaluateVec(in bmo.VecInput) ([]int32, error) {
 }
 
 // scoreMin returns the smallest score of component s over the candidates,
-// read from the score matrix; ok=false when the operator is not
-// vectorized or s is not one of its first stage's components. A later
+// read from the score matrix; ok=false when the operator filled no
+// matrix or s is not one of its first stage's components. A later
 // stage's matrix holds the survivors of the earlier stages only, and the
 // minimum is over every candidate — which is what the row path scores,
 // and fails on, too.
 func (b *BMOOp) scoreMin(s preference.Scored) (min float64, ok bool) {
-	if b.node.VecCols == nil {
+	if b.vin.Dim == 0 {
 		return 0, false
 	}
 	scorers, _, _ := bmo.ScoreStages(b.node.Pref)

@@ -504,22 +504,19 @@ type BMO struct {
 	// when unknown.
 	EstRows int64
 
-	// VecCols, when non-nil, selects the vectorized physical operator:
-	// the executor fills a flat score matrix and evaluates it
-	// batch-at-a-time with zone-map block pruning. It is parallel to the
-	// preference's scorer list (bmo.ScoreStages: every CASCADE stage's
-	// components in order). The planner sets it from table statistics
-	// when every stage is score-based and every component reads one
-	// resolvable column; see core's vectorize step.
-	// Under a VecScan, VecCols[j] is the table column whose vector a
-	// kernel scores component j from, or -1 when component j is scored
-	// row by row (a computed operand, a condition of another shape, a
-	// TEXT column under any kernel but POS/NEG).
+	// VecCols, when non-nil, selects the vectorized physical operator
+	// over VecScan's selection: the executor fills a flat score matrix
+	// and evaluates it batch-at-a-time with zone-map block pruning, one
+	// CASCADE stage after the other. It is parallel to the preference's
+	// scorer list (bmo.ScoreStages: every CASCADE stage's components in
+	// order). The planner sets it, together with VecScan, from table
+	// statistics when every stage is score-based and every component
+	// reads one resolvable column; see core's vectorize step. VecCols[j]
+	// is the table column whose vector a kernel scores component j from,
+	// or -1 when component j is scored row by row (a computed operand, a
+	// condition of another shape, a TEXT column under any kernel but
+	// POS/NEG).
 	VecCols []int
-	// VecStages, for a CASCADE, lists where each stage's components end
-	// in VecCols; nil for a single stage. The executor evaluates stage k
-	// on the matrix of stage k-1's winners (only under a VecScan).
-	VecStages []int
 	// VecConds lists the components that are a comparison `col op
 	// bound` (a Bool preference such as salary <= 41000): Index is the
 	// component, and the kernel tests the column vector against the

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"repro/internal/ast"
+	"repro/internal/bmo"
 	"repro/internal/preference"
 )
 
@@ -148,17 +149,10 @@ func isResidual(b *BMO) bool {
 // residual); the outer node's progressive flag decides the evaluation
 // shape, as it did before the merge.
 func collapseBMO(outer, inner *BMO) *BMO {
-	parts := append(append([]preference.Preference{}, cascadeParts(inner.Pref)...), cascadeParts(outer.Pref)...)
+	parts := append(bmo.Stages(inner.Pref), bmo.Stages(outer.Pref)...)
 	merged := NewBMO(inner.Child, &preference.Cascade{Parts: parts}, outer.Algo, outer.Progressive, outer.Workers)
 	merged.Pushdown = inner.Pushdown
 	return merged
-}
-
-func cascadeParts(p preference.Preference) []preference.Preference {
-	if c, ok := p.(*preference.Cascade); ok {
-		return c.Parts
-	}
-	return []preference.Preference{p}
 }
 
 // joinBelow looks through a pass-through projection for the join a BMO
