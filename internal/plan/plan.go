@@ -587,10 +587,7 @@ func (b *BMO) Explain() string {
 	}
 	out := "BMO " + mode
 	if b.VecCols != nil {
-		out = fmt.Sprintf("BMO vec est=%d", b.EstRows)
-		if b.VecScan != nil {
-			out += " columnar"
-		}
+		out = fmt.Sprintf("BMO vec est=%d columnar", b.EstRows)
 	}
 	if b.Workers > 0 {
 		out += fmt.Sprintf(" workers=%d", b.Workers)
