@@ -173,7 +173,7 @@ func (s *Session) planPreference(sel *ast.Select, ee execEnv, form planForm) (*s
 		// contract is the score-ordered stream over the candidate
 		// relation, and its errors must not depend on plan shape.
 		node = s.maybePush(sel, root)
-		vectorize(sel, root, node)
+		vectorize(root, node)
 	}
 	return s.newPlan(qualityTail(node, sel), pipe.Env()), nil
 }
@@ -320,6 +320,22 @@ func (b *relBinder) Getter(e ast.Expr) (preference.Getter, error) {
 func (b *relBinder) Cond(e ast.Expr) (func(value.Row) (bool, error), error) {
 	prog := expr.Compile(e, b.scope)
 	return func(row value.Row) (bool, error) { return prog.EvalBool(b.rt, row) }, nil
+}
+
+// Column implements preference.Binder.
+func (b *relBinder) Column(e ast.Expr) (int, bool) {
+	c, ok := e.(*ast.Column)
+	if !ok {
+		return 0, false
+	}
+	col, n := plan.Schema(b.scope.Cols).ColIndex(c.Table, c.Name)
+	return col, n == 1
+}
+
+// Comparison implements preference.Binder.
+func (b *relBinder) Comparison(e ast.Expr) (preference.Comparison, bool) {
+	c, ok := plan.ColumnComparison(e, b.scope.Cols)
+	return preference.Comparison{Col: c.Col, Accept: c.Accept, Bound: c.Bound}, ok
 }
 
 // Const implements preference.Binder: preference parameters must not

@@ -25,14 +25,14 @@ type BMOOp struct {
 	node  *plan.BMO
 	child Operator
 	// scan is the operator whose selection the BMO takes instead of its
-	// child's rows: node.VecScan's, or on the row path the scan of a
-	// plan.SelectionScan child; nil otherwise.
+	// child's rows: the scan of a plan.SelectionScan child; nil
+	// otherwise.
 	scan  selector
 	env   *Env
 	ns    *NodeStats // per-node instrumentation slot; nil when recording is off
 	input []value.Row
-	// Under a VecScan the candidates are the positions sel of heap, not
-	// input rows; vin is the score matrix of a vectorized evaluation.
+	// On a vectorized node the candidates are the positions sel of heap,
+	// not input rows; vin is the score matrix of a vectorized evaluation.
 	heap   storage.Heap
 	sel    []int32
 	vin    bmo.VecInput
@@ -133,7 +133,7 @@ func (b *BMOOp) Open() error {
 	b.input, b.buf, b.stream, b.pos = nil, nil, nil, 0
 	b.heap, b.sel, b.vin = storage.Heap{}, nil, bmo.VecInput{}
 	switch {
-	case b.node.VecScan != nil:
+	case b.node.Vectorized && b.scan != nil:
 		return b.openSelection()
 	case b.scan != nil:
 		// The rows of the scan's selection, in scan order, in one
@@ -275,8 +275,8 @@ func (b *BMOOp) countInput(n int) {
 // Input returns the candidate relation (valid after Open); the quality
 // functions (TOP/LEVEL/DISTANCE) of the tail above need it to compute
 // candidate-relative distances for LOWEST/HIGHEST when no score matrix
-// holds them (see scoreMin). Under a VecScan the rows are fetched from
-// the selection on the first call.
+// holds them (see scoreMin). On a vectorized node the rows are fetched
+// from the selection on the first call.
 func (b *BMOOp) Input() []value.Row {
 	if b.input == nil && b.sel != nil {
 		b.input = make([]value.Row, len(b.sel))

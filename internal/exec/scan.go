@@ -18,8 +18,8 @@ import (
 // written order. Every candidate still counts as scanned, so RowsScanned
 // means the same on either path.
 //
-// A scan under a vectorized BMO (plan.BMO.VecScan) is not pulled row by
-// row: the BMO takes its selection — the captured heap and the positions
+// A scan under a vectorized BMO (plan.BMO.Vectorized) is not pulled row
+// by row: the BMO takes its selection — the captured heap and the positions
 // that pass the filter — and fetches only the winners' rows (late
 // materialization, Abadi et al., "Materialization Strategies in a
 // Column-Oriented DBMS", ICDE 2007).
@@ -28,6 +28,7 @@ import (
 // of its rows.
 type selector interface {
 	node() plan.Node
+	table() *storage.Table
 	// selection drains the opened scan: the heap it captured and the
 	// positions of the candidates that pass its filter, in heap order.
 	selection() (storage.Heap, []int32, error)
@@ -66,6 +67,8 @@ func (s *seqScan) Open() error {
 }
 
 func (s *seqScan) node() plan.Node { return s.n }
+
+func (s *seqScan) table() *storage.Table { return s.n.Table }
 
 func (s *seqScan) Next() (value.Row, error) {
 	if s.n.Limit >= 0 && s.emitted >= s.n.Limit {
@@ -106,6 +109,8 @@ func (s *indexScan) Open() error {
 }
 
 func (s *indexScan) node() plan.Node { return s.n }
+
+func (s *indexScan) table() *storage.Table { return s.n.Table }
 
 // probe captures the candidates: the heap with the probed positions, or
 // with all set when the probe cannot be answered by the index, or none.

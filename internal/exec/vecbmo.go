@@ -11,11 +11,11 @@ import (
 	"repro/internal/value"
 )
 
-// Vectorized BMO execution: the planner gave the node VecCols and
-// VecScan after verifying every stage of the preference is score-based,
-// each component over one column, and that the candidates are a scan's
-// selection. The operator fills a flat score matrix and hands it to the
-// batch zone-map kernel, which returns the winners' indices.
+// Vectorized BMO execution: the planner set the node's Vectorized flag
+// after verifying every stage of the preference is score-based and that
+// the candidates are a scan's selection. The operator fills a flat score
+// matrix and hands it to the batch zone-map kernel, which returns the
+// winners' indices.
 //
 // The operator never pulls a row from its child: it takes the scan's
 // selection (captured heap, surviving positions), fills each score
@@ -49,8 +49,8 @@ func (b *BMOOp) takeSelection() error {
 	return nil
 }
 
-// openSelection is Open under a VecScan: the child is open, and its
-// scan hands over its selection.
+// openSelection is Open on a vectorized node: the child is open, and
+// its scan hands over its selection.
 func (b *BMOOp) openSelection() error {
 	if err := b.takeSelection(); err != nil {
 		return err
@@ -62,7 +62,7 @@ func (b *BMOOp) openSelection() error {
 		if k > 0 {
 			lo = ends[k-1]
 		}
-		in, err := b.fillStage(scorers[lo:ends[k]], lo, at)
+		in, err := b.fillStage(scorers[lo:ends[k]], at)
 		if err != nil {
 			return nil, err
 		}
@@ -85,9 +85,9 @@ func (b *BMOOp) openSelection() error {
 	return nil
 }
 
-// fillStage fills the score matrix of one stage, components scorers
-// starting at component first of VecCols, at the heap positions sel.
-func (b *BMOOp) fillStage(scorers []preference.Scored, first int, sel []int32) (bmo.VecInput, error) {
+// fillStage fills the score matrix of one stage, components scorers,
+// at the heap positions sel.
+func (b *BMOOp) fillStage(scorers []preference.Scored, sel []int32) (bmo.VecInput, error) {
 	n, d := len(sel), len(scorers)
 	in := bmo.VecInput{Dim: d, Flat: make([]float64, n*d)}
 	if n == 0 {
@@ -96,7 +96,7 @@ func (b *BMOOp) fillStage(scorers []preference.Scored, first int, sel []int32) (
 		scorers = nil
 	}
 	for j, s := range scorers {
-		done, err := b.fillKernel(&in, sel, j, first+j, s)
+		done, err := b.fillKernel(&in, sel, j, s)
 		if err != nil {
 			return bmo.VecInput{}, err
 		}
@@ -155,41 +155,52 @@ func (b *BMOOp) scoreMin(s preference.Scored) (min float64, ok bool) {
 	return 0, false
 }
 
-// fillKernel fills score column j of in — component g of VecCols, s —
-// from a column vector at the heap positions sel, and reports false when
-// no kernel serves it: the planner gave it no column (its syntax or its
-// column's kind has no kernel), the column has no vector, or a Bool
-// bound is not a number. A vector is asked for only once a kernel will
-// read it. A kernel computes exactly what s.Score computes for the row;
-// where Score reports an error (a NaN under a distance preference) the
-// kernel asks Score for it.
-func (b *BMOOp) fillKernel(in *bmo.VecInput, sel []int32, j, g int, s preference.Scored) (bool, error) {
-	col := b.node.VecCols[g]
-	if col < 0 {
+// fillKernel fills score column j of in, component s, from a column
+// vector at the heap positions sel, and reports false when no kernel
+// serves it: s names no column (a computed operand, a condition of
+// another shape, an ELSE chain, CONTAINS), the column's kind has no
+// kernel for s (numeric kernels read INT, FLOAT, BOOL and DATE; POS and
+// NEG any kind, TEXT through dictionary codes), the column has no
+// vector, or a Bool bound is not a number. A vector is asked for only
+// once a kernel will read it. A kernel computes exactly what s.Score
+// computes for the row; where Score reports an error (a NaN under a
+// distance preference) the kernel asks Score for it.
+func (b *BMOOp) fillKernel(in *bmo.VecInput, sel []int32, j int, s preference.Scored) (bool, error) {
+	if p, ok := s.(*preference.Bool); ok {
+		return p.Cmp != nil && b.fillCompare(in, sel, j, p.Cmp), nil
+	}
+	slotted, ok := s.(interface{ Column() (int, bool) })
+	if !ok {
 		return false, nil
 	}
-	if _, ok := s.(*preference.Bool); ok {
-		return b.fillCompare(in, sel, j, g, col), nil
-	}
-	cv := b.heap.Vector(col)
-	if cv == nil {
+	col, ok := slotted.Column()
+	if !ok {
 		return false, nil
 	}
 	switch p := s.(type) {
 	case *preference.Pos:
-		return fillMember(in, sel, j, cv, p.Vals, 0, 1), nil
+		cv := b.heap.Vector(col)
+		return cv != nil && fillMember(in, sel, j, cv, p.Vals, 0, 1), nil
 	case *preference.Neg:
-		return fillMember(in, sel, j, cv, p.Vals, 1, 0), nil
-	case *preference.Lowest, *preference.Highest, *preference.Around, *preference.Between:
-		return b.fillDistance(in, sel, j, cv, s)
+		cv := b.heap.Vector(col)
+		return cv != nil && fillMember(in, sel, j, cv, p.Vals, 1, 0), nil
 	}
-	return false, nil
+	if !b.numeric(col) {
+		return false, nil
+	}
+	return b.fillDistance(in, sel, j, b.heap.Vector(col), s)
+}
+
+// numeric reports whether column col of the scanned table has numeric
+// vectors.
+func (b *BMOOp) numeric(col int) bool {
+	return storage.Vectorizable(b.scan.table().Schema.Cols[col].Kind)
 }
 
 // fillDistance is the kernel of LOWEST, HIGHEST, AROUND and BETWEEN over
 // a numeric vector: NULL scores +Inf, and a NaN fails as on the row path.
 func (b *BMOOp) fillDistance(in *bmo.VecInput, sel []int32, j int, cv *storage.ColVec, s preference.Scored) (bool, error) {
-	if cv.Nums == nil {
+	if cv == nil || cv.Nums == nil {
 		return false, nil
 	}
 	d, flat, nums, inf := in.Dim, in.Flat, cv.Nums, math.Inf(1)
@@ -264,11 +275,10 @@ func fillMember(m *bmo.VecInput, sel []int32, j int, cv *storage.ColVec, vals []
 	return true
 }
 
-// fillCompare is the kernel of a Bool component `col op bound`,
-// component g: 0 where the comparison holds, 1 where it is false or
-// UNKNOWN (NULL).
-func (b *BMOOp) fillCompare(in *bmo.VecInput, sel []int32, j, g, col int) bool {
-	t, ok := b.compareTest(g, col)
+// fillCompare is the kernel of a Bool component `col op bound`: 0
+// where the comparison holds, 1 where it is false or UNKNOWN (NULL).
+func (b *BMOOp) fillCompare(in *bmo.VecInput, sel []int32, j int, c *preference.Comparison) bool {
+	t, ok := b.compareTest(c)
 	if !ok {
 		return false
 	}
@@ -283,31 +293,27 @@ func (b *BMOOp) fillCompare(in *bmo.VecInput, sel []int32, j, g, col int) bool {
 	return true
 }
 
-// compareTest returns component g's comparison `col op bound` as a
-// vector test over column col, with the scan filters' semantics;
-// ok=false when the planner recorded no comparison for g or the bound
-// does not evaluate to a number (those stay on the row path). The
+// compareTest returns the comparison c as a vector test, with the scan
+// filters' semantics; ok=false when its column is not numeric or its
+// bound does not evaluate to a number (those stay on the row path). The
 // column's vector is fetched only for a numeric bound.
-func (b *BMOOp) compareTest(g, col int) (vecTest, bool) {
+func (b *BMOOp) compareTest(c *preference.Comparison) (vecTest, bool) {
+	if !b.numeric(c.Col) {
+		return vecTest{}, false
+	}
 	var rt *expr.Runtime
 	if b.env != nil {
 		rt = b.env.Rt
 	}
-	for _, c := range b.node.VecConds {
-		if c.Index != g {
-			continue
-		}
-		bound, err := c.Bound.Eval(rt, nil)
-		if err != nil || bound.IsNull() || bound.K == value.Text {
-			return vecTest{}, false
-		}
-		cv := b.heap.Vector(col)
-		if cv == nil || cv.Nums == nil {
-			return vecTest{}, false
-		}
-		return vecTest{vec: cv, bound: bound.Num(), accept: c.Accept}, true
+	bound, err := c.Bound.Eval(rt, nil)
+	if err != nil || bound.IsNull() || bound.K == value.Text {
+		return vecTest{}, false
 	}
-	return vecTest{}, false
+	cv := b.heap.Vector(c.Col)
+	if cv == nil || cv.Nums == nil {
+		return vecTest{}, false
+	}
+	return vecTest{vec: cv, bound: bound.Num(), accept: c.Accept}, true
 }
 
 // memberSet is the set-membership test of POS/NEG over a column vector,

@@ -14,26 +14,30 @@ import (
 )
 
 // TestVecBMOFillsFromItsScan pins the columnar fill's wiring: a
-// vectorized BMO whose plan names a bare scan (VecScan) reads the score
-// columns from the vectors of the heap that scan's operator captured,
-// never through the preference's row getters, and returns the same
-// winners as a row-path BMO over the same scan.
+// vectorized BMO over a bare scan reads the score columns its compiled
+// preference names (preference.Slot) from the vectors of the heap that
+// scan's operator captured, never through the preference's row getters,
+// and returns the same winners as a row-path BMO over the same scan. A
+// preference constructed without a Slot names no column, so the same
+// fill scores it through the getters at every selected position.
 func TestVecBMOFillsFromItsScan(t *testing.T) {
 	_, jobs := jobsCatalog(t)
 	gets := 0
 	get := func(c int) func(value.Row) (value.Value, error) {
 		return func(r value.Row) (value.Value, error) { gets++; return r[c], nil }
 	}
-	pref := &preference.Pareto{Parts: []preference.Preference{
-		&preference.Lowest{Get: get(2), Label: "salary"},
-		&preference.Highest{Get: get(3), Label: "exp"},
-	}}
-	vec := func(columnar bool) (*BMOOp, []value.Row) {
-		scan := plan.NewSeqScan(jobs, "jobs")
-		n := plan.NewBMO(plan.NewProject(scan, star(), nil), pref, bmo.Auto, false, 0)
-		if columnar {
-			n.VecCols, n.VecScan = []int{2, 3}, scan
+	pref := func(slots bool) preference.Preference {
+		lo := &preference.Lowest{Get: get(2), Label: "salary"}
+		hi := &preference.Highest{Get: get(3), Label: "exp"}
+		if slots {
+			lo.Slot, hi.Slot = preference.ColumnSlot(2), preference.ColumnSlot(3)
 		}
+		return &preference.Pareto{Parts: []preference.Preference{lo, hi}}
+	}
+	vec := func(columnar, slots bool) (*BMOOp, *plan.SeqScan, []value.Row) {
+		scan := plan.NewSeqScan(jobs, "jobs")
+		n := plan.NewBMO(plan.NewProject(scan, star(), nil), pref(slots), bmo.Auto, false, 0)
+		n.Vectorized = columnar
 		op, err := Build(n, &Env{})
 		if err != nil {
 			t.Fatal(err)
@@ -42,7 +46,7 @@ func TestVecBMOFillsFromItsScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return unwrap(op).(*BMOOp), rows
+		return unwrap(op).(*BMOOp), scan, rows
 	}
 	sorted := func(rows []value.Row) string {
 		s := make([]string, len(rows))
@@ -53,9 +57,9 @@ func TestVecBMOFillsFromItsScan(t *testing.T) {
 		return strings.Join(s, " ")
 	}
 
-	op, got := vec(true)
-	if op.scan == nil || op.scan.node() != op.node.VecScan {
-		t.Fatal("the BMO is not wired to the operator of its VecScan")
+	op, scan, got := vec(true, true)
+	if op.scan == nil || op.scan.node() != plan.Node(scan) {
+		t.Fatal("the BMO is not wired to the operator of its scan")
 	}
 	if gets != 0 {
 		t.Errorf("the columnar fill called the row getters %d times", gets)
@@ -63,12 +67,21 @@ func TestVecBMOFillsFromItsScan(t *testing.T) {
 	if op.heap.Version != jobs.Heap().Version {
 		t.Error("the fill's heap is not the one its scan captured")
 	}
-	_, want := vec(false)
+	_, _, want := vec(false, true)
 	if gets == 0 {
 		t.Fatal("the row-path BMO did not score rows through the getters")
 	}
 	if len(got) == 0 || sorted(got) != sorted(want) {
 		t.Errorf("columnar winners %q, row winners %q", ids(got), ids(want))
+	}
+
+	gets = 0
+	op, _, direct := vec(true, false)
+	if want := 2 * len(op.sel); gets != want {
+		t.Errorf("a preference without slots: %d getter calls, want %d (two per selected row)", gets, want)
+	}
+	if ids(direct) != ids(got) {
+		t.Errorf("winners without slots %q, with slots %q", ids(direct), ids(got))
 	}
 }
 
@@ -83,11 +96,11 @@ func TestVecBMOOverEmptyScan(t *testing.T) {
 		t.Fatalf("want an IndexScan, got %s", scan.Explain())
 	}
 	pref := &preference.Pareto{Parts: []preference.Preference{
-		&preference.Lowest{Get: func(r value.Row) (value.Value, error) { return r[2], nil }, Label: "salary"},
-		&preference.Highest{Get: func(r value.Row) (value.Value, error) { return r[3], nil }, Label: "exp"},
+		&preference.Lowest{Get: func(r value.Row) (value.Value, error) { return r[2], nil }, Label: "salary", Slot: preference.ColumnSlot(2)},
+		&preference.Highest{Get: func(r value.Row) (value.Value, error) { return r[3], nil }, Label: "exp", Slot: preference.ColumnSlot(3)},
 	}}
 	n := plan.NewBMO(plan.NewProject(scan, star(), nil), pref, bmo.Auto, false, 0)
-	n.VecCols, n.VecScan = []int{2, 3}, scan
+	n.Vectorized = true
 	drain := func(key value.Value) []value.Row {
 		return run(t, n, &Env{Rt: &expr.Runtime{Params: value.Row{key}}})
 	}

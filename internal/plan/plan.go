@@ -504,31 +504,20 @@ type BMO struct {
 	// when unknown.
 	EstRows int64
 
-	// VecCols, when non-nil, selects the vectorized physical operator
-	// over VecScan's selection: the executor fills a flat score matrix
-	// and evaluates it batch-at-a-time with zone-map block pruning, one
-	// CASCADE stage after the other. It is parallel to the preference's
-	// scorer list (bmo.ScoreStages: every CASCADE stage's components in
-	// order). The planner sets it, together with VecScan, from table
-	// statistics when every stage is score-based and every component
-	// reads one resolvable column; see core's vectorize step. VecCols[j]
-	// is the table column whose vector a kernel scores component j from,
-	// or -1 when component j is scored row by row (a computed operand, a
-	// condition of another shape, a TEXT column under any kernel but
-	// POS/NEG).
-	VecCols []int
-	// VecConds lists the components that are a comparison `col op
-	// bound` (a Bool preference such as salary <= 41000): Index is the
-	// component, and the kernel tests the column vector against the
-	// bound with the scan filters' semantics.
-	VecConds []VecConj
-	// VecScan, when non-nil, is the *SeqScan or *IndexScan under the
-	// child's pass-through projection, filtered or not. The executor
-	// takes that scan's selection — the heap it captured and the
-	// positions that pass its filter — instead of its rows, fills the
-	// score matrix from column vectors at those positions, and fetches
-	// heap rows for the winners only (late materialization).
-	VecScan Node
+	// Vectorized selects the vectorized physical operator: the executor
+	// takes the selection of the scan under the child's pass-through
+	// projection (SelectionScan) — the heap it captured and the
+	// positions that pass its filter — instead of its rows, fills a flat
+	// score matrix at those positions and evaluates it batch-at-a-time
+	// with zone-map block pruning, one CASCADE stage after the other,
+	// then fetches heap rows for the winners only (late
+	// materialization). A component is filled from a column vector
+	// where its compiled preference names a column a kernel reads (see
+	// preference.Slot and preference.Comparison), and scored row by row
+	// at the same positions otherwise. The planner sets it from table
+	// statistics when every stage is score-based; see core's vectorize
+	// step.
+	Vectorized bool
 
 	// The remaining fields are set by the preference-algebra rewriter
 	// (PushBMO) when it moves dominance work below a join.
@@ -586,7 +575,7 @@ func (b *BMO) Explain() string {
 		mode = "progressive " + mode
 	}
 	out := "BMO " + mode
-	if b.VecCols != nil {
+	if b.Vectorized {
 		out = fmt.Sprintf("BMO vec est=%d columnar", b.EstRows)
 	}
 	if b.Workers > 0 {

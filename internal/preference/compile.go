@@ -3,6 +3,7 @@ package preference
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/expr"
@@ -20,6 +21,30 @@ type Binder interface {
 	// Const evaluates a row-independent expression (preference parameters
 	// like the AROUND target or POS value lists).
 	Const(e ast.Expr) (value.Value, error)
+	// Column returns the column e is when e is a bare column reference
+	// that resolves uniquely; ok=false otherwise.
+	Column(e ast.Expr) (col int, ok bool)
+	// Comparison recognizes the condition e as `col op bound` over one
+	// column and a literal or parameter bound; ok=false otherwise.
+	Comparison(e ast.Expr) (c Comparison, ok bool)
+}
+
+// Comparison is a condition `col op bound`, or `bound op col` stored
+// flipped: a vectorized BMO tests column Col's vector against Bound,
+// keeping the value.Compare outcomes Accept lists. Bound is a literal
+// or a parameter, evaluated at execution.
+type Comparison struct {
+	Col    int
+	Accept expr.Signs
+	Bound  *expr.Program
+}
+
+// slot returns the Slot of operand e.
+func slot(b Binder, e ast.Expr) Slot {
+	if col, ok := b.Column(e); ok {
+		return ColumnSlot(col)
+	}
+	return Slot{}
 }
 
 // Compile translates a parsed PREFERRING term into an executable
@@ -36,7 +61,7 @@ func Compile(p ast.Pref, b Binder, reg *Registry) (Preference, error) {
 		if err != nil {
 			return nil, err
 		}
-		pref := &Around{Get: get, Target: target, Label: x.X.SQL(), Attrs: provenance(x.X)}
+		pref := &Around{Get: get, Target: target, Slot: slot(b, x.X), Label: x.X.SQL(), Attrs: provenance(x.X)}
 		register(reg, pref)
 		return pref, nil
 
@@ -56,7 +81,7 @@ func Compile(p ast.Pref, b Binder, reg *Registry) (Preference, error) {
 		if lo > hi {
 			return nil, fmt.Errorf("BETWEEN bounds out of order: %g > %g", lo, hi)
 		}
-		pref := &Between{Get: get, Lo: lo, Hi: hi, Label: x.X.SQL(), Attrs: provenance(x.X)}
+		pref := &Between{Get: get, Lo: lo, Hi: hi, Slot: slot(b, x.X), Label: x.X.SQL(), Attrs: provenance(x.X)}
 		register(reg, pref)
 		return pref, nil
 
@@ -65,7 +90,7 @@ func Compile(p ast.Pref, b Binder, reg *Registry) (Preference, error) {
 		if err != nil {
 			return nil, err
 		}
-		pref := &Lowest{Get: get, Label: x.X.SQL(), Attrs: provenance(x.X)}
+		pref := &Lowest{Get: get, Slot: slot(b, x.X), Label: x.X.SQL(), Attrs: provenance(x.X)}
 		register(reg, pref)
 		return pref, nil
 
@@ -74,7 +99,7 @@ func Compile(p ast.Pref, b Binder, reg *Registry) (Preference, error) {
 		if err != nil {
 			return nil, err
 		}
-		pref := &Highest{Get: get, Label: x.X.SQL(), Attrs: provenance(x.X)}
+		pref := &Highest{Get: get, Slot: slot(b, x.X), Label: x.X.SQL(), Attrs: provenance(x.X)}
 		register(reg, pref)
 		return pref, nil
 
@@ -87,7 +112,7 @@ func Compile(p ast.Pref, b Binder, reg *Registry) (Preference, error) {
 		if err != nil {
 			return nil, err
 		}
-		pref := &Pos{Get: get, Set: NewSet(vals), Label: x.X.SQL(), Vals: vals, Attrs: provenance(x.X)}
+		pref := &Pos{Get: get, Set: NewSet(vals), Slot: slot(b, x.X), Label: x.X.SQL(), Vals: vals, Attrs: provenance(x.X)}
 		register(reg, pref)
 		return pref, nil
 
@@ -100,7 +125,7 @@ func Compile(p ast.Pref, b Binder, reg *Registry) (Preference, error) {
 		if err != nil {
 			return nil, err
 		}
-		pref := &Neg{Get: get, Set: NewSet(vals), Label: x.X.SQL(), Vals: vals, Attrs: provenance(x.X)}
+		pref := &Neg{Get: get, Set: NewSet(vals), Slot: slot(b, x.X), Label: x.X.SQL(), Vals: vals, Attrs: provenance(x.X)}
 		register(reg, pref)
 		return pref, nil
 
@@ -127,6 +152,9 @@ func Compile(p ast.Pref, b Binder, reg *Registry) (Preference, error) {
 			return nil, err
 		}
 		pref := &Bool{Cond: cond, Label: x.Cond.SQL(), Attrs: provenance(x.Cond)}
+		if c, ok := b.Comparison(x.Cond); ok {
+			pref.Cmp = &c
+		}
 		register(reg, pref)
 		return pref, nil
 
@@ -159,13 +187,19 @@ func Compile(p ast.Pref, b Binder, reg *Registry) (Preference, error) {
 		return compileElse(x, b, reg)
 
 	case *ast.PrefPareto:
-		parts := make([]Preference, len(x.Parts))
-		for i, q := range x.Parts {
+		// Pareto accumulation is associative: a parenthesized or named
+		// group's components join this accumulation's.
+		var parts []Preference
+		for _, q := range x.Parts {
 			c, err := Compile(q, b, reg)
 			if err != nil {
 				return nil, err
 			}
-			parts[i] = c
+			if p, ok := c.(*Pareto); ok {
+				parts = append(parts, p.Parts...)
+			} else {
+				parts = append(parts, c)
+			}
 		}
 		return &Pareto{Parts: parts}, nil
 
@@ -369,6 +403,37 @@ func (cb *ColBinder) Cond(e ast.Expr) (func(value.Row) (bool, error), error) {
 	}
 	prog := expr.Compile(&ast.Binary{Op: bin.Op, L: lhs, R: &ast.Literal{Val: rhs}}, scope)
 	return func(r value.Row) (bool, error) { return prog.EvalBool(nil, r) }, nil
+}
+
+// Column implements Binder: the one column of the layout named like e.
+func (cb *ColBinder) Column(e ast.Expr) (int, bool) {
+	c, ok := e.(*ast.Column)
+	if !ok {
+		return 0, false
+	}
+	col, n := -1, 0
+	for i, name := range cb.Cols {
+		if strings.EqualFold(name, c.Name) {
+			col, n = i, n+1
+		}
+	}
+	return col, n == 1
+}
+
+// Comparison implements Binder for the conditions Cond accepts whose
+// left operand is a column.
+func (cb *ColBinder) Comparison(e ast.Expr) (Comparison, bool) {
+	bin, ok := e.(*ast.Binary)
+	if !ok {
+		return Comparison{}, false
+	}
+	accept, ok := expr.Comparison(bin.Op)
+	col, isCol := cb.Column(bin.L)
+	bound, isLit := bin.R.(*ast.Literal)
+	if !ok || !isCol || !isLit {
+		return Comparison{}, false
+	}
+	return Comparison{Col: col, Accept: accept, Bound: expr.Compile(bound, expr.Scope{})}, true
 }
 
 // Const implements Binder for literal expressions.

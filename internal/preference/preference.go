@@ -227,6 +227,20 @@ func scoreOrInf(v value.Value) (float64, bool) {
 // Base preference types (§2.2.1)
 // ---------------------------------------------------------------------------
 
+// Slot records the column a base preference's operand is, in the
+// relation the preference was compiled against, when the operand is a
+// bare column reference that resolves there uniquely: a vectorized BMO
+// then reads the preference's scores from that column's vector. The
+// zero Slot names no column — a computed operand, or a preference
+// constructed directly.
+type Slot struct{ col int } // the column + 1
+
+// ColumnSlot returns the Slot naming column col.
+func ColumnSlot(col int) Slot { return Slot{col + 1} }
+
+// Column returns the column s names; ok=false when it names none.
+func (s Slot) Column() (col int, ok bool) { return s.col - 1, s.col > 0 }
+
 // Around prefers values close to Target ("duration AROUND 14").
 type Around struct {
 	Get    Getter
@@ -236,6 +250,8 @@ type Around struct {
 	// the preference reads (see Attributed). Empty for direct
 	// constructions, where Label stands in as the single attribute.
 	Attrs []string
+	// Slot is the operand's column, when it is a bare one (see Slot).
+	Slot
 }
 
 // Score is |v - target|, and 0 when v equals the target: the same
@@ -292,6 +308,8 @@ type Between struct {
 	// the preference reads (see Attributed). Empty for direct
 	// constructions, where Label stands in as the single attribute.
 	Attrs []string
+	// Slot is the operand's column, when it is a bare one (see Slot).
+	Slot
 }
 
 // Score is 0 inside the interval, distance to the nearest bound outside.
@@ -345,6 +363,8 @@ type Lowest struct {
 	// the preference reads (see Attributed). Empty for direct
 	// constructions, where Label stands in as the single attribute.
 	Attrs []string
+	// Slot is the operand's column, when it is a bare one (see Slot).
+	Slot
 }
 
 // Score is the value itself.
@@ -389,6 +409,8 @@ type Highest struct {
 	// the preference reads (see Attributed). Empty for direct
 	// constructions, where Label stands in as the single attribute.
 	Attrs []string
+	// Slot is the operand's column, when it is a bare one (see Slot).
+	Slot
 }
 
 // Score is the negated value.
@@ -435,6 +457,8 @@ type Pos struct {
 	// constructions, where Label stands in as the single attribute.
 	Attrs []string
 	Vals  []value.Value // original values, for diagnostics and rewriting
+	// Slot is the operand's column, when it is a bare one (see Slot).
+	Slot
 }
 
 // NewSet builds the lookup set for POS/NEG preferences.
@@ -489,6 +513,8 @@ type Neg struct {
 	// constructions, where Label stands in as the single attribute.
 	Attrs []string
 	Vals  []value.Value
+	// Slot is the operand's column, when it is a bare one (see Slot).
+	Slot
 }
 
 // Score is 1 for disliked values, 0 otherwise.
@@ -533,6 +559,9 @@ type Bool struct {
 	// the preference reads (see Attributed). Empty for direct
 	// constructions, where Label stands in as the single attribute.
 	Attrs []string
+	// Cmp is the condition as `col op bound`, when it has that shape;
+	// nil otherwise, and for direct constructions.
+	Cmp *Comparison
 }
 
 // Score is 0 when the condition holds, 1 otherwise.
