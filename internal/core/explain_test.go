@@ -92,22 +92,24 @@ func TestExplainGolden(t *testing.T) {
 				"      SeqScan big\n",
 		},
 		{
-			// An opaque computed score expression cannot map onto column
-			// vectors, so the planner refuses vectorization.
+			// A computed operand over two columns has no kernel: the
+			// vectorized BMO scores it row by row at the selected
+			// positions and fills LOWEST(d2) from its vector.
 			name: "vec-refused-opaque-expression",
 			sql:  `SELECT id FROM big PREFERRING LOWEST(d1 + d2) AND LOWEST(d2)`,
 			want: "QualityProject id\n" +
-				"  BMO progressive auto [(LOWEST((d1 + d2)) AND LOWEST(d2))]\n" +
+				"  BMO vec est=30000 columnar [(LOWEST((d1 + d2)) AND LOWEST(d2))]\n" +
 				"    Project *\n" +
 				"      SeqScan big\n",
 		},
 		{
-			// Subquery preferences stay row-at-a-time (and single-worker,
-			// like the parallel path).
+			// A subquery operand is scored row by row at the selected
+			// positions, on the operator's goroutine; the preference
+			// keeps its single worker.
 			name: "vec-refused-subquery-preference",
 			sql:  `SELECT id FROM big PREFERRING LOWEST(d1) AND LOWEST((SELECT MIN(e1) FROM dim) + d2)`,
 			want: "QualityProject id\n" +
-				"  BMO progressive auto workers=1 [(LOWEST(d1) AND LOWEST(((SELECT MIN(e1) FROM dim) + d2)))]\n" +
+				"  BMO vec est=30000 columnar workers=1 [(LOWEST(d1) AND LOWEST(((SELECT MIN(e1) FROM dim) + d2)))]\n" +
 				"    Project *\n" +
 				"      SeqScan big\n",
 		},
