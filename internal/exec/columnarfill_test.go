@@ -97,8 +97,10 @@ func pick(r *rand.Rand, xs ...string) string { return xs[r.Intn(len(xs))] }
 // and then quality functions in the SELECT list or BUT ONLY, and in a
 // third of the statements one or two further CASCADE stages. One term
 // of the first stage always ranks a wide column, so the skyline — and
-// the reference's window — stays small. The cascade's draws come last,
-// so a statement without one is the one its seed always drew.
+// the reference's window — stays small. The cascade's draws come after
+// the first stage's, and the last draws add a term over two columns and
+// put a parenthesized group into the first stage, so a statement
+// without them is the one its seed always drew.
 func genFillQuery(r *rand.Rand) string {
 	var where []string
 	switch r.Intn(6) {
@@ -125,6 +127,9 @@ func genFillQuery(r *rand.Rand) string {
 		"a IN (1, TRUE, 2.0, '3')", "f IN (0, 0.5)", "f NOT IN (-1.5)", "k IN (3, '3')", "a <= 10",
 		"f > 0", "REGULAR(5 > a)", "REGULAR(b = TRUE)", "REGULAR(s = 'a')", "f >= '1'",
 		"REGULAR(f = 0)", "a <= NULL", "LENGTH(s) = 1"}
+	// Terms over two columns, narrow so they cannot widen the skyline.
+	multi := []string{"REGULAR(a < f)", "REGULAR(f >= a + k)", "LENGTH(s) + k <= 4", "HIGHEST(k - LENGTH(s))",
+		"CASE WHEN b THEN k ELSE 0 END IN (3, 7)", "LOWEST(ABS(k - a) / 1000)"}
 	c := r.Intn(2)
 	terms := []string{pick(r, wide[c][:4]...)}
 	label := []string{"a", "f"}[c]
@@ -148,7 +153,7 @@ func genFillQuery(r *rand.Rand) string {
 			tail = fmt.Sprintf(" BUT ONLY DISTANCE(%s) <= %d", label, r.Intn(40))
 		}
 	}
-	pref := strings.Join(terms, " AND ")
+	cascade := ""
 	if r.Intn(3) == 0 {
 		// Later stages rank the survivors of the earlier ones, so any
 		// term may rank them, a wide one over either column too. A bare
@@ -161,12 +166,23 @@ func genFillQuery(r *rand.Rand) string {
 				stage = append(stage, pick(r, narrow...))
 			}
 			r.Shuffle(len(stage), func(i, j int) { stage[i], stage[j] = stage[j], stage[i] })
-			pref += " CASCADE " + strings.Join(stage, " AND ")
+			cascade += " CASCADE " + strings.Join(stage, " AND ")
 			if list == "id" && tail == "" && slices.Contains(wide[c][:4], stage[0]) && r.Intn(2) == 0 {
 				list = fmt.Sprintf("id, DISTANCE(%s)", []string{"a", "f"}[c])
 			}
 		}
 	}
+	if r.Intn(3) == 0 {
+		terms = slices.Insert(terms, r.Intn(len(terms)+1), pick(r, multi...))
+	}
+	if len(terms) > 1 && r.Intn(3) == 0 {
+		// A parenthesized group compiles into the accumulation around it.
+		i := r.Intn(len(terms) - 1)
+		j := i + 2 + r.Intn(len(terms)-i-1)
+		group := "(" + strings.Join(terms[i:j], " AND ") + ")"
+		terms = slices.Replace(terms, i, j, group)
+	}
+	pref := strings.Join(terms, " AND ") + cascade
 	q := "SELECT " + list + " FROM t"
 	if len(where) > 0 {
 		q += " WHERE " + strings.Join(where, " AND ")
