@@ -1,5 +1,5 @@
 // Benchmarks regenerating the paper's evaluation, one bench per table and
-// figure (see DESIGN.md's experiment index):
+// figure (the experiments are listed in package internal/bench):
 //
 //	BenchmarkE1JobSearch          — §3.3 table (strategies × pre-selection sizes)
 //	BenchmarkE2Oldtimer           — §2.2.3 answer-explanation query

@@ -1,6 +1,5 @@
 // Command prefbench regenerates the paper's evaluation tables and figures
-// (see DESIGN.md's experiment index and EXPERIMENTS.md for the recorded
-// outcomes).
+// (the experiments are listed in package internal/bench).
 //
 // Usage:
 //

@@ -1,7 +1,6 @@
 // Package bench is the experiment harness: it regenerates every table and
-// figure of the paper's evaluation (see DESIGN.md's experiment index) as
-// printable text tables, with structured results for assertions and
-// testing.B integration.
+// figure of the paper's evaluation as printable text tables, with
+// structured results for assertions and testing.B integration.
 //
 // Experiments:
 //
