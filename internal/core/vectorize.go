@@ -33,15 +33,12 @@ import (
 //     scores only the selected rows. A small selection does not repay
 //     the build.
 //
-// The step decides nothing per component. Which components a kernel
-// fills was decided when the preference was compiled: a base preference
-// over a bare column records it (preference.Slot), a condition
-// `col op bound` its comparison (preference.Comparison). The executor
-// checks the column's kind against the scanned table and scores every
-// other component — a computed operand such as LOWEST(d1 + d2), a
-// subquery, an ELSE chain — row by row at the selected positions. A
-// preference with a subquery runs on one worker (Session.bmoWorkers),
-// and the fill calls its getters on the operator's goroutine.
+// The step decides nothing per component: the compiled preference
+// records the column a kernel reads (preference.Slot,
+// preference.Comparison), the executor checks its kind against the
+// scanned table, and every other component — LOWEST(d1 + d2), a
+// subquery operand (on one worker, see Session.bmoWorkers) — is scored
+// row by row at the selected positions.
 
 // vectorize applies the planning step to root in place; node is the
 // plan maybePush returned.

@@ -174,21 +174,22 @@ func (b *BMOOp) fillKernel(in *bmo.VecInput, sel []int32, j int, s preference.Sc
 		return false, nil
 	}
 	col, ok := slotted.Column()
-	if !ok {
+	_, pos := s.(*preference.Pos)
+	_, neg := s.(*preference.Neg)
+	if !ok || !pos && !neg && !b.numeric(col) {
+		return false, nil
+	}
+	cv := b.heap.Vector(col)
+	if cv == nil {
 		return false, nil
 	}
 	switch p := s.(type) {
 	case *preference.Pos:
-		cv := b.heap.Vector(col)
-		return cv != nil && fillMember(in, sel, j, cv, p.Vals, 0, 1), nil
+		return fillMember(in, sel, j, cv, p.Vals, 0, 1), nil
 	case *preference.Neg:
-		cv := b.heap.Vector(col)
-		return cv != nil && fillMember(in, sel, j, cv, p.Vals, 1, 0), nil
+		return fillMember(in, sel, j, cv, p.Vals, 1, 0), nil
 	}
-	if !b.numeric(col) {
-		return false, nil
-	}
-	return b.fillDistance(in, sel, j, b.heap.Vector(col), s)
+	return b.fillDistance(in, sel, j, cv, s)
 }
 
 // numeric reports whether column col of the scanned table has numeric
@@ -200,7 +201,7 @@ func (b *BMOOp) numeric(col int) bool {
 // fillDistance is the kernel of LOWEST, HIGHEST, AROUND and BETWEEN over
 // a numeric vector: NULL scores +Inf, and a NaN fails as on the row path.
 func (b *BMOOp) fillDistance(in *bmo.VecInput, sel []int32, j int, cv *storage.ColVec, s preference.Scored) (bool, error) {
-	if cv == nil || cv.Nums == nil {
+	if cv.Nums == nil {
 		return false, nil
 	}
 	d, flat, nums, inf := in.Dim, in.Flat, cv.Nums, math.Inf(1)
@@ -275,13 +276,28 @@ func fillMember(m *bmo.VecInput, sel []int32, j int, cv *storage.ColVec, vals []
 	return true
 }
 
-// fillCompare is the kernel of a Bool component `col op bound`: 0
-// where the comparison holds, 1 where it is false or UNKNOWN (NULL).
+// fillCompare is the kernel of a Bool component `col op bound`, with the
+// scan filters' semantics: 0 where the comparison holds, 1 where it is
+// false or UNKNOWN (NULL). It reports false when the column is not
+// numeric or the bound does not evaluate to a number (those stay on the
+// row path); the column's vector is fetched only for a numeric bound.
 func (b *BMOOp) fillCompare(in *bmo.VecInput, sel []int32, j int, c *preference.Comparison) bool {
-	t, ok := b.compareTest(c)
-	if !ok {
+	if !b.numeric(c.Col) {
 		return false
 	}
+	var rt *expr.Runtime
+	if b.env != nil {
+		rt = b.env.Rt
+	}
+	bound, err := c.Bound.Eval(rt, nil)
+	if err != nil || bound.IsNull() || bound.K == value.Text {
+		return false
+	}
+	cv := b.heap.Vector(c.Col)
+	if cv == nil || cv.Nums == nil {
+		return false
+	}
+	t := vecTest{vec: cv, bound: bound.Num(), accept: c.Accept}
 	d, flat := in.Dim, in.Flat
 	for i, q := range sel {
 		v := 1.0
@@ -291,29 +307,6 @@ func (b *BMOOp) fillCompare(in *bmo.VecInput, sel []int32, j int, c *preference.
 		flat[i*d+j] = v
 	}
 	return true
-}
-
-// compareTest returns the comparison c as a vector test, with the scan
-// filters' semantics; ok=false when its column is not numeric or its
-// bound does not evaluate to a number (those stay on the row path). The
-// column's vector is fetched only for a numeric bound.
-func (b *BMOOp) compareTest(c *preference.Comparison) (vecTest, bool) {
-	if !b.numeric(c.Col) {
-		return vecTest{}, false
-	}
-	var rt *expr.Runtime
-	if b.env != nil {
-		rt = b.env.Rt
-	}
-	bound, err := c.Bound.Eval(rt, nil)
-	if err != nil || bound.IsNull() || bound.K == value.Text {
-		return vecTest{}, false
-	}
-	cv := b.heap.Vector(c.Col)
-	if cv == nil || cv.Nums == nil {
-		return vecTest{}, false
-	}
-	return vecTest{vec: cv, bound: bound.Num(), accept: c.Accept}, true
 }
 
 // memberSet is the set-membership test of POS/NEG over a column vector,

@@ -250,7 +250,6 @@ type Around struct {
 	// the preference reads (see Attributed). Empty for direct
 	// constructions, where Label stands in as the single attribute.
 	Attrs []string
-	// Slot is the operand's column, when it is a bare one (see Slot).
 	Slot
 }
 
@@ -308,7 +307,6 @@ type Between struct {
 	// the preference reads (see Attributed). Empty for direct
 	// constructions, where Label stands in as the single attribute.
 	Attrs []string
-	// Slot is the operand's column, when it is a bare one (see Slot).
 	Slot
 }
 
@@ -363,7 +361,6 @@ type Lowest struct {
 	// the preference reads (see Attributed). Empty for direct
 	// constructions, where Label stands in as the single attribute.
 	Attrs []string
-	// Slot is the operand's column, when it is a bare one (see Slot).
 	Slot
 }
 
@@ -409,7 +406,6 @@ type Highest struct {
 	// the preference reads (see Attributed). Empty for direct
 	// constructions, where Label stands in as the single attribute.
 	Attrs []string
-	// Slot is the operand's column, when it is a bare one (see Slot).
 	Slot
 }
 
@@ -457,7 +453,6 @@ type Pos struct {
 	// constructions, where Label stands in as the single attribute.
 	Attrs []string
 	Vals  []value.Value // original values, for diagnostics and rewriting
-	// Slot is the operand's column, when it is a bare one (see Slot).
 	Slot
 }
 
@@ -513,7 +508,6 @@ type Neg struct {
 	// constructions, where Label stands in as the single attribute.
 	Attrs []string
 	Vals  []value.Value
-	// Slot is the operand's column, when it is a bare one (see Slot).
 	Slot
 }
 
