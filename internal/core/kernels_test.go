@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -22,7 +23,8 @@ import (
 // columns its kernels read: the test bumps the heap version, runs the
 // statement, and then asks for every column's vector — the ones that
 // need no build were built by the statement. The choice comes from the
-// preference and the column kinds alone, never from the machine.
+// preference and the column kinds alone, never from the machine, and
+// the answer is the row path's, in the same order.
 func TestKernelAssignment(t *testing.T) {
 	builds := metrics.Default.Counter("prefsql_columnar_rebuilds_total", "")
 	db := Open()
@@ -175,10 +177,20 @@ func TestKernelAssignment(t *testing.T) {
 				t.Fatalf("not vectorized:\n%s", plan)
 			}
 			before := builds.Value()
-			if _, err := s.QueryContext(context.Background(), q, c.args...); err != nil {
+			res, err := s.QueryContext(context.Background(), q, c.args...)
+			if err != nil {
 				t.Fatal(err)
 			}
 			built := builds.Value() - before
+			rowPath := db.NewSession()
+			rowPath.SetAlgorithm(bmo.Parallel)
+			ref, err := rowPath.QueryContext(context.Background(), q, c.args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := fmt.Sprint(res.Rows), fmt.Sprint(ref.Rows); g != w {
+				t.Errorf("vectorized %.200s, row path %.200s", g, w)
+			}
 			h := tbl.Heap()
 			var cached []string
 			for col, sc := range tbl.Schema.Cols {
