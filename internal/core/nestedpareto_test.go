@@ -14,9 +14,8 @@ import (
 // parenthesized or named Pareto group compiles into the components of
 // the accumulation around it. Each spelling then gets its flat form's
 // plan — vectorized over a large table — and gives its rows in the same
-// order, batch and progressive alike. A nested Pareto is not
-// score-based, so before it compiled flat these statements ran BNL and
-// QueryProgressive refused them.
+// order, batch and progressive alike. A nested Pareto would not be
+// score-based: it would run BNL, and QueryProgressive would refuse it.
 func TestNestedParetoPlansFlat(t *testing.T) {
 	db := Open()
 	rows := datagen.Skyline(bmo.AutoParallelThreshold, 3, datagen.Independent, 7)
