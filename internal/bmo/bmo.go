@@ -2,30 +2,28 @@
 // a preference (strict partial order) and a set of candidate tuples, it
 // returns all maximal (non-dominated) tuples.
 //
-// Every preference falls into one of two families, each with one kernel:
-//
-//   - The score family (ScoreBased: a weak order, or a Pareto accumulation
-//     of weak orders) is decided on score vectors alone. Rows are scored
-//     once, presorted by the monotone key (sum, vector, input index) and
-//     filtered through one window that admits a candidate unless a member
-//     dominates it (see vectorized.go): sequentially block by block with
-//     zone-map pruning, over block-aligned partitions merged k-way when
-//     more than one worker is available, lazily as a Stream, and as the
-//     coordinator's merge of shard streams (GatherMerge). A single weak
-//     order keeps its O(n) minimum pass, which yields the same rows in
-//     the same order.
-//   - The Compare family (EXPLICIT, ELSE and nested non-score terms) runs
-//     BlockNestedLoop — the BNL algorithm of [BKS01] over
-//     Preference.Compare — per partition, with pairwise merges of the
-//     partials when more than one worker is available (parallel.go).
+// Every preference has a presort key (preference.Key): a float vector,
+// ordered lexicographically, that is strictly smaller for a Better
+// tuple and identical for an Equal one. One kernel serves every
+// preference (see vectorized.go): rows are keyed once, presorted by
+// (head, key, input index) and filtered through one window that admits
+// a candidate unless a member dominates it — sequentially block by
+// block, over block-aligned partitions merged k-way when more than one
+// worker is available, lazily as a Stream, and as the coordinator's
+// merge of shard streams (GatherMerge). For an exact key (weak orders,
+// chain EXPLICITs and Pareto accumulations of them) the window's test
+// is dominance on the keys, with zone-map pruning; for an inexact one
+// (a non-chain EXPLICIT, a CASCADE nested in a Pareto) it is
+// Preference.Compare on the rows. A single exact key element, a weak
+// order, keeps its O(n) minimum pass, which yields the same rows in the
+// same order.
 //
 // The algorithm tokens select among these: NestedLoop is the paper's
 // abstract §3.2 selection method and BlockNestedLoop plain BNL, both over
-// Compare for every preference (the references the tests compare
-// against); Auto and Parallel run the family's kernel. Auto uses more
-// than one worker from AutoParallelThreshold rows on; Parallel always
-// does. Both stream (Stream): Auto's stream serves the score family
-// only, Parallel's (NewParallelStream) the Compare family too.
+// Compare (the references the tests compare against); Auto and Parallel
+// run the key kernel. Auto uses more than one worker from
+// AutoParallelThreshold rows on; Parallel always does. Both stream
+// (Stream); Parallel's stream (NewParallelStream) partitions up front.
 //
 // CASCADE evaluates stage-wise, per the paper's "applying preferences one
 // after the other": BMO(P1 CASCADE P2, R) = BMO(P2, BMO(P1, R)). Stages
@@ -34,12 +32,11 @@
 // a stream's prestages, the coordinator's merge and the exec layer's
 // columnar stages. It stops once at most one candidate is left, so a
 // statement's rows and errors do not depend on its form. Stage k's input
-// is stage k-1's output in key order, indexed 0..m-1. A CASCADE of
-// score-family stages (ScoreStages) also runs on matrices: the exec
-// layer fills stage k's matrix at stage k-1's winners in that same order
-// and runs EvaluateVecInput on it, which gives the same (sum, vector,
-// index) keys and so the same rows in the same order. That holds for a
-// single-component stage too, where the kernel's key order and
+// is stage k-1's output in key order, indexed 0..m-1. The exec layer
+// fills stage k's key matrix at stage k-1's winners in that same order
+// and runs EvaluateVecInput on it, which gives the same (head, key,
+// index) order and so the same rows in the same order. That holds for a
+// single-element stage too, where the kernel's key order and
 // bestLevel's input order coincide on the tied minimum.
 package bmo
 
@@ -81,7 +78,7 @@ func (a Algorithm) String() string {
 // Stats reports work done by an evaluation.
 type Stats struct {
 	Comparisons int // preference comparisons performed
-	MaxWindow   int // peak window size (BNL or score window)
+	MaxWindow   int // peak window size (BNL or key window)
 	Stages      int // stages evaluated; a preference that is no CASCADE is one
 }
 
@@ -158,18 +155,16 @@ func evaluateStage(p preference.Preference, rows []value.Row, algo Algorithm, st
 			cfg.Workers = 1
 		}
 	}
-	if scorers, ok := ScoreBased(p); ok {
-		if len(scorers) == 1 {
-			return bestLevel(scorers[0], rows, st)
-		}
-		in, err := BuildVecInput(scorers, rows)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := scoreSkyline(&in, st, &VecStats{}, cfg)
-		return rowsAt(&in, idx), err
+	key := preference.KeyOf(p)
+	if key.Exact && len(key.Comps) == 1 {
+		return bestLevel(key.Comps[0], rows, st)
 	}
-	return compareSkyline(p, rows, st, cfg)
+	in, err := BuildVecInput(key, rows)
+	if err != nil {
+		return nil, err
+	}
+	idx, err := keySkyline(&in, st, &VecStats{}, cfg)
+	return rowsAt(&in, idx), err
 }
 
 // nestedLoop is the paper's §3.2 abstract selection method.
@@ -239,7 +234,7 @@ func blockNestedLoop(p preference.Preference, rows []value.Row, st *Stats, cfg C
 }
 
 // bestLevel returns all rows with the minimum score in one pass.
-func bestLevel(s preference.Scored, rows []value.Row, st *Stats) ([]value.Row, error) {
+func bestLevel(s preference.Scorer, rows []value.Row, st *Stats) ([]value.Row, error) {
 	best := math.Inf(1)
 	var out []value.Row
 	for _, r := range rows {

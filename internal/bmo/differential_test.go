@@ -217,17 +217,15 @@ func multiset(rows []value.Row) string {
 type diffAlgorithm struct {
 	name string
 	run  func(p preference.Preference, rows []value.Row) ([]value.Row, error)
-	// applicable filters preferences the algorithm cannot take (the
-	// score matrix exists only for the score family).
+	// applicable filters preferences the algorithm cannot take.
 	applicable func(p preference.Preference) bool
 }
 
 func always(preference.Preference) bool { return true }
 
-func scoreFamily(p preference.Preference) bool {
-	_, ok := bmo.ScoreBased(p)
-	return ok
-}
+// oneStage holds for a preference that is no CASCADE: a matrix holds
+// one stage's keys.
+func oneStage(p preference.Preference) bool { return len(bmo.Stages(p)) == 1 }
 
 func batch(algo bmo.Algorithm, workers int) func(preference.Preference, []value.Row) ([]value.Row, error) {
 	return func(p preference.Preference, rows []value.Row) ([]value.Row, error) {
@@ -236,12 +234,11 @@ func batch(algo bmo.Algorithm, workers int) func(preference.Preference, []value.
 	}
 }
 
-// vecInput is the exec layer's entry into the block kernel: score the
+// vecInput is the exec layer's entry into the block kernel: key the
 // rows into a matrix, then evaluate it.
 func vecInput(workers int) func(preference.Preference, []value.Row) ([]value.Row, error) {
 	return func(p preference.Preference, rows []value.Row) ([]value.Row, error) {
-		scorers, _ := bmo.ScoreBased(p)
-		in, err := bmo.BuildVecInput(scorers, rows)
+		in, err := bmo.BuildVecInput(preference.KeyOf(p), rows)
 		if err != nil {
 			return nil, err
 		}
@@ -283,8 +280,8 @@ var diffAlgorithms = []diffAlgorithm{
 	{name: "parallel-w4", run: batch(bmo.Parallel, 4), applicable: always},
 	{name: "parallel-w7", run: batch(bmo.Parallel, 7), applicable: always},
 	{name: "parallel-stream-w3", run: parallelStream(3), applicable: always},
-	{name: "vec-input", run: vecInput(0), applicable: scoreFamily},
-	{name: "vec-input-w3", run: vecInput(3), applicable: scoreFamily},
+	{name: "vec-input", run: vecInput(0), applicable: oneStage},
+	{name: "vec-input-w3", run: vecInput(3), applicable: oneStage},
 }
 
 // shrink greedily removes rows while the two algorithms still disagree,

@@ -15,17 +15,15 @@ import (
 //
 // Two merge modes:
 //
-//   - Progressive (score-based preference, no residual cascade stages):
-//     every score-family evaluation emits its skyline in the kernel's key
-//     order, so each shard stream arrives (sum, vector)-sorted. The score
-//     kernel's k-way merge (see vectorized.go) runs over the shard
-//     streams, scoring rows as they arrive, and admits each candidate
-//     through its window. First rows flow as soon as every shard has
+//   - Progressive (no residual cascade stages): every evaluation emits
+//     its skyline in the kernel's key order, so each shard stream
+//     arrives key-sorted. The kernel's k-way merge (see vectorized.go)
+//     runs over the shard streams, keying rows as they arrive, and
+//     admits each candidate through its window. First rows flow as soon as every shard has
 //     produced one row — not after the slowest shard finishes. A shard
 //     stream that regresses in key order fails the merge loudly.
 //
-//   - Batch (any other preference shape, residual cascade stages, or no
-//     preference at all): drain every shard, then run the stages of the
+//   - Batch (residual cascade stages, or no preference at all): drain every shard, then run the stages of the
 //     preference and of the residual over the concatenated partials
 //     through ReduceStages, which stops once at most one row is left.
 //     Plain concatenation when there is no preference to merge under.
@@ -50,14 +48,14 @@ type GatherMerge struct {
 	cfg     Config
 	st      Stats
 
-	// Progressive state: the merge, the matrix arriving rows are scored
+	// Progressive state: the merge, the matrix arriving rows are keyed
 	// into, and each shard's previous row (-1 before its first).
-	mg      *merger
-	scorers []preference.Scored
-	in      VecInput
-	last    []int32
+	mg   *merger
+	key  preference.Key
+	in   VecInput
+	last []int32
 
-	// Batch state: the result once loaded, emitted as one partition.
+	// Batch state: the result once loaded.
 	batch *Stream
 }
 
@@ -66,20 +64,18 @@ type GatherMerge struct {
 // the query's cascade was split); nil means no preference — the shards
 // ran a plain SELECT and the merge is a concatenation. post carries the
 // residual cascade stages to apply after the merge, nil when the whole
-// preference was pushed. The merge is progressive exactly when pref is
-// score-based and there is no residual: then shard streams arrive
-// key-sorted and rows are emitted as soon as they are known maximal.
+// preference was pushed. The merge is progressive exactly when there is
+// a preference and no residual: then shard streams arrive key-sorted
+// and rows are emitted as soon as they are known maximal.
 func NewGatherMerge(pref, post preference.Preference, sources []RowSource, cfg Config) *GatherMerge {
 	g := &GatherMerge{pref: pref, post: post, sources: sources, cfg: cfg}
 	if pref == nil || post != nil {
 		return g
 	}
-	if scorers, ok := ScoreBased(pref); ok {
-		g.scorers = scorers
-		g.in.Dim = len(scorers)
-		g.last = slices.Repeat([]int32{-1}, len(sources))
-		g.mg = newMerger(&g.in, len(sources), g.pull, &g.st, cfg)
-	}
+	g.key = preference.KeyOf(pref)
+	g.in = NewVecInput(g.key)
+	g.last = slices.Repeat([]int32{-1}, len(sources))
+	g.mg = newMerger(&g.in, len(sources), g.pull, &g.st, cfg)
 	return g
 }
 
@@ -111,7 +107,7 @@ func (g *GatherMerge) Next() (value.Row, bool, error) {
 	}
 	if g.batch == nil {
 		rows, err := g.loadBatch()
-		g.batch = &Stream{parts: [][]value.Row{rows}}
+		g.batch = &Stream{rest: rows}
 		if err != nil {
 			return nil, false, err
 		}
@@ -119,7 +115,7 @@ func (g *GatherMerge) Next() (value.Row, bool, error) {
 	return g.batch.Next()
 }
 
-// pull reads shard i's next row and scores it into the matrix. A shard
+// pull reads shard i's next row and keys it into the matrix. A shard
 // emitting rows out of key order would silently break the merge's
 // admission invariant, so regression is reported loudly.
 func (g *GatherMerge) pull(i int) (int32, bool, error) {
@@ -127,7 +123,7 @@ func (g *GatherMerge) pull(i int) (int32, bool, error) {
 	if err != nil || !ok {
 		return 0, false, err
 	}
-	if err := g.in.score(g.scorers, row); err != nil {
+	if err := g.in.score(g.key.Comps, row); err != nil {
 		return 0, false, err
 	}
 	g.in.Rows = append(g.in.Rows, row)

@@ -193,8 +193,8 @@ func TestParallelStreamMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestParallelStreamExplicit: the parallel stream serves preferences the
-// score-based Stream rejects.
+// TestParallelStreamExplicit: both streams serve EXPLICIT, and their
+// sets are the batch set.
 func TestParallelStreamExplicit(t *testing.T) {
 	ex, err := preference.NewExplicit(colGetter(0), "c", [][2]value.Value{
 		{value.NewInt(0), value.NewInt(1)},
@@ -203,8 +203,16 @@ func TestParallelStreamExplicit(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := []value.Row{intRow(1, 0), intRow(0, 0), intRow(2, 0), intRow(0, 1)}
-	if _, err := NewStreamConfig(ex, rows, Config{Workers: 1}); err == nil {
-		t.Fatal("score-based stream should reject EXPLICIT")
+	want, err := Evaluate(ex, rows, NestedLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := NewStreamConfig(ex, rows, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := drain(seq); err != nil || !sameSet(got, want) {
+		t.Fatalf("stream %v (err %v) vs batch %v", got, err, want)
 	}
 	s, err := NewParallelStream(ex, rows, Config{Workers: 2})
 	if err != nil {
@@ -220,10 +228,6 @@ func TestParallelStreamExplicit(t *testing.T) {
 			break
 		}
 		got = append(got, row)
-	}
-	want, err := Evaluate(ex, rows, NestedLoop)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if !sameSet(got, want) {
 		t.Fatalf("stream %v vs batch %v", got, want)

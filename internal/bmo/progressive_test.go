@@ -105,13 +105,42 @@ func TestProgressiveCascade(t *testing.T) {
 	}
 }
 
-func TestProgressiveRejectsExplicit(t *testing.T) {
-	ex, _ := preference.NewExplicit(colGetter(0), "c", [][2]value.Value{
-		{value.NewText("a"), value.NewText("b")},
-	})
-	err := progressive(ex, []value.Row{{value.NewText("a")}}, func(value.Row) bool { return true })
-	if err == nil {
-		t.Fatal("explicit should be rejected")
+// TestProgressiveExplicit streams EXPLICIT, a chain and a non-chain
+// graph, alone and Pareto'd with a weak order: the stream's set is the
+// nested-loop reference's. No row holds 'a', so under the non-chain
+// graph 'b' is maximal though 'd' has a smaller level.
+func TestProgressiveExplicit(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	rows := make([]value.Row, 400)
+	for i := range rows {
+		rows[i] = value.Row{value.NewText(string(rune('b' + rng.Intn(4)))), value.NewInt(int64(rng.Intn(30)))}
+	}
+	text := func(s string) value.Value { return value.NewText(s) }
+	for _, edges := range [][][2]value.Value{
+		{{text("a"), text("b")}, {text("b"), text("c")}},
+		{{text("a"), text("b")}, {text("b"), text("c")}, {text("d"), text("c")}},
+	} {
+		ex, err := preference.NewExplicit(colGetter(0), "c", edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []preference.Preference{ex, &preference.Pareto{Parts: []preference.Preference{
+			ex, &preference.Lowest{Get: colGetter(1), Label: "x"}}}} {
+			want, err := Evaluate(p, rows, NestedLoop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []value.Row
+			if err := progressive(p, rows, func(r value.Row) bool {
+				got = append(got, r)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !sameSet(got, want) {
+				t.Fatalf("%s (chain %v): stream %d rows, batch %d", p.Describe(), ex.Chain(), len(got), len(want))
+			}
+		}
 	}
 }
 

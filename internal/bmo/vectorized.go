@@ -9,45 +9,42 @@ import (
 	"repro/internal/value"
 )
 
-// This file is the score family's one kernel. A preference belongs to
-// the score family when ScoreBased holds — a weak order, or a Pareto
-// accumulation of weak orders — and then dominance is a property of
-// score vectors alone:
+// This file is the one BMO kernel. Every preference has a presort key
+// (preference.Key), and the kernel works on keys:
 //
-//   - one representation: every row is scored once into a flat float64
-//     matrix (VecInput) on the calling goroutine, the only phase that runs
-//     user-supplied getters, so everything downstream is pure float
-//     comparison and safe across goroutines;
-//   - one order: row indices sorted by the monotone key (sum, score
-//     vector lexicographically, input index) — sortVecOrder, a radix
-//     sort on a 32-bit image of the sum, with the comparator ordering
-//     each run of equal images (presort.go explains why the cut image
-//     is exact);
-//   - one dominance test: vdominates;
+//   - one representation: every row's key is computed once into a flat
+//     float64 matrix (VecInput) on the calling goroutine, the only phase
+//     that runs user-supplied getters;
+//   - one order: row indices sorted by (head, key elements
+//     lexicographically, input index) — sortVecOrder, a radix sort on a
+//     32-bit image of the head, with the comparator ordering each run of
+//     equal images (presort.go explains why the cut image is exact);
 //   - one admission loop: window, which admits a candidate unless one of
-//     its members dominates it.
+//     its members dominates it. For an exact key the test is vdominates
+//     on the keys, pure float comparison; for an inexact one it is the
+//     preference's Compare on the two rows, after vdominates on the keys
+//     where the key is monotone.
 //
 // The consumers compose these pieces. The sequential block kernel
 // (blockSkyline) feeds the sorted order to a window one VecBlockSize
-// block at a time and skips a block wholesale when the window dominates
-// its zone map. With more than one worker, scoreSkyline runs the block
-// kernel on contiguous block-aligned partitions concurrently and k-way
-// merges the partials through a fresh window (merger). A Stream drains a
-// merger lazily, over the single sorted order or, from
-// NewParallelStream, over partition partials; GatherMerge's progressive
-// mode drains one over shard streams.
+// block at a time and, for an exact key, skips a block wholesale when
+// the window dominates its zone map. With more than one worker,
+// keySkyline runs the block kernel on contiguous block-aligned
+// partitions concurrently and k-way merges the partials through a fresh
+// window (merger). A Stream drains a merger lazily, over the single
+// sorted order or, from NewParallelStream, over partition partials;
+// GatherMerge's progressive mode drains one over shard streams.
 //
-// Monotonicity: if a dominates b then a ≤ b componentwise with one
-// strict <, so sum(a) ≤ sum(b) — also with +Inf NULL scores, because
-// sums saturate at +Inf — and on equal sums a's vector is
-// lexicographically smaller. So a sorts strictly before b: no row is
-// dominated by a later one, every admitted row is final, the window only
-// grows, and a member whose sum exceeds the candidate's cannot dominate
-// it, which is where the window scan stops.
+// Presort: Better implies a strictly smaller key (see preference.Key),
+// so no row is dominated by a later one, every admitted row is final,
+// the window only grows, and a member whose head exceeds the
+// candidate's cannot dominate it, which is where the window scan stops.
+// For a key of scores alone the key is (sum, score vector) and sums
+// saturate at +Inf, so a NULL score keeps the sum monotone.
 //
-// Zone-map soundness: let c be the componentwise minimum of a block's
-// score vectors. If a member w dominates c then for every row r of the
-// block w ≤ c ≤ r componentwise, and the strict component j gives
+// Zone-map soundness (exact keys): let c be the componentwise minimum
+// of a block's keys. If a member w dominates c then for every row r of
+// the block w ≤ c ≤ r componentwise, and the strict component j gives
 // w[j] < c[j] ≤ r[j] — so w dominates every r. A member merely equal to
 // the corner does not prune (equality never dominates; substitutable
 // rows all survive).
@@ -58,7 +55,7 @@ import (
 // (transitivity), which has a strictly smaller key and was admitted
 // first, so the window decides exactly. Partitions are contiguous and
 // key ties go to the lower partition, so the merged output is the
-// sequential (sum, vector, index) order, byte for byte.
+// sequential (head, key, index) order, byte for byte.
 
 // VecBlockSize is the number of rows per block of the sequential block
 // kernel — the zone-map pruning granularity.
@@ -71,33 +68,75 @@ type VecStats struct {
 	BlocksPruned  int // blocks skipped wholesale via their zone map
 }
 
-// VecInput is a score matrix: Flat holds one Dim-wide score vector per
-// row (row-major), Sums the +Inf-saturated score sums (the primary sort
-// key). The exec layer fills it from column vectors at a scan's selected
-// positions and leaves Rows nil — the kernel works on row indices, and
-// only the winners' rows are fetched; BuildVecInput is the generic
-// row-at-a-time fill, which keeps the rows it scored.
+// VecInput is a key matrix: Flat holds one Dim-wide key vector per row
+// (row-major), Sums the heads (the primary sort key), the
+// +Inf-saturated sums of the elements Heads lists. The exec layer fills
+// it from column vectors at a scan's selected positions and leaves Rows
+// nil for an exact key — the kernel works on row indices, and only the
+// winners' rows are fetched; BuildVecInput is the generic row-at-a-time
+// fill, which keeps the rows it scored.
 type VecInput struct {
-	Rows []value.Row
-	Dim  int
-	Flat []float64
-	Sums []float64
+	Rows  []value.Row
+	Dim   int
+	Flat  []float64
+	Sums  []float64
+	Heads []int // nil: every element
+	// Cmp is nil for an exact key, whose window decides on vdominates
+	// alone. For an inexact key it is the preference a member must be
+	// Better under, compared on Rows, which then holds every row;
+	// Monotone lets vdominates on the keys rule a member out first.
+	Cmp      preference.Preference
+	Monotone bool
+}
+
+// NewVecInput returns an empty matrix of key's elements.
+func NewVecInput(key preference.Key) VecInput {
+	in := VecInput{Dim: len(key.Comps), Heads: key.Heads}
+	if !key.Exact {
+		in.Cmp, in.Monotone = key.Pref, key.Monotone
+	}
+	return in
 }
 
 // Len returns the number of rows in the matrix.
 func (in *VecInput) Len() int { return len(in.Sums) }
 
-// vec returns row i's score vector.
+// vec returns row i's key vector.
 func (in *VecInput) vec(i int32) []float64 {
 	o := int(i) * in.Dim
 	return in.Flat[o : o+in.Dim : o+in.Dim]
 }
 
-// score appends row r's score vector and its saturated sum; the caller
-// owns Rows.
-func (in *VecInput) score(scorers []preference.Scored, r value.Row) error {
+// head is the saturated sum of key vector v's head elements.
+func (in *VecInput) head(v []float64) float64 {
+	if in.Heads == nil {
+		return saturatedSum(v)
+	}
+	var buf [8]float64
+	h := buf[:0]
+	for _, j := range in.Heads {
+		h = append(h, v[j])
+	}
+	return saturatedSum(h)
+}
+
+// SumHeads computes Sums from a filled Flat.
+func (in *VecInput) SumHeads() {
+	n := len(in.Flat) / in.Dim
+	if in.Heads == nil {
+		in.Sums = SaturateSums(in.Flat, n, in.Dim)
+		return
+	}
+	in.Sums = make([]float64, n)
+	for i := range in.Sums {
+		in.Sums[i] = in.head(in.vec(int32(i)))
+	}
+}
+
+// score appends row r's key vector and its head; the caller owns Rows.
+func (in *VecInput) score(comps []preference.Scorer, r value.Row) error {
 	lo := len(in.Flat)
-	for _, s := range scorers {
+	for _, s := range comps {
 		v, err := s.Score(r)
 		if err != nil {
 			in.Flat = in.Flat[:lo]
@@ -105,13 +144,13 @@ func (in *VecInput) score(scorers []preference.Scored, r value.Row) error {
 		}
 		in.Flat = append(in.Flat, v)
 	}
-	in.Sums = append(in.Sums, saturatedSum(in.Flat[lo:]))
+	in.Sums = append(in.Sums, in.head(in.Flat[lo:]))
 	return nil
 }
 
-// order returns the comparator of the monotone key over in: sum, then
-// score vector lexicographically, then input index — a total order, and
-// the one every score-family path sorts and merges by. It returns ±2
+// order returns the comparator of the key over in: head, then key
+// vector lexicographically, then input index — a total order, and the
+// one every path sorts and merges by. It returns ±2
 // when the keys differ and ±1 when only the indices do, so a merge can
 // tell a key tie, which it breaks by source instead. Recomputing sums
 // here would be wrong as well as wasted work: an unsaturated +Inf + -Inf
@@ -138,44 +177,6 @@ func (in *VecInput) order() func(a, b int32) int {
 	}
 }
 
-// ScoreBased reports whether p belongs to the score family — a single
-// weak order, or a Pareto accumulation of weak orders — and returns its
-// component score functions. The planner and exec layers use it to
-// decide on the vectorized operator.
-func ScoreBased(p preference.Preference) ([]preference.Scored, bool) {
-	if s, ok := p.(preference.Scored); ok {
-		return []preference.Scored{s}, true
-	}
-	par, ok := p.(*preference.Pareto)
-	if !ok {
-		return nil, false
-	}
-	out := make([]preference.Scored, len(par.Parts))
-	for i, part := range par.Parts {
-		s, ok := part.(preference.Scored)
-		if !ok {
-			return nil, false
-		}
-		out[i] = s
-	}
-	return out, true
-}
-
-// ScoreStages lists p's stages (Stages) by their score components. ok
-// reports whether every stage is score-based; then scorers lists every
-// stage's components in order and ends[k] is where stage k ends in it.
-func ScoreStages(p preference.Preference) (scorers []preference.Scored, ends []int, ok bool) {
-	for _, stage := range Stages(p) {
-		s, ok := ScoreBased(stage)
-		if !ok {
-			return nil, nil, false
-		}
-		scorers = append(scorers, s...)
-		ends = append(ends, len(scorers))
-	}
-	return scorers, ends, true
-}
-
 // saturatedSum sums a score vector, saturating at +Inf (NULL scores
 // worst) so a later -Inf component cannot turn the sum into NaN and
 // wreck the sort. A sum of finite components that overflowed to +Inf
@@ -196,8 +197,8 @@ func saturatedSum(vec []float64) float64 {
 	return sum
 }
 
-// SaturateSums computes the +Inf-saturated score sums of a filled score
-// matrix of n rows of d scores.
+// SaturateSums computes the +Inf-saturated sums of a filled matrix of n
+// rows of d scores: its heads when every element is one.
 func SaturateSums(flat []float64, n, d int) []float64 {
 	sums := make([]float64, n)
 	for i := range sums {
@@ -206,33 +207,33 @@ func SaturateSums(flat []float64, n, d int) []float64 {
 	return sums
 }
 
-// BuildVecInput fills the score matrix generically, one scorer call per
-// row and component — the fallback when no column vectors serve the
-// input.
-func BuildVecInput(scorers []preference.Scored, rows []value.Row) (VecInput, error) {
-	in := VecInput{Rows: rows, Dim: len(scorers),
-		Flat: make([]float64, 0, len(rows)*len(scorers)), Sums: make([]float64, 0, len(rows))}
+// BuildVecInput fills the key matrix generically, one scorer call per
+// row and element — the fallback when no column vectors serve the input.
+func BuildVecInput(key preference.Key, rows []value.Row) (VecInput, error) {
+	in := NewVecInput(key)
+	in.Rows = rows
+	in.Flat, in.Sums = make([]float64, 0, len(rows)*in.Dim), make([]float64, 0, len(rows))
 	for _, r := range rows {
-		if err := in.score(scorers, r); err != nil {
+		if err := in.score(key.Comps, r); err != nil {
 			return VecInput{}, err
 		}
 	}
 	return in, nil
 }
 
-// EvaluateVecInput runs the score kernel on a prebuilt score matrix and
-// returns the winners' row indices in key order — the exec layer's
-// columnar path, where the matrix was filled from typed column vectors
-// without boxing a single value and only the winners' rows are fetched.
+// EvaluateVecInput runs the kernel on a prebuilt key matrix and returns
+// the winners' row indices in key order — the exec layer's columnar
+// path, where the matrix was filled from typed column vectors without
+// boxing a single value and only the winners' rows are fetched.
 func EvaluateVecInput(in VecInput, cfg Config) ([]int32, Stats, VecStats, error) {
 	var st Stats
 	var vst VecStats
-	out, err := scoreSkyline(&in, &st, &vst, cfg)
+	out, err := keySkyline(&in, &st, &vst, cfg)
 	return out, st, vst, err
 }
 
-// vdominates is the score family's dominance test: a dominates b iff
-// a ≤ b componentwise with at least one strict <. Equal vectors never
+// vdominates is the key dominance test: a dominates b iff a ≤ b
+// componentwise with at least one strict <. Equal vectors never
 // dominate.
 func vdominates(a, b []float64, st *Stats) bool {
 	st.Comparisons++
@@ -248,9 +249,9 @@ func vdominates(a, b []float64, st *Stats) bool {
 	return better
 }
 
-// window is the score family's one admission loop: the rows admitted so
-// far, in key order. Candidates must arrive in key order too (see the
-// monotonicity note above).
+// window is the one admission loop: the rows admitted so far, in key
+// order. Candidates must arrive in key order too (see the presort note
+// above).
 type window struct {
 	m       *VecInput
 	members []int32
@@ -259,8 +260,8 @@ type window struct {
 	ticks   int // Stop-poll counter
 }
 
-// dominated reports whether a member dominates the score vector v whose
-// saturated sum is sum. Members past sum cannot, so the scan stops there.
+// dominated reports whether a member's key dominates the key vector v
+// whose head is sum. Members past sum cannot, so the scan stops there.
 func (w *window) dominated(v []float64, sum float64) (bool, error) {
 	sums, flat, d := w.m.Sums, w.m.Flat, w.m.Dim
 	for _, m := range w.members {
@@ -277,9 +278,45 @@ func (w *window) dominated(v []float64, sum float64) (bool, error) {
 	return false, nil
 }
 
+// compared is dominated for an inexact key: it asks Cmp whether a
+// member is Better than row i, after ruling the member out on the keys
+// where they are monotone.
+func (w *window) compared(i int32) (bool, error) {
+	m := w.m
+	v, sum := m.vec(i), m.Sums[i]
+	for _, j := range w.members {
+		// Members arrived in key order, and from the first one whose key
+		// is not smaller than row i's on, none is Better.
+		if s := m.Sums[j]; s > sum || s == sum && slices.Compare(m.vec(j), v) >= 0 {
+			break
+		}
+		if err := w.cfg.checkStop(&w.ticks); err != nil {
+			return false, err
+		}
+		if m.Monotone && !vdominates(m.vec(j), v, w.st) {
+			continue
+		}
+		w.st.Comparisons++
+		o, err := m.Cmp.Compare(m.Rows[j], m.Rows[i])
+		if err != nil {
+			return false, err
+		}
+		if o == preference.Better {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
 // admit adds row i to the window unless a member dominates it.
 func (w *window) admit(i int32) (bool, error) {
-	dom, err := w.dominated(w.m.vec(i), w.m.Sums[i])
+	var dom bool
+	var err error
+	if w.m.Cmp == nil {
+		dom, err = w.dominated(w.m.vec(i), w.m.Sums[i])
+	} else {
+		dom, err = w.compared(i)
+	}
 	if err != nil || dom {
 		return false, err
 	}
@@ -291,28 +328,30 @@ func (w *window) admit(i int32) (bool, error) {
 }
 
 // blockSkyline is the sequential block kernel: it feeds the sorted row
-// indices idx to w one VecBlockSize block at a time, and skips a block
-// outright when w dominates its zone map.
+// indices idx to w one VecBlockSize block at a time, and for an exact
+// key skips a block outright when w dominates its zone map.
 func blockSkyline(w *window, idx []int32, vst *VecStats) error {
 	corner := make([]float64, w.m.Dim)
 	for lo := 0; lo < len(idx); lo += VecBlockSize {
 		blk := idx[lo:min(lo+VecBlockSize, len(idx))]
 		vst.BlocksScanned++
-		copy(corner, w.m.vec(blk[0]))
-		for _, c := range blk[1:] {
-			for j, v := range w.m.vec(c) {
-				if v < corner[j] {
-					corner[j] = v
+		if w.m.Cmp == nil {
+			copy(corner, w.m.vec(blk[0]))
+			for _, c := range blk[1:] {
+				for j, v := range w.m.vec(c) {
+					if v < corner[j] {
+						corner[j] = v
+					}
 				}
 			}
-		}
-		pruned, err := w.dominated(corner, saturatedSum(corner))
-		if err != nil {
-			return err
-		}
-		if pruned {
-			vst.BlocksPruned++
-			continue
+			pruned, err := w.dominated(corner, w.m.head(corner))
+			if err != nil {
+				return err
+			}
+			if pruned {
+				vst.BlocksPruned++
+				continue
+			}
 		}
 		for _, c := range blk {
 			if _, err := w.admit(c); err != nil {
@@ -323,12 +362,12 @@ func blockSkyline(w *window, idx []int32, vst *VecStats) error {
 	return nil
 }
 
-// scorePartials splits the matrix into contiguous block-aligned
+// keyPartials splits the matrix into contiguous block-aligned
 // partitions — at most one per worker and one per block — and runs the
 // block kernel on each concurrently. It returns each partition's
 // skyline in key order. Block alignment keeps BlocksScanned at
 // ⌈n/VecBlockSize⌉ whatever the worker count.
-func scorePartials(in *VecInput, st *Stats, vst *VecStats, cfg Config) ([][]int32, error) {
+func keyPartials(in *VecInput, st *Stats, vst *VecStats, cfg Config) ([][]int32, error) {
 	n := in.Len()
 	if n == 0 {
 		return nil, nil
@@ -362,12 +401,11 @@ func scorePartials(in *VecInput, st *Stats, vst *VecStats, cfg Config) ([][]int3
 	return parts, err
 }
 
-// scoreSkyline is the score family's batch evaluation of a filled
-// matrix: the partition phase, then — when there is more than one
+// keySkyline is the batch evaluation of a filled key matrix: the partition phase, then — when there is more than one
 // partial — the k-way merge. It returns the winners' row indices in key
 // order.
-func scoreSkyline(in *VecInput, st *Stats, vst *VecStats, cfg Config) ([]int32, error) {
-	parts, err := scorePartials(in, st, vst, cfg)
+func keySkyline(in *VecInput, st *Stats, vst *VecStats, cfg Config) ([]int32, error) {
+	parts, err := keyPartials(in, st, vst, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -109,15 +109,10 @@ func (s *sliceSource) Next() (value.Row, bool, error) {
 
 func (s *sliceSource) Close() error { return nil }
 
-// evalVec is the exec layer's entry into the block kernel for a
-// score-family preference: fill the score matrix from rows, then
-// evaluate it.
+// evalVec is the exec layer's entry into the block kernel: fill the key
+// matrix from rows, then evaluate it.
 func evalVec(p preference.Preference, rows []value.Row, cfg Config) ([]value.Row, VecStats, error) {
-	scorers, ok := ScoreBased(p)
-	if !ok {
-		return nil, VecStats{}, fmt.Errorf("%s is not score-based", p.Describe())
-	}
-	in, err := BuildVecInput(scorers, rows)
+	in, err := BuildVecInput(preference.KeyOf(p), rows)
 	if err != nil {
 		return nil, VecStats{}, err
 	}
@@ -296,15 +291,50 @@ func TestVectorizedStop(t *testing.T) {
 	}
 }
 
+// fuzzShape is FuzzVectorizedVsBNL's preference over three small
+// integer columns: pareto(3), LOWEST with a chain EXPLICIT (an exact
+// key), LOWEST with a non-chain EXPLICIT (a monotone inexact one), or a
+// Pareto holding a CASCADE (a key that is not monotone).
+func fuzzShape(shape uint8) preference.Preference {
+	explicit := func(edges ...[2]int) preference.Preference {
+		vals := make([][2]value.Value, len(edges))
+		for i, e := range edges {
+			vals[i] = [2]value.Value{value.NewInt(int64(e[0])), value.NewInt(int64(e[1]))}
+		}
+		ex, err := preference.NewExplicit(colGetter(1), "b", vals)
+		if err != nil {
+			panic(err)
+		}
+		return ex
+	}
+	low := func(col int) preference.Preference { return &preference.Lowest{Get: colGetter(col), Label: "c"} }
+	switch shape % 4 {
+	case 1:
+		return &preference.Pareto{Parts: []preference.Preference{low(0), explicit([2]int{3, 5}, [2]int{5, 7}, [2]int{7, 1})}}
+	case 2:
+		return &preference.Pareto{Parts: []preference.Preference{low(0), explicit([2]int{3, 5}, [2]int{4, 5}, [2]int{5, 9}, [2]int{2, 9})}}
+	case 3:
+		return &preference.Pareto{Parts: []preference.Preference{
+			&preference.Cascade{Parts: []preference.Preference{low(0), &preference.Highest{Get: colGetter(1), Label: "b"}}},
+			low(2),
+		}}
+	}
+	return pareto(3)
+}
+
 // FuzzVectorizedVsBNL drives the vectorized kernel against the
-// block-nested-loop reference on arbitrary small matrices: the result
-// multiset must match BNL and the emission order must match SFS.
+// block-nested-loop reference on arbitrary small matrices, for each key
+// shape fuzzShape draws: the result multiset must match BNL and the
+// emission order must match SFS.
 func FuzzVectorizedVsBNL(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(1))
-	f.Add([]byte{0, 0, 0, 9, 9, 9, 3, 1, 2, 2, 3, 1}, uint8(3))
-	f.Fuzz(func(t *testing.T, data []byte, workers uint8) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(1), uint8(0))
+	f.Add([]byte{0, 0, 0, 9, 9, 9, 3, 1, 2, 2, 3, 1}, uint8(3), uint8(0))
+	f.Add([]byte{2, 3, 0, 1, 5, 0, 0, 7, 1, 4, 1, 2, 3, 3, 3}, uint8(2), uint8(1))
+	f.Add([]byte{2, 3, 0, 1, 4, 0, 0, 9, 1, 4, 2, 2, 3, 5, 3}, uint8(2), uint8(2))
+	f.Add([]byte{1, 9, 4, 1, 2, 3, 0, 0, 8, 2, 7, 0, 1, 9, 0}, uint8(3), uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, workers, shape uint8) {
 		rows := vecRows(data, 3)
-		p := pareto(3)
+		p := fuzzShape(shape)
 		cfg := Config{Workers: int(workers % 8)}
 		got, _, err := evalVec(p, rows, cfg)
 		if err != nil {
@@ -316,7 +346,7 @@ func FuzzVectorizedVsBNL(f *testing.F) {
 		}
 		a, b := rowSet(got), rowSet(want)
 		if !subMultiset(a, b) || !subMultiset(b, a) {
-			t.Fatalf("vectorized multiset diverges from BNL: %d vs %d rows", len(got), len(want))
+			t.Fatalf("%s: vectorized multiset diverges from BNL: %d vs %d rows", p.Describe(), len(got), len(want))
 		}
 		ordered, _, err := EvaluateConfig(p, rows, Auto, Config{Workers: 1})
 		if err != nil {
@@ -324,7 +354,7 @@ func FuzzVectorizedVsBNL(f *testing.F) {
 		}
 		for i := range got {
 			if got[i].Key() != ordered[i].Key() {
-				t.Fatalf("row %d diverges from the SFS emission order", i)
+				t.Fatalf("%s: row %d diverges from the SFS emission order", p.Describe(), i)
 			}
 		}
 	})

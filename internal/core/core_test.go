@@ -668,8 +668,18 @@ func TestQueryProgressiveRejections(t *testing.T) {
 	if _, err := db.QueryProgressive(`SELECT id FROM t PREFERRING LOWEST(x) ORDER BY id`, nop); err == nil {
 		t.Error("ORDER BY should be rejected")
 	}
-	if _, err := db.QueryProgressive(`SELECT id FROM t PREFERRING EXPLICIT(x, 1 > 2)`, nop); err == nil {
-		t.Error("EXPLICIT should be rejected for streaming")
+	// EXPLICIT streams: the stream's set is the batch set.
+	mustExec(t, db, `INSERT INTO t VALUES (2, 2), (3, 3), (4, 1)`)
+	const explicit = `SELECT id FROM t PREFERRING EXPLICIT(x, 1 > 2, 3 > 2)`
+	var streamed []value.Row
+	if _, err := db.QueryProgressive(explicit, func(r value.Row) bool {
+		streamed = append(streamed, r)
+		return true
+	}); err != nil {
+		t.Errorf("EXPLICIT stream: %v", err)
+	}
+	if got, want := canonicalRows(streamed), canonicalRows(mustExec(t, db, explicit).Rows); got != want || len(streamed) != 3 {
+		t.Errorf("EXPLICIT stream %s, batch %s", got, want)
 	}
 	if _, err := db.QueryProgressive(`SELEKT`, nop); err == nil {
 		t.Error("parse error should surface")

@@ -29,7 +29,6 @@ import (
 	"strings"
 
 	"repro/internal/ast"
-	"repro/internal/bmo"
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/parser"
@@ -251,12 +250,12 @@ func (s *Session) planDistSelect(sel *ast.Select, table string, ee execEnv, form
 		args = args[:np]
 	}
 
-	// Progressive only when the shards stream their skylines in the score
-	// kernel's key order (every score-family evaluation does) and nothing
-	// runs after the merge.
-	progressive := pref != nil && post == nil && bmo.Streamable(pref)
+	// Progressive when nothing runs after the merge: the shards stream
+	// their skylines in the kernel's key order, which every evaluation
+	// emits.
+	progressive := pref != nil && post == nil
 	if form == formStrict && !progressive {
-		return nil, fmt.Errorf("core: the preference does not stream over sharded table %s (progressive gather needs a score-based preference with no residual cascade stage)", table)
+		return nil, fmt.Errorf("core: the preference does not stream over sharded table %s (progressive gather needs a preference with no residual cascade stage)", table)
 	}
 	node := &plan.Gather{
 		Table:       table,

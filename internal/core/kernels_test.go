@@ -130,6 +130,14 @@ func TestKernelAssignment(t *testing.T) {
 		{"k", `COALESCE(i, NULL) IN (1, 2)`, nil, ""},
 		{"k", `COALESCE(s, NULL) NOT IN ('z')`, nil, ""},
 
+		// EXPLICIT: any kind bare, TEXT through dictionary codes, its
+		// graph a chain (an exact key) or not.
+		{"k", `EXPLICIT(s, 'a' > 'b', 'b' > 'm')`, nil, "s"},
+		{"k", `EXPLICIT(s, 'a' > 'm', 'b' > 'm', 'm' > 'z')`, nil, "s"},
+		{"k", `EXPLICIT(i, 1 > 2, 2 > 3)`, nil, "i"},
+		{"k", `EXPLICIT(i, 1 > 3, 2 > 3, 3 > 4)`, nil, "i"},
+		{"k", `EXPLICIT(COALESCE(s, NULL), 'a' > 'b')`, nil, ""},
+
 		// A condition col op bound: a numeric column against a numeric
 		// literal or parameter, the column on either side.
 		{"k", `i <= 10`, nil, "i"},

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/ast"
-	"repro/internal/bmo"
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/expr"
@@ -150,14 +149,11 @@ func (s *Session) planPreference(sel *ast.Select, ee execEnv, form planForm) (*s
 	}
 	pref := prefs[0]
 
-	// Score-based preferences stream; under the parallel algorithm any
-	// preference streams via the partition-merge stream. The strict form
-	// keeps its score-based contract: QueryProgressive on a non-streamable
-	// preference errors at Open unless the session explicitly selected
-	// the parallel algorithm.
+	// Every preference streams unless the statement needs the whole
+	// result first.
 	batch := form == formBatch ||
 		form == formCursor && (len(sel.OrderBy) > 0 || len(sel.Grouping) > 0 || sel.Distinct)
-	progressive := form == formStrict || !batch && (bmo.Streamable(pref) || s.Algorithm() == bmo.Parallel)
+	progressive := form == formStrict || !batch
 	root := plan.NewBMO(pipe.Node(), pref, s.Algorithm(), progressive, s.bmoWorkers(sel))
 	root.Reg = reg
 	var node plan.Node = root

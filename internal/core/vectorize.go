@@ -7,9 +7,9 @@ import (
 
 // The vectorized-BMO planning step: after the preference-algebra
 // pushdown has had its chance, an unpushed root BMO node over a large
-// score-based preference whose candidates are a scan's selection is
-// switched to the vectorized physical operator (plan.BMO.Vectorized) —
-// the columnar batch-at-a-time skyline with zone-map pruning.
+// candidate set that is a scan's selection is switched to the
+// vectorized physical operator (plan.BMO.Vectorized) — the columnar
+// batch-at-a-time skyline, with zone-map pruning for an exact key.
 //
 // Selection criteria, all statistics- or shape-derived so EXPLAIN is
 // deterministic:
@@ -18,9 +18,6 @@ import (
 //     respected verbatim);
 //   - the node is still the root (a pushed plan already moved dominance
 //     below the join — the rewritten fragments keep their own physics);
-//   - every stage of the preference is score-based (a weak order or a
-//     Pareto accumulation of weak orders; a CASCADE of such stages
-//     qualifies, EXPLICIT is refused) — see bmo.ScoreStages;
 //   - the candidate pipeline is a pass-through projection over one
 //     table's SeqScan or IndexScan, filtered or not
 //     (plan.SelectionScan); every other child — a join, a derived table
@@ -44,9 +41,6 @@ import (
 // plan maybePush returned.
 func vectorize(root *plan.BMO, node plan.Node) {
 	if node != plan.Node(root) || root.Algo != bmo.Auto || root.EstRows < bmo.AutoParallelThreshold {
-		return
-	}
-	if scorers, _, ok := bmo.ScoreStages(root.Pref); !ok || len(scorers) == 0 {
 		return
 	}
 	if scan, _ := plan.SelectionScan(root.Child); scan == nil {

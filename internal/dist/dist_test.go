@@ -163,9 +163,8 @@ func TestDistributedEquivalence(t *testing.T) {
 	}
 }
 
-// TestDistributedProgressive checks the streaming path: a score-based
-// preference with no residual pulls rows progressively through the
-// k-way merge and still agrees with the batch single-node answer. Table
+// TestDistributedProgressive checks the streaming path: a preference
+// with no residual pulls rows progressively through the k-way merge and still agrees with the batch single-node answer. Table
 // big holds more than bmo.AutoParallelThreshold rows on every shard, so
 // the shards run the vectorized operator, whose batch output the merge
 // relies on arriving in key order just like a shard's stream.
@@ -193,6 +192,13 @@ func TestDistributedProgressive(t *testing.T) {
 		"SELECT * FROM data PREFERRING x AROUND 5",
 		"SELECT * FROM big PREFERRING LOWEST(x) AND HIGHEST(y)",
 		"SELECT * FROM big PREFERRING x AROUND 5 AND y AROUND 5",
+		// EXPLICIT, a chain and not, and a CASCADE nested in a Pareto.
+		"SELECT * FROM data PREFERRING EXPLICIT(color, 'red' > 'blue', 'blue' > 'green')",
+		"SELECT * FROM data PREFERRING EXPLICIT(color, 'red' > 'green', 'blue' > 'green') AND LOWEST(x)",
+		"SELECT * FROM data PREFERRING (LOWEST(x) CASCADE HIGHEST(y)) AND EXPLICIT(color, 'red' > 'blue')",
+		"SELECT * FROM big PREFERRING EXPLICIT(color, 'red' > 'blue', 'blue' > 'green') AND HIGHEST(y)",
+		"SELECT * FROM big PREFERRING EXPLICIT(color, 'red' > 'green', 'blue' > 'green', 'green' > 'white') AND LOWEST(x)",
+		"SELECT * FROM big PREFERRING (LOWEST(x) CASCADE HIGHEST(y)) AND EXPLICIT(color, 'white' > 'red')",
 	} {
 		var rows []value.Row
 		if _, err := cl.coord.QueryProgressive(q, func(r value.Row) bool {
@@ -380,6 +386,14 @@ func TestDistributedExplain(t *testing.T) {
 		t.Fatalf("plan:\n%s", out)
 	}
 	out, err = cl.coord.ExplainNative("SELECT * FROM data PREFERRING EXPLICIT(color, 'red' > 'blue')")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "shards=4") || !strings.Contains(out, "progressive merge") {
+		t.Fatalf("plan:\n%s", out)
+	}
+	// A residual cascade stage runs after the merge, which is then batch.
+	out, err = cl.coord.ExplainNative("SELECT * FROM data PREFERRING LOWEST(x) CASCADE EXPLICIT(color, 'red' > 'blue')")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -397,6 +397,30 @@ func TestCascadeNaNFailsOnlySurvivors(t *testing.T) {
 	}
 }
 
+// TestColumnarFillExplicit checks EXPLICIT's level fill from a column
+// vector — TEXT through dictionary codes, BOOL, INT and FLOAT with
+// cross-class and -0.0 edge values — for a chain graph (an exact key,
+// decided on the keys) and a non-chain one and a CASCADE nested in a
+// Pareto (inexact keys, decided by comparing the heap rows).
+func TestColumnarFillExplicit(t *testing.T) {
+	for _, pref := range []string{
+		`LOWEST(a) AND EXPLICIT(s, 'a' > 'b', 'b' > '1')`,
+		`HIGHEST(f) AND EXPLICIT(s, 'a' > 'c', 'b' > 'c', 'c' > 'TRUE')`,
+		`LOWEST(a) AND EXPLICIT(b, TRUE > FALSE)`,
+		`HIGHEST(a) AND EXPLICIT(f, 0 > 0.5, -1.5 > 0.5, 0.5 > 2)`,
+		`LOWEST(f) AND EXPLICIT(a, 1 > 2, '3' > 2, TRUE > 4)`,
+		`(LOWEST(a) CASCADE HIGHEST(f)) AND EXPLICIT(s, 'a' > 'b')`,
+		`(HIGHEST(f) CASCADE LOWEST(a)) AND EXPLICIT(s, 'a' > 'b', 'c' > 'b') AND b = TRUE`,
+	} {
+		for _, where := range []string{"", " WHERE k = 3"} {
+			checkFill(t, fillDB(t, 0), "SELECT id FROM t"+where+" PREFERRING "+pref)
+		}
+	}
+	// A stage of EXPLICIT alone keeps a third of the rows; the reference
+	// BNL's window is kept small by the probe.
+	checkFill(t, fillDB(t, 0), `SELECT id FROM t WHERE k = 3 PREFERRING EXPLICIT(s, 'a' > 'b', 'c' > 'b') CASCADE LOWEST(a)`)
+}
+
 // TestCascadeFormsAgree pins that a CASCADE answers the same whatever
 // form runs it: every form stops once a stage leaves at most one
 // candidate, so a later stage never scores — nor fails on — the single

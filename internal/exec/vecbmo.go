@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/bmo"
@@ -12,25 +13,25 @@ import (
 )
 
 // Vectorized BMO execution: the planner set the node's Vectorized flag
-// after verifying every stage of the preference is score-based and that
-// the candidates are a scan's selection. The operator fills a flat score
-// matrix and hands it to the batch zone-map kernel, which returns the
-// winners' indices.
+// after verifying that the candidates are a scan's selection. The
+// operator fills each stage's flat key matrix (bmo.VecInput) and hands
+// it to the batch kernel, which returns the winners' indices.
 //
 // The operator never pulls a row from its child: it takes the scan's
-// selection (captured heap, surviving positions), fills each score
-// column at those positions — from column vectors where a kernel serves
-// the component (fillKernel), otherwise by scoring the heap rows — and
-// fetches heap rows for the winners only. A CASCADE runs through
-// bmo.ReduceStages: stage 1 fills its columns at every selected
-// position, each later stage only at the previous stage's winners, in
-// the order that stage returned them, and the driver stops once at most
-// one candidate is left. That is the row path's BMO(P2, BMO(P1, R)) with
-// the same input order per stage, so the same rows come out in the same
-// order, and a later stage never scores — nor fails on — a row an
-// earlier one eliminated. Every other input takes the row path
-// (BMOOp.Open). Zone-map counters land in the statement Stats for
-// EXPLAIN ANALYZE.
+// selection (captured heap, surviving positions), fills each key
+// element at those positions — from column vectors where a kernel
+// serves the element (fillKernel), otherwise by scoring the heap rows —
+// and fetches heap rows for the winners only. An inexact key's window
+// compares rows, so its matrix also holds the heap rows at the
+// positions. A CASCADE runs through bmo.ReduceStages: stage 1 fills its
+// key at every selected position, each later stage only at the previous
+// stage's winners, in the order that stage returned them, and the
+// driver stops once at most one candidate is left. That is the row
+// path's BMO(P2, BMO(P1, R)) with the same input order per stage, so
+// the same rows come out in the same order, and a later stage never
+// scores — nor fails on — a row an earlier one eliminated. Every other
+// input takes the row path (BMOOp.Open). Zone-map counters land in the
+// statement Stats for EXPLAIN ANALYZE.
 
 // takeSelection drains the scan's selection into b.heap and b.sel, and
 // counts its rows as the scan's and the pass-through projection's
@@ -56,13 +57,9 @@ func (b *BMOOp) openSelection() error {
 		return err
 	}
 	b.countInput(len(b.sel))
-	scorers, ends, _ := bmo.ScoreStages(b.node.Pref)
-	at, err := bmo.ReduceStages(len(ends), b.sel, &bmo.Stats{}, b.config(), func(k int, at []int32) ([]int32, error) {
-		lo := 0
-		if k > 0 {
-			lo = ends[k-1]
-		}
-		in, err := b.fillStage(scorers[lo:ends[k]], at)
+	stages := bmo.Stages(b.node.Pref)
+	at, err := bmo.ReduceStages(len(stages), b.sel, &bmo.Stats{}, b.config(), func(k int, at []int32) ([]int32, error) {
+		in, err := b.fillStage(preference.KeyOf(stages[k]), at)
 		if err != nil {
 			return nil, err
 		}
@@ -85,17 +82,18 @@ func (b *BMOOp) openSelection() error {
 	return nil
 }
 
-// fillStage fills the score matrix of one stage, components scorers,
-// at the heap positions sel.
-func (b *BMOOp) fillStage(scorers []preference.Scored, sel []int32) (bmo.VecInput, error) {
-	n, d := len(sel), len(scorers)
-	in := bmo.VecInput{Dim: d, Flat: make([]float64, n*d)}
+// fillStage fills the key matrix of one stage at the heap positions
+// sel.
+func (b *BMOOp) fillStage(key preference.Key, sel []int32) (bmo.VecInput, error) {
+	in := bmo.NewVecInput(key)
+	n, d, comps := len(sel), in.Dim, key.Comps
+	in.Flat = make([]float64, n*d)
 	if n == 0 {
 		// Nothing selected: the scan may have captured no heap at all (a
 		// probe with a NULL key, an empty table), so no vector is asked for.
-		scorers = nil
+		comps = nil
 	}
-	for j, s := range scorers {
+	for j, s := range comps {
 		done, err := b.fillKernel(&in, sel, j, s)
 		if err != nil {
 			return bmo.VecInput{}, err
@@ -111,11 +109,17 @@ func (b *BMOOp) fillStage(scorers []preference.Scored, sel []int32) (bmo.VecInpu
 			in.Flat[i*d+j] = v
 		}
 	}
-	in.Sums = bmo.SaturateSums(in.Flat, n, d)
+	if in.Cmp != nil {
+		in.Rows = make([]value.Row, n)
+		for i, p := range sel {
+			in.Rows[i] = b.heap.Rows[p]
+		}
+	}
+	in.SumHeads()
 	return in, nil
 }
 
-// evaluateVec runs the score kernel on in and records its zone-map
+// evaluateVec runs the kernel on in and records its zone-map
 // counters.
 func (b *BMOOp) evaluateVec(in bmo.VecInput) ([]int32, error) {
 	win, _, vst, err := bmo.EvaluateVecInput(in, b.config())
@@ -130,8 +134,8 @@ func (b *BMOOp) evaluateVec(in bmo.VecInput) ([]int32, error) {
 }
 
 // scoreMin returns the smallest score of component s over the candidates,
-// read from the score matrix; ok=false when the operator filled no
-// matrix or s is not one of its first stage's components. A later
+// read from the key matrix; ok=false when the operator filled no matrix
+// or s is not one of its first stage's key elements. A later
 // stage's matrix holds the survivors of the earlier stages only, and the
 // minimum is over every candidate — which is what the row path scores,
 // and fails on, too.
@@ -139,9 +143,8 @@ func (b *BMOOp) scoreMin(s preference.Scored) (min float64, ok bool) {
 	if b.vin.Dim == 0 {
 		return 0, false
 	}
-	scorers, _, _ := bmo.ScoreStages(b.node.Pref)
-	for j, c := range scorers[:b.vin.Dim] {
-		if c != s {
+	for j, c := range preference.KeyOf(bmo.Stages(b.node.Pref)[0]).Comps {
+		if c != preference.Scorer(s) {
 			continue
 		}
 		min = math.Inf(1)
@@ -155,17 +158,17 @@ func (b *BMOOp) scoreMin(s preference.Scored) (min float64, ok bool) {
 	return 0, false
 }
 
-// fillKernel fills score column j of in, component s, from a column
-// vector at the heap positions sel, and reports false when no kernel
-// serves it: s names no column (a computed operand, a condition of
-// another shape, an ELSE chain, CONTAINS), the column's kind has no
-// kernel for s (numeric kernels read INT, FLOAT, BOOL and DATE; POS and
-// NEG any kind, TEXT through dictionary codes), the column has no
+// fillKernel fills key column j of in, element s, from a column vector
+// at the heap positions sel, and reports false when no kernel serves it:
+// s names no column (a computed operand, a condition of another shape,
+// an ELSE chain, CONTAINS), the column's kind has no kernel for s
+// (numeric kernels read INT, FLOAT, BOOL and DATE; POS, NEG and
+// EXPLICIT any kind, TEXT through dictionary codes), the column has no
 // vector, or a Bool bound is not a number. A vector is asked for only
 // once a kernel will read it. A kernel computes exactly what s.Score
 // computes for the row; where Score reports an error (a NaN under a
 // distance preference) the kernel asks Score for it.
-func (b *BMOOp) fillKernel(in *bmo.VecInput, sel []int32, j int, s preference.Scored) (bool, error) {
+func (b *BMOOp) fillKernel(in *bmo.VecInput, sel []int32, j int, s preference.Scorer) (bool, error) {
 	if p, ok := s.(*preference.Bool); ok {
 		return p.Cmp != nil && b.fillCompare(in, sel, j, p.Cmp), nil
 	}
@@ -174,20 +177,16 @@ func (b *BMOOp) fillKernel(in *bmo.VecInput, sel []int32, j int, s preference.Sc
 		return false, nil
 	}
 	col, ok := slotted.Column()
-	_, pos := s.(*preference.Pos)
-	_, neg := s.(*preference.Neg)
-	if !ok || !pos && !neg && !b.numeric(col) {
+	vs, byValue := valueScoresOf(s)
+	if !ok || !byValue && !b.numeric(col) {
 		return false, nil
 	}
 	cv := b.heap.Vector(col)
 	if cv == nil {
 		return false, nil
 	}
-	switch p := s.(type) {
-	case *preference.Pos:
-		return fillMember(in, sel, j, cv, p.Vals, 0, 1), nil
-	case *preference.Neg:
-		return fillMember(in, sel, j, cv, p.Vals, 1, 0), nil
+	if byValue {
+		return fillValues(in, sel, j, cv, vs), nil
 	}
 	return b.fillDistance(in, sel, j, cv, s)
 }
@@ -200,7 +199,7 @@ func (b *BMOOp) numeric(col int) bool {
 
 // fillDistance is the kernel of LOWEST, HIGHEST, AROUND and BETWEEN over
 // a numeric vector: NULL scores +Inf, and a NaN fails as on the row path.
-func (b *BMOOp) fillDistance(in *bmo.VecInput, sel []int32, j int, cv *storage.ColVec, s preference.Scored) (bool, error) {
+func (b *BMOOp) fillDistance(in *bmo.VecInput, sel []int32, j int, cv *storage.ColVec, s preference.Scorer) (bool, error) {
 	if cv.Nums == nil {
 		return false, nil
 	}
@@ -255,21 +254,18 @@ func (b *BMOOp) fillDistance(in *bmo.VecInput, sel []int32, j int, cv *storage.C
 	return true, nil
 }
 
-// fillMember is the kernel of POS (in=0, out=1) and NEG (in=1, out=0):
-// NULL scores +Inf.
-func fillMember(m *bmo.VecInput, sel []int32, j int, cv *storage.ColVec, vals []value.Value, in, out float64) bool {
-	set, ok := newMemberSet(cv, vals)
+// fillValues is the kernel of a component scored by value (POS, NEG,
+// EXPLICIT).
+func fillValues(m *bmo.VecInput, sel []int32, j int, cv *storage.ColVec, vs valueScores) bool {
+	t, ok := newScoreTable(cv, vs)
 	if !ok {
 		return false
 	}
-	d, flat, inf := m.Dim, m.Flat, math.Inf(1)
+	d, flat := m.Dim, m.Flat
 	for i, q := range sel {
-		v := inf
+		v := vs.null
 		if cv.IsValid(int(q)) {
-			v = out
-			if set.has(int(q)) {
-				v = in
-			}
+			v = t.score(int(q))
 		}
 		flat[i*d+j] = v
 	}
@@ -309,63 +305,87 @@ func (b *BMOOp) fillCompare(in *bmo.VecInput, sel []int32, j int, c *preference.
 	return true
 }
 
-// memberSet is the set-membership test of POS/NEG over a column vector,
-// with the value.Key semantics of preference.NewSet: a member matches
+// valueScores is a component that scores by value: vals[k] scores
+// scores[k], any other value other and NULL null.
+type valueScores struct {
+	vals        []value.Value
+	scores      []float64
+	other, null float64
+}
+
+// valueScoresOf returns s's scores by value; ok=false unless s is POS,
+// NEG or EXPLICIT.
+func valueScoresOf(s preference.Scorer) (vs valueScores, ok bool) {
+	vs.null = math.Inf(1)
+	switch p := s.(type) {
+	case *preference.Pos:
+		vs.vals, vs.scores, vs.other = p.Vals, make([]float64, len(p.Vals)), 1
+	case *preference.Neg:
+		vs.vals, vs.scores = p.Vals, slices.Repeat([]float64{1}, len(p.Vals))
+	case *preference.Explicit:
+		vs.vals, vs.scores = p.Vals, make([]float64, len(p.Vals))
+		for k, v := range p.Vals {
+			vs.scores[k] = float64(p.ValueLevel(v))
+		}
+		vs.other = float64(p.ValueLevel(value.NewNull()))
+		vs.null = vs.other
+	default:
+		return vs, false
+	}
+	return vs, true
+}
+
+// scoreTable is a valueScores over a column vector, with the value.Key
+// semantics of preference.NewSet and EXPLICIT's graph: a value matches
 // only values of its own key class (numbers, booleans, dates, text), so
 // `b IN (1)` never matches TRUE and `s IN (5)` never matches '5'. Within
 // a class keys are equal exactly when the values are: equal float64
 // images (so -0.0 = 0), NaN matching NaN, or equal strings.
-type memberSet struct {
-	cv    *storage.ColVec
-	codes []bool // TEXT: hit per dictionary code
-	nums  []float64
-	nan   bool
+type scoreTable struct {
+	cv     *storage.ColVec
+	codes  []float64 // TEXT: the score per dictionary code
+	nums   []float64 // numbers: the values of cv's key class…
+	scores []float64 // …and their scores
+	other  float64
 }
 
-// newMemberSet builds the test of vals over cv; ok=false for a vector of
+// newScoreTable builds the table of vs over cv; ok=false for a vector of
 // a kind it cannot read.
-func newMemberSet(cv *storage.ColVec, vals []value.Value) (*memberSet, bool) {
-	m := &memberSet{cv: cv}
+func newScoreTable(cv *storage.ColVec, vs valueScores) (*scoreTable, bool) {
+	t := &scoreTable{cv: cv, other: vs.other}
 	switch {
 	case cv.Codes != nil:
-		m.codes = make([]bool, len(cv.Dict))
-		for _, v := range vals {
-			if v.K != value.Text {
-				continue
-			}
-			if code, ok := cv.Dict[v.S]; ok {
-				m.codes[code] = true
+		t.codes = slices.Repeat([]float64{vs.other}, len(cv.Dict))
+		for k, v := range vs.vals {
+			if code, ok := cv.Dict[v.S]; ok && v.K == value.Text {
+				t.codes[code] = vs.scores[k]
 			}
 		}
 	case cv.Nums != nil:
-		for _, v := range vals {
+		for k, v := range vs.vals {
 			if keyClass(v.K) == keyClass(cv.Kind) {
-				x := v.Num()
-				m.nan = m.nan || x != x
-				m.nums = append(m.nums, x)
+				t.nums = append(t.nums, v.Num())
+				t.scores = append(t.scores, vs.scores[k])
 			}
 		}
 	default:
 		return nil, false
 	}
-	return m, true
+	return t, true
 }
 
-// has reports whether the non-NULL row p is a member.
-func (m *memberSet) has(p int) bool {
-	if m.codes != nil {
-		return m.codes[m.cv.Codes[p]]
+// score returns the non-NULL row p's score.
+func (t *scoreTable) score(p int) float64 {
+	if t.codes != nil {
+		return t.codes[t.cv.Codes[p]]
 	}
-	x := m.cv.Nums[p]
-	if x != x {
-		return m.nan
-	}
-	for _, v := range m.nums {
-		if x == v {
-			return true
+	x := t.cv.Nums[p]
+	for k, v := range t.nums {
+		if x == v || x != x && v != v {
+			return t.scores[k]
 		}
 	}
-	return false
+	return t.other
 }
 
 // keyClass is the class of value.Key a kind's values fall in: INT and

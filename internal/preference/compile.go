@@ -179,7 +179,7 @@ func Compile(p ast.Pref, b Binder, reg *Registry) (Preference, error) {
 		if err != nil {
 			return nil, err
 		}
-		pref.Attrs = provenance(x.X)
+		pref.Attrs, pref.Slot = provenance(x.X), slot(b, x.X)
 		register(reg, pref)
 		return pref, nil
 

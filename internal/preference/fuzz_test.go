@@ -1,6 +1,8 @@
 package preference_test
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,7 +18,11 @@ import (
 //   - irreflexive: Compare(a, a) is Equal — a tuple never beats itself;
 //   - antisymmetric/consistent: Compare(a, b) is always the exact flip
 //     of Compare(b, a) (Better↔Worse, Equal↔Equal, Incomparable↔
-//     Incomparable).
+//     Incomparable);
+//   - the presort key (preference.Key) is topological: Better implies
+//     head elements componentwise ≤ and a lexicographically smaller
+//     key, Equal an identical key, and where the key is exact, key
+//     dominance is Better.
 //
 // Clauses the compiler rejects (unknown columns, non-literal
 // parameters) are fine; panics and contract violations are not.
@@ -32,6 +38,10 @@ func FuzzPreferenceCompile(f *testing.F) {
 		"(a AROUND 1 AND b AROUND 2) CASCADE c = 'x'",
 		"HIGHEST(d) ELSE LOWEST(a)",
 		"a AROUND 1e99 AND NOT b IN (1,2)",
+		"EXPLICIT(c, 'x' > 'z', 'y' > 'z')",
+		"EXPLICIT(c, 'x' > 'y', 'y' > 'z')",
+		"(LOWEST(a) CASCADE HIGHEST(b)) AND EXPLICIT(c, 'x' > 'y')",
+		"EXPLICIT(c, 'x' > 'y', 'y' > 'z', 'road' > 'z')",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -60,6 +70,17 @@ func FuzzPreferenceCompile(f *testing.F) {
 		if err != nil {
 			return // ColBinder only supports column refs and literals
 		}
+		key := preference.KeyOf(p)
+		keys := make([][]float64, len(rows))
+		for i, r := range rows {
+			for _, c := range key.Comps {
+				v, err := c.Score(r)
+				if err != nil {
+					return // the row fails the preference, as Compare does
+				}
+				keys[i] = append(keys[i], v)
+			}
+		}
 		for i, a := range rows {
 			oa, err := p.Compare(a, a)
 			if err != nil {
@@ -82,7 +103,35 @@ func FuzzPreferenceCompile(f *testing.F) {
 					t.Fatalf("Compare(row%d, row%d) = %v but Compare(row%d, row%d) = %v (want %v)\nclause: %s",
 						i, j, ab, j, i, ba, ab.Flip(), clause)
 				}
+				if msg := checkKey(key, keys[i], keys[j], ab); msg != "" {
+					t.Fatalf("row%d %v, row%d %v: Compare = %v but %s\nclause: %s", i, keys[i], j, keys[j], ab, msg, clause)
+				}
 			}
 		}
 	})
+}
+
+// checkKey checks the key vectors ka and kb of two rows whose Compare
+// is o, and describes the first property they break.
+func checkKey(key preference.Key, ka, kb []float64, o preference.Ordering) string {
+	lex := slices.Compare(ka, kb)
+	switch {
+	case o == preference.Equal && lex != 0:
+		return "the keys differ"
+	case o == preference.Better && lex >= 0:
+		return "the key is not smaller"
+	}
+	for j := range ka {
+		if o == preference.Better && (key.Heads == nil || slices.Contains(key.Heads, j)) && ka[j] > kb[j] {
+			return fmt.Sprintf("head element %d is larger", j)
+		}
+	}
+	dominates := lex != 0
+	for j := range ka {
+		dominates = dominates && ka[j] <= kb[j]
+	}
+	if key.Exact && dominates != (o == preference.Better) {
+		return fmt.Sprintf("the exact key dominates: %v", dominates)
+	}
+	return ""
 }

@@ -215,7 +215,10 @@ func compareScores(a, b float64) Ordering {
 	}
 }
 
-// scoreOrInf treats NULL and non-numeric values as the worst score.
+// scoreOrInf returns +Inf and ok=false for NULL, the worst score, and
+// the value's number otherwise. A non-numeric value's number is NaN, on
+// which LOWEST, HIGHEST, AROUND and BETWEEN fail ("LOWEST: non-numeric
+// value m for s").
 func scoreOrInf(v value.Value) (float64, bool) {
 	if v.IsNull() {
 		return math.Inf(1), false
@@ -720,6 +723,8 @@ type Explicit struct {
 	// the preference reads (see Attributed). Empty for direct
 	// constructions, where Label stands in as the single attribute.
 	Attrs []string
+	Vals  []value.Value // the mentioned values, once each
+	Slot
 
 	closure map[string]map[string]bool // better -> set of worse (transitive)
 	depth   map[string]int             // longest path from a top value, for LEVEL
@@ -731,10 +736,16 @@ type Explicit struct {
 func NewExplicit(get Getter, label string, edges [][2]value.Value) (*Explicit, error) {
 	adj := map[string][]string{}
 	nodes := map[string]bool{}
+	var vals []value.Value
 	for _, e := range edges {
 		b, w := e[0].Key(), e[1].Key()
 		adj[b] = append(adj[b], w)
-		nodes[b], nodes[w] = true, true
+		for i, k := range []string{b, w} {
+			if !nodes[k] {
+				nodes[k] = true
+				vals = append(vals, e[i])
+			}
+		}
 	}
 	// Transitive closure by DFS from each node, with cycle detection.
 	closure := make(map[string]map[string]bool, len(nodes))
@@ -774,7 +785,7 @@ func NewExplicit(get Getter, label string, edges [][2]value.Value) (*Explicit, e
 			}
 		}
 	}
-	return &Explicit{Get: get, Label: label, closure: closure, depth: depth, maxDep: maxDep}, nil
+	return &Explicit{Get: get, Label: label, Vals: vals, closure: closure, depth: depth, maxDep: maxDep}, nil
 }
 
 // Compare implements Preference using the closure.
@@ -811,19 +822,39 @@ func (p *Explicit) Compare(a, b value.Row) (Ordering, error) {
 	}
 }
 
-// Level reports the 1-based quality level of a tuple's value: depth+1 for
-// mentioned values, bottom level for unmentioned ones.
+// Level reports the 1-based quality level of a tuple's value (see
+// ValueLevel).
 func (p *Explicit) Level(row value.Row) (int, error) {
 	v, err := p.Get(row)
 	if err != nil {
 		return 0, err
 	}
+	return p.ValueLevel(v), nil
+}
+
+// ValueLevel is depth+1 for a mentioned value and the bottom level
+// maxDepth+2 for any other, NULL included. A better value has a smaller
+// level and substitutable values share one, so the level is EXPLICIT's
+// presort key (see Key).
+func (p *Explicit) ValueLevel(v value.Value) int {
 	k := v.Key()
 	if _, ok := p.closure[k]; ok {
-		return p.depth[k] + 1, nil
+		return p.depth[k] + 1
 	}
-	return p.maxDep + 2, nil
+	return p.maxDep + 2
 }
+
+// Score is the level, as a key element.
+func (p *Explicit) Score(row value.Row) (float64, error) {
+	l, err := p.Level(row)
+	return float64(l), err
+}
+
+// Chain reports whether the graph is a chain, one value per depth: then
+// the preference is a weak order, Better exactly where the level is
+// smaller. Every depth up to the deepest holds a value, so that is one
+// value per depth exactly when there are as many values as depths.
+func (p *Explicit) Chain() bool { return len(p.closure) == p.maxDep+1 }
 
 // Attr returns the attribute label.
 func (p *Explicit) Attr() string { return p.Label }

@@ -368,3 +368,27 @@ func TestStrictPartialOrderAxioms(t *testing.T) {
 		}
 	}
 }
+
+// TestDistanceScoresNullAndText pins what the distance preferences make
+// of a value that is not a number: NULL scores worst (+Inf), and a
+// non-NULL TEXT value fails the preference.
+func TestDistanceScoresNullAndText(t *testing.T) {
+	get := colGetter(0)
+	for _, tc := range []struct {
+		p    Scored
+		name string
+	}{
+		{&Lowest{Get: get, Label: "s"}, "LOWEST"},
+		{&Highest{Get: get, Label: "s"}, "HIGHEST"},
+		{&Around{Get: get, Target: 3, Label: "s"}, "AROUND"},
+		{&Between{Get: get, Lo: 1, Hi: 2, Label: "s"}, "BETWEEN"},
+	} {
+		if v, err := tc.p.Score(value.Row{value.NewNull()}); err != nil || !math.IsInf(v, 1) {
+			t.Errorf("%s of NULL = %v, %v; want +Inf", tc.name, v, err)
+		}
+		_, err := tc.p.Score(value.Row{value.NewText("m")})
+		if want := tc.name + ": non-numeric value m for s"; err == nil || err.Error() != want {
+			t.Errorf("%s of 'm': error %v, want %q", tc.name, err, want)
+		}
+	}
+}
