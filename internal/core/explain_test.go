@@ -145,7 +145,7 @@ func TestExplainGolden(t *testing.T) {
 			name: "batch-shape-keeps-algorithm",
 			sql:  `SELECT id FROM big PREFERRING LOWEST(d2) CASCADE EXPLICIT(d1, 1 > 2)`,
 			want: "QualityProject id\n" +
-				"  BMO auto [LOWEST(d2) CASCADE EXPLICIT(d1)]\n" +
+				"  BMO vec est=30000 columnar [LOWEST(d2) CASCADE EXPLICIT(d1)]\n" +
 				"    Project *\n" +
 				"      SeqScan big\n",
 		},
@@ -279,7 +279,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			name: "cascade-batch-shape",
 			sql:  `SELECT id FROM big PREFERRING LOWEST(d2) CASCADE EXPLICIT(d1, 1 > 2)`,
 			want: "QualityProject id (rows=1 est=30000 time=X)\n" +
-				"  BMO auto [LOWEST(d2) CASCADE EXPLICIT(d1)] (rows=1 est=30000 time=X in=30000)\n" +
+				"  BMO vec est=30000 columnar [LOWEST(d2) CASCADE EXPLICIT(d1)] (rows=1 est=30000 time=X in=30000 blocks=30 pruned=28)\n" +
 				"    Project * (rows=30000 est=30000 time=X)\n" +
 				"      SeqScan big (rows=30000 est=30000 time=X)\n" +
 				"-- rows=1 scanned=30000 probes=0 join_in=0 bmo_in=30000 bmo_out=1\n",
