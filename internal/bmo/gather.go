@@ -19,13 +19,15 @@ import (
 //     its skyline in the kernel's key order, so each shard stream
 //     arrives key-sorted. The kernel's k-way merge (see vectorized.go)
 //     runs over the shard streams, keying rows as they arrive, and
-//     admits each candidate through its window. First rows flow as soon as every shard has
-//     produced one row — not after the slowest shard finishes. A shard
-//     stream that regresses in key order fails the merge loudly.
+//     admits each candidate through its window. First rows flow as soon
+//     as every shard has produced one row — not after the slowest shard
+//     finishes. A shard stream that regresses in key order fails the
+//     merge loudly.
 //
-//   - Batch (residual cascade stages, or no preference at all): drain every shard, then run the stages of the
-//     preference and of the residual over the concatenated partials
-//     through ReduceStages, which stops once at most one row is left.
+//   - Batch (residual cascade stages, or no preference at all): drain
+//     every shard, then run the stages of the preference and of the
+//     residual over the concatenated partials through ReduceStages,
+//     which stops once at most one row is left.
 //     Plain concatenation when there is no preference to merge under.
 
 // RowSource is one shard's result stream as the gather merge consumes
@@ -50,10 +52,10 @@ type GatherMerge struct {
 
 	// Progressive state: the merge, the matrix arriving rows are keyed
 	// into, and each shard's previous row (-1 before its first).
-	mg   *merger
-	key  preference.Key
-	in   VecInput
-	last []int32
+	mg    *merger
+	comps []preference.Scorer
+	in    VecInput
+	last  []int32
 
 	// Batch state: the result once loaded.
 	batch *Stream
@@ -72,8 +74,8 @@ func NewGatherMerge(pref, post preference.Preference, sources []RowSource, cfg C
 	if pref == nil || post != nil {
 		return g
 	}
-	g.key = preference.KeyOf(pref)
-	g.in = NewVecInput(g.key)
+	key := preference.KeyOf(pref)
+	g.comps, g.in = key.Comps, NewVecInput(key)
 	g.last = slices.Repeat([]int32{-1}, len(sources))
 	g.mg = newMerger(&g.in, len(sources), g.pull, &g.st, cfg)
 	return g
@@ -123,7 +125,7 @@ func (g *GatherMerge) pull(i int) (int32, bool, error) {
 	if err != nil || !ok {
 		return 0, false, err
 	}
-	if err := g.in.score(g.key.Comps, row); err != nil {
+	if err := g.in.score(g.comps, row); err != nil {
 		return 0, false, err
 	}
 	g.in.Rows = append(g.in.Rows, row)
