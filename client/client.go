@@ -9,7 +9,7 @@
 //	res, err := db.Query(`SELECT * FROM trips PREFERRING duration AROUND 14`)
 //
 // Single-SELECT queries stream: QueryIter yields rows as the server's
-// pipeline produces them (progressively for score-based preferences),
+// pipeline produces them (progressively for preference queries),
 // and closing the iterator early sends a Cancel that stops the server's
 // remaining dominance work.
 //

@@ -129,19 +129,21 @@
 //
 // # Parallel BMO
 //
-// The parallel partition-merge evaluation splits the candidate set into
-// per-worker partitions and computes local skylines concurrently: for
-// score-based preferences the score kernel runs on each partition (each
-// row's component scores cached up front, so dominance tests are pure
-// float comparisons) and the sorted partials merge k-way, in exactly the
-// sequential output order; other preferences run BNL per partition and
-// merge pairwise until one dominance-filtered result remains. Select it
-// explicitly (SetAlgorithm(prefsql.Parallel), `SET algorithm =
-// parallel`, the one way to stream a non-score preference
-// progressively) or let the Auto path switch at 10k+ actual candidate
-// rows on multicore. Every algorithm — this one included — must pass
-// the cross-algorithm differential harness in internal/bmo before it
-// ships; see ARCHITECTURE.md, "Differential testing policy".
+// Every preference has a presort key — a weak order's score, EXPLICIT's
+// level, a Pareto's part keys after their sum, a nested CASCADE's stage
+// keys — that is strictly smaller for a better tuple, so one sorted
+// window serves them all. Where the key is exact (weak orders, chain
+// EXPLICITs and Pareto accumulations of them) dominance is a pure float
+// comparison of keys; otherwise the window compares the two rows. The
+// parallel partition-merge evaluation splits the candidate set into
+// per-worker partitions, runs the kernel on each concurrently (each
+// row's key computed up front) and merges the sorted partials k-way, in
+// exactly the sequential output order. Select it explicitly
+// (SetAlgorithm(prefsql.Parallel), `SET algorithm = parallel`) or let
+// the Auto path switch at 10k+ actual candidate rows on multicore.
+// Every algorithm — this one included — must pass the cross-algorithm
+// differential harness in internal/bmo before it ships; see
+// ARCHITECTURE.md, "Differential testing policy".
 //
 // # Vectorized BMO
 //
@@ -152,15 +154,16 @@
 // test numeric WHERE conjuncts against them before fetching a row, and
 // they feed the vectorized skyline operator. Over a scan it takes the
 // scan's selection (the captured heap and the surviving positions),
-// fills score vectors from column vectors without boxing, presorts row
-// indices by the monotone score key, runs dominance block-at-a-time
-// with per-block zone maps (a block whose best corner the window of
-// accepted rows dominates is skipped wholesale), and fetches only the
-// winners' rows. The planner selects it from table statistics for
-// score-based preferences whose components each read one column
-// (expressions over several columns and subquery preferences keep the
-// row-at-a-time path) when the session's algorithm is auto, and its
-// output is byte-identical to the sequential kernel.
+// fills key vectors from column vectors without boxing (POS, NEG and
+// EXPLICIT through one per-value table), presorts row indices by the
+// key, runs dominance block-at-a-time with per-block zone maps for an
+// exact key (a block whose best corner the window of accepted rows
+// dominates is skipped wholesale), and fetches only the winners' rows.
+// The planner selects it from table statistics when the session's
+// algorithm is auto; a component no column vector serves (an
+// expression over several columns, a subquery operand) is scored row
+// by row at the selected positions, and the output is byte-identical to
+// the sequential kernel.
 // ExplainNative shows the decision
 // (`BMO vec est=N columnar`); ExplainAnalyze executes the plan and adds
 // per-node and row-level work counters. See ARCHITECTURE.md, "Columnar
@@ -292,10 +295,10 @@
 // the first preference stage pushed (sound because a skyline
 // distributes over a partition union: skyline(R) ⊆ ∪ skyline(Rᵢ)),
 // gathers the partial results concurrently, and merges them under the
-// same preference at the coordinator — progressively, when the
-// preference streams (every score-based evaluation emits its skyline in
-// the score kernel's order, whatever algorithm the shard picked), so
-// answers emit before the slowest shard finishes. Residual cascade stages, BUT ONLY, DISTINCT, ORDER BY and
+// same preference at the coordinator — progressively, when no residual
+// cascade stage remains (every evaluation emits its skyline in the
+// kernel's key order, whatever algorithm the shard picked), so answers
+// emit before the slowest shard finishes. Residual cascade stages, BUT ONLY, DISTINCT, ORDER BY and
 // LIMIT evaluate at the coordinator over the merged relation. INSERTs
 // hash-route by the shard column; UPDATE/DELETE broadcast. Statements
 // whose distributed evaluation would be unsound (joins over sharded

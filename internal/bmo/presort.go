@@ -7,12 +7,12 @@ import (
 	"sync"
 )
 
-// The presort puts row indices into the monotone key order (sum, score
-// vector lexicographically, input index) that every score-family path
-// sorts and merges by. It does not run the comparator over the whole
-// input: a stable LSD radix sort orders the rows by a 32-bit image of
-// their saturated sums, and only runs of equal images go to the
-// comparator (VecInput.order).
+// The presort puts row indices into the key order (head, key vector
+// lexicographically, input index) that every path sorts and merges by.
+// It does not run the comparator over the whole input: a stable LSD
+// radix sort orders the rows by a 32-bit image of their heads, saturated
+// sums, and only runs of equal images go to the comparator
+// (VecInput.order).
 //
 // The image is exact where it matters. Float64bits is monotone on
 // non-negative floats and antitone on negative ones, so setting the sign

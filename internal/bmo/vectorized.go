@@ -150,9 +150,9 @@ func (in *VecInput) score(comps []preference.Scorer, r value.Row) error {
 
 // order returns the comparator of the key over in: head, then key
 // vector lexicographically, then input index — a total order, and the
-// one every path sorts and merges by. It returns ±2
-// when the keys differ and ±1 when only the indices do, so a merge can
-// tell a key tie, which it breaks by source instead. Recomputing sums
+// one every path sorts and merges by. It returns ±2 when the keys
+// differ and ±1 when only the indices do, so a merge can tell a key
+// tie, which it breaks by source instead. Recomputing sums
 // here would be wrong as well as wasted work: an unsaturated +Inf + -Inf
 // is NaN, which compares false both ways. The comparator reads the
 // matrix at call time, so it stays valid while rows are appended.

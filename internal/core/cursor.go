@@ -16,8 +16,8 @@ import (
 // SELECTs — grouped and aggregate ones included — run directly on the
 // engine's operator pipeline; preference queries run their one plan
 // (candidate → BMO → BUT ONLY → quality projection) and stream the
-// Best-Matches-Only set — progressively for score-based preferences,
-// batch-at-open for shapes that need the whole set first (ORDER BY,
+// Best-Matches-Only set — progressively, or batch-at-open for shapes
+// that need the whole set first (ORDER BY,
 // GROUPING, DISTINCT). The rewrite mode has no plan tree; it evaluates
 // as a batch and the cursor iterates the buffered result, so every query
 // works through it.
@@ -211,7 +211,7 @@ func (s *Session) openCursor(sel *ast.Select, strict bool, ee execEnv) (*Cursor,
 		return nil, err
 	}
 	if err := op.Open(); err != nil {
-		return nil, err // strict mode surfaces the not-score-based error here
+		return nil, err
 	}
 	c := &Cursor{cols: p.node.Schema().Names(), stats: p.env.Stats, pull: op.Next, fin: op.Close, ctx: ee.ctx}
 	return s.trackCursor(c, sel, p.node, p.env.Rec), nil

@@ -17,9 +17,7 @@ import (
 // It is a thin wrapper over the streaming Cursor in strict mode:
 // ORDER BY, GROUPING and DISTINCT are incompatible with streaming and
 // rejected; LIMIT is honoured by early termination; BUT ONLY filters rows
-// inline. Only score-based preferences stream (EXPLICIT and nested
-// non-score terms require batch evaluation and error out here — use
-// OpenCursor for the falling-back variant).
+// inline. Every preference streams.
 func (db *DB) QueryProgressive(sql string, yield func(value.Row) bool) ([]string, error) {
 	return db.def.QueryProgressive(sql, yield)
 }

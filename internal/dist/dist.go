@@ -129,9 +129,9 @@ func (t *Transport) dial(ctx context.Context, i int) (*client.Conn, error) {
 
 // Query implements plan.ShardTransport: it runs sql on shard i and
 // returns the row stream. The shard session keeps its own algorithm
-// selection either way: every score-family evaluation emits its skyline
-// in the key order the coordinator's progressive merge requires, and the
-// merge fails loudly on a stream that does not.
+// selection either way: every evaluation emits its skyline in the key
+// order the coordinator's progressive merge requires, and the merge
+// fails loudly on a stream that does not.
 func (t *Transport) Query(ctx context.Context, i int, sql string, args []value.Value, progressive bool) (plan.ShardStream, error) {
 	conn, err := t.dial(ctx, i)
 	if err != nil {

@@ -32,7 +32,7 @@ type BMOOp struct {
 	ns    *NodeStats // per-node instrumentation slot; nil when recording is off
 	input []value.Row
 	// On a vectorized node the candidates are the positions sel of heap,
-	// not input rows; vin is the score matrix of a vectorized evaluation.
+	// not input rows; vin is the key matrix of a vectorized evaluation.
 	heap   storage.Heap
 	sel    []int32
 	vin    bmo.VecInput
@@ -187,11 +187,10 @@ func (b *BMOOp) Open() error {
 		return nil
 	}
 	if b.node.Progressive {
-		// An explicitly selected parallel algorithm streams any
-		// preference through the partition-merge stream (local skylines
-		// computed concurrently; score-based preferences still emerge
-		// best-first, others in partition order). The Auto path keeps
-		// the sequential stream: the pull loop is consumer-paced, so a
+		// An explicitly selected parallel algorithm streams through the
+		// partition-merge stream (local skylines computed concurrently,
+		// merged in key order). The Auto path keeps the sequential
+		// stream: the pull loop is consumer-paced, so a
 		// consumer that stops early saves the partition work. Either
 		// honors the statement's worker cap (incl. the core layer's
 		// forced Workers=1 for subquery-bearing preferences) and its
@@ -274,7 +273,7 @@ func (b *BMOOp) countInput(n int) {
 
 // Input returns the candidate relation (valid after Open); the quality
 // functions (TOP/LEVEL/DISTANCE) of the tail above need it to compute
-// candidate-relative distances for LOWEST/HIGHEST when no score matrix
+// candidate-relative distances for LOWEST/HIGHEST when no key matrix
 // holds them (see scoreMin). On a vectorized node the rows are fetched
 // from the selection on the first call.
 func (b *BMOOp) Input() []value.Row {

@@ -27,8 +27,8 @@ type ShardTransport interface {
 	ShardNames() []string
 	// Query runs sql with args on shard i and returns its row stream.
 	// progressive marks a stream the gather merges progressively, which
-	// needs the shard's skyline in the score kernel's key order — the
-	// order every score-family evaluation emits. Cancelling ctx must
+	// needs the shard's skyline in the kernel's key order — the order
+	// every evaluation emits. Cancelling ctx must
 	// terminate the stream.
 	Query(ctx context.Context, shard int, sql string, args []value.Value, progressive bool) (ShardStream, error)
 }
@@ -57,8 +57,8 @@ type Gather struct {
 	// they cannot be pushed.
 	Post preference.Preference
 	// Progressive streams merged rows before the slowest shard
-	// finishes; requires a score-based Pref with no residual (the
-	// shards then stream in skyline sort order).
+	// finishes; requires a Pref with no residual (the shards stream in
+	// the kernel's key order).
 	Progressive bool
 	// Workers caps the coordinator-side merge concurrency for batch
 	// merges; 0 = one worker per CPU.

@@ -470,11 +470,10 @@ func (l *Limit) Explain() string {
 }
 
 // BMO computes the Best-Matches-Only set of its input under a compiled
-// preference. In progressive mode (score-based preferences, or any
-// preference under the parallel algorithm) undominated tuples stream out
-// as soon as they are known maximal, so a TOP-k consumer stops the
-// remaining dominance work; otherwise the input is evaluated in batch
-// with the configured algorithm and the result streamed.
+// preference. In progressive mode undominated tuples stream out as soon
+// as they are known maximal, so a TOP-k consumer stops the remaining
+// dominance work; otherwise the input is evaluated in batch with the
+// configured algorithm and the result streamed.
 type BMO struct {
 	Child Node
 	Pref  preference.Preference
@@ -490,10 +489,7 @@ type BMO struct {
 	// batch. Grouped nodes are never pushed, vectorized or progressive.
 	Grouping  []ast.Expr
 	groupKeys compiled[[]*expr.Program]
-	// Progressive requests streaming evaluation; it is an error when the
-	// preference is not score-based (the QueryProgressive contract) and
-	// the algorithm is not Parallel (whose partition-merge stream serves
-	// arbitrary preferences).
+	// Progressive requests streaming evaluation.
 	Progressive bool
 	// Workers caps the partition-merge concurrency; 0 lets the executor
 	// use one worker per available CPU. The session's `SET workers`
@@ -508,15 +504,14 @@ type BMO struct {
 	// takes the selection of the scan under the child's pass-through
 	// projection (SelectionScan) — the heap it captured and the
 	// positions that pass its filter — instead of its rows, fills a flat
-	// score matrix at those positions and evaluates it batch-at-a-time
+	// key matrix at those positions and evaluates it batch-at-a-time
 	// with zone-map block pruning, one CASCADE stage after the other,
 	// then fetches heap rows for the winners only (late
 	// materialization). A component is filled from a column vector
 	// where its compiled preference names a column a kernel reads (see
 	// preference.Slot and preference.Comparison), and scored row by row
 	// at the same positions otherwise. The planner sets it from table
-	// statistics when every stage is score-based; see core's vectorize
-	// step.
+	// statistics; see core's vectorize step.
 	Vectorized bool
 
 	// The remaining fields are set by the preference-algebra rewriter

@@ -11,7 +11,7 @@
 // keyed on SQL text: a repeated statement skips parsing, and a repeated
 // plain SELECT re-executes its cached plan, skipping the planner too.
 // Single-SELECT queries stream their rows as the pipeline produces them
-// (progressively for score-based preferences), and a client Cancel stops
+// (progressively for preference queries), and a client Cancel stops
 // the stream between rows.
 package server
 

@@ -177,7 +177,7 @@ type Rows struct {
 // QueryIter plans a single SELECT (standard or Preference SQL) and returns
 // a cursor that pulls rows through the Volcano-style operator pipeline:
 // scans, filters and joins produce rows on demand, and preference queries
-// stream their BMO set progressively when the preference is score-based.
+// stream their BMO set progressively.
 // A consumer that stops early (TOP-k, first page) stops plain-SQL scans
 // outright and, for preference queries, skips the remaining dominance
 // comparisons (the candidate set itself must be read in full — dominance
