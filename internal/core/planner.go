@@ -151,9 +151,8 @@ func (s *Session) planPreference(sel *ast.Select, ee execEnv, form planForm) (*s
 
 	// Every preference streams unless the statement needs the whole
 	// result first.
-	batch := form == formBatch ||
-		form == formCursor && (len(sel.OrderBy) > 0 || len(sel.Grouping) > 0 || sel.Distinct)
-	progressive := form == formStrict || !batch
+	progressive := form == formStrict ||
+		form == formCursor && len(sel.OrderBy) == 0 && len(sel.Grouping) == 0 && !sel.Distinct
 	root := plan.NewBMO(pipe.Node(), pref, s.Algorithm(), progressive, s.bmoWorkers(sel))
 	root.Reg = reg
 	var node plan.Node = root
