@@ -136,6 +136,8 @@ func TestKernelAssignment(t *testing.T) {
 		{"k", `EXPLICIT(s, 'a' > 'm', 'b' > 'm', 'm' > 'z')`, nil, "s"},
 		{"k", `EXPLICIT(i, 1 > 2, 2 > 3)`, nil, "i"},
 		{"k", `EXPLICIT(i, 1 > 3, 2 > 3, 3 > 4)`, nil, "i"},
+		{"k", `EXPLICIT(s, NULL > 'a')`, nil, "s"},
+		{"k", `EXPLICIT(i, NULL > 1)`, nil, "i"},
 		{"k", `EXPLICIT(COALESCE(s, NULL), 'a' > 'b')`, nil, ""},
 
 		// A condition col op bound: a numeric column against a numeric

@@ -411,6 +411,8 @@ func TestColumnarFillExplicit(t *testing.T) {
 		`LOWEST(f) AND EXPLICIT(a, 1 > 2, '3' > 2, TRUE > 4)`,
 		`(LOWEST(a) CASCADE HIGHEST(f)) AND EXPLICIT(s, 'a' > 'b')`,
 		`(HIGHEST(f) CASCADE LOWEST(a)) AND EXPLICIT(s, 'a' > 'b', 'c' > 'b') AND b = TRUE`,
+		`LOWEST(a) AND EXPLICIT(s, NULL > 'a')`,
+		`HIGHEST(f) AND EXPLICIT(a, NULL > 1)`,
 	} {
 		for _, where := range []string{"", " WHERE k = 3"} {
 			checkFill(t, fillDB(t, 0), "SELECT id FROM t"+where+" PREFERRING "+pref)

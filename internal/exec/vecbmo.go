@@ -327,8 +327,7 @@ func valueScoresOf(s preference.Scorer) (vs valueScores, ok bool) {
 		for k, v := range p.Vals {
 			vs.scores[k] = float64(p.ValueLevel(v))
 		}
-		vs.other = float64(p.ValueLevel(value.NewNull()))
-		vs.null = vs.other
+		vs.other, vs.null = float64(p.Bottom()), float64(p.ValueLevel(value.NewNull()))
 	default:
 		return vs, false
 	}

@@ -832,17 +832,21 @@ func (p *Explicit) Level(row value.Row) (int, error) {
 	return p.ValueLevel(v), nil
 }
 
-// ValueLevel is depth+1 for a mentioned value and the bottom level
-// maxDepth+2 for any other, NULL included. A better value has a smaller
-// level and substitutable values share one, so the level is EXPLICIT's
-// presort key (see Key).
+// ValueLevel is depth+1 for a value the graph mentions, NULL too when
+// an edge names it, and the bottom level for any other. A better value
+// has a smaller level and substitutable values share one, so the level
+// is EXPLICIT's presort key (see Key).
 func (p *Explicit) ValueLevel(v value.Value) int {
 	k := v.Key()
 	if _, ok := p.closure[k]; ok {
 		return p.depth[k] + 1
 	}
-	return p.maxDep + 2
+	return p.Bottom()
 }
+
+// Bottom is the level of the values the graph does not mention,
+// maxDepth+2.
+func (p *Explicit) Bottom() int { return p.maxDep + 2 }
 
 // Score is the level, as a key element.
 func (p *Explicit) Score(row value.Row) (float64, error) {
