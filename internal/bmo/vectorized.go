@@ -70,30 +70,33 @@ type VecStats struct {
 
 // VecInput is a key matrix: Flat holds one Dim-wide key vector per row
 // (row-major), Sums the heads (the primary sort key), the
-// +Inf-saturated sums of the elements Heads lists. The exec layer fills
+// +Inf-saturated sums of the key vectors, or 0 for a Lex key. The exec
+// layer fills
 // it from column vectors at a scan's selected positions and leaves Rows
 // nil for an exact key — the kernel works on row indices, and only the
 // winners' rows are fetched; BuildVecInput is the generic row-at-a-time
 // fill, which keeps the rows it scored.
 type VecInput struct {
-	Rows  []value.Row
-	Dim   int
-	Flat  []float64
-	Sums  []float64
-	Heads []int // nil: every element
+	Rows []value.Row
+	Dim  int
+	Flat []float64
+	Sums []float64
 	// Cmp is nil for an exact key, whose window decides on vdominates
 	// alone. For an inexact key it is the preference a member must be
 	// Better under, compared on Rows, which then holds every row;
-	// Monotone lets vdominates on the keys rule a member out first.
-	Cmp      preference.Preference
-	Monotone bool
+	// unless the key is Lex, vdominates on the keys rules a member out
+	// first.
+	Cmp preference.Preference
+	// Lex marks a key that is not monotone (see preference.Key): its
+	// heads are 0, so rows order by their key vectors alone.
+	Lex bool
 }
 
 // NewVecInput returns an empty matrix of key's elements.
 func NewVecInput(key preference.Key) VecInput {
-	in := VecInput{Dim: len(key.Comps), Heads: key.Heads}
+	in := VecInput{Dim: len(key.Comps), Lex: !key.Monotone}
 	if !key.Exact {
-		in.Cmp, in.Monotone = key.Pref, key.Monotone
+		in.Cmp = key.Pref
 	}
 	return in
 }
@@ -107,30 +110,22 @@ func (in *VecInput) vec(i int32) []float64 {
 	return in.Flat[o : o+in.Dim : o+in.Dim]
 }
 
-// head is the saturated sum of key vector v's head elements.
+// head is key vector v's head.
 func (in *VecInput) head(v []float64) float64 {
-	if in.Heads == nil {
-		return saturatedSum(v)
+	if in.Lex {
+		return 0
 	}
-	var buf [8]float64
-	h := buf[:0]
-	for _, j := range in.Heads {
-		h = append(h, v[j])
-	}
-	return saturatedSum(h)
+	return saturatedSum(v)
 }
 
 // SumHeads computes Sums from a filled Flat.
 func (in *VecInput) SumHeads() {
 	n := len(in.Flat) / in.Dim
-	if in.Heads == nil {
-		in.Sums = SaturateSums(in.Flat, n, in.Dim)
+	if in.Lex {
+		in.Sums = make([]float64, n)
 		return
 	}
-	in.Sums = make([]float64, n)
-	for i := range in.Sums {
-		in.Sums[i] = in.head(in.vec(int32(i)))
-	}
+	in.Sums = SaturateSums(in.Flat, n, in.Dim)
 }
 
 // score appends row r's key vector and its head; the caller owns Rows.
@@ -198,7 +193,7 @@ func saturatedSum(vec []float64) float64 {
 }
 
 // SaturateSums computes the +Inf-saturated sums of a filled matrix of n
-// rows of d scores: its heads when every element is one.
+// rows of d scores: its heads unless the key is Lex.
 func SaturateSums(flat []float64, n, d int) []float64 {
 	sums := make([]float64, n)
 	for i := range sums {
@@ -293,7 +288,7 @@ func (w *window) compared(i int32) (bool, error) {
 		if err := w.cfg.checkStop(&w.ticks); err != nil {
 			return false, err
 		}
-		if m.Monotone && !vdominates(m.vec(j), v, w.st) {
+		if !m.Lex && !vdominates(m.vec(j), v, w.st) {
 			continue
 		}
 		w.st.Comparisons++
@@ -344,7 +339,7 @@ func blockSkyline(w *window, idx []int32, vst *VecStats) error {
 					}
 				}
 			}
-			pruned, err := w.dominated(corner, w.m.head(corner))
+			pruned, err := w.dominated(corner, saturatedSum(corner))
 			if err != nil {
 				return err
 			}
@@ -401,9 +396,9 @@ func keyPartials(in *VecInput, st *Stats, vst *VecStats, cfg Config) ([][]int32,
 	return parts, err
 }
 
-// keySkyline is the batch evaluation of a filled key matrix: the partition phase, then — when there is more than one
-// partial — the k-way merge. It returns the winners' row indices in key
-// order.
+// keySkyline is the batch evaluation of a filled key matrix: the
+// partition phase, then — when there is more than one partial — the
+// k-way merge. It returns the winners' row indices in key order.
 func keySkyline(in *VecInput, st *Stats, vst *VecStats, cfg Config) ([]int32, error) {
 	parts, err := keyPartials(in, st, vst, cfg)
 	if err != nil {

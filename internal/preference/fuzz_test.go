@@ -20,8 +20,8 @@ import (
 //     of Compare(b, a) (Better↔Worse, Equal↔Equal, Incomparable↔
 //     Incomparable);
 //   - the presort key (preference.Key) is topological: Better implies
-//     head elements componentwise ≤ and a lexicographically smaller
-//     key, Equal an identical key, and where the key is exact, key
+//     a lexicographically smaller key, componentwise ≤ where the key is
+//     monotone, Equal an identical key, and where the key is exact, key
 //     dominance is Better.
 //
 // Clauses the compiler rejects (unknown columns, non-literal
@@ -42,6 +42,7 @@ func FuzzPreferenceCompile(f *testing.F) {
 		"EXPLICIT(c, 'x' > 'y', 'y' > 'z')",
 		"(LOWEST(a) CASCADE HIGHEST(b)) AND EXPLICIT(c, 'x' > 'y')",
 		"EXPLICIT(c, 'x' > 'y', 'y' > 'z', 'road' > 'z')",
+		"EXPLICIT(c, NULL > 'x') AND EXPLICIT(d, NULL > 7)",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -122,8 +123,8 @@ func checkKey(key preference.Key, ka, kb []float64, o preference.Ordering) strin
 		return "the key is not smaller"
 	}
 	for j := range ka {
-		if o == preference.Better && (key.Heads == nil || slices.Contains(key.Heads, j)) && ka[j] > kb[j] {
-			return fmt.Sprintf("head element %d is larger", j)
+		if o == preference.Better && key.Monotone && ka[j] > kb[j] {
+			return fmt.Sprintf("element %d of the monotone key is larger", j)
 		}
 	}
 	dominates := lex != 0

@@ -1,10 +1,6 @@
 package preference
 
-import (
-	"slices"
-
-	"repro/internal/value"
-)
+import "repro/internal/value"
 
 // Scorer scores one element of a presort key; lower is better. Every
 // Scored preference is one, and so is EXPLICIT, whose score is its level.
@@ -14,22 +10,24 @@ type Scorer interface {
 }
 
 // Key is a preference's presort key: per row the vector (h, e₁, …, e_d),
-// ordered lexicographically, where e_j is Comps[j]'s score and the head
-// h is the +Inf-saturated sum of the elements Heads lists (nil: all of
-// them). Better implies a strictly smaller key and Equal an identical
-// one, so sorting by the key is a topological presort: no row is
-// dominated by a row that sorts after it.
+// ordered lexicographically, where e_j is Comps[j]'s score. The head h
+// is the +Inf-saturated sum of every element when the key is Monotone
+// and 0 otherwise, so a non-monotone key orders by its elements alone.
+// Better implies a strictly smaller key and Equal an identical one, so
+// sorting by the key is a topological presort: no row is dominated by a
+// row that sorts after it.
 //
 //   - A Scored preference's key is its score, EXPLICIT's its level.
-//   - A Pareto's elements are its parts' elements in order, and its head
-//     sums each part's head elements: a part Better or Equal has each of
-//     those ≤. For Scored parts that is (sum, score vector).
+//   - A Pareto's elements are its parts' elements in order. A part
+//     Better or Equal has a key ≤ lexicographically, an Equal one an
+//     identical key, so the first part whose key differs is a Better
+//     one and the Pareto's key is smaller too. For Scored parts the key
+//     is (sum, score vector).
 //   - A CASCADE's elements are its stages' elements in order, which is
-//     its lexicographic order; its head elements are its first stage's.
+//     its lexicographic order.
 type Key struct {
 	Pref  Preference
 	Comps []Scorer
-	Heads []int
 	// Monotone reports that Better implies a componentwise ≤ key with one
 	// strict <: a row whose key does not dominate so cannot be Better.
 	// A nested CASCADE, lexicographic, is not.
@@ -50,7 +48,6 @@ func KeyOf(p Preference) Key {
 	case *Pareto:
 		for _, part := range x.Parts {
 			pk := KeyOf(part)
-			k.Heads = append(k.Heads, pk.heads(len(k.Comps))...)
 			k.Comps = append(k.Comps, pk.Comps...)
 			k.Monotone = k.Monotone && pk.Monotone
 			k.Exact = k.Exact && pk.Exact
@@ -62,27 +59,9 @@ func KeyOf(p Preference) Key {
 			return k
 		}
 		k.Monotone, k.Exact = false, false
-		for i, stage := range x.Parts {
-			sk := KeyOf(stage)
-			if i == 0 {
-				k.Heads = sk.heads(0)
-			}
-			k.Comps = append(k.Comps, sk.Comps...)
+		for _, stage := range x.Parts {
+			k.Comps = append(k.Comps, KeyOf(stage).Comps...)
 		}
-	}
-	if len(k.Heads) == len(k.Comps) {
-		k.Heads = nil
 	}
 	return k
-}
-
-// heads returns the key's head elements as positions from off on.
-func (k Key) heads(off int) []int {
-	var out []int
-	for j := range k.Comps {
-		if k.Heads == nil || slices.Contains(k.Heads, j) {
-			out = append(out, off+j)
-		}
-	}
-	return out
 }
