@@ -152,18 +152,20 @@
 // validity bitmap, built on demand for the heap version a reader
 // captured, so a write invalidates only its own table's vectors. Scans
 // test numeric WHERE conjuncts against them before fetching a row, and
-// they feed the vectorized skyline operator. Over a scan it takes the
-// scan's selection (the captured heap and the surviving positions),
-// fills key vectors from column vectors without boxing (POS, NEG and
-// EXPLICIT through one per-value table), presorts row indices by the
-// key, runs dominance block-at-a-time with per-block zone maps for an
-// exact key (a block whose best corner the window of accepted rows
-// dominates is skipped wholesale), and fetches only the winners' rows.
-// The planner selects it from table statistics when the session's
+// they feed the skyline operator's key fill. Every BMO evaluates a heap
+// and candidate positions in it — over a scan, the scan's selection
+// (the captured heap and the surviving positions); over any other
+// input, its rows drained once — presorts the positions by the key,
+// runs dominance block-at-a-time with per-block zone maps for an exact
+// key (a block whose best corner the window of accepted rows dominates
+// is skipped wholesale), and fetches only the winners' rows. On a
+// vectorized node it fills key vectors from column vectors without
+// boxing (POS, NEG and EXPLICIT through one per-value table). The
+// planner vectorizes from table statistics when the session's
 // algorithm is auto; a component no column vector serves (an
-// expression over several columns, a subquery operand) is scored row
-// by row at the selected positions, and the output is byte-identical to
-// the sequential kernel.
+// expression over several columns, a subquery operand), and every
+// component of a node that is not vectorized, is scored row by row at
+// the same positions, and the output is byte-identical either way.
 // ExplainNative shows the decision
 // (`BMO vec est=N columnar`); ExplainAnalyze executes the plan and adds
 // per-node and row-level work counters. See ARCHITECTURE.md, "Columnar

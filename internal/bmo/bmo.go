@@ -5,44 +5,39 @@
 // Every preference has a presort key (preference.Key): a float vector,
 // ordered lexicographically, that is strictly smaller for a Better
 // tuple and identical for an Equal one. One kernel serves every
-// preference (see vectorized.go): rows are keyed once, presorted by
-// (head, key, input index) and filtered through one window that admits
-// a candidate unless a member dominates it — sequentially block by
-// block, over block-aligned partitions merged k-way when more than one
-// worker is available, lazily as a Stream, and as the coordinator's
-// merge of shard streams (GatherMerge). For an exact key (weak orders,
-// chain EXPLICITs and Pareto accumulations of them) the window's test
-// is dominance on the keys, with zone-map pruning; for an inexact one
-// (a non-chain EXPLICIT, a CASCADE nested in a Pareto) it is
-// Preference.Compare on the rows. A single exact key element, a weak
-// order, keeps its O(n) minimum pass, which yields the same rows in the
-// same order.
+// preference (see vectorized.go): rows are keyed once into a matrix,
+// presorted by (head, key, input index) and filtered through one window
+// that admits a candidate unless a member dominates it — sequentially
+// block by block, over block-aligned partitions merged k-way when more
+// than one worker is available, lazily as a Stream, and as the
+// coordinator's merge of shard streams (GatherMerge). For an exact key
+// (weak orders, chain EXPLICITs and Pareto accumulations of them) the
+// window's test is dominance on the keys, with zone-map pruning; for an
+// inexact one (a non-chain EXPLICIT, a CASCADE nested in a Pareto) it is
+// Preference.Compare on the rows.
 //
 // The algorithm tokens select among these: NestedLoop is the paper's
 // abstract §3.2 selection method and BlockNestedLoop plain BNL, both over
-// Compare (the references the tests compare against); Auto and Parallel
+// Compare (Reference; the tests compare against them); Auto and Parallel
 // run the key kernel. Auto uses more than one worker from
-// AutoParallelThreshold rows on; Parallel always does. Both stream
-// (Stream); Parallel's stream (NewParallelStream) partitions up front.
+// AutoParallelThreshold rows on; Parallel always does, and its Stream
+// partitions up front.
 //
 // CASCADE evaluates stage-wise, per the paper's "applying preferences one
 // after the other": BMO(P1 CASCADE P2, R) = BMO(P2, BMO(P1, R)). Stages
 // flattens a CASCADE, nested ones included, and ReduceStages is the one
-// driver every form runs them through — batch evaluation and GROUPING,
-// a stream's prestages, the coordinator's merge and the exec layer's
-// columnar stages. It stops once at most one candidate is left, so a
+// loop every form runs them through — batch evaluation, the exec
+// layer's BMO operator (batch, grouped and progressive alike) and the
+// coordinator's merge. It stops once at most one candidate is left, so a
 // statement's rows and errors do not depend on its form. Stage k's input
 // is stage k-1's output in key order, indexed 0..m-1. The exec layer
 // fills stage k's key matrix at stage k-1's winners in that same order
 // and runs EvaluateVecInput on it, which gives the same (head, key,
-// index) order and so the same rows in the same order. That holds for a
-// single-element stage too, where the kernel's key order and
-// bestLevel's input order coincide on the tied minimum.
+// index) order and so the same rows in the same order.
 package bmo
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/preference"
 	"repro/internal/value"
@@ -73,6 +68,16 @@ func (a Algorithm) String() string {
 		return "parallel-partition-merge"
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
+}
+
+// config returns cfg for a kernel evaluation of n candidates under a:
+// Auto runs on the calling goroutine below AutoParallelThreshold, since
+// the partition and merge overhead is not worth setting up.
+func (a Algorithm) config(cfg Config, n int) Config {
+	if a == Auto && n < AutoParallelThreshold {
+		cfg.Workers = 1
+	}
+	return cfg
 }
 
 // Stats reports work done by an evaluation.
@@ -133,43 +138,52 @@ func ReduceStages[T any](n int, cands []T, st *Stats, cfg Config, stage func(k i
 	return cands, nil
 }
 
-// evaluate runs the stages through ReduceStages.
+// evaluate runs the stages over rows through ReduceStages.
 func evaluate(stages []preference.Preference, rows []value.Row, algo Algorithm, st *Stats, cfg Config) ([]value.Row, error) {
 	return ReduceStages(len(stages), rows, st, cfg, func(k int, rows []value.Row) ([]value.Row, error) {
-		return evaluateStage(stages[k], rows, algo, st, cfg)
+		if len(rows) == 0 {
+			return nil, nil
+		}
+		var idx []int32
+		var err error
+		switch algo {
+		case NestedLoop, BlockNestedLoop:
+			idx, err = reference(stages[k], rows, algo, st, cfg)
+		default:
+			var in VecInput
+			if in, err = BuildVecInput(preference.KeyOf(stages[k]), rows); err == nil {
+				idx, err = keySkyline(&in, st, &VecStats{}, algo.config(cfg, len(rows)))
+			}
+		}
+		out := make([]value.Row, len(idx))
+		for j, i := range idx {
+			out[j] = rows[i]
+		}
+		return out, err
 	})
 }
 
-// evaluateStage evaluates one stage, a preference that is no CASCADE.
-func evaluateStage(p preference.Preference, rows []value.Row, algo Algorithm, st *Stats, cfg Config) ([]value.Row, error) {
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	switch algo {
-	case NestedLoop:
+// Reference evaluates one stage, a preference that is no CASCADE, over
+// rows with a reference algorithm — NestedLoop, or BlockNestedLoop —
+// which tests Compare on the rows themselves. It returns the winners'
+// indices into rows.
+func Reference(p preference.Preference, rows []value.Row, algo Algorithm, cfg Config) ([]int32, Stats, error) {
+	var st Stats
+	idx, err := reference(p, rows, algo, &st, cfg)
+	return idx, st, err
+}
+
+// reference is Reference with the caller's counters.
+func reference(p preference.Preference, rows []value.Row, algo Algorithm, st *Stats, cfg Config) ([]int32, error) {
+	if algo == NestedLoop {
 		return nestedLoop(p, rows, st)
-	case BlockNestedLoop:
-		return blockNestedLoop(p, rows, st, cfg)
-	case Auto:
-		if len(rows) < AutoParallelThreshold {
-			cfg.Workers = 1
-		}
 	}
-	key := preference.KeyOf(p)
-	if key.Exact && len(key.Comps) == 1 {
-		return bestLevel(key.Comps[0], rows, st)
-	}
-	in, err := BuildVecInput(key, rows)
-	if err != nil {
-		return nil, err
-	}
-	idx, err := keySkyline(&in, st, &VecStats{}, cfg)
-	return rowsAt(&in, idx), err
+	return blockNestedLoop(p, rows, st, cfg)
 }
 
 // nestedLoop is the paper's §3.2 abstract selection method.
-func nestedLoop(p preference.Preference, rows []value.Row, st *Stats) ([]value.Row, error) {
-	var max []value.Row
+func nestedLoop(p preference.Preference, rows []value.Row, st *Stats) ([]int32, error) {
+	var max []int32
 	for i, t1 := range rows {
 		dominated := false
 		for j, t2 := range rows {
@@ -187,7 +201,7 @@ func nestedLoop(p preference.Preference, rows []value.Row, st *Stats) ([]value.R
 			}
 		}
 		if !dominated {
-			max = append(max, t1)
+			max = append(max, int32(i))
 		}
 	}
 	return max, nil
@@ -195,10 +209,10 @@ func nestedLoop(p preference.Preference, rows []value.Row, st *Stats) ([]value.R
 
 // blockNestedLoop is BNL with an unbounded in-memory window, polling
 // cfg.Stop every stopInterval comparisons.
-func blockNestedLoop(p preference.Preference, rows []value.Row, st *Stats, cfg Config) ([]value.Row, error) {
-	var window []value.Row
+func blockNestedLoop(p preference.Preference, rows []value.Row, st *Stats, cfg Config) ([]int32, error) {
+	var window []int32
 	ticks := 0
-	for _, t := range rows {
+	for i, t := range rows {
 		dominated := false
 		keep := window[:0]
 		for _, w := range window {
@@ -206,7 +220,7 @@ func blockNestedLoop(p preference.Preference, rows []value.Row, st *Stats, cfg C
 				return nil, err
 			}
 			st.Comparisons++
-			o, err := p.Compare(w, t)
+			o, err := p.Compare(rows[w], t)
 			if err != nil {
 				return nil, err
 			}
@@ -224,66 +238,13 @@ func blockNestedLoop(p preference.Preference, rows []value.Row, st *Stats, cfg C
 			keep = append(keep, w)
 		}
 		if !dominated {
-			window = append(keep, t)
+			window = append(keep, int32(i))
 		}
 		if len(window) > st.MaxWindow {
 			st.MaxWindow = len(window)
 		}
 	}
 	return window, nil
-}
-
-// bestLevel returns all rows with the minimum score in one pass.
-func bestLevel(s preference.Scorer, rows []value.Row, st *Stats) ([]value.Row, error) {
-	best := math.Inf(1)
-	var out []value.Row
-	for _, r := range rows {
-		st.Comparisons++
-		v, err := s.Score(r)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case v < best:
-			best = v
-			out = out[:0]
-			out = append(out, r)
-		case v == best:
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
-// EvaluateGroupedConfig applies BMO independently within each group (the
-// GROUPING clause of §2.2.5: "performing with soft constraints what
-// GROUP BY does with hard constraints"), each group evaluating with the
-// given settings. Group order follows first appearance; rows keep their
-// relative order within groups.
-func EvaluateGroupedConfig(p preference.Preference, rows []value.Row,
-	groupKey func(value.Row) (string, error), algo Algorithm, cfg Config) ([]value.Row, error) {
-
-	var keys []string
-	groups := map[string][]value.Row{}
-	for _, r := range rows {
-		k, err := groupKey(r)
-		if err != nil {
-			return nil, err
-		}
-		if _, ok := groups[k]; !ok {
-			keys = append(keys, k)
-		}
-		groups[k] = append(groups[k], r)
-	}
-	var out []value.Row
-	for _, k := range keys {
-		part, _, err := EvaluateConfig(p, groups[k], algo, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, part...)
-	}
-	return out, nil
 }
 
 // Token returns the short session-setting token for the algorithm, the

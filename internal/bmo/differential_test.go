@@ -242,7 +242,7 @@ func vecInput(workers int) func(preference.Preference, []value.Row) ([]value.Row
 		if err != nil {
 			return nil, err
 		}
-		idx, _, _, err := bmo.EvaluateVecInput(in, bmo.Config{Workers: workers})
+		idx, _, _, err := bmo.EvaluateVecInput(in, bmo.Parallel, bmo.Config{Workers: workers})
 		out := make([]value.Row, len(idx))
 		for k, i := range idx {
 			out[k] = in.Rows[i]
@@ -253,7 +253,7 @@ func vecInput(workers int) func(preference.Preference, []value.Row) ([]value.Row
 
 func parallelStream(workers int) func(preference.Preference, []value.Row) ([]value.Row, error) {
 	return func(p preference.Preference, rows []value.Row) ([]value.Row, error) {
-		s, err := bmo.NewParallelStream(p, rows, bmo.Config{Workers: workers})
+		s, err := bmo.StreamRows(p, rows, bmo.Parallel, bmo.Config{Workers: workers})
 		if err != nil {
 			return nil, err
 		}

@@ -57,8 +57,9 @@ type GatherMerge struct {
 	in    VecInput
 	last  []int32
 
-	// Batch state: the result once loaded.
-	batch *Stream
+	// Batch state: the rows not yet returned, once loaded.
+	batch  []value.Row
+	loaded bool
 }
 
 // NewGatherMerge prepares a merge of the per-shard streams. pref is the
@@ -105,16 +106,25 @@ func (g *GatherMerge) Close() error {
 // merged BMO set is exhausted.
 func (g *GatherMerge) Next() (value.Row, bool, error) {
 	if g.mg != nil {
-		return g.mg.Next()
+		i, ok, err := g.mg.next()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		return g.in.Rows[i], true, nil
 	}
-	if g.batch == nil {
-		rows, err := g.loadBatch()
-		g.batch = &Stream{rest: rows}
-		if err != nil {
+	if !g.loaded {
+		g.loaded = true
+		var err error
+		if g.batch, err = g.loadBatch(); err != nil {
 			return nil, false, err
 		}
 	}
-	return g.batch.Next()
+	if len(g.batch) == 0 {
+		return nil, false, nil
+	}
+	row := g.batch[0]
+	g.batch = g.batch[1:]
+	return row, true, nil
 }
 
 // pull reads shard i's next row and keys it into the matrix. A shard

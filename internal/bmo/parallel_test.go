@@ -127,7 +127,7 @@ func TestParallelCascade(t *testing.T) {
 	if st.Stages < 1 {
 		t.Fatalf("stages = %d", st.Stages)
 	}
-	s, err := NewParallelStream(p, rows, Config{Workers: 4})
+	s, err := streamRows(p, rows, Parallel, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestParallelStreamMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewParallelStream(p, rows, Config{Workers: 4})
+	s, err := streamRows(p, rows, Parallel, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,14 +207,14 @@ func TestParallelStreamExplicit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := NewStreamConfig(ex, rows, Config{Workers: 1})
+	seq, err := streamRows(ex, rows, Auto, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, err := drain(seq); err != nil || !sameSet(got, want) {
 		t.Fatalf("stream %v (err %v) vs batch %v", got, err, want)
 	}
-	s, err := NewParallelStream(ex, rows, Config{Workers: 2})
+	s, err := streamRows(ex, rows, Parallel, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

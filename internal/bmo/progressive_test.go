@@ -12,7 +12,7 @@ import (
 // progressive drains the stream of p over rows into yield until yield
 // returns false.
 func progressive(p preference.Preference, rows []value.Row, yield func(value.Row) bool) error {
-	s, err := NewStreamConfig(p, rows, Config{Workers: 1})
+	s, err := streamRows(p, rows, Auto, Config{Workers: 1})
 	if err != nil {
 		return err
 	}
@@ -91,10 +91,8 @@ func TestProgressiveCascade(t *testing.T) {
 		&preference.Lowest{Get: colGetter(1), Label: "y"},
 	}}
 	rows := []value.Row{intRow(1, 9), intRow(1, 3), intRow(2, 0)}
-	for _, newStream := range []func(preference.Preference, []value.Row, Config) (*Stream, error){
-		NewStreamConfig, NewParallelStream,
-	} {
-		s, err := newStream(p, rows, Config{Workers: 2})
+	for _, algo := range []Algorithm{Auto, Parallel} {
+		s, err := streamRows(p, rows, algo, Config{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +166,7 @@ func TestStreamPollsStop(t *testing.T) {
 		rows = append(rows, intRow(1, 1))
 	}
 	stopErr := errors.New("cancelled")
-	s, err := NewStreamConfig(pareto2D(), rows, Config{Workers: 1, Stop: func() error { return stopErr }})
+	s, err := streamRows(pareto2D(), rows, Auto, Config{Workers: 1, Stop: func() error { return stopErr }})
 	if err != nil {
 		t.Fatal(err)
 	}

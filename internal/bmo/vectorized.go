@@ -32,7 +32,7 @@ import (
 // keySkyline runs the block kernel on contiguous block-aligned
 // partitions concurrently and k-way merges the partials through a fresh
 // window (merger). A Stream drains a merger lazily, over the single
-// sorted order or, from NewParallelStream, over partition partials;
+// sorted order or, under Parallel, over partition partials;
 // GatherMerge's progressive mode drains one over shard streams.
 //
 // Presort: Better implies a strictly smaller key (see preference.Key),
@@ -71,11 +71,10 @@ type VecStats struct {
 // VecInput is a key matrix: Flat holds one Dim-wide key vector per row
 // (row-major), Sums the heads (the primary sort key), the
 // +Inf-saturated sums of the key vectors, or 0 for a Lex key. The exec
-// layer fills
-// it from column vectors at a scan's selected positions and leaves Rows
-// nil for an exact key — the kernel works on row indices, and only the
-// winners' rows are fetched; BuildVecInput is the generic row-at-a-time
-// fill, which keeps the rows it scored.
+// layer fills it at the candidates' heap positions and leaves Rows nil
+// for an exact key — the kernel works on row indices, and only the
+// winners' rows are fetched; BuildVecInput fills it from a row slice,
+// which it keeps.
 type VecInput struct {
 	Rows []value.Row
 	Dim  int
@@ -216,14 +215,15 @@ func BuildVecInput(key preference.Key, rows []value.Row) (VecInput, error) {
 	return in, nil
 }
 
-// EvaluateVecInput runs the kernel on a prebuilt key matrix and returns
-// the winners' row indices in key order — the exec layer's columnar
-// path, where the matrix was filled from typed column vectors without
-// boxing a single value and only the winners' rows are fetched.
-func EvaluateVecInput(in VecInput, cfg Config) ([]int32, Stats, VecStats, error) {
+// EvaluateVecInput runs the kernel under algo, Auto or Parallel, on a
+// filled key matrix and returns the winners' row indices in key order —
+// the exec layer's path, where the matrix was filled at heap positions
+// (from typed column vectors where a kernel serves an element) and only
+// the winners' rows are fetched.
+func EvaluateVecInput(in VecInput, algo Algorithm, cfg Config) ([]int32, Stats, VecStats, error) {
 	var st Stats
 	var vst VecStats
-	out, err := keySkyline(&in, &st, &vst, cfg)
+	out, err := keySkyline(&in, &st, &vst, algo.config(cfg, in.Len()))
 	return out, st, vst, err
 }
 
@@ -257,16 +257,22 @@ type window struct {
 
 // dominated reports whether a member's key dominates the key vector v
 // whose head is sum. Members past sum cannot, so the scan stops there.
+// It stops at a member equal to v too: no member dominates that one
+// (members arrive in key order, a dominator first), so none dominates
+// v — which keeps a run of tied rows, a weak order's best level, linear.
 func (w *window) dominated(v []float64, sum float64) (bool, error) {
 	sums, flat, d := w.m.Sums, w.m.Flat, w.m.Dim
 	for _, m := range w.members {
-		if sums[m] > sum {
-			break
+		o := int(m) * d
+		if s := sums[m]; s >= sum {
+			if s > sum || slices.Equal(flat[o:o+d], v) {
+				break
+			}
 		}
 		if err := w.cfg.checkStop(&w.ticks); err != nil {
 			return false, err
 		}
-		if o := int(m) * d; vdominates(flat[o:o+d], v, w.st) {
+		if vdominates(flat[o:o+d], v, w.st) {
 			return true, nil
 		}
 	}
@@ -371,10 +377,7 @@ func keyPartials(in *VecInput, st *Stats, vst *VecStats, cfg Config) ([][]int32,
 	np := min(cfg.workerCount(), nb)
 	per := (nb + np - 1) / np * VecBlockSize
 	np = (n + per - 1) / per
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
+	idx := identity(n)
 	parts := make([][]int32, np)
 	stats := make([]Stats, np)
 	vstats := make([]VecStats, np)
@@ -418,13 +421,13 @@ func keySkyline(in *VecInput, st *Stats, vst *VecStats, cfg Config) ([]int32, er
 	}
 }
 
-// rowsAt returns the rows of in at the indices idx.
-func rowsAt(in *VecInput, idx []int32) []value.Row {
-	out := make([]value.Row, len(idx))
-	for k, i := range idx {
-		out[k] = in.Rows[i]
+// identity returns the row indices 0..n-1.
+func identity(n int) []int32 {
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
 	}
-	return out
+	return idx
 }
 
 // merger k-way merges monotone sources through one window: the
@@ -463,17 +466,8 @@ func mergePartials(in *VecInput, parts [][]int32, st *Stats, cfg Config) *merger
 	}, st, cfg)
 }
 
-// Next returns the next admitted row, or ok=false once every source is
-// exhausted.
-func (mg *merger) Next() (value.Row, bool, error) {
-	i, ok, err := mg.next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	return mg.win.m.Rows[i], true, nil
-}
-
-// next is Next on row indices.
+// next returns the next admitted row index, or ok=false once every
+// source is exhausted.
 func (mg *merger) next() (int32, bool, error) {
 	for {
 		best := -1

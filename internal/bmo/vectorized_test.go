@@ -116,7 +116,7 @@ func evalVec(p preference.Preference, rows []value.Row, cfg Config) ([]value.Row
 	if err != nil {
 		return nil, VecStats{}, err
 	}
-	idx, _, vst, err := EvaluateVecInput(in, cfg)
+	idx, _, vst, err := EvaluateVecInput(in, Parallel, cfg)
 	return rowsAt(&in, idx), vst, err
 }
 
@@ -164,14 +164,14 @@ func TestVectorizedOrderMatchesSFS(t *testing.T) {
 			{"parallel-w4", batch(Parallel, 4)},
 			{"parallel-w7", batch(Parallel, 7)},
 			{"stream", func() ([]value.Row, error) {
-				s, err := NewStreamConfig(p, rows, Config{Workers: 1})
+				s, err := streamRows(p, rows, Auto, Config{Workers: 1})
 				if err != nil {
 					return nil, err
 				}
 				return drain(s)
 			}},
 			{"parallel-stream-w3", func() ([]value.Row, error) {
-				s, err := NewParallelStream(p, rows, Config{Workers: 3})
+				s, err := streamRows(p, rows, Parallel, Config{Workers: 3})
 				if err != nil {
 					return nil, err
 				}

@@ -38,7 +38,7 @@ func (s *Session) ExplainNative(sql string) (string, error) { return s.explain(s
 func (db *DB) ExplainAnalyze(sql string) (string, error) { return db.def.ExplainAnalyze(sql) }
 
 // ExplainAnalyze is the session-scoped variant; the session's algorithm,
-// pushdown and vectorized settings shape the executed plan.
+// pushdown and workers settings shape the executed plan.
 func (s *Session) ExplainAnalyze(sql string) (string, error) { return s.explain(sql, true) }
 
 // explain formats — or, with analyze, runs and annotates — the cursor

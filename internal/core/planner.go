@@ -32,8 +32,8 @@ const (
 	// need the whole BMO set first (ORDER BY, GROUPING, DISTINCT) get the
 	// batch plan.
 	formCursor
-	// formStrict is QueryProgressive: always progressive and never
-	// pushed or vectorized — a non-streamable preference fails at Open.
+	// formStrict is QueryProgressive: always progressive, and never
+	// pushed or vectorized.
 	formStrict
 )
 
@@ -156,18 +156,21 @@ func (s *Session) planPreference(sel *ast.Select, ee execEnv, form planForm) (*s
 	root := plan.NewBMO(pipe.Node(), pref, s.Algorithm(), progressive, s.bmoWorkers(sel))
 	root.Reg = reg
 	var node plan.Node = root
-	switch {
-	case len(sel.Grouping) > 0:
+	if len(sel.Grouping) > 0 {
 		// Groups are evaluated one by one with the session's algorithm.
 		root.Grouping = make([]ast.Expr, len(sel.Grouping))
 		for i, g := range sel.Grouping {
 			root.Grouping[i] = g
 		}
-	case form != formStrict:
-		// The strict form keeps the unpushed row-at-a-time plan: its
-		// contract is the score-ordered stream over the candidate
-		// relation, and its errors must not depend on plan shape.
-		node = s.maybePush(sel, root)
+	}
+	if form != formStrict {
+		// The strict form keeps the plain plan: its contract is the
+		// progressive stream over the candidate relation, and its errors
+		// must not depend on plan shape. A grouped BMO stays at the
+		// root: pushing dominance below a join ignores the groups.
+		if len(sel.Grouping) == 0 {
+			node = s.maybePush(sel, root)
+		}
 		vectorize(root, node)
 	}
 	return s.newPlan(qualityTail(node, sel), pipe.Env()), nil

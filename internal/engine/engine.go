@@ -143,11 +143,12 @@ func (db *DB) RunnerArgs(qctx context.Context, params []value.Value) expr.Subque
 
 // execContext carries per-statement state: the view materialization cache
 // that keeps correlated subqueries from re-materializing the same view for
-// every outer row, plus the execution's cancellation context and bind
-// arguments.
+// every outer row, the rows of the uncorrelated subqueries it ran, plus
+// the execution's cancellation context and bind arguments.
 type execContext struct {
 	db        *DB
 	viewCache map[string]*plan.Values
+	subCache  map[*ast.Select][]value.Row
 	depth     int
 	stats     *exec.Stats
 	qctx      context.Context // nil = not cancellable
@@ -155,8 +156,8 @@ type execContext struct {
 }
 
 func newExecContext(db *DB, qctx context.Context, params []value.Value) *execContext {
-	return &execContext{db: db, viewCache: map[string]*plan.Values{}, stats: &exec.Stats{},
-		qctx: qctx, params: params}
+	return &execContext{db: db, viewCache: map[string]*plan.Values{}, subCache: map[*ast.Select][]value.Row{},
+		stats: &exec.Stats{}, qctx: qctx, params: params}
 }
 
 // runtime builds the expression runtime of one query block of this
@@ -177,13 +178,41 @@ func (ctx *execContext) stop() func() error {
 	return func() error { return qctx.Err() }
 }
 
-// Subquery implements expr.SubqueryRunner.
+// Subquery implements expr.SubqueryRunner. The rows of a run that
+// consulted nothing of its outer environment are kept for the rest of
+// the execution: evaluation is deterministic, so such a subquery —
+// scalar, IN or EXISTS — answers the same for every outer row, and runs
+// once instead of once per row. An error is never kept.
 func (ctx *execContext) Subquery(sel *ast.Select, env expr.Env) ([]value.Row, error) {
-	rel, err := ctx.evalSelect(sel, env)
+	if rows, ok := ctx.subCache[sel]; ok {
+		return rows, nil
+	}
+	probe := &probeEnv{Env: env}
+	rel, err := ctx.evalSelect(sel, probe)
 	if err != nil {
 		return nil, err
 	}
+	if !probe.consulted {
+		ctx.subCache[sel] = rel.Rows
+	}
 	return rel.Rows, nil
+}
+
+// probeEnv is an outer environment that records whether a lookup
+// reached it.
+type probeEnv struct {
+	expr.Env
+	consulted bool
+}
+
+func (e *probeEnv) Col(table, name string) (value.Value, bool) {
+	e.consulted = true
+	return e.Env.Col(table, name)
+}
+
+func (e *probeEnv) Func(fc *ast.FuncCall) (value.Value, bool, error) {
+	e.consulted = true
+	return e.Env.Func(fc)
 }
 
 const maxSubqueryDepth = 64

@@ -98,9 +98,11 @@ func pick(r *rand.Rand, xs ...string) string { return xs[r.Intn(len(xs))] }
 // third of the statements one or two further CASCADE stages. One term
 // of the first stage always ranks a wide column, so the skyline — and
 // the reference's window — stays small. The cascade's draws come after
-// the first stage's, and the last draws add a term over two columns and
-// put a parenthesized group into the first stage, so a statement
-// without them is the one its seed always drew.
+// the first stage's, and the last draws add a term over two columns,
+// put a parenthesized group into the first stage and, in a fifth of the
+// statements, evaluate BMO per group of an INT, BOOL or TEXT column
+// (GROUPING), so a statement without them is the one its seed always
+// drew.
 func genFillQuery(r *rand.Rand) string {
 	var where []string
 	switch r.Intn(6) {
@@ -183,6 +185,9 @@ func genFillQuery(r *rand.Rand) string {
 		terms = slices.Replace(terms, i, j, group)
 	}
 	pref := strings.Join(terms, " AND ") + cascade
+	if r.Intn(5) == 0 {
+		pref += " GROUPING " + pick(r, "k", "b", "s")
+	}
 	q := "SELECT " + list + " FROM t"
 	if len(where) > 0 {
 		q += " WHERE " + strings.Join(where, " AND ")
@@ -256,7 +261,9 @@ var queryForms = []struct {
 // The row path is the parallel algorithm's, which the planner never
 // vectorizes and which runs the score kernel Auto runs, so it emits the
 // same rows in the same order. The cursor and the strict progressive
-// form must give the vectorized batch answer in the same order too.
+// form must give the vectorized batch answer in the same order too; the
+// strict form refuses a GROUPING statement, which needs its whole
+// result, so a grouped statement must fail there.
 func checkFill(t *testing.T, db *core.DB, q string) {
 	auto, rowPath, bnl := db.NewSession(), db.NewSession(), db.NewSession()
 	rowPath.SetAlgorithm(bmo.Parallel)
@@ -282,6 +289,12 @@ func checkFill(t *testing.T, db *core.DB, q string) {
 	}
 	for _, f := range queryForms[1:] {
 		rows, errForm := f.run(auto, q)
+		if f.name == "progressive" && strings.Contains(q, " GROUPING ") {
+			if errForm == nil {
+				t.Fatalf("%s: the strict progressive form streamed a GROUPING statement", q)
+			}
+			continue
+		}
 		if g, w := rowList(rows, errForm), rowList(got, err); g != w {
 			t.Fatalf("%s\n%s: %.200s (err %v)\nbatch: %.200s (err %v)", q, f.name, g, errForm, w, err)
 		}
@@ -296,6 +309,21 @@ func TestColumnarFillDifferential(t *testing.T) {
 	for seed := 0; seed < n; seed++ {
 		q := genFillQuery(rand.New(rand.NewSource(int64(seed))))
 		t.Run(fmt.Sprint(seed), func(t *testing.T) { checkFill(t, fillDB(t, seed%fillTables), q) })
+	}
+}
+
+// TestColumnarFillGrouping runs GROUPING over each kind of key column —
+// INT, BOOL with NULLs, TEXT under an index probe, two columns at once —
+// through every check: each group runs the stage loop on its own
+// positions, and the groups keep their order of first appearance.
+func TestColumnarFillGrouping(t *testing.T) {
+	for _, q := range []string{
+		`SELECT id FROM t PREFERRING LOWEST(a) AND HIGHEST(f) GROUPING k`,
+		`SELECT id FROM t PREFERRING LOWEST(a) CASCADE HIGHEST(f) GROUPING b`,
+		`SELECT id FROM t WHERE k = 3 PREFERRING s IN ('a') AND LOWEST(f) CASCADE HIGHEST(a) GROUPING s`,
+		`SELECT id, DISTANCE(a) FROM t PREFERRING LOWEST(a) GROUPING k, b`,
+	} {
+		checkFill(t, fillDB(t, 0), q)
 	}
 }
 

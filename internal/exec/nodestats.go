@@ -64,7 +64,7 @@ func (ns *NodeStats) AddBlocks(scanned, pruned int64) {
 }
 
 // AddEmitted counts rows an operator handed on without Next (a scan's
-// selection taken by a vectorized BMO) and the time that took.
+// selection taken by a BMO) and the time that took.
 func (ns *NodeStats) AddEmitted(rows, nanos int64) {
 	if ns != nil {
 		atomic.AddInt64(&ns.Rows, rows)

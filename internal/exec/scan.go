@@ -18,14 +18,14 @@ import (
 // written order. Every candidate still counts as scanned, so RowsScanned
 // means the same on either path.
 //
-// A scan under a vectorized BMO (plan.BMO.Vectorized) is not pulled row
-// by row: the BMO takes its selection — the captured heap and the positions
-// that pass the filter — and fetches only the winners' rows (late
+// A scan under a BMO (plan.SelectionScan) is not pulled row by row: the
+// BMO takes its selection — the captured heap and the positions that
+// pass the filter — and fetches only the winners' rows (late
 // materialization, Abadi et al., "Materialization Strategies in a
 // Column-Oriented DBMS", ICDE 2007).
 
-// selector is a scan that hands a vectorized BMO its selection instead
-// of its rows.
+// selector is a scan that hands a BMO its selection instead of its
+// rows.
 type selector interface {
 	node() plan.Node
 	table() *storage.Table

@@ -12,26 +12,26 @@ import (
 	"repro/internal/value"
 )
 
-// Vectorized BMO execution: the planner set the node's Vectorized flag
-// after verifying that the candidates are a scan's selection. The
-// operator fills each stage's flat key matrix (bmo.VecInput) and hands
-// it to the batch kernel, which returns the winners' indices.
-//
-// The operator never pulls a row from its child: it takes the scan's
-// selection (captured heap, surviving positions), fills each key
-// element at those positions — from column vectors where a kernel
-// serves the element (fillKernel), otherwise by scoring the heap rows —
-// and fetches heap rows for the winners only. An inexact key's window
-// compares rows, so its matrix also holds the heap rows at the
+// The BMO operator's key fill. Every stage of every BMO node fills a
+// flat key matrix (bmo.VecInput) at its candidates' heap positions and
+// hands it to the kernel, which returns the winners' indices; only the
+// winners' rows are fetched (late materialization). An inexact key's
+// window compares rows, so its matrix also holds the heap rows at the
 // positions. A CASCADE runs through bmo.ReduceStages: stage 1 fills its
-// key at every selected position, each later stage only at the previous
-// stage's winners, in the order that stage returned them, and the
-// driver stops once at most one candidate is left. That is the row
-// path's BMO(P2, BMO(P1, R)) with the same input order per stage, so
-// the same rows come out in the same order, and a later stage never
-// scores — nor fails on — a row an earlier one eliminated. Every other
-// input takes the row path (BMOOp.Open). Zone-map counters land in the
-// statement Stats for EXPLAIN ANALYZE.
+// key at every candidate, each later stage only at the previous stage's
+// winners, in the order that stage returned them, and the loop stops
+// once at most one candidate is left — BMO(P2, BMO(P1, R)), so a later
+// stage never scores, nor fails on, a row an earlier one eliminated.
+//
+// The planner marks a node Vectorized after verifying that its
+// candidates are a scan's selection and that the estimate repays a
+// column vector's build (see core's vectorize step). On such a node the
+// operator never pulls a row from its child: it takes the scan's
+// selection (captured heap, surviving positions) and fills each key
+// element a kernel serves from the heap's column vector (fillKernel).
+// Every other element, and every element of any other node, is scored
+// on the heap rows at the same positions. Zone-map counters of a
+// vectorized node land in the statement Stats for EXPLAIN ANALYZE.
 
 // takeSelection drains the scan's selection into b.heap and b.sel, and
 // counts its rows as the scan's and the pass-through projection's
@@ -50,59 +50,33 @@ func (b *BMOOp) takeSelection() error {
 	return nil
 }
 
-// openSelection is Open on a vectorized node: the child is open, and
-// its scan hands over its selection.
-func (b *BMOOp) openSelection() error {
-	if err := b.takeSelection(); err != nil {
-		return err
-	}
-	b.countInput(len(b.sel))
-	stages := bmo.Stages(b.node.Pref)
-	at, err := bmo.ReduceStages(len(stages), b.sel, &bmo.Stats{}, b.config(), func(k int, at []int32) ([]int32, error) {
-		in, err := b.fillStage(preference.KeyOf(stages[k]), at)
-		if err != nil {
-			return nil, err
-		}
-		if k == 0 {
-			b.vin = in // scoreMin reads stage 1, filled at every candidate
-		}
-		win, err := b.evaluateVec(in)
-		for i, w := range win {
-			win[i] = at[w]
-		}
-		return win, err
-	})
-	if err != nil {
-		return err
-	}
-	b.buf = make([]value.Row, len(at))
-	for k, p := range at {
-		b.buf[k] = b.heap.Rows[p]
-	}
-	return nil
-}
-
 // fillStage fills the key matrix of one stage at the heap positions
-// sel.
+// sel. On a columnar node, an element a kernel serves is filled from
+// a column vector (fillKernel); every other element is scored on the
+// heap rows, row by row.
 func (b *BMOOp) fillStage(key preference.Key, sel []int32) (bmo.VecInput, error) {
 	in := bmo.NewVecInput(key)
-	n, d, comps := len(sel), in.Dim, key.Comps
+	n, d := len(sel), in.Dim
 	in.Flat = make([]float64, n*d)
-	if n == 0 {
+	var scored []int // the elements no kernel filled
+	for j, s := range key.Comps {
 		// Nothing selected: the scan may have captured no heap at all (a
 		// probe with a NULL key, an empty table), so no vector is asked for.
-		comps = nil
+		if b.columnar && n > 0 {
+			done, err := b.fillKernel(&in, sel, j, s)
+			if err != nil {
+				return bmo.VecInput{}, err
+			}
+			if done {
+				continue
+			}
+		}
+		scored = append(scored, j)
 	}
-	for j, s := range comps {
-		done, err := b.fillKernel(&in, sel, j, s)
-		if err != nil {
-			return bmo.VecInput{}, err
-		}
-		if done {
-			continue
-		}
-		for i, p := range sel {
-			v, err := s.Score(b.heap.Rows[p])
+	for i := 0; len(scored) > 0 && i < n; i++ {
+		r := b.heap.Rows[sel[i]]
+		for _, j := range scored {
+			v, err := key.Comps[j].Score(r)
 			if err != nil {
 				return bmo.VecInput{}, err
 			}
@@ -110,21 +84,18 @@ func (b *BMOOp) fillStage(key preference.Key, sel []int32) (bmo.VecInput, error)
 		}
 	}
 	if in.Cmp != nil {
-		in.Rows = make([]value.Row, n)
-		for i, p := range sel {
-			in.Rows[i] = b.heap.Rows[p]
-		}
+		in.Rows = b.heapRows(sel)
 	}
 	in.SumHeads()
 	return in, nil
 }
 
-// evaluateVec runs the kernel on in and records its zone-map
-// counters.
-func (b *BMOOp) evaluateVec(in bmo.VecInput) ([]int32, error) {
-	win, _, vst, err := bmo.EvaluateVecInput(in, b.config())
-	if err != nil {
-		return nil, err
+// evaluateVec runs the kernel on in under algo and, on a columnar
+// node, records its zone-map counters.
+func (b *BMOOp) evaluateVec(in bmo.VecInput, algo bmo.Algorithm) ([]int32, error) {
+	win, _, vst, err := bmo.EvaluateVecInput(in, algo, b.config())
+	if err != nil || !b.columnar {
+		return win, err
 	}
 	b.ns.AddBlocks(int64(vst.BlocksScanned), int64(vst.BlocksPruned))
 	if b.env != nil {
@@ -134,11 +105,12 @@ func (b *BMOOp) evaluateVec(in bmo.VecInput) ([]int32, error) {
 }
 
 // scoreMin returns the smallest score of component s over the candidates,
-// read from the key matrix; ok=false when the operator filled no matrix
-// or s is not one of its first stage's key elements. A later
-// stage's matrix holds the survivors of the earlier stages only, and the
-// minimum is over every candidate — which is what the row path scores,
-// and fails on, too.
+// read from the first stage's key matrix; ok=false when no matrix was
+// filled at every candidate (a reference algorithm, a GROUPING of more
+// than one group) or s is not one of its key elements. A later stage's
+// matrix holds the survivors of the earlier stages only, and the
+// minimum is over every candidate — which is what Input's rows score,
+// and fail on, too.
 func (b *BMOOp) scoreMin(s preference.Scored) (min float64, ok bool) {
 	if b.vin.Dim == 0 {
 		return 0, false
@@ -198,7 +170,7 @@ func (b *BMOOp) numeric(col int) bool {
 }
 
 // fillDistance is the kernel of LOWEST, HIGHEST, AROUND and BETWEEN over
-// a numeric vector: NULL scores +Inf, and a NaN fails as on the row path.
+// a numeric vector: NULL scores +Inf, and a NaN fails as Score does.
 func (b *BMOOp) fillDistance(in *bmo.VecInput, sel []int32, j int, cv *storage.ColVec, s preference.Scorer) (bool, error) {
 	if cv.Nums == nil {
 		return false, nil
@@ -275,8 +247,8 @@ func fillValues(m *bmo.VecInput, sel []int32, j int, cv *storage.ColVec, vs valu
 // fillCompare is the kernel of a Bool component `col op bound`, with the
 // scan filters' semantics: 0 where the comparison holds, 1 where it is
 // false or UNKNOWN (NULL). It reports false when the column is not
-// numeric or the bound does not evaluate to a number (those stay on the
-// row path); the column's vector is fetched only for a numeric bound.
+// numeric or the bound does not evaluate to a number (those rows are
+// scored); the column's vector is fetched only for a numeric bound.
 func (b *BMOOp) fillCompare(in *bmo.VecInput, sel []int32, j int, c *preference.Comparison) bool {
 	if !b.numeric(c.Col) {
 		return false

@@ -118,12 +118,12 @@ func TestVecBMOOverEmptyScan(t *testing.T) {
 	}
 }
 
-// TestRowBMOTakesTheSelection: a BMO on the row path over a selection
-// scan takes the scan's selection instead of pulling rows, so its input
-// is the scan's rows in scan order, held in one allocation of their
-// number.
+// TestRowBMOTakesTheSelection: a BMO that is not vectorized still takes
+// a selection scan's selection instead of pulling rows, so its
+// candidates are positions in the heap the scan captured, and the rows
+// at them are the scan's rows in scan order.
 func TestRowBMOTakesTheSelection(t *testing.T) {
-	cat, _ := jobsCatalog(t)
+	cat, jobs := jobsCatalog(t)
 	scan := planJobs(t, cat, bin("<", col("", "salary"), param(0)))
 	if _, ok := scan.(*plan.SeqScan); !ok {
 		t.Fatalf("want a SeqScan, got %s", scan.Explain())
@@ -141,8 +141,12 @@ func TestRowBMOTakesTheSelection(t *testing.T) {
 	}
 	b := unwrap(op).(*BMOOp)
 	cand := run(t, scan, env)
-	if b.scan == nil || ids(b.input) != ids(cand) || cap(b.input) != len(cand) {
-		t.Fatalf("input %q (cap %d), want the scan's rows %q in one allocation", ids(b.input), cap(b.input), ids(cand))
+	sel := make([]value.Row, len(b.sel))
+	for i, p := range b.sel {
+		sel[i] = b.heap.Rows[p]
+	}
+	if b.scan == nil || b.heap.Version != jobs.Heap().Version || ids(sel) != ids(cand) {
+		t.Fatalf("selection %q, want the scan's rows %q in the table's heap", ids(sel), ids(cand))
 	}
 	want, err := bmo.Evaluate(pref, cand, bmo.BlockNestedLoop)
 	if err != nil {

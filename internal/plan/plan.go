@@ -486,7 +486,8 @@ type BMO struct {
 	Algo bmo.Algorithm
 	// Grouping, when non-empty, is the query's GROUPING clause: BMO is
 	// evaluated separately within each group of equal key values, in
-	// batch. Grouped nodes are never pushed, vectorized or progressive.
+	// batch. Grouped nodes are never pushed or progressive; a grouped
+	// root over a selection scan is vectorized like any other.
 	Grouping  []ast.Expr
 	groupKeys compiled[[]*expr.Program]
 	// Progressive requests streaming evaluation.
@@ -500,18 +501,19 @@ type BMO struct {
 	// when unknown.
 	EstRows int64
 
-	// Vectorized selects the vectorized physical operator: the executor
-	// takes the selection of the scan under the child's pass-through
-	// projection (SelectionScan) — the heap it captured and the
-	// positions that pass its filter — instead of its rows, fills a flat
-	// key matrix at those positions and evaluates it batch-at-a-time
-	// with zone-map block pruning, one CASCADE stage after the other,
-	// then fetches heap rows for the winners only (late
-	// materialization). A component is filled from a column vector
-	// where its compiled preference names a column a kernel reads (see
-	// preference.Slot and preference.Comparison), and scored row by row
-	// at the same positions otherwise. The planner sets it from table
-	// statistics; see core's vectorize step.
+	// Vectorized lets the key fill read column vectors. Every BMO node
+	// evaluates a heap and candidate positions in it: the selection of
+	// the scan under a pass-through projection (SelectionScan) — the
+	// heap it captured and the positions that pass its filter — or its
+	// child's rows drained into a table-less heap. It fills a flat key
+	// matrix at those positions, one CASCADE stage after the other, and
+	// fetches heap rows for the winners only (late materialization). On
+	// a vectorized node a component is filled from a column vector where
+	// its compiled preference names a column a kernel reads (see
+	// preference.Slot and preference.Comparison), and the zone-map
+	// counters are recorded; every other component, and every component
+	// elsewhere, is scored row by row at the same positions. The planner
+	// sets it from table statistics; see core's vectorize step.
 	Vectorized bool
 
 	// The remaining fields are set by the preference-algebra rewriter

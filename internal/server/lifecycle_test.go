@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"net"
 	"strings"
 	"testing"
@@ -199,4 +200,62 @@ func TestExplainOverWire(t *testing.T) {
 	if _, err := c.Query("SELECT id FROM trips"); err != nil {
 		t.Fatalf("connection unusable after explain error: %v", err)
 	}
+}
+
+// TestIdleTimeoutSparesSplitFrame: a frame that arrives in pieces across
+// idle deadlines while a statement is in flight is read whole. A live
+// subscription's Unsubscribe frame is written as its first four bytes
+// and, after several idle periods, the rest; the server must answer it
+// with the subscription's Done frame instead of losing the bytes it had
+// read.
+func TestIdleTimeoutSparesSplitFrame(t *testing.T) {
+	db, addr := startServerOpts(t, server.Options{CacheSize: 4, IdleTimeout: 150 * time.Millisecond})
+	if _, err := db.Exec("CREATE TABLE t (id INT)"); err != nil {
+		t.Fatal(err)
+	}
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	expect := func(want byte) []byte {
+		t.Helper()
+		typ, payload, err := wire.ReadFrame(nc)
+		if err != nil || typ != want {
+			t.Fatalf("read %#x (err %v), want %#x", typ, err, want)
+		}
+		return payload
+	}
+	var hello wire.Buffer
+	hello.U16(wire.Version)
+	hello.String("split-frame-test")
+	if err := wire.WriteFrame(nc, wire.MsgHello, hello.B); err != nil {
+		t.Fatal(err)
+	}
+	expect(wire.MsgHelloOK)
+	var sub wire.Buffer
+	sub.U32(16)
+	sub.String("SELECT * FROM t")
+	sub.Values(nil)
+	if err := wire.WriteFrame(nc, wire.MsgSubscribe, sub.B); err != nil {
+		t.Fatal(err)
+	}
+	id := wire.NewReader(expect(wire.MsgSubscribed)).U32()
+	expect(wire.MsgDone) // the empty initial result
+
+	var unsub wire.Buffer
+	unsub.U32(id)
+	var frame bytes.Buffer
+	if err := wire.WriteFrame(&frame, wire.MsgUnsubscribe, unsub.B); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nc.Write(frame.Bytes()[:4]); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(400 * time.Millisecond)
+	if _, err := nc.Write(frame.Bytes()[4:]); err != nil {
+		t.Fatal(err)
+	}
+	expect(wire.MsgDone)
 }

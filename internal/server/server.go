@@ -367,23 +367,12 @@ func (s *Server) handle(nc net.Conn) {
 
 // readLoop pulls frames off the socket so that Cancel can overtake a
 // row stream in flight. It exits (closing frames) when the peer hangs
-// up or the connection is closed.
+// up, the connection is closed or the peer idles (idleReader).
 func (c *conn) readLoop() {
 	defer close(c.frames)
 	for {
-		if d := c.srv.opts.IdleTimeout; d > 0 {
-			c.nc.SetReadDeadline(time.Now().Add(d))
-		}
-		typ, payload, err := wire.ReadFrame(c.nc)
+		typ, payload, err := wire.ReadFrame(idleReader{c})
 		if err != nil {
-			// The idle deadline applies between statements only: while one
-			// is queued or in flight the client is legitimately silent (it
-			// is reading our rows), so re-arm and keep listening for its
-			// Cancel.
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() && c.pending.Load() > 0 {
-				continue
-			}
 			return
 		}
 		if typ == wire.MsgCancel {
@@ -404,6 +393,30 @@ func (c *conn) readLoop() {
 		if typ == wire.MsgQuit {
 			return
 		}
+	}
+}
+
+// idleReader reads the socket under the idle deadline, armed afresh
+// for every read, so a read times out only when no byte arrived for a
+// whole IdleTimeout. That ends the connection only between statements:
+// while one is queued or in flight the client is legitimately silent
+// (it is reading our rows), so the read is retried and keeps listening
+// for its Cancel. A retry loses nothing — a timed-out read consumed no
+// byte — so a frame that arrives in pieces is read whole.
+type idleReader struct{ c *conn }
+
+func (r idleReader) Read(p []byte) (int, error) {
+	d := r.c.srv.opts.IdleTimeout
+	for {
+		if d > 0 {
+			r.c.nc.SetReadDeadline(time.Now().Add(d))
+		}
+		n, err := r.c.nc.Read(p)
+		var ne net.Error
+		if n == 0 && errors.As(err, &ne) && ne.Timeout() && r.c.pending.Load() > 0 {
+			continue
+		}
+		return n, err
 	}
 }
 
