@@ -6,8 +6,10 @@
 // ordered lexicographically, that is strictly smaller for a Better
 // tuple and identical for an Equal one. One kernel serves every
 // preference (see vectorized.go): rows are keyed once into a matrix,
-// presorted by (head, key, input index) and filtered through one window
-// that admits a candidate unless a member dominates it — sequentially
+// thinned, for an exact key, by one elimination pass that drops the
+// rows a few good ones dominate, presorted by (head, key, input index)
+// and filtered through one window that admits a candidate unless a
+// member dominates it — sequentially
 // block by block, over block-aligned partitions merged k-way when more
 // than one worker is available, lazily as a Stream, and as the
 // coordinator's merge of shard streams (GatherMerge). For an exact key

@@ -15,6 +15,9 @@ import (
 //   - one representation: every row's key is computed once into a flat
 //     float64 matrix (VecInput) on the calling goroutine, the only phase
 //     that runs user-supplied getters;
+//   - one elimination pass (eliminate), for an exact key: it drops
+//     every row one of a few good rows dominates, so only the survivors
+//     are sorted and admitted;
 //   - one order: row indices sorted by (head, key elements
 //     lexicographically, input index) — sortVecOrder, a radix sort on a
 //     32-bit image of the head, with the comparator ordering each run of
@@ -42,6 +45,11 @@ import (
 // For a key of scores alone the key is (sum, score vector) and sums
 // saturate at +Inf, so a NULL score keeps the sum monotone.
 //
+// Elimination exactness: an exact key's dominance is Better, which is
+// transitive, so a dropped row is dominated by a skyline member of its
+// partition: the window would never admit it, nor test a later row
+// against it, so the members, their order and the k-way merge stay.
+//
 // Zone-map soundness (exact keys): let c be the componentwise minimum
 // of a block's keys. If a member w dominates c then for every row r of
 // the block w ≤ c ≤ r componentwise, and the strict component j gives
@@ -61,9 +69,10 @@ import (
 // kernel — the zone-map pruning granularity.
 const VecBlockSize = 1024
 
-// VecStats reports the zone-map effectiveness of one vectorized
+// VecStats reports the elimination and zone-map work of one vectorized
 // evaluation; the exec layer folds it into the statement counters.
 type VecStats struct {
+	Eliminated    int // rows the elimination pass dropped before the presort
 	BlocksScanned int // blocks examined (pruned or not)
 	BlocksPruned  int // blocks skipped wholesale via their zone map
 }
@@ -365,9 +374,8 @@ func blockSkyline(w *window, idx []int32, vst *VecStats) error {
 
 // keyPartials splits the matrix into contiguous block-aligned
 // partitions — at most one per worker and one per block — and runs the
-// block kernel on each concurrently. It returns each partition's
-// skyline in key order. Block alignment keeps BlocksScanned at
-// ⌈n/VecBlockSize⌉ whatever the worker count.
+// elimination pass, for an exact key, and the block kernel on each
+// concurrently. It returns each partition's skyline in key order.
 func keyPartials(in *VecInput, st *Stats, vst *VecStats, cfg Config) ([][]int32, error) {
 	n := in.Len()
 	if n == 0 {
@@ -383,20 +391,69 @@ func keyPartials(in *VecInput, st *Stats, vst *VecStats, cfg Config) ([][]int32,
 	vstats := make([]VecStats, np)
 	err := runConcurrent(np, np, func(p int) error {
 		part := idx[p*per : min((p+1)*per, n)]
+		w := window{m: in, cfg: cfg, st: &stats[p]}
+		part, err := eliminate(&w, part, &vstats[p])
+		if err != nil {
+			return err
+		}
 		if err := sortVecOrder(part, in); err != nil {
 			return err
 		}
-		w := window{m: in, cfg: cfg, st: &stats[p]}
-		err := blockSkyline(&w, part, &vstats[p])
+		err = blockSkyline(&w, part, &vstats[p])
 		parts[p] = w.members
 		return err
 	})
 	mergeStats(st, stats)
 	for _, v := range vstats {
+		vst.Eliminated += v.Eliminated
 		vst.BlocksScanned += v.BlocksScanned
 		vst.BlocksPruned += v.BlocksPruned
 	}
 	return parts, err
+}
+
+// filterRows is how many rows the elimination pass tests each row against.
+const filterRows = 8
+
+// eliminate is the elimination pass in front of the presort, after LESS
+// (Godfrey, Shipley, Gryz, VLDB 2005). For an exact key it walks part
+// in input order, keeps the filterRows best survivors so far in the key
+// order, and drops every row one of them dominates; it returns the
+// survivors, compacted in place in input order. A NaN sum fails first,
+// since vdominates can drop a NaN row on its other elements. The pass
+// polls Stop per row on the window's counter.
+func eliminate(w *window, part []int32, vst *VecStats) ([]int32, error) {
+	m, order := w.m, w.m.order()
+	if m.Cmp != nil {
+		return part, nil
+	}
+	filter := make([]int32, 0, filterRows+1)
+	kept := part[:0]
+rows:
+	for _, i := range part {
+		if s := m.Sums[i]; s != s {
+			return nil, nanSumError(i)
+		}
+		if err := w.cfg.checkStop(&w.ticks); err != nil {
+			return nil, err
+		}
+		v := m.vec(i)
+		for _, f := range filter {
+			if vdominates(m.vec(f), v, w.st) {
+				continue rows
+			}
+		}
+		kept = append(kept, i)
+		k := len(filter)
+		for k > 0 && order(i, filter[k-1]) < 0 {
+			k--
+		}
+		if k < filterRows {
+			filter = slices.Insert(filter, k, i)[:min(len(filter)+1, filterRows)]
+		}
+	}
+	vst.Eliminated += len(part) - len(kept)
+	return kept, nil
 }
 
 // keySkyline is the batch evaluation of a filled key matrix: the

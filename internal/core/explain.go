@@ -33,7 +33,7 @@ func (s *Session) ExplainNative(sql string) (string, error) { return s.explain(s
 // plan line annotated with its runtime counters — `(rows=N est=M
 // time=T)` on each operator, plus the operator-specific extras (index
 // probes; BMO input rows, semijoin partner-filter drops, vectorized
-// zone-map `blocks=N pruned=M`) — and a footer totalling the
+// `eliminated=E blocks=N pruned=M`) — and a footer totalling the
 // statement's row-level work.
 func (db *DB) ExplainAnalyze(sql string) (string, error) { return db.def.ExplainAnalyze(sql) }
 

@@ -197,11 +197,12 @@ var analyzeTime = regexp.MustCompile(`time=[^ )]+`)
 // TestExplainAnalyzeGolden pins EXPLAIN ANALYZE's per-node annotations:
 // every operator line carries its own `(rows=N est=M time=T)` plus the
 // operator-specific extras — BMO input rows, semijoin partner-filter
-// drops, vectorized zone-map activity — and the footer totals the
-// statement's row-level work. Everything except the wall times is
-// deterministic for the seeded datasets: big is 30000 rows =
-// ceil(30000/1024) = 30 blocks, 15 of which the zone maps skip; the
-// pushed semijoin keeps dim's 500 partner keys and drops the 100
+// drops, vectorized elimination and zone-map activity — and the footer
+// totals the statement's row-level work. Everything except the wall
+// times is deterministic for the seeded datasets at one worker: of
+// big's 30000 rows the elimination pass drops all but 112 in front of
+// LOWEST(d1) AND LOWEST(d2), which then fill one block; the pushed
+// semijoin keeps dim's 500 partner keys and drops the 100
 // candidates without a partner. A re-opened node (dim is scanned by
 // both the hash join and the semijoin partner filter, which share the
 // plan node) accumulates across executions: rows=1000 over two 500-row
@@ -215,25 +216,25 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		want    string
 	}{
 		{
-			// One worker: each extra partition starts with an empty
-			// window, so its first block cannot prune.
+			// One worker: the counters depend on the partitions, and
+			// each partition eliminates on its own.
 			name:    "vectorized-zone-map-counters",
 			workers: 1,
 			sql:     `SELECT id FROM big PREFERRING LOWEST(d1) AND LOWEST(d2)`,
 			want: "QualityProject id (rows=15 est=30000 time=X)\n" +
-				"  BMO vec est=30000 columnar workers=1 [(LOWEST(d1) AND LOWEST(d2))] (rows=15 est=30000 time=X in=30000 blocks=30 pruned=15)\n" +
+				"  BMO vec est=30000 columnar workers=1 [(LOWEST(d1) AND LOWEST(d2))] (rows=15 est=30000 time=X in=30000 eliminated=29888 blocks=1 pruned=0)\n" +
 				"    Project * (rows=30000 est=30000 time=X)\n" +
 				"      SeqScan big (rows=30000 est=30000 time=X)\n" +
 				"-- rows=15 scanned=30000 probes=0 join_in=0 bmo_in=30000 bmo_out=15\n",
 		},
 		{
-			// Stage 2 ranks stage 1's 15 winners: one more block, which
-			// nothing prunes.
+			// Stage 2 ranks stage 1's 15 winners: 10 more eliminated
+			// rows and one more block.
 			name:    "vectorized-cascade-counters",
 			workers: 1,
 			sql:     `SELECT id FROM big PREFERRING LOWEST(d1) AND LOWEST(d2) CASCADE LOWEST(d3)`,
 			want: "QualityProject id (rows=1 est=30000 time=X)\n" +
-				"  BMO vec est=30000 columnar workers=1 [(LOWEST(d1) AND LOWEST(d2)) CASCADE LOWEST(d3)] (rows=1 est=30000 time=X in=30000 blocks=31 pruned=15)\n" +
+				"  BMO vec est=30000 columnar workers=1 [(LOWEST(d1) AND LOWEST(d2)) CASCADE LOWEST(d3)] (rows=1 est=30000 time=X in=30000 eliminated=29898 blocks=2 pruned=0)\n" +
 				"    Project * (rows=30000 est=30000 time=X)\n" +
 				"      SeqScan big (rows=30000 est=30000 time=X)\n" +
 				"-- rows=1 scanned=30000 probes=0 join_in=0 bmo_in=30000 bmo_out=1\n",
@@ -276,10 +277,11 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 				"-- rows=6 scanned=1100 probes=0 join_in=506 bmo_in=500 bmo_out=6\n",
 		},
 		{
-			name: "cascade-batch-shape",
-			sql:  `SELECT id FROM big PREFERRING LOWEST(d2) CASCADE EXPLICIT(d1, 1 > 2)`,
+			name:    "cascade-batch-shape",
+			workers: 1,
+			sql:     `SELECT id FROM big PREFERRING LOWEST(d2) CASCADE EXPLICIT(d1, 1 > 2)`,
 			want: "QualityProject id (rows=1 est=30000 time=X)\n" +
-				"  BMO vec est=30000 columnar [LOWEST(d2) CASCADE EXPLICIT(d1)] (rows=1 est=30000 time=X in=30000 blocks=30 pruned=28)\n" +
+				"  BMO vec est=30000 columnar workers=1 [LOWEST(d2) CASCADE EXPLICIT(d1)] (rows=1 est=30000 time=X in=30000 eliminated=29991 blocks=1 pruned=0)\n" +
 				"    Project * (rows=30000 est=30000 time=X)\n" +
 				"      SeqScan big (rows=30000 est=30000 time=X)\n" +
 				"-- rows=1 scanned=30000 probes=0 join_in=0 bmo_in=30000 bmo_out=1\n",

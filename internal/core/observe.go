@@ -199,7 +199,8 @@ func annotatePlan(node plan.Node, rec *exec.NodeRec) string {
 // nodeAnnotation renders one node's `(rows=N est=M time=T ...)` suffix:
 // actual cardinality against the planner's estimate, cumulative wall
 // time, and the operator-specific counters (index probes; BMO input
-// rows, semijoin partner-filter drops, vectorized zone-map blocks).
+// rows, semijoin partner-filter drops, vectorized eliminated rows and
+// zone-map blocks).
 func nodeAnnotation(n plan.Node, rec *exec.NodeRec) string {
 	ns := rec.Lookup(n)
 	if ns == nil {
@@ -221,7 +222,7 @@ func nodeAnnotation(n plan.Node, rec *exec.NodeRec) string {
 			fmt.Fprintf(&b, " semi_dropped=%d", snap.SemiDropped)
 		}
 		if bn.Vectorized {
-			fmt.Fprintf(&b, " blocks=%d pruned=%d", snap.BlocksScanned, snap.BlocksPruned)
+			fmt.Fprintf(&b, " eliminated=%d blocks=%d pruned=%d", snap.Eliminated, snap.BlocksScanned, snap.BlocksPruned)
 		}
 	}
 	b.WriteString(")")

@@ -37,6 +37,8 @@ func TestUncorrelatedSubqueryRunsOnce(t *testing.T) {
 		scanned int64 // the outer scan and one subquery run
 	}{
 		{`SELECT id FROM k WHERE i = (SELECT MIN(i) FROM k)`, "[(0)]", 6000},
+		// A function call consults no outer environment.
+		{`SELECT id FROM k WHERE i = (SELECT MIN(ABS(i)) FROM k)`, "[(0)]", 6000},
 		{`SELECT id FROM k WHERE i IN (SELECT i FROM k WHERE id < 3)`, "[(0) (1) (2)]", 6000},
 		// EXISTS stops at the first row it finds, the third.
 		{`SELECT id FROM k WHERE EXISTS (SELECT id FROM k WHERE i = 14) AND i < 14 AND id < 3`, "[(0) (1)]", 3003},

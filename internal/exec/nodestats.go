@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bmo"
 	"repro/internal/plan"
 	"repro/internal/value"
 )
@@ -30,6 +31,7 @@ type NodeStats struct {
 	Probes        int64 // index probes answered without a full scan (IndexScan)
 	SemiDropped   int64 // input rows dropped by the semijoin partner filter (BMO)
 	InputRows     int64 // rows entering dominance evaluation (BMO)
+	Eliminated    int64 // rows the elimination pass dropped before the presort (vectorized BMO)
 	BlocksScanned int64 // zone-map blocks examined (vectorized BMO)
 	BlocksPruned  int64 // zone-map blocks skipped wholesale (vectorized BMO)
 }
@@ -55,11 +57,13 @@ func (ns *NodeStats) AddInputRows(n int64) {
 	}
 }
 
-// AddBlocks counts the vectorized kernel's zone-map activity.
-func (ns *NodeStats) AddBlocks(scanned, pruned int64) {
+// AddVec counts the vectorized kernel's elimination and zone-map
+// activity.
+func (ns *NodeStats) AddVec(vst bmo.VecStats) {
 	if ns != nil {
-		atomic.AddInt64(&ns.BlocksScanned, scanned)
-		atomic.AddInt64(&ns.BlocksPruned, pruned)
+		atomic.AddInt64(&ns.Eliminated, int64(vst.Eliminated))
+		atomic.AddInt64(&ns.BlocksScanned, int64(vst.BlocksScanned))
+		atomic.AddInt64(&ns.BlocksPruned, int64(vst.BlocksPruned))
 	}
 }
 
@@ -83,6 +87,7 @@ func (ns *NodeStats) Snapshot() NodeStats {
 		Probes:        atomic.LoadInt64(&ns.Probes),
 		SemiDropped:   atomic.LoadInt64(&ns.SemiDropped),
 		InputRows:     atomic.LoadInt64(&ns.InputRows),
+		Eliminated:    atomic.LoadInt64(&ns.Eliminated),
 		BlocksScanned: atomic.LoadInt64(&ns.BlocksScanned),
 		BlocksPruned:  atomic.LoadInt64(&ns.BlocksPruned),
 	}

@@ -91,13 +91,13 @@ func (b *BMOOp) fillStage(key preference.Key, sel []int32) (bmo.VecInput, error)
 }
 
 // evaluateVec runs the kernel on in under algo and, on a columnar
-// node, records its zone-map counters.
+// node, records its elimination and zone-map counters.
 func (b *BMOOp) evaluateVec(in bmo.VecInput, algo bmo.Algorithm) ([]int32, error) {
 	win, _, vst, err := bmo.EvaluateVecInput(in, algo, b.config())
 	if err != nil || !b.columnar {
 		return win, err
 	}
-	b.ns.AddBlocks(int64(vst.BlocksScanned), int64(vst.BlocksPruned))
+	b.ns.AddVec(vst)
 	if b.env != nil {
 		b.env.count().AddVecBlocks(int64(vst.BlocksScanned), int64(vst.BlocksPruned))
 	}

@@ -637,18 +637,20 @@ func (c *compiler) caseExpr(x *ast.Case) evalFn {
 	}
 }
 
-// call compiles a function call the scope holds no value for. The outer
-// environment sees the call first on every evaluation (the quality
-// functions are bound there, by name); otherwise the arguments are
-// evaluated and the built-in, chosen here, applied.
+// call compiles a function call the scope holds no value for. A quality
+// function (see outerFunc) asks the outer environment first on every
+// evaluation, since it is bound there; any other call never consults
+// it, so calling one does not make a subquery look correlated. Then the
+// arguments are evaluated and the built-in, chosen here, applied.
 func (c *compiler) call(fc *ast.FuncCall) evalFn {
 	args := make([]node, len(fc.Args))
 	for i, a := range fc.Args {
 		args[i] = c.compile(a)
 	}
-	apply := builtin(strings.ToUpper(fc.Name))
+	name := strings.ToUpper(fc.Name)
+	apply, outer := builtin(name), outerFunc(name)
 	return func(rt *Runtime, row value.Row) (value.Value, error) {
-		if rt.Outer != nil {
+		if outer && rt.Outer != nil {
 			if v, handled, err := rt.Outer.Func(fc); handled || err != nil {
 				return v, err
 			}
@@ -663,6 +665,13 @@ func (c *compiler) call(fc *ast.FuncCall) evalFn {
 		}
 		return apply(vals)
 	}
+}
+
+// outerFunc reports whether an outer environment may bind calls of the
+// upper-cased function name: only the quality functions TOP, LEVEL and
+// DISTANCE are bound by name (Env.Func).
+func outerFunc(name string) bool {
+	return name == "TOP" || name == "LEVEL" || name == "DISTANCE"
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (one char).

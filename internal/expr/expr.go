@@ -20,15 +20,15 @@ import (
 )
 
 // Env resolves, by name, what a Program's scope could not bind to a slot:
-// columns of enclosing query blocks (outer correlation) and function calls
-// that are not scalar built-ins — the core uses Func to bind the quality
-// functions TOP/LEVEL/DISTANCE.
+// columns of enclosing query blocks (outer correlation) and the quality
+// functions TOP/LEVEL/DISTANCE, which the core binds through Func.
 type Env interface {
 	// Col returns the value of table.name (table may be empty) and whether
 	// the column exists in this scope.
 	Col(table, name string) (value.Value, bool)
-	// Func may intercept a function call. handled=false falls through to
-	// the built-in scalar functions.
+	// Func may intercept a call of TOP, LEVEL or DISTANCE; a Program
+	// asks it about no other name. handled=false falls through to the
+	// built-in scalar functions.
 	Func(fc *ast.FuncCall) (v value.Value, handled bool, err error)
 }
 
