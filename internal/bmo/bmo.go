@@ -2,21 +2,19 @@
 // a preference (strict partial order) and a set of candidate tuples, it
 // returns all maximal (non-dominated) tuples.
 //
-// Every preference has a presort key (preference.Key): a float vector,
-// ordered lexicographically, that is strictly smaller for a Better
-// tuple and identical for an Equal one. One kernel serves every
-// preference (see vectorized.go): rows are keyed once into a matrix,
-// thinned, for an exact key, by one elimination pass that drops the
-// rows a few good ones dominate, presorted by (head, key, input index)
-// and filtered through one window that admits a candidate unless a
-// member dominates it — sequentially
-// block by block, over block-aligned partitions merged k-way when more
-// than one worker is available, lazily as a Stream, and as the
-// coordinator's merge of shard streams (GatherMerge). For an exact key
-// (weak orders, chain EXPLICITs and Pareto accumulations of them) the
-// window's test is dominance on the keys, with zone-map pruning; for an
-// inexact one (a non-chain EXPLICIT, a CASCADE nested in a Pareto) it is
-// Preference.Compare on the rows.
+// Every preference has an exact presort key (preference.Key): a float
+// vector, ordered lexicographically, that dominates exactly where the
+// tuple is Better and is identical for an Equal one — an EXPLICIT
+// through a realizer of its order, a nested CASCADE as a lexicographic
+// segment. One kernel serves every preference on the keys alone (see
+// vectorized.go): rows are keyed once into a matrix, thinned by one
+// elimination pass that drops the rows a few good ones dominate,
+// presorted by (head, key, input index) and filtered through one window
+// that admits a candidate unless a member dominates it — sequentially
+// block by block with zone-map pruning, over block-aligned partitions
+// merged k-way when more than one worker is available, lazily as a
+// Stream, and as the coordinator's merge of shard streams
+// (GatherMerge).
 //
 // The algorithm tokens select among these: NestedLoop is the paper's
 // abstract §3.2 selection method and BlockNestedLoop plain BNL, both over

@@ -245,7 +245,7 @@ func vecInput(workers int) func(preference.Preference, []value.Row) ([]value.Row
 		idx, _, _, err := bmo.EvaluateVecInput(in, bmo.Parallel, bmo.Config{Workers: workers})
 		out := make([]value.Row, len(idx))
 		for k, i := range idx {
-			out[k] = in.Rows[i]
+			out[k] = rows[i]
 		}
 		return out, err
 	}

@@ -6,10 +6,13 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/preference"
 )
 
 // eachElimination runs the elimination pass over every presort shape,
-// dimension 1–4, monotone and Lex heads, and sizes around the filter's
+// dimension 1–4, sum heads and the zero heads of a key with segments
+// (one componentwise leaf), and sizes around the filter's
 // capacity, each time on an index slice that is half of a larger matrix
 // in random order, and hands check the matrix, the pass's input, the
 // survivors and the counters.
@@ -22,7 +25,7 @@ func eachElimination(t *testing.T, check func(name string, in *VecInput, input, 
 				for _, n := range []int{0, 1, 2, filterRows, filterRows + 1, 100, 1000} {
 					in := scoreMatrix(2*n, dim, sh.gen(rng, dim))
 					if lex {
-						in.Lex, in.Sums = true, make([]float64, 2*n)
+						in.Seg, in.Sums = &preference.Seg{Hi: dim}, make([]float64, 2*n)
 					}
 					var part []int32
 					for _, i := range rng.Perm(2 * n)[:n] {

@@ -50,11 +50,12 @@ type GatherMerge struct {
 	cfg     Config
 	st      Stats
 
-	// Progressive state: the merge, the matrix arriving rows are keyed
-	// into, and each shard's previous row (-1 before its first).
+	// Progressive state: the merge, the arriving rows and their key
+	// matrix, and each shard's previous row (-1 before its first).
 	mg    *merger
 	comps []preference.Scorer
 	in    VecInput
+	rows  []value.Row
 	last  []int32
 
 	// Batch state: the rows not yet returned, once loaded.
@@ -110,7 +111,7 @@ func (g *GatherMerge) Next() (value.Row, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		return g.in.Rows[i], true, nil
+		return g.rows[i], true, nil
 	}
 	if !g.loaded {
 		g.loaded = true
@@ -138,8 +139,8 @@ func (g *GatherMerge) pull(i int) (int32, bool, error) {
 	if err := g.in.score(g.comps, row); err != nil {
 		return 0, false, err
 	}
-	g.in.Rows = append(g.in.Rows, row)
-	r := int32(len(g.in.Rows) - 1)
+	g.rows = append(g.rows, row)
+	r := int32(len(g.rows) - 1)
 	if prev := g.last[i]; prev >= 0 && g.mg.order(r, prev) < -1 {
 		return 0, false, fmt.Errorf("bmo: shard %d stream is not in skyline sort order", i)
 	}

@@ -14,7 +14,7 @@ type Config struct {
 	// Workers caps the number of concurrent partitions (and merge
 	// goroutines); 0 means runtime.GOMAXPROCS. Workers=1 runs the
 	// partition-merge plan on the calling goroutine only, which is
-	// also the fallback for preferences whose Compare is not safe for
+	// also the fallback for preferences whose getters are not safe for
 	// concurrent use (e.g. getters embedding subqueries).
 	Workers int
 	// Stop, when non-nil, is polled by every worker about every

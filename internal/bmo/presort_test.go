@@ -24,7 +24,9 @@ func scoreMatrix(n, dim int, gen func(i, j int) float64) *VecInput {
 			flat[i*dim+j] = gen(i, j)
 		}
 	}
-	return &VecInput{Dim: dim, Flat: flat, Sums: SaturateSums(flat, n, dim)}
+	in := &VecInput{Dim: dim, Flat: flat}
+	in.SumHeads()
+	return in
 }
 
 // presortShape is a score distribution: gen returns a generator for

@@ -136,7 +136,7 @@ func TestProgressiveExplicit(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !sameSet(got, want) {
-				t.Fatalf("%s (chain %v): stream %d rows, batch %d", p.Describe(), ex.Chain(), len(got), len(want))
+				t.Fatalf("%s (edges %v): stream %d rows, batch %d", p.Describe(), edges, len(got), len(want))
 			}
 		}
 	}

@@ -11,7 +11,7 @@ import (
 // Rows the prestages left alone (at most one) are returned as they are.
 type rowStream struct {
 	s    *Stream
-	in   VecInput
+	rows []value.Row // the last stage's input, indexed as its matrix
 	rest []value.Row
 }
 
@@ -27,7 +27,7 @@ func streamRows(p preference.Preference, rows []value.Row, algo Algorithm, cfg C
 		if err != nil {
 			return nil, err
 		}
-		rs.in = in
+		rs.rows = rows
 		rs.s, err = NewStream(in, algo, cfg)
 		return nil, err
 	})
@@ -51,7 +51,7 @@ func (rs *rowStream) Next() (value.Row, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		return rs.in.Rows[i], true, nil
+		return rs.rows[i], true, nil
 	}
 	if len(rs.rest) == 0 {
 		return nil, false, nil
@@ -61,11 +61,11 @@ func (rs *rowStream) Next() (value.Row, bool, error) {
 	return row, true, nil
 }
 
-// rowsAt returns the rows of in at the indices idx.
-func rowsAt(in *VecInput, idx []int32) []value.Row {
+// rowsAt returns rows at the indices idx.
+func rowsAt(rows []value.Row, idx []int32) []value.Row {
 	out := make([]value.Row, len(idx))
 	for k, i := range idx {
-		out[k] = in.Rows[i]
+		out[k] = rows[i]
 	}
 	return out
 }

@@ -9,53 +9,55 @@ import (
 	"repro/internal/value"
 )
 
-// This file is the one BMO kernel. Every preference has a presort key
-// (preference.Key), and the kernel works on keys:
+// This file is the one BMO kernel. Every preference has an exact
+// presort key (preference.Key): a row is Better exactly where its key
+// dominates. The kernel works on keys alone and never calls Compare:
 //
 //   - one representation: every row's key is computed once into a flat
 //     float64 matrix (VecInput) on the calling goroutine, the only phase
 //     that runs user-supplied getters;
-//   - one elimination pass (eliminate), for an exact key: it drops
-//     every row one of a few good rows dominates, so only the survivors
-//     are sorted and admitted;
+//   - one elimination pass (eliminate): it drops every row one of a few
+//     good rows dominates, so only the survivors are sorted and
+//     admitted;
 //   - one order: row indices sorted by (head, key elements
 //     lexicographically, input index) — sortVecOrder, a radix sort on a
 //     32-bit image of the head, with the comparator ordering each run of
 //     equal images (presort.go explains why the cut image is exact);
 //   - one admission loop: window, which admits a candidate unless one of
-//     its members dominates it. For an exact key the test is vdominates
-//     on the keys, pure float comparison; for an inexact one it is the
-//     preference's Compare on the two rows, after vdominates on the keys
-//     where the key is monotone.
+//     its members dominates it, pure float comparison: vdominates,
+//     componentwise, on a flat key, and the walk of the key's segments
+//     (preference.Seg) on a key that holds a CASCADE.
 //
 // The consumers compose these pieces. The sequential block kernel
 // (blockSkyline) feeds the sorted order to a window one VecBlockSize
-// block at a time and, for an exact key, skips a block wholesale when
-// the window dominates its zone map. With more than one worker,
-// keySkyline runs the block kernel on contiguous block-aligned
-// partitions concurrently and k-way merges the partials through a fresh
-// window (merger). A Stream drains a merger lazily, over the single
-// sorted order or, under Parallel, over partition partials;
-// GatherMerge's progressive mode drains one over shard streams.
+// block at a time and skips a block wholesale when the window dominates
+// its zone map. With more than one worker, keySkyline runs the block
+// kernel on contiguous block-aligned partitions concurrently and k-way
+// merges the partials through a fresh window (merger). A Stream drains
+// a merger lazily, over the single sorted order or, under Parallel,
+// over partition partials; GatherMerge's progressive mode drains one
+// over shard streams.
 //
 // Presort: Better implies a strictly smaller key (see preference.Key),
 // so no row is dominated by a later one, every admitted row is final,
-// the window only grows, and a member whose head exceeds the
+// the window only grows, and a member whose key is not smaller than the
 // candidate's cannot dominate it, which is where the window scan stops.
-// For a key of scores alone the key is (sum, score vector) and sums
-// saturate at +Inf, so a NULL score keeps the sum monotone.
+// A flat key's head is its sum, saturated at +Inf so that a NULL score
+// keeps it monotone; a key with segments has head 0.
 //
-// Elimination exactness: an exact key's dominance is Better, which is
-// transitive, so a dropped row is dominated by a skyline member of its
-// partition: the window would never admit it, nor test a later row
-// against it, so the members, their order and the k-way merge stay.
+// Elimination exactness: key dominance is Better, which is transitive,
+// so a dropped row is dominated by a skyline member of its partition:
+// the window would never admit it, nor test a later row against it, so
+// the members, their order and the k-way merge stay.
 //
-// Zone-map soundness (exact keys): let c be the componentwise minimum
-// of a block's keys. If a member w dominates c then for every row r of
-// the block w ≤ c ≤ r componentwise, and the strict component j gives
-// w[j] < c[j] ≤ r[j] — so w dominates every r. A member merely equal to
-// the corner does not prune (equality never dominates; substitutable
-// rows all survive).
+// Zone-map soundness: let c be the componentwise minimum of a block's
+// keys, so c ≤ r for every row r of the block. On a flat key, if a
+// member w dominates c then w ≤ c ≤ r, and the strict component j gives
+// w[j] < c[j] ≤ r[j], so w dominates every r. By induction, every
+// segment's dominance contains strict componentwise dominance and is
+// upward-closed (w dominating c ≤ r dominates r: on a Lex segment r is
+// componentwise worse on an earlier stage, or equals w up to the stage
+// where w beats c). A member equal to the corner does not prune.
 //
 // Merge exactness: skyline(R) ⊆ ∪ᵢ skyline(Rᵢ), and every partial is in
 // key order, so the k-way merge hands candidates to the window in global
@@ -78,35 +80,20 @@ type VecStats struct {
 }
 
 // VecInput is a key matrix: Flat holds one Dim-wide key vector per row
-// (row-major), Sums the heads (the primary sort key), the
-// +Inf-saturated sums of the key vectors, or 0 for a Lex key. The exec
-// layer fills it at the candidates' heap positions and leaves Rows nil
-// for an exact key — the kernel works on row indices, and only the
-// winners' rows are fetched; BuildVecInput fills it from a row slice,
-// which it keeps.
+// (row-major), Sums the heads (see preference.Key). The exec layer fills
+// it at the candidates' heap positions, and BuildVecInput from a row
+// slice; the kernel works on row indices, and only the winners' rows
+// are fetched.
 type VecInput struct {
-	Rows []value.Row
 	Dim  int
 	Flat []float64
 	Sums []float64
-	// Cmp is nil for an exact key, whose window decides on vdominates
-	// alone. For an inexact key it is the preference a member must be
-	// Better under, compared on Rows, which then holds every row;
-	// unless the key is Lex, vdominates on the keys rules a member out
-	// first.
-	Cmp preference.Preference
-	// Lex marks a key that is not monotone (see preference.Key): its
-	// heads are 0, so rows order by their key vectors alone.
-	Lex bool
+	Seg  *preference.Seg // the key's segment layout, nil for a flat key
 }
 
 // NewVecInput returns an empty matrix of key's elements.
 func NewVecInput(key preference.Key) VecInput {
-	in := VecInput{Dim: len(key.Comps), Lex: !key.Monotone}
-	if !key.Exact {
-		in.Cmp = key.Pref
-	}
-	return in
+	return VecInput{Dim: len(key.Comps), Seg: key.Seg}
 }
 
 // Len returns the number of rows in the matrix.
@@ -120,7 +107,7 @@ func (in *VecInput) vec(i int32) []float64 {
 
 // head is key vector v's head.
 func (in *VecInput) head(v []float64) float64 {
-	if in.Lex {
+	if in.Seg != nil {
 		return 0
 	}
 	return saturatedSum(v)
@@ -128,15 +115,13 @@ func (in *VecInput) head(v []float64) float64 {
 
 // SumHeads computes Sums from a filled Flat.
 func (in *VecInput) SumHeads() {
-	n := len(in.Flat) / in.Dim
-	if in.Lex {
-		in.Sums = make([]float64, n)
-		return
+	in.Sums = make([]float64, len(in.Flat)/in.Dim)
+	for i := range in.Sums {
+		in.Sums[i] = in.head(in.vec(int32(i)))
 	}
-	in.Sums = SaturateSums(in.Flat, n, in.Dim)
 }
 
-// score appends row r's key vector and its head; the caller owns Rows.
+// score appends row r's key vector and its head.
 func (in *VecInput) score(comps []preference.Scorer, r value.Row) error {
 	lo := len(in.Flat)
 	for _, s := range comps {
@@ -200,21 +185,10 @@ func saturatedSum(vec []float64) float64 {
 	return sum
 }
 
-// SaturateSums computes the +Inf-saturated sums of a filled matrix of n
-// rows of d scores: its heads unless the key is Lex.
-func SaturateSums(flat []float64, n, d int) []float64 {
-	sums := make([]float64, n)
-	for i := range sums {
-		sums[i] = saturatedSum(flat[i*d : (i+1)*d])
-	}
-	return sums
-}
-
 // BuildVecInput fills the key matrix generically, one scorer call per
 // row and element — the fallback when no column vectors serve the input.
 func BuildVecInput(key preference.Key, rows []value.Row) (VecInput, error) {
 	in := NewVecInput(key)
-	in.Rows = rows
 	in.Flat, in.Sums = make([]float64, 0, len(rows)*in.Dim), make([]float64, 0, len(rows))
 	for _, r := range rows {
 		if err := in.score(key.Comps, r); err != nil {
@@ -236,8 +210,8 @@ func EvaluateVecInput(in VecInput, algo Algorithm, cfg Config) ([]int32, Stats, 
 	return out, st, vst, err
 }
 
-// vdominates is the key dominance test: a dominates b iff a ≤ b
-// componentwise with at least one strict <. Equal vectors never
+// vdominates is the dominance test of a flat key, Better on the rows:
+// a ≤ b componentwise with at least one strict <. Equal vectors never
 // dominate.
 func vdominates(a, b []float64, st *Stats) bool {
 	st.Comparisons++
@@ -270,6 +244,9 @@ type window struct {
 // (members arrive in key order, a dominator first), so none dominates
 // v — which keeps a run of tied rows, a weak order's best level, linear.
 func (w *window) dominated(v []float64, sum float64) (bool, error) {
+	if w.m.Seg != nil {
+		return w.segDominated(v)
+	}
 	sums, flat, d := w.m.Sums, w.m.Flat, w.m.Dim
 	for _, m := range w.members {
 		o := int(m) * d
@@ -288,30 +265,20 @@ func (w *window) dominated(v []float64, sum float64) (bool, error) {
 	return false, nil
 }
 
-// compared is dominated for an inexact key: it asks Cmp whether a
-// member is Better than row i, after ruling the member out on the keys
-// where they are monotone.
-func (w *window) compared(i int32) (bool, error) {
-	m := w.m
-	v, sum := m.vec(i), m.Sums[i]
-	for _, j := range w.members {
-		// Members arrived in key order, and from the first one whose key
-		// is not smaller than row i's on, none is Better.
-		if s := m.Sums[j]; s > sum || s == sum && slices.Compare(m.vec(j), v) >= 0 {
+// segDominated is dominated for a key with segments, apart so that the
+// flat loop makes no call. Heads are 0, so the scan stops at the first
+// member not lexicographically smaller than v.
+func (w *window) segDominated(v []float64) (bool, error) {
+	for _, m := range w.members {
+		mv := w.m.vec(m)
+		if slices.Compare(mv, v) >= 0 {
 			break
 		}
 		if err := w.cfg.checkStop(&w.ticks); err != nil {
 			return false, err
 		}
-		if !m.Lex && !vdominates(m.vec(j), v, w.st) {
-			continue
-		}
 		w.st.Comparisons++
-		o, err := m.Cmp.Compare(m.Rows[j], m.Rows[i])
-		if err != nil {
-			return false, err
-		}
-		if o == preference.Better {
+		if w.m.Seg.Order(mv, v) < 0 {
 			return true, nil
 		}
 	}
@@ -320,13 +287,7 @@ func (w *window) compared(i int32) (bool, error) {
 
 // admit adds row i to the window unless a member dominates it.
 func (w *window) admit(i int32) (bool, error) {
-	var dom bool
-	var err error
-	if w.m.Cmp == nil {
-		dom, err = w.dominated(w.m.vec(i), w.m.Sums[i])
-	} else {
-		dom, err = w.compared(i)
-	}
+	dom, err := w.dominated(w.m.vec(i), w.m.Sums[i])
 	if err != nil || dom {
 		return false, err
 	}
@@ -338,30 +299,29 @@ func (w *window) admit(i int32) (bool, error) {
 }
 
 // blockSkyline is the sequential block kernel: it feeds the sorted row
-// indices idx to w one VecBlockSize block at a time, and for an exact
-// key skips a block outright when w dominates its zone map.
+// indices idx to w one VecBlockSize block at a time, and skips a block
+// outright when w dominates its zone map.
 func blockSkyline(w *window, idx []int32, vst *VecStats) error {
-	corner := make([]float64, w.m.Dim)
+	m := w.m
+	corner := make([]float64, m.Dim)
 	for lo := 0; lo < len(idx); lo += VecBlockSize {
 		blk := idx[lo:min(lo+VecBlockSize, len(idx))]
 		vst.BlocksScanned++
-		if w.m.Cmp == nil {
-			copy(corner, w.m.vec(blk[0]))
-			for _, c := range blk[1:] {
-				for j, v := range w.m.vec(c) {
-					if v < corner[j] {
-						corner[j] = v
-					}
+		copy(corner, m.vec(blk[0]))
+		for _, c := range blk[1:] {
+			for j, v := range m.vec(c) {
+				if v < corner[j] {
+					corner[j] = v
 				}
 			}
-			pruned, err := w.dominated(corner, saturatedSum(corner))
-			if err != nil {
-				return err
-			}
-			if pruned {
-				vst.BlocksPruned++
-				continue
-			}
+		}
+		pruned, err := w.dominated(corner, m.head(corner))
+		if err != nil {
+			return err
+		}
+		if pruned {
+			vst.BlocksPruned++
+			continue
 		}
 		for _, c := range blk {
 			if _, err := w.admit(c); err != nil {
@@ -374,8 +334,8 @@ func blockSkyline(w *window, idx []int32, vst *VecStats) error {
 
 // keyPartials splits the matrix into contiguous block-aligned
 // partitions — at most one per worker and one per block — and runs the
-// elimination pass, for an exact key, and the block kernel on each
-// concurrently. It returns each partition's skyline in key order.
+// elimination pass and the block kernel on each concurrently. It
+// returns each partition's skyline in key order.
 func keyPartials(in *VecInput, st *Stats, vst *VecStats, cfg Config) ([][]int32, error) {
 	n := in.Len()
 	if n == 0 {
@@ -416,17 +376,15 @@ func keyPartials(in *VecInput, st *Stats, vst *VecStats, cfg Config) ([][]int32,
 const filterRows = 8
 
 // eliminate is the elimination pass in front of the presort, after LESS
-// (Godfrey, Shipley, Gryz, VLDB 2005). For an exact key it walks part
-// in input order, keeps the filterRows best survivors so far in the key
-// order, and drops every row one of them dominates; it returns the
-// survivors, compacted in place in input order. A NaN sum fails first,
-// since vdominates can drop a NaN row on its other elements. The pass
-// polls Stop per row on the window's counter.
+// (Godfrey, Shipley, Gryz, VLDB 2005). It walks part in input order,
+// keeps the filterRows best survivors so far in the key order, and
+// drops every row one of them dominates componentwise, which on a key
+// with segments is a part of its dominance; it returns the survivors,
+// compacted in place in input order. A NaN sum fails first, since
+// vdominates can drop a NaN row on its other elements. The pass polls
+// Stop per row on the window's counter.
 func eliminate(w *window, part []int32, vst *VecStats) ([]int32, error) {
 	m, order := w.m, w.m.order()
-	if m.Cmp != nil {
-		return part, nil
-	}
 	filter := make([]int32, 0, filterRows+1)
 	kept := part[:0]
 rows:

@@ -117,7 +117,7 @@ func evalVec(p preference.Preference, rows []value.Row, cfg Config) ([]value.Row
 		return nil, VecStats{}, err
 	}
 	idx, _, vst, err := EvaluateVecInput(in, Parallel, cfg)
-	return rowsAt(&in, idx), vst, err
+	return rowsAt(rows, idx), vst, err
 }
 
 // TestVectorizedOrderMatchesSFS pins the strongest property the score
@@ -304,9 +304,11 @@ func TestVectorizedStop(t *testing.T) {
 }
 
 // fuzzShape is FuzzVectorizedVsBNL's preference over three small
-// integer columns: pareto(3), LOWEST with a chain EXPLICIT (an exact
-// key), LOWEST with a non-chain EXPLICIT (a monotone inexact one), or a
-// Pareto holding a CASCADE (a key that is not monotone).
+// integer columns: pareto(3), LOWEST with a chain EXPLICIT (one
+// extension), LOWEST with a non-chain EXPLICIT (a realizer of several
+// extensions), a Pareto holding a CASCADE (a key with a Lex segment),
+// or a Pareto holding a CASCADE whose first stage is a Pareto (a Lex
+// segment over a componentwise one).
 func fuzzShape(shape uint8) preference.Preference {
 	explicit := func(edges ...[2]int) preference.Preference {
 		vals := make([][2]value.Value, len(edges))
@@ -320,7 +322,7 @@ func fuzzShape(shape uint8) preference.Preference {
 		return ex
 	}
 	low := func(col int) preference.Preference { return &preference.Lowest{Get: colGetter(col), Label: "c"} }
-	switch shape % 4 {
+	switch shape % 5 {
 	case 1:
 		return &preference.Pareto{Parts: []preference.Preference{low(0), explicit([2]int{3, 5}, [2]int{5, 7}, [2]int{7, 1})}}
 	case 2:
@@ -329,6 +331,14 @@ func fuzzShape(shape uint8) preference.Preference {
 		return &preference.Pareto{Parts: []preference.Preference{
 			&preference.Cascade{Parts: []preference.Preference{low(0), &preference.Highest{Get: colGetter(1), Label: "b"}}},
 			low(2),
+		}}
+	case 4:
+		return &preference.Pareto{Parts: []preference.Preference{
+			&preference.Cascade{Parts: []preference.Preference{
+				&preference.Pareto{Parts: []preference.Preference{low(0), &preference.Highest{Get: colGetter(1), Label: "b"}}},
+				low(2),
+			}},
+			explicit([2]int{3, 5}, [2]int{4, 5}, [2]int{2, 9}),
 		}}
 	}
 	return pareto(3)
@@ -344,6 +354,7 @@ func FuzzVectorizedVsBNL(f *testing.F) {
 	f.Add([]byte{2, 3, 0, 1, 5, 0, 0, 7, 1, 4, 1, 2, 3, 3, 3}, uint8(2), uint8(1))
 	f.Add([]byte{2, 3, 0, 1, 4, 0, 0, 9, 1, 4, 2, 2, 3, 5, 3}, uint8(2), uint8(2))
 	f.Add([]byte{1, 9, 4, 1, 2, 3, 0, 0, 8, 2, 7, 0, 1, 9, 0}, uint8(3), uint8(3))
+	f.Add([]byte{1, 5, 4, 1, 3, 3, 0, 9, 8, 2, 4, 0, 1, 2, 0, 1, 5, 5}, uint8(2), uint8(4))
 	f.Fuzz(func(t *testing.T, data []byte, workers, shape uint8) {
 		rows := vecRows(data, 3)
 		p := fuzzShape(shape)

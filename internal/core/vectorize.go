@@ -8,10 +8,10 @@ import (
 // The vectorized-BMO planning step: after the preference-algebra
 // pushdown has had its chance, an unpushed root BMO node over a large
 // candidate set that is a scan's selection is marked Vectorized: its
-// key fill reads column vectors (plan.BMO.Vectorized), with zone-map
-// pruning for an exact key. Every BMO node runs the same operator over
-// (heap, positions); the mark decides only whether kernels fill key
-// elements from column vectors or every element is scored on the rows.
+// key fill reads column vectors (plan.BMO.Vectorized). Every BMO node
+// runs the same operator over (heap, positions); the mark decides only
+// whether kernels fill key elements from column vectors or every
+// element is scored on the rows.
 //
 // Selection criteria, all statistics- or shape-derived so EXPLAIN is
 // deterministic:

@@ -425,11 +425,11 @@ func TestCascadeNaNFailsOnlySurvivors(t *testing.T) {
 	}
 }
 
-// TestColumnarFillExplicit checks EXPLICIT's level fill from a column
-// vector — TEXT through dictionary codes, BOOL, INT and FLOAT with
-// cross-class and -0.0 edge values — for a chain graph (an exact key,
-// decided on the keys) and a non-chain one and a CASCADE nested in a
-// Pareto (inexact keys, decided by comparing the heap rows).
+// TestColumnarFillExplicit checks EXPLICIT's position fill from a
+// column vector — TEXT through dictionary codes, BOOL, INT and FLOAT
+// with cross-class and -0.0 edge values — for a chain graph (one
+// extension, its levels), a non-chain one (one element per extension
+// of its realizer) and a CASCADE nested in a Pareto (a Lex segment).
 func TestColumnarFillExplicit(t *testing.T) {
 	for _, pref := range []string{
 		`LOWEST(a) AND EXPLICIT(s, 'a' > 'b', 'b' > '1')`,

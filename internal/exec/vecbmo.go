@@ -15,13 +15,13 @@ import (
 // The BMO operator's key fill. Every stage of every BMO node fills a
 // flat key matrix (bmo.VecInput) at its candidates' heap positions and
 // hands it to the kernel, which returns the winners' indices; only the
-// winners' rows are fetched (late materialization). An inexact key's
-// window compares rows, so its matrix also holds the heap rows at the
-// positions. A CASCADE runs through bmo.ReduceStages: stage 1 fills its
-// key at every candidate, each later stage only at the previous stage's
-// winners, in the order that stage returned them, and the loop stops
-// once at most one candidate is left — BMO(P2, BMO(P1, R)), so a later
-// stage never scores, nor fails on, a row an earlier one eliminated.
+// winners' rows are fetched (late materialization): every key is
+// exact, so the kernel decides dominance on the matrix alone. A CASCADE
+// runs through bmo.ReduceStages: stage 1 fills its key at every
+// candidate, each later stage only at the previous stage's winners, in
+// the order that stage returned them, and the loop stops once at most
+// one candidate is left — BMO(P2, BMO(P1, R)), so a later stage never
+// scores, nor fails on, a row an earlier one eliminated.
 //
 // The planner marks a node Vectorized after verifying that its
 // candidates are a scan's selection and that the estimate repays a
@@ -82,9 +82,6 @@ func (b *BMOOp) fillStage(key preference.Key, sel []int32) (bmo.VecInput, error)
 			}
 			in.Flat[i*d+j] = v
 		}
-	}
-	if in.Cmp != nil {
-		in.Rows = b.heapRows(sel)
 	}
 	in.SumHeads()
 	return in, nil
@@ -294,12 +291,12 @@ func valueScoresOf(s preference.Scorer) (vs valueScores, ok bool) {
 		vs.vals, vs.scores, vs.other = p.Vals, make([]float64, len(p.Vals)), 1
 	case *preference.Neg:
 		vs.vals, vs.scores = p.Vals, slices.Repeat([]float64{1}, len(p.Vals))
-	case *preference.Explicit:
+	case *preference.Position:
 		vs.vals, vs.scores = p.Vals, make([]float64, len(p.Vals))
 		for k, v := range p.Vals {
-			vs.scores[k] = float64(p.ValueLevel(v))
+			vs.scores[k] = p.Of(v)
 		}
-		vs.other, vs.null = float64(p.Bottom()), float64(p.ValueLevel(value.NewNull()))
+		vs.other, vs.null = float64(len(p.Vals)+1), p.Of(value.NewNull())
 	default:
 		return vs, false
 	}

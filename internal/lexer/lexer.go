@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Type classifies a token.
@@ -120,8 +121,9 @@ func (l *Lexer) Next() (Token, error) {
 	}
 	start := l.pos
 	c := l.src[l.pos]
+	r, _ := l.rune()
 	switch {
-	case isIdentStart(rune(c)):
+	case isIdentStart(r):
 		return l.lexWord(start), nil
 	case c >= '0' && c <= '9':
 		return l.lexNumber(start)
@@ -178,9 +180,17 @@ func isIdentPart(r rune) bool {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
+// rune decodes the UTF-8 character at pos and its width: utf8.RuneError,
+// which no identifier holds, for an invalid byte.
+func (l *Lexer) rune() (rune, int) { return utf8.DecodeRuneInString(l.src[l.pos:]) }
+
 func (l *Lexer) lexWord(start int) Token {
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-		l.pos++
+	for l.pos < len(l.src) {
+		r, n := l.rune()
+		if !isIdentPart(r) {
+			break
+		}
+		l.pos += n
 	}
 	word := l.src[start:l.pos]
 	if IsKeyword(word) {
@@ -240,6 +250,9 @@ func (l *Lexer) lexQuotedIdent(start int) (Token, error) {
 		c := l.src[l.pos]
 		if c == '"' {
 			l.pos++
+			if b.Len() == 0 {
+				return Token{}, &Error{Pos: start, Msg: "zero-length quoted identifier"}
+			}
 			return Token{Type: Ident, Text: b.String(), Pos: start}, nil
 		}
 		b.WriteByte(c)

@@ -116,6 +116,20 @@ func TestQuotedIdentifier(t *testing.T) {
 	}
 }
 
+// TestIdentifierCharacters: an identifier is read rune by rune, so a
+// multi-byte letter belongs to it, while an invalid UTF-8 byte and an
+// empty quoted identifier, which no statement could render back, fail.
+func TestIdentifierCharacters(t *testing.T) {
+	if toks := scan(t, "café Größe"); toks[0].Text != "café" || toks[1].Text != "Größe" {
+		t.Errorf("got %v", texts(toks))
+	}
+	for _, src := range []string{"SELECT \xd0()", `SELECT ""`} {
+		if _, err := New(src).All(); err == nil {
+			t.Errorf("%q lexed without error", src)
+		}
+	}
+}
+
 func TestUnexpectedChar(t *testing.T) {
 	if _, err := New("SELECT @").All(); err == nil {
 		t.Error("@ should be a lexical error")

@@ -1382,15 +1382,22 @@ func (p *Parser) parsePrefElse() (ast.Pref, error) {
 func (p *Parser) parsePrefBase() (ast.Pref, error) {
 	t := p.peek()
 	if t.Type == lexer.Op && t.Text == "(" {
+		start := p.pos
 		p.pos++
 		pr, err := p.parsePref()
-		if err != nil {
-			return nil, err
+		if err == nil {
+			err = p.expectOp(")")
 		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
+		if err == nil {
+			return pr, nil
 		}
-		return pr, nil
+		// Not a parenthesized preference: the attribute expression may
+		// open with a parenthesis, as the rendered `(a % 2) AROUND 0` does.
+		p.pos = start
+		if pr, attrErr := p.parsePrefAttr(); attrErr == nil {
+			return pr, nil
+		}
+		return nil, err
 	}
 	if t.Type == lexer.Keyword {
 		switch t.Text {
@@ -1434,7 +1441,11 @@ func (p *Parser) parsePrefBase() (ast.Pref, error) {
 			return &ast.PrefBool{Cond: cond}, nil
 		}
 	}
-	// Attribute-leading base preference.
+	return p.parsePrefAttr()
+}
+
+// parsePrefAttr parses an attribute-leading base preference.
+func (p *Parser) parsePrefAttr() (ast.Pref, error) {
 	x, err := p.parseAdditive()
 	if err != nil {
 		return nil, err

@@ -19,10 +19,10 @@ import (
 //   - antisymmetric/consistent: Compare(a, b) is always the exact flip
 //     of Compare(b, a) (Better↔Worse, Equal↔Equal, Incomparable↔
 //     Incomparable);
-//   - the presort key (preference.Key) is topological: Better implies
-//     a lexicographically smaller key, componentwise ≤ where the key is
-//     monotone, Equal an identical key, and where the key is exact, key
-//     dominance is Better.
+//   - the presort key (preference.Key) is topological and exact: Better
+//     implies a lexicographically smaller key, componentwise ≤ where the
+//     key is flat, Equal an identical key, and key dominance is Better
+//     on every pair.
 //
 // Clauses the compiler rejects (unknown columns, non-literal
 // parameters) are fine; panics and contract violations are not.
@@ -43,6 +43,10 @@ func FuzzPreferenceCompile(f *testing.F) {
 		"(LOWEST(a) CASCADE HIGHEST(b)) AND EXPLICIT(c, 'x' > 'y')",
 		"EXPLICIT(c, 'x' > 'y', 'y' > 'z', 'road' > 'z')",
 		"EXPLICIT(c, NULL > 'x') AND EXPLICIT(d, NULL > 7)",
+		"EXPLICIT(c, 'x' > 'z', 'y' > 'road')",
+		"(LOWEST(a) AND HIGHEST(b)) CASCADE LOWEST(d)",
+		"((LOWEST(a) AND HIGHEST(b)) CASCADE LOWEST(d)) AND EXPLICIT(c, 'y' > 'x', 'road' > 'x')",
+		"(EXPLICIT(c, NULL > 'x', 'road' > 'z') CASCADE LOWEST(a)) AND HIGHEST(d)",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -123,16 +127,19 @@ func checkKey(key preference.Key, ka, kb []float64, o preference.Ordering) strin
 		return "the key is not smaller"
 	}
 	for j := range ka {
-		if o == preference.Better && key.Monotone && ka[j] > kb[j] {
-			return fmt.Sprintf("element %d of the monotone key is larger", j)
+		if o == preference.Better && key.Seg == nil && ka[j] > kb[j] {
+			return fmt.Sprintf("element %d of the flat key is larger", j)
 		}
 	}
 	dominates := lex != 0
 	for j := range ka {
 		dominates = dominates && ka[j] <= kb[j]
 	}
-	if key.Exact && dominates != (o == preference.Better) {
-		return fmt.Sprintf("the exact key dominates: %v", dominates)
+	if key.Seg != nil {
+		dominates = key.Seg.Order(ka, kb) < 0
+	}
+	if dominates != (o == preference.Better) {
+		return fmt.Sprintf("the key dominates: %v", dominates)
 	}
 	return ""
 }

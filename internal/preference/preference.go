@@ -15,6 +15,7 @@ package preference
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/value"
@@ -136,9 +137,10 @@ func attrsOfParts(parts []Preference) ([]string, bool) {
 }
 
 // attrsOr is the Attributes() body of the column-backed constructors:
-// the compiler-recorded provenance when present, otherwise the Label
-// (direct constructions conventionally label a preference with the one
-// attribute it reads).
+// attrs, their Attrs field, is the compiler-recorded provenance, the
+// column references the preference reads. It is empty for direct
+// constructions, which conventionally label a preference with the one
+// attribute it reads, so Label stands in.
 func attrsOr(attrs []string, label string) []string {
 	if len(attrs) > 0 {
 		return attrs
@@ -194,15 +196,6 @@ func (p *Pareto) Split(classify func(attr string) (int, bool)) (sides [2][]Prefe
 	return SplitParts(p.Parts, classify)
 }
 
-// Split partitions the cascade's stages by join side; see SplitParts.
-// Unlike Pareto, a cascade is rewritten stage-wise: only a prefix of
-// one-sided stages may move below the join, so callers typically look
-// at partSide of Parts[0] — Split is provided for symmetry and
-// diagnostics.
-func (p *Cascade) Split(classify func(attr string) (int, bool)) (sides [2][]Preference, mixed []Preference) {
-	return SplitParts(p.Parts, classify)
-}
-
 // compareScores orders two scores as preference outcomes.
 func compareScores(a, b float64) Ordering {
 	switch {
@@ -249,10 +242,7 @@ type Around struct {
 	Get    Getter
 	Target float64
 	Label  string
-	// Attrs is the compiler-recorded provenance: the column references
-	// the preference reads (see Attributed). Empty for direct
-	// constructions, where Label stands in as the single attribute.
-	Attrs []string
+	Attrs  []string // the compiler-recorded provenance (see attrsOr)
 	Slot
 }
 
@@ -306,10 +296,7 @@ type Between struct {
 	Get    Getter
 	Lo, Hi float64
 	Label  string
-	// Attrs is the compiler-recorded provenance: the column references
-	// the preference reads (see Attributed). Empty for direct
-	// constructions, where Label stands in as the single attribute.
-	Attrs []string
+	Attrs  []string // the compiler-recorded provenance (see attrsOr)
 	Slot
 }
 
@@ -360,10 +347,7 @@ func (p *Between) Describe() string {
 type Lowest struct {
 	Get   Getter
 	Label string
-	// Attrs is the compiler-recorded provenance: the column references
-	// the preference reads (see Attributed). Empty for direct
-	// constructions, where Label stands in as the single attribute.
-	Attrs []string
+	Attrs []string // the compiler-recorded provenance (see attrsOr)
 	Slot
 }
 
@@ -405,10 +389,7 @@ func (p *Lowest) Describe() string { return "LOWEST(" + p.Label + ")" }
 type Highest struct {
 	Get   Getter
 	Label string
-	// Attrs is the compiler-recorded provenance: the column references
-	// the preference reads (see Attributed). Empty for direct
-	// constructions, where Label stands in as the single attribute.
-	Attrs []string
+	Attrs []string // the compiler-recorded provenance (see attrsOr)
 	Slot
 }
 
@@ -451,10 +432,7 @@ type Pos struct {
 	Get   Getter
 	Set   map[string]bool // keys via value.Value.Key
 	Label string
-	// Attrs is the compiler-recorded provenance: the column references
-	// the preference reads (see Attributed). Empty for direct
-	// constructions, where Label stands in as the single attribute.
-	Attrs []string
+	Attrs []string      // the compiler-recorded provenance (see attrsOr)
 	Vals  []value.Value // original values, for diagnostics and rewriting
 	Slot
 }
@@ -506,10 +484,7 @@ type Neg struct {
 	Get   Getter
 	Set   map[string]bool
 	Label string
-	// Attrs is the compiler-recorded provenance: the column references
-	// the preference reads (see Attributed). Empty for direct
-	// constructions, where Label stands in as the single attribute.
-	Attrs []string
+	Attrs []string // the compiler-recorded provenance (see attrsOr)
 	Vals  []value.Value
 	Slot
 }
@@ -552,10 +527,7 @@ func (p *Neg) Describe() string { return fmt.Sprintf("NEG(%s, %v)", p.Label, p.V
 type Bool struct {
 	Cond  func(value.Row) (bool, error)
 	Label string
-	// Attrs is the compiler-recorded provenance: the column references
-	// the preference reads (see Attributed). Empty for direct
-	// constructions, where Label stands in as the single attribute.
-	Attrs []string
+	Attrs []string // the compiler-recorded provenance (see attrsOr)
 	// Cmp is the condition as `col op bound`, when it has that shape;
 	// nil otherwise, and for direct constructions.
 	Cmp *Comparison
@@ -597,10 +569,7 @@ type Contains struct {
 	Get   Getter
 	Terms []string
 	Label string
-	// Attrs is the compiler-recorded provenance: the column references
-	// the preference reads (see Attributed). Empty for direct
-	// constructions, where Label stands in as the single attribute.
-	Attrs []string
+	Attrs []string // the compiler-recorded provenance (see attrsOr)
 }
 
 // Score counts the missing terms: 0 means all terms present.
@@ -651,10 +620,7 @@ func (p *Contains) Describe() string {
 type Layered struct {
 	Layers []Scored
 	Label  string
-	// Attrs is the compiler-recorded provenance: the column references
-	// the preference reads (see Attributed). Empty for direct
-	// constructions, where Label stands in as the single attribute.
-	Attrs []string
+	Attrs  []string // the compiler-recorded provenance (see attrsOr)
 }
 
 // Score is the index of the first perfectly matched layer.
@@ -716,76 +682,120 @@ func scoredCompare(p Scored, a, b value.Row) (Ordering, error) {
 // Values not mentioned in the graph form a bottom layer: every mentioned
 // value is better than every unmentioned one, and unmentioned values are
 // substitutable (Equal) among themselves.
+//
+// Its presort key is a realizer (Dushnik, Miller, "Partially Ordered
+// Sets", 1941), linear extensions whose intersection is the order: one
+// Position per extension, bottom for an unmentioned value. Mentioned
+// values differ in every extension, so Better is a componentwise smaller
+// key and Equal an identical one. A chain has one extension, its levels.
 type Explicit struct {
 	Get   Getter
 	Label string
-	// Attrs is the compiler-recorded provenance: the column references
-	// the preference reads (see Attributed). Empty for direct
-	// constructions, where Label stands in as the single attribute.
-	Attrs []string
-	Vals  []value.Value // the mentioned values, once each
+	Attrs []string      // the compiler-recorded provenance (see attrsOr)
+	Vals  []value.Value // the mentioned values, once each, in order of first appearance
 	Slot
 
-	closure map[string]map[string]bool // better -> set of worse (transitive)
-	depth   map[string]int             // longest path from a top value, for LEVEL
-	maxDep  int
+	index  map[string]int // a mentioned value's Key -> its index in Vals
+	less   [][]bool       // less[i][j]: Vals[i] is better than Vals[j] (transitive)
+	depth  []int          // longest path from a top value, for LEVEL
+	maxDep int
+	exts   []*Position // the realizer, one extension each
 }
 
 // NewExplicit builds the preference from better/worse value pairs. It
 // rejects graphs with cycles (which would violate irreflexivity).
 func NewExplicit(get Getter, label string, edges [][2]value.Value) (*Explicit, error) {
-	adj := map[string][]string{}
-	nodes := map[string]bool{}
-	var vals []value.Value
-	for _, e := range edges {
-		b, w := e[0].Key(), e[1].Key()
-		adj[b] = append(adj[b], w)
-		for i, k := range []string{b, w} {
-			if !nodes[k] {
-				nodes[k] = true
-				vals = append(vals, e[i])
+	p := &Explicit{Get: get, Label: label, index: map[string]int{}}
+	ids := make([][2]int, len(edges))
+	for k, e := range edges {
+		for s, v := range e {
+			i, ok := p.index[v.Key()]
+			if !ok {
+				i = len(p.Vals)
+				p.index[v.Key()], p.Vals = i, append(p.Vals, v)
 			}
+			ids[k][s] = i
 		}
 	}
-	// Transitive closure by DFS from each node, with cycle detection.
-	closure := make(map[string]map[string]bool, len(nodes))
-	for n := range nodes {
-		reach := map[string]bool{}
-		var stack []string
-		stack = append(stack, adj[n]...)
-		for len(stack) > 0 {
-			top := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if reach[top] {
-				continue
-			}
-			reach[top] = true
-			stack = append(stack, adj[top]...)
-		}
-		if reach[n] {
-			return nil, fmt.Errorf("EXPLICIT preference on %s has a cycle involving %s", label, n)
-		}
-		closure[n] = reach
+	n := len(p.Vals)
+	p.less, p.depth = make([][]bool, n), make([]int, n)
+	for i := range n {
+		p.less[i] = make([]bool, n)
 	}
-	// Depth = longest chain of strictly-better predecessors; 0 for maximal
-	// values. Computed by repeated relaxation (graphs are tiny).
-	depth := map[string]int{}
-	maxDep := 0
-	for changed := true; changed; {
-		changed = false
-		for b, ws := range adj {
-			for _, w := range ws {
-				if d := depth[b] + 1; d > depth[w] {
-					depth[w] = d
-					if d > maxDep {
-						maxDep = d
-					}
-					changed = true
+	for _, e := range ids {
+		p.less[e[0]][e[1]] = true
+	}
+	// Transitive closure (Warshall); a cycle puts a value below itself.
+	for k := range n {
+		for i := range n {
+			if p.less[i][k] {
+				for j := range n {
+					p.less[i][j] = p.less[i][j] || p.less[k][j]
 				}
 			}
 		}
 	}
-	return &Explicit{Get: get, Label: label, Vals: vals, closure: closure, depth: depth, maxDep: maxDep}, nil
+	for i := range n {
+		if p.less[i][i] {
+			return nil, fmt.Errorf("EXPLICIT preference on %s has a cycle involving %s", label, p.Vals[i].Key())
+		}
+	}
+	// Depth by repeated relaxation over the edges (graphs are tiny).
+	for changed := true; changed; {
+		changed = false
+		for _, e := range ids {
+			if d := p.depth[e[0]] + 1; d > p.depth[e[1]] {
+				p.depth[e[1]], p.maxDep, changed = d, max(p.maxDep, d), true
+			}
+		}
+	}
+	p.realize()
+	return p, nil
+}
+
+// realize computes the realizer greedily over Vals in order, so a graph
+// always gets the same one. Each extension extends the order by "i
+// before j" and closes it, first for every pair no earlier extension
+// orders so, then for every pair still unordered, so a value's position
+// is 1 + its betters. Each realizes a pair the earlier ones miss, so
+// the loop ends.
+func (p *Explicit) realize() {
+	n := len(p.Vals)
+	for {
+		rel, fresh := make([][]bool, n), false
+		for i := range n {
+			rel[i] = slices.Clone(p.less[i])
+		}
+		for pass := range 2 {
+			for i := range n {
+				for j := range n {
+					if i == j || rel[i][j] || rel[j][i] || pass == 0 && slices.ContainsFunc(p.exts, func(e *Position) bool { return e.pos[i] < e.pos[j] }) {
+						continue
+					}
+					fresh = fresh || pass == 0
+					for a := range n {
+						if a == i || rel[a][i] {
+							for b := range n {
+								rel[a][b] = rel[a][b] || b == j || rel[j][b]
+							}
+						}
+					}
+				}
+			}
+		}
+		if !fresh && len(p.exts) > 0 {
+			return
+		}
+		pos := make([]int, n)
+		for i := range n {
+			for a := range n {
+				if a == i || rel[a][i] {
+					pos[i]++
+				}
+			}
+		}
+		p.exts = append(p.exts, &Position{p, pos})
+	}
 }
 
 // Compare implements Preference using the closure.
@@ -802,63 +812,57 @@ func (p *Explicit) Compare(a, b value.Row) (Ordering, error) {
 	if ka == kb {
 		return Equal, nil
 	}
-	_, aMentioned := p.closure[ka]
-	_, bMentioned := p.closure[kb]
+	ia, aMentioned := p.index[ka]
+	ib, bMentioned := p.index[kb]
 	switch {
-	case aMentioned && bMentioned:
-		if p.closure[ka][kb] {
-			return Better, nil
-		}
-		if p.closure[kb][ka] {
-			return Worse, nil
-		}
-		return Incomparable, nil
-	case aMentioned:
+	case aMentioned && bMentioned && p.less[ia][ib], aMentioned && !bMentioned:
 		return Better, nil
-	case bMentioned:
+	case aMentioned && bMentioned && p.less[ib][ia], bMentioned && !aMentioned:
 		return Worse, nil
-	default:
-		return Equal, nil // both unmentioned: substitutable
+	case aMentioned && bMentioned:
+		return Incomparable, nil
 	}
+	return Equal, nil // both unmentioned: substitutable
 }
 
-// Level reports the 1-based quality level of a tuple's value (see
-// ValueLevel).
+// Level reports the 1-based quality level of a tuple's value: depth+1
+// for a value the graph mentions, NULL too when an edge names it, and
+// the bottom level maxDepth+2 for any other.
 func (p *Explicit) Level(row value.Row) (int, error) {
 	v, err := p.Get(row)
 	if err != nil {
 		return 0, err
 	}
-	return p.ValueLevel(v), nil
-}
-
-// ValueLevel is depth+1 for a value the graph mentions, NULL too when
-// an edge names it, and the bottom level for any other. A better value
-// has a smaller level and substitutable values share one, so the level
-// is EXPLICIT's presort key (see Key).
-func (p *Explicit) ValueLevel(v value.Value) int {
-	k := v.Key()
-	if _, ok := p.closure[k]; ok {
-		return p.depth[k] + 1
+	if i, ok := p.index[v.Key()]; ok {
+		return p.depth[i] + 1, nil
 	}
-	return p.Bottom()
+	return p.maxDep + 2, nil
 }
 
-// Bottom is the level of the values the graph does not mention,
-// maxDepth+2.
-func (p *Explicit) Bottom() int { return p.maxDep + 2 }
-
-// Score is the level, as a key element.
-func (p *Explicit) Score(row value.Row) (float64, error) {
-	l, err := p.Level(row)
-	return float64(l), err
+// Position is one element of an EXPLICIT's presort key: a value's
+// 1-based position in one extension of the realizer.
+type Position struct {
+	*Explicit
+	pos []int // pos[i] is Vals[i]'s position
 }
 
-// Chain reports whether the graph is a chain, one value per depth: then
-// the preference is a weak order, Better exactly where the level is
-// smaller. Every depth up to the deepest holds a value, so that is one
-// value per depth exactly when there are as many values as depths.
-func (p *Explicit) Chain() bool { return len(p.closure) == p.maxDep+1 }
+// Of returns v's position: the bottom one, len(Vals)+1, for a value the
+// graph does not mention.
+func (p *Position) Of(v value.Value) float64 {
+	if i, ok := p.index[v.Key()]; ok {
+		return float64(p.pos[i])
+	}
+	return float64(len(p.Vals) + 1)
+}
+
+// Score implements Scorer.
+func (p *Position) Score(row value.Row) (float64, error) {
+	v, err := p.Get(row)
+	if err != nil {
+		return 0, err
+	}
+	return p.Of(v), nil
+}
 
 // Attr returns the attribute label.
 func (p *Explicit) Attr() string { return p.Label }

@@ -3,6 +3,7 @@ package preference
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/value"
@@ -390,5 +391,86 @@ func TestDistanceScoresNullAndText(t *testing.T) {
 		if want := tc.name + ": non-numeric value m for s"; err == nil || err.Error() != want {
 			t.Errorf("%s of 'm': error %v, want %q", tc.name, err, want)
 		}
+	}
+}
+
+// TestExplicitRealizer checks NewExplicit's realizer on graphs with and
+// without incomparable values, NULL among them: for every pair of
+// values, mentioned or not, Compare is Better exactly when the first
+// value comes before the second in every extension, and Equal exactly
+// when their positions are identical. A chain has one extension, its
+// levels. The realizer is deterministic: 50 constructions of a graph
+// yield the same extensions.
+func TestExplicitRealizer(t *testing.T) {
+	text, null := value.NewText, value.NewNull()
+	edges := func(pairs ...string) [][2]value.Value {
+		var out [][2]value.Value
+		for i := 0; i < len(pairs); i += 2 {
+			e := [2]value.Value{text(pairs[i]), text(pairs[i+1])}
+			for k := range e {
+				if pairs[i+k] == "NULL" {
+					e[k] = null
+				}
+			}
+			out = append(out, e)
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(52))
+	var random [][2]value.Value
+	for i := 0; i < 9; i++ {
+		for j := i + 1; j < 9; j++ {
+			if rng.Intn(3) == 0 {
+				random = append(random, [2]value.Value{value.NewInt(int64(i)), value.NewInt(int64(j))})
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		edges [][2]value.Value
+		chain bool
+	}{
+		{"chain", edges("a", "b", "b", "c"), true},
+		{"fork", edges("A", "B", "A", "C"), false},
+		{"two chains", edges("x", "z", "y", "road"), false},
+		{"null named", edges("NULL", "B", "A", "C"), false},
+		{"diamond", edges("a", "b", "a", "c", "b", "d", "c", "d"), false},
+		{"crown", edges("a1", "b2", "a1", "b3", "a2", "b1", "a2", "b3", "a3", "b1", "a3", "b2"), false},
+		{"random", random, false},
+	} {
+		p, err := NewExplicit(colGetter(0), "c", tc.edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.chain != (len(p.exts) == 1) {
+			t.Errorf("%s: %d extensions", tc.name, len(p.exts))
+		}
+		vals := append([]value.Value{text("unmentioned"), text("other")}, p.Vals...)
+		if !slices.ContainsFunc(p.Vals, value.Value.IsNull) {
+			vals = append(vals, null)
+		}
+		for _, u := range vals {
+			for _, v := range vals {
+				before, same := true, true
+				for _, e := range p.exts {
+					pu, pv := e.Of(u), e.Of(v)
+					before, same = before && pu < pv, same && pu == pv
+				}
+				o := mustCompare(t, p, value.Row{u}, value.Row{v})
+				if (o == Better) != before || (o == Equal) != same {
+					t.Errorf("%s: Compare(%v, %v) = %v, but before in every extension %v, identical %v", tc.name, u, v, o, before, same)
+				}
+				if l, _ := p.Level(value.Row{u}); tc.chain && float64(l) != p.exts[0].Of(u) {
+					t.Errorf("%s: %v has level %d but position %v", tc.name, u, l, p.exts[0].Of(u))
+				}
+			}
+		}
+		for range 50 {
+			q, _ := NewExplicit(colGetter(0), "c", tc.edges)
+			if !slices.EqualFunc(p.exts, q.exts, func(a, b *Position) bool { return slices.Equal(a.pos, b.pos) }) {
+				t.Fatalf("%s: the extensions differ between constructions", tc.name)
+			}
+		}
+		t.Logf("%s: %d values, %d extensions", tc.name, len(p.Vals), len(p.exts))
 	}
 }

@@ -13,6 +13,7 @@ package rewrite
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -561,36 +562,67 @@ func (r *rewriter) partPredicates(bp *basePref, a2, a1 string) (eqb, sb ast.Expr
 	info := bp.explicit
 	c2 := &ast.Column{Table: a2, Name: bp.exvCol()}
 	c1 := &ast.Column{Table: a1, Name: bp.exvCol()}
-	mentionedList := func(c ast.Expr) *ast.InList {
-		list := make([]ast.Expr, len(info.mentioned))
-		for i, v := range info.mentioned {
-			list[i] = &ast.Literal{Val: v}
+	// A NULL the graph names is a mentioned value, matched by IS NULL:
+	// `c = NULL` never holds and `c NOT IN (…, NULL)` is never TRUE.
+	hasNull := slices.ContainsFunc(info.mentioned, value.Value.IsNull)
+	var lits []ast.Expr // the mentioned values but NULL, at least one
+	for _, v := range info.mentioned {
+		if !v.IsNull() {
+			lits = append(lits, &ast.Literal{Val: v})
 		}
-		return &ast.InList{X: c, List: list}
 	}
 	unmentioned := func(c *ast.Column) ast.Expr {
-		in := mentionedList(c)
-		notIn := &ast.InList{X: c, List: in.List, Not: true}
+		notIn := &ast.InList{X: c, List: lits, Not: true}
+		if hasNull {
+			return &ast.Binary{Op: "AND", L: &ast.IsNull{X: c, Not: true}, R: notIn}
+		}
 		return &ast.Binary{Op: "OR", L: &ast.IsNull{X: c}, R: notIn}
 	}
 	// strictly better: closure pair match, or mentioned beats unmentioned
 	var pairConds []ast.Expr
 	for _, pr := range info.pairs {
-		pairConds = append(pairConds, &ast.Binary{Op: "AND",
-			L: &ast.Binary{Op: "=", L: c2, R: &ast.Literal{Val: pr[0]}},
-			R: &ast.Binary{Op: "=", L: c1, R: &ast.Literal{Val: pr[1]}},
-		})
+		pairConds = append(pairConds, &ast.Binary{Op: "AND", L: holds(c2, pr[0]), R: holds(c1, pr[1])})
 	}
-	mentionedVsUn := &ast.Binary{Op: "AND", L: mentionedList(c2), R: unmentioned(c1)}
+	mentionedVsUn := &ast.Binary{Op: "AND", L: oneOf(c2, info.mentioned), R: unmentioned(c1)}
 	pairConds = append(pairConds, mentionedVsUn)
 	sb = orAll(pairConds)
-	// equal: same value, or both unmentioned
-	eq := &ast.Binary{Op: "OR",
-		L: &ast.Binary{Op: "=", L: c2, R: c1},
-		R: &ast.Binary{Op: "AND", L: unmentioned(c2), R: unmentioned(c1)},
+	// equal: same value, both a mentioned NULL, or both unmentioned
+	eq := ast.Expr(&ast.Binary{Op: "=", L: c2, R: c1})
+	if hasNull {
+		eq = &ast.Binary{Op: "OR", L: eq, R: &ast.Binary{Op: "AND", L: &ast.IsNull{X: c2}, R: &ast.IsNull{X: c1}}}
 	}
+	eq = &ast.Binary{Op: "OR", L: eq, R: &ast.Binary{Op: "AND", L: unmentioned(c2), R: unmentioned(c1)}}
 	eqb = &ast.Binary{Op: "OR", L: eq, R: sb}
 	return eqb, sb
+}
+
+// holds is the condition "c holds v": c IS NULL for a NULL v.
+func holds(c ast.Expr, v value.Value) ast.Expr {
+	if v.IsNull() {
+		return &ast.IsNull{X: c}
+	}
+	return &ast.Binary{Op: "=", L: c, R: &ast.Literal{Val: v}}
+}
+
+// oneOf is the condition "c holds one of vals": IS NULL matches a NULL
+// among them, which IN never does.
+func oneOf(c ast.Expr, vals []value.Value) ast.Expr {
+	var conds []ast.Expr
+	in := &ast.InList{X: c}
+	for _, v := range vals {
+		if v.IsNull() {
+			conds = append(conds, &ast.IsNull{X: c})
+		} else {
+			in.List = append(in.List, &ast.Literal{Val: v})
+		}
+	}
+	if len(in.List) > 0 {
+		conds = append(conds, in)
+	}
+	if len(conds) == 0 {
+		return &ast.Literal{Val: value.NewBool(false)}
+	}
+	return orAll(conds)
 }
 
 func andAll(xs []ast.Expr) ast.Expr {
@@ -701,22 +733,19 @@ func (r *rewriter) qualityExpr(name string, bp *basePref) (ast.Expr, error) {
 			var whens []ast.WhenClause
 			for _, v := range info.mentioned {
 				whens = append(whens, ast.WhenClause{
-					When: &ast.Binary{Op: "=", L: col, R: &ast.Literal{Val: v}},
+					When: holds(col, v),
 					Then: &ast.Literal{Val: value.NewInt(int64(info.depth[v.Key()] + 1))},
 				})
 			}
 			return &ast.Case{Whens: whens, Else: &ast.Literal{Val: value.NewInt(int64(info.maxDepth + 2))}}, nil
 		case "TOP":
-			var tops []ast.Expr
+			var tops []value.Value
 			for _, v := range info.mentioned {
 				if info.depth[v.Key()] == 0 {
-					tops = append(tops, &ast.Literal{Val: v})
+					tops = append(tops, v)
 				}
 			}
-			if len(tops) == 0 {
-				return &ast.Literal{Val: value.NewBool(false)}, nil
-			}
-			return &ast.InList{X: col, List: tops}, nil
+			return oneOf(col, tops), nil
 		default:
 			return nil, fmt.Errorf("rewrite: DISTANCE is undefined for EXPLICIT preferences")
 		}

@@ -492,6 +492,38 @@ func TestHighestOverBoolean(t *testing.T) {
 	}
 }
 
+// TestExplicitNamingNullRewrite: an EXPLICIT whose graph names NULL
+// ranks NULL as a mentioned value. The rewrite matches it with IS NULL,
+// since `c = NULL` never holds and `c NOT IN (…, NULL)` is never TRUE,
+// and must give native's answer, LEVEL and TOP included.
+func TestExplicitNamingNullRewrite(t *testing.T) {
+	db := core.Open()
+	if _, err := db.Exec(`CREATE TABLE g (id INT PRIMARY KEY, grade VARCHAR(2));
+		INSERT INTO g VALUES (1, 'A'), (2, NULL), (3, 'B'), (4, 'D')`); err != nil {
+		t.Fatal(err)
+	}
+	native, rw := db.NewSession(), db.NewSession()
+	rw.SetMode(core.ModeRewrite)
+	for q, want := range map[string]string{
+		`SELECT id FROM g PREFERRING EXPLICIT(grade, NULL > 'B', 'A' > 'C')`:                                        "(1) (2)",
+		`SELECT id, LEVEL(grade), TOP(grade) FROM g PREFERRING EXPLICIT(grade, NULL > 'B', 'A' > 'C')`:              "(1, 1, TRUE) (2, 1, TRUE)",
+		`SELECT id, LEVEL(grade), TOP(grade) FROM g WHERE id > 2 PREFERRING EXPLICIT(grade, NULL > 'B', 'A' > 'C')`: "(3, 2, FALSE)",
+		`SELECT id FROM g WHERE id <> 1 PREFERRING EXPLICIT(grade, 'A' > NULL)`:                                     "(2)",
+	} {
+		nat, err := native.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rw.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if g, n := rowStrings(got.Rows), rowStrings(nat.Rows); g != n || n != want {
+			t.Errorf("%s: rewrite %s, native %s, want %s", q, g, n, want)
+		}
+	}
+}
+
 // rowStrings renders rows as a sorted set.
 func rowStrings(rows []value.Row) string {
 	out := make([]string, len(rows))
